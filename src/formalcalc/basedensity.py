@@ -1,11 +1,13 @@
 """Densities on the base space.
 
 A base density is what gets integrated over open subsets of the base:
-on the discrete backend a finitely supported map label -> QC whose
-integral is the sum of its values, on the smooth backend an expression
-against |dx| together with a support bound. The bound is a support
-witness: the expression is expected to vanish, with all derivatives,
-outside it, which kernel-built bump expressions do by construction.
+a base coefficient of the space together with a support bound. On the
+discrete backend the coefficient is a finitely supported map
+label -> QC whose integral is the sum of its values, and the bound is
+the set of labels carrying a weight. On the smooth backend it is an
+expression against |dx| and the bound is a support witness: the
+expression is expected to vanish, with all derivatives, outside it,
+which kernel-built bump expressions do by construction.
 Algebra (add, diff, mul_coeff) treats the expression as globally
 defined and only tracks witnesses, so a witness must be honest.
 Integration and point evaluation clip to the witness; besides speed,
@@ -15,36 +17,24 @@ missed entirely by the quadrature nodes of a wide range.
 
 from __future__ import annotations
 
-from .errors import BackendError, DomainMismatchError
-from .expr import ZERO, diff, ev, mul, parse_sexpr, to_sexpr
-from .quadrature import DEFAULT_ABS_TOL, integrate_expr
-from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json
-from .spaces import OpenSet, RSet, region_from_json, region_to_json
+from .errors import DomainMismatchError
+from .quadrature import DEFAULT_ABS_TOL
+from .scalars import QC_ZERO, qc
+from .spaces import (OpenSet, region_contains, region_empty, region_intersect,
+                     region_intersect_open, region_is_empty, region_union)
 
 
 class BaseDensity:
-    """Scalar density over a base space."""
+    """Scalar density over a base space: a coefficient and its bound."""
 
-    __slots__ = ("space", "weights", "expr", "bound")
+    __slots__ = ("space", "coeff", "bound")
 
-    def __init__(self, space, weights=None, expr=None, bound=None):
+    def __init__(self, space, coeff=None, bound=None):
         self.space = space
-        if space.kind == "discrete":
-            w = {}
-            for p, v in (weights or {}).items():
-                p = str(p)
-                if p not in space.points:
-                    raise DomainMismatchError("density value at unknown point %r" % p)
-                v = qc(v)
-                if v:
-                    w[p] = v
-            self.weights = w
-            self.expr = None
-            self.bound = None
-        else:
-            self.weights = None
-            self.expr = expr if expr is not None else ZERO
-            self.bound = bound if bound is not None else RSet()
+        self.coeff = space.zero() if coeff is None else space.clean(coeff)
+        if bound is None:
+            bound = region_empty(space)
+        self.bound = space.support((self.coeff,), bound)
 
     @classmethod
     def zero(cls, space):
@@ -52,82 +42,73 @@ class BaseDensity:
 
     @classmethod
     def discrete(cls, space, weights):
-        return cls(space, weights=weights)
+        return cls(space, weights)
 
     @classmethod
     def smooth(cls, space, expr, bound):
-        return cls(space, expr=expr, bound=bound)
+        return cls(space, expr, bound)
 
     # -- queries ----------------------------------------------------------
 
     @property
+    def weights(self):
+        """The weight map on the discrete backend, None on the line."""
+        return self.space.weights(self.coeff)
+
+    @property
+    def expr(self):
+        """The expression on the line, None on the discrete backend."""
+        return self.space.expr(self.coeff)
+
+    @property
     def support(self):
-        if self.weights is not None:
-            return frozenset(self.weights)
         return self.bound
 
     def is_exactly_zero(self) -> bool:
         """Syntactic zero test: exact on discrete, conservative on smooth."""
-        if self.weights is not None:
-            return not self.weights
-        return self.expr == ZERO or self.bound.is_empty
+        return self.space.is_zero(self.coeff) or region_is_empty(self.bound)
 
     # -- algebra -----------------------------------------------------------
 
     def add(self, other: "BaseDensity") -> "BaseDensity":
         self._check(other)
-        if self.weights is not None:
-            w = dict(self.weights)
-            for p, v in other.weights.items():
-                u = w.get(p, QC_ZERO) + v
-                if u:
-                    w[p] = u
-                elif p in w:
-                    del w[p]
-            return BaseDensity(self.space, weights=w)
-        if self.expr == ZERO:
+        sp = self.space
+        if sp.is_zero(self.coeff):
             return other
-        if other.expr == ZERO:
+        if sp.is_zero(other.coeff):
             return self
-        return BaseDensity(self.space, expr=self.expr + other.expr,
-                           bound=self.bound.union(other.bound))
+        return BaseDensity(sp, sp.add(self.coeff, other.coeff),
+                           region_union(self.bound, other.bound))
 
     def scale(self, c) -> "BaseDensity":
+        """The density times a scalar, the scalar on the right."""
         c = qc(c)
         if not c:
             return BaseDensity.zero(self.space)
-        if self.weights is not None:
-            return BaseDensity(self.space,
-                               weights={p: v * c for p, v in self.weights.items()})
-        return BaseDensity(self.space, expr=mul(self.expr, _const(c)),
-                           bound=self.bound)
+        sp = self.space
+        return BaseDensity(sp, sp.mul(self.coeff, sp.constant(c, self.bound)),
+                           self.bound)
 
     def mul_coeff(self, coeff) -> "BaseDensity":
-        """Multiply by a base function coefficient (dict or Expr)."""
-        if self.weights is not None:
-            w = {}
-            for p, v in self.weights.items():
-                u = v * coeff.get(p, QC_ZERO)
-                if u:
-                    w[p] = u
-            return BaseDensity(self.space, weights=w)
-        if coeff == ZERO or self.expr == ZERO:
-            return BaseDensity.zero(self.space)
-        return BaseDensity(self.space, expr=mul(self.expr, coeff),
-                           bound=self.bound)
+        """Multiply by a base function coefficient of the space."""
+        sp = self.space
+        c = sp.mul(self.coeff, coeff)
+        if sp.is_zero(c):
+            return BaseDensity.zero(sp)
+        return BaseDensity(sp, c, self.bound)
 
     def diff(self, order: int = 1) -> "BaseDensity":
-        if self.weights is not None:
-            raise BackendError("the discrete backend has no x-derivatives")
-        return BaseDensity(self.space, expr=diff(self.expr, order),
-                           bound=self.bound)
+        return BaseDensity(self.space, self.space.diff(self.coeff, order),
+                           self.bound)
 
     def restrict(self, u: OpenSet) -> "BaseDensity":
-        if self.weights is not None:
-            w = {p: v for p, v in self.weights.items() if p in u.labels}
-            return BaseDensity(self.space, weights=w)
-        return BaseDensity(self.space, expr=self.expr,
-                           bound=self.bound.intersect(u.rset))
+        return BaseDensity(self.space, self.space.restrict(self.coeff, u),
+                           region_intersect_open(self.bound, u))
+
+    def clip(self, region) -> "BaseDensity":
+        """Intersect the bound with a region the density vanishes outside."""
+        return BaseDensity(self.space, self.coeff,
+                           region_intersect(self.bound, region))
 
     # -- integration ----------------------------------------------------------
 
@@ -139,24 +120,16 @@ class BaseDensity:
         """
         if self.space != over.space:
             raise DomainMismatchError("integrating over a different base space")
-        if self.weights is not None:
-            acc = QC_ZERO
-            for p in sorted(self.weights):
-                if p in over.labels:
-                    acc = acc + self.weights[p]
-            return acc
-        ranges = self.bound.intersect(over.rset).bounds_list()
-        if not ranges:
+        region = region_intersect_open(self.bound, over)
+        if region_is_empty(region):
             return QC_ZERO
-        return integrate_expr(self.expr, ranges, abs_tol, budget)
+        return self.space.integrate(self.coeff, region, abs_tol, budget)
 
     def value_at(self, p):
         """Pointwise value of the density coefficient."""
-        if self.weights is not None:
-            return self.weights.get(str(p), QC_ZERO)
-        if not self.bound.contains(p):
+        if not region_contains(self.bound, p):
             return QC_ZERO
-        return ev(self.expr, p)
+        return self.space.ev(self.coeff, p)
 
     # -- plumbing -----------------------------------------------------------------
 
@@ -167,35 +140,17 @@ class BaseDensity:
     def __eq__(self, other):
         if not isinstance(other, BaseDensity) or self.space != other.space:
             return False
-        if self.weights is not None:
-            return self.weights == other.weights
-        return self.expr == other.expr and self.bound == other.bound
+        return self.coeff == other.coeff and self.bound == other.bound
 
     def __repr__(self):
-        if self.weights is not None:
-            return "BaseDensity(%s)" % {p: str(v) for p, v in sorted(self.weights.items())}
-        return "BaseDensity(%s on %r)" % (to_sexpr(self.expr), self.bound)
+        return "BaseDensity(%s on %r)" % (self.space.to_json(self.coeff),
+                                          self.bound)
 
     # -- serialization ------------------------------------------------------------
 
     def to_json(self):
-        if self.weights is not None:
-            return {p: qc_to_json(v) for p, v in sorted(self.weights.items())}
-        return {"expr": to_sexpr(self.expr), "support": region_to_json(self.bound)}
+        return self.space.bounded_to_json(self.coeff, self.bound)
 
     @classmethod
     def from_json(cls, space, v, region=None):
-        if space.kind == "discrete":
-            if not isinstance(v, dict):
-                raise ValueError("discrete density must be a point->value map")
-            return cls(space, weights={p: qc_from_json(w) for p, w in v.items()})
-        if not isinstance(v, dict) or "expr" not in v or "support" not in v:
-            raise ValueError("smooth density needs 'expr' and 'support' fields")
-        expr = parse_sexpr(v["expr"], region=region)
-        bound = region_from_json(space, v["support"])
-        return cls(space, expr=expr, bound=bound)
-
-
-def _const(c: QC):
-    from .expr import Const
-    return Const(c)
+        return cls(space, *space.bounded_from_json(v, region=region))

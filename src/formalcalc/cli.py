@@ -2,10 +2,11 @@
 
 Commands operate on named objects from a scenario file (see scenario.py
 for the schema). Exit codes: 0 on success, 1 when a verification or
-certified construction fails, 2 on input errors; the three are never
-conflated. With --json the report is emitted as canonical JSON
-(sorted keys, no whitespace), so a given (scenario, seed) pair yields
-byte-identical output across runs.
+certified construction fails, 2 on input errors (including expressions
+nested past the recursion limit); the three are never conflated. With
+--json the report is emitted as canonical JSON (sorted keys, no
+whitespace), so a given (scenario, seed) pair yields byte-identical
+output across runs.
 """
 
 from __future__ import annotations
@@ -286,18 +287,20 @@ def main(argv=None) -> int:
         return 2
     try:
         sc = Scenario.load(args.scenario, trunc_override=args.trunc)
-    except ScenarioError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    tol = args.tol if args.tol is not None else sc.tol
-    seed = args.seed if args.seed is not None else sc.seed
-    try:
+        tol = args.tol if args.tol is not None else sc.tol
+        seed = args.seed if args.seed is not None else sc.seed
         report, code = _COMMANDS[args.command](args, sc, tol, seed)
     except _CHECK_ERRORS as e:
         print("check failed: %s" % e, file=sys.stderr)
         return 1
     except _INPUT_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the expression walkers are recursive, so a scenario expression
+        # nested past the interpreter's recursion limit cannot be handled
+        print("error: scenario input nests too deeply (Python recursion "
+              "limit %d)" % sys.getrecursionlimit(), file=sys.stderr)
         return 2
     if args.as_json:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))

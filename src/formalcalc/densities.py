@@ -25,7 +25,7 @@ from itertools import product as _cartesian
 
 from .basedensity import BaseDensity
 from .errors import (DomainMismatchError, SupportError, TruncationError)
-from .functions import FormalFunction, SupportedFormalFunction, coeff_diff
+from .functions import FormalFunction, SupportedFormalFunction
 from .multiindex import degree, key_str, mi, mi_binom, mi_factorial, mi_sub, parse_key
 from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC_ZERO
@@ -36,6 +36,23 @@ from .spaces import (OpenSet, region_empty, region_is_compact,
 def submultiindices(m: tuple):
     """All multi-indices componentwise <= m."""
     return [tuple(t) for t in _cartesian(*(range(e + 1) for e in m))]
+
+
+def leibniz(f: FormalFunction, l: tuple, i: tuple):
+    """Leibniz expansion of d_x^I d_y^L (f . u) in the derivatives of u.
+
+    Yields (I', J', c, g) for every J' <= L and I' <= I, with the integer
+    c = (L!/J'!) C(I, I') and the base coefficient g = d^{I-I'} f_{L-J'};
+    the derivative d^{I'} d^{J'} u then carries the factor c * g. Pass
+    the empty x-index for an expansion in y alone.
+    """
+    lfact = mi_factorial(l)
+    for jp in submultiindices(l):
+        ratio = lfact // mi_factorial(jp)
+        fj = f.coeff(mi_sub(l, jp))
+        for ip in submultiindices(i):
+            order = mi_sub(i, ip)[0] if i else 0
+            yield ip, jp, ratio * mi_binom(i, ip), f.space.diff(fj, order)
 
 
 def _canon_terms(space, terms):
@@ -144,8 +161,7 @@ class FormalDensity:
             ul = u.coeff(l)
             lfact = mi_factorial(l)
             for i, tau in self.coeffs[l]:
-                order = i[0] if i else 0
-                der = coeff_diff(self.space, ul, order)
+                der = self.space.diff(ul, i[0] if i else 0)
                 val = tau.mul_coeff(der).integrate(self.domain, abs_tol, budget)
                 acc = acc + lfact * val
         return acc
@@ -166,17 +182,9 @@ class FormalDensity:
                                   % (self.star_degree(), f.trunc))
         out = {}
         for l, terms in self.coeffs.items():
-            lfact = mi_factorial(l)
-            for jp in submultiindices(l):
-                ratio = lfact // mi_factorial(jp)
-                fj = f.coeff(mi_sub(l, jp))
-                for i, tau in terms:
-                    for ip in submultiindices(i):
-                        c = ratio * mi_binom(i, ip)
-                        order = (mi_sub(i, ip))[0] if i else 0
-                        fac = coeff_diff(self.space, fj, order)
-                        term = tau.mul_coeff(fac).scale(c)
-                        out.setdefault(jp, []).append((ip, term))
+            for i, tau in terms:
+                for ip, jp, c, g in leibniz(f, l, i):
+                    out.setdefault(jp, []).append((ip, tau.mul_coeff(g).scale(c)))
         return FormalDensity(self.space, self.domain, self.k, out)
 
     # -- cosheaf structure ------------------------------------------------------------
@@ -213,18 +221,13 @@ class FormalDensity:
         if not region_subset_open(f.support, v, within=f.domain):
             raise SupportError("cutoff support escapes the target open set")
         f_here = f if f.domain == self.domain else f.restrict(self.domain)
-        out = self.module_action(f_here).restrict_data(v)
-        if self.space.kind == "discrete":
-            return out
+        acted = self.module_action(f_here)
         # clip the recorded bounds by the cutoff support, so the result
         # is compactly supported inside v whenever the cutoff is
-        clipped = {}
-        for l, terms in out.coeffs.items():
-            clipped[l] = tuple(
-                (i, BaseDensity.smooth(self.space, tau.expr,
-                                       tau.bound.intersect(f_here.support)))
-                for i, tau in terms)
-        return FormalDensity(self.space, v, self.k, clipped)
+        out = {l: tuple((i, tau.restrict(v).clip(f_here.support))
+                        for i, tau in terms)
+               for l, terms in acted.coeffs.items()}
+        return FormalDensity(self.space, v, self.k, out)
 
     # -- plumbing ----------------------------------------------------------------------
 

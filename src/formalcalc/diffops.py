@@ -20,12 +20,11 @@ functions; it only feeds the seminorm diagnostics.
 from __future__ import annotations
 
 from .basedensity import BaseDensity
-from .densities import FormalDensity, submultiindices
+from .densities import FormalDensity, leibniz
 from .errors import DomainMismatchError, SupportError, TruncationError
 from .expr import ev_f
-from .functions import (FormalFunction, SupportedFormalFunction, coeff_add,
-                        coeff_diff, coeff_mul, coeff_scale, coeff_zero)
-from .multiindex import degree, mi, mi_binom, mi_factorial, mi_sub
+from .functions import FormalFunction, SupportedFormalFunction
+from .multiindex import degree, mi, mi_factorial
 from .spaces import (OpenSet, region_empty, region_is_compact,
                      region_subset_open, region_union)
 
@@ -35,7 +34,46 @@ def _term_sort_key(key):
     return (degree(i) + degree(l), i, l)
 
 
-class DensityDiffOp:
+class _DiffOp:
+    """Terms coeff_{I,L} . d_x^I d_y^L keyed by (I, L); the subclasses
+    differ in the coefficient type."""
+
+    def order(self) -> int:
+        return max((degree(i) + degree(l) for i, l in self.terms), default=0)
+
+    def y_order(self) -> int:
+        return max((degree(l) for _, l in self.terms), default=0)
+
+    def support(self):
+        acc = region_empty(self.space)
+        for c in self.terms.values():
+            acc = region_union(acc, c.support)
+        return acc
+
+    def keys_sorted(self):
+        return sorted(self.terms, key=_term_sort_key)
+
+    def to_json(self):
+        return {"terms": [{"I": list(i), "L": list(l),
+                           "coeff": self.terms[(i, l)].to_json()}
+                          for i, l in self.keys_sorted()]}
+
+    @classmethod
+    def from_json(cls, space, domain, k, v, region=None):
+        if not isinstance(v, dict) or "terms" not in v:
+            raise ValueError("operator needs a 'terms' field")
+        terms = {}
+        for t in v["terms"]:
+            i = mi(t.get("I", [0] * space.ndim))
+            l = mi(t.get("L", [0] * k))
+            if (i, l) in terms:
+                raise ValueError("duplicate operator term at (%r, %r)" % (i, l))
+            terms[(i, l)] = cls._coeff_from_json(space, domain, k, t["coeff"],
+                                                 region)
+        return cls(space, domain, k, terms)
+
+
+class DensityDiffOp(_DiffOp):
     """Operator sum tau_{I,L} . d_x^I d_y^L from functions to densities."""
 
     def __init__(self, space, domain: OpenSet, k: int, terms=None):
@@ -71,25 +109,12 @@ class DensityDiffOp:
         """Single term tau . d_x^I d_y^L."""
         return cls(space, domain, k, {(mi(i), mi(l)): tau})
 
-    # -- queries ---------------------------------------------------------
-
-    def order(self) -> int:
-        return max((degree(i) + degree(l) for i, l in self.terms), default=0)
-
-    def y_order(self) -> int:
-        return max((degree(l) for _, l in self.terms), default=0)
-
-    def support(self):
-        acc = region_empty(self.space)
-        for tau in self.terms.values():
-            acc = region_union(acc, tau.support)
-        return acc
+    @staticmethod
+    def _coeff_from_json(space, domain, k, v, region):
+        return BaseDensity.from_json(space, v, region=region)
 
     def is_exactly_zero(self) -> bool:
         return not self.terms
-
-    def keys_sorted(self):
-        return sorted(self.terms, key=_term_sort_key)
 
     # -- linear structure --------------------------------------------------
 
@@ -117,7 +142,7 @@ class DensityDiffOp:
         acc = BaseDensity.zero(self.space)
         for (i, l) in self.keys_sorted():
             tau = self.terms[(i, l)]
-            der = coeff_diff(self.space, u.coeff(l), i[0] if i else 0)
+            der = self.space.diff(u.coeff(l), i[0] if i else 0)
             acc = acc.add(tau.mul_coeff(der).scale(mi_factorial(l)))
         return acc
 
@@ -160,17 +185,10 @@ class DensityDiffOp:
                                   % (self.y_order(), f.trunc))
         out = {}
         for (i, l), tau in self.terms.items():
-            lfact = mi_factorial(l)
-            for jp in submultiindices(l):
-                ratio = lfact // mi_factorial(jp)
-                fj = f.coeff(mi_sub(l, jp))
-                for ip in submultiindices(i):
-                    c = ratio * mi_binom(i, ip)
-                    order = (mi_sub(i, ip))[0] if i else 0
-                    fac = coeff_diff(self.space, fj, order)
-                    term = tau.mul_coeff(fac).scale(c)
-                    key = (ip, jp)
-                    out[key] = out[key].add(term) if key in out else term
+            for ip, jp, c, g in leibniz(f, l, i):
+                term = tau.mul_coeff(g).scale(c)
+                key = (ip, jp)
+                out[key] = out[key].add(term) if key in out else term
         return DensityDiffOp(self.space, self.domain, self.k, out)
 
     # -- cosheaf structure ----------------------------------------------------------
@@ -208,26 +226,8 @@ class DensityDiffOp:
                 for key in self.keys_sorted()]
         return "DensityDiffOp(%s)" % ("; ".join(bits) or "0")
 
-    def to_json(self):
-        return {"terms": [{"I": list(i), "L": list(l),
-                           "coeff": self.terms[(i, l)].to_json()}
-                          for i, l in self.keys_sorted()]}
 
-    @classmethod
-    def from_json(cls, space, domain, k, v, region=None):
-        if not isinstance(v, dict) or "terms" not in v:
-            raise ValueError("operator needs a 'terms' field")
-        terms = {}
-        for t in v["terms"]:
-            i = mi(t.get("I", [0] * space.ndim))
-            l = mi(t.get("L", [0] * k))
-            if (i, l) in terms:
-                raise ValueError("duplicate operator term at (%r, %r)" % (i, l))
-            terms[(i, l)] = BaseDensity.from_json(space, t["coeff"], region=region)
-        return cls(space, domain, k, terms)
-
-
-class EndoDiffOp:
+class EndoDiffOp(_DiffOp):
     """Operator with formal-function coefficients, landing in base
     functions after reduction; feeds the seminorm diagnostics."""
 
@@ -265,20 +265,9 @@ class EndoDiffOp:
         zero_l = (0,) * k
         return cls(space, domain, k, {(zero_i, zero_l): f})
 
-    def order(self) -> int:
-        return max((degree(i) + degree(l) for i, l in self.terms), default=0)
-
-    def y_order(self) -> int:
-        return max((degree(l) for _, l in self.terms), default=0)
-
-    def support(self):
-        acc = region_empty(self.space)
-        for f in self.terms.values():
-            acc = region_union(acc, f.support)
-        return acc
-
-    def keys_sorted(self):
-        return sorted(self.terms, key=_term_sort_key)
+    @staticmethod
+    def _coeff_from_json(space, domain, k, v, region):
+        return SupportedFormalFunction.from_json(space, domain, k, v)
 
     def apply_reduced(self, u: FormalFunction):
         """Base coefficient of X(u): sum (f_{I,L})_0 * L! * (d_x^I u_L)."""
@@ -288,33 +277,13 @@ class EndoDiffOp:
         if u.trunc < self.y_order():
             raise TruncationError("application needs trunc >= %d, got %d"
                                   % (self.y_order(), u.trunc))
-        acc = coeff_zero(self.space)
+        sp = self.space
+        acc = sp.zero()
         for (i, l) in self.keys_sorted():
             f0 = self.terms[(i, l)].coeff((0,) * self.k)
-            der = coeff_diff(self.space, u.coeff(l), i[0] if i else 0)
-            term = coeff_mul(self.space, f0,
-                             coeff_scale(self.space, der, mi_factorial(l)))
-            acc = coeff_add(self.space, acc, term)
+            der = sp.diff(u.coeff(l), i[0] if i else 0)
+            acc = sp.add(acc, sp.mul(f0, sp.scale(der, mi_factorial(l))))
         return acc
-
-    def to_json(self):
-        return {"terms": [{"I": list(i), "L": list(l),
-                           "coeff": self.terms[(i, l)].to_json()}
-                          for i, l in self.keys_sorted()]}
-
-    @classmethod
-    def from_json(cls, space, domain, k, v, region=None):
-        if not isinstance(v, dict) or "terms" not in v:
-            raise ValueError("operator needs a 'terms' field")
-        terms = {}
-        for t in v["terms"]:
-            i = mi(t.get("I", [0] * space.ndim))
-            l = mi(t.get("L", [0] * k))
-            if (i, l) in terms:
-                raise ValueError("duplicate operator term at (%r, %r)" % (i, l))
-            terms[(i, l)] = SupportedFormalFunction.from_json(space, domain, k,
-                                                              t["coeff"])
-        return cls(space, domain, k, terms)
 
 
 SEMINORM_GRID = 1001

@@ -21,10 +21,11 @@ Three dual families over a common coefficient type BaseDistribution:
 * PointDistribution: finite combinations of jet evaluations at a single
   point; the normalized monomial family is dual to the jet basis.
 
-A BaseDistribution on the discrete backend is a weight map; on the
-smooth line it is a finite sum of SmoothTerm(g) (integrate g against
-the partner) and PointTerm(a, i, c) (c times the i-th derivative of
-the partner's coefficient function at a). When a derivative stack
+A BaseDistribution is a finite sum of SmoothTerm(g) (integrate the
+base coefficient g against the partner) and, on the smooth line,
+PointTerm(a, i, c) (c times the i-th derivative of the partner's
+coefficient function at a). A discrete weight map is a single
+SmoothTerm whose coefficient is the map. When a derivative stack
 d_x^I from a density coefficient meets a term, the stack is transposed
 onto the smooth side: SmoothTerm differentiates g, PointTerm folds the
 stack into its own order with the sign (-1)^|I|.
@@ -36,19 +37,18 @@ import math
 from fractions import Fraction
 
 from .basedensity import BaseDensity
-from .densities import FormalDensity, submultiindices
+from .densities import FormalDensity, leibniz
 from .errors import (BackendError, DomainMismatchError, SupportError,
                      TruncationError)
-from .expr import Const, Expr, ZERO, diff, ev, mul, parse_sexpr, pow_, to_sexpr, X
-from .functions import (FormalFunction, SupportedFormalFunction, coeff_diff,
-                        coeff_ev, cutoff_product)
-from .multiindex import (degree, enumerate_upto, key_str, mi, mi_factorial,
-                         mi_sub, parse_key)
-from .quadrature import DEFAULT_ABS_TOL, integrate_expr
+from .expr import Const, X, mul, pow_
+from .functions import FormalFunction, SupportedFormalFunction, cutoff_product
+from .multiindex import degree, enumerate_upto, key_str, mi, mi_factorial, parse_key
+from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json
-from .spaces import (OpenSet, RSet, region_from_json, region_intersect,
-                     region_intersect_open, region_is_compact,
-                     region_subset_open, region_to_json, region_union)
+from .spaces import (OpenSet, RSet, region_contains, region_empty,
+                     region_from_json, region_intersect, region_intersect_open,
+                     region_is_compact, region_is_empty, region_subset_open,
+                     region_to_json, region_union)
 
 
 def _fin(v):
@@ -63,8 +63,10 @@ def _is_zero_scalar(c) -> bool:
 
 
 class SmoothTerm:
-    """Acts on a partner function g' by integrating g * g'.
+    """Acts on a partner coefficient g' by integrating g * g'.
 
+    g is a base coefficient of the space: an expression on the line, a
+    weight map on a discrete space (where the integral is a sum).
     `bound` is an optional support witness for g (an RSet). Integration
     ranges are clipped to it, so that a narrow g inside a wide partner
     support cannot slip between quadrature nodes.
@@ -72,14 +74,14 @@ class SmoothTerm:
 
     __slots__ = ("g", "bound")
 
-    def __init__(self, g: Expr, bound=None):
+    def __init__(self, g, bound=None):
         self.g = g
         self.bound = bound
 
     def __repr__(self):
         if self.bound is None:
-            return "SmoothTerm(%s)" % to_sexpr(self.g)
-        return "SmoothTerm(%s, bound=%s)" % (to_sexpr(self.g), self.bound)
+            return "SmoothTerm(%r)" % (self.g,)
+        return "SmoothTerm(%r, bound=%s)" % (self.g, self.bound)
 
 
 class PointTerm:
@@ -99,26 +101,19 @@ class PointTerm:
 
 
 class BaseDistribution:
-    """Scalar distribution on the base space."""
+    """Scalar distribution on the base space: a canonical tuple of terms.
 
-    __slots__ = ("space", "weights", "terms")
+    A discrete weight map is one SmoothTerm whose coefficient is the map.
+    """
+
+    __slots__ = ("space", "terms")
 
     def __init__(self, space, weights=None, terms=None):
         self.space = space
-        if space.kind == "discrete":
-            w = {}
-            for p, v in (weights or {}).items():
-                p = str(p)
-                if p not in space.points:
-                    raise DomainMismatchError("weight at unknown point %r" % p)
-                v = qc(v)
-                if v:
-                    w[p] = v
-            self.weights = w
-            self.terms = None
-        else:
-            self.weights = None
-            self.terms = _canon_dist_terms(terms or ())
+        terms = list(terms or ())
+        if weights is not None:
+            terms.append(SmoothTerm(weights))
+        self.terms = _canon_dist_terms(space, terms)
 
     @classmethod
     def zero(cls, space):
@@ -129,16 +124,20 @@ class BaseDistribution:
         return cls(space, weights=weights)
 
     @classmethod
-    def smooth(cls, space, g: Expr, bound=None):
+    def smooth(cls, space, g, bound=None):
         return cls(space, terms=(SmoothTerm(g, bound),))
 
     @classmethod
     def point(cls, space, a, i: int = 0, c=1):
         return cls(space, terms=(PointTerm(a, i, c),))
 
+    @property
+    def weights(self):
+        """The weight map on a discrete space, None on the line."""
+        gs = [t.g for t in self.terms if isinstance(t, SmoothTerm)]
+        return self.space.weights(gs[0] if gs else self.space.zero())
+
     def is_exactly_zero(self) -> bool:
-        if self.weights is not None:
-            return not self.weights
         return not self.terms
 
     # -- linear structure ---------------------------------------------------
@@ -146,99 +145,66 @@ class BaseDistribution:
     def add(self, other: "BaseDistribution") -> "BaseDistribution":
         if self.space != other.space:
             raise DomainMismatchError("distributions over different base spaces")
-        if self.weights is not None:
-            w = dict(self.weights)
-            for p, v in other.weights.items():
-                u = w.get(p, QC_ZERO) + v
-                if u:
-                    w[p] = u
-                elif p in w:
-                    del w[p]
-            return BaseDistribution(self.space, weights=w)
         return BaseDistribution(self.space, terms=self.terms + other.terms)
 
     def scale(self, c) -> "BaseDistribution":
-        if self.weights is not None:
-            c = qc(c)
-            return BaseDistribution(self.space,
-                                    weights={p: v * c for p, v in self.weights.items()})
         out = []
         for t in self.terms:
             if isinstance(t, SmoothTerm):
-                out.append(SmoothTerm(mul(Const(qc(c)), t.g), t.bound))
+                out.append(SmoothTerm(self.space.scale(t.g, c), t.bound))
             else:
                 out.append(PointTerm(t.a, t.i, _scalar_mul(t.c, c)))
         return BaseDistribution(self.space, terms=out)
 
     # -- actions ------------------------------------------------------------
 
-    def act_on_function(self, c, ranges=None, abs_tol=DEFAULT_ABS_TOL, budget=None):
-        """Pair with a base function coefficient (dict or Expr).
-
-        `ranges` bounds the integration of SmoothTerm parts; pass the
-        bounded pieces that carry the partner's support.
-        """
-        if self.weights is not None:
-            acc = QC_ZERO
-            for p in sorted(self.weights):
-                acc = acc + self.weights[p] * c.get(p, QC_ZERO)
-            return acc
+    def act_on_function(self, c, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
+        """Pair with a base function coefficient vanishing outside a
+        bounded region (the partner's support)."""
+        sp = self.space
         acc = QC_ZERO
         for t in self.terms:
             if isinstance(t, SmoothTerm):
-                rr = _clip_ranges(ranges or [], t.bound)
-                acc = acc + integrate_expr(mul(t.g, c), rr, abs_tol, budget)
+                r = region if t.bound is None else region_intersect(region,
+                                                                    t.bound)
+                acc = acc + sp.pair(t.g, c, r, abs_tol, budget)
             else:
-                acc = acc + _scalar_mul(t.c, ev(diff(c, t.i) if t.i else c, t.a))
+                acc = acc + _scalar_mul(t.c, sp.ev(sp.diff(c, t.i), t.a))
         return acc
 
     def act_on_density(self, tau: BaseDensity, stack: int, domain: OpenSet,
                        abs_tol=DEFAULT_ABS_TOL, budget=None):
         """Pair with a base density carrying a derivative stack d^stack."""
-        if self.weights is not None:
-            if stack:
-                raise BackendError("the discrete backend has no derivative stacks")
-            acc = QC_ZERO
-            for p in sorted(self.weights):
-                acc = acc + self.weights[p] * tau.weights.get(p, QC_ZERO)
-            return acc
+        sp = self.space
         acc = QC_ZERO
         for t in self.terms:
             if isinstance(t, SmoothTerm):
-                g = diff(t.g, stack) if stack else t.g
-                prod = tau.mul_coeff(g)
-                if t.bound is not None:
-                    prod = BaseDensity.smooth(self.space, prod.expr,
-                                              region_intersect(prod.bound,
-                                                               t.bound))
-                acc = acc + prod.integrate(domain, abs_tol, budget)
-            else:
-                if tau.bound.contains(t.a):
-                    sign = -1 if stack % 2 else 1
-                    v = ev(diff(tau.expr, t.i + stack) if t.i + stack else tau.expr,
-                           t.a)
-                    acc = acc + sign * _scalar_mul(t.c, v)
+                g = sp.diff(t.g, stack)
+                r = tau.bound if t.bound is None else region_intersect(
+                    tau.bound, t.bound)
+                r = region_intersect_open(r, domain)
+                val = QC_ZERO if region_is_empty(r) else \
+                    sp.pair(tau.coeff, g, r, abs_tol, budget)
+                acc = acc + val
+            elif region_contains(tau.bound, t.a):
+                sign = -1 if stack % 2 else 1
+                v = sp.ev(sp.diff(tau.coeff, t.i + stack), t.a)
+                acc = acc + sign * _scalar_mul(t.c, v)
         return acc
 
     def mul_coeff(self, f0) -> "BaseDistribution":
         """Product with a base function: <f.w, g> = <w, f g>."""
-        if self.weights is not None:
-            w = {}
-            for p, v in self.weights.items():
-                u = v * f0.get(p, QC_ZERO)
-                if u:
-                    w[p] = u
-            return BaseDistribution(self.space, weights=w)
+        sp = self.space
         out = []
         for t in self.terms:
             if isinstance(t, SmoothTerm):
-                out.append(SmoothTerm(mul(f0, t.g), t.bound))
+                out.append(SmoothTerm(sp.mul(f0, t.g), t.bound))
             else:
                 for j in range(t.i + 1):
-                    d = coeff_ev(self.space, coeff_diff(self.space, f0, t.i - j), t.a)
+                    d = sp.ev(sp.diff(f0, t.i - j), t.a)
                     c = _scalar_mul(t.c, math.comb(t.i, j) * _as_scalar(d))
                     out.append(PointTerm(t.a, j, c))
-        return BaseDistribution(self.space, terms=out)
+        return BaseDistribution(sp, terms=out)
 
     def clip_bounds(self, region) -> "BaseDistribution":
         """Intersect smooth-term support bounds with a region witness.
@@ -246,8 +212,6 @@ class BaseDistribution:
         Sound when every smooth term is known to vanish outside the
         region, e.g. after multiplication by a cutoff supported there.
         """
-        if self.weights is not None:
-            return self
         out = []
         for t in self.terms:
             if isinstance(t, SmoothTerm):
@@ -259,14 +223,10 @@ class BaseDistribution:
         return BaseDistribution(self.space, terms=out)
 
     def restrict(self, u: OpenSet) -> "BaseDistribution":
-        if self.weights is not None:
-            return BaseDistribution(self.space,
-                                    weights={p: v for p, v in self.weights.items()
-                                             if p in u.labels})
         out = []
         for t in self.terms:
             if isinstance(t, SmoothTerm):
-                out.append(t)
+                out.append(SmoothTerm(self.space.restrict(t.g, u), t.bound))
             elif u.contains(t.a):
                 out.append(t)
         return BaseDistribution(self.space, terms=out)
@@ -276,23 +236,16 @@ class BaseDistribution:
     def __eq__(self, other):
         if not isinstance(other, BaseDistribution) or self.space != other.space:
             return False
-        if self.weights is not None:
-            return self.weights == other.weights
-        return _terms_key(self.terms) == _terms_key(other.terms)
+        return _terms_key(self) == _terms_key(other)
 
     def __repr__(self):
-        if self.weights is not None:
-            return "BaseDistribution(%s)" % {p: str(v)
-                                             for p, v in sorted(self.weights.items())}
         return "BaseDistribution(%s)" % (list(self.terms),)
 
     def to_json(self):
-        if self.weights is not None:
-            return {p: qc_to_json(v) for p, v in sorted(self.weights.items())}
         out = []
         for t in self.terms:
             if isinstance(t, SmoothTerm):
-                tj = {"kind": "smooth", "expr": to_sexpr(t.g)}
+                tj = {"kind": "smooth", "expr": self.space.to_json(t.g)}
                 if t.bound is not None:
                     tj["support"] = region_to_json(t.bound)
                 out.append(tj)
@@ -302,24 +255,18 @@ class BaseDistribution:
                 else:
                     cj = [t.c.real, t.c.imag]
                 out.append({"kind": "point", "a": str(t.a), "i": t.i, "c": cj})
-        return out
+        return self.space.terms_to_json(out)
 
     @classmethod
     def from_json(cls, space, v, region=None):
-        if space.kind == "discrete":
-            if not isinstance(v, dict):
-                raise ValueError("discrete distribution must be a point->value map")
-            return cls(space, weights={p: qc_from_json(w) for p, w in v.items()})
-        if not isinstance(v, list):
-            raise ValueError("smooth distribution must be a list of terms")
         terms = []
-        for t in v:
+        for t in space.terms_from_json(v):
             kind = t.get("kind")
             if kind == "smooth":
                 bound = None
                 if "support" in t:
                     bound = region_from_json(space, t["support"])
-                terms.append(SmoothTerm(parse_sexpr(t["expr"], region=region),
+                terms.append(SmoothTerm(space.from_json(t["expr"], region=region),
                                         bound))
             elif kind == "point":
                 terms.append(PointTerm(Fraction(str(t["a"])), int(t["i"]),
@@ -343,21 +290,19 @@ def _scalar_mul(a, b):
     return complex(a) * complex(b)
 
 
-def _canon_dist_terms(terms):
-    smooth = []
+def _canon_dist_terms(space, terms):
+    integrals = []
     points = {}
     for t in terms:
         if isinstance(t, SmoothTerm):
-            if t.g != ZERO:
-                smooth.append(t)
+            integrals.append((space.clean(t.g), t.bound))
         elif isinstance(t, PointTerm):
             key = (t.a, t.i)
             prev = points.get(key)
             points[key] = t.c if prev is None else _scalar_add(prev, t.c)
         else:
             raise TypeError("unknown distribution term %r" % (t,))
-    smooth.sort(key=lambda t: (to_sexpr(t.g), _bound_key(t.bound)))
-    out = list(smooth)
+    out = [SmoothTerm(g, bound) for g, bound in space.gather(integrals)]
     for (a, i) in sorted(points):
         c = points[(a, i)]
         if not _is_zero_scalar(c):
@@ -375,27 +320,14 @@ def _scalar_add(a, b):
     return complex(a) + complex(b)
 
 
-def _terms_key(terms):
+def _terms_key(w):
     out = []
-    for t in terms:
+    for t in w.terms:
         if isinstance(t, SmoothTerm):
-            out.append(("smooth", to_sexpr(t.g), _bound_key(t.bound)))
+            out.append(("smooth", w.space.to_json(t.g), _bound_key(t.bound)))
         else:
             out.append(("point", t.a, t.i, complex(t.c) if not isinstance(t.c, QC)
                         else t.c))
-    return out
-
-
-def _clip_ranges(ranges, bound):
-    """Intersect integration intervals with a support witness."""
-    if bound is None:
-        return ranges
-    out = []
-    for lo, hi in ranges:
-        for blo, bhi, _, _ in bound.pieces:
-            l, h = max(lo, blo), min(hi, bhi)
-            if l < h:
-                out.append((l, h))
     return out
 
 
@@ -482,15 +414,13 @@ class FormalDistribution:
             raise SupportError("distributions pair with supported functions")
         if not region_is_compact(u.support):
             raise SupportError("the partner needs a compact support witness")
-        ranges = None
-        if self.space.kind == "smoothline":
-            ranges = region_intersect_open(u.support, self.domain).bounds_list()
+        region = region_intersect_open(u.support, self.domain)
         out = []
         for j in range(self.e_dim):
             acc = QC_ZERO
             for l in self.keys_sorted():
                 lf = mi_factorial(l)
-                v = self.coeffs[l][j].act_on_function(u.coeff(l), ranges,
+                v = self.coeffs[l][j].act_on_function(u.coeff(l), region,
                                                       abs_tol, budget)
                 acc = acc + lf * v
             out.append(_fin(acc))
@@ -511,11 +441,8 @@ class FormalDistribution:
                                   % (self.star_degree(), f.trunc))
         out = {}
         for l, vec in self.coeffs.items():
-            lf = mi_factorial(l)
-            for jp in submultiindices(l):
-                ratio = lf // mi_factorial(jp)
-                fj = f.coeff(mi_sub(l, jp))
-                add_vec = tuple(w.mul_coeff(fj).scale(ratio) for w in vec)
+            for _, jp, c, g in leibniz(f, l, ()):
+                add_vec = tuple(w.mul_coeff(g).scale(c) for w in vec)
                 prev = out.get(jp)
                 out[jp] = add_vec if prev is None else \
                     tuple(x.add(y) for x, y in zip(prev, add_vec))
@@ -586,48 +513,38 @@ class CompactFormalDistribution(FormalDistribution):
         super().__init__(space, domain, k, e_dim, coeffs)
         if support is None:
             support = self._support_from_coeffs()
-        if space.kind == "discrete":
-            support = frozenset(support)
+        support = space.region(support)
         if not region_is_compact(support):
             raise SupportError("support witness is not compact")
         if not region_subset_open(support, domain):
             raise SupportError("support witness escapes the domain")
         for l, vec in self.coeffs.items():
             for w in vec:
-                if w.weights is not None:
-                    stray = set(w.weights) - support
-                    if stray:
-                        raise SupportError("weights outside the support witness "
-                                           "at %r: %s" % (l, sorted(stray)))
-                elif w.terms is not None:
-                    for t in w.terms:
-                        if isinstance(t, PointTerm) and not support.contains(t.a):
+                for t in w.terms:
+                    if isinstance(t, PointTerm):
+                        if not region_contains(support, t.a):
                             raise SupportError("point term at %s outside the "
                                                "support witness" % t.a)
-                        if isinstance(t, SmoothTerm) and t.bound is not None \
-                                and not t.bound.is_subset(support):
-                            raise SupportError("smooth term bound escapes the "
-                                               "support witness")
+                        continue
+                    stray = space.stray(t.g, support)
+                    if stray:
+                        raise SupportError("weights outside the support witness "
+                                           "at %r: %s" % (l, stray))
+                    if t.bound is not None and not t.bound.is_subset(support):
+                        raise SupportError("smooth term bound escapes the "
+                                           "support witness")
         self.support = support
 
     def _support_from_coeffs(self):
-        if self.space.kind == "discrete":
-            pts = set()
-            for vec in self.coeffs.values():
-                for w in vec:
-                    pts |= set(w.weights)
-            return frozenset(pts)
-        acc = RSet()
+        acc = region_empty(self.space)
         for vec in self.coeffs.values():
             for w in vec:
                 for t in w.terms:
                     if isinstance(t, PointTerm):
-                        acc = acc.union(RSet.point(t.a))
-                    elif t.bound is not None:
-                        acc = acc.union(t.bound)
+                        r = RSet.point(t.a)
                     else:
-                        raise SupportError("a smooth integral term needs an "
-                                           "explicit support witness")
+                        r = self.space.support((t.g,), t.bound)
+                    acc = region_union(acc, r)
         return acc
 
     def _clone(self, coeffs):
@@ -759,11 +676,7 @@ class GeneralizedFunction:
         """A formal function as a generalized function (E_dim 1)."""
         coeffs = {}
         for j, c in u.coeffs.items():
-            if u.space.kind == "discrete":
-                w = BaseDistribution.from_weights(u.space, c)
-            else:
-                w = BaseDistribution.smooth(u.space, c)
-            coeffs[j] = (w,)
+            coeffs[j] = (BaseDistribution.smooth(u.space, c),)
         return cls(u.space, u.domain, u.k, u.trunc, 1, coeffs)
 
     def keys_sorted(self):

@@ -173,10 +173,6 @@ def _is_const(e, value=None):
 
 # -- smart constructors ------------------------------------------------------
 
-def const(v) -> Expr:
-    return Const(v)
-
-
 def add(a, b) -> Expr:
     if _is_const(a) and _is_const(b):
         return Const(a.v + b.v)
@@ -189,10 +185,6 @@ def add(a, b) -> Expr:
 
 def sub(a, b) -> Expr:
     return add(a, mul(Const(-1), b))
-
-
-def neg(a) -> Expr:
-    return mul(Const(-1), a)
 
 
 def mul(a, b) -> Expr:
@@ -462,14 +454,6 @@ def poly_coeffs(e: Expr):
 
 def is_polynomial(e: Expr) -> bool:
     return poly_coeffs(e) is not None
-
-
-def poly_eval(coeffs: dict, x) -> QC:
-    acc = QC_ZERO
-    xq = QC(x)
-    for d, v in coeffs.items():
-        acc = acc + v * _vpow(xq, d)
-    return acc
 
 
 def poly_definite_integral(coeffs: dict, lo: Fraction, hi: Fraction) -> QC:

@@ -7,116 +7,24 @@ storage detail: coefficients up to and including degree trunc are
 exactly right and nothing is known beyond, so binary operations return
 the minimum of the operand truncations. Missing keys are zero.
 
-Coefficients are dicts label -> QC on the discrete backend and smooth
-expressions on the line. SupportedFormalFunction adds a support witness
-region outside of which every coefficient vanishes, plus an optional
-plateau region on which the function is exactly the constant one (used
-by cutoff arguments).
+Coefficients are base coefficients of the space (dicts label -> QC on
+the discrete backend, smooth expressions on the line), handled only
+through the space's coefficient algebra. SupportedFormalFunction adds a
+support witness region outside of which every coefficient vanishes,
+plus an optional plateau region on which the function is exactly the
+constant one (used by cutoff arguments).
 """
 
 from __future__ import annotations
 
 from .errors import (BackendError, DomainMismatchError, SupportError,
                      TruncationError)
-from .expr import ZERO, diff, ev, mul, parse_sexpr, to_sexpr
 from .expr import bump as _bump_expr
 from .multiindex import degree, key_str, mi, mi_factorial, parse_key
-from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json
-from .spaces import (OpenSet, region_from_json, region_is_compact,
+from .scalars import QC
+from .spaces import (OpenSet, region_from_json, region_intersect,
+                     region_intersect_open, region_is_compact,
                      region_subset_open, region_to_json)
-
-
-# -- base coefficient helpers (dict on discrete, Expr on smooth) -----------
-
-def coeff_zero(space):
-    return {} if space.kind == "discrete" else ZERO
-
-
-def coeff_is_zero(space, c) -> bool:
-    if space.kind == "discrete":
-        return not c
-    return c == ZERO
-
-
-def coeff_add(space, a, b):
-    if space.kind == "discrete":
-        out = dict(a)
-        for p, v in b.items():
-            w = out.get(p, QC_ZERO) + v
-            if w:
-                out[p] = w
-            elif p in out:
-                del out[p]
-        return out
-    if a == ZERO:
-        return b
-    if b == ZERO:
-        return a
-    return a + b
-
-
-def coeff_scale(space, c, s):
-    s = qc(s)
-    if not s:
-        return coeff_zero(space)
-    if space.kind == "discrete":
-        return {p: v * s for p, v in c.items()}
-    from .expr import Const
-    return mul(Const(s), c)
-
-
-def coeff_mul(space, a, b):
-    if space.kind == "discrete":
-        out = {}
-        for p, v in a.items():
-            w = v * b.get(p, QC_ZERO)
-            if w:
-                out[p] = w
-        return out
-    return mul(a, b)
-
-
-def coeff_diff(space, c, i: int):
-    if i == 0:
-        return c
-    if space.kind == "discrete":
-        raise BackendError("the discrete backend has no x-derivatives")
-    return diff(c, i)
-
-
-def coeff_ev(space, c, a):
-    if space.kind == "discrete":
-        return c.get(str(a), QC_ZERO)
-    return ev(c, a)
-
-
-def coeff_restrict(space, c, u: OpenSet):
-    if space.kind == "discrete":
-        return {p: v for p, v in c.items() if p in u.labels}
-    return c
-
-
-def coeff_to_json(space, c):
-    if space.kind == "discrete":
-        return {p: qc_to_json(v) for p, v in sorted(c.items())}
-    return to_sexpr(c)
-
-
-def coeff_from_json(space, v, domain: OpenSet = None, region=None):
-    if space.kind == "discrete":
-        if not isinstance(v, dict):
-            raise ValueError("discrete coefficient must be a point->value map")
-        out = {}
-        for p, w in v.items():
-            if domain is not None and p not in domain.labels:
-                raise ValueError("coefficient value at point %r outside the domain" % p)
-            w = qc_from_json(w)
-            if w:
-                out[p] = w
-        return out
-    if not isinstance(v, str):
-        raise ValueError("smooth coefficient must be an expression string")
-    return parse_sexpr(v, region=region)
 
 
 class FormalFunction:
@@ -140,13 +48,8 @@ class FormalFunction:
             if degree(j) > trunc:
                 raise TruncationError("coefficient at %r exceeds trunc %d"
                                       % (j, trunc))
-            if space.kind == "discrete":
-                c = {p: qc(v) for p, v in c.items() if qc(v)}
-                stray = set(c) - domain.labels
-                if stray:
-                    raise DomainMismatchError("coefficient values outside the "
-                                              "domain: %s" % sorted(stray))
-            if not coeff_is_zero(space, c):
+            c = space.clean(c, domain)
+            if not space.is_zero(c):
                 clean[j] = c
         self.coeffs = clean
 
@@ -156,19 +59,13 @@ class FormalFunction:
 
     @classmethod
     def constant(cls, space, domain, k, trunc, value=1):
-        value = qc(value)
-        j0 = mi([0] * k)
-        if space.kind == "discrete":
-            c = {p: value for p in domain.labels}
-        else:
-            from .expr import Const
-            c = Const(value)
-        return cls(space, domain, k, trunc, {j0: c})
+        c = space.constant(value, domain.labels)
+        return cls(space, domain, k, trunc, {mi([0] * k): c})
 
     # -- queries -----------------------------------------------------------
 
     def coeff(self, j):
-        return self.coeffs.get(mi(j), coeff_zero(self.space))
+        return self.coeffs.get(mi(j), self.space.zero())
 
     def y_degree(self) -> int:
         return max((degree(j) for j in self.coeffs), default=0)
@@ -184,38 +81,40 @@ class FormalFunction:
     def add(self, other: "FormalFunction") -> "FormalFunction":
         self._check(other)
         trunc = min(self.trunc, other.trunc)
+        sp = self.space
         out = {}
         for j in set(self.coeffs) | set(other.coeffs):
             if degree(j) > trunc:
                 continue
-            c = coeff_add(self.space, self.coeff(j), other.coeff(j))
-            if not coeff_is_zero(self.space, c):
+            c = sp.add(self.coeff(j), other.coeff(j))
+            if not sp.is_zero(c):
                 out[j] = c
         return FormalFunction(self.space, self.domain, self.k, trunc, out)
 
     def scale(self, s) -> "FormalFunction":
-        out = {j: coeff_scale(self.space, c, s) for j, c in self.coeffs.items()}
+        out = {j: self.space.scale(c, s) for j, c in self.coeffs.items()}
         return FormalFunction(self.space, self.domain, self.k, self.trunc, out)
 
     def mul(self, other: "FormalFunction") -> "FormalFunction":
         """Cauchy product in y, truncated to the minimum guaranteed order."""
         self._check(other)
         trunc = min(self.trunc, other.trunc)
+        sp = self.space
         out = {}
         for j1, c1 in self.coeffs.items():
             for j2, c2 in other.coeffs.items():
                 j = tuple(a + b for a, b in zip(j1, j2))
                 if degree(j) > trunc:
                     continue
-                c = coeff_mul(self.space, c1, c2)
+                c = sp.mul(c1, c2)
                 prev = out.get(j)
-                out[j] = c if prev is None else coeff_add(self.space, prev, c)
+                out[j] = c if prev is None else sp.add(prev, c)
         return FormalFunction(self.space, self.domain, self.k, trunc, out)
 
     def restrict(self, v: OpenSet) -> "FormalFunction":
         if not v.is_subset(self.domain):
             raise DomainMismatchError("restriction target is not inside the domain")
-        out = {j: coeff_restrict(self.space, c, v) for j, c in self.coeffs.items()}
+        out = {j: self.space.restrict(c, v) for j, c in self.coeffs.items()}
         return FormalFunction(self.space, v, self.k, self.trunc, out)
 
     # -- evaluation ------------------------------------------------------------
@@ -224,7 +123,7 @@ class FormalFunction:
         """Value of the reduced function (the y-constant coefficient) at a."""
         if not self.domain.contains(a):
             raise DomainMismatchError("evaluation point %r outside the domain" % (a,))
-        return coeff_ev(self.space, self.coeff(mi([0] * self.k)), a)
+        return self.space.ev(self.coeff(mi([0] * self.k)), a)
 
     def jet(self, a, i, j):
         """Jet value J! * (d_x^I u_J)(a).
@@ -243,10 +142,8 @@ class FormalFunction:
             raise TruncationError("jet order %r exceeds trunc %d" % (j, self.trunc))
         if not self.domain.contains(a):
             raise DomainMismatchError("jet point %r outside the domain" % (a,))
-        c = self.coeff(j)
-        order = i[0] if i else 0
-        c = coeff_diff(self.space, c, order) if order else c
-        return mi_factorial(j) * coeff_ev(self.space, c, a)
+        c = self.space.diff(self.coeff(j), i[0] if i else 0)
+        return mi_factorial(j) * self.space.ev(c, a)
 
     # -- plumbing -----------------------------------------------------------------
 
@@ -265,7 +162,7 @@ class FormalFunction:
     def __repr__(self):
         bits = []
         for j in self.keys_sorted():
-            bits.append("y^%s: %s" % (j, coeff_to_json(self.space, self.coeffs[j])))
+            bits.append("y^%s: %s" % (j, self.space.to_json(self.coeffs[j])))
         return "FormalFunction(trunc=%d, %s)" % (self.trunc, "; ".join(bits))
 
     # -- serialization ---------------------------------------------------------------
@@ -273,7 +170,7 @@ class FormalFunction:
     def to_json(self):
         return {
             "trunc": self.trunc,
-            "coeffs": {key_str(j): coeff_to_json(self.space, self.coeffs[j])
+            "coeffs": {key_str(j): self.space.to_json(self.coeffs[j])
                        for j in self.keys_sorted()},
         }
 
@@ -284,7 +181,7 @@ class FormalFunction:
         coeffs = {}
         for key, cv in v.get("coeffs", {}).items():
             j = parse_key(key, length=k)
-            coeffs[j] = coeff_from_json(space, cv, domain=domain, region=region)
+            coeffs[j] = space.from_json(cv, domain=domain, region=region)
         return cls(space, domain, k, int(v["trunc"]), coeffs)
 
 
@@ -295,29 +192,18 @@ class SupportedFormalFunction(FormalFunction):
                  plateau=None):
         super().__init__(space, domain, k, trunc, coeffs)
         if support is None:
-            support = self._support_from_coeffs()
-        if space.kind == "discrete":
-            support = frozenset(support)
-            for j, c in self.coeffs.items():
-                stray = set(c) - support
-                if stray:
-                    raise SupportError("coefficient at %r is nonzero outside "
-                                       "the support witness: %s" % (j, sorted(stray)))
+            support = space.support(self.coeffs.values())
+        support = space.region(support)
+        for j, c in self.coeffs.items():
+            stray = space.stray(c, support)
+            if stray:
+                raise SupportError("coefficient at %r is nonzero outside "
+                                   "the support witness: %s" % (j, stray))
         self.support = support
         self.plateau = plateau
 
-    def _support_from_coeffs(self):
-        if self.space.kind == "discrete":
-            pts = set()
-            for c in self.coeffs.values():
-                pts |= set(c)
-            return frozenset(pts)
-        raise SupportError("a smooth supported function needs an explicit "
-                           "support witness")
-
     def restrict(self, v: OpenSet) -> "SupportedFormalFunction":
         plain = super().restrict(v)
-        from .spaces import region_intersect_open
         return SupportedFormalFunction(self.space, v, self.k, self.trunc,
                                        plain.coeffs,
                                        support=region_intersect_open(self.support, v),
@@ -376,7 +262,6 @@ def cutoff_product(f: SupportedFormalFunction, u: FormalFunction):
     prod = f.restrict(u.domain).mul(u)
     support = f.support
     if isinstance(u, SupportedFormalFunction):
-        from .spaces import region_intersect
         support = region_intersect(support, u.support)
     return SupportedFormalFunction(f.space, f.domain, f.k, prod.trunc,
                                    prod.coeffs, support=support)

@@ -88,20 +88,6 @@ def enumerate_upto(length: int, maxdeg: int) -> list:
     return out
 
 
-def mi_from_json(v, length=None) -> tuple:
-    if not isinstance(v, (list, tuple)):
-        raise ValueError("multi-index must be a JSON array of ints: %r" % (v,))
-    m = mi(v)
-    if length is not None and len(m) != length:
-        raise ValueError("multi-index %r has length %d, expected %d"
-                         % (v, len(m), length))
-    return m
-
-
-def mi_to_json(m: tuple) -> list:
-    return list(m)
-
-
 def key_str(m: tuple) -> str:
     """Serialize a multi-index as a comma separated coefficient key."""
     return ",".join(str(e) for e in m)

@@ -10,6 +10,13 @@ Two backends:
   finite unions of open intervals with rational or infinite endpoints,
   held in canonical sorted disjoint form.
 
+Each backend also owns the algebra of its base coefficients, the
+functions on the base that formal functions, densities and
+distributions are built from: a dict label -> nonzero QC on Discrete,
+a smooth expression on SmoothLine. No other module looks inside a
+coefficient; they call the space's methods (zero, add, scale, mul,
+diff, ev, restrict, integrate, pair, support, to_json, ...).
+
 The smooth side rests on RSet, an exact boolean algebra of interval
 unions with explicit endpoint flags. RSet also models supports (closed,
 possibly unbounded unions, including degenerate single points) and
@@ -19,8 +26,11 @@ decided exactly in rational arithmetic.
 
 from __future__ import annotations
 
-from .errors import DomainMismatchError
-from .scalars import rat_from_json, rat_to_json
+from .errors import BackendError, DomainMismatchError, SupportError
+from .expr import ZERO, Const, diff, ev, mul, parse_sexpr, to_sexpr
+from .quadrature import DEFAULT_ABS_TOL, integrate_expr
+from .scalars import (QC_ZERO, qc, qc_from_json, qc_to_json, rat_from_json,
+                      rat_to_json)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -182,7 +192,12 @@ def _canon(pieces):
 
 
 class Discrete:
-    """Finite discrete base space with string point labels."""
+    """Finite discrete base space with string point labels.
+
+    A base coefficient is a dict label -> nonzero QC; a missing label
+    is zero. Its support is read off its keys, sums over a region are
+    exact, and there are no x-derivatives.
+    """
 
     kind = "discrete"
     ndim = 0
@@ -192,9 +207,147 @@ class Discrete:
         if not pts:
             raise ValueError("a discrete base space needs at least one point")
         self.points = pts
+        self._labels = frozenset(pts)
 
     def whole(self) -> "OpenSet":
         return OpenSet(self, self.points)
+
+    # -- coefficient algebra ------------------------------------------------
+
+    def zero(self):
+        return {}
+
+    def is_zero(self, c) -> bool:
+        return not c
+
+    def clean(self, c, domain: "OpenSet" = None):
+        """Validated copy: labels inside the domain (default: the whole
+        space), values as QC, zero values dropped."""
+        allowed = self._labels if domain is None else domain.labels
+        out = {}
+        for p, v in c.items():
+            p = str(p)
+            if p not in allowed:
+                raise DomainMismatchError("coefficient value at %r outside "
+                                          "the domain" % p)
+            v = qc(v)
+            if v:
+                out[p] = v
+        return out
+
+    def constant(self, value, points):
+        """The constant value on the given labels."""
+        value = qc(value)
+        return dict.fromkeys(points, value) if value else {}
+
+    def add(self, a, b):
+        out = dict(a)
+        for p, v in b.items():
+            w = out.get(p, QC_ZERO) + v
+            if w:
+                out[p] = w
+            elif p in out:
+                del out[p]
+        return out
+
+    def scale(self, c, s):
+        """s * c."""
+        s = qc(s)
+        if not s:
+            return {}
+        return {p: v * s for p, v in c.items()}
+
+    def mul(self, a, b):
+        out = {}
+        for p, v in a.items():
+            w = v * b.get(p, QC_ZERO)
+            if w:
+                out[p] = w
+        return out
+
+    def diff(self, c, i: int):
+        if i:
+            raise BackendError("the discrete backend has no x-derivatives")
+        return c
+
+    def ev(self, c, a):
+        return c.get(str(a), QC_ZERO)
+
+    def restrict(self, c, u: "OpenSet"):
+        return {p: v for p, v in c.items() if p in u.labels}
+
+    def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
+        """Exact sum of c over the labels of a region."""
+        acc = QC_ZERO
+        for p in sorted(region):
+            acc = acc + c.get(p, QC_ZERO)
+        return acc
+
+    def pair(self, a, b, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
+        """Exact sum of a * b over the labels of a.
+
+        The region only bounds quadrature on the line; callers pass one
+        outside which a or b vanishes, so the sum needs no clipping.
+        """
+        acc = QC_ZERO
+        for p in sorted(a):
+            acc = acc + a[p] * b.get(p, QC_ZERO)
+        return acc
+
+    def gather(self, pairs):
+        """Canonical (coefficient, bound) integral terms of a distribution:
+        the weight maps summed into one, bounds dropped."""
+        acc = {}
+        for g, _ in pairs:
+            acc = self.add(acc, g) if acc else g
+        return [(acc, None)] if acc else []
+
+    def support(self, cs, bound=None):
+        """Labels where any of the coefficients is nonzero."""
+        return frozenset().union(*cs)
+
+    def region(self, r):
+        """A support witness given as any collection of labels."""
+        return frozenset(r)
+
+    def stray(self, c, region):
+        """Sorted labels where c is nonzero outside the region."""
+        return sorted(set(c) - region)
+
+    def to_json(self, c):
+        return {p: qc_to_json(v) for p, v in sorted(c.items())}
+
+    def from_json(self, v, domain: "OpenSet" = None, region=None):
+        if not isinstance(v, dict):
+            raise ValueError("discrete coefficient must be a point->value map")
+        return self.clean({p: qc_from_json(w) for p, w in v.items()}, domain)
+
+    def bounded_to_json(self, c, bound):
+        """JSON of a coefficient with its support bound (a density)."""
+        return self.to_json(c)
+
+    def bounded_from_json(self, v, region=None):
+        """(coefficient, bound) from bounded_to_json output."""
+        return self.from_json(v), None
+
+    def terms_to_json(self, terms):
+        """JSON of a distribution's term list: the weight map of its one
+        smooth term, written as a point->value map."""
+        return terms[0]["expr"] if terms else {}
+
+    def terms_from_json(self, v):
+        """Inverse of terms_to_json."""
+        if not isinstance(v, dict):
+            raise ValueError("discrete distribution must be a point->value map")
+        return [{"kind": "smooth", "expr": v}]
+
+    def weights(self, c):
+        """The coefficient as a weight map (None on the line)."""
+        return c
+
+    def expr(self, c):
+        """The coefficient as an expression (None on a discrete space)."""
+        return None
 
     def __eq__(self, other):
         return isinstance(other, Discrete) and self.points == other.points
@@ -214,6 +367,112 @@ class SmoothLine:
 
     def whole(self) -> "OpenSet":
         return OpenSet(self, [(NEG_INF, POS_INF)])
+
+    # -- coefficient algebra ------------------------------------------------
+    #
+    # A base coefficient is an expression in x, taken as globally defined.
+    # Expressions carry no support, so supports are stated witnesses
+    # (RSet bounds), and integrals run over the pieces of a region.
+
+    def zero(self):
+        return ZERO
+
+    def is_zero(self, c) -> bool:
+        return c == ZERO
+
+    def clean(self, c, domain: "OpenSet" = None):
+        return c
+
+    def constant(self, value, points=None):
+        return Const(qc(value))
+
+    def add(self, a, b):
+        if a == ZERO:
+            return b
+        if b == ZERO:
+            return a
+        return a + b
+
+    def scale(self, c, s):
+        """s * c, the constant on the left."""
+        s = qc(s)
+        if not s:
+            return ZERO
+        return mul(Const(s), c)
+
+    def mul(self, a, b):
+        return mul(a, b)
+
+    def diff(self, c, i: int):
+        return diff(c, i) if i else c
+
+    def ev(self, c, a):
+        return ev(c, a)
+
+    def restrict(self, c, u: "OpenSet"):
+        return c
+
+    def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
+        """Integral of c over the pieces of a bounded region."""
+        return integrate_expr(c, region.bounds_list(), abs_tol, budget)
+
+    def pair(self, a, b, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
+        """Integral of a * b over the pieces of a bounded region."""
+        return integrate_expr(mul(a, b), region.bounds_list(), abs_tol,
+                              budget)
+
+    def gather(self, pairs):
+        """Canonical (coefficient, bound) integral terms of a distribution:
+        nonzero ones sorted, never merged."""
+        kept = [(g, b) for g, b in pairs if g != ZERO]
+        kept.sort(key=lambda t: (to_sexpr(t[0]),
+                                 () if t[1] is None else t[1].pieces))
+        return kept
+
+    def support(self, cs, bound=None):
+        """The stated bound; an expression cannot tell its own support."""
+        if bound is None:
+            raise SupportError("a smooth coefficient needs an explicit "
+                               "support witness")
+        return bound
+
+    def region(self, r):
+        return r
+
+    def stray(self, c, region):
+        # a stated smooth witness is taken on trust
+        return []
+
+    def to_json(self, c):
+        return to_sexpr(c)
+
+    def from_json(self, v, domain: "OpenSet" = None, region=None):
+        if not isinstance(v, str):
+            raise ValueError("smooth coefficient must be an expression string")
+        return parse_sexpr(v, region=region)
+
+    def bounded_to_json(self, c, bound):
+        return {"expr": to_sexpr(c), "support": region_to_json(bound)}
+
+    def bounded_from_json(self, v, region=None):
+        if not isinstance(v, dict) or "expr" not in v or "support" not in v:
+            raise ValueError("smooth density needs 'expr' and 'support' fields")
+        return (parse_sexpr(v["expr"], region=region),
+                region_from_json(self, v["support"]))
+
+    def terms_to_json(self, terms):
+        return terms
+
+    def terms_from_json(self, v):
+        if not isinstance(v, list):
+            raise ValueError("smooth distribution must be a list of terms")
+        return v
+
+    def weights(self, c):
+        return None
+
+    def expr(self, c):
+        return c
 
     def __eq__(self, other):
         return isinstance(other, SmoothLine)
@@ -270,12 +529,6 @@ class OpenSet:
         if self.labels is not None:
             return self.labels <= other.labels
         return self.rset.is_subset(other.rset)
-
-    def minus_region(self, region) -> "OpenSet":
-        """Open part of this set lying outside the given region."""
-        if self.labels is not None:
-            return OpenSet(self.space, self.labels - set(region))
-        return OpenSet(self.space, self.rset.difference(region).interior())
 
     def contains(self, x) -> bool:
         if self.labels is not None:
@@ -383,6 +636,12 @@ def region_subset_open(r, u: OpenSet, within: OpenSet = None) -> bool:
     if within is not None:
         r = r.intersect(within.rset)
     return r.is_subset(u.rset)
+
+
+def region_contains(r, x) -> bool:
+    if isinstance(r, frozenset):
+        return str(x) in r
+    return r.contains(x)
 
 
 def region_intersect_open(r, u: OpenSet):

@@ -27,7 +27,7 @@ from .distributions import (BaseDistribution, CompactFormalDistribution,
 from .errors import FormalcalcError
 from .expr import Const, X, add, bump, mul, pow_
 from .functions import (FormalFunction, SupportedFormalFunction, bump_cutoff,
-                        coeff_ev, indicator_cutoff)
+                        indicator_cutoff)
 from .multiindex import degree, enumerate_upto, mi
 from .scalars import QC
 from .sheaf import (Cover, _grid_points, build_pou, cosheaf_decompose,
@@ -272,8 +272,7 @@ def function_residual(a: FormalFunction, b: FormalFunction) -> float:
     for j in keys:
         ca, cb = a.coeff(j), b.coeff(j)
         for x in pts:
-            gap = abs(complex(coeff_ev(space, ca, x))
-                      - complex(coeff_ev(space, cb, x)))
+            gap = abs(complex(space.ev(ca, x)) - complex(space.ev(cb, x)))
             worst = max(worst, gap)
     return worst
 

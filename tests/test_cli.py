@@ -157,3 +157,17 @@ def test_trunc_override_reaches_the_scenario(capsys):
     code, out, _ = run(capsys, "pou", "C", "--scenario", DEMO, "--json",
                        "--trunc", "5")
     assert code == 0
+
+
+def test_too_deep_expression_is_an_input_error(capsys, tmp_path):
+    # a flat 1500-term sum parses into nested binary nodes deeper than
+    # the recursion limit of the evaluator
+    deep = "(+ %s)" % " ".join(["x"] * 1500)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "schema": 1, "backend": "smoothline", "k": 1, "trunc": 2,
+        "functions": {"u": {"trunc": 2, "coeffs": {"0": deep}}}}))
+    code, out, err = run(capsys, "jet", "u", "0", "1", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
