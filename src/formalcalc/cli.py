@@ -297,8 +297,9 @@ def main(argv=None) -> int:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RecursionError:
-        # the expression walkers are recursive, so a scenario expression
-        # nested past the interpreter's recursion limit cannot be handled
+        # exact evaluation, printing and differentiation recurse, so a
+        # scenario expression nested past the recursion limit cannot be
+        # handled by them
         print("error: scenario input nests too deeply (Python recursion "
               "limit %d)" % sys.getrecursionlimit(), file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .basedensity import BaseDensity
 from .densities import FormalDensity, leibniz
 from .errors import DomainMismatchError, SupportError, TruncationError
-from .expr import ev_f
+from .expr import compile_f
 from .functions import FormalFunction, SupportedFormalFunction
 from .multiindex import degree, mi, mi_factorial
 from .spaces import (OpenSet, region_empty, region_is_compact,
@@ -306,8 +306,9 @@ def seminorm(u: FormalFunction, x: EndoDiffOp) -> float:
     if supp.is_empty:
         return 0.0
     lo, hi = supp.hull()
+    f = compile_f(c)
     best = 0.0
     for t in range(SEMINORM_GRID):
         a = lo + (hi - lo) * t / (SEMINORM_GRID - 1)
-        best = max(best, abs(ev_f(c, a)))
+        best = max(best, abs(f(a)))
     return best

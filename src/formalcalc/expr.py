@@ -26,7 +26,15 @@ Evaluation at a rational point is exact (a QC) until a kernel with a
 positive argument or an inexact operand enters; from there on values
 are mpmath floats carried at 30 significant digits, so kernel tails
 never underflow and plateau ratios of equal values divide to exactly 1.
-Quadrature uses a separate fast float64 evaluator.
+
+Float64 evaluation (quadrature, grid scans) compiles the expression
+once into a straight-line Python function x -> complex (`compile_f`):
+one statement per distinct subterm, constants bound once as complex
+values, each statement the float operation of its node. `ev_f` is the
+one-point entry to the same program. Compilation and `poly_coeffs`
+share one iterative walk, so their depth is limited by memory rather
+than by the recursion limit; `ev`, `ibounds`, `diff` and `to_sexpr`
+still recurse.
 
 Quotient denominators are certified positive at construction by exact
 adaptive interval bisection over the region where the quotient will be
@@ -208,11 +216,40 @@ def pow_(e, n: int) -> Expr:
     if n == 1:
         return e
     if _is_const(e):
-        v = QC_ONE
-        for _ in range(n):
-            v = v * e.v
-        return Const(v)
+        return Const(_qc_pow(e.v, n))
     return Pow(e, n)
+
+
+# largest numerator or denominator, in bits, of an exact power (a folded
+# constant or a power evaluated at a rational point) and of every square
+# that builds it: about 19,700 decimal digits
+MAX_FOLD_BITS = 1 << 16
+
+
+def _qc_bits(v: QC) -> int:
+    return max(v.re.numerator.bit_length(), v.re.denominator.bit_length(),
+               v.im.numerator.bit_length(), v.im.denominator.bit_length())
+
+
+def _qc_pow(a: QC, n: int) -> QC:
+    """Exact a**n by repeated squaring.
+
+    Raises ValueError once a factor or the result passes MAX_FOLD_BITS,
+    so (pow 2 50000000) is refused at once instead of running for hours.
+    """
+    out = QC_ONE
+    while True:
+        if n & 1:
+            out = out * a
+            if _qc_bits(out) > MAX_FOLD_BITS:
+                break
+        n >>= 1
+        if not n:
+            return out
+        a = a * a
+        if _qc_bits(a) > MAX_FOLD_BITS:
+            break
+    raise ValueError("exact power exceeds %d bits" % MAX_FOLD_BITS)
 
 
 def kern(arg, m: int = 0) -> Expr:
@@ -319,10 +356,7 @@ def _vdiv(a, b):
 
 def _vpow(a, n):
     if isinstance(a, QC):
-        v = QC_ONE
-        for _ in range(n):
-            v = v * a
-        return v
+        return _qc_pow(a, n)
     return _mpv(a) ** n
 
 
@@ -372,84 +406,166 @@ def ev_c(e: Expr, x) -> complex:
 
 
 def ev_f(e: Expr, x: float) -> complex:
-    """Fast float64 evaluation for quadrature and grid scans."""
-    if isinstance(e, Const):
-        return complex(e.v)
-    if isinstance(e, Var):
-        return complex(x)
-    if isinstance(e, Add):
-        return ev_f(e.a, x) + ev_f(e.b, x)
-    if isinstance(e, Mul):
-        return ev_f(e.a, x) * ev_f(e.b, x)
-    if isinstance(e, Div):
-        return ev_f(e.num, x) / ev_f(e.den, x)
-    if isinstance(e, Pow):
-        return ev_f(e.base, x) ** e.n
-    if isinstance(e, Kern):
-        t = ev_f(e.arg, x).real
-        if t <= 0.0:
-            return 0j
-        w = math.exp(-1.0 / t)
-        if w == 0.0:
-            return 0j
-        return complex(w / t ** e.m)
-    raise TypeError("unknown expression node %r" % (e,))
+    """Float64 value at one point: compiles e and runs the program once.
+
+    Compile once with `compile_f` to evaluate at many points.
+    """
+    return compile_f(e)(x)
+
+
+# -- the iterative walk and the compiled float program ---------------------------
+
+_CHILDREN = {Const: (), Var: (), Add: ("a", "b"), Mul: ("a", "b"),
+             Div: ("num", "den"), Pow: ("base",), Kern: ("arg",)}
+
+# one statement per node kind; {0}, {1} are the child values, {p} is n or m.
+# Each does the float operation of the recursive left-to-right
+# evaluation: complex + * / and complex ** int, and for a kernel
+# exp(-1/t)/t^m on the real part t, 0j where t <= 0 or exp underflows.
+_STATEMENT = {
+    Var: "complex(x)",
+    Add: "{0} + {1}",
+    Mul: "{0} * {1}",
+    Div: "{0} / {1}",
+    Pow: "{0} ** {p}",
+    Kern: "0j if (t := {0}.real) <= 0.0 or (w := exp(-1.0 / t)) == 0.0 "
+          "else complex(w / t ** {p})",
+}
+
+
+def _postorder(e: Expr) -> list:
+    """Every distinct node object of e once, each after its children.
+
+    Children are taken left to right, so the list is the order in which
+    a recursive left-to-right walk first finishes each node. Iterative:
+    depth is bounded by memory, not by the recursion limit.
+    """
+    out = []
+    seen = set()
+    stack = [(e, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            out.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kids = _CHILDREN.get(type(node))
+        if kids is None:
+            raise TypeError("unknown expression node %r" % (node,))
+        stack.append((node, True))
+        for k in reversed(kids):
+            stack.append((getattr(node, k), False))
+    return out
+
+
+def _float_program(e: Expr):
+    """Source of e's float64 program and the constants it reads.
+
+    Returns (source, constants): source defines `_f(x)` with one
+    assignment per structurally distinct non-constant subterm, in the
+    order a left-to-right evaluation first needs it; constants maps the
+    names c0, c1, ... to their complex values. Subterms are keyed by
+    node kind, the names of their children and n or m (constants by
+    their exact value), so equal subterms share one statement without
+    hashing whole trees.
+    """
+    lines = []
+    consts = {}
+    by_key = {}
+    name_of = {}
+    for node in _postorder(e):
+        kind = type(node)
+        if kind is Const:
+            v = node.v
+            key = (kind, v.re.numerator, v.re.denominator, v.im.numerator,
+                   v.im.denominator)
+        else:
+            kids = tuple([name_of[id(getattr(node, k))] for k in _CHILDREN[kind]])
+            key = (kind, kids,
+                   node.n if kind is Pow else node.m if kind is Kern else None)
+        name = by_key.get(key)
+        if name is None:
+            if kind is Const:
+                name = "c%d" % len(consts)
+                consts[name] = complex(node.v)
+            else:
+                name = "v%d" % len(lines)
+                lines.append("    %s = %s" % (name, _STATEMENT[kind].format(
+                    *kids, p=key[2])))
+            by_key[key] = name
+        name_of[id(node)] = name
+    lines.append("    return %s" % name_of[id(e)])
+    return "def _f(x):\n" + "\n".join(lines) + "\n", consts
+
+
+def compile_f(e: Expr):
+    """Compile e once into a float64 function x -> complex.
+
+    Values, signed zeros and exceptions (ZeroDivisionError, overflow)
+    are those of evaluating the tree node by node, left to right, in
+    float64 complex arithmetic.
+    """
+    source, consts = _float_program(e)
+    namespace = {"complex": complex, "exp": math.exp, **consts}
+    exec(compile(source, "<formalcalc.expr program>", "exec"), namespace)
+    return namespace["_f"]
 
 
 # -- polynomial fast path ----------------------------------------------------------
 
-def poly_coeffs(e: Expr):
-    """dict degree -> QC if the tree is polynomial, else None."""
-    if isinstance(e, Const):
-        return {} if not e.v else {0: e.v}
-    if isinstance(e, Var):
-        return {1: QC_ONE}
-    if isinstance(e, Add):
-        a, b = poly_coeffs(e.a), poly_coeffs(e.b)
-        if a is None or b is None:
-            return None
-        out = dict(a)
-        for d, v in b.items():
-            w = out.get(d, QC_ZERO) + v
+def _poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for d, v in b.items():
+        w = out.get(d, QC_ZERO) + v
+        if w:
+            out[d] = w
+        elif d in out:
+            del out[d]
+    return out
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for da, va in a.items():
+        for db, vb in b.items():
+            d = da + db
+            w = out.get(d, QC_ZERO) + va * vb
             if w:
                 out[d] = w
             elif d in out:
                 del out[d]
-        return out
-    if isinstance(e, Mul):
-        a, b = poly_coeffs(e.a), poly_coeffs(e.b)
-        if a is None or b is None:
-            return None
-        out = {}
-        for da, va in a.items():
-            for db, vb in b.items():
-                d = da + db
-                w = out.get(d, QC_ZERO) + va * vb
-                if w:
-                    out[d] = w
-                elif d in out:
-                    del out[d]
-        return out
-    if isinstance(e, Pow):
-        base = poly_coeffs(e.base)
-        if base is None:
-            return None
-        out = {0: QC_ONE}
-        for _ in range(e.n):
-            nxt = {}
-            for da, va in out.items():
-                for db, vb in base.items():
-                    d = da + db
-                    w = nxt.get(d, QC_ZERO) + va * vb
-                    if w:
-                        nxt[d] = w
-                    elif d in nxt:
-                        del nxt[d]
-            out = nxt
-        return out
-    # Kern and Div are never treated as polynomial; a kernel of a
-    # positive constant is constant but transcendental
-    return None
+    return out
+
+
+def poly_coeffs(e: Expr):
+    """dict degree -> QC if the tree is polynomial, else None.
+
+    Kern and Div are never treated as polynomial; a kernel of a positive
+    constant is constant but transcendental.
+    """
+    nodes = _postorder(e)
+    if any(type(n) is Kern or type(n) is Div for n in nodes):
+        return None
+    coeffs = {}
+    for n in nodes:
+        kind = type(n)
+        if kind is Const:
+            c = {} if not n.v else {0: n.v}
+        elif kind is Var:
+            c = {1: QC_ONE}
+        elif kind is Add:
+            c = _poly_add(coeffs[id(n.a)], coeffs[id(n.b)])
+        elif kind is Mul:
+            c = _poly_mul(coeffs[id(n.a)], coeffs[id(n.b)])
+        else:
+            base = coeffs[id(n.base)]
+            c = {0: QC_ONE}
+            for _ in range(n.n):
+                c = _poly_mul(c, base)
+        coeffs[id(n)] = c
+    return coeffs[id(e)]
 
 
 def is_polynomial(e: Expr) -> bool:

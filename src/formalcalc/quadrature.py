@@ -1,12 +1,14 @@
 """Definite integration of smooth expressions over bounded intervals.
 
 Polynomial integrands are integrated exactly through their
-antiderivative. Everything else goes to adaptive Gauss-Kronrod (G7,
-K15) quadrature in float64 with an absolute tolerance (default 1e-10)
-and a hard budget on integrand evaluations (default 10**6, overridable
-through the FORMALCALC_QUAD_BUDGET environment variable). Failure to
-converge within the budget raises QuadratureError rather than
-returning a silently degraded value.
+antiderivative. Everything else is compiled once into a straight-line
+float64 program (`expr.compile_f`: one statement per distinct subterm)
+and goes to adaptive Gauss-Kronrod (G7, K15) quadrature, which calls
+that program once per node. Quadrature runs with an absolute tolerance
+(default 1e-10) and a hard budget on integrand evaluations (default
+10**6, overridable through the FORMALCALC_QUAD_BUDGET environment
+variable). Failure to converge within the budget raises QuadratureError
+rather than returning a silently degraded value.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 from fractions import Fraction
 
 from .errors import QuadratureError
-from .expr import Expr, ev_f, poly_coeffs, poly_definite_integral
+from .expr import Expr, compile_f, poly_coeffs, poly_definite_integral
 from .scalars import QC_ZERO
 
 DEFAULT_ABS_TOL = 1e-10
@@ -125,4 +127,4 @@ def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL, budget=None):
                 continue
             acc = acc + poly_definite_integral(coeffs, Fraction(lo), Fraction(hi))
         return acc
-    return integrate_callable(lambda x: ev_f(e, x), ranges, abs_tol, budget)
+    return integrate_callable(compile_f(e), ranges, abs_tol, budget)

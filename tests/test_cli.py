@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, report formats, determinism."""
 
 import json
+import time
 
 from formalcalc.cli import main
 from formalcalc.scalars import rat_str
@@ -171,3 +172,17 @@ def test_too_deep_expression_is_an_input_error(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_huge_constant_power_is_an_input_error(capsys, tmp_path):
+    # 2**50000000 has fifty million bits; folding it must be refused at
+    # once, not computed
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "schema": 1, "backend": "smoothline", "k": 1, "trunc": 2,
+        "functions": {"u": {"trunc": 2, "coeffs": {"0": "(pow 2 50000000)"}}}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jet", "u", "0", "1", "--scenario", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1

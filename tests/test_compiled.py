@@ -1,0 +1,211 @@
+"""The compiled float program against node-by-node float evaluation.
+
+`tree_ev_f` is the recursive evaluator the compiled program replaced.
+It stays here as the oracle: on every seeded integrand and point the
+program must give the same complex number bit for bit, signed zeros
+included, or raise the same exception.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from formalcalc.expr import (
+    X,
+    Add,
+    Const,
+    Div,
+    Kern,
+    Mul,
+    Pow,
+    Var,
+    bump,
+    compile_f,
+    diff,
+    ev_f,
+    _float_program,
+)
+from formalcalc.scalars import QC
+
+
+def tree_ev_f(e, x):
+    """Recursive float64 evaluation, one node at a time, left to right."""
+    if isinstance(e, Const):
+        return complex(e.v)
+    if isinstance(e, Var):
+        return complex(x)
+    if isinstance(e, Add):
+        return tree_ev_f(e.a, x) + tree_ev_f(e.b, x)
+    if isinstance(e, Mul):
+        return tree_ev_f(e.a, x) * tree_ev_f(e.b, x)
+    if isinstance(e, Div):
+        return tree_ev_f(e.num, x) / tree_ev_f(e.den, x)
+    if isinstance(e, Pow):
+        return tree_ev_f(e.base, x) ** e.n
+    if isinstance(e, Kern):
+        t = tree_ev_f(e.arg, x).real
+        if t <= 0.0:
+            return 0j
+        w = math.exp(-1.0 / t)
+        if w == 0.0:
+            return 0j
+        return complex(w / t ** e.m)
+    raise TypeError("unknown expression node %r" % (e,))
+
+
+def bits(z):
+    """((real, its sign), (imag, its sign)); NaN parts compare equal."""
+    def part(v):
+        return ("nan",) if v != v else (v, math.copysign(1.0, v))
+    return part(z.real), part(z.imag)
+
+
+def outcome(f, *args):
+    try:
+        return bits(f(*args))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def rand_const(rng):
+    re = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    im = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.3 else 0
+    return Const(QC(re, im))
+
+
+def rand_tree(rng, depth, pool):
+    """Raw nodes, so zero denominators and signed zeros are reachable.
+
+    Reuses earlier subtrees from `pool` to make shared subterms, and
+    rebuilds equal ones as separate objects.
+    """
+    if depth == 0 or rng.random() < 0.15:
+        r = rng.random()
+        if pool and r < 0.3:
+            return rng.choice(pool)
+        return X if r < 0.65 else rand_const(rng)
+    kind = rng.choice("+*/pks")
+    if kind == "+":
+        e = Add(rand_tree(rng, depth - 1, pool), rand_tree(rng, depth - 1, pool))
+    elif kind == "*":
+        e = Mul(rand_tree(rng, depth - 1, pool), rand_tree(rng, depth - 1, pool))
+    elif kind == "/":
+        e = Div(rand_tree(rng, depth - 1, pool), rand_tree(rng, depth - 1, pool), None)
+    elif kind == "p":
+        e = Pow(rand_tree(rng, depth - 1, pool), rng.randint(0, 4))
+    elif kind == "k":
+        e = Kern(rand_tree(rng, depth - 1, pool), rng.randint(0, 3))
+    else:
+        # a copy of an earlier subtree as a new object
+        if not pool:
+            return X
+        src = rng.choice(pool)
+        e = Add(src, Const(0)) if rng.random() < 0.5 else Mul(Const(-1), src)
+    pool.append(e)
+    return e
+
+
+def bump_family():
+    out = []
+    for a, b, c, d in ((-2, -1, 1, 2), (0, Fraction(1, 3), Fraction(1, 2), 1),
+                       (Fraction(-1, 7), 0, 0, Fraction(1, 5))):
+        e, _, _ = bump(a, b, c, d)
+        for order in range(5):
+            out.append((diff(e, order), (float(a), float(d))))
+    return out
+
+
+# points where exp(-1/t) is normal, subnormal and underflowed to 0
+UNDERFLOW = (1 / 700, 1 / 740, 1 / 745, 1 / 746, 1 / 800, 1e-300, 5e-324)
+
+
+def test_bumps_and_derivatives_match_tree_evaluation_bit_for_bit():
+    rng = random.Random(5)
+    for e, (lo, hi) in bump_family():
+        f = compile_f(e)
+        pts = [rng.uniform(lo - 0.5, hi + 0.5) for _ in range(20)]
+        pts += [lo + t for t in UNDERFLOW] + [hi - t for t in UNDERFLOW]
+        pts += [lo, hi, 0.0, -0.0]
+        for x in pts:
+            assert outcome(f, x) == outcome(tree_ev_f, e, x), (e, x)
+
+
+def test_random_integrands_match_tree_evaluation_bit_for_bit():
+    rng = random.Random(17)
+    raised = set()
+    signed_zeros = 0
+    for _ in range(400):
+        pool = []
+        e = rand_tree(rng, rng.randint(1, 6), pool)
+        f = compile_f(e)
+        for x in [rng.uniform(-3, 3) for _ in range(12)] + [
+                0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-3, -1e-3, 1e300, -1e300,
+                *UNDERFLOW]:
+            got, want = outcome(f, x), outcome(tree_ev_f, e, x)
+            assert got == want, (e, x)
+            if isinstance(want, type):
+                raised.add(want)
+            elif (0.0, -1.0) in want:
+                signed_zeros += 1
+    # the seeded sample reaches zero divisors, overflow and -0.0 parts
+    assert ZeroDivisionError in raised and OverflowError in raised
+    assert signed_zeros > 0
+
+
+def test_ev_f_is_the_compiled_program():
+    e, _, _ = bump(-1, 0, 0, 1)
+    d = diff(e, 2)
+    for x in (-0.75, -0.25, 0.0, 0.3, 0.9):
+        assert bits(ev_f(d, x)) == bits(tree_ev_f(d, x))
+    assert ev_f(Const(QC(Fraction(1, 2), 3)), 7.0) == 0.5 + 3j
+
+
+def test_zero_denominator_raises_on_both():
+    e = Div(X, Add(X, Const(-1)), None)
+    with pytest.raises(ZeroDivisionError):
+        tree_ev_f(e, 1.0)
+    with pytest.raises(ZeroDivisionError):
+        compile_f(e)(1.0)
+
+
+def test_exceptions_come_in_left_to_right_order():
+    # the left operand overflows before the right one divides by zero
+    big = Pow(Mul(X, Const(10 ** 200)), 2)
+    e = Add(big, Div(Const(1), Add(X, Const(-1)), None))
+    assert outcome(tree_ev_f, e, 1.0) is OverflowError
+    assert outcome(compile_f(e), 1.0) is OverflowError
+
+
+def distinct_subterms(e):
+    seen, out, stack = set(), set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.add(node)
+        stack.extend(getattr(node, k) for k in ("a", "b", "num", "den", "base", "arg")
+                     if hasattr(node, k))
+    return out
+
+
+def test_program_shares_equal_subterms():
+    e, _, _ = bump(-2, -1, 1, 2)
+    d4 = diff(e, 4)
+    source, consts = _float_program(d4)
+    statements = sum(1 for line in source.splitlines()
+                     if line.lstrip().startswith("v"))
+    distinct = distinct_subterms(d4)
+    assert statements <= len(distinct)
+    assert statements + len(consts) == len(distinct)
+    # one constant name per distinct value
+    assert len(set(consts.values())) == len(consts)
+
+
+def test_deep_chain_compiles_without_recursion():
+    e = X
+    for _ in range(5000):
+        e = Add(e, X)
+    assert compile_f(e)(0.5) == 2500.5 + 0j

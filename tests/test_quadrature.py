@@ -17,6 +17,7 @@ from formalcalc.expr import (
     ev,
     kern,
     mul,
+    parse_sexpr,
     pow_,
 )
 from formalcalc.quadrature import (
@@ -130,3 +131,18 @@ def test_tolerance_is_respected():
     assert abs(tight - want) < 1e-10
     assert abs(loose - want) < 1e-5
     assert DEFAULT_ABS_TOL == 1e-10
+
+
+def test_flat_scenario_sums_integrate_without_recursion():
+    # a flat (+ ...) parses into 1499 nested Add nodes, deeper than the
+    # recursion limit; the polynomial test and the compiled program walk
+    # it iteratively
+    xs = " ".join(["x"] * 1500)
+    flat = parse_sexpr("(+ %s)" % xs)
+    assert integrate_expr(flat, [(Fraction(0), Fraction(1))]) == QC(750)
+    got = integrate_expr(parse_sexpr("(* (s x) (+ %s))" % xs),
+                         [(Fraction(0), Fraction(1))])
+    assert isinstance(got, complex)
+    assert math.isfinite(got.real) and math.isfinite(got.imag)
+    want = 1500 * integrate_expr(mul(kern(X), X), [(Fraction(0), Fraction(1))])
+    assert abs(got - want) < 1e-9 * abs(want)
