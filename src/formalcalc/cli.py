@@ -3,7 +3,8 @@
 Commands operate on named objects from a scenario file (see scenario.py
 for the schema). Exit codes: 0 on success, 1 when a verification or
 certified construction fails, 2 on input errors (including expressions
-nested past the recursion limit); the three are never conflated. With
+nested past the recursion limit), 3 on any other exception, which is a
+fault of formalcalc itself; the four are never conflated. With
 --json the report is emitted as canonical JSON (sorted keys, no
 whitespace), so a given (scenario, seed) pair yields byte-identical
 output across runs.
@@ -273,7 +274,7 @@ def _build_parser():
     return p
 
 
-def main(argv=None) -> int:
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -304,11 +305,21 @@ def main(argv=None) -> int:
               "limit %d)" % sys.getrecursionlimit(), file=sys.stderr)
         return 2
     if args.as_json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        lines = [json.dumps(report, sort_keys=True, separators=(",", ":"))]
     else:
-        for line in _human_lines(report):
-            print(line)
+        lines = list(_human_lines(report))
+    for line in lines:
+        print(line)
     return code
+
+
+def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except Exception as e:
+        # a fault of formalcalc itself, not of its input
+        print("internal error: %r" % (e,), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -526,7 +526,14 @@ def _poly_add(a: dict, b: dict) -> dict:
     return out
 
 
+# largest degree of any product poly_coeffs expands; with MAX_FOLD_BITS
+# on the coefficients of a power, (pow x 50000000) is refused at once
+MAX_POLY_DEGREE = 1 << 10
+
+
 def _poly_mul(a: dict, b: dict) -> dict:
+    if max(a, default=0) + max(b, default=0) > MAX_POLY_DEGREE:
+        raise ValueError("polynomial degree exceeds %d" % MAX_POLY_DEGREE)
     out = {}
     for da, va in a.items():
         for db, vb in b.items():
@@ -560,12 +567,29 @@ def poly_coeffs(e: Expr):
         elif kind is Mul:
             c = _poly_mul(coeffs[id(n.a)], coeffs[id(n.b)])
         else:
-            base = coeffs[id(n.base)]
-            c = {0: QC_ONE}
-            for _ in range(n.n):
-                c = _poly_mul(c, base)
+            c = _poly_pow(coeffs[id(n.base)], n.n)
         coeffs[id(n)] = c
     return coeffs[id(e)]
+
+
+def _poly_pow(base: dict, n: int) -> dict:
+    """base**n by repeated squaring, as _qc_pow; ValueError past
+    MAX_POLY_DEGREE or once a coefficient passes MAX_FOLD_BITS."""
+    if n * max(base, default=0) > MAX_POLY_DEGREE:
+        raise ValueError("polynomial degree exceeds %d" % MAX_POLY_DEGREE)
+    out = {0: QC_ONE}
+    while True:
+        if n & 1:
+            out = _poly_mul(out, base)
+            if max(map(_qc_bits, out.values()), default=0) > MAX_FOLD_BITS:
+                break
+        n >>= 1
+        if not n:
+            return out
+        base = _poly_mul(base, base)
+        if max(map(_qc_bits, base.values()), default=0) > MAX_FOLD_BITS:
+            break
+    raise ValueError("exact power exceeds %d bits" % MAX_FOLD_BITS)
 
 
 def is_polynomial(e: Expr) -> bool:

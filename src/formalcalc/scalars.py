@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 _HASH_IMAG = sys.hash_info.imag
+_HASH_MASK = (1 << sys.hash_info.width) - 1
 
 
 def _frac(v) -> Fraction:
@@ -31,30 +32,50 @@ def _frac(v) -> Fraction:
 
 
 class QC:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    A QC is never mutated, so arithmetic may return an operand as its
+    result: adding QC_ZERO or multiplying by 1 gives the other operand
+    back, and multiplying by QC_ZERO gives QC_ZERO. The imaginary part
+    of a real QC is the shared Fraction _ZERO, which every constructor
+    sets, so a real operand is told by identity and real arithmetic
+    does one Fraction operation per part it needs. A zero imaginary
+    part held in any other Fraction (from a pickle, say) is still
+    correct, only slower.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         self.re = _frac(re)
-        self.im = _frac(im)
+        self.im = _nz(_frac(im))
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, QC):
-            return QC(self.re + other.re, self.im + other.im)
+            if other is QC_ZERO:
+                return self
+            if self is QC_ZERO:
+                return other
+            a, b = self.im, other.im
+            return _qc(self.re + other.re,
+                       a if b is _ZERO else b if a is _ZERO else _nz(a + b))
         if isinstance(other, (int, Fraction)):
-            return QC(self.re + other, self.im)
+            return _qc(self.re + other, self.im)
         return complex(self) + other
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, QC):
-            return QC(self.re - other.re, self.im - other.im)
+            if other is QC_ZERO:
+                return self
+            a, b = self.im, other.im
+            return _qc(self.re - other.re,
+                       a if b is _ZERO else _nz(a - b))
         if isinstance(other, (int, Fraction)):
-            return QC(self.re - other, self.im)
+            return _qc(self.re - other, self.im)
         return complex(self) - other
 
     def __rsub__(self, other):
@@ -62,10 +83,23 @@ class QC:
 
     def __mul__(self, other):
         if isinstance(other, QC):
-            return QC(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
+            if self is QC_ZERO or other is QC_ZERO:
+                return QC_ZERO
+            ar, ai, br, bi = self.re, self.im, other.re, other.im
+            if ai is _ZERO:
+                if bi is _ZERO:
+                    return _qc(ar * br)
+                return _qc(ar * br, _nz(ar * bi))
+            if bi is _ZERO:
+                return _qc(ar * br, _nz(ai * br))
+            return _qc(ar * br - ai * bi, _nz(ar * bi + ai * br))
         if isinstance(other, (int, Fraction)):
-            return QC(self.re * other, self.im * other)
+            if other == 1:
+                return self
+            if not other:
+                return QC_ZERO
+            a = self.im
+            return _qc(self.re * other, a if a is _ZERO else a * other)
         return complex(self) * other
 
     __rmul__ = __mul__
@@ -74,11 +108,15 @@ class QC:
         if isinstance(other, (int, Fraction)):
             other = QC(other)
         if isinstance(other, QC):
-            d = other.re * other.re + other.im * other.im
+            ar, ai, br, bi = self.re, self.im, other.re, other.im
+            if bi is _ZERO:
+                if not br:
+                    raise ZeroDivisionError("division by exact zero")
+                return _qc(ar / br, ai if ai is _ZERO else _nz(ai / br))
+            d = br * br + bi * bi
             if d == 0:
                 raise ZeroDivisionError("division by exact zero")
-            return QC((self.re * other.re + self.im * other.im) / d,
-                      (self.im * other.re - self.re * other.im) / d)
+            return _qc((ar * br + ai * bi) / d, _nz((ai * br - ar * bi) / d))
         return complex(self) / other
 
     def __rtruediv__(self, other):
@@ -87,13 +125,15 @@ class QC:
         return other / complex(self)
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        a = self.im
+        return _qc(-self.re, a if a is _ZERO else -a)
 
     def __pos__(self):
         return self
 
     def conjugate(self):
-        return QC(self.re, -self.im)
+        a = self.im
+        return self if a is _ZERO else _qc(self.re, -a)
 
     # -- comparisons and conversions -----------------------------------
 
@@ -108,11 +148,15 @@ class QC:
 
     def __hash__(self):
         # mirror Python's numeric hash so QC(3) hashes like 3 and
-        # QC(1, 2) hashes like complex(1, 2)
-        return hash(self.re) + _HASH_IMAG * hash(self.im)
+        # QC(1, 2) hashes like complex(1, 2), whose sum wraps to a
+        # signed machine word
+        h = (hash(self.re) + _HASH_IMAG * hash(self.im)) & _HASH_MASK
+        if h > _HASH_MASK >> 1:
+            h -= _HASH_MASK + 1
+        return -2 if h == -1 else h
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __abs__(self):
         return abs(complex(self))
@@ -133,6 +177,24 @@ class QC:
     @property
     def is_real(self) -> bool:
         return self.im == 0
+
+
+_ZERO = Fraction(0)
+_new = object.__new__
+
+
+def _nz(f: Fraction) -> Fraction:
+    """f, or the shared _ZERO when f is zero."""
+    return f if f else _ZERO
+
+
+def _qc(re: Fraction, im: Fraction = _ZERO) -> QC:
+    """Trusted constructor: both parts are Fractions, and a zero
+    imaginary part is _ZERO."""
+    v = _new(QC)
+    v.re = re
+    v.im = im
+    return v
 
 
 QC_ZERO = QC(0)

@@ -258,12 +258,9 @@ class Discrete:
         return {p: v * s for p, v in c.items()}
 
     def mul(self, a, b):
-        out = {}
-        for p, v in a.items():
-            w = v * b.get(p, QC_ZERO)
-            if w:
-                out[p] = w
-        return out
+        # a product of nonzero values is nonzero, so only the common
+        # labels enter and nothing needs dropping
+        return {p: v * b[p] for p, v in a.items() if p in b}
 
     def diff(self, c, i: int):
         if i:
@@ -279,19 +276,19 @@ class Discrete:
     def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
         """Exact sum of c over the labels of a region."""
         acc = QC_ZERO
-        for p in sorted(region):
-            acc = acc + c.get(p, QC_ZERO)
+        for p in sorted(c.keys() & region):
+            acc = acc + c[p]
         return acc
 
     def pair(self, a, b, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
-        """Exact sum of a * b over the labels of a.
+        """Exact sum of a * b over the labels where both are nonzero.
 
         The region only bounds quadrature on the line; callers pass one
         outside which a or b vanishes, so the sum needs no clipping.
         """
         acc = QC_ZERO
-        for p in sorted(a):
-            acc = acc + a[p] * b.get(p, QC_ZERO)
+        for p in sorted(a.keys() & b.keys()):
+            acc = acc + a[p] * b[p]
         return acc
 
     def gather(self, pairs):

@@ -186,3 +186,34 @@ def test_huge_constant_power_is_an_input_error(capsys, tmp_path):
     assert time.perf_counter() - start < 5.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_huge_power_of_x_is_an_input_error(capsys, tmp_path):
+    # expanding x**50000000 into coefficients must be refused at once
+    # (degree cap), not multiplied out
+    path = tmp_path / "huge_x.json"
+    path.write_text(json.dumps({
+        "schema": 1, "backend": "smoothline", "k": 1, "trunc": 2,
+        "functions": {"u": {"trunc": 2,
+                            "coeffs": {"0": "(pow x 50000000)"}}},
+        "densities": {"eta": {"coeffs": {"0": [
+            {"I": [0], "tau": {"expr": "1", "support": [[0, 1]]}}]}}}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pair", "eta", "u", "--scenario", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "degree" in err
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    import formalcalc.cli as cli
+
+    def broken(args, sc, tol, seed):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli._COMMANDS, "pair", broken)
+    code, out, err = run(capsys, "pair", "two_point", "u", "--scenario", PAIR)
+    assert code == 3 and out == ""
+    assert err == "internal error: TypeError('unsupported operand')\n"
+    assert "Traceback" not in err

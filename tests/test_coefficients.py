@@ -66,3 +66,62 @@ def test_coefficient_backend_laws(space):
             space.diff(c, 1)
     else:
         assert space.diff(pow_(X, 2), 1) == mul(Const(2), X)
+
+
+# -- the sparse discrete algebra against a dense sum over every label ---------
+
+D8 = Discrete(["p%d" % i for i in range(8)])
+
+
+def _rand_qc(rng):
+    def part():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    re, im = part(), part() if rng.random() < 0.5 else 0
+    return QC(re, im) if re or im else QC(1)
+
+
+def _sparse_pair(rng, overlap):
+    """Two weight maps on D8 with disjoint, overlapping or equal supports."""
+    labels = list(D8.points)
+    rng.shuffle(labels)
+    if overlap == "disjoint":
+        cut = rng.randint(0, 8)
+        sa, sb = labels[:cut], labels[cut:]
+        sa, sb = sa[:rng.randint(0, len(sa))], sb[:rng.randint(0, len(sb))]
+    elif overlap == "equal":
+        sa = sb = labels[:rng.randint(0, 8)]
+    else:
+        sa = labels[:rng.randint(1, 6)]
+        sb = labels[rng.randint(0, len(sa) - 1):rng.randint(len(sa), 8)]
+    return ({p: _rand_qc(rng) for p in sa}, {p: _rand_qc(rng) for p in sb})
+
+
+def _dense_product(a, b, p):
+    # schoolbook parts of a(p) * b(p), a missing label counting as 0
+    (ar, ai), (br, bi) = [(c[p].re, c[p].im) if p in c
+                          else (Fraction(0), Fraction(0)) for c in (a, b)]
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+@pytest.mark.parametrize("overlap", ["disjoint", "overlapping", "equal"])
+def test_discrete_pair_mul_integrate_match_dense_sums(overlap):
+    rng = random.Random("dense/" + overlap)
+    for _ in range(200):
+        a, b = _sparse_pair(rng, overlap)
+        if overlap == "disjoint":
+            assert not a.keys() & b.keys()
+        elif overlap == "equal":
+            assert a.keys() == b.keys()
+        dense = {p: _dense_product(a, b, p) for p in D8.points}
+        got = D8.pair(a, b, D8.whole().labels)
+        assert (got.re, got.im) == (sum(v[0] for v in dense.values()),
+                                    sum(v[1] for v in dense.values()))
+        prod = D8.mul(a, b)
+        assert {p: (v.re, v.im) for p, v in prod.items()} == {
+            p: v for p, v in dense.items() if v != (0, 0)}
+        assert all(prod.values())
+        region = frozenset(p for p in D8.points if rng.random() < 0.5)
+        total = D8.integrate(a, region)
+        assert (total.re, total.im) == (
+            sum((a[p].re for p in region if p in a), Fraction(0)),
+            sum((a[p].im for p in region if p in a), Fraction(0)))

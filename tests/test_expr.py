@@ -1,6 +1,7 @@
 """Expression trees: evaluation, differentiation, bumps, serialization."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from mpmath import mpc, mpf
 
 from formalcalc.errors import BackendError, CertificateError
 from formalcalc.expr import (
+    MAX_POLY_DEGREE,
     ONE,
+    Pow,
     X,
     ZERO,
     Const,
@@ -76,6 +79,33 @@ def test_poly_coeffs_roundtrip_and_rejection():
     assert not is_polynomial(kern(sub(X, ONE)))
     # a kernel of a positive constant is constant but transcendental
     assert poly_coeffs(kern(Const(2))) is None
+
+
+def test_poly_coeffs_of_a_power_match_repeated_multiplication():
+    rng = random.Random(17)
+    for _ in range(60):
+        coeffs = rand_poly_coeffs(rng, rng.randint(0, 3))
+        base, n = poly_expr(coeffs), rng.randint(0, 9)
+        want = {0: QC(1)}
+        for _ in range(n):
+            want = poly_coeffs(mul(poly_expr({d: v.re for d, v in want.items()}),
+                                   base))
+        assert poly_coeffs(Pow(base, n)) == want
+    assert poly_coeffs(pow_(X, MAX_POLY_DEGREE)) == {MAX_POLY_DEGREE: QC(1)}
+    with pytest.raises(ValueError, match="degree"):
+        poly_coeffs(pow_(X, MAX_POLY_DEGREE + 1))
+    with pytest.raises(ValueError, match="degree"):
+        poly_coeffs(mul(pow_(X, MAX_POLY_DEGREE), X))
+    # a dense base is refused before any squaring, not after expanding
+    # (x + 1)^1024 (about 2 s)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="degree"):
+        poly_coeffs(Pow(add(X, ONE), MAX_POLY_DEGREE + 1))
+    assert time.perf_counter() - start < 0.5
+    # a degree-0 base built from x still folds under the bit cap
+    two = parse_sexpr("(+ 2 x (* -1 x))")
+    with pytest.raises(ValueError, match="bits"):
+        poly_coeffs(Pow(two, 50000000))
 
 
 def test_poly_definite_integral_matches_antiderivative():
