@@ -24,9 +24,10 @@ from __future__ import annotations
 from itertools import product as _cartesian
 
 from .basedensity import BaseDensity
-from .errors import (DomainMismatchError, SupportError, TruncationError)
-from .functions import FormalFunction, SupportedFormalFunction
-from .multiindex import degree, key_str, mi, mi_binom, mi_factorial, mi_sub, parse_key
+from .errors import SupportError
+from .functions import FormalFunction, SupportedFormalFunction, _GradedSection
+from .multiindex import (grlex_key, key_str, mi, mi_binom, mi_factorial, mi_sub,
+                         parse_key)
 from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC_ZERO
 from .spaces import (OpenSet, region_empty, region_is_compact,
@@ -55,45 +56,31 @@ def leibniz(f: FormalFunction, l: tuple, i: tuple):
             yield ip, jp, ratio * mi_binom(i, ip), f.space.diff(fj, order)
 
 
-def _canon_terms(space, terms):
+def _canon_terms(terms):
     """Merge derivative-stack terms with equal I, drop exact zeros, sort."""
     acc = {}
     for i, tau in terms:
-        i = mi(i)
         if i in acc:
             acc[i] = acc[i].add(tau)
         else:
             acc[i] = tau
     out = []
-    for i in sorted(acc, key=lambda t: (degree(t), t)):
+    for i in sorted(acc, key=grlex_key):
         if not acc[i].is_exactly_zero():
             out.append((i, acc[i]))
     return tuple(out)
 
 
-class FormalDensity:
+class FormalDensity(_GradedSection):
     """sum_L (sum tau . d_x^I) (y*)^L over an open set."""
 
     def __init__(self, space, domain: OpenSet, k: int, coeffs=None):
-        if domain.space != space:
-            raise DomainMismatchError("domain belongs to a different base space")
-        self.space = space
-        self.domain = domain
-        self.k = k
+        super().__init__(space, domain, k)
         clean = {}
         for l, terms in (coeffs or {}).items():
-            l = mi(l)
-            if len(l) != k:
-                raise ValueError("star index %r has length %d, expected k=%d"
-                                 % (l, len(l), k))
-            for i, tau in terms:
-                if len(mi(i)) != space.ndim:
-                    raise ValueError("derivative stack %r does not fit a base "
-                                     "of dimension %d" % (i, space.ndim))
-                if tau.space != space:
-                    raise DomainMismatchError("coefficient density on a "
-                                              "different base space")
-            canon = _canon_terms(space, terms)
+            l = self._index(l)
+            canon = _canon_terms((self._x_index(i), self._own(tau))
+                                 for i, tau in terms)
             if canon:
                 clean[l] = canon
         self.coeffs = clean
@@ -111,8 +98,7 @@ class FormalDensity:
 
     # -- queries ---------------------------------------------------------
 
-    def star_degree(self) -> int:
-        return max((degree(l) for l in self.coeffs), default=0)
+    star_degree = _GradedSection._top_degree
 
     def support(self):
         acc = region_empty(self.space)
@@ -121,16 +107,10 @@ class FormalDensity:
                 acc = region_union(acc, tau.support)
         return acc
 
-    def is_exactly_zero(self) -> bool:
-        return not self.coeffs
-
-    def keys_sorted(self):
-        return sorted(self.coeffs, key=lambda l: (degree(l), l))
-
     # -- linear structure ---------------------------------------------------
 
     def add(self, other: "FormalDensity") -> "FormalDensity":
-        self._check(other)
+        self._check_like(other)
         out = {}
         for l in set(self.coeffs) | set(other.coeffs):
             terms = self.coeffs.get(l, ()) + other.coeffs.get(l, ())
@@ -151,11 +131,7 @@ class FormalDensity:
         Exact on the discrete backend; complex (quadrature) when any
         smooth non-polynomial coefficient enters.
         """
-        if u.space != self.space or u.domain != self.domain or u.k != self.k:
-            raise DomainMismatchError("pairing partners live on different domains")
-        if u.trunc < self.star_degree():
-            raise TruncationError("pairing needs trunc >= %d, got %d"
-                                  % (self.star_degree(), u.trunc))
+        self._check_partner(u, self.star_degree())
         acc = QC_ZERO
         for l in self.keys_sorted():
             ul = u.coeff(l)
@@ -175,11 +151,7 @@ class FormalDensity:
         (tau . d^I)(y*)^L picks up, for every J' <= L and I' <= I, the
         term ((L!/J'!) C(I,I') tau * d^{I-I'} f_{L-J'}) . d^{I'} (y*)^{J'}.
         """
-        if f.space != self.space or f.domain != self.domain or f.k != self.k:
-            raise DomainMismatchError("module action partner on a different domain")
-        if f.trunc < self.star_degree():
-            raise TruncationError("module action needs trunc >= %d, got %d"
-                                  % (self.star_degree(), f.trunc))
+        self._check_partner(f, self.star_degree())
         out = {}
         for l, terms in self.coeffs.items():
             for i, tau in terms:
@@ -191,8 +163,7 @@ class FormalDensity:
 
     def ext(self, m: OpenSet) -> "FormalDensity":
         """Extension by zero to a larger open set (coefficients carry over)."""
-        if not self.domain.is_subset(m):
-            raise DomainMismatchError("extension target does not contain the domain")
+        self._check_extends(m)
         supp = self.support()
         if not region_is_compact(supp):
             raise SupportError("extension by zero needs a compact support")
@@ -203,8 +174,7 @@ class FormalDensity:
     def restrict_data(self, v: OpenSet) -> "FormalDensity":
         """Restriction of the raw coefficient data; sensible when the
         support already sits inside v (cutoff first otherwise)."""
-        if not v.is_subset(self.domain):
-            raise DomainMismatchError("restriction target is not inside the domain")
+        self._check_inside(v)
         out = {}
         for l, terms in self.coeffs.items():
             out[l] = tuple((i, tau.restrict(v)) for i, tau in terms)
@@ -216,8 +186,7 @@ class FormalDensity:
         This is the unique density on v that extends back to eta . f,
         because the cutoff confines every coefficient inside v.
         """
-        if not v.is_subset(self.domain):
-            raise DomainMismatchError("cutoff target is not inside the domain")
+        self._check_inside(v)
         if not region_subset_open(f.support, v, within=f.domain):
             raise SupportError("cutoff support escapes the target open set")
         f_here = f if f.domain == self.domain else f.restrict(self.domain)
@@ -231,17 +200,9 @@ class FormalDensity:
 
     # -- plumbing ----------------------------------------------------------------------
 
-    def _check(self, other):
-        if self.space != other.space or self.domain != other.domain \
-                or self.k != other.k:
-            raise DomainMismatchError("formal densities live on different domains")
-
-    def __eq__(self, other):
+    def _eq_key(self):
         """Exact structural equality of canonical forms."""
-        if not isinstance(other, FormalDensity):
-            return False
-        return (self.space == other.space and self.domain == other.domain
-                and self.k == other.k and self.coeffs == other.coeffs)
+        return ("density", self.coeffs)
 
     def __repr__(self):
         bits = []

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from .basedensity import BaseDensity
 from .densities import FormalDensity, leibniz
-from .errors import DomainMismatchError, SupportError, TruncationError
+from .errors import SupportError
 from .expr import compile_f
-from .functions import FormalFunction, SupportedFormalFunction
+from .functions import FormalFunction, SupportedFormalFunction, _GradedSection
 from .multiindex import degree, mi, mi_factorial
 from .spaces import (OpenSet, region_empty, region_is_compact,
                      region_subset_open, region_union)
@@ -34,9 +34,30 @@ def _term_sort_key(key):
     return (degree(i) + degree(l), i, l)
 
 
-class _DiffOp:
+class _DiffOp(_GradedSection):
     """Terms coeff_{I,L} . d_x^I d_y^L keyed by (I, L); the subclasses
-    differ in the coefficient type."""
+    differ in the coefficient type, which `_check_coeff` validates."""
+
+    def __init__(self, space, domain: OpenSet, k: int, terms=None):
+        super().__init__(space, domain, k)
+        clean = {}
+        for (i, l), c in (terms or {}).items():
+            key = (self._x_index(i), self._index(l))
+            self._check_coeff(c)
+            if c.is_exactly_zero():
+                continue
+            if not region_is_compact(c.support):
+                raise SupportError("coefficient at (%r, %r) is not compactly "
+                                   "supported" % key)
+            clean[key] = c
+        self.terms = clean
+
+    @classmethod
+    def zero(cls, space, domain, k):
+        return cls(space, domain, k)
+
+    def is_exactly_zero(self) -> bool:
+        return not self.terms
 
     def order(self) -> int:
         return max((degree(i) + degree(l) for i, l in self.terms), default=0)
@@ -52,6 +73,9 @@ class _DiffOp:
 
     def keys_sorted(self):
         return sorted(self.terms, key=_term_sort_key)
+
+    def _eq_key(self):
+        return (type(self).__name__, self.terms)
 
     def to_json(self):
         return {"terms": [{"I": list(i), "L": list(l),
@@ -77,32 +101,13 @@ class DensityDiffOp(_DiffOp):
     """Operator sum tau_{I,L} . d_x^I d_y^L from functions to densities."""
 
     def __init__(self, space, domain: OpenSet, k: int, terms=None):
-        if domain.space != space:
-            raise DomainMismatchError("domain belongs to a different base space")
-        self.space = space
-        self.domain = domain
-        self.k = k
-        clean = {}
-        for (i, l), tau in (terms or {}).items():
-            i, l = mi(i), mi(l)
-            if len(i) != space.ndim or len(l) != k:
-                raise ValueError("term key (%r, %r) does not fit the space" % (i, l))
-            if tau.space != space:
-                raise DomainMismatchError("coefficient on a different base space")
-            if tau.is_exactly_zero():
-                continue
-            if not region_is_compact(tau.support):
-                raise SupportError("coefficient at (%r, %r) is not compactly "
-                                   "supported" % (i, l))
+        super().__init__(space, domain, k, terms)
+        for key, tau in self.terms.items():
             if not region_subset_open(tau.support, domain):
                 raise SupportError("coefficient support at (%r, %r) escapes the "
-                                   "domain" % (i, l))
-            clean[(i, l)] = tau
-        self.terms = clean
+                                   "domain" % key)
 
-    @classmethod
-    def zero(cls, space, domain, k):
-        return cls(space, domain, k)
+    _check_coeff = _GradedSection._own
 
     @classmethod
     def monomial(cls, space, domain, k, i, l, tau: BaseDensity):
@@ -113,13 +118,10 @@ class DensityDiffOp(_DiffOp):
     def _coeff_from_json(space, domain, k, v, region):
         return BaseDensity.from_json(space, v, region=region)
 
-    def is_exactly_zero(self) -> bool:
-        return not self.terms
-
     # -- linear structure --------------------------------------------------
 
     def add(self, other: "DensityDiffOp") -> "DensityDiffOp":
-        self._check(other)
+        self._check_like(other)
         out = dict(self.terms)
         for key, tau in other.terms.items():
             out[key] = out[key].add(tau) if key in out else tau
@@ -133,12 +135,7 @@ class DensityDiffOp(_DiffOp):
 
     def apply(self, u: FormalFunction) -> BaseDensity:
         """D(u) = sum tau * L! * (d_x^I u_L), a base density."""
-        if u.space != self.space or u.domain != self.domain or u.k != self.k:
-            raise DomainMismatchError("operator and function live on "
-                                      "different domains")
-        if u.trunc < self.y_order():
-            raise TruncationError("application needs trunc >= %d, got %d"
-                                  % (self.y_order(), u.trunc))
+        self._check_partner(u, self.y_order())
         acc = BaseDensity.zero(self.space)
         for (i, l) in self.keys_sorted():
             tau = self.terms[(i, l)]
@@ -165,8 +162,7 @@ class DensityDiffOp(_DiffOp):
 
         Densities on the base only feel the y-constant coefficient f_0.
         """
-        if f.space != self.space or f.domain != self.domain or f.k != self.k:
-            raise DomainMismatchError("composition partner on a different domain")
+        self._check_partner(f)
         f0 = f.coeff((0,) * self.k)
         out = {key: tau.mul_coeff(f0) for key, tau in self.terms.items()}
         return DensityDiffOp(self.space, self.domain, self.k, out)
@@ -178,11 +174,7 @@ class DensityDiffOp(_DiffOp):
         tau . d^I d^L spawns, for J' <= L and I' <= I, the term
         ((L!/J'!) C(I,I') tau * d^{I-I'} f_{L-J'}) . d^{I'} d^{J'}.
         """
-        if f.space != self.space or f.domain != self.domain or f.k != self.k:
-            raise DomainMismatchError("composition partner on a different domain")
-        if f.trunc < self.y_order():
-            raise TruncationError("composition needs trunc >= %d, got %d"
-                                  % (self.y_order(), f.trunc))
+        self._check_partner(f, self.y_order())
         out = {}
         for (i, l), tau in self.terms.items():
             for ip, jp, c, g in leibniz(f, l, i):
@@ -195,31 +187,18 @@ class DensityDiffOp(_DiffOp):
 
     def ext(self, m: OpenSet) -> "DensityDiffOp":
         """Extension by zero to a larger open set."""
-        if not self.domain.is_subset(m):
-            raise DomainMismatchError("extension target does not contain the domain")
+        self._check_extends(m)
         return DensityDiffOp(self.space, m, self.k, self.terms)
 
     def restrict_op(self, v: OpenSet) -> "DensityDiffOp":
         """Restriction to a smaller open set holding the whole support."""
-        if not v.is_subset(self.domain):
-            raise DomainMismatchError("restriction target is not inside the domain")
+        self._check_inside(v)
         if not region_subset_open(self.support(), v, within=self.domain):
             raise SupportError("operator support escapes the target open set")
         out = {key: tau.restrict(v) for key, tau in self.terms.items()}
         return DensityDiffOp(self.space, v, self.k, out)
 
     # -- plumbing ----------------------------------------------------------------------
-
-    def _check(self, other):
-        if self.space != other.space or self.domain != other.domain \
-                or self.k != other.k:
-            raise DomainMismatchError("operators live on different domains")
-
-    def __eq__(self, other):
-        if not isinstance(other, DensityDiffOp):
-            return False
-        return (self.space == other.space and self.domain == other.domain
-                and self.k == other.k and self.terms == other.terms)
 
     def __repr__(self):
         bits = ["%r . d_x^%s d_y^%s" % (self.terms[key], key[0], key[1])
@@ -231,32 +210,10 @@ class EndoDiffOp(_DiffOp):
     """Operator with formal-function coefficients, landing in base
     functions after reduction; feeds the seminorm diagnostics."""
 
-    def __init__(self, space, domain: OpenSet, k: int, terms=None):
-        if domain.space != space:
-            raise DomainMismatchError("domain belongs to a different base space")
-        self.space = space
-        self.domain = domain
-        self.k = k
-        clean = {}
-        for (i, l), f in (terms or {}).items():
-            i, l = mi(i), mi(l)
-            if len(i) != space.ndim or len(l) != k:
-                raise ValueError("term key (%r, %r) does not fit the space" % (i, l))
-            if not isinstance(f, SupportedFormalFunction):
-                raise SupportError("coefficients need a support witness")
-            if f.space != space or f.domain != domain or f.k != k:
-                raise DomainMismatchError("coefficient on a different domain")
-            if f.is_exactly_zero():
-                continue
-            if not region_is_compact(f.support):
-                raise SupportError("coefficient at (%r, %r) is not compactly "
-                                   "supported" % (i, l))
-            clean[(i, l)] = f
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, space, domain, k):
-        return cls(space, domain, k)
+    def _check_coeff(self, f):
+        if not isinstance(f, SupportedFormalFunction):
+            raise SupportError("coefficients need a support witness")
+        self._check_partner(f)
 
     @classmethod
     def identity_term(cls, space, domain, k, f: SupportedFormalFunction):
@@ -271,12 +228,7 @@ class EndoDiffOp(_DiffOp):
 
     def apply_reduced(self, u: FormalFunction):
         """Base coefficient of X(u): sum (f_{I,L})_0 * L! * (d_x^I u_L)."""
-        if u.space != self.space or u.domain != self.domain or u.k != self.k:
-            raise DomainMismatchError("operator and function live on "
-                                      "different domains")
-        if u.trunc < self.y_order():
-            raise TruncationError("application needs trunc >= %d, got %d"
-                                  % (self.y_order(), u.trunc))
+        self._check_partner(u, self.y_order())
         sp = self.space
         acc = sp.zero()
         for (i, l) in self.keys_sorted():

@@ -41,8 +41,10 @@ from .densities import FormalDensity, leibniz
 from .errors import (BackendError, DomainMismatchError, SupportError,
                      TruncationError)
 from .expr import Const, X, mul, pow_
-from .functions import FormalFunction, SupportedFormalFunction, cutoff_product
-from .multiindex import degree, enumerate_upto, key_str, mi, mi_factorial, parse_key
+from .functions import (FormalFunction, SupportedFormalFunction, _GradedSection,
+                        cutoff_product)
+from .multiindex import (degree, enumerate_upto, key_str, mi, mi_add, mi_factorial,
+                         parse_key)
 from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json
 from .spaces import (OpenSet, RSet, region_contains, region_empty,
@@ -331,7 +333,94 @@ def _terms_key(w):
     return out
 
 
-class FormalDistribution:
+def vec_add(a, b):
+    """Componentwise sum of two E-vectors of base distributions; a = None
+    reads as zero, so out[j] = vec_add(out.get(j), v) accumulates."""
+    return b if a is None else tuple(x.add(y) for x, y in zip(a, b))
+
+
+class _DualSection(_GradedSection):
+    """E-valued functionals graded like a section: one E-vector (a tuple
+    of e_dim BaseDistribution entries) per index, keys above cap refused.
+
+    Subclasses supply `_with`, a section of their own plain kind with
+    new data over the same space and k.
+    """
+
+    def __init__(self, space, domain: OpenSet, k: int, e_dim: int, coeffs=None,
+                 cap=None):
+        super().__init__(space, domain, k)
+        if e_dim < 1:
+            raise ValueError("value space dimension must be at least 1")
+        self.e_dim = e_dim
+        clean = {}
+        for j, vec in (coeffs or {}).items():
+            j = self._index(j, cap)
+            vec = tuple(map(self._own, vec))
+            if len(vec) != e_dim:
+                raise ValueError("coefficient vector at %r has %d entries, "
+                                 "expected %d" % (j, len(vec), e_dim))
+            if not all(w.is_exactly_zero() for w in vec):
+                clean[j] = vec
+        self.coeffs = clean
+
+    def coeff(self, j):
+        vec = self.coeffs.get(mi(j))
+        if vec is None:
+            vec = tuple(BaseDistribution.zero(self.space) for _ in range(self.e_dim))
+        return vec
+
+    def _check_like(self, other):
+        super()._check_like(other)
+        if other.e_dim != self.e_dim:
+            raise DomainMismatchError("%s partner has a different E_dim"
+                                      % type(self).__name__)
+
+    def _sum(self, other, cap=None):
+        """Coefficient vectors of self + other, keys above cap dropped."""
+        return {j: vec_add(self.coeff(j), other.coeff(j))
+                for j in set(self.coeffs) | set(other.coeffs)
+                if cap is None or degree(j) <= cap}
+
+    def _clone(self, coeffs):
+        return self._with(coeffs)
+
+    def scale(self, c):
+        return self._clone({j: tuple(w.scale(c) for w in vec)
+                            for j, vec in self.coeffs.items()})
+
+    def component(self, j: int):
+        return self._with({key: (vec[j],) for key, vec in self.coeffs.items()},
+                          e_dim=1)
+
+    def restrict(self, v: OpenSet):
+        """Transpose of extension by zero: keep what acts inside v."""
+        self._check_inside(v)
+        return self._with({j: tuple(w.restrict(v) for w in vec)
+                           for j, vec in self.coeffs.items()}, domain=v)
+
+    def __repr__(self):
+        return "%s(E_dim=%d, keys=%s)" % (type(self).__name__, self.e_dim,
+                                          self.keys_sorted())
+
+    def to_json(self):
+        return {
+            "E_dim": self.e_dim,
+            "coeffs": {key_str(j): [w.to_json() for w in self.coeffs[j]]
+                       for j in self.keys_sorted()},
+        }
+
+    @staticmethod
+    def _vectors_from_json(space, k, v, region):
+        """(E_dim, coefficient vectors) of a JSON object."""
+        coeffs = {}
+        for key, vecs in v.get("coeffs", {}).items():
+            coeffs[parse_key(key, length=k)] = tuple(
+                BaseDistribution.from_json(space, w, region=region) for w in vecs)
+        return int(v.get("E_dim", 1)), coeffs
+
+
+class FormalDistribution(_DualSection):
     """Functional on compactly supported formal functions.
 
     <eta, u> = sum_L L! <w_L, u_L> componentwise in E = C^m, with
@@ -339,77 +428,28 @@ class FormalDistribution:
     """
 
     def __init__(self, space, domain: OpenSet, k: int, e_dim: int, coeffs=None):
-        if domain.space != space:
-            raise DomainMismatchError("domain belongs to a different base space")
-        if e_dim < 1:
-            raise ValueError("value space dimension must be at least 1")
-        self.space = space
-        self.domain = domain
-        self.k = k
-        self.e_dim = e_dim
-        clean = {}
-        for l, vec in (coeffs or {}).items():
-            l = mi(l)
-            if len(l) != k:
-                raise ValueError("star index %r has length %d, expected k=%d"
-                                 % (l, len(l), k))
-            vec = tuple(vec)
-            if len(vec) != e_dim:
-                raise ValueError("coefficient vector at %r has %d entries, "
-                                 "expected %d" % (l, len(vec), e_dim))
-            if any(w.space != space for w in vec):
-                raise DomainMismatchError("coefficient over a different base space")
-            if not all(w.is_exactly_zero() for w in vec):
-                clean[l] = vec
-        self.coeffs = clean
+        super().__init__(space, domain, k, e_dim, coeffs)
 
     @classmethod
     def zero(cls, space, domain, k, e_dim=1):
         return cls(space, domain, k, e_dim)
 
-    def star_degree(self) -> int:
-        return max((degree(l) for l in self.coeffs), default=0)
+    star_degree = _GradedSection._top_degree
 
-    def keys_sorted(self):
-        return sorted(self.coeffs, key=lambda l: (degree(l), l))
-
-    def coeff(self, l):
-        return self.coeffs.get(mi(l),
-                               tuple(BaseDistribution.zero(self.space)
-                                     for _ in range(self.e_dim)))
-
-    def is_exactly_zero(self) -> bool:
-        return not self.coeffs
-
-    # -- linear structure ----------------------------------------------------
+    def _with(self, coeffs, domain=None, e_dim=None):
+        return FormalDistribution(self.space, domain or self.domain, self.k,
+                                  e_dim or self.e_dim, coeffs)
 
     def add(self, other):
-        self._check(other)
-        out = {}
-        for l in set(self.coeffs) | set(other.coeffs):
-            a, b = self.coeff(l), other.coeff(l)
-            out[l] = tuple(x.add(y) for x, y in zip(a, b))
-        return FormalDistribution(self.space, self.domain, self.k, self.e_dim,
-                                  out)
-
-    def scale(self, c):
-        out = {l: tuple(w.scale(c) for w in vec) for l, vec in self.coeffs.items()}
-        return self._clone(coeffs=out)
-
-    def component(self, j: int) -> "FormalDistribution":
-        out = {l: (vec[j],) for l, vec in self.coeffs.items()}
-        return FormalDistribution(self.space, self.domain, self.k, 1, out)
+        self._check_like(other)
+        return self._with(self._sum(other))
 
     # -- action ------------------------------------------------------------------
 
     def apply(self, u: SupportedFormalFunction, abs_tol=DEFAULT_ABS_TOL,
               budget=None):
         """E-vector of pairings against a compactly supported function."""
-        if u.space != self.space or u.domain != self.domain or u.k != self.k:
-            raise DomainMismatchError("partners live on different domains")
-        if u.trunc < self.star_degree():
-            raise TruncationError("application needs trunc >= %d, got %d"
-                                  % (self.star_degree(), u.trunc))
+        self._check_partner(u, self.star_degree())
         if not isinstance(u, SupportedFormalFunction):
             raise SupportError("distributions pair with supported functions")
         if not region_is_compact(u.support):
@@ -434,70 +474,24 @@ class FormalDistribution:
         Coefficientwise (eta . f)_{J'} = sum_{L >= J'} (L!/J'!)
         f_{L-J'} . w_L, with function-times-distribution products.
         """
-        if f.space != self.space or f.domain != self.domain or f.k != self.k:
-            raise DomainMismatchError("module action partner on a different domain")
-        if f.trunc < self.star_degree():
-            raise TruncationError("module action needs trunc >= %d, got %d"
-                                  % (self.star_degree(), f.trunc))
+        self._check_partner(f, self.star_degree())
         out = {}
         for l, vec in self.coeffs.items():
             for _, jp, c, g in leibniz(f, l, ()):
-                add_vec = tuple(w.mul_coeff(g).scale(c) for w in vec)
-                prev = out.get(jp)
-                out[jp] = add_vec if prev is None else \
-                    tuple(x.add(y) for x, y in zip(prev, add_vec))
-        return self._clone(coeffs=out)
-
-    # -- sheaf structure -------------------------------------------------------------
-
-    def restrict(self, v: OpenSet) -> "FormalDistribution":
-        """Transpose of extension by zero: keep what acts inside v."""
-        if not v.is_subset(self.domain):
-            raise DomainMismatchError("restriction target is not inside the domain")
-        out = {l: tuple(w.restrict(v) for w in vec)
-               for l, vec in self.coeffs.items()}
-        return FormalDistribution(self.space, v, self.k, self.e_dim, out)
+                out[jp] = vec_add(out.get(jp),
+                                  tuple(w.mul_coeff(g).scale(c) for w in vec))
+        return self._clone(out)
 
     # -- plumbing ------------------------------------------------------------------------
 
-    def _clone(self, coeffs):
-        return FormalDistribution(self.space, self.domain, self.k, self.e_dim,
-                                  coeffs)
-
-    def _check(self, other):
-        if self.space != other.space or self.domain != other.domain \
-                or self.k != other.k or self.e_dim != other.e_dim:
-            raise DomainMismatchError("distributions live on different domains")
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalDistribution):
-            return False
-        return (self.space == other.space and self.domain == other.domain
-                and self.k == other.k and self.e_dim == other.e_dim
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return "%s(E_dim=%d, keys=%s)" % (type(self).__name__, self.e_dim,
-                                          self.keys_sorted())
-
-    def to_json(self):
-        return {
-            "E_dim": self.e_dim,
-            "coeffs": {key_str(l): [w.to_json() for w in self.coeffs[l]]
-                       for l in self.keys_sorted()},
-        }
+    def _eq_key(self):
+        return ("distribution", self.e_dim, self.coeffs)
 
     @classmethod
     def from_json(cls, space, domain, k, v, region=None):
         if not isinstance(v, dict):
             raise ValueError("distribution needs an object with E_dim and coeffs")
-        e_dim = int(v.get("E_dim", 1))
-        coeffs = {}
-        for key, vecs in v.get("coeffs", {}).items():
-            l = parse_key(key, length=k)
-            coeffs[l] = tuple(BaseDistribution.from_json(space, w, region=region)
-                              for w in vecs)
-        return cls(space, domain, k, e_dim, coeffs)
+        return cls(space, domain, k, *cls._vectors_from_json(space, k, v, region))
 
 
 class CompactFormalDistribution(FormalDistribution):
@@ -547,30 +541,30 @@ class CompactFormalDistribution(FormalDistribution):
                     acc = region_union(acc, r)
         return acc
 
+    def _with_support(self, coeffs, support, domain=None):
+        return CompactFormalDistribution(self.space, domain or self.domain,
+                                         self.k, self.e_dim, coeffs,
+                                         support=support)
+
     def _clone(self, coeffs):
-        return CompactFormalDistribution(self.space, self.domain, self.k,
-                                         self.e_dim, coeffs, support=self.support)
+        return self._with_support(coeffs, self.support)
 
     def add(self, other):
         plain = FormalDistribution.add(self, other)
         if isinstance(other, CompactFormalDistribution):
-            return CompactFormalDistribution(
-                self.space, self.domain, self.k, self.e_dim, plain.coeffs,
-                support=region_union(self.support, other.support))
+            return self._with_support(plain.coeffs,
+                                      region_union(self.support, other.support))
         return plain
 
     def ext(self, m: OpenSet) -> "CompactFormalDistribution":
         """Extension by zero to a larger open set."""
-        if not self.domain.is_subset(m):
-            raise DomainMismatchError("extension target does not contain the domain")
-        return CompactFormalDistribution(self.space, m, self.k, self.e_dim,
-                                         self.coeffs, support=self.support)
+        self._check_extends(m)
+        return self._with_support(self.coeffs, self.support, m)
 
     def restrict(self, v: OpenSet) -> "CompactFormalDistribution":
         plain = FormalDistribution.restrict(self, v)
-        return CompactFormalDistribution(self.space, v, self.k, self.e_dim,
-                                         plain.coeffs,
-                                         support=region_intersect_open(self.support, v))
+        return self._with_support(plain.coeffs,
+                                  region_intersect_open(self.support, v), v)
 
     def to_json(self):
         out = super().to_json()
@@ -632,7 +626,7 @@ def cutoff_extend(eta: CompactFormalDistribution,
     return ExtendedFunctional(eta, f)
 
 
-class GeneralizedFunction:
+class GeneralizedFunction(_DualSection):
     """Functional on compactly supported formal densities.
 
     <u, eta> = sum_L L! <u_L, eta_L> componentwise in E, where u_L is a
@@ -641,31 +635,10 @@ class GeneralizedFunction:
 
     def __init__(self, space, domain: OpenSet, k: int, trunc: int, e_dim: int,
                  coeffs=None):
-        if domain.space != space:
-            raise DomainMismatchError("domain belongs to a different base space")
-        if trunc < 0 or e_dim < 1:
-            raise ValueError("trunc must be >= 0 and E_dim >= 1")
-        self.space = space
-        self.domain = domain
-        self.k = k
+        if trunc < 0:
+            raise ValueError("trunc must be nonnegative")
         self.trunc = trunc
-        self.e_dim = e_dim
-        clean = {}
-        for j, vec in (coeffs or {}).items():
-            j = mi(j)
-            if len(j) != k:
-                raise ValueError("index %r has length %d, expected k=%d"
-                                 % (j, len(j), k))
-            if degree(j) > trunc:
-                raise TruncationError("coefficient at %r exceeds trunc %d"
-                                      % (j, trunc))
-            vec = tuple(vec)
-            if len(vec) != e_dim:
-                raise ValueError("coefficient vector at %r has %d entries, "
-                                 "expected %d" % (j, len(vec), e_dim))
-            if not all(w.is_exactly_zero() for w in vec):
-                clean[j] = vec
-        self.coeffs = clean
+        super().__init__(space, domain, k, e_dim, coeffs, cap=trunc)
 
     @classmethod
     def zero(cls, space, domain, k, trunc, e_dim=1):
@@ -679,46 +652,19 @@ class GeneralizedFunction:
             coeffs[j] = (BaseDistribution.smooth(u.space, c),)
         return cls(u.space, u.domain, u.k, u.trunc, 1, coeffs)
 
-    def keys_sorted(self):
-        return sorted(self.coeffs, key=lambda j: (degree(j), j))
-
-    def coeff(self, j):
-        return self.coeffs.get(mi(j),
-                               tuple(BaseDistribution.zero(self.space)
-                                     for _ in range(self.e_dim)))
-
-    def is_exactly_zero(self) -> bool:
-        return not self.coeffs
+    def _with(self, coeffs, domain=None, e_dim=None, trunc=None):
+        return GeneralizedFunction(self.space, domain or self.domain, self.k,
+                                   self.trunc if trunc is None else trunc,
+                                   e_dim or self.e_dim, coeffs)
 
     def add(self, other):
-        self._check(other)
+        self._check_like(other)
         trunc = min(self.trunc, other.trunc)
-        out = {}
-        for j in set(self.coeffs) | set(other.coeffs):
-            if degree(j) > trunc:
-                continue
-            a, b = self.coeff(j), other.coeff(j)
-            out[j] = tuple(x.add(y) for x, y in zip(a, b))
-        return GeneralizedFunction(self.space, self.domain, self.k, trunc,
-                                   self.e_dim, out)
-
-    def scale(self, c):
-        out = {j: tuple(w.scale(c) for w in vec) for j, vec in self.coeffs.items()}
-        return GeneralizedFunction(self.space, self.domain, self.k, self.trunc,
-                                   self.e_dim, out)
-
-    def component(self, j: int) -> "GeneralizedFunction":
-        out = {key: (vec[j],) for key, vec in self.coeffs.items()}
-        return GeneralizedFunction(self.space, self.domain, self.k, self.trunc,
-                                   1, out)
+        return self._with(self._sum(other, trunc), trunc=trunc)
 
     def apply(self, eta: FormalDensity, abs_tol=DEFAULT_ABS_TOL, budget=None):
         """E-vector <u, eta>; derivative stacks transpose onto u."""
-        if eta.space != self.space or eta.domain != self.domain or eta.k != self.k:
-            raise DomainMismatchError("partners live on different domains")
-        if self.trunc < eta.star_degree():
-            raise TruncationError("application needs trunc >= %d, got %d"
-                                  % (eta.star_degree(), self.trunc))
+        eta._check_partner(self, eta.star_degree())
         out = []
         for j in range(self.e_dim):
             acc = QC_ZERO
@@ -734,69 +680,36 @@ class GeneralizedFunction:
 
     def module_action(self, f: FormalFunction) -> "GeneralizedFunction":
         """f . u with coefficientwise Cauchy products: <f u, eta> = <u, eta . f>."""
-        if f.space != self.space or f.domain != self.domain or f.k != self.k:
-            raise DomainMismatchError("module action partner on a different domain")
+        self._check_partner(f)
         trunc = min(self.trunc, f.trunc)
         out = {}
         for j1, fc in f.coeffs.items():
             for j2, vec in self.coeffs.items():
-                j = tuple(a + b for a, b in zip(j1, j2))
-                if degree(j) > trunc:
-                    continue
-                add_vec = tuple(w.mul_coeff(fc) for w in vec)
-                prev = out.get(j)
-                out[j] = add_vec if prev is None else \
-                    tuple(x.add(y) for x, y in zip(prev, add_vec))
-        return GeneralizedFunction(self.space, self.domain, self.k, trunc,
-                                   self.e_dim, out)
+                j = mi_add(j1, j2)
+                if degree(j) <= trunc:
+                    out[j] = vec_add(out.get(j),
+                                     tuple(w.mul_coeff(fc) for w in vec))
+        return self._with(out, trunc=trunc)
 
-    def restrict(self, v: OpenSet) -> "GeneralizedFunction":
-        if not v.is_subset(self.domain):
-            raise DomainMismatchError("restriction target is not inside the domain")
-        out = {j: tuple(w.restrict(v) for w in vec)
-               for j, vec in self.coeffs.items()}
-        return GeneralizedFunction(self.space, v, self.k, self.trunc,
-                                   self.e_dim, out)
-
-    def _check(self, other):
-        if self.space != other.space or self.domain != other.domain \
-                or self.k != other.k or self.e_dim != other.e_dim:
-            raise DomainMismatchError("generalized functions live on "
-                                      "different domains")
-
-    def __eq__(self, other):
-        if not isinstance(other, GeneralizedFunction):
-            return False
-        return (self.space == other.space and self.domain == other.domain
-                and self.k == other.k and self.trunc == other.trunc
-                and self.e_dim == other.e_dim and self.coeffs == other.coeffs)
+    def _eq_key(self):
+        return ("generalized", self.trunc, self.e_dim, self.coeffs)
 
     def __repr__(self):
         return "GeneralizedFunction(trunc=%d, E_dim=%d, keys=%s)" % (
             self.trunc, self.e_dim, self.keys_sorted())
 
     def to_json(self):
-        return {
-            "trunc": self.trunc,
-            "E_dim": self.e_dim,
-            "coeffs": {key_str(j): [w.to_json() for w in self.coeffs[j]]
-                       for j in self.keys_sorted()},
-        }
+        return {"trunc": self.trunc, **super().to_json()}
 
     @classmethod
     def from_json(cls, space, domain, k, v, region=None):
         if not isinstance(v, dict) or "trunc" not in v:
             raise ValueError("generalized function needs a 'trunc' field")
-        e_dim = int(v.get("E_dim", 1))
-        coeffs = {}
-        for key, vecs in v.get("coeffs", {}).items():
-            j = parse_key(key, length=k)
-            coeffs[j] = tuple(BaseDistribution.from_json(space, w, region=region)
-                              for w in vecs)
+        e_dim, coeffs = cls._vectors_from_json(space, k, v, region)
         return cls(space, domain, k, int(v["trunc"]), e_dim, coeffs)
 
 
-class PointDistribution:
+class PointDistribution(_GradedSection):
     """Finite combination of jet evaluations at a single point.
 
     coeffs maps (I, J) pairs to E-vectors of scalars; applying to u
@@ -805,20 +718,14 @@ class PointDistribution:
 
     def __init__(self, space, domain: OpenSet, k: int, a, e_dim: int = 1,
                  coeffs=None):
-        if domain.space != space:
-            raise DomainMismatchError("domain belongs to a different base space")
+        super().__init__(space, domain, k)
         if not domain.contains(a):
             raise DomainMismatchError("base point %r outside the domain" % (a,))
-        self.space = space
-        self.domain = domain
-        self.k = k
         self.a = a if space.kind == "discrete" else Fraction(a)
         self.e_dim = e_dim
         clean = {}
         for (i, j), vec in (coeffs or {}).items():
-            i, j = mi(i), mi(j)
-            if len(i) != space.ndim or len(j) != k:
-                raise ValueError("jet key (%r, %r) does not fit the space" % (i, j))
+            i, j = self._x_index(i), self._index(j)
             vec = tuple(qc(c) if not isinstance(c, complex) else c for c in vec)
             if len(vec) != e_dim:
                 raise ValueError("coefficient vector at (%r, %r) has %d entries, "
@@ -836,8 +743,7 @@ class PointDistribution:
 
     def apply(self, u: FormalFunction):
         """E-vector sum c_{I,J} * jet(u, a, I, J)."""
-        if u.space != self.space or u.domain != self.domain or u.k != self.k:
-            raise DomainMismatchError("partners live on different domains")
+        self._check_partner(u)
         out = []
         for comp in range(self.e_dim):
             acc = QC_ZERO
@@ -863,15 +769,16 @@ class PointDistribution:
                 else:
                     add_vec.append(BaseDistribution.point(self.space, self.a,
                                                           stack, c))
-            prev = coeffs.get(j)
-            coeffs[j] = tuple(add_vec) if prev is None else \
-                tuple(x.add(y) for x, y in zip(prev, add_vec))
+            coeffs[j] = vec_add(coeffs.get(j), tuple(add_vec))
         if self.space.kind == "discrete":
             support = frozenset({self.a})
         else:
             support = RSet.point(self.a)
         return CompactFormalDistribution(self.space, self.domain, self.k,
                                          self.e_dim, coeffs, support=support)
+
+    def _eq_key(self):
+        return ("point", self.a, self.e_dim, self.coeffs)
 
     def __repr__(self):
         return "PointDistribution(a=%s, keys=%s)" % (self.a, self.keys_sorted())

@@ -20,34 +20,109 @@ from __future__ import annotations
 from .errors import (BackendError, DomainMismatchError, SupportError,
                      TruncationError)
 from .expr import bump as _bump_expr
-from .multiindex import degree, key_str, mi, mi_factorial, parse_key
+from .multiindex import (degree, grlex_key, key_str, mi, mi_add, mi_factorial,
+                         parse_key)
 from .scalars import QC
 from .spaces import (OpenSet, region_from_json, region_intersect,
                      region_intersect_open, region_is_compact,
                      region_subset_open, region_to_json)
 
 
-class FormalFunction:
-    """sum_J u_J y^J with guaranteed order trunc over an open set."""
+class _GradedSection:
+    """Shared plumbing of the graded section classes.
 
-    def __init__(self, space, domain: OpenSet, k: int, trunc: int, coeffs=None):
+    A section over an open set of a base space is a family of
+    coefficients `coeffs` keyed by y- or y*-multi-indices of length k;
+    missing keys are zero. Subclasses build `coeffs` through `_index`
+    and name in `_eq_key` what equality compares besides the base
+    space, the open set and k (its first entry names the kind, so
+    sections of different kinds never compare equal).
+    """
+
+    def __init__(self, space, domain: OpenSet, k: int):
         if domain.space != space:
             raise DomainMismatchError("domain belongs to a different base space")
-        if k < 0 or trunc < 0:
-            raise ValueError("k and trunc must be nonnegative")
+        if k < 0:
+            raise ValueError("k must be nonnegative")
         self.space = space
         self.domain = domain
         self.k = k
+
+    def _index(self, j, cap=None):
+        """j as a multi-index of length k, of degree at most cap if given."""
+        j = mi(j)
+        if len(j) != self.k:
+            raise ValueError("index %r has length %d, expected k=%d"
+                             % (j, len(j), self.k))
+        if cap is not None and degree(j) > cap:
+            raise TruncationError("index %r exceeds trunc %d" % (j, cap))
+        return j
+
+    def _x_index(self, i):
+        """i as an x-multi-index (a derivative stack) of the base."""
+        i = mi(i)
+        if len(i) != self.space.ndim:
+            raise ValueError("x-index %r does not fit a base of dimension %d"
+                             % (i, self.space.ndim))
+        return i
+
+    def _own(self, c):
+        """c, checked to live over the same base space."""
+        if c.space != self.space:
+            raise DomainMismatchError("coefficient over a different base space")
+        return c
+
+    def _top_degree(self) -> int:
+        return max((degree(j) for j in self.coeffs), default=0)
+
+    def keys_sorted(self):
+        return sorted(self.coeffs, key=grlex_key)
+
+    def is_exactly_zero(self) -> bool:
+        return not self.coeffs
+
+    # -- partners ------------------------------------------------------------
+
+    def _check_partner(self, other, need=None):
+        """other lives on the same base space, open set and k; given need,
+        its guaranteed order trunc is at least need."""
+        if other.space != self.space or other.domain != self.domain \
+                or other.k != self.k:
+            raise DomainMismatchError("%s partner lives on a different domain"
+                                      % type(self).__name__)
+        if need is not None and other.trunc < need:
+            raise TruncationError("%s partner needs trunc >= %d, got %d"
+                                  % (type(self).__name__, need, other.trunc))
+
+    def _check_like(self, other):
+        """other is a section of the same shape, for the linear structure."""
+        self._check_partner(other)
+
+    def _check_inside(self, v: OpenSet):
+        if not v.is_subset(self.domain):
+            raise DomainMismatchError("restriction target is not inside the domain")
+
+    def _check_extends(self, m: OpenSet):
+        if not self.domain.is_subset(m):
+            raise DomainMismatchError("extension target does not contain the domain")
+
+    def __eq__(self, other):
+        return (isinstance(other, _GradedSection) and self.space == other.space
+                and self.domain == other.domain and self.k == other.k
+                and self._eq_key() == other._eq_key())
+
+
+class FormalFunction(_GradedSection):
+    """sum_J u_J y^J with guaranteed order trunc over an open set."""
+
+    def __init__(self, space, domain: OpenSet, k: int, trunc: int, coeffs=None):
+        super().__init__(space, domain, k)
+        if trunc < 0:
+            raise ValueError("trunc must be nonnegative")
         self.trunc = trunc
         clean = {}
         for j, c in (coeffs or {}).items():
-            j = mi(j)
-            if len(j) != k:
-                raise ValueError("coefficient key %r has length %d, expected k=%d"
-                                 % (j, len(j), k))
-            if degree(j) > trunc:
-                raise TruncationError("coefficient at %r exceeds trunc %d"
-                                      % (j, trunc))
+            j = self._index(j, trunc)
             c = space.clean(c, domain)
             if not space.is_zero(c):
                 clean[j] = c
@@ -67,19 +142,12 @@ class FormalFunction:
     def coeff(self, j):
         return self.coeffs.get(mi(j), self.space.zero())
 
-    def y_degree(self) -> int:
-        return max((degree(j) for j in self.coeffs), default=0)
-
-    def is_exactly_zero(self) -> bool:
-        return not self.coeffs
-
-    def keys_sorted(self):
-        return sorted(self.coeffs, key=lambda j: (degree(j), j))
+    y_degree = _GradedSection._top_degree
 
     # -- ring operations ---------------------------------------------------
 
     def add(self, other: "FormalFunction") -> "FormalFunction":
-        self._check(other)
+        self._check_like(other)
         trunc = min(self.trunc, other.trunc)
         sp = self.space
         out = {}
@@ -97,13 +165,13 @@ class FormalFunction:
 
     def mul(self, other: "FormalFunction") -> "FormalFunction":
         """Cauchy product in y, truncated to the minimum guaranteed order."""
-        self._check(other)
+        self._check_like(other)
         trunc = min(self.trunc, other.trunc)
         sp = self.space
         out = {}
         for j1, c1 in self.coeffs.items():
             for j2, c2 in other.coeffs.items():
-                j = tuple(a + b for a, b in zip(j1, j2))
+                j = mi_add(j1, j2)
                 if degree(j) > trunc:
                     continue
                 c = sp.mul(c1, c2)
@@ -112,8 +180,7 @@ class FormalFunction:
         return FormalFunction(self.space, self.domain, self.k, trunc, out)
 
     def restrict(self, v: OpenSet) -> "FormalFunction":
-        if not v.is_subset(self.domain):
-            raise DomainMismatchError("restriction target is not inside the domain")
+        self._check_inside(v)
         out = {j: self.space.restrict(c, v) for j, c in self.coeffs.items()}
         return FormalFunction(self.space, v, self.k, self.trunc, out)
 
@@ -131,15 +198,11 @@ class FormalFunction:
         i is an x-multi-index of length space.ndim (the empty tuple on
         the discrete backend), j a y-multi-index of length k.
         """
-        i, j = mi(i), mi(j)
+        i = mi(i)
         if len(i) != self.space.ndim:
             raise BackendError("x-index %r does not fit a base of dimension %d"
                                % (i, self.space.ndim))
-        if len(j) != self.k:
-            raise ValueError("y-index %r has length %d, expected %d"
-                             % (j, len(j), self.k))
-        if degree(j) > self.trunc:
-            raise TruncationError("jet order %r exceeds trunc %d" % (j, self.trunc))
+        j = self._index(j, self.trunc)
         if not self.domain.contains(a):
             raise DomainMismatchError("jet point %r outside the domain" % (a,))
         c = self.space.diff(self.coeff(j), i[0] if i else 0)
@@ -147,17 +210,8 @@ class FormalFunction:
 
     # -- plumbing -----------------------------------------------------------------
 
-    def _check(self, other):
-        if self.space != other.space or self.domain != other.domain \
-                or self.k != other.k:
-            raise DomainMismatchError("formal functions live on different domains")
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalFunction):
-            return False
-        return (self.space == other.space and self.domain == other.domain
-                and self.k == other.k and self.trunc == other.trunc
-                and self.coeffs == other.coeffs)
+    def _eq_key(self):
+        return ("function", self.trunc, self.coeffs)
 
     def __repr__(self):
         bits = []
@@ -215,8 +269,7 @@ class SupportedFormalFunction(FormalFunction):
         Requires a compact support witness sitting inside the current
         domain; the coefficients themselves carry over unchanged.
         """
-        if not self.domain.is_subset(m):
-            raise DomainMismatchError("extension target does not contain the domain")
+        self._check_extends(m)
         if not region_is_compact(self.support):
             raise SupportError("extension by zero needs a compact support witness")
         if not region_subset_open(self.support, self.domain):

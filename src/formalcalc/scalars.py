@@ -172,7 +172,8 @@ class QC:
     def __str__(self):
         if self.im == 0:
             return rat_str(self.re)
-        return "%s%+si" % (rat_str(self.re), self.im)
+        sign = "-" if self.im < 0 else "+"
+        return "%s%s%si" % (rat_str(self.re), sign, rat_str(abs(self.im)))
 
     @property
     def is_real(self) -> bool:

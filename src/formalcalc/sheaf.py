@@ -39,7 +39,7 @@ from fractions import Fraction
 from .basedensity import BaseDensity
 from .densities import FormalDensity
 from .distributions import (CompactFormalDistribution, FormalDistribution,
-                            GeneralizedFunction)
+                            GeneralizedFunction, vec_add)
 from .errors import (CertificateError, DomainMismatchError,
                      IncompatibilityError, SupportError)
 from .expr import ONE, X, add, bump, div, ev, mul, pow_, rising_edge, \
@@ -610,10 +610,8 @@ def sheaf_glue(locals_, pou: PartitionOfUnity,
         for key, vec in loc.coeffs.items():
             if generalized and degree(key) > cap:
                 continue
-            add_vec = tuple(w.mul_coeff(f0) for w in vec)
-            prev = coeffs.get(key)
-            coeffs[key] = add_vec if prev is None else \
-                tuple(x.add(y) for x, y in zip(prev, add_vec))
+            coeffs[key] = vec_add(coeffs.get(key),
+                                  tuple(w.mul_coeff(f0) for w in vec))
     if generalized:
         return GeneralizedFunction(space, m, k, cap, e_dim, coeffs)
     return FormalDistribution(space, m, k, e_dim, coeffs)

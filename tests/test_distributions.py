@@ -422,3 +422,48 @@ def test_generalized_and_point_json_roundtrip():
                           {((1,), (1,)): (QC(1), QC(Fraction(2, 5)))})
     back = PointDistribution.from_json(SL, SL.whole(), 1, p.to_json())
     assert back.a == p.a and back.coeffs == p.coeffs
+
+
+def test_generalized_refuses_coefficients_over_another_space():
+    w = BaseDistribution(Discrete(["a", "z"]), weights={"a": 1})
+    with pytest.raises(DomainMismatchError):
+        GeneralizedFunction(DS, DS.whole(), 1, 1, 1, {(0,): (w,)})
+    with pytest.raises(DomainMismatchError):
+        FormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
+
+
+def test_equality_tells_the_kinds_apart():
+    w = BaseDistribution.from_weights(DS, {"a": 1})
+    plain = FormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
+    compact = CompactFormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
+    gen = GeneralizedFunction(DS, DS.whole(), 1, 1, 1, {(0,): (w,)})
+    assert compact == plain and plain == compact
+    assert gen != plain and plain != gen
+    assert gen != GeneralizedFunction(DS, DS.whole(), 1, 2, 1, {(0,): (w,)})
+    assert gen != gen.restrict(OpenSet(DS, ["a", "b"]))
+
+
+def test_smooth_json_roundtrips_with_point_terms_and_bounds():
+    from formalcalc.suites import (rand_compact_distribution, rand_distribution
+                                   as rand_smooth_distribution, rand_generalized)
+    dom = OpenSet(SL, [(-4, 4)])
+    kinds = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        for cls, x in (
+                (FormalDistribution,
+                 rand_smooth_distribution(rng, SL, dom, 1, 2, 2)),
+                (CompactFormalDistribution,
+                 rand_compact_distribution(rng, SL, dom, 1, 2, 2)),
+                (GeneralizedFunction, rand_generalized(rng, SL, dom, 1, 2, 2))):
+            back = cls.from_json(SL, dom, 1, x.to_json())
+            assert type(back) is cls and back == x
+            assert back.to_json() == x.to_json()
+            if cls is CompactFormalDistribution:
+                assert back.support == x.support
+            for vec in x.coeffs.values():
+                for w in vec:
+                    for t in w.terms:
+                        kinds.add("point" if isinstance(t, PointTerm) else
+                                  "bounded" if t.bound is not None else "plain")
+    assert kinds == {"point", "bounded", "plain"}

@@ -177,3 +177,11 @@ def test_known_results_return_an_operand():
     assert a * QC_ZERO is QC_ZERO and QC_ZERO * a is QC_ZERO
     assert a * 1 is a and 1 * a is a
     assert a * 0 == 0 and 0 * a == 0
+
+
+def test_str_signs_the_imaginary_part():
+    assert str(QC(1, 2)) == "1+2i"
+    assert str(QC(1, -2)) == "1-2i"
+    assert str(QC(0, 3)) == "0+3i"
+    assert str(QC(Fraction(1, 2), Fraction(3, 4))) == "1/2+3/4i"
+    assert str(QC(Fraction(-1, 2))) == "-1/2"
