@@ -37,8 +37,22 @@ class BaseDensity:
         self.bound = space.support((self.coeff,), bound)
 
     @classmethod
+    def _trusted(cls, space, coeff, bound):
+        """A density built without validating its coefficient.
+
+        For results of the space's own algebra: coeff is already a
+        canonical coefficient of the space. The bound is derived from
+        it exactly as the public constructor derives it.
+        """
+        d = object.__new__(cls)
+        d.space = space
+        d.coeff = coeff
+        d.bound = space.support((coeff,), bound)
+        return d
+
+    @classmethod
     def zero(cls, space):
-        return cls(space)
+        return cls._trusted(space, space.zero(), region_empty(space))
 
     @classmethod
     def discrete(cls, space, weights):
@@ -77,8 +91,8 @@ class BaseDensity:
             return other
         if sp.is_zero(other.coeff):
             return self
-        return BaseDensity(sp, sp.add(self.coeff, other.coeff),
-                           region_union(self.bound, other.bound))
+        return BaseDensity._trusted(sp, sp.add(self.coeff, other.coeff),
+                                    region_union(self.bound, other.bound))
 
     def scale(self, c) -> "BaseDensity":
         """The density times a scalar, the scalar on the right."""
@@ -86,8 +100,8 @@ class BaseDensity:
         if not c:
             return BaseDensity.zero(self.space)
         sp = self.space
-        return BaseDensity(sp, sp.mul(self.coeff, sp.constant(c, self.bound)),
-                           self.bound)
+        return BaseDensity._trusted(
+            sp, sp.mul(self.coeff, sp.constant(c, self.bound)), self.bound)
 
     def mul_coeff(self, coeff) -> "BaseDensity":
         """Multiply by a base function coefficient of the space."""
@@ -95,20 +109,22 @@ class BaseDensity:
         c = sp.mul(self.coeff, coeff)
         if sp.is_zero(c):
             return BaseDensity.zero(sp)
-        return BaseDensity(sp, c, self.bound)
+        return BaseDensity._trusted(sp, c, self.bound)
 
     def diff(self, order: int = 1) -> "BaseDensity":
-        return BaseDensity(self.space, self.space.diff(self.coeff, order),
-                           self.bound)
+        return BaseDensity._trusted(self.space,
+                                    self.space.diff(self.coeff, order),
+                                    self.bound)
 
     def restrict(self, u: OpenSet) -> "BaseDensity":
-        return BaseDensity(self.space, self.space.restrict(self.coeff, u),
-                           region_intersect_open(self.bound, u))
+        return BaseDensity._trusted(self.space,
+                                    self.space.restrict(self.coeff, u),
+                                    region_intersect_open(self.bound, u))
 
     def clip(self, region) -> "BaseDensity":
         """Intersect the bound with a region the density vanishes outside."""
-        return BaseDensity(self.space, self.coeff,
-                           region_intersect(self.bound, region))
+        return BaseDensity._trusted(self.space, self.coeff,
+                                    region_intersect(self.bound, region))
 
     # -- integration ----------------------------------------------------------
 

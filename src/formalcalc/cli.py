@@ -29,9 +29,11 @@ from .sheaf import build_pou, sheaf_glue
 from .suites import SUITE_NAMES, run_suite
 
 _CHECK_ERRORS = (CertificateError, IncompatibilityError, QuadratureError)
+# OverflowError: an exact value of the input too large for the float
+# residual or report that reads it
 _INPUT_ERRORS = (ScenarioError, DomainMismatchError, BackendError,
                  TruncationError, SupportError, ValueError, KeyError,
-                 OSError)
+                 OverflowError, OSError)
 
 
 def _scalar_json(v):

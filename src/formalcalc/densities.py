@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import product as _cartesian
 
 from .basedensity import BaseDensity
-from .errors import SupportError
+from .errors import SupportError, json_shape
 from .functions import FormalFunction, SupportedFormalFunction, _GradedSection
 from .multiindex import (grlex_key, key_str, mi, mi_binom, mi_factorial, mi_sub,
                          parse_key)
@@ -50,7 +50,7 @@ def leibniz(f: FormalFunction, l: tuple, i: tuple):
     lfact = mi_factorial(l)
     for jp in submultiindices(l):
         ratio = lfact // mi_factorial(jp)
-        fj = f.coeff(mi_sub(l, jp))
+        fj = f.coeffs.get(mi_sub(l, jp), f.space.zero())
         for ip in submultiindices(i):
             order = mi_sub(i, ip)[0] if i else 0
             yield ip, jp, ratio * mi_binom(i, ip), f.space.diff(fj, order)
@@ -85,6 +85,17 @@ class FormalDensity(_GradedSection):
                 clean[l] = canon
         self.coeffs = clean
 
+    def _canon(self, coeffs, domain=None):
+        """A density over domain (default: this one's) from term lists
+        the algebra produced, each merged and sorted by _canon_terms."""
+        out = {}
+        for l, terms in coeffs.items():
+            canon = _canon_terms(terms)
+            if canon:
+                out[l] = canon
+        return FormalDensity._trusted(self.space, domain or self.domain,
+                                      self.k, out)
+
     @classmethod
     def zero(cls, space, domain, k):
         return cls(space, domain, k)
@@ -94,7 +105,12 @@ class FormalDensity(_GradedSection):
         """Single term (tau . d_x^I)(y*)^L."""
         if i is None:
             i = (0,) * space.ndim
-        return cls(space, domain, k, {mi(l): ((mi(i), tau),)})
+        eta = cls(space, domain, k)
+        l, i, tau = eta._index(l), eta._x_index(i), eta._own(tau)
+        # one term is already in canonical form
+        if not tau.is_exactly_zero():
+            eta.coeffs[l] = ((i, tau),)
+        return eta
 
     # -- queries ---------------------------------------------------------
 
@@ -115,13 +131,11 @@ class FormalDensity(_GradedSection):
         for l in set(self.coeffs) | set(other.coeffs):
             terms = self.coeffs.get(l, ()) + other.coeffs.get(l, ())
             out[l] = terms
-        return FormalDensity(self.space, self.domain, self.k, out)
+        return self._canon(out)
 
     def scale(self, c) -> "FormalDensity":
-        out = {}
-        for l, terms in self.coeffs.items():
-            out[l] = tuple((i, tau.scale(c)) for i, tau in terms)
-        return FormalDensity(self.space, self.domain, self.k, out)
+        return self._canon({l: tuple((i, tau.scale(c)) for i, tau in terms)
+                            for l, terms in self.coeffs.items()})
 
     # -- pairing ----------------------------------------------------------------
 
@@ -133,8 +147,9 @@ class FormalDensity(_GradedSection):
         """
         self._check_partner(u, self.star_degree())
         acc = QC_ZERO
+        zero = self.space.zero()
         for l in self.keys_sorted():
-            ul = u.coeff(l)
+            ul = u.coeffs.get(l, zero)
             lfact = mi_factorial(l)
             for i, tau in self.coeffs[l]:
                 der = self.space.diff(ul, i[0] if i else 0)
@@ -157,7 +172,7 @@ class FormalDensity(_GradedSection):
             for i, tau in terms:
                 for ip, jp, c, g in leibniz(f, l, i):
                     out.setdefault(jp, []).append((ip, tau.mul_coeff(g).scale(c)))
-        return FormalDensity(self.space, self.domain, self.k, out)
+        return self._canon(out)
 
     # -- cosheaf structure ------------------------------------------------------------
 
@@ -169,16 +184,14 @@ class FormalDensity(_GradedSection):
             raise SupportError("extension by zero needs a compact support")
         if not region_subset_open(supp, self.domain):
             raise SupportError("support escapes the domain")
-        return FormalDensity(self.space, m, self.k, self.coeffs)
+        return FormalDensity._trusted(self.space, m, self.k, self.coeffs)
 
     def restrict_data(self, v: OpenSet) -> "FormalDensity":
         """Restriction of the raw coefficient data; sensible when the
         support already sits inside v (cutoff first otherwise)."""
         self._check_inside(v)
-        out = {}
-        for l, terms in self.coeffs.items():
-            out[l] = tuple((i, tau.restrict(v)) for i, tau in terms)
-        return FormalDensity(self.space, v, self.k, out)
+        return self._canon({l: tuple((i, tau.restrict(v)) for i, tau in terms)
+                            for l, terms in self.coeffs.items()}, v)
 
     def cutoff_restrict(self, f: SupportedFormalFunction, v: OpenSet) -> "FormalDensity":
         """(eta . f)|_v for a cutoff f supported inside v.
@@ -193,10 +206,9 @@ class FormalDensity(_GradedSection):
         acted = self.module_action(f_here)
         # clip the recorded bounds by the cutoff support, so the result
         # is compactly supported inside v whenever the cutoff is
-        out = {l: tuple((i, tau.restrict(v).clip(f_here.support))
-                        for i, tau in terms)
-               for l, terms in acted.coeffs.items()}
-        return FormalDensity(self.space, v, self.k, out)
+        return self._canon({l: tuple((i, tau.restrict(v).clip(f_here.support))
+                                     for i, tau in terms)
+                            for l, terms in acted.coeffs.items()}, v)
 
     # -- plumbing ----------------------------------------------------------------------
 
@@ -225,11 +237,12 @@ class FormalDensity(_GradedSection):
         if not isinstance(v, dict) or "coeffs" not in v:
             raise ValueError("formal density needs a 'coeffs' field")
         coeffs = {}
-        for key, terms in v["coeffs"].items():
+        for key, terms in json_shape(v["coeffs"], dict, "'coeffs'").items():
             l = parse_key(key, length=k)
             lst = []
-            for t in terms:
-                i = mi(t.get("I", [0] * space.ndim))
+            for t in json_shape(terms, list, "density terms"):
+                i = mi(json_shape(t, dict, "density term").get(
+                    "I", [0] * space.ndim))
                 tau = BaseDensity.from_json(space, t["tau"], region=region)
                 lst.append((i, tau))
             coeffs[l] = tuple(lst)

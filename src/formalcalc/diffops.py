@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .basedensity import BaseDensity
 from .densities import FormalDensity, leibniz
-from .errors import SupportError
+from .errors import SupportError, json_shape
 from .expr import compile_f
 from .functions import FormalFunction, SupportedFormalFunction, _GradedSection
 from .multiindex import degree, mi, mi_factorial
@@ -87,8 +87,9 @@ class _DiffOp(_GradedSection):
         if not isinstance(v, dict) or "terms" not in v:
             raise ValueError("operator needs a 'terms' field")
         terms = {}
-        for t in v["terms"]:
-            i = mi(t.get("I", [0] * space.ndim))
+        for t in json_shape(v["terms"], list, "'terms'"):
+            i = mi(json_shape(t, dict, "operator term").get(
+                "I", [0] * space.ndim))
             l = mi(t.get("L", [0] * k))
             if (i, l) in terms:
                 raise ValueError("duplicate operator term at (%r, %r)" % (i, l))

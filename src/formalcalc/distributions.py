@@ -39,14 +39,14 @@ from fractions import Fraction
 from .basedensity import BaseDensity
 from .densities import FormalDensity, leibniz
 from .errors import (BackendError, DomainMismatchError, SupportError,
-                     TruncationError)
+                     TruncationError, json_shape)
 from .expr import Const, X, mul, pow_
 from .functions import (FormalFunction, SupportedFormalFunction, _GradedSection,
                         cutoff_product)
 from .multiindex import (degree, enumerate_upto, key_str, mi, mi_add, mi_factorial,
                          parse_key)
 from .quadrature import DEFAULT_ABS_TOL
-from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json
+from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json, rat_from_json
 from .spaces import (OpenSet, RSet, region_contains, region_empty,
                      region_from_json, region_intersect, region_intersect_open,
                      region_is_compact, region_is_empty, region_subset_open,
@@ -115,11 +115,22 @@ class BaseDistribution:
         terms = list(terms or ())
         if weights is not None:
             terms.append(SmoothTerm(weights))
-        self.terms = _canon_dist_terms(space, terms)
+        self.terms = _canon_dist_terms(space, [
+            SmoothTerm(space.clean(t.g), t.bound)
+            if isinstance(t, SmoothTerm) else t for t in terms])
+
+    @classmethod
+    def _trusted(cls, space, terms):
+        """The canonical form of terms the space's algebra produced,
+        their coefficients taken as they are, without validation."""
+        w = object.__new__(cls)
+        w.space = space
+        w.terms = _canon_dist_terms(space, terms)
+        return w
 
     @classmethod
     def zero(cls, space):
-        return cls(space)
+        return cls._trusted(space, ())
 
     @classmethod
     def from_weights(cls, space, weights):
@@ -147,7 +158,7 @@ class BaseDistribution:
     def add(self, other: "BaseDistribution") -> "BaseDistribution":
         if self.space != other.space:
             raise DomainMismatchError("distributions over different base spaces")
-        return BaseDistribution(self.space, terms=self.terms + other.terms)
+        return BaseDistribution._trusted(self.space, self.terms + other.terms)
 
     def scale(self, c) -> "BaseDistribution":
         out = []
@@ -156,7 +167,7 @@ class BaseDistribution:
                 out.append(SmoothTerm(self.space.scale(t.g, c), t.bound))
             else:
                 out.append(PointTerm(t.a, t.i, _scalar_mul(t.c, c)))
-        return BaseDistribution(self.space, terms=out)
+        return BaseDistribution._trusted(self.space, out)
 
     # -- actions ------------------------------------------------------------
 
@@ -206,7 +217,7 @@ class BaseDistribution:
                     d = sp.ev(sp.diff(f0, t.i - j), t.a)
                     c = _scalar_mul(t.c, math.comb(t.i, j) * _as_scalar(d))
                     out.append(PointTerm(t.a, j, c))
-        return BaseDistribution(sp, terms=out)
+        return BaseDistribution._trusted(sp, out)
 
     def clip_bounds(self, region) -> "BaseDistribution":
         """Intersect smooth-term support bounds with a region witness.
@@ -222,7 +233,7 @@ class BaseDistribution:
                 out.append(SmoothTerm(t.g, b))
             else:
                 out.append(t)
-        return BaseDistribution(self.space, terms=out)
+        return BaseDistribution._trusted(self.space, out)
 
     def restrict(self, u: OpenSet) -> "BaseDistribution":
         out = []
@@ -231,7 +242,7 @@ class BaseDistribution:
                 out.append(SmoothTerm(self.space.restrict(t.g, u), t.bound))
             elif u.contains(t.a):
                 out.append(t)
-        return BaseDistribution(self.space, terms=out)
+        return BaseDistribution._trusted(self.space, out)
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -263,7 +274,7 @@ class BaseDistribution:
     def from_json(cls, space, v, region=None):
         terms = []
         for t in space.terms_from_json(v):
-            kind = t.get("kind")
+            kind = json_shape(t, dict, "distribution term").get("kind")
             if kind == "smooth":
                 bound = None
                 if "support" in t:
@@ -271,7 +282,7 @@ class BaseDistribution:
                 terms.append(SmoothTerm(space.from_json(t["expr"], region=region),
                                         bound))
             elif kind == "point":
-                terms.append(PointTerm(Fraction(str(t["a"])), int(t["i"]),
+                terms.append(PointTerm(rat_from_json(t["a"]), int(t["i"]),
                                        qc_from_json(t.get("c", 1))))
             else:
                 raise ValueError("unknown distribution term kind %r" % (kind,))
@@ -297,7 +308,7 @@ def _canon_dist_terms(space, terms):
     points = {}
     for t in terms:
         if isinstance(t, SmoothTerm):
-            integrals.append((space.clean(t.g), t.bound))
+            integrals.append((t.g, t.bound))
         elif isinstance(t, PointTerm):
             key = (t.a, t.i)
             prev = points.get(key)
@@ -333,6 +344,12 @@ def _terms_key(w):
     return out
 
 
+def _nonzero_vectors(coeffs):
+    """coeffs without its vectors whose entries are all zero."""
+    return {j: vec for j, vec in coeffs.items()
+            if not all(w.is_exactly_zero() for w in vec)}
+
+
 def vec_add(a, b):
     """Componentwise sum of two E-vectors of base distributions; a = None
     reads as zero, so out[j] = vec_add(out.get(j), v) accumulates."""
@@ -344,7 +361,9 @@ class _DualSection(_GradedSection):
     of e_dim BaseDistribution entries) per index, keys above cap refused.
 
     Subclasses supply `_with`, a section of their own plain kind with
-    new data over the same space and k.
+    new data over the same space and k, built by the trusted
+    constructor from coefficient vectors the algebra produced (vectors
+    that came out all zero are dropped there).
     """
 
     def __init__(self, space, domain: OpenSet, k: int, e_dim: int, coeffs=None,
@@ -382,16 +401,18 @@ class _DualSection(_GradedSection):
                 for j in set(self.coeffs) | set(other.coeffs)
                 if cap is None or degree(j) <= cap}
 
-    def _clone(self, coeffs):
-        return self._with(coeffs)
+    def _clone(self, coeffs, domain=None, e_dim=None):
+        """A section of this very kind with new data; a support witness,
+        where there is one, is carried over."""
+        return self._with(coeffs, domain, e_dim)
 
     def scale(self, c):
         return self._clone({j: tuple(w.scale(c) for w in vec)
                             for j, vec in self.coeffs.items()})
 
     def component(self, j: int):
-        return self._with({key: (vec[j],) for key, vec in self.coeffs.items()},
-                          e_dim=1)
+        return self._clone({key: (vec[j],) for key, vec in self.coeffs.items()},
+                           e_dim=1)
 
     def restrict(self, v: OpenSet):
         """Transpose of extension by zero: keep what acts inside v."""
@@ -414,9 +435,11 @@ class _DualSection(_GradedSection):
     def _vectors_from_json(space, k, v, region):
         """(E_dim, coefficient vectors) of a JSON object."""
         coeffs = {}
-        for key, vecs in v.get("coeffs", {}).items():
+        for key, vecs in json_shape(v.get("coeffs", {}), dict,
+                                    "'coeffs'").items():
             coeffs[parse_key(key, length=k)] = tuple(
-                BaseDistribution.from_json(space, w, region=region) for w in vecs)
+                BaseDistribution.from_json(space, w, region=region)
+                for w in json_shape(vecs, list, "coefficient vector"))
         return int(v.get("E_dim", 1)), coeffs
 
 
@@ -437,8 +460,9 @@ class FormalDistribution(_DualSection):
     star_degree = _GradedSection._top_degree
 
     def _with(self, coeffs, domain=None, e_dim=None):
-        return FormalDistribution(self.space, domain or self.domain, self.k,
-                                  e_dim or self.e_dim, coeffs)
+        return FormalDistribution._trusted(
+            self.space, domain or self.domain, self.k,
+            _nonzero_vectors(coeffs), e_dim=e_dim or self.e_dim)
 
     def add(self, other):
         self._check_like(other)
@@ -455,13 +479,15 @@ class FormalDistribution(_DualSection):
         if not region_is_compact(u.support):
             raise SupportError("the partner needs a compact support witness")
         region = region_intersect_open(u.support, self.domain)
+        zero = self.space.zero()
+        keys = self.keys_sorted()
         out = []
         for j in range(self.e_dim):
             acc = QC_ZERO
-            for l in self.keys_sorted():
+            for l in keys:
                 lf = mi_factorial(l)
-                v = self.coeffs[l][j].act_on_function(u.coeff(l), region,
-                                                      abs_tol, budget)
+                v = self.coeffs[l][j].act_on_function(u.coeffs.get(l, zero),
+                                                      region, abs_tol, budget)
                 acc = acc + lf * v
             out.append(_fin(acc))
         return out
@@ -546,8 +572,13 @@ class CompactFormalDistribution(FormalDistribution):
                                          self.k, self.e_dim, coeffs,
                                          support=support)
 
-    def _clone(self, coeffs):
-        return self._with_support(coeffs, self.support)
+    def _clone(self, coeffs, domain=None, e_dim=None):
+        # the witness stays honest: scale, component, module_action and
+        # ext only shrink or keep the coefficients' supports
+        return CompactFormalDistribution._trusted(
+            self.space, domain or self.domain, self.k,
+            _nonzero_vectors(coeffs), e_dim=e_dim or self.e_dim,
+            support=self.support)
 
     def add(self, other):
         plain = FormalDistribution.add(self, other)
@@ -559,7 +590,7 @@ class CompactFormalDistribution(FormalDistribution):
     def ext(self, m: OpenSet) -> "CompactFormalDistribution":
         """Extension by zero to a larger open set."""
         self._check_extends(m)
-        return self._with_support(self.coeffs, self.support, m)
+        return self._clone(self.coeffs, m)
 
     def restrict(self, v: OpenSet) -> "CompactFormalDistribution":
         plain = FormalDistribution.restrict(self, v)
@@ -653,9 +684,10 @@ class GeneralizedFunction(_DualSection):
         return cls(u.space, u.domain, u.k, u.trunc, 1, coeffs)
 
     def _with(self, coeffs, domain=None, e_dim=None, trunc=None):
-        return GeneralizedFunction(self.space, domain or self.domain, self.k,
-                                   self.trunc if trunc is None else trunc,
-                                   e_dim or self.e_dim, coeffs)
+        return GeneralizedFunction._trusted(
+            self.space, domain or self.domain, self.k, _nonzero_vectors(coeffs),
+            e_dim=e_dim or self.e_dim,
+            trunc=self.trunc if trunc is None else trunc)
 
     def add(self, other):
         self._check_like(other)
@@ -665,12 +697,13 @@ class GeneralizedFunction(_DualSection):
     def apply(self, eta: FormalDensity, abs_tol=DEFAULT_ABS_TOL, budget=None):
         """E-vector <u, eta>; derivative stacks transpose onto u."""
         eta._check_partner(self, eta.star_degree())
+        keys = eta.keys_sorted()
         out = []
         for j in range(self.e_dim):
             acc = QC_ZERO
-            for l in eta.keys_sorted():
+            for l in keys:
                 lf = mi_factorial(l)
-                vec = self.coeff(l)
+                vec = self.coeffs.get(l) or self.coeff(l)
                 for i, tau in eta.coeffs[l]:
                     stack = i[0] if i else 0
                     acc = acc + lf * vec[j].act_on_density(tau, stack, self.domain,
@@ -795,11 +828,11 @@ class PointDistribution(_GradedSection):
 
     @classmethod
     def from_json(cls, space, domain, k, v):
-        a = v["a"] if space.kind == "discrete" else Fraction(str(v["a"]))
+        a = v["a"] if space.kind == "discrete" else rat_from_json(v["a"])
         e_dim = int(v.get("E_dim", 1))
         coeffs = {}
-        for t in v.get("terms", []):
-            i = mi(t.get("I", [0] * space.ndim))
+        for t in json_shape(v.get("terms", []), list, "'terms'"):
+            i = mi(json_shape(t, dict, "point term").get("I", [0] * space.ndim))
             j = mi(t.get("J", [0] * k))
             coeffs[(i, j)] = tuple(qc_from_json(c) for c in t["c"])
         return cls(space, domain, k, a, e_dim, coeffs)

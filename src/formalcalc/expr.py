@@ -866,7 +866,11 @@ def parse_sexpr(s: str, region=None) -> Expr:
     def parse_rat(tok: str) -> Fraction:
         if not _RAT_RE.match(tok):
             raise ValueError("expected a rational literal, got %r" % tok)
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError("rational literal %r has a zero denominator"
+                             % tok) from None
 
     def expr():
         t = take()
@@ -913,7 +917,7 @@ def parse_sexpr(s: str, region=None) -> Expr:
         if t == "x":
             return X
         if _RAT_RE.match(t):
-            return Const(QC(Fraction(t)))
+            return Const(QC(parse_rat(t)))
         raise ValueError("unexpected token %r" % t)
 
     def _expect_close(t):

@@ -18,7 +18,7 @@ constant one (used by cutoff arguments).
 from __future__ import annotations
 
 from .errors import (BackendError, DomainMismatchError, SupportError,
-                     TruncationError)
+                     TruncationError, json_shape)
 from .expr import bump as _bump_expr
 from .multiindex import (degree, grlex_key, key_str, mi, mi_add, mi_factorial,
                          parse_key)
@@ -26,6 +26,11 @@ from .scalars import QC
 from .spaces import (OpenSet, region_from_json, region_intersect,
                      region_intersect_open, region_is_compact,
                      region_subset_open, region_to_json)
+
+
+def _nonzero(space, coeffs):
+    """coeffs without its zero coefficients."""
+    return {j: c for j, c in coeffs.items() if not space.is_zero(c)}
 
 
 class _GradedSection:
@@ -47,6 +52,27 @@ class _GradedSection:
         self.space = space
         self.domain = domain
         self.k = k
+
+    @classmethod
+    def _trusted(cls, space, domain: OpenSet, k: int, coeffs, **fields):
+        """A section of this class built without any check.
+
+        The public constructors validate what comes from outside; the
+        results of the space's own algebra come here instead. The
+        caller guarantees what validation would establish: the domain
+        lies in the space, the keys of `coeffs` are index tuples of
+        length k within the class's cap, every coefficient is a
+        canonical value of the space's algebra over the domain, and no
+        zero coefficient is stored. `fields` are the attributes the
+        subclass adds (trunc, e_dim, support, plateau).
+        """
+        s = object.__new__(cls)
+        s.space = space
+        s.domain = domain
+        s.k = k
+        s.coeffs = coeffs
+        s.__dict__.update(fields)
+        return s
 
     def _index(self, j, cap=None):
         """j as a multi-index of length k, of degree at most cap if given."""
@@ -73,7 +99,7 @@ class _GradedSection:
         return c
 
     def _top_degree(self) -> int:
-        return max((degree(j) for j in self.coeffs), default=0)
+        return max(map(degree, self.coeffs), default=0)
 
     def keys_sorted(self):
         return sorted(self.coeffs, key=grlex_key)
@@ -86,7 +112,9 @@ class _GradedSection:
     def _check_partner(self, other, need=None):
         """other lives on the same base space, open set and k; given need,
         its guaranteed order trunc is at least need."""
-        if other.space != self.space or other.domain != self.domain \
+        sp, dom = other.space, other.domain
+        if (sp is not self.space and sp != self.space) \
+                or (dom is not self.domain and dom != self.domain) \
                 or other.k != self.k:
             raise DomainMismatchError("%s partner lives on a different domain"
                                       % type(self).__name__)
@@ -150,18 +178,21 @@ class FormalFunction(_GradedSection):
         self._check_like(other)
         trunc = min(self.trunc, other.trunc)
         sp = self.space
+        zero = sp.zero()
         out = {}
         for j in set(self.coeffs) | set(other.coeffs):
             if degree(j) > trunc:
                 continue
-            c = sp.add(self.coeff(j), other.coeff(j))
+            c = sp.add(self.coeffs.get(j, zero), other.coeffs.get(j, zero))
             if not sp.is_zero(c):
                 out[j] = c
-        return FormalFunction(self.space, self.domain, self.k, trunc, out)
+        return FormalFunction._trusted(sp, self.domain, self.k, out, trunc=trunc)
 
     def scale(self, s) -> "FormalFunction":
-        out = {j: self.space.scale(c, s) for j, c in self.coeffs.items()}
-        return FormalFunction(self.space, self.domain, self.k, self.trunc, out)
+        sp = self.space
+        out = _nonzero(sp, {j: sp.scale(c, s) for j, c in self.coeffs.items()})
+        return FormalFunction._trusted(sp, self.domain, self.k, out,
+                                       trunc=self.trunc)
 
     def mul(self, other: "FormalFunction") -> "FormalFunction":
         """Cauchy product in y, truncated to the minimum guaranteed order."""
@@ -177,12 +208,16 @@ class FormalFunction(_GradedSection):
                 c = sp.mul(c1, c2)
                 prev = out.get(j)
                 out[j] = c if prev is None else sp.add(prev, c)
-        return FormalFunction(self.space, self.domain, self.k, trunc, out)
+        # a sum that cancels, or a product of coefficients with no label
+        # in common, leaves a zero behind
+        return FormalFunction._trusted(sp, self.domain, self.k,
+                                       _nonzero(sp, out), trunc=trunc)
 
     def restrict(self, v: OpenSet) -> "FormalFunction":
         self._check_inside(v)
-        out = {j: self.space.restrict(c, v) for j, c in self.coeffs.items()}
-        return FormalFunction(self.space, v, self.k, self.trunc, out)
+        sp = self.space
+        out = _nonzero(sp, {j: sp.restrict(c, v) for j, c in self.coeffs.items()})
+        return FormalFunction._trusted(sp, v, self.k, out, trunc=self.trunc)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -233,7 +268,8 @@ class FormalFunction(_GradedSection):
         if not isinstance(v, dict) or "trunc" not in v:
             raise ValueError("formal function needs a 'trunc' field")
         coeffs = {}
-        for key, cv in v.get("coeffs", {}).items():
+        for key, cv in json_shape(v.get("coeffs", {}), dict,
+                                  "'coeffs'").items():
             j = parse_key(key, length=k)
             coeffs[j] = space.from_json(cv, domain=domain, region=region)
         return cls(space, domain, k, int(v["trunc"]), coeffs)
@@ -258,10 +294,9 @@ class SupportedFormalFunction(FormalFunction):
 
     def restrict(self, v: OpenSet) -> "SupportedFormalFunction":
         plain = super().restrict(v)
-        return SupportedFormalFunction(self.space, v, self.k, self.trunc,
-                                       plain.coeffs,
-                                       support=region_intersect_open(self.support, v),
-                                       plateau=None)
+        return SupportedFormalFunction._trusted(
+            self.space, v, self.k, plain.coeffs, trunc=self.trunc,
+            support=region_intersect_open(self.support, v), plateau=None)
 
     def extend_by_zero(self, m: OpenSet) -> "SupportedFormalFunction":
         """Reinterpret over a larger open set, zero outside the support.
@@ -274,9 +309,9 @@ class SupportedFormalFunction(FormalFunction):
             raise SupportError("extension by zero needs a compact support witness")
         if not region_subset_open(self.support, self.domain):
             raise SupportError("support witness escapes the domain")
-        return SupportedFormalFunction(self.space, m, self.k, self.trunc,
-                                       self.coeffs, support=self.support,
-                                       plateau=self.plateau)
+        return SupportedFormalFunction._trusted(
+            self.space, m, self.k, self.coeffs, trunc=self.trunc,
+            support=self.support, plateau=self.plateau)
 
     def to_json(self):
         out = super().to_json()
@@ -316,8 +351,9 @@ def cutoff_product(f: SupportedFormalFunction, u: FormalFunction):
     support = f.support
     if isinstance(u, SupportedFormalFunction):
         support = region_intersect(support, u.support)
-    return SupportedFormalFunction(f.space, f.domain, f.k, prod.trunc,
-                                   prod.coeffs, support=support)
+    return SupportedFormalFunction._trusted(f.space, f.domain, f.k, prod.coeffs,
+                                            trunc=prod.trunc, support=support,
+                                            plateau=None)
 
 
 def indicator_cutoff(space, domain: OpenSet, k: int, trunc: int, labels):

@@ -14,7 +14,16 @@ from itertools import combinations_with_replacement
 
 
 def mi(entries) -> tuple:
-    """Validate and freeze an iterable of nonnegative ints."""
+    """Validate and freeze an iterable of nonnegative ints.
+
+    This is the boundary check for indices that come from outside: a
+    tuple of plain nonnegative ints is returned as it is, anything else
+    is converted entry by entry. Indices that the package's own algebra
+    produces are never passed through it again.
+    """
+    if type(entries) is tuple and all(type(e) is int and e >= 0
+                                      for e in entries):
+        return entries
     t = tuple(int(e) for e in entries)
     if any(e < 0 for e in t):
         raise ValueError("multi-index entries must be nonnegative: %r" % (t,))

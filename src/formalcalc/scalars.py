@@ -23,7 +23,10 @@ def _frac(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError("rational %r has a zero denominator" % v) from None
     if isinstance(v, float):
         # read floats through their decimal string so JSON literals like
         # 0.1 mean 1/10, not the nearest binary double
@@ -162,7 +165,11 @@ class QC:
         return abs(complex(self))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # float(Fraction) is this same int/int true division, reached
+        # through the generic numbers.Rational method
+        re, im = self.re, self.im
+        return complex(re.numerator / re.denominator,
+                       0.0 if im is _ZERO else im.numerator / im.denominator)
 
     def __repr__(self):
         if self.im == 0:

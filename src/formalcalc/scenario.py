@@ -29,6 +29,7 @@ Top-level fields:
 from __future__ import annotations
 
 import json
+import math
 
 from .densities import FormalDensity
 from .diffops import DensityDiffOp
@@ -42,6 +43,15 @@ from .spaces import Discrete, OpenSet, SmoothLine
 SCHEMA_VERSION = 1
 
 _DIST_KINDS = ("distribution", "compact", "generalized", "point")
+
+
+def _finite_number(text):
+    """A JSON number as a float; overflow to infinity and the
+    nonstandard Infinity and NaN literals are refused."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ScenarioError("number %s is not a finite float" % text)
+    return v
 
 
 def _int_field(data, key, default, least):
@@ -125,8 +135,10 @@ class Scenario:
 
         self.covers = {}
         for name, v in self._section(data, "covers").items():
-            if not isinstance(v, dict) or "whole" not in v or "parts" not in v:
-                raise ScenarioError("cover %r needs 'whole' and 'parts'" % name)
+            if not isinstance(v, dict) or "whole" not in v \
+                    or not isinstance(v.get("parts"), list):
+                raise ScenarioError("cover %r needs 'whole' and a 'parts' "
+                                    "list" % name)
             whole = self.openset(v["whole"])
             parts = [self.openset(p) for p in v["parts"]]
             self.covers[name] = self._build(name, Cover, whole, parts)
@@ -134,6 +146,11 @@ class Scenario:
         self.tasks = data.get("tasks", {})
         if not isinstance(self.tasks, dict):
             raise ScenarioError("field 'tasks' must be an object")
+        glue = self.tasks.get("glue", {})
+        if not isinstance(glue, dict) \
+                or not isinstance(glue.get("locals", []), list):
+            raise ScenarioError("task 'glue' must be an object with a "
+                                "'locals' list")
 
     @staticmethod
     def _section(data, key):
@@ -160,7 +177,7 @@ class Scenario:
     # -- name resolution ---------------------------------------------------
 
     def _get(self, table, kind, name):
-        if name not in table:
+        if not isinstance(name, str) or name not in table:
             raise ScenarioError("no %s named %r (have: %s)"
                                 % (kind, name, ", ".join(sorted(table)) or "none"))
         return table[name]
@@ -187,7 +204,8 @@ class Scenario:
     def load(cls, path, trunc_override=None) -> "Scenario":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_float=_finite_number,
+                                 parse_constant=_finite_number)
         except OSError as e:
             raise ScenarioError("cannot read scenario %s: %s" % (path, e))
         except json.JSONDecodeError as e:

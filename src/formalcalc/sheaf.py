@@ -344,14 +344,18 @@ def dual_function_family(space, domain: OpenSet, k: int, trunc: int,
     probe equality decide functional equality exactly. SmoothLine: a
     catalogue of bump x x^e x y^J sections over fixed windows in each
     piece; sound for the coefficient classes this package constructs.
+    The discrete probes are built without validation, so domain, k and
+    trunc must be those of a section (as every caller here passes).
     """
     out = []
     if space.kind == "discrete":
+        one, keys = QC(1), enumerate_upto(k, trunc)
         for p in sorted(domain.labels):
-            for j in enumerate_upto(k, trunc):
-                out.append(SupportedFormalFunction(
-                    space, domain, k, trunc, {j: {p: QC(1)}},
-                    support=frozenset({p})))
+            support = frozenset({p})
+            for j in keys:
+                out.append(SupportedFormalFunction._trusted(
+                    space, domain, k, {j: {p: one}}, trunc=trunc,
+                    support=support, plateau=None))
         return out
     for lo, hi, _, _ in domain.rset.pieces:
         for wlo, whi in _probe_windows(lo, hi):
@@ -370,14 +374,17 @@ def dual_density_family(space, domain: OpenSet, k: int, star_cap: int,
 
     Discrete: delta densities at each point times (y*)^L — the complete
     dual basis. SmoothLine: bump x x^e coefficient densities with
-    derivative stacks up to stack_cap.
+    derivative stacks up to stack_cap. The discrete probes are built
+    without validation, so domain and k must be those of a section.
     """
     out = []
     if space.kind == "discrete":
+        keys = enumerate_upto(k, star_cap)
         for p in sorted(domain.labels):
-            for l in enumerate_upto(k, star_cap):
-                tau = BaseDensity.discrete(space, {p: QC(1)})
-                out.append(FormalDensity.monomial(space, domain, k, l, tau))
+            tau = BaseDensity._trusted(space, {p: QC(1)}, None)
+            for l in keys:
+                out.append(FormalDensity._trusted(space, domain, k,
+                                                  {l: (((), tau),)}))
         return out
     for lo, hi, _, _ in domain.rset.pieces:
         for wlo, whi in _probe_windows(lo, hi):

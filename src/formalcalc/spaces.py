@@ -26,7 +26,7 @@ decided exactly in rational arithmetic.
 
 from __future__ import annotations
 
-from .errors import BackendError, DomainMismatchError, SupportError
+from .errors import BackendError, DomainMismatchError, SupportError, json_shape
 from .expr import ZERO, Const, diff, ev, mul, parse_sexpr, to_sexpr
 from .quadrature import DEFAULT_ABS_TOL, integrate_expr
 from .scalars import (QC_ZERO, qc, qc_from_json, qc_to_json, rat_from_json,
@@ -222,7 +222,12 @@ class Discrete:
 
     def clean(self, c, domain: "OpenSet" = None):
         """Validated copy: labels inside the domain (default: the whole
-        space), values as QC, zero values dropped."""
+        space), values as QC, zero values dropped.
+
+        Only the public constructors call it, on coefficients that come
+        from outside; what this algebra returns is canonical already
+        and skips it.
+        """
         allowed = self._labels if domain is None else domain.labels
         out = {}
         for p, v in c.items():
@@ -454,7 +459,7 @@ class SmoothLine:
     def bounded_from_json(self, v, region=None):
         if not isinstance(v, dict) or "expr" not in v or "support" not in v:
             raise ValueError("smooth density needs 'expr' and 'support' fields")
-        return (parse_sexpr(v["expr"], region=region),
+        return (self.from_json(v["expr"], region=region),
                 region_from_json(self, v["support"]))
 
     def terms_to_json(self, terms):
@@ -576,13 +581,7 @@ class OpenSet:
             raise ValueError("open set must be a JSON array")
         if space.kind == "discrete":
             return cls(space, v)
-        pairs = []
-        for pair in v:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError("interval must be a [lo, hi] pair: %r" % (pair,))
-            pairs.append((_ep_from_json(pair[0], "lo"),
-                          _ep_from_json(pair[1], "hi")))
-        return cls(space, pairs)
+        return cls(space, _pairs_from_json(v))
 
 
 # -- support regions -----------------------------------------------------
@@ -647,13 +646,21 @@ def region_intersect_open(r, u: OpenSet):
     return r.intersect(u.rset)
 
 
+def _pairs_from_json(v):
+    """(lo, hi) endpoint pairs of a JSON list of intervals."""
+    pairs = []
+    for pair in json_shape(v, list, "interval list"):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError("interval must be a [lo, hi] pair: %r" % (pair,))
+        pairs.append((_ep_from_json(pair[0], "lo"),
+                      _ep_from_json(pair[1], "hi")))
+    return pairs
+
+
 def region_from_json(space, v):
     if space.kind == "discrete":
-        return frozenset(str(p) for p in v)
-    pairs = []
-    for pair in v:
-        pairs.append((_ep_from_json(pair[0], "lo"), _ep_from_json(pair[1], "hi")))
-    return RSet.closed_pairs(pairs)
+        return frozenset(str(p) for p in json_shape(v, list, "label region"))
+    return RSet.closed_pairs(_pairs_from_json(v))
 
 
 def region_to_json(r):

@@ -1,7 +1,11 @@
 """Command line behavior: exit codes, report formats, determinism."""
 
+import copy
 import json
+import random
 import time
+from functools import reduce
+from operator import getitem
 
 from formalcalc.cli import main
 from formalcalc.scalars import rat_str
@@ -217,3 +221,73 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == "internal error: TypeError('unsupported operand')\n"
     assert "Traceback" not in err
+
+
+# -- seeded fuzz of the scenario loader and the s-expression parser ----------
+
+FUZZ_COMMANDS = {
+    DEMO: (["jet", "u", "a", "1"], ["pair", "eta", "u"], ["rho", "D"],
+           ["apply", "D", "u"], ["pou", "C"]),
+    PAIR: (["pair", "two_point", "u"], ["jet", "u", "p", "2"]),
+    MISMATCH: (["pou", "C"],),
+    SMOOTH: (["jet", "u", "0", "1"], ["jet", "w", "0", "1"], ["rho", "D"]),
+}
+FUZZ_JUNK = (None, True, 0, -1, 7, 1.5, float("inf"), "", "junk", "1/0",
+             "1e999", "(pow x 99999999)", [], [1, 2], [None, None], {},
+             {"x": 1})
+FUZZ_TOKENS = ("foo", "1/0", "(", ")", "1e400", "pow", "x x", "")
+
+
+def _json_paths(v, path=()):
+    """The path of every value inside a JSON tree, the root left out."""
+    if isinstance(v, dict):
+        items = v.items()
+    elif isinstance(v, list):
+        items = enumerate(v)
+    else:
+        items = ()
+    for key, w in items:
+        yield path + (key,)
+        yield from _json_paths(w, path + (key,))
+
+
+def _mutate(rng, data):
+    """data with one value deleted, replaced by junk, or, when it is a
+    string, cut short or given a junk token."""
+    data = copy.deepcopy(data)
+    path = rng.choice(list(_json_paths(data)))
+    parent, key = reduce(getitem, path[:-1], data), path[-1]
+    op = rng.randrange(3)
+    if op == 0:
+        del parent[key]
+    elif op == 1 and isinstance(parent[key], str):
+        text = parent[key]
+        if rng.randrange(2):
+            parent[key] = text[:rng.randrange(len(text) + 1)]
+        else:
+            toks = text.replace("(", " ( ").replace(")", " ) ").split() or [""]
+            toks[rng.randrange(len(toks))] = rng.choice(FUZZ_TOKENS)
+            parent[key] = " ".join(toks)
+    else:
+        parent[key] = copy.deepcopy(rng.choice(FUZZ_JUNK))
+    return data
+
+
+def test_fuzzed_scenarios_keep_the_exit_contract(capsys, tmp_path):
+    rng = random.Random(20261018)
+    base = {}
+    for name in FUZZ_COMMANDS:
+        with open(name, encoding="utf-8") as fh:
+            base[name] = json.load(fh)
+    path = tmp_path / "fuzzed.json"
+    for case in range(300):
+        name = rng.choice(sorted(FUZZ_COMMANDS))
+        path.write_text(json.dumps(_mutate(rng, base[name])))
+        argv = rng.choice(FUZZ_COMMANDS[name]) + ["--scenario", str(path)]
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        where = "case %d (%s on a mutated %s):\n%s%s" % (
+            case, " ".join(argv[:-2]), name, err, path.read_text())
+        assert time.perf_counter() - start < 2.0, where
+        assert code in (0, 1, 2), where
+        assert "Traceback" not in err and "internal error" not in err, where

@@ -153,6 +153,21 @@ def test_compact_ext_restrict_roundtrip():
         t.ext(OpenSet(DS, ["a"]))
 
 
+def test_component_keeps_the_support_witness():
+    w = BaseDistribution.from_weights(DS, {"b": 1})
+    zero = BaseDistribution.zero(DS)
+    v = OpenSet(DS, ["a", "b"])
+    t = CompactFormalDistribution(DS, v, 1, 2, {(0,): (w, w), (1,): (zero, w)})
+    first = t.component(0)
+    assert isinstance(first, CompactFormalDistribution)
+    assert first.e_dim == 1 and first.support == t.support
+    # a vector whose one entry is zero is not stored
+    assert first.coeffs == {(0,): (w,)}
+    up = first.ext(DS.whole())
+    assert up.domain == DS.whole() and up.coeffs == first.coeffs
+    assert t.component(1).coeffs == {(0,): (w,), (1,): (w,)}
+
+
 def test_cutoff_extension_is_cutoff_independent():
     rng = random.Random(191)
     for _ in range(60):

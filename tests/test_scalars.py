@@ -185,3 +185,38 @@ def test_str_signs_the_imaginary_part():
     assert str(QC(0, 3)) == "0+3i"
     assert str(QC(Fraction(1, 2), Fraction(3, 4))) == "1/2+3/4i"
     assert str(QC(Fraction(-1, 2))) == "-1/2"
+
+
+def _complex_bits(make):
+    """The bits of both parts of make(), or "overflow" when it raises."""
+    try:
+        z = make()
+    except OverflowError:
+        return "overflow"
+    return z.real.hex(), z.imag.hex()
+
+
+def _rand_part(rng):
+    """A rational from a tiny subnormal to beyond the float range, often
+    zero, and negative parts that round to -0.0."""
+    if rng.random() < 0.2:
+        return Fraction(0)
+    num = rng.choice([-1, 1]) * rng.randrange(1, 2 ** rng.randint(1, 1100))
+    return Fraction(num, rng.randrange(1, 2 ** rng.randint(1, 2200)))
+
+
+def test_complex_matches_float_of_both_parts_bit_for_bit():
+    rng = random.Random(1018)
+    outcomes = set()
+    for _ in range(3000):
+        re, im = _rand_part(rng), _rand_part(rng)
+        v = QC(re, im)
+        got = _complex_bits(lambda: complex(v))
+        assert got == _complex_bits(lambda: complex(float(re), float(im))), v
+        outcomes.add("overflow" if got == "overflow" else
+                     ("-0.0" if "-0x0.0p+0" in got else
+                      "zero" if "0x0.0p+0" in got else "finite"))
+    # tiny negative parts round to -0.0, and huge ones overflow
+    assert outcomes == {"overflow", "-0.0", "zero", "finite"}
+    assert _complex_bits(lambda: complex(QC(Fraction(-1, 10 ** 400)))) \
+        == ("-0x0.0p+0", "0x0.0p+0")
