@@ -20,8 +20,7 @@ from __future__ import annotations
 from .errors import DomainMismatchError
 from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC_ZERO, qc
-from .spaces import (OpenSet, region_contains, region_empty, region_intersect,
-                     region_intersect_open, region_is_empty, region_union)
+from .spaces import OpenSet
 
 
 class BaseDensity:
@@ -33,7 +32,7 @@ class BaseDensity:
         self.space = space
         self.coeff = space.zero() if coeff is None else space.clean(coeff)
         if bound is None:
-            bound = region_empty(space)
+            bound = space.empty_region()
         self.bound = space.support((self.coeff,), bound)
 
     @classmethod
@@ -52,7 +51,7 @@ class BaseDensity:
 
     @classmethod
     def zero(cls, space):
-        return cls._trusted(space, space.zero(), region_empty(space))
+        return cls._trusted(space, space.zero(), space.empty_region())
 
     @classmethod
     def discrete(cls, space, weights):
@@ -80,7 +79,11 @@ class BaseDensity:
 
     def is_exactly_zero(self) -> bool:
         """Syntactic zero test: exact on discrete, conservative on smooth."""
-        return self.space.is_zero(self.coeff) or region_is_empty(self.bound)
+        return self.space.is_zero(self.coeff) or not self.bound
+
+    def stray(self, u: OpenSet):
+        """Where the coefficient is known nonzero outside an open set."""
+        return self.space.stray(self.coeff, u.region)
 
     # -- algebra -----------------------------------------------------------
 
@@ -92,7 +95,7 @@ class BaseDensity:
         if sp.is_zero(other.coeff):
             return self
         return BaseDensity._trusted(sp, sp.add(self.coeff, other.coeff),
-                                    region_union(self.bound, other.bound))
+                                    self.bound | other.bound)
 
     def scale(self, c) -> "BaseDensity":
         """The density times a scalar, the scalar on the right."""
@@ -119,12 +122,12 @@ class BaseDensity:
     def restrict(self, u: OpenSet) -> "BaseDensity":
         return BaseDensity._trusted(self.space,
                                     self.space.restrict(self.coeff, u),
-                                    region_intersect_open(self.bound, u))
+                                    self.bound & u.region)
 
     def clip(self, region) -> "BaseDensity":
         """Intersect the bound with a region the density vanishes outside."""
         return BaseDensity._trusted(self.space, self.coeff,
-                                    region_intersect(self.bound, region))
+                                    self.bound & region)
 
     # -- integration ----------------------------------------------------------
 
@@ -136,14 +139,14 @@ class BaseDensity:
         """
         if self.space != over.space:
             raise DomainMismatchError("integrating over a different base space")
-        region = region_intersect_open(self.bound, over)
-        if region_is_empty(region):
+        region = self.bound & over.region
+        if not region:
             return QC_ZERO
         return self.space.integrate(self.coeff, region, abs_tol, budget)
 
     def value_at(self, p):
         """Pointwise value of the density coefficient."""
-        if not region_contains(self.bound, p):
+        if p not in self.bound:
             return QC_ZERO
         return self.space.ev(self.coeff, p)
 

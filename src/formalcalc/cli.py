@@ -48,30 +48,6 @@ def _scalar_json(v):
     return [c.real, c.imag]
 
 
-def _scalar_str(v):
-    if isinstance(v, QC):
-        if v.im == 0:
-            return rat_str(v.re)
-        return "%s + %s*i" % (rat_str(v.re), rat_str(v.im))
-    c = to_complex(v)
-    if c.imag == 0.0:
-        return "%.12g" % c.real
-    return "%.12g + %.12g*i" % (c.real, c.imag)
-
-
-def _parse_point(space, text):
-    if space.kind == "discrete":
-        if text not in space.points:
-            raise ScenarioError("unknown point %r (points: %s)"
-                                % (text, ", ".join(space.points)))
-        return text
-    from fractions import Fraction
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ScenarioError("cannot parse %r as a rational abscissa" % text)
-
-
 def cmd_pair(args, sc, tol, seed):
     del seed
     eta = sc.density(args.density)
@@ -119,7 +95,7 @@ def cmd_jet(args, sc, tol, seed):
     if u.trunc < r:
         raise TruncationError(
             "function truncates at y-degree %d, jets need %d" % (u.trunc, r))
-    a = _parse_point(sc.space, args.point)
+    a = sc.space.point(args.point)
     ndim = sc.space.ndim
     rows = []
     for m in enumerate_upto(ndim + sc.k, r):

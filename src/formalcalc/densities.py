@@ -21,7 +21,9 @@ determine the answer.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product as _cartesian
+from operator import or_
 
 from .basedensity import BaseDensity
 from .errors import SupportError, json_shape
@@ -30,8 +32,7 @@ from .multiindex import (grlex_key, key_str, mi, mi_binom, mi_factorial, mi_sub,
                          parse_key)
 from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC_ZERO
-from .spaces import (OpenSet, region_empty, region_is_compact,
-                     region_subset_open, region_union)
+from .spaces import OpenSet
 
 
 def submultiindices(m: tuple):
@@ -79,7 +80,7 @@ class FormalDensity(_GradedSection):
         clean = {}
         for l, terms in (coeffs or {}).items():
             l = self._index(l)
-            canon = _canon_terms((self._x_index(i), self._own(tau))
+            canon = _canon_terms((self._x_index(i), self._own_inside(tau))
                                  for i, tau in terms)
             if canon:
                 clean[l] = canon
@@ -117,11 +118,8 @@ class FormalDensity(_GradedSection):
     star_degree = _GradedSection._top_degree
 
     def support(self):
-        acc = region_empty(self.space)
-        for terms in self.coeffs.values():
-            for _, tau in terms:
-                acc = region_union(acc, tau.support)
-        return acc
+        return reduce(or_, (tau.support for terms in self.coeffs.values()
+                            for _, tau in terms), self.space.empty_region())
 
     # -- linear structure ---------------------------------------------------
 
@@ -180,9 +178,9 @@ class FormalDensity(_GradedSection):
         """Extension by zero to a larger open set (coefficients carry over)."""
         self._check_extends(m)
         supp = self.support()
-        if not region_is_compact(supp):
+        if not self.space.is_compact(supp):
             raise SupportError("extension by zero needs a compact support")
-        if not region_subset_open(supp, self.domain):
+        if not supp <= self.domain.region:
             raise SupportError("support escapes the domain")
         return FormalDensity._trusted(self.space, m, self.k, self.coeffs)
 
@@ -200,7 +198,7 @@ class FormalDensity(_GradedSection):
         because the cutoff confines every coefficient inside v.
         """
         self._check_inside(v)
-        if not region_subset_open(f.support, v, within=f.domain):
+        if not f.support & f.domain.region <= v.region:
             raise SupportError("cutoff support escapes the target open set")
         f_here = f if f.domain == self.domain else f.restrict(self.domain)
         acted = self.module_action(f_here)

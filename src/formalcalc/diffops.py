@@ -19,14 +19,15 @@ functions; it only feeds the seminorm diagnostics.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from .basedensity import BaseDensity
 from .densities import FormalDensity, leibniz
 from .errors import SupportError, json_shape
-from .expr import compile_f
 from .functions import FormalFunction, SupportedFormalFunction, _GradedSection
 from .multiindex import degree, mi, mi_factorial
-from .spaces import (OpenSet, region_empty, region_is_compact,
-                     region_subset_open, region_union)
+from .spaces import OpenSet
 
 
 def _term_sort_key(key):
@@ -46,7 +47,7 @@ class _DiffOp(_GradedSection):
             self._check_coeff(c)
             if c.is_exactly_zero():
                 continue
-            if not region_is_compact(c.support):
+            if not space.is_compact(c.support):
                 raise SupportError("coefficient at (%r, %r) is not compactly "
                                    "supported" % key)
             clean[key] = c
@@ -66,10 +67,8 @@ class _DiffOp(_GradedSection):
         return max((degree(l) for _, l in self.terms), default=0)
 
     def support(self):
-        acc = region_empty(self.space)
-        for c in self.terms.values():
-            acc = region_union(acc, c.support)
-        return acc
+        return reduce(or_, (c.support for c in self.terms.values()),
+                      self.space.empty_region())
 
     def keys_sorted(self):
         return sorted(self.terms, key=_term_sort_key)
@@ -104,7 +103,7 @@ class DensityDiffOp(_DiffOp):
     def __init__(self, space, domain: OpenSet, k: int, terms=None):
         super().__init__(space, domain, k, terms)
         for key, tau in self.terms.items():
-            if not region_subset_open(tau.support, domain):
+            if not tau.support <= domain.region:
                 raise SupportError("coefficient support at (%r, %r) escapes the "
                                    "domain" % key)
 
@@ -194,7 +193,7 @@ class DensityDiffOp(_DiffOp):
     def restrict_op(self, v: OpenSet) -> "DensityDiffOp":
         """Restriction to a smaller open set holding the whole support."""
         self._check_inside(v)
-        if not region_subset_open(self.support(), v, within=self.domain):
+        if not self.support() & self.domain.region <= v.region:
             raise SupportError("operator support escapes the target open set")
         out = {key: tau.restrict(v) for key, tau in self.terms.items()}
         return DensityDiffOp(self.space, v, self.k, out)
@@ -250,18 +249,7 @@ def seminorm(u: FormalFunction, x: EndoDiffOp) -> float:
     SEMINORM_GRID points spanning the hull of the operator's support.
     """
     c = x.apply_reduced(u)
-    if x.space.kind == "discrete":
-        best = 0.0
-        for v in c.values():
-            best = max(best, abs(v))
-        return best
     supp = x.support()
-    if supp.is_empty:
+    if not supp:
         return 0.0
-    lo, hi = supp.hull()
-    f = compile_f(c)
-    best = 0.0
-    for t in range(SEMINORM_GRID):
-        a = lo + (hi - lo) * t / (SEMINORM_GRID - 1)
-        best = max(best, abs(f(a)))
-    return best
+    return x.space.sup_abs(c, supp, SEMINORM_GRID)

@@ -35,22 +35,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .basedensity import BaseDensity
 from .densities import FormalDensity, leibniz
 from .errors import (BackendError, DomainMismatchError, SupportError,
                      TruncationError, json_shape)
-from .expr import Const, X, mul, pow_
 from .functions import (FormalFunction, SupportedFormalFunction, _GradedSection,
                         cutoff_product)
 from .multiindex import (degree, enumerate_upto, key_str, mi, mi_add, mi_factorial,
                          parse_key)
 from .quadrature import DEFAULT_ABS_TOL
-from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json, rat_from_json
-from .spaces import (OpenSet, RSet, region_contains, region_empty,
-                     region_from_json, region_intersect, region_intersect_open,
-                     region_is_compact, region_is_empty, region_subset_open,
-                     region_to_json, region_union)
+from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json
+from .spaces import OpenSet
 
 
 def _fin(v):
@@ -142,7 +140,9 @@ class BaseDistribution:
 
     @classmethod
     def point(cls, space, a, i: int = 0, c=1):
-        return cls(space, terms=(PointTerm(a, i, c),))
+        """c times the i-th derivative at a (the weight c on a label)."""
+        return cls(space, terms=(space.point_term(a, i, c, SmoothTerm,
+                                                  PointTerm),))
 
     @property
     def weights(self):
@@ -152,6 +152,16 @@ class BaseDistribution:
 
     def is_exactly_zero(self) -> bool:
         return not self.terms
+
+    def stray(self, u: OpenSet):
+        """Stray weights and point-term points outside an open set."""
+        out = []
+        for t in self.terms:
+            if isinstance(t, SmoothTerm):
+                out += self.space.stray(t.g, u.region)
+            elif not u.contains(t.a):
+                out.append(t.a)
+        return out
 
     # -- linear structure ---------------------------------------------------
 
@@ -178,8 +188,7 @@ class BaseDistribution:
         acc = QC_ZERO
         for t in self.terms:
             if isinstance(t, SmoothTerm):
-                r = region if t.bound is None else region_intersect(region,
-                                                                    t.bound)
+                r = region if t.bound is None else region & t.bound
                 acc = acc + sp.pair(t.g, c, r, abs_tol, budget)
             else:
                 acc = acc + _scalar_mul(t.c, sp.ev(sp.diff(c, t.i), t.a))
@@ -193,13 +202,12 @@ class BaseDistribution:
         for t in self.terms:
             if isinstance(t, SmoothTerm):
                 g = sp.diff(t.g, stack)
-                r = tau.bound if t.bound is None else region_intersect(
-                    tau.bound, t.bound)
-                r = region_intersect_open(r, domain)
-                val = QC_ZERO if region_is_empty(r) else \
-                    sp.pair(tau.coeff, g, r, abs_tol, budget)
+                r = tau.bound if t.bound is None else tau.bound & t.bound
+                r = r & domain.region
+                val = sp.pair(tau.coeff, g, r, abs_tol, budget) if r \
+                    else QC_ZERO
                 acc = acc + val
-            elif region_contains(tau.bound, t.a):
+            elif t.a in tau.bound:
                 sign = -1 if stack % 2 else 1
                 v = sp.ev(sp.diff(tau.coeff, t.i + stack), t.a)
                 acc = acc + sign * _scalar_mul(t.c, v)
@@ -228,8 +236,7 @@ class BaseDistribution:
         out = []
         for t in self.terms:
             if isinstance(t, SmoothTerm):
-                b = region if t.bound is None else region_intersect(t.bound,
-                                                                    region)
+                b = region if t.bound is None else t.bound & region
                 out.append(SmoothTerm(t.g, b))
             else:
                 out.append(t)
@@ -260,7 +267,7 @@ class BaseDistribution:
             if isinstance(t, SmoothTerm):
                 tj = {"kind": "smooth", "expr": self.space.to_json(t.g)}
                 if t.bound is not None:
-                    tj["support"] = region_to_json(t.bound)
+                    tj["support"] = self.space.region_to_json(t.bound)
                 out.append(tj)
             else:
                 if isinstance(t.c, QC):
@@ -278,11 +285,11 @@ class BaseDistribution:
             if kind == "smooth":
                 bound = None
                 if "support" in t:
-                    bound = region_from_json(space, t["support"])
+                    bound = space.region_from_json(t["support"])
                 terms.append(SmoothTerm(space.from_json(t["expr"], region=region),
                                         bound))
             elif kind == "point":
-                terms.append(PointTerm(rat_from_json(t["a"]), int(t["i"]),
+                terms.append(PointTerm(space.point(t["a"]), int(t["i"]),
                                        qc_from_json(t.get("c", 1))))
             else:
                 raise ValueError("unknown distribution term kind %r" % (kind,))
@@ -375,7 +382,7 @@ class _DualSection(_GradedSection):
         clean = {}
         for j, vec in (coeffs or {}).items():
             j = self._index(j, cap)
-            vec = tuple(map(self._own, vec))
+            vec = tuple(map(self._own_inside, vec))
             if len(vec) != e_dim:
                 raise ValueError("coefficient vector at %r has %d entries, "
                                  "expected %d" % (j, len(vec), e_dim))
@@ -476,9 +483,9 @@ class FormalDistribution(_DualSection):
         self._check_partner(u, self.star_degree())
         if not isinstance(u, SupportedFormalFunction):
             raise SupportError("distributions pair with supported functions")
-        if not region_is_compact(u.support):
+        if not self.space.is_compact(u.support):
             raise SupportError("the partner needs a compact support witness")
-        region = region_intersect_open(u.support, self.domain)
+        region = u.support & self.domain.region
         zero = self.space.zero()
         keys = self.keys_sorted()
         out = []
@@ -534,15 +541,15 @@ class CompactFormalDistribution(FormalDistribution):
         if support is None:
             support = self._support_from_coeffs()
         support = space.region(support)
-        if not region_is_compact(support):
+        if not space.is_compact(support):
             raise SupportError("support witness is not compact")
-        if not region_subset_open(support, domain):
+        if not support <= domain.region:
             raise SupportError("support witness escapes the domain")
         for l, vec in self.coeffs.items():
             for w in vec:
                 for t in w.terms:
                     if isinstance(t, PointTerm):
-                        if not region_contains(support, t.a):
+                        if t.a not in support:
                             raise SupportError("point term at %s outside the "
                                                "support witness" % t.a)
                         continue
@@ -550,22 +557,17 @@ class CompactFormalDistribution(FormalDistribution):
                     if stray:
                         raise SupportError("weights outside the support witness "
                                            "at %r: %s" % (l, stray))
-                    if t.bound is not None and not t.bound.is_subset(support):
+                    if t.bound is not None and not t.bound <= support:
                         raise SupportError("smooth term bound escapes the "
                                            "support witness")
         self.support = support
 
     def _support_from_coeffs(self):
-        acc = region_empty(self.space)
-        for vec in self.coeffs.values():
-            for w in vec:
-                for t in w.terms:
-                    if isinstance(t, PointTerm):
-                        r = RSet.point(t.a)
-                    else:
-                        r = self.space.support((t.g,), t.bound)
-                    acc = region_union(acc, r)
-        return acc
+        sp = self.space
+        return reduce(or_, (sp.point_region(t.a) if isinstance(t, PointTerm)
+                            else sp.support((t.g,), t.bound)
+                            for vec in self.coeffs.values() for w in vec
+                            for t in w.terms), sp.empty_region())
 
     def _with_support(self, coeffs, support, domain=None):
         return CompactFormalDistribution(self.space, domain or self.domain,
@@ -584,7 +586,7 @@ class CompactFormalDistribution(FormalDistribution):
         plain = FormalDistribution.add(self, other)
         if isinstance(other, CompactFormalDistribution):
             return self._with_support(plain.coeffs,
-                                      region_union(self.support, other.support))
+                                      self.support | other.support)
         return plain
 
     def ext(self, m: OpenSet) -> "CompactFormalDistribution":
@@ -595,11 +597,11 @@ class CompactFormalDistribution(FormalDistribution):
     def restrict(self, v: OpenSet) -> "CompactFormalDistribution":
         plain = FormalDistribution.restrict(self, v)
         return self._with_support(plain.coeffs,
-                                  region_intersect_open(self.support, v), v)
+                                  self.support & v.region, v)
 
     def to_json(self):
         out = super().to_json()
-        out["support"] = region_to_json(self.support)
+        out["support"] = self.space.region_to_json(self.support)
         return out
 
     @classmethod
@@ -607,7 +609,7 @@ class CompactFormalDistribution(FormalDistribution):
         plain = FormalDistribution.from_json(space, domain, k, v, region=region)
         support = None
         if "support" in v:
-            support = region_from_json(space, v["support"])
+            support = space.region_from_json(v["support"])
         return cls(space, domain, k, plain.e_dim, plain.coeffs, support=support)
 
 
@@ -641,17 +643,13 @@ def cutoff_extend(eta: CompactFormalDistribution,
     if not eta.domain.is_subset(f.domain):
         raise DomainMismatchError("cutoff domain does not contain the "
                                   "distribution's open set")
-    if not region_is_compact(f.support):
+    if not f.space.is_compact(f.support):
         raise SupportError("cutoff needs a compact support witness")
-    if not region_subset_open(f.support, eta.domain, within=f.domain):
+    if not f.support & f.domain.region <= eta.domain.region:
         raise SupportError("cutoff support escapes the distribution's open set")
     if f.plateau is None:
         raise SupportError("cutoff carries no plateau witness")
-    if eta.space.kind == "discrete":
-        ok = eta.support <= f.plateau
-    else:
-        ok = eta.support.is_subset(f.plateau.interior())
-    if not ok:
+    if not eta.support <= eta.space.interior(f.plateau):
         raise SupportError("cutoff plateau does not cover a neighborhood of "
                            "the distribution's support")
     return ExtendedFunctional(eta, f)
@@ -752,9 +750,10 @@ class PointDistribution(_GradedSection):
     def __init__(self, space, domain: OpenSet, k: int, a, e_dim: int = 1,
                  coeffs=None):
         super().__init__(space, domain, k)
+        a = space.point(a)
         if not domain.contains(a):
             raise DomainMismatchError("base point %r outside the domain" % (a,))
-        self.a = a if space.kind == "discrete" else Fraction(a)
+        self.a = a
         self.e_dim = e_dim
         clean = {}
         for (i, j), vec in (coeffs or {}).items():
@@ -792,23 +791,13 @@ class PointDistribution(_GradedSection):
         coeffs = {}
         for (i, j), vec in self.coeffs.items():
             stack = i[0] if i else 0
-            add_vec = []
-            for c in vec:
-                if _is_zero_scalar(c):
-                    add_vec.append(BaseDistribution.zero(self.space))
-                elif self.space.kind == "discrete":
-                    add_vec.append(BaseDistribution.from_weights(self.space,
-                                                                 {self.a: c}))
-                else:
-                    add_vec.append(BaseDistribution.point(self.space, self.a,
-                                                          stack, c))
-            coeffs[j] = vec_add(coeffs.get(j), tuple(add_vec))
-        if self.space.kind == "discrete":
-            support = frozenset({self.a})
-        else:
-            support = RSet.point(self.a)
+            coeffs[j] = vec_add(coeffs.get(j), tuple(
+                BaseDistribution.zero(self.space) if _is_zero_scalar(c)
+                else BaseDistribution.point(self.space, self.a, stack, c)
+                for c in vec))
         return CompactFormalDistribution(self.space, self.domain, self.k,
-                                         self.e_dim, coeffs, support=support)
+                                         self.e_dim, coeffs,
+                                         support=self.space.point_region(self.a))
 
     def _eq_key(self):
         return ("point", self.a, self.e_dim, self.coeffs)
@@ -828,7 +817,7 @@ class PointDistribution(_GradedSection):
 
     @classmethod
     def from_json(cls, space, domain, k, v):
-        a = v["a"] if space.kind == "discrete" else rat_from_json(v["a"])
+        a = space.point(v["a"])
         e_dim = int(v.get("E_dim", 1))
         coeffs = {}
         for t in json_shape(v.get("terms", []), list, "'terms'"):
@@ -863,11 +852,8 @@ def normalized_monomial(space, domain: OpenSet, k: int, trunc: int, i, j):
     if len(i) != space.ndim:
         raise BackendError("x-index %r does not fit the base" % (i,))
     scale = Fraction(1, mi_factorial(i) * mi_factorial(j))
-    if space.kind == "discrete":
-        c = {p: QC(scale) for p in domain.labels}
-    else:
-        c = mul(Const(QC(scale)), pow_(X, i[0])) if i[0] else Const(QC(scale))
-    return FormalFunction(space, domain, k, trunc, {j: c})
+    return FormalFunction(space, domain, k, trunc,
+                          {j: space.monomial(i, scale, domain.region)})
 
 
 def jet_kernel_check(u: FormalFunction, a, r: int, tol: float = 0.0) -> bool:

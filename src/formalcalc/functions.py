@@ -23,9 +23,7 @@ from .expr import bump as _bump_expr
 from .multiindex import (degree, grlex_key, key_str, mi, mi_add, mi_factorial,
                          parse_key)
 from .scalars import QC
-from .spaces import (OpenSet, region_from_json, region_intersect,
-                     region_intersect_open, region_is_compact,
-                     region_subset_open, region_to_json)
+from .spaces import OpenSet
 
 
 def _nonzero(space, coeffs):
@@ -98,6 +96,14 @@ class _GradedSection:
             raise DomainMismatchError("coefficient over a different base space")
         return c
 
+    def _own_inside(self, c):
+        """c, checked by _own and to act nowhere outside the domain."""
+        stray = self._own(c).stray(self.domain)
+        if stray:
+            raise DomainMismatchError("coefficient outside the domain at %s"
+                                      % (stray,))
+        return c
+
     def _top_degree(self) -> int:
         return max(map(degree, self.coeffs), default=0)
 
@@ -162,7 +168,7 @@ class FormalFunction(_GradedSection):
 
     @classmethod
     def constant(cls, space, domain, k, trunc, value=1):
-        c = space.constant(value, domain.labels)
+        c = space.constant(value, domain.region)
         return cls(space, domain, k, trunc, {mi([0] * k): c})
 
     # -- queries -----------------------------------------------------------
@@ -296,7 +302,7 @@ class SupportedFormalFunction(FormalFunction):
         plain = super().restrict(v)
         return SupportedFormalFunction._trusted(
             self.space, v, self.k, plain.coeffs, trunc=self.trunc,
-            support=region_intersect_open(self.support, v), plateau=None)
+            support=self.support & v.region, plateau=None)
 
     def extend_by_zero(self, m: OpenSet) -> "SupportedFormalFunction":
         """Reinterpret over a larger open set, zero outside the support.
@@ -305,9 +311,9 @@ class SupportedFormalFunction(FormalFunction):
         domain; the coefficients themselves carry over unchanged.
         """
         self._check_extends(m)
-        if not region_is_compact(self.support):
+        if not self.space.is_compact(self.support):
             raise SupportError("extension by zero needs a compact support witness")
-        if not region_subset_open(self.support, self.domain):
+        if not self.support <= self.domain.region:
             raise SupportError("support witness escapes the domain")
         return SupportedFormalFunction._trusted(
             self.space, m, self.k, self.coeffs, trunc=self.trunc,
@@ -315,9 +321,9 @@ class SupportedFormalFunction(FormalFunction):
 
     def to_json(self):
         out = super().to_json()
-        out["support"] = region_to_json(self.support)
+        out["support"] = self.space.region_to_json(self.support)
         if self.plateau is not None:
-            out["plateau"] = region_to_json(self.plateau)
+            out["plateau"] = self.space.region_to_json(self.plateau)
         return out
 
     @classmethod
@@ -325,10 +331,10 @@ class SupportedFormalFunction(FormalFunction):
         plain = FormalFunction.from_json(space, domain, k, v, region=region)
         support = None
         if "support" in v:
-            support = region_from_json(space, v["support"])
+            support = space.region_from_json(v["support"])
         plateau = None
         if "plateau" in v:
-            plateau = region_from_json(space, v["plateau"])
+            plateau = space.region_from_json(v["plateau"])
         return cls(space, domain, k, plain.trunc, plain.coeffs,
                    support=support, plateau=plateau)
 
@@ -345,12 +351,12 @@ def cutoff_product(f: SupportedFormalFunction, u: FormalFunction):
         raise DomainMismatchError("cutoff and function do not match")
     if not u.domain.is_subset(f.domain):
         raise DomainMismatchError("cutoff domain does not contain the function domain")
-    if not region_subset_open(f.support, u.domain, within=f.domain):
+    if not f.support & f.domain.region <= u.domain.region:
         raise SupportError("cutoff support escapes the open set of the function")
     prod = f.restrict(u.domain).mul(u)
     support = f.support
     if isinstance(u, SupportedFormalFunction):
-        support = region_intersect(support, u.support)
+        support = support & u.support
     return SupportedFormalFunction._trusted(f.space, f.domain, f.k, prod.coeffs,
                                             trunc=prod.trunc, support=support,
                                             plateau=None)
@@ -361,7 +367,7 @@ def indicator_cutoff(space, domain: OpenSet, k: int, trunc: int, labels):
     if space.kind != "discrete":
         raise BackendError("indicator cutoffs exist on the discrete backend only")
     labels = frozenset(str(p) for p in labels)
-    if not labels <= domain.labels:
+    if not labels <= domain.region:
         raise SupportError("indicator labels escape the domain")
     j0 = mi([0] * k)
     c = {p: QC(1) for p in labels}
@@ -378,7 +384,7 @@ def bump_cutoff(space, domain: OpenSet, k: int, trunc: int, a, b, c, d):
     if space.kind != "smoothline":
         raise BackendError("bump cutoffs exist on the smooth backend only")
     e, support, plateau = _bump_expr(a, b, c, d)
-    if not region_subset_open(support, domain):
+    if not support <= domain.region:
         raise SupportError("bump support [%s, %s] escapes the domain" % (a, d))
     j0 = mi([0] * k)
     return SupportedFormalFunction(space, domain, k, trunc, {j0: e},

@@ -11,7 +11,9 @@ Top-level fields:
     backend    "discrete" | "smoothline"
     points     list of labels (discrete backend only)
     k          number of formal directions (default 1)
-    trunc      default truncation order (default 2)
+    trunc      default truncation order (default 2); k and trunc
+               together may give at most MAX_Y_INDICES y-indices
+               C(k + trunc, k)
     E_dim      coefficient dimension for distributions (default 1)
     tol        default tolerance for checks (default 1e-8)
     seed       default seed for randomized suites (default 0)
@@ -43,6 +45,12 @@ from .spaces import Discrete, OpenSet, SmoothLine
 SCHEMA_VERSION = 1
 
 _DIST_KINDS = ("distribution", "compact", "generalized", "point")
+
+# The jet basis and the probe families grow like the number of y-indices,
+# C(k + trunc, k), and `check jets` like its square: on a 2-CPU machine it
+# took 7.5 s at 495 indices (k = 8, trunc 4) and had not finished after
+# 30 s at 1,820 (k = 12, trunc 4). A scenario with more is refused.
+MAX_Y_INDICES = 500
 
 
 def _finite_number(text):
@@ -87,6 +95,13 @@ class Scenario:
             if trunc_override < 0:
                 raise ScenarioError("trunc override must be nonnegative")
             self.trunc = trunc_override
+        # with k and trunc both positive the count exceeds k + trunc, so a
+        # large one is refused before the binomial is computed
+        k, t = self.k, self.trunc
+        if min(k, t) and (max(k, t) >= MAX_Y_INDICES
+                          or math.comb(k + t, k) > MAX_Y_INDICES):
+            raise ScenarioError("k = %d at trunc %d gives more than %d "
+                                "y-indices" % (k, t, MAX_Y_INDICES))
         self.e_dim = _int_field(data, "E_dim", 1, 1)
         try:
             self.tol = float(data.get("tol", 1e-8))

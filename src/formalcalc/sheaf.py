@@ -48,10 +48,8 @@ from .functions import (SupportedFormalFunction, bump_cutoff, cutoff_product,
                         indicator_cutoff)
 from .multiindex import degree, enumerate_upto, mi
 from .scalars import QC
-from .spaces import (NEG_INF, POS_INF, OpenSet, RSet, region_intersect,
-                     region_is_empty, region_subset_open, region_union)
+from .spaces import NEG_INF, POS_INF, OpenSet, RSet
 
-POU_GRID = 101
 POU_GRID_TOL = 1e-12
 DEFAULT_FUNCTIONAL_TOL = 1e-8
 
@@ -94,25 +92,6 @@ class Cover:
         return cls(whole, parts)
 
 
-def _grid_points(rs: RSet):
-    """Sample points strictly inside each piece; finite anchors for
-    unbounded pieces. Exact rationals."""
-    pts = []
-    for lo, hi, _, _ in rs.pieces:
-        if lo == NEG_INF and hi == POS_INF:
-            a, b = Fraction(-10), Fraction(10)
-        elif lo == NEG_INF:
-            a, b = hi - 10, hi
-        elif hi == POS_INF:
-            a, b = lo, lo + 10
-        else:
-            a, b = lo, hi
-        w = b - a
-        for i in range(POU_GRID):
-            pts.append(a + w * Fraction(2 * i + 1, 2 * POU_GRID))
-    return pts
-
-
 class PartitionOfUnity:
     """Functions subordinate to a cover that sum to one.
 
@@ -136,7 +115,7 @@ class PartitionOfUnity:
                                           "on the whole set")
             if any(j != j0 for j in f.coeffs):
                 raise ValueError("partition functions must be constant in y")
-            if not region_subset_open(f.support, part, within=cover.whole):
+            if not f.support & cover.whole.region <= part.region:
                 raise SupportError("partition function support escapes its part")
         self.cover = cover
         self.functions = functions
@@ -154,12 +133,12 @@ class PartitionOfUnity:
             for f in self.functions:
                 for p, v in f.coeff(j0).items():
                     acc[p] = acc.get(p, QC(0)) + v
-            ok = all(acc.get(p, QC(0)) == QC(1) for p in self.cover.whole.labels) \
-                and set(acc) <= self.cover.whole.labels
+            ok = all(acc.get(p, QC(0)) == QC(1) for p in self.cover.whole.region) \
+                and set(acc) <= self.cover.whole.region
             return 0.0 if ok else 1.0
         worst = 0.0
         exprs = [f.coeff(j0) for f in self.functions]
-        for a in _grid_points(self.cover.whole.rset):
+        for a in space.sample_points(self.cover.whole.region):
             total = sum(complex(ev(e, a)) for e in exprs)
             worst = max(worst, abs(total - 1))
         return worst
@@ -215,7 +194,7 @@ def _part_bumps(m_rs: RSet, part: OpenSet, delta: Fraction):
     expr = None
     pos = RSet()
     supp = RSet()
-    for lo, hi, _, _ in part.rset.pieces:
+    for lo, hi, _, _ in part.region.pieces:
         rise, plo, slo, slo_open = _lo_treatment(m_rs, lo, delta)
         fall, phi, shi, shi_open = _hi_treatment(m_rs, hi, delta)
         if rise is not None and fall is not None:
@@ -248,13 +227,13 @@ def build_pou(cover: Cover, k: int, trunc: int) -> PartitionOfUnity:
         assigned = set()
         functions = []
         for part in cover.parts:
-            labels = part.labels - assigned
+            labels = part.region - assigned
             assigned |= labels
             functions.append(indicator_cutoff(space, cover.whole, k, trunc,
                                               labels))
         return PartitionOfUnity(cover, functions)
 
-    m_rs = cover.whole.rset
+    m_rs = cover.whole.region
     j0 = mi([0] * k)
     if len(cover.parts) == 1:
         f = SupportedFormalFunction(space, cover.whole, k, trunc, {j0: ONE},
@@ -263,7 +242,7 @@ def build_pou(cover: Cover, k: int, trunc: int) -> PartitionOfUnity:
 
     endpoints = set()
     for part in list(cover.parts) + [cover.whole]:
-        for lo, hi, _, _ in part.rset.pieces:
+        for lo, hi, _, _ in part.region.pieces:
             if lo != NEG_INF:
                 endpoints.add(lo)
             if hi != POS_INF:
@@ -350,14 +329,14 @@ def dual_function_family(space, domain: OpenSet, k: int, trunc: int,
     out = []
     if space.kind == "discrete":
         one, keys = QC(1), enumerate_upto(k, trunc)
-        for p in sorted(domain.labels):
-            support = frozenset({p})
+        for p in sorted(domain.region):
+            support = space.point_region(p)
             for j in keys:
                 out.append(SupportedFormalFunction._trusted(
                     space, domain, k, {j: {p: one}}, trunc=trunc,
                     support=support, plateau=None))
         return out
-    for lo, hi, _, _ in domain.rset.pieces:
+    for lo, hi, _, _ in domain.region.pieces:
         for wlo, whi in _probe_windows(lo, hi):
             bexpr, supp, _ = _window_bump(wlo, whi)
             for e in range(xdeg_cap + 1):
@@ -380,13 +359,13 @@ def dual_density_family(space, domain: OpenSet, k: int, star_cap: int,
     out = []
     if space.kind == "discrete":
         keys = enumerate_upto(k, star_cap)
-        for p in sorted(domain.labels):
+        for p in sorted(domain.region):
             tau = BaseDensity._trusted(space, {p: QC(1)}, None)
             for l in keys:
                 out.append(FormalDensity._trusted(space, domain, k,
                                                   {l: (((), tau),)}))
         return out
-    for lo, hi, _, _ in domain.rset.pieces:
+    for lo, hi, _, _ in domain.region.pieces:
         for wlo, whi in _probe_windows(lo, hi):
             bexpr, supp, _ = _window_bump(wlo, whi)
             for e in range(xdeg_cap + 1):
@@ -477,10 +456,10 @@ def mv_split(eta1: FormalDensity, eta2: FormalDensity,
             residual=resid)
 
     zero = FormalDensity.zero(space, v, k)
-    kset = region_union(eta1.support(), eta2.support())
-    if region_is_empty(kset):
+    kset = eta1.support() | eta2.support()
+    if not kset:
         return zero
-    if not region_subset_open(kset, v):
+    if not kset <= v.region:
         raise SupportError("kernel supports are not confined to the "
                            "intersection")
 
@@ -490,7 +469,7 @@ def mv_split(eta1: FormalDensity, eta2: FormalDensity,
 
     klo, khi = kset.hull()
     home = None
-    for lo, hi, _, _ in v.rset.pieces:
+    for lo, hi, _, _ in v.region.pieces:
         if lo < klo and khi < hi:
             home = (lo, hi)
             break
@@ -529,7 +508,7 @@ def cosheaf_decompose(section, pou: PartitionOfUnity):
                                           "whole set")
             acted = section.module_action(f)
             plain = FormalDistribution.restrict(acted, part)
-            supp = region_intersect(f.support, section.support)
+            supp = f.support & section.support
             coeffs = {l: tuple(w.clip_bounds(supp) for w in vec)
                       for l, vec in plain.coeffs.items()}
             out.append(CompactFormalDistribution(

@@ -17,23 +17,37 @@ a smooth expression on SmoothLine. No other module looks inside a
 coefficient; they call the space's methods (zero, add, scale, mul,
 diff, ev, restrict, integrate, pair, support, to_json, ...).
 
-The smooth side rests on RSet, an exact boolean algebra of interval
-unions with explicit endpoint flags. RSet also models supports (closed,
-possibly unbounded unions, including degenerate single points) and
-plateau regions, so subset, difference, and emptiness questions are all
-decided exactly in rational arithmetic.
+A region (an open set, a support, a plateau) is one value of the
+space: a frozenset of labels on Discrete, an RSet on SmoothLine. Both
+answer to the same operators, | & - <= `in` and truthiness, so the
+rest of the package combines regions without knowing which it holds.
+What really differs between the backends (compactness, interiors,
+parsing a base point, sampling, JSON) is a method of the space. Only
+this module knows how a region is represented; an OpenSet holds one
+region value.
+
+RSet is an exact boolean algebra of interval unions with explicit
+endpoint flags. It also models supports (closed, possibly unbounded
+unions, including degenerate single points) and plateau regions, so
+subset, difference, and emptiness questions are all decided exactly
+in rational arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import BackendError, DomainMismatchError, SupportError, json_shape
-from .expr import ZERO, Const, diff, ev, mul, parse_sexpr, to_sexpr
+from .expr import (ZERO, Const, X, compile_f, diff, ev, mul, parse_sexpr,
+                   pow_, to_sexpr)
 from .quadrature import DEFAULT_ABS_TOL, integrate_expr
-from .scalars import (QC_ZERO, qc, qc_from_json, qc_to_json, rat_from_json,
-                      rat_to_json)
+from .scalars import (QC, QC_ZERO, qc, qc_from_json, qc_to_json,
+                      rat_from_json, rat_to_json)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+# points per piece of SmoothLine.sample_points
+SAMPLE_GRID = 101
 
 
 def _is_inf(v) -> bool:
@@ -147,6 +161,20 @@ class RSet:
     def is_open(self) -> bool:
         return self == self.interior()
 
+    # -- the frozenset spelling --------------------------------------------
+    #
+    # A region of either backend is combined with the same operators, so
+    # code outside this module never asks which kind of region it holds.
+
+    __or__ = union
+    __and__ = intersect
+    __sub__ = difference
+    __le__ = is_subset
+    __contains__ = contains
+
+    def __bool__(self):
+        return bool(self.pieces)
+
     # -- plumbing ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -212,6 +240,52 @@ class Discrete:
     def whole(self) -> "OpenSet":
         return OpenSet(self, self.points)
 
+    # -- regions and points ------------------------------------------------
+    #
+    # A region is a frozenset of labels. Every subset is open and
+    # compact, and a base point is a label.
+
+    def empty_region(self):
+        return frozenset()
+
+    def open_region(self, data):
+        labels = frozenset(str(p) for p in data)
+        if not labels <= self._labels:
+            raise ValueError("labels not in the base space: %s"
+                             % sorted(labels - self._labels))
+        return labels
+
+    def is_compact(self, r) -> bool:
+        return True
+
+    def interior(self, r):
+        return r
+
+    def point(self, v):
+        """A base point: one of the labels."""
+        if str(v) not in self._labels:
+            raise ValueError("unknown point %r (points: %s)"
+                             % (v, ", ".join(self.points)))
+        return str(v)
+
+    def point_region(self, a):
+        return frozenset({a})
+
+    def origin(self):
+        """The point the jet basis is read at: the first label."""
+        return self.points[0]
+
+    def region_to_json(self, r):
+        return sorted(r)
+
+    # every label of the region, in order
+    sample_points = region_to_json
+
+    def region_from_json(self, v):
+        return frozenset(str(p) for p in json_shape(v, list, "label region"))
+
+    open_from_json = region_from_json
+
     # -- coefficient algebra ------------------------------------------------
 
     def zero(self):
@@ -228,7 +302,7 @@ class Discrete:
         from outside; what this algebra returns is canonical already
         and skips it.
         """
-        allowed = self._labels if domain is None else domain.labels
+        allowed = self._labels if domain is None else domain.region
         out = {}
         for p, v in c.items():
             p = str(p)
@@ -276,7 +350,7 @@ class Discrete:
         return c.get(str(a), QC_ZERO)
 
     def restrict(self, c, u: "OpenSet"):
-        return {p: v for p, v in c.items() if p in u.labels}
+        return {p: v for p, v in c.items() if p in u.region}
 
     def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
         """Exact sum of c over the labels of a region."""
@@ -315,6 +389,18 @@ class Discrete:
     def stray(self, c, region):
         """Sorted labels where c is nonzero outside the region."""
         return sorted(set(c) - region)
+
+    def monomial(self, i, scale, region):
+        """scale * x^I on a region: with no coordinates, the constant."""
+        return self.constant(scale, region)
+
+    def point_term(self, a, i, c, smooth, point):
+        """c times evaluation at a: the smooth term of the weight c at a."""
+        return smooth(self.diff({a: c}, i))
+
+    def sup_abs(self, c, region, grid):
+        """Exact max of |c| over its labels; the grid is the line's."""
+        return max(map(abs, c.values()), default=0.0)
 
     def to_json(self, c):
         return {p: qc_to_json(v) for p, v in sorted(c.items())}
@@ -369,6 +455,67 @@ class SmoothLine:
 
     def whole(self) -> "OpenSet":
         return OpenSet(self, [(NEG_INF, POS_INF)])
+
+    # -- regions and points ------------------------------------------------
+    #
+    # A region is an RSet: open for an open set, usually closed for a
+    # support. A base point is a rational abscissa.
+
+    def empty_region(self):
+        return RSet()
+
+    def open_region(self, data):
+        rs = data if isinstance(data, RSet) else RSet.open_pairs(data)
+        if not rs.is_open:
+            raise ValueError("not an open interval union: %r" % (rs,))
+        return rs
+
+    def is_compact(self, r) -> bool:
+        return r.is_bounded
+
+    def interior(self, r):
+        return r.interior()
+
+    def point(self, v):
+        """A base point: an int, a 'p/q' string or a decimal float."""
+        try:
+            return rat_from_json(v)
+        except (TypeError, ValueError):
+            raise ValueError("cannot parse %r as a rational abscissa"
+                             % (v,)) from None
+
+    def point_region(self, a):
+        return RSet.point(a)
+
+    def origin(self):
+        return Fraction(0)
+
+    def sample_points(self, region):
+        """SAMPLE_GRID rationals inside each piece; an unbounded piece is
+        sampled over width 10 at its finite end (around 0 if none)."""
+        pts = []
+        for lo, hi, _, _ in region.pieces:
+            if lo == NEG_INF and hi == POS_INF:
+                a, b = Fraction(-10), Fraction(10)
+            elif lo == NEG_INF:
+                a, b = hi - 10, hi
+            elif hi == POS_INF:
+                a, b = lo, lo + 10
+            else:
+                a, b = lo, hi
+            w = b - a
+            for i in range(SAMPLE_GRID):
+                pts.append(a + w * Fraction(2 * i + 1, 2 * SAMPLE_GRID))
+        return pts
+
+    def region_to_json(self, r):
+        return [[_ep_to_json(lo), _ep_to_json(hi)] for lo, hi, _, _ in r.pieces]
+
+    def region_from_json(self, v):
+        return RSet.closed_pairs(_pairs_from_json(v))
+
+    def open_from_json(self, v):
+        return _pairs_from_json(v)
 
     # -- coefficient algebra ------------------------------------------------
     #
@@ -445,6 +592,24 @@ class SmoothLine:
         # a stated smooth witness is taken on trust
         return []
 
+    def monomial(self, i, scale, region):
+        """scale * x^I (the region is the discrete one's)."""
+        c = Const(QC(scale))
+        return mul(c, pow_(X, i[0])) if i[0] else c
+
+    def point_term(self, a, i, c, smooth, point):
+        return point(a, i, c)
+
+    def sup_abs(self, c, region, grid):
+        """Max of |c| on `grid` even steps across a region's hull."""
+        lo, hi = region.hull()
+        f = compile_f(c)
+        best = 0.0
+        for t in range(grid):
+            a = lo + (hi - lo) * t / (grid - 1)
+            best = max(best, abs(f(a)))
+        return best
+
     def to_json(self, c):
         return to_sexpr(c)
 
@@ -454,13 +619,13 @@ class SmoothLine:
         return parse_sexpr(v, region=region)
 
     def bounded_to_json(self, c, bound):
-        return {"expr": to_sexpr(c), "support": region_to_json(bound)}
+        return {"expr": to_sexpr(c), "support": self.region_to_json(bound)}
 
     def bounded_from_json(self, v, region=None):
         if not isinstance(v, dict) or "expr" not in v or "support" not in v:
             raise ValueError("smooth density needs 'expr' and 'support' fields")
         return (self.from_json(v["expr"], region=region),
-                region_from_json(self, v["support"]))
+                self.region_from_json(v["support"]))
 
     def terms_to_json(self, terms):
         return terms
@@ -487,66 +652,35 @@ class SmoothLine:
 
 
 class OpenSet:
-    """An open subset of a base space.
+    """An open subset of a base space, held as one region of the space
+    (a label frozenset on a discrete space, an open RSet on the line)."""
 
-    Discrete: any label subset. SmoothLine: a canonical finite union of
-    open intervals, stored as an open RSet.
-    """
-
-    __slots__ = ("space", "labels", "rset")
+    __slots__ = ("space", "region")
 
     def __init__(self, space, data):
         self.space = space
-        if space.kind == "discrete":
-            labels = frozenset(str(p) for p in data)
-            stray = labels - set(space.points)
-            if stray:
-                raise ValueError("labels not in the base space: %s"
-                                 % sorted(stray))
-            self.labels = labels
-            self.rset = None
-        else:
-            rs = data if isinstance(data, RSet) else RSet.open_pairs(data)
-            if not rs.is_open:
-                raise ValueError("not an open interval union: %r" % (rs,))
-            self.rset = rs
-            self.labels = None
+        self.region = space.open_region(data)
 
     # -- set operations ---------------------------------------------------
 
     def union(self, other: "OpenSet") -> "OpenSet":
         self._check_space(other)
-        if self.labels is not None:
-            return OpenSet(self.space, self.labels | other.labels)
-        return OpenSet(self.space, self.rset.union(other.rset))
+        return OpenSet(self.space, self.region | other.region)
 
     def intersect(self, other: "OpenSet") -> "OpenSet":
         self._check_space(other)
-        if self.labels is not None:
-            return OpenSet(self.space, self.labels & other.labels)
-        return OpenSet(self.space, self.rset.intersect(other.rset))
+        return OpenSet(self.space, self.region & other.region)
 
     def is_subset(self, other: "OpenSet") -> bool:
         self._check_space(other)
-        if self.labels is not None:
-            return self.labels <= other.labels
-        return self.rset.is_subset(other.rset)
+        return self.region <= other.region
 
     def contains(self, x) -> bool:
-        if self.labels is not None:
-            return x in self.labels
-        return self.rset.contains(x)
+        return x in self.region
 
     @property
     def is_empty(self) -> bool:
-        if self.labels is not None:
-            return not self.labels
-        return self.rset.is_empty
-
-    def points(self):
-        """Labels of a discrete open set, in sorted order."""
-        assert self.labels is not None
-        return sorted(self.labels)
+        return not self.region
 
     def _check_space(self, other):
         if self.space != other.space:
@@ -555,95 +689,25 @@ class OpenSet:
     # -- plumbing -----------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, OpenSet) or self.space != other.space:
-            return False
-        return self.labels == other.labels and self.rset == other.rset
+        return (isinstance(other, OpenSet) and self.space == other.space
+                and self.region == other.region)
 
     def __hash__(self):
-        return hash((self.space, self.labels, self.rset))
+        return hash((self.space, self.region))
 
     def __repr__(self):
-        if self.labels is not None:
-            return "OpenSet(%s)" % sorted(self.labels)
-        return "OpenSet(%r)" % (self.rset,)
+        return "OpenSet(%s)" % (self.to_json(),)
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self):
-        if self.labels is not None:
-            return sorted(self.labels)
-        return [[_ep_to_json(lo), _ep_to_json(hi)]
-                for lo, hi, _, _ in self.rset.pieces]
+        return self.space.region_to_json(self.region)
 
     @classmethod
     def from_json(cls, space, v):
         if not isinstance(v, list):
             raise ValueError("open set must be a JSON array")
-        if space.kind == "discrete":
-            return cls(space, v)
-        return cls(space, _pairs_from_json(v))
-
-
-# -- support regions -----------------------------------------------------
-#
-# A support witness is a frozenset of labels (discrete) or an RSet
-# (smooth, usually closed). Regions are compared exactly.
-
-def region_empty(space):
-    return frozenset() if space.kind == "discrete" else RSet()
-
-
-def region_union(a, b):
-    if isinstance(a, frozenset):
-        return a | b
-    return a.union(b)
-
-
-def region_intersect(a, b):
-    if isinstance(a, frozenset):
-        return a & b
-    return a.intersect(b)
-
-
-def region_is_empty(r) -> bool:
-    if isinstance(r, frozenset):
-        return not r
-    return r.is_empty
-
-
-def region_is_compact(r) -> bool:
-    if isinstance(r, frozenset):
-        return True
-    return r.is_bounded
-
-
-def region_subset_open(r, u: OpenSet, within: OpenSet = None) -> bool:
-    """Is the region inside the open set, relative to an ambient open set?
-
-    With `within` given, only the part of the region meeting `within`
-    must lie in `u`; supports of sections over an open whole set are
-    closures taken in the line, so their overhang outside the ambient
-    set is ignored.
-    """
-    if isinstance(r, frozenset):
-        if within is not None:
-            r = r & within.labels
-        return r <= u.labels
-    if within is not None:
-        r = r.intersect(within.rset)
-    return r.is_subset(u.rset)
-
-
-def region_contains(r, x) -> bool:
-    if isinstance(r, frozenset):
-        return str(x) in r
-    return r.contains(x)
-
-
-def region_intersect_open(r, u: OpenSet):
-    if isinstance(r, frozenset):
-        return r & u.labels
-    return r.intersect(u.rset)
+        return cls(space, space.open_from_json(v))
 
 
 def _pairs_from_json(v):
@@ -655,15 +719,3 @@ def _pairs_from_json(v):
         pairs.append((_ep_from_json(pair[0], "lo"),
                       _ep_from_json(pair[1], "hi")))
     return pairs
-
-
-def region_from_json(space, v):
-    if space.kind == "discrete":
-        return frozenset(str(p) for p in json_shape(v, list, "label region"))
-    return RSet.closed_pairs(_pairs_from_json(v))
-
-
-def region_to_json(r):
-    if isinstance(r, frozenset):
-        return sorted(r)
-    return [[_ep_to_json(lo), _ep_to_json(hi)] for lo, hi, _, _ in r.pieces]

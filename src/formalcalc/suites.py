@@ -30,7 +30,7 @@ from .functions import (FormalFunction, SupportedFormalFunction, bump_cutoff,
                         indicator_cutoff)
 from .multiindex import degree, enumerate_upto, mi
 from .scalars import QC
-from .sheaf import (Cover, _grid_points, build_pou, cosheaf_decompose,
+from .sheaf import (Cover, build_pou, cosheaf_decompose,
                     cosheaf_reassemble, dual_density_family,
                     dual_function_family, flabby_check, functional_residual,
                     functional_zero_residual, mv_phi, mv_psi, mv_split,
@@ -78,7 +78,7 @@ def rand_poly(rng, deg: int = 2):
 
 def _bounded_box(domain: OpenSet):
     """A bounded (lo, hi) window inside the first piece of a smooth set."""
-    lo, hi, _, _ = domain.rset.pieces[0]
+    lo, hi, _, _ = domain.region.pieces[0]
     if lo == NEG_INF and hi == POS_INF:
         return Fraction(-2), Fraction(2)
     if lo == NEG_INF:
@@ -108,7 +108,7 @@ def rand_density(rng, space, domain, k, star) -> FormalDensity:
     if space.kind == "discrete":
         for l in enumerate_upto(k, star):
             if rng.randint(0, 1):
-                w = rand_weights(rng, domain.labels)
+                w = rand_weights(rng, domain.region)
                 if w:
                     coeffs[mi(l)] = ((mi(()), BaseDensity.discrete(space, w)),)
     else:
@@ -128,7 +128,7 @@ def rand_function(rng, space, domain, k, trunc) -> FormalFunction:
     for j in enumerate_upto(k, trunc):
         if rng.randint(0, 2):
             if space.kind == "discrete":
-                c = rand_weights(rng, domain.labels)
+                c = rand_weights(rng, domain.region)
                 if c:
                     coeffs[mi(j)] = c
             else:
@@ -138,7 +138,7 @@ def rand_function(rng, space, domain, k, trunc) -> FormalFunction:
 
 def rand_supported_function(rng, space, domain, k, trunc):
     if space.kind == "discrete":
-        pts = sorted(domain.labels)
+        pts = sorted(domain.region)
         support = {p for p in pts if rng.randint(0, 1)} or {pts[0]}
         coeffs = {}
         for j in enumerate_upto(k, trunc):
@@ -163,7 +163,7 @@ def rand_supported_function(rng, space, domain, k, trunc):
 
 def _rand_base_distribution(rng, space, domain, window=None):
     if space.kind == "discrete":
-        return BaseDistribution(space, weights=rand_weights(rng, domain.labels))
+        return BaseDistribution(space, weights=rand_weights(rng, domain.region))
     terms = []
     if window is not None:
         wlo, whi = window
@@ -193,7 +193,7 @@ def rand_distribution(rng, space, domain, k, star, e_dim) -> FormalDistribution:
 
 def rand_compact_distribution(rng, space, domain, k, star, e_dim):
     if space.kind == "discrete":
-        pts = sorted(domain.labels)
+        pts = sorted(domain.region)
         support = {p for p in pts if rng.randint(0, 1)} or {pts[0]}
         coeffs = {}
         for l in enumerate_upto(k, star):
@@ -256,22 +256,15 @@ def _three_part_cover(space) -> Cover:
 
 
 def function_residual(a: FormalFunction, b: FormalFunction) -> float:
-    """Max coefficient disagreement; exact values on the discrete backend,
-    a sample grid on the smooth line."""
+    """Max coefficient disagreement where either coefficient can be
+    nonzero: at their labels on the discrete backend, on a sample grid
+    of the domain on the smooth line."""
     space = a.space
     worst = 0.0
-    keys = set(a.coeffs) | set(b.coeffs)
-    if space.kind == "discrete":
-        for j in keys:
-            ca, cb = a.coeff(j), b.coeff(j)
-            for p in set(ca) | set(cb):
-                gap = abs(complex(ca.get(p, QC(0))) - complex(cb.get(p, QC(0))))
-                worst = max(worst, gap)
-        return worst
-    pts = _grid_points(a.domain.rset)
-    for j in keys:
+    for j in set(a.coeffs) | set(b.coeffs):
         ca, cb = a.coeff(j), b.coeff(j)
-        for x in pts:
+        for x in space.sample_points(space.support((ca, cb),
+                                                   a.domain.region)):
             gap = abs(complex(space.ev(ca, x)) - complex(space.ev(cb, x)))
             worst = max(worst, gap)
     return worst
@@ -414,7 +407,7 @@ def suite_flabby(space, k, seed, tol, rounds=20):
     failures, worst, checks = [], 0.0, 0
     m = space.whole()
     if space.kind == "discrete":
-        pts = sorted(m.labels)
+        pts = sorted(m.region)
         subsets = []
         if len(pts) <= 4:
             for mask in range(1, 2 ** len(pts)):
@@ -454,34 +447,26 @@ def suite_duality(space, k, trunc, e_dim, seed, tol, rounds=60):
     failures, worst, checks = [], 0.0, 0
     star = min(2, trunc)
     cap = max(trunc, star, 1)
-    if space.kind == "discrete":
+    if smooth:
+        u = OpenSet(space, [(Fraction(-4), Fraction(4))])
+        box = OpenSet(space, [(Fraction(-1), Fraction(1))])
+        f1 = bump_cutoff(space, m, k, cap, Fraction(-3), Fraction(-2),
+                         Fraction(2), Fraction(3))
+        f2 = bump_cutoff(space, m, k, cap, Fraction(-7, 2), Fraction(-5, 2),
+                         Fraction(5, 2), Fraction(7, 2))
+    else:
         pts = space.points
         u = OpenSet(space, pts[:-1]) if len(pts) > 1 else m
-        for rd in range(rounds):
+    for rd in range(rounds):
+        if smooth:
+            t = rand_compact_distribution(rng, space, box, k, star, e_dim)
+            t = t.ext(u)
+        else:
             t = rand_compact_distribution(rng, space, u, k, star, e_dim)
             s = t.support
             f1 = indicator_cutoff(space, m, k, cap, s)
-            extra = s | {sorted(u.labels)[rng.randrange(len(u.labels))]}
+            extra = s | {sorted(u.region)[rng.randrange(len(u.region))]}
             f2 = indicator_cutoff(space, m, k, cap, extra)
-            ufn = rand_function(rng, space, m, k, cap)
-            v1 = cutoff_extend(t, f1)(ufn)
-            v2 = cutoff_extend(t, f2)(ufn)
-            gap = max(abs(complex(x) - complex(y)) for x, y in zip(v1, v2))
-            worst = max(worst, gap)
-            checks += 1
-            if gap > thr:
-                failures.append({"round": rd, "law": "cutoff-extend",
-                                 "residual": gap})
-        return _report("duality", checks, failures, worst)
-    u = OpenSet(space, [(Fraction(-4), Fraction(4))])
-    f1 = bump_cutoff(space, m, k, cap, Fraction(-3), Fraction(-2),
-                     Fraction(2), Fraction(3))
-    f2 = bump_cutoff(space, m, k, cap, Fraction(-7, 2), Fraction(-5, 2),
-                     Fraction(5, 2), Fraction(7, 2))
-    for rd in range(rounds):
-        box = OpenSet(space, [(Fraction(-1), Fraction(1))])
-        t = rand_compact_distribution(rng, space, box, k, star, e_dim)
-        t = t.ext(u)
         ufn = rand_function(rng, space, m, k, cap)
         v1 = cutoff_extend(t, f1)(ufn)
         v2 = cutoff_extend(t, f2)(ufn)
@@ -501,7 +486,7 @@ def suite_jets(space, k, trunc, seed, tol):
     m = space.whole()
     ndim = space.ndim
     r = min(trunc, 4)
-    a = Fraction(0) if space.kind == "smoothline" else space.points[0]
+    a = space.origin()
     basis = point_basis(space, m, k, a, r)
     keys = enumerate_upto(ndim + k, r)
     checks += 1

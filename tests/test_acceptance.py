@@ -96,14 +96,14 @@ def test_pairing_normal_form_matches_brute_force_summation():
         for l in enumerate_upto(k, star):
             terms = []
             for _t in range(rng.randint(0, 2)):
-                w = rand_weights(rng, dom.labels)
+                w = rand_weights(rng, dom.region)
                 if w:
                     terms.append((mi(()), dict(w)))
             if terms:
                 raw_dens[mi(l)] = terms
         raw_fun = {}
         for j in enumerate_upto(k, trunc):
-            w = rand_weights(rng, dom.labels)
+            w = rand_weights(rng, dom.region)
             if w:
                 raw_fun[mi(j)] = w
         eta = FormalDensity(space, dom, k, {
@@ -137,14 +137,14 @@ def test_operator_normal_form_pairs_like_direct_application():
         terms = {}
         for l in enumerate_upto(k, star):
             if rng.randint(0, 1):
-                w = rand_weights(rng, dom.labels)
+                w = rand_weights(rng, dom.region)
                 if w:
                     terms[(mi(()), mi(l))] = BaseDensity.discrete(space, w)
         op = DensityDiffOp(space, dom, k, terms)
         trunc = rng.randint(star, star + 2)
         coeffs = {}
         for j in enumerate_upto(k, trunc):
-            w = rand_weights(rng, dom.labels)
+            w = rand_weights(rng, dom.region)
             if w:
                 coeffs[mi(j)] = w
         u = FormalFunction(space, dom, k, trunc, coeffs)
@@ -179,14 +179,14 @@ def test_normal_form_commutes_with_extension_by_zero():
     space = Discrete(["a", "b", "c", "d", "e"])
     whole = space.whole()
     for _ in range(200):
-        pts = sorted(whole.labels)
+        pts = sorted(whole.region)
         sub = [p for p in pts if rng.randint(0, 1)] or [pts[0]]
         v = OpenSet(space, sub)
         k = rng.randint(1, 2)
         terms = {}
         for l in enumerate_upto(k, rng.randint(0, 2)):
             if rng.randint(0, 1):
-                w = rand_weights(rng, v.labels)
+                w = rand_weights(rng, v.region)
                 if w:
                     terms[(mi(()), mi(l))] = BaseDensity.discrete(space, w)
         op = DensityDiffOp(space, v, k, terms)
@@ -200,7 +200,7 @@ def test_extension_by_zero_has_trivial_kernel_on_dual_families():
     open subset kills no member of the full dual density family."""
     space = Discrete(["a", "b", "c", "d"])
     whole = space.whole()
-    pts = sorted(whole.labels)
+    pts = sorted(whole.region)
     subsets = 0
     for mask in range(1, 2 ** len(pts)):
         sub = [p for i, p in enumerate(pts) if mask & (1 << i)]
@@ -220,7 +220,7 @@ def test_mayer_vietoris_sequence_is_exact():
     extension identities exact."""
     rng = random.Random(20260820)
     space = Discrete(["a", "b", "c", "d"])
-    pts = sorted(space.whole().labels)
+    pts = sorted(space.whole().region)
     configs = []
     for m1 in range(1, 16):
         for m2 in range(1, 16):
@@ -258,7 +258,7 @@ def _rand_discrete_density(rng, space, domain, k, star):
     coeffs = {}
     for l in enumerate_upto(k, star):
         if rng.randint(0, 1):
-            w = rand_weights(rng, domain.labels)
+            w = rand_weights(rng, domain.region)
             if w:
                 coeffs[mi(l)] = ((mi(()), BaseDensity.discrete(space, w)),)
     return FormalDensity(space, domain, k, coeffs)
@@ -279,7 +279,7 @@ def test_restrict_then_glue_is_the_identity():
         coeffs = {}
         for j in enumerate_upto(1, 2):
             w = {p: tuple(rand_qc(rng) for _ in range(1))
-                 for p in sorted(whole.labels) if rng.randint(0, 1)}
+                 for p in sorted(whole.region) if rng.randint(0, 1)}
             if w:
                 coeffs[mi(j)] = tuple(
                     BaseDistribution(space,
@@ -291,7 +291,7 @@ def test_restrict_then_glue_is_the_identity():
         assert functional_residual(glued, g, probes)[0] == 0.0
         t = FormalDistribution(space, whole, 1, 1, {
             mi(l): (BaseDistribution(space,
-                                     weights=rand_weights(rng, whole.labels)),)
+                                     weights=rand_weights(rng, whole.region)),)
             for l in enumerate_upto(1, 2) if rng.randint(0, 1)})
         glued = sheaf_glue([t.restrict(p) for p in cover.parts], pou)
         probes = dual_function_family(space, whole, 1, 2)
@@ -326,7 +326,7 @@ def test_cosheaf_decomposition_right_inverts_extension():
     for _ in range(60):
         coeffs = {}
         for j in enumerate_upto(1, 2):
-            w = rand_weights(rng, whole.labels)
+            w = rand_weights(rng, whole.region)
             if w:
                 coeffs[mi(j)] = w
         u = SupportedFormalFunction(space, whole, 1, 2, coeffs)
@@ -337,7 +337,7 @@ def test_cosheaf_decomposition_right_inverts_extension():
         assert back == eta
         dist = CompactFormalDistribution(space, whole, 1, 1, {
             mi(l): (BaseDistribution(space,
-                                     weights=rand_weights(rng, whole.labels)),)
+                                     weights=rand_weights(rng, whole.region)),)
             for l in enumerate_upto(1, 2) if rng.randint(0, 1)})
         back = cosheaf_reassemble(cosheaf_decompose(dist, pou), whole)
         probes = dual_function_family(space, whole, 1, 2)
@@ -353,7 +353,7 @@ def test_dual_extension_is_cutoff_independent():
     space = Discrete(["a", "b", "c", "d", "e"])
     whole = space.whole()
     for _ in range(100):
-        pts = sorted(whole.labels)
+        pts = sorted(whole.region)
         supp = frozenset(p for p in pts if rng.randint(0, 1)) \
             or frozenset({pts[0]})
         coeffs = {}
@@ -368,7 +368,7 @@ def test_dual_extension_is_cutoff_independent():
         extra = supp | {pts[rng.randrange(len(pts))]}
         f2 = indicator_cutoff(space, whole, 1, 2, extra)
         u = FormalFunction(space, whole, 1, 2,
-                           {mi(j): rand_weights(rng, whole.labels)
+                           {mi(j): rand_weights(rng, whole.region)
                             for j in enumerate_upto(1, 2)})
         assert cutoff_extend(eta, f1)(u) == cutoff_extend(eta, f2)(u)
     print("PASS: dual extension agrees across admissible cutoffs on 100 "
@@ -415,20 +415,20 @@ def test_vector_valued_distributions_act_componentwise():
             if rng.randint(0, 1):
                 coeffs[mi(l)] = tuple(
                     BaseDistribution(space,
-                                     weights=rand_weights(rng, whole.labels))
+                                     weights=rand_weights(rng, whole.region))
                     for _ in range(3))
         eta = FormalDistribution(space, whole, k, 3, coeffs)
         other = FormalDistribution(space, whole, k, 3, {
             mi(l): tuple(BaseDistribution(space,
                                           weights=rand_weights(rng,
-                                                               whole.labels))
+                                                               whole.region))
                          for _ in range(3))
             for l in enumerate_upto(k, star) if rng.randint(0, 1)})
         c = rand_qc(rng)
         trunc = rng.randint(star, star + 2)
         fc = {}
         for j in enumerate_upto(k, trunc):
-            w = rand_weights(rng, whole.labels)
+            w = rand_weights(rng, whole.region)
             if w:
                 fc[mi(j)] = w
         u = SupportedFormalFunction(space, whole, k, trunc, fc)

@@ -210,6 +210,28 @@ def test_huge_power_of_x_is_an_input_error(capsys, tmp_path):
     assert "degree" in err
 
 
+def test_too_many_y_indices_is_an_input_error(capsys, tmp_path):
+    # k = 12 at trunc 4 gives C(16, 4) = 1820 y-indices, past the cap;
+    # the scenario is refused when it loads, before any check runs
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "schema": 1, "backend": "discrete", "points": ["a"], "k": 12,
+        "trunc": 4}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "jets", "--scenario", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "y-indices" in err
+    # the same k at trunc 2 (91 indices) loads, and --trunc counts
+    path.write_text(json.dumps({
+        "schema": 1, "backend": "discrete", "points": ["a"], "k": 12,
+        "trunc": 2}))
+    assert Scenario.load(str(path)).k == 12
+    code, _, err = run(capsys, "check", "jets", "--scenario", str(path),
+                       "--trunc", "4")
+    assert code == 2 and "y-indices" in err
+
+
 def test_internal_error_exits_three(capsys, monkeypatch):
     import formalcalc.cli as cli
 

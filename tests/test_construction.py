@@ -36,6 +36,11 @@ W = BaseDistribution.from_weights(DS, {"a": 1})
 W_OTHER = BaseDistribution.from_weights(OTHER, {"a": 1})
 TAU = BaseDensity.discrete(DS, {"a": 1})
 TAU_OTHER = BaseDensity.discrete(OTHER, {"a": 1})
+# weights at d, outside U, and a point term outside an interval
+TAU_D = BaseDensity.discrete(DS, {"d": 1})
+W_D = BaseDistribution(DS, weights={"d": 1})
+UNIT = OpenSet(SL, [(Fraction(0), Fraction(1))])
+POINT_2 = BaseDistribution.point(SL, 2)
 
 # (constructor, bad input, arguments, expected refusal)
 REFUSALS = [
@@ -70,6 +75,8 @@ REFUSALS = [
      (DS, M, 1, {(0,): (((1,), TAU),)}), ValueError),
     (FormalDensity, "coefficient over another space",
      (DS, M, 1, {(0,): (((), TAU_OTHER),)}), DomainMismatchError),
+    (FormalDensity, "weight outside the domain",
+     (DS, U, 1, {(0,): (((), TAU_D),)}), DomainMismatchError),
     (FormalDistribution, "negative index", (DS, M, 1, 1, {(-1,): (W,)}),
      ValueError),
     (FormalDistribution, "wrong-length index", (DS, M, 1, 1, {(0, 0): (W,)}),
@@ -78,6 +85,10 @@ REFUSALS = [
      ValueError),
     (FormalDistribution, "coefficient over another space",
      (DS, M, 1, 1, {(0,): (W_OTHER,)}), DomainMismatchError),
+    (FormalDistribution, "weight outside the domain",
+     (DS, U, 1, 1, {(0,): (W_D,)}), DomainMismatchError),
+    (FormalDistribution, "point term outside the domain",
+     (SL, UNIT, 1, 1, {(0,): (POINT_2,)}), DomainMismatchError),
     (CompactFormalDistribution, "negative index",
      (DS, M, 1, 1, {(-1,): (W,)}), ValueError),
     (CompactFormalDistribution, "coefficient over another space",
@@ -92,6 +103,10 @@ REFUSALS = [
      TruncationError),
     (GeneralizedFunction, "coefficient over another space",
      (DS, M, 1, 2, 1, {(0,): (W_OTHER,)}), DomainMismatchError),
+    (GeneralizedFunction, "weight outside the domain",
+     (DS, U, 1, 2, 1, {(0,): (W_D,)}), DomainMismatchError),
+    (GeneralizedFunction, "point term outside the domain",
+     (SL, UNIT, 1, 2, 1, {(0,): (POINT_2,)}), DomainMismatchError),
     (BaseDistribution, "label outside the space", (DS, {"e": 1}),
      DomainMismatchError),
     (BaseDistribution, "weight that is no number", (DS, {"a": "x"}),
@@ -170,7 +185,7 @@ def _scalar(rng):
 def _cutoff(space, whole, part, k, trunc, rng):
     """A cutoff over the whole set supported inside part."""
     if space.kind == "discrete":
-        labels = [p for p in sorted(part.labels) if rng.randint(0, 1)]
+        labels = [p for p in sorted(part.region) if rng.randint(0, 1)]
         return indicator_cutoff(space, whole, k, trunc, labels)
     return bump_cutoff(space, whole, k, trunc, Fraction(-3), Fraction(-2),
                        Fraction(-1), Fraction(0))

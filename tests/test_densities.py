@@ -25,7 +25,7 @@ def rand_function(rng, domain, k, trunc):
         if rng.random() < 0.3:
             continue
         coeffs[j] = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                     for p in sorted(domain.labels) if rng.random() < 0.7}
+                     for p in sorted(domain.region) if rng.random() < 0.7}
     return FormalFunction(DS, domain, k, trunc, coeffs)
 
 
@@ -36,7 +36,7 @@ def rand_density(rng, domain, k, star):
             continue
         tau = BaseDensity.discrete(
             DS, {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                 for p in sorted(domain.labels) if rng.random() < 0.6})
+                 for p in sorted(domain.region) if rng.random() < 0.6})
         coeffs[l] = ((mi(()), tau),)
     return FormalDensity(DS, domain, k, coeffs)
 

@@ -26,7 +26,7 @@ def rand_function(rng, domain, k, trunc):
         if rng.random() < 0.3:
             continue
         coeffs[j] = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                     for p in sorted(domain.labels) if rng.random() < 0.7}
+                     for p in sorted(domain.region) if rng.random() < 0.7}
     return FormalFunction(DS, domain, k, trunc, coeffs)
 
 
@@ -37,7 +37,7 @@ def rand_op(rng, domain, k, star):
             continue
         tau = BaseDensity.discrete(
             DS, {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                 for p in sorted(domain.labels) if rng.random() < 0.6})
+                 for p in sorted(domain.region) if rng.random() < 0.6})
         if not tau.is_exactly_zero():
             terms[(mi(()), l)] = tau
     return DensityDiffOp(DS, domain, k, terms)

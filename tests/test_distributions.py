@@ -29,7 +29,7 @@ SL = SmoothLine()
 
 
 def rand_supported(rng, domain, k, trunc):
-    pts = sorted(domain.labels)
+    pts = sorted(domain.region)
     supp = frozenset(p for p in pts if rng.random() < 0.7) or frozenset(pts[:1])
     coeffs = {}
     for j in enumerate_upto(k, trunc):
@@ -48,7 +48,7 @@ def rand_distribution(rng, domain, k, star, e_dim):
         coeffs[l] = tuple(
             BaseDistribution.from_weights(
                 DS, {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                     for p in sorted(domain.labels) if rng.random() < 0.6})
+                     for p in sorted(domain.region) if rng.random() < 0.6})
             for _ in range(e_dim))
     return FormalDistribution(DS, domain, k, e_dim, coeffs)
 

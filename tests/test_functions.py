@@ -24,7 +24,7 @@ def rand_function(rng, space, domain, k, trunc):
         if rng.random() < 0.3:
             continue
         c = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-             for p in sorted(domain.labels) if rng.random() < 0.7}
+             for p in sorted(domain.region) if rng.random() < 0.7}
         coeffs[j] = c
     return FormalFunction(space, domain, k, trunc, coeffs)
 

@@ -41,7 +41,7 @@ def rand_density(rng, domain, k, star):
             continue
         tau = BaseDensity.discrete(
             DS, {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                 for p in sorted(domain.labels) if rng.random() < 0.7})
+                 for p in sorted(domain.region) if rng.random() < 0.7})
         coeffs[l] = ((mi(()), tau),)
     return FormalDensity(DS, domain, k, coeffs)
 
@@ -72,13 +72,13 @@ def test_discrete_pou_first_match_indicators():
     f1, f2 = pou.functions
     assert f1.coeff((0,)) == {"a": QC(1), "b": QC(1), "c": QC(1)}
     assert f2.coeff((0,)) == {"d": QC(1)}
-    assert f1.support <= U1.labels and f2.support <= U2.labels
+    assert f1.support <= U1.region and f2.support <= U2.region
 
 
 def test_pou_constructor_validations():
     cover = Cover(DS.whole(), [U1, U2])
-    ind1 = indicator_cutoff(DS, DS.whole(), 1, 1, U1.labels)
-    ind2 = indicator_cutoff(DS, DS.whole(), 1, 1, U2.labels)
+    ind1 = indicator_cutoff(DS, DS.whole(), 1, 1, U1.region)
+    ind2 = indicator_cutoff(DS, DS.whole(), 1, 1, U2.region)
     with pytest.raises(ValueError):
         PartitionOfUnity(cover, [ind1])
     with pytest.raises(CertificateError):
@@ -102,7 +102,7 @@ def test_smooth_pou_two_parts():
     pou = build_pou(cover, 1, 1)
     assert pou.grid_residual <= 1e-12
     for f, part in zip(pou.functions, cover.parts):
-        assert f.support.is_subset(part.rset)
+        assert f.support.is_subset(part.region)
         assert list(f.coeffs) == [(0,)]
     # the shared-denominator construction is an algebraic identity
     assert pou.grid_residual < 1e-20
@@ -122,7 +122,7 @@ def test_smooth_pou_three_parts_with_gap_piece():
     pou = build_pou(cover, 1, 0)
     assert pou.grid_residual <= 1e-12
     for f, part in zip(pou.functions, cover.parts):
-        assert f.support.is_subset(part.rset)
+        assert f.support.is_subset(part.region)
 
 
 # -- spanning families --------------------------------------------------------------
@@ -294,7 +294,7 @@ def test_cosheaf_roundtrip_smooth_compact_distribution():
                                     {(0,): (w,), (1,): (w,)}, support=box)
     locs = cosheaf_decompose(eta, pou)
     for loc, part in zip(locs, cover.parts):
-        assert loc.support.is_subset(part.rset)
+        assert loc.support.is_subset(part.region)
     back = cosheaf_reassemble(locs, whole)
     probes = dual_function_family(SL, whole, 1, 1, xdeg_cap=1)
     resid, _ = functional_residual(back, eta, probes)

@@ -1,12 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from formalcalc import cli
 from formalcalc.spaces import (Discrete, NEG_INF, OpenSet, POS_INF, RSet,
-                               SmoothLine, region_from_json, region_intersect,
-                               region_is_compact, region_subset_open,
-                               region_to_json, region_union)
+                               SmoothLine)
 
 
 def _sample_points():
@@ -44,6 +44,12 @@ def test_rset_boolean_algebra_by_membership():
         assert _member_vector(a.complement(), pts) == \
             tuple(not x for x in va)
         assert a.is_subset(b) == all(y for x, y in zip(va, vb) if x)
+        # the frozenset spelling agrees with the named methods
+        assert a | b == a.union(b) and a & b == a.intersect(b)
+        assert a - b == a.difference(b)
+        assert (a <= b) == a.is_subset(b)
+        assert bool(a - b) == (not a.difference(b).is_empty)
+        assert all((p in a) == a.contains(p) for p in pts)
 
 
 def test_rset_canonical_pieces():
@@ -68,8 +74,9 @@ def test_rset_unbounded():
     r = RSet([(NEG_INF, Fraction(0), True, False)])
     assert r.contains(Fraction(-1000))
     assert not r.is_bounded
-    assert not region_is_compact(r)
-    assert region_is_compact(RSet.closed_pairs([(Fraction(0), Fraction(1))]))
+    assert not SmoothLine().is_compact(r)
+    assert SmoothLine().is_compact(RSet.closed_pairs([(Fraction(0),
+                                                       Fraction(1))]))
 
 
 def test_discrete_space_and_opensets():
@@ -78,9 +85,9 @@ def test_discrete_space_and_opensets():
     u = OpenSet(sp, ["a", "3"])
     v = OpenSet(sp, ["a"])
     assert v.is_subset(u) and not u.is_subset(v)
-    assert u.intersect(v).labels == frozenset({"a"})
-    assert u.union(v).labels == frozenset({"a", "3"})
-    assert sp.whole().labels == frozenset({"3", "a", "b"})
+    assert u.intersect(v).region == frozenset({"a"})
+    assert u.union(v).region == frozenset({"a", "3"})
+    assert sp.whole().region == frozenset({"3", "a", "b"})
     with pytest.raises(ValueError):
         OpenSet(sp, ["zzz"])
 
@@ -107,13 +114,62 @@ def test_openset_json_roundtrip():
 def test_region_helpers():
     spd = Discrete(["p", "q", "r"])
     u = OpenSet(spd, ["p", "q"])
-    assert region_subset_open(frozenset({"p"}), u)
-    assert not region_subset_open(frozenset({"r"}), u)
-    assert region_union(frozenset({"p"}), frozenset({"q"})) == \
-        frozenset({"p", "q"})
-    assert region_intersect(frozenset({"p", "q"}), frozenset({"q"})) == \
-        frozenset({"q"})
+    assert frozenset({"p"}) <= u.region
+    assert not frozenset({"r"}) <= u.region
+    assert frozenset({"p"}) | frozenset({"q"}) == frozenset({"p", "q"})
+    assert frozenset({"p", "q"}) & frozenset({"q"}) == frozenset({"q"})
     sps = SmoothLine()
-    r = region_from_json(sps, [[0, 1], ["3/2", None]])
+    r = sps.region_from_json([[0, 1], ["3/2", None]])
     assert r.contains(Fraction(1)) and r.contains(Fraction(100))
-    assert region_from_json(sps, region_to_json(r)) == r
+    assert sps.region_from_json(sps.region_to_json(r)) == r
+
+
+# (space, open set data, a smaller open set's data, a point inside the
+# smaller one, a point of the space outside the larger one)
+BACKENDS = [
+    (Discrete(["a", "b", "c"]), ["a", "b"], ["b"], "b", "c"),
+    (SmoothLine(), [(Fraction(0), Fraction(2))], [(Fraction(1), Fraction(2))],
+     Fraction(3, 2), Fraction(5)),
+]
+
+
+@pytest.mark.parametrize("space, big, small, inner, outer", BACKENDS,
+                         ids=["discrete", "smoothline"])
+def test_openset_region_protocol(space, big, small, inner, outer):
+    u, v = OpenSet(space, big), OpenSet(space, small)
+    assert u.union(v) == u and u.intersect(v) == v
+    assert v.is_subset(u) and not u.is_subset(v)
+    assert u.contains(inner) and v.contains(inner)
+    assert not u.contains(outer)
+    assert not u.is_empty
+    assert OpenSet(space, []).is_empty
+    assert OpenSet(space, []).region == space.empty_region()
+    assert u.intersect(OpenSet(space, [])).is_empty
+    for w in (u, v, space.whole(), OpenSet(space, [])):
+        assert OpenSet.from_json(space, w.to_json()) == w
+        assert hash(OpenSet.from_json(space, w.to_json())) == hash(w)
+    assert space.point(inner) == inner
+    assert space.point_region(inner) <= v.region
+    assert space.is_compact(space.point_region(inner))
+
+
+def test_point_refusals_and_cli_messages(tmp_path, capsys):
+    with pytest.raises(ValueError, match="unknown point 'z'"):
+        Discrete(["a", "b"]).point("z")
+    with pytest.raises(ValueError, match="cannot parse 'x' as a rational"):
+        SmoothLine().point("x")
+    with pytest.raises(ValueError, match="cannot parse '1/0' as a rational"):
+        SmoothLine().point("1/0")
+    assert SmoothLine().point("3/4") == Fraction(3, 4)
+    cases = [({"schema": 1, "backend": "discrete", "points": ["a", "b"],
+               "functions": {"u": {"trunc": 2, "coeffs": {}}}},
+              "z", "error: unknown point 'z' (points: a, b)"),
+             ({"schema": 1, "backend": "smoothline",
+               "functions": {"u": {"trunc": 2, "coeffs": {}}}},
+              "x", "error: cannot parse 'x' as a rational abscissa")]
+    for data, point, message in cases:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["jet", "u", point, "1", "--scenario",
+                         str(path)]) == 2
+        assert capsys.readouterr().err.strip() == message
