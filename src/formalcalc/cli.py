@@ -2,12 +2,12 @@
 
 Commands operate on named objects from a scenario file (see scenario.py
 for the schema). Exit codes: 0 on success, 1 when a verification or
-certified construction fails, 2 on input errors (including expressions
-nested past the recursion limit), 3 on any other exception, which is a
-fault of formalcalc itself; the four are never conflated. With
---json the report is emitted as canonical JSON (sorted keys, no
-whitespace), so a given (scenario, seed) pair yields byte-identical
-output across runs.
+certified construction fails, 2 on input errors (including text nested
+past the recursion limit of the expression or JSON parser), 3 on any
+other exception, which is a fault of formalcalc itself; the four are
+never conflated. With --json the report is emitted as canonical JSON
+(sorted keys, no whitespace), so a given (scenario, seed) pair yields
+byte-identical output across runs.
 """
 
 from __future__ import annotations
@@ -276,9 +276,9 @@ def _main(argv) -> int:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RecursionError:
-        # exact evaluation, printing and differentiation recurse, so a
-        # scenario expression nested past the recursion limit cannot be
-        # handled by them
+        # the expression parser and the JSON decoder recurse once per
+        # nesting level, so text nested past the recursion limit cannot
+        # be read; every walk over a parsed expression is iterative
         print("error: scenario input nests too deeply (Python recursion "
               "limit %d)" % sys.getrecursionlimit(), file=sys.stderr)
         return 2

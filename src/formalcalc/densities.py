@@ -107,7 +107,7 @@ class FormalDensity(_GradedSection):
         if i is None:
             i = (0,) * space.ndim
         eta = cls(space, domain, k)
-        l, i, tau = eta._index(l), eta._x_index(i), eta._own(tau)
+        l, i, tau = eta._index(l), eta._x_index(i), eta._own_inside(tau)
         # one term is already in canonical form
         if not tau.is_exactly_zero():
             eta.coeffs[l] = ((i, tau),)

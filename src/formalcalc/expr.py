@@ -31,10 +31,13 @@ Float64 evaluation (quadrature, grid scans) compiles the expression
 once into a straight-line Python function x -> complex (`compile_f`):
 one statement per distinct subterm, constants bound once as complex
 values, each statement the float operation of its node. `ev_f` is the
-one-point entry to the same program. Compilation and `poly_coeffs`
-share one iterative walk, so their depth is limited by memory rather
-than by the recursion limit; `ev`, `ibounds`, `diff` and `to_sexpr`
-still recurse.
+one-point entry to the same program.
+
+`_fold` over `_postorder` is the one walk: evaluation, bounds,
+derivatives, printing (so `==` and `hash`), `poly_coeffs` and the
+program visit each distinct node once, children first. So only the
+parser recurses, and a derivative shares the derivatives of shared
+subterms.
 
 Quotient denominators are certified positive at construction by exact
 adaptive interval bisection over the region where the quotient will be
@@ -44,6 +47,7 @@ evaluated (the whole line by default).
 from __future__ import annotations
 
 import math
+import operator
 import re as _re
 from fractions import Fraction
 
@@ -81,11 +85,13 @@ class Expr:
     def __rmul__(self, other):
         return mul(_as_expr(other), self)
 
+    # equal structure, region of a quotient aside: the printed form
     def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
+        return self is other or (type(self) is type(other)
+                                 and to_sexpr(self) == to_sexpr(other))
 
     def __hash__(self):
-        return hash((type(self).__name__, self._key()))
+        return hash(to_sexpr(self))
 
     def __repr__(self):
         return to_sexpr(self)
@@ -97,15 +103,9 @@ class Const(Expr):
     def __init__(self, v):
         self.v = qc(v)
 
-    def _key(self):
-        return (self.v.re, self.v.im)
-
 
 class Var(Expr):
     __slots__ = ()
-
-    def _key(self):
-        return ()
 
 
 class Add(Expr):
@@ -114,18 +114,12 @@ class Add(Expr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def _key(self):
-        return (self.a, self.b)
-
 
 class Mul(Expr):
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def _key(self):
-        return (self.a, self.b)
 
 
 class Div(Expr):
@@ -136,18 +130,12 @@ class Div(Expr):
     def __init__(self, num, den, region):
         self.num, self.den, self.region = num, den, region
 
-    def _key(self):
-        return (self.num, self.den)
-
 
 class Pow(Expr):
     __slots__ = ("base", "n")
 
     def __init__(self, base, n):
         self.base, self.n = base, n
-
-    def _key(self):
-        return (self.base, self.n)
 
 
 class Kern(Expr):
@@ -157,9 +145,6 @@ class Kern(Expr):
 
     def __init__(self, arg, m):
         self.arg, self.m = arg, m
-
-    def _key(self):
-        return (self.arg, self.m)
 
 
 X = Var()
@@ -232,22 +217,25 @@ def _qc_bits(v: QC) -> int:
 
 
 def _qc_pow(a: QC, n: int) -> QC:
-    """Exact a**n by repeated squaring.
+    """Exact a**n; ValueError once a factor passes MAX_FOLD_BITS, so
+    (pow 2 50000000) is refused at once instead of running for hours."""
+    return _squarings(a, n, QC_ONE, operator.mul, _qc_bits)
 
-    Raises ValueError once a factor or the result passes MAX_FOLD_BITS,
-    so (pow 2 50000000) is refused at once instead of running for hours.
-    """
-    out = QC_ONE
+
+def _squarings(a, n: int, one, times, bits):
+    """a**n by repeated squaring under `times`, raising ValueError once
+    bits() of a factor or of the result passes MAX_FOLD_BITS."""
+    out = one
     while True:
         if n & 1:
-            out = out * a
-            if _qc_bits(out) > MAX_FOLD_BITS:
+            out = times(out, a)
+            if bits(out) > MAX_FOLD_BITS:
                 break
         n >>= 1
         if not n:
             return out
-        a = a * a
-        if _qc_bits(a) > MAX_FOLD_BITS:
+        a = times(a, a)
+        if bits(a) > MAX_FOLD_BITS:
             break
     raise ValueError("exact power exceeds %d bits" % MAX_FOLD_BITS)
 
@@ -290,33 +278,87 @@ def _div_unchecked(num, den, region) -> Expr:
     return Div(num, den, region)
 
 
+# -- the one walk ------------------------------------------------------------------
+
+_CHILDREN = {Const: (), Var: (), Add: ("a", "b"), Mul: ("a", "b"),
+             Div: ("num", "den"), Pow: ("base",), Kern: ("arg",)}
+
+
+def _postorder(e: Expr) -> list:
+    """Every distinct node object of e once, each after its children.
+
+    Children are taken left to right, so the list is the order in which
+    a recursive left-to-right walk first finishes each node. Iterative:
+    depth is bounded by memory, not by the recursion limit.
+    """
+    out = []
+    seen = set()
+    stack = [(e, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            out.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kids = _CHILDREN.get(type(node))
+        if kids is None:
+            raise TypeError("unknown expression node %r" % (node,))
+        stack.append((node, True))
+        for k in reversed(kids):
+            stack.append((getattr(node, k), False))
+    return out
+
+
+def _fold(nodes: list, visit):
+    """The value of the last node of a `_postorder` list, its root.
+
+    Calls visit(node, *child values) once per node, children first, so
+    a subterm shared by several parents is visited once and its value
+    read by each of them.
+    """
+    vals = {}
+    for node in nodes:
+        kids = _CHILDREN[type(node)]
+        if not kids:
+            v = visit(node)
+        elif len(kids) == 1:
+            v = visit(node, vals[id(getattr(node, kids[0]))])
+        else:
+            v = visit(node, vals[id(getattr(node, kids[0]))],
+                      vals[id(getattr(node, kids[1]))])
+        vals[id(node)] = v
+    return v
+
+
 # -- differentiation -----------------------------------------------------------
 
 def diff(e: Expr, order: int = 1) -> Expr:
     for _ in range(order):
-        e = _diff1(e)
+        e = _fold(_postorder(e), _diff_visit)
     return e
 
 
-def _diff1(e: Expr) -> Expr:
-    if isinstance(e, (Const,)):
+def _diff_visit(e: Expr, *d) -> Expr:
+    """d/dx of e from the derivatives d of its children."""
+    kind = type(e)
+    if kind is Const:
         return ZERO
-    if isinstance(e, Var):
+    if kind is Var:
         return ONE
-    if isinstance(e, Add):
-        return add(_diff1(e.a), _diff1(e.b))
-    if isinstance(e, Mul):
-        return add(mul(_diff1(e.a), e.b), mul(e.a, _diff1(e.b)))
-    if isinstance(e, Div):
-        num = sub(mul(_diff1(e.num), e.den), mul(e.num, _diff1(e.den)))
+    if kind is Add:
+        return add(d[0], d[1])
+    if kind is Mul:
+        return add(mul(d[0], e.b), mul(e.a, d[1]))
+    if kind is Div:
+        num = sub(mul(d[0], e.den), mul(e.num, d[1]))
         # den^2 inherits positivity from den on the same region
         return _div_unchecked(num, pow_(e.den, 2), e.region)
-    if isinstance(e, Pow):
-        return mul(mul(Const(e.n), pow_(e.base, e.n - 1)), _diff1(e.base))
-    if isinstance(e, Kern):
-        inner = add(Kern(e.arg, e.m + 2), mul(Const(-e.m), Kern(e.arg, e.m + 1)))
-        return mul(inner, _diff1(e.arg))
-    raise TypeError("unknown expression node %r" % (e,))
+    if kind is Pow:
+        return mul(mul(Const(e.n), pow_(e.base, e.n - 1)), d[0])
+    inner = add(Kern(e.arg, e.m + 2), mul(Const(-e.m), Kern(e.arg, e.m + 1)))
+    return mul(inner, d[0])
 
 
 # -- exact / high-precision evaluation ------------------------------------------
@@ -366,22 +408,23 @@ def ev(e: Expr, x):
     x may be an int, Fraction, or float. mpmath results are carried at
     30 significant digits.
     """
-    if isinstance(e, Const):
-        return e.v
-    if isinstance(e, Var):
-        if isinstance(x, (int, Fraction)):
-            return QC(x)
-        return mpf(x)
-    if isinstance(e, Add):
-        return _vadd(ev(e.a, x), ev(e.b, x))
-    if isinstance(e, Mul):
-        return _vmul(ev(e.a, x), ev(e.b, x))
-    if isinstance(e, Div):
-        return _vdiv(ev(e.num, x), ev(e.den, x))
-    if isinstance(e, Pow):
-        return _vpow(ev(e.base, x), e.n)
-    if isinstance(e, Kern):
-        t = ev(e.arg, x)
+    def visit(e, *v):
+        kind = type(e)
+        if kind is Const:
+            return e.v
+        if kind is Var:
+            if isinstance(x, (int, Fraction)):
+                return QC(x)
+            return mpf(x)
+        if kind is Add:
+            return _vadd(*v)
+        if kind is Mul:
+            return _vmul(*v)
+        if kind is Div:
+            return _vdiv(*v)
+        if kind is Pow:
+            return _vpow(v[0], e.n)
+        t = v[0]
         if isinstance(t, QC):
             if not t.is_real:
                 raise BackendError("kernel argument is not real")
@@ -397,7 +440,7 @@ def ev(e: Expr, x):
                 return QC_ZERO
             tm = t
         return mp.exp(-1 / tm) / (tm ** e.m if e.m else 1)
-    raise TypeError("unknown expression node %r" % (e,))
+    return _fold(_postorder(e), visit)
 
 
 def ev_c(e: Expr, x) -> complex:
@@ -413,10 +456,7 @@ def ev_f(e: Expr, x: float) -> complex:
     return compile_f(e)(x)
 
 
-# -- the iterative walk and the compiled float program ---------------------------
-
-_CHILDREN = {Const: (), Var: (), Add: ("a", "b"), Mul: ("a", "b"),
-             Div: ("num", "den"), Pow: ("base",), Kern: ("arg",)}
+# -- the compiled float program ----------------------------------------------------
 
 # one statement per node kind; {0}, {1} are the child values, {p} is n or m.
 # Each does the float operation of the recursive left-to-right
@@ -433,33 +473,6 @@ _STATEMENT = {
 }
 
 
-def _postorder(e: Expr) -> list:
-    """Every distinct node object of e once, each after its children.
-
-    Children are taken left to right, so the list is the order in which
-    a recursive left-to-right walk first finishes each node. Iterative:
-    depth is bounded by memory, not by the recursion limit.
-    """
-    out = []
-    seen = set()
-    stack = [(e, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            out.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        kids = _CHILDREN.get(type(node))
-        if kids is None:
-            raise TypeError("unknown expression node %r" % (node,))
-        stack.append((node, True))
-        for k in reversed(kids):
-            stack.append((getattr(node, k), False))
-    return out
-
-
 def _float_program(e: Expr):
     """Source of e's float64 program and the constants it reads.
 
@@ -474,15 +487,14 @@ def _float_program(e: Expr):
     lines = []
     consts = {}
     by_key = {}
-    name_of = {}
-    for node in _postorder(e):
+
+    def visit(node, *kids):
         kind = type(node)
         if kind is Const:
             v = node.v
             key = (kind, v.re.numerator, v.re.denominator, v.im.numerator,
                    v.im.denominator)
         else:
-            kids = tuple([name_of[id(getattr(node, k))] for k in _CHILDREN[kind]])
             key = (kind, kids,
                    node.n if kind is Pow else node.m if kind is Kern else None)
         name = by_key.get(key)
@@ -495,8 +507,8 @@ def _float_program(e: Expr):
                 lines.append("    %s = %s" % (name, _STATEMENT[kind].format(
                     *kids, p=key[2])))
             by_key[key] = name
-        name_of[id(node)] = name
-    lines.append("    return %s" % name_of[id(e)])
+        return name
+    lines.append("    return %s" % _fold(_postorder(e), visit))
     return "def _f(x):\n" + "\n".join(lines) + "\n", consts
 
 
@@ -555,41 +567,28 @@ def poly_coeffs(e: Expr):
     nodes = _postorder(e)
     if any(type(n) is Kern or type(n) is Div for n in nodes):
         return None
-    coeffs = {}
-    for n in nodes:
-        kind = type(n)
-        if kind is Const:
-            c = {} if not n.v else {0: n.v}
-        elif kind is Var:
-            c = {1: QC_ONE}
-        elif kind is Add:
-            c = _poly_add(coeffs[id(n.a)], coeffs[id(n.b)])
-        elif kind is Mul:
-            c = _poly_mul(coeffs[id(n.a)], coeffs[id(n.b)])
-        else:
-            c = _poly_pow(coeffs[id(n.base)], n.n)
-        coeffs[id(n)] = c
-    return coeffs[id(e)]
+    return _fold(nodes, _poly_visit)
+
+
+def _poly_visit(n: Expr, *c) -> dict:
+    kind = type(n)
+    if kind is Const:
+        return {} if not n.v else {0: n.v}
+    if kind is Var:
+        return {1: QC_ONE}
+    if kind is Add:
+        return _poly_add(*c)
+    if kind is Mul:
+        return _poly_mul(*c)
+    return _poly_pow(c[0], n.n)
 
 
 def _poly_pow(base: dict, n: int) -> dict:
-    """base**n by repeated squaring, as _qc_pow; ValueError past
-    MAX_POLY_DEGREE or once a coefficient passes MAX_FOLD_BITS."""
+    """base**n as _qc_pow, and ValueError past MAX_POLY_DEGREE."""
     if n * max(base, default=0) > MAX_POLY_DEGREE:
         raise ValueError("polynomial degree exceeds %d" % MAX_POLY_DEGREE)
-    out = {0: QC_ONE}
-    while True:
-        if n & 1:
-            out = _poly_mul(out, base)
-            if max(map(_qc_bits, out.values()), default=0) > MAX_FOLD_BITS:
-                break
-        n >>= 1
-        if not n:
-            return out
-        base = _poly_mul(base, base)
-        if max(map(_qc_bits, base.values()), default=0) > MAX_FOLD_BITS:
-            break
-    raise ValueError("exact power exceeds %d bits" % MAX_FOLD_BITS)
+    return _squarings(base, n, {0: QC_ONE}, _poly_mul, lambda p: max(
+        map(_qc_bits, p.values()), default=0))
 
 
 def is_polynomial(e: Expr) -> bool:
@@ -649,61 +648,64 @@ def ibounds(e: Expr, lo: float, hi: float):
     Raises CertificateError on non-real constants. Returns widened
     float endpoints; (-inf, inf) is the honest I-don't-know answer.
     """
-    if isinstance(e, Const):
-        if not e.v.is_real:
-            raise CertificateError("non-real constant inside a certified denominator")
-        v = float(e.v.re)
-        return (_lo_widen(v), _hi_widen(v))
-    if isinstance(e, Var):
-        return (lo, hi)
-    if isinstance(e, Add):
-        a = ibounds(e.a, lo, hi)
-        b = ibounds(e.b, lo, hi)
-        return (_lo_widen(a[0] + b[0]), _hi_widen(a[1] + b[1]))
-    if isinstance(e, Mul):
-        a = ibounds(e.a, lo, hi)
-        b = ibounds(e.b, lo, hi)
-        cands = [_pmul(a[i], b[j]) for i in (0, 1) for j in (0, 1)]
-        return (_lo_widen(min(cands)), _hi_widen(max(cands)))
-    if isinstance(e, Div):
-        a = ibounds(e.num, lo, hi)
-        b = ibounds(e.den, lo, hi)
-        if b[0] <= 0.0 <= b[1]:
-            return (NEG_INF, POS_INF)
-        cands = []
-        for x in a:
-            for y in b:
-                if y == 0.0:
-                    continue
-                if (x == POS_INF or x == NEG_INF) and (y == POS_INF or y == NEG_INF):
-                    continue
-                if x == 0.0:
-                    cands.append(0.0)
-                elif y == POS_INF or y == NEG_INF:
-                    cands.append(0.0)
-                else:
-                    cands.append(x / y)
-        if a[0] == NEG_INF or a[1] == POS_INF:
-            # unbounded numerator over a sign-definite denominator
-            cands.extend([NEG_INF, POS_INF])
-        return (_lo_widen(min(cands)), _hi_widen(max(cands)))
-    if isinstance(e, Pow):
-        a = ibounds(e.base, lo, hi)
-        n = e.n
-        if n % 2 == 1:
-            vals = (a[0] ** n if a[0] != NEG_INF else NEG_INF,
-                    a[1] ** n if a[1] != POS_INF else POS_INF)
-            return (_lo_widen(vals[0]), _hi_widen(vals[1]))
-        mag = max(abs(a[0]), abs(a[1]))
-        top = POS_INF if mag == POS_INF else mag ** n
-        if a[0] <= 0.0 <= a[1]:
-            bot = 0.0
-        else:
-            low = min(abs(a[0]), abs(a[1]))
-            bot = low ** n
-        return (_lo_widen(bot), _hi_widen(top))
-    if isinstance(e, Kern):
-        u1, u2 = ibounds(e.arg, lo, hi)
+    return _ibounds(_postorder(e), lo, hi)
+
+
+def _ibounds(nodes: list, lo: float, hi: float):
+    """ibounds of the root of a `_postorder` list."""
+    def visit(e, *v):
+        kind = type(e)
+        if kind is Const:
+            if not e.v.is_real:
+                raise CertificateError("non-real constant inside a certified "
+                                       "denominator")
+            c = float(e.v.re)
+            return (_lo_widen(c), _hi_widen(c))
+        if kind is Var:
+            return (lo, hi)
+        if kind is Add:
+            a, b = v
+            return (_lo_widen(a[0] + b[0]), _hi_widen(a[1] + b[1]))
+        if kind is Mul:
+            a, b = v
+            cands = [_pmul(a[i], b[j]) for i in (0, 1) for j in (0, 1)]
+            return (_lo_widen(min(cands)), _hi_widen(max(cands)))
+        if kind is Div:
+            a, b = v
+            if b[0] <= 0.0 <= b[1]:
+                return (NEG_INF, POS_INF)
+            cands = []
+            for x in a:
+                for y in b:
+                    if y == 0.0:
+                        continue
+                    if ((x == POS_INF or x == NEG_INF)
+                            and (y == POS_INF or y == NEG_INF)):
+                        continue
+                    if x == 0.0 or y == POS_INF or y == NEG_INF:
+                        cands.append(0.0)
+                    else:
+                        cands.append(x / y)
+            if a[0] == NEG_INF or a[1] == POS_INF:
+                # unbounded numerator over a sign-definite denominator
+                cands.extend([NEG_INF, POS_INF])
+            return (_lo_widen(min(cands)), _hi_widen(max(cands)))
+        if kind is Pow:
+            a = v[0]
+            n = e.n
+            if n % 2 == 1:
+                vals = (a[0] ** n if a[0] != NEG_INF else NEG_INF,
+                        a[1] ** n if a[1] != POS_INF else POS_INF)
+                return (_lo_widen(vals[0]), _hi_widen(vals[1]))
+            mag = max(abs(a[0]), abs(a[1]))
+            top = POS_INF if mag == POS_INF else mag ** n
+            if a[0] <= 0.0 <= a[1]:
+                bot = 0.0
+            else:
+                low = min(abs(a[0]), abs(a[1]))
+                bot = low ** n
+            return (_lo_widen(bot), _hi_widen(top))
+        u1, u2 = v[0]
         if u2 <= 0.0:
             return (0.0, 0.0)
         m = e.m
@@ -722,7 +724,7 @@ def ibounds(e: Expr, lo: float, hi: float):
             lo_v = 0.0 if u1 <= 0.0 else min(_sm_f(u1, m), _sm_f(u2, m))
             hi_v = _sm_f(peak, m)
         return (_lo_widen(lo_v), _hi_widen(hi_v))
-    raise TypeError("unknown expression node %r" % (e,))
+    return _fold(nodes, visit)
 
 
 _CERT_BUDGET = 50_000
@@ -735,6 +737,7 @@ def certify_positive(e: Expr, region) -> None:
     Raises CertificateError with a witness interval when the proof does
     not close within budget or a piece is shown nonpositive.
     """
+    nodes = _postorder(e)
     stack = []
     for lo, hi, _, _ in region.pieces:
         stack.append((lo, hi))
@@ -745,7 +748,7 @@ def certify_positive(e: Expr, region) -> None:
         if steps > _CERT_BUDGET:
             raise CertificateError("positivity certificate budget exhausted "
                                    "near [%s, %s]" % (lo, hi))
-        blo, bhi = ibounds(e, float(lo), float(hi))
+        blo, bhi = _ibounds(nodes, float(lo), float(hi))
         if blo > 0.0:
             continue
         if bhi <= 0.0:
@@ -810,26 +813,29 @@ _RAT_RE = _re.compile(r"^[+-]?(\d+(/\d+)?|\d*\.\d+)$")
 
 
 def to_sexpr(e: Expr) -> str:
-    if isinstance(e, Const):
+    return _fold(_postorder(e), _sexpr_visit)
+
+
+def _sexpr_visit(e: Expr, *s) -> str:
+    kind = type(e)
+    if kind is Const:
         v = e.v
         if v.im == 0:
             return rat_str(v.re)
         return "(complex %s %s)" % (rat_str(v.re), rat_str(v.im))
-    if isinstance(e, Var):
+    if kind is Var:
         return "x"
-    if isinstance(e, Add):
-        return "(+ %s %s)" % (to_sexpr(e.a), to_sexpr(e.b))
-    if isinstance(e, Mul):
-        return "(* %s %s)" % (to_sexpr(e.a), to_sexpr(e.b))
-    if isinstance(e, Div):
-        return "(/ %s %s)" % (to_sexpr(e.num), to_sexpr(e.den))
-    if isinstance(e, Pow):
-        return "(pow %s %d)" % (to_sexpr(e.base), e.n)
-    if isinstance(e, Kern):
-        if e.m == 0:
-            return "(s %s)" % to_sexpr(e.arg)
-        return "(sm %s %d)" % (to_sexpr(e.arg), e.m)
-    raise TypeError("unknown expression node %r" % (e,))
+    if kind is Add:
+        return "(+ %s %s)" % s
+    if kind is Mul:
+        return "(* %s %s)" % s
+    if kind is Div:
+        return "(/ %s %s)" % s
+    if kind is Pow:
+        return "(pow %s %d)" % (s[0], e.n)
+    if e.m == 0:
+        return "(s %s)" % s
+    return "(sm %s %d)" % (s[0], e.m)
 
 
 def _tokenize(s: str):

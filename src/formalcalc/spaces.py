@@ -382,9 +382,8 @@ class Discrete:
         """Labels where any of the coefficients is nonzero."""
         return frozenset().union(*cs)
 
-    def region(self, r):
-        """A support witness given as any collection of labels."""
-        return frozenset(r)
+    # a support witness: labels of the space, maybe beyond the domain
+    region = open_region
 
     def stray(self, c, region):
         """Sorted labels where c is nonzero outside the region."""

@@ -165,14 +165,23 @@ def test_trunc_override_reaches_the_scenario(capsys):
 
 
 def test_too_deep_expression_is_an_input_error(capsys, tmp_path):
-    # a flat 1500-term sum parses into nested binary nodes deeper than
-    # the recursion limit of the evaluator
-    deep = "(+ %s)" % " ".join(["x"] * 1500)
-    path = tmp_path / "deep.json"
-    path.write_text(json.dumps({
-        "schema": 1, "backend": "smoothline", "k": 1, "trunc": 2,
-        "functions": {"u": {"trunc": 2, "coeffs": {"0": deep}}}}))
-    code, out, err = run(capsys, "jet", "u", "0", "1", "--scenario", str(path))
+    # a flat 1500-term sum parses into 1499 nested binary nodes; every
+    # walk over an expression is iterative, so its jet is computed
+    flat = "(+ %s)" % " ".join(["x"] * 1500)
+    # the recursive-descent parser still recurses once per nesting level
+    nested = "x"
+    for _ in range(3000):
+        nested = "(+ x %s)" % nested
+    for name, text in (("flat", flat), ("nested", nested)):
+        (tmp_path / (name + ".json")).write_text(json.dumps({
+            "schema": 1, "backend": "smoothline", "k": 1, "trunc": 2,
+            "functions": {"u": {"trunc": 2, "coeffs": {"0": text}}}}))
+    code, out, err = run(capsys, "jet", "u", "1", "1",
+                         "--scenario", str(tmp_path / "flat.json"))
+    assert code == 0 and err == ""
+    assert "  I=(0,) J=(0,): 1500" in out.splitlines()
+    code, out, err = run(capsys, "jet", "u", "1", "1",
+                         "--scenario", str(tmp_path / "nested.json"))
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err

@@ -64,6 +64,8 @@ REFUSALS = [
      (DS, M, 1, 2, {(3,): {"a": 1}}), TruncationError),
     (SupportedFormalFunction, "coefficient outside the support witness",
      (DS, M, 1, 2, {(0,): {"a": 1, "b": 1}}, frozenset({"a"})), SupportError),
+    (SupportedFormalFunction, "witness label not in the space",
+     (DS, U, 1, 2, {(0,): {"a": 1}}, {"a", "zzz"}), ValueError),
     (BaseDensity, "label outside the space", (DS, {"e": 1}),
      DomainMismatchError),
     (BaseDensity, "weight that is no number", (DS, {"a": "x"}), ValueError),

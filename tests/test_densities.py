@@ -137,9 +137,12 @@ def test_support_and_ext():
     assert big.coeffs == eta.coeffs
     with pytest.raises(DomainMismatchError):
         eta.ext(OpenSet(DS, ["a"]))
-    # support escaping the domain blocks extension
-    stray = FormalDensity.monomial(DS, v, 1, (0,),
-                                   BaseDensity.discrete(DS, {"c": 1}))
+    # a weight outside the domain is refused at construction; built
+    # without the check, it still blocks extension
+    outside = BaseDensity.discrete(DS, {"c": 1})
+    with pytest.raises(DomainMismatchError):
+        FormalDensity.monomial(DS, v, 1, (0,), outside)
+    stray = FormalDensity._trusted(DS, v, 1, {(0,): (((), outside),)})
     with pytest.raises(SupportError):
         stray.ext(DS.whole())
 

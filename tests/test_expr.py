@@ -11,6 +11,7 @@ from formalcalc.errors import BackendError, CertificateError
 from formalcalc.expr import (
     MAX_POLY_DEGREE,
     ONE,
+    Add,
     Pow,
     X,
     ZERO,
@@ -35,6 +36,7 @@ from formalcalc.expr import (
     rising_edge,
     sub,
     to_sexpr,
+    _postorder,
 )
 from formalcalc.scalars import QC
 from formalcalc.spaces import RSet
@@ -340,3 +342,36 @@ def test_parse_sexpr_rejects_malformed_input():
 def test_parse_region_scopes_certificates():
     e = parse_sexpr("(/ 1 x)", region=RSet.open_pairs([(1, 9)]))
     assert ev(e, Fraction(4)) == QC(Fraction(1, 4))
+
+
+def deep_chain(depth):
+    e = X
+    for _ in range(depth - 1):
+        e = Add(e, X)
+    return e
+
+
+def test_deep_expressions_walk_without_recursion():
+    # neither the 5000-deep chain nor the parsed flat sum (1499 nested
+    # binary nodes) reaches the recursion limit: every walk is the fold
+    unit = RSet.closed_pairs([(0, 1)])
+    flat = "(+ %s)" % " ".join(["x"] * 1500)
+    for n, e, twin in ((5000, deep_chain(5000), deep_chain(5000)),
+                       (1500, parse_sexpr(flat), parse_sexpr(flat))):
+        assert e is not twin
+        assert ev(e, 1) == QC(n)
+        assert ev(e, 0.5) == mpf(n) / 2
+        lo, hi = ibounds(e, 0.0, 1.0)
+        assert lo <= 0.0 and hi >= n
+        assert diff(e) == Const(n)
+        assert to_sexpr(e).count("x") == n
+        assert e == twin and hash(e) == hash(twin)
+        assert e != add(twin, X)
+        certify_positive(add(e, ONE), unit)
+
+
+def test_derivatives_share_their_subterms():
+    # each distinct subterm is differentiated once, so the derivative
+    # reuses the derivative of a shared subterm (a count, not a time)
+    e, _, _ = bump(-2, -1, 1, 2)
+    assert len(_postorder(diff(e, 7))) < 50_000
