@@ -131,7 +131,7 @@ class BaseDensity:
 
     # -- integration ----------------------------------------------------------
 
-    def integrate(self, over: OpenSet, abs_tol=DEFAULT_ABS_TOL, budget=None):
+    def integrate(self, over: OpenSet, abs_tol=DEFAULT_ABS_TOL):
         """Integral over an open set, clipped to the support witness.
 
         Exact QC on the discrete backend and for polynomial expressions;
@@ -142,7 +142,7 @@ class BaseDensity:
         region = self.bound & over.region
         if not region:
             return QC_ZERO
-        return self.space.integrate(self.coeff, region, abs_tol, budget)
+        return self.space.integrate(self.coeff, region, abs_tol)
 
     def value_at(self, p):
         """Pointwise value of the density coefficient."""

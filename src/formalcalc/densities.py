@@ -137,7 +137,7 @@ class FormalDensity(_GradedSection):
 
     # -- pairing ----------------------------------------------------------------
 
-    def pair(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL, budget=None):
+    def pair(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL):
         """<eta, u> = sum_L L! sum_(I,tau) integral of tau * (d_x^I u_L).
 
         Exact on the discrete backend; complex (quadrature) when any
@@ -151,7 +151,7 @@ class FormalDensity(_GradedSection):
             lfact = mi_factorial(l)
             for i, tau in self.coeffs[l]:
                 der = self.space.diff(ul, i[0] if i else 0)
-                val = tau.mul_coeff(der).integrate(self.domain, abs_tol, budget)
+                val = tau.mul_coeff(der).integrate(self.domain, abs_tol)
                 acc = acc + lfact * val
         return acc
 

@@ -181,7 +181,7 @@ class BaseDistribution:
 
     # -- actions ------------------------------------------------------------
 
-    def act_on_function(self, c, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
+    def act_on_function(self, c, region, abs_tol=DEFAULT_ABS_TOL):
         """Pair with a base function coefficient vanishing outside a
         bounded region (the partner's support)."""
         sp = self.space
@@ -189,13 +189,13 @@ class BaseDistribution:
         for t in self.terms:
             if isinstance(t, SmoothTerm):
                 r = region if t.bound is None else region & t.bound
-                acc = acc + sp.pair(t.g, c, r, abs_tol, budget)
+                acc = acc + sp.pair(t.g, c, r, abs_tol)
             else:
                 acc = acc + _scalar_mul(t.c, sp.ev(sp.diff(c, t.i), t.a))
         return acc
 
     def act_on_density(self, tau: BaseDensity, stack: int, domain: OpenSet,
-                       abs_tol=DEFAULT_ABS_TOL, budget=None):
+                       abs_tol=DEFAULT_ABS_TOL):
         """Pair with a base density carrying a derivative stack d^stack."""
         sp = self.space
         acc = QC_ZERO
@@ -204,7 +204,7 @@ class BaseDistribution:
                 g = sp.diff(t.g, stack)
                 r = tau.bound if t.bound is None else tau.bound & t.bound
                 r = r & domain.region
-                val = sp.pair(tau.coeff, g, r, abs_tol, budget) if r \
+                val = sp.pair(tau.coeff, g, r, abs_tol) if r \
                     else QC_ZERO
                 acc = acc + val
             elif t.a in tau.bound:
@@ -477,8 +477,7 @@ class FormalDistribution(_DualSection):
 
     # -- action ------------------------------------------------------------------
 
-    def apply(self, u: SupportedFormalFunction, abs_tol=DEFAULT_ABS_TOL,
-              budget=None):
+    def apply(self, u: SupportedFormalFunction, abs_tol=DEFAULT_ABS_TOL):
         """E-vector of pairings against a compactly supported function."""
         self._check_partner(u, self.star_degree())
         if not isinstance(u, SupportedFormalFunction):
@@ -494,7 +493,7 @@ class FormalDistribution(_DualSection):
             for l in keys:
                 lf = mi_factorial(l)
                 v = self.coeffs[l][j].act_on_function(u.coeffs.get(l, zero),
-                                                      region, abs_tol, budget)
+                                                      region, abs_tol)
                 acc = acc + lf * v
             out.append(_fin(acc))
         return out
@@ -625,9 +624,9 @@ class ExtendedFunctional:
         self.eta = eta
         self.cutoff = cutoff
 
-    def __call__(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL, budget=None):
+    def __call__(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL):
         v = cutoff_product(self.cutoff, u)
-        return self.eta.apply(v.restrict(self.eta.domain), abs_tol, budget)
+        return self.eta.apply(v.restrict(self.eta.domain), abs_tol)
 
 
 def cutoff_extend(eta: CompactFormalDistribution,
@@ -692,7 +691,7 @@ class GeneralizedFunction(_DualSection):
         trunc = min(self.trunc, other.trunc)
         return self._with(self._sum(other, trunc), trunc=trunc)
 
-    def apply(self, eta: FormalDensity, abs_tol=DEFAULT_ABS_TOL, budget=None):
+    def apply(self, eta: FormalDensity, abs_tol=DEFAULT_ABS_TOL):
         """E-vector <u, eta>; derivative stacks transpose onto u."""
         eta._check_partner(self, eta.star_degree())
         keys = eta.keys_sorted()
@@ -705,7 +704,7 @@ class GeneralizedFunction(_DualSection):
                 for i, tau in eta.coeffs[l]:
                     stack = i[0] if i else 0
                     acc = acc + lf * vec[j].act_on_density(tau, stack, self.domain,
-                                                           abs_tol, budget)
+                                                           abs_tol)
             out.append(_fin(acc))
         return out
 

@@ -209,6 +209,9 @@ def pow_(e, n: int) -> Expr:
 # constant or a power evaluated at a rational point) and of every square
 # that builds it: about 19,700 decimal digits
 MAX_FOLD_BITS = 1 << 16
+# smallest kernel argument t that ev takes: exp(-1/t) for 1/t past
+# 2^MAX_FOLD_BITS costs mpmath time that grows with 1/t
+_KERN_FLOOR = mpf(2) ** -MAX_FOLD_BITS
 
 
 def _qc_bits(v: QC) -> int:
@@ -439,6 +442,9 @@ def ev(e: Expr, x):
             if t <= 0:
                 return QC_ZERO
             tm = t
+        if tm < _KERN_FLOOR:
+            raise ValueError("kernel argument below 2^-%d: exp(-1/t) is out "
+                             "of reach" % MAX_FOLD_BITS)
         return mp.exp(-1 / tm) / (tm ** e.m if e.m else 1)
     return _fold(_postorder(e), visit)
 
@@ -805,6 +811,14 @@ def bump(a, b, c, d):
         raise ValueError("bump needs a < b <= c < d")
     e = mul(rising_edge(a, b), falling_edge(c, d))
     return e, RSet.closed_pairs([(a, d)]), RSet.closed_pairs([(b, c)])
+
+
+def window_bump(lo, hi):
+    """The bump of a window [lo, hi]: one on its middle half, that is
+    bump(lo, lo + w/4, hi - w/4, hi) for the width w = hi - lo."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    w = hi - lo
+    return bump(lo, lo + w / 4, hi - w / 4, hi)
 
 
 # -- S-expression serialization ---------------------------------------------------

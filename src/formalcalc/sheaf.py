@@ -1,14 +1,17 @@
 """Covers, partitions of unity, and sheaf/cosheaf verifications.
 
-The constructive content lives here:
+Every construction is stated once for every base space: the space
+supplies its ingredients as base data (coefficients and regions) and
+this module builds the formal sections from them. They are the probes
+that functional equality is decided against (the finite dual basis on
+a discrete space, complete and exact; a fixed catalogue of bump x
+polynomial probes on the line, sound for the classes this package
+builds, not for arbitrary functionals), the coefficients of a
+partition of unity (first-match indicators, or bump quotients whose
+shared denominator is certified positive), a cutoff that is one near a
+support, and the check that a partition sums to one. The constructions:
 
-* build_pou: partitions of unity subordinate to a finite cover. On the
-  discrete backend these are first-match indicators, exact by
-  construction. On the smooth line each part gets a sum of plateau
-  bumps confined to its pieces, every function is the quotient of its
-  bump by the shared denominator S = sum of all bumps, and S is proven
-  strictly positive on the whole set by interval bisection before any
-  quotient node is built.
+* build_pou: partitions of unity subordinate to a finite cover.
 
 * mv_split: from a kernel pair (eta1, eta2) with ext(eta1) + ext(eta2)
   = 0 on the union, produce eta' on the intersection with
@@ -24,17 +27,9 @@ The constructive content lives here:
   distributions.
 
 * flabby_check: extension by zero kills no nonzero member of a family.
-
-Functional equality is decided against documented spanning families:
-the finite dual basis on the discrete backend (complete, exact), and a
-fixed catalogue of bump x polynomial x y-monomial probes on the smooth
-line (sound for the classes this package builds, not for arbitrary
-functionals).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .basedensity import BaseDensity
 from .densities import FormalDensity
@@ -42,13 +37,9 @@ from .distributions import (CompactFormalDistribution, FormalDistribution,
                             GeneralizedFunction, vec_add)
 from .errors import (CertificateError, DomainMismatchError,
                      IncompatibilityError, SupportError)
-from .expr import ONE, X, add, bump, div, ev, mul, pow_, rising_edge, \
-    falling_edge
-from .functions import (SupportedFormalFunction, bump_cutoff, cutoff_product,
-                        indicator_cutoff)
+from .functions import SupportedFormalFunction, cutoff_product
 from .multiindex import degree, enumerate_upto, mi
-from .scalars import QC
-from .spaces import NEG_INF, POS_INF, OpenSet, RSet
+from .spaces import OpenSet
 
 POU_GRID_TOL = 1e-12
 DEFAULT_FUNCTIONAL_TOL = 1e-8
@@ -96,9 +87,9 @@ class PartitionOfUnity:
     """Functions subordinate to a cover that sum to one.
 
     Every function is constant in y (only the zero y-index carries a
-    coefficient). The sum identity is checked exactly on the discrete
-    backend and on a sample grid (within POU_GRID_TOL) on the smooth
-    line; the construction in build_pou additionally makes it an
+    coefficient). The space's unit_gap checks the sum identity: exactly
+    on a discrete space, on a sample grid (within POU_GRID_TOL) on the
+    line, where the construction in build_pou additionally makes it an
     algebraic identity through the shared denominator.
     """
 
@@ -125,256 +116,61 @@ class PartitionOfUnity:
                                    % self.grid_residual)
 
     def _sum_residual(self) -> float:
-        space = self.cover.whole.space
-        k = self.functions[0].k
-        j0 = mi([0] * k)
-        if space.kind == "discrete":
-            acc = {}
-            for f in self.functions:
-                for p, v in f.coeff(j0).items():
-                    acc[p] = acc.get(p, QC(0)) + v
-            ok = all(acc.get(p, QC(0)) == QC(1) for p in self.cover.whole.region) \
-                and set(acc) <= self.cover.whole.region
-            return 0.0 if ok else 1.0
-        worst = 0.0
-        exprs = [f.coeff(j0) for f in self.functions]
-        for a in space.sample_points(self.cover.whole.region):
-            total = sum(complex(ev(e, a)) for e in exprs)
-            worst = max(worst, abs(total - 1))
-        return worst
+        j0 = mi([0] * self.functions[0].k)
+        return self.cover.whole.space.unit_gap(
+            [f.coeff(j0) for f in self.functions], self.cover.whole.region)
 
     def __repr__(self):
         return "PartitionOfUnity(%d parts, grid_residual=%g)" % (
             len(self.functions), self.grid_residual)
 
 
-# -- partition construction ------------------------------------------------------
-
-
-def _lo_treatment(m_rs: RSet, lo, delta: Fraction):
-    """Factor and bookkeeping for the lower end of a part piece.
-
-    Returns (factor expr or None, positivity bound, support bound,
-    support-closed flag). Bounds pair with open/closed flags for the
-    RSet pieces built by the caller.
-    """
-    if lo == NEG_INF:
-        return None, NEG_INF, NEG_INF, True
-    if m_rs.contains(lo):
-        return (rising_edge(lo + delta / 2, lo + delta),
-                lo + delta / 2, lo + delta / 2, False)
-    below = [hi2 for _, hi2, _, _ in m_rs.pieces
-             if hi2 != POS_INF and hi2 <= lo]
-    if not below:
-        return None, lo, lo, True
-    gap = lo - max(below)
-    if gap > 0:
-        return rising_edge(lo - gap / 2, lo), lo, lo, True
-    return rising_edge(lo, lo + delta), lo, lo, True
-
-
-def _hi_treatment(m_rs: RSet, hi, delta: Fraction):
-    if hi == POS_INF:
-        return None, POS_INF, POS_INF, True
-    if m_rs.contains(hi):
-        return (falling_edge(hi - delta, hi - delta / 2),
-                hi - delta / 2, hi - delta / 2, False)
-    above = [lo2 for lo2, _, _, _ in m_rs.pieces
-             if lo2 != NEG_INF and lo2 >= hi]
-    if not above:
-        return None, hi, hi, True
-    gap = min(above) - hi
-    if gap > 0:
-        return falling_edge(hi, hi + gap / 2), hi, hi, True
-    return falling_edge(hi - delta, hi), hi, hi, True
-
-
-def _part_bumps(m_rs: RSet, part: OpenSet, delta: Fraction):
-    """Bump sum for one part: (expr or None, positivity RSet, support RSet)."""
-    expr = None
-    pos = RSet()
-    supp = RSet()
-    for lo, hi, _, _ in part.region.pieces:
-        rise, plo, slo, slo_open = _lo_treatment(m_rs, lo, delta)
-        fall, phi, shi, shi_open = _hi_treatment(m_rs, hi, delta)
-        if rise is not None and fall is not None:
-            b = mul(rise, fall)
-        elif rise is not None:
-            b = rise
-        elif fall is not None:
-            b = fall
-        else:
-            b = ONE
-        expr = b if expr is None else add(expr, b)
-        pos = pos.union(RSet([(plo, phi, True, True)]))
-        supp = supp.union(RSet([(slo, shi, slo_open, shi_open)]))
-    return expr, pos, supp
+# -- partitions of unity and probe families -------------------------------
 
 
 def build_pou(cover: Cover, k: int, trunc: int) -> PartitionOfUnity:
-    """Construct a partition of unity subordinate to the cover.
-
-    Discrete: each point is assigned to the first part containing it
-    (first-match rule); the functions are exact indicators.
-
-    SmoothLine: per-part plateau bumps shrunk by an automatically
-    chosen margin, divided by the certified-positive shared sum.
-    Raises CertificateError when no margin yields a covering family or
-    the positivity certificate fails.
+    """Construct a partition of unity subordinate to the cover: one
+    function per part, constant in y, from the space's `partition`.
+    Raises CertificateError when the space cannot certify it.
     """
-    space = cover.whole.space
-    if space.kind == "discrete":
-        assigned = set()
-        functions = []
-        for part in cover.parts:
-            labels = part.region - assigned
-            assigned |= labels
-            functions.append(indicator_cutoff(space, cover.whole, k, trunc,
-                                              labels))
-        return PartitionOfUnity(cover, functions)
-
-    m_rs = cover.whole.region
-    j0 = mi([0] * k)
-    if len(cover.parts) == 1:
-        f = SupportedFormalFunction(space, cover.whole, k, trunc, {j0: ONE},
-                                    support=m_rs, plateau=m_rs)
-        return PartitionOfUnity(cover, [f])
-
-    endpoints = set()
-    for part in list(cover.parts) + [cover.whole]:
-        for lo, hi, _, _ in part.region.pieces:
-            if lo != NEG_INF:
-                endpoints.add(lo)
-            if hi != POS_INF:
-                endpoints.add(hi)
-    eps = sorted(endpoints)
-    diffs = [b - a for a, b in zip(eps, eps[1:]) if b > a]
-    delta0 = min(diffs) / 4 if diffs else Fraction(1)
-
-    built = None
-    delta = delta0
-    for _ in range(40):
-        data = [_part_bumps(m_rs, part, delta) for part in cover.parts]
-        covered = RSet()
-        for _, pos, _ in data:
-            covered = covered.union(pos)
-        if m_rs.is_subset(covered):
-            built = data
-            break
-        delta = delta / 2
-    if built is None:
-        raise CertificateError("no shrinking margin makes the bumps cover "
-                               "the whole set")
-
-    s_expr = None
-    for b, _, _ in built:
-        if b is not None:
-            s_expr = b if s_expr is None else add(s_expr, b)
-    if s_expr is None:
-        raise CertificateError("cover admits no bumps at all")
-
-    functions = []
-    for idx, (b, _, supp) in enumerate(built):
-        if b is None:
-            f = SupportedFormalFunction(space, cover.whole, k, trunc, {},
-                                        support=RSet(), plateau=RSet())
-            functions.append(f)
-            continue
-        f_expr = div(b, s_expr, region=m_rs)
-        others = RSet()
-        for jdx, (_, _, osupp) in enumerate(built):
-            if jdx != idx:
-                others = others.union(osupp)
-        plateau = supp.difference(others)
-        f = SupportedFormalFunction(space, cover.whole, k, trunc,
-                                    {j0: f_expr}, support=supp,
-                                    plateau=plateau)
-        functions.append(f)
-    return PartitionOfUnity(cover, functions)
-
-
-# -- spanning probe families ---------------------------------------------------
-
-
-def _probe_windows(lo, hi):
-    """Bounded probe windows strictly inside an interval piece."""
-    if lo == NEG_INF and hi == POS_INF:
-        return [(Fraction(-1), Fraction(1)), (Fraction(-3), Fraction(3))]
-    if lo == NEG_INF:
-        return [(hi - 3, hi - 1), (hi - 2, hi - Fraction(1, 2))]
-    if hi == POS_INF:
-        return [(lo + 1, lo + 3), (lo + Fraction(1, 2), lo + 2)]
-    w = hi - lo
-    return [(lo + w / 8, hi - w / 8),
-            (lo + w / 8, lo + w / 2),
-            (hi - w / 2, hi - w / 8)]
-
-
-def _window_bump(wlo: Fraction, whi: Fraction):
-    w = whi - wlo
-    return bump(wlo, wlo + w / 4, whi - w / 4, whi)
+    whole, j0 = cover.whole, mi([0] * k)
+    parts = [part.region for part in cover.parts]
+    return PartitionOfUnity(cover, [
+        SupportedFormalFunction(whole.space, whole, k, trunc, {j0: c},
+                                support=supp, plateau=plateau)
+        for c, supp, plateau in whole.space.partition(whole.region, parts)])
 
 
 def dual_function_family(space, domain: OpenSet, k: int, trunc: int,
                          xdeg_cap: int = 2):
-    """Supported-function probes for densities and distributions.
-
-    Discrete: the complete dual basis (delta at p times y^J), making
-    probe equality decide functional equality exactly. SmoothLine: a
-    catalogue of bump x x^e x y^J sections over fixed windows in each
-    piece; sound for the coefficient classes this package constructs.
-    The discrete probes are built without validation, so domain, k and
-    trunc must be those of a section (as every caller here passes).
+    """Supported-function probes for densities and distributions: each
+    probe of the space times each y^J. They are built without
+    validation, so domain, k and trunc must be those of a section (as
+    every caller here passes).
     """
-    out = []
-    if space.kind == "discrete":
-        one, keys = QC(1), enumerate_upto(k, trunc)
-        for p in sorted(domain.region):
-            support = space.point_region(p)
-            for j in keys:
-                out.append(SupportedFormalFunction._trusted(
-                    space, domain, k, {j: {p: one}}, trunc=trunc,
-                    support=support, plateau=None))
-        return out
-    for lo, hi, _, _ in domain.region.pieces:
-        for wlo, whi in _probe_windows(lo, hi):
-            bexpr, supp, _ = _window_bump(wlo, whi)
-            for e in range(xdeg_cap + 1):
-                expr = mul(bexpr, pow_(X, e)) if e else bexpr
-                for j in enumerate_upto(k, trunc):
-                    out.append(SupportedFormalFunction(
-                        space, domain, k, trunc, {j: expr}, support=supp))
-    return out
+    keys = enumerate_upto(k, trunc)
+    return [SupportedFormalFunction._trusted(
+                space, domain, k, {j: c}, trunc=trunc, support=supp,
+                plateau=None)
+            for c, supp in space.probes(domain.region, xdeg_cap)
+            for j in keys]
 
 
 def dual_density_family(space, domain: OpenSet, k: int, star_cap: int,
                         xdeg_cap: int = 2, stack_cap: int = 1):
-    """Formal-density probes for generalized functions.
-
-    Discrete: delta densities at each point times (y*)^L — the complete
-    dual basis. SmoothLine: bump x x^e coefficient densities with
-    derivative stacks up to stack_cap. The discrete probes are built
-    without validation, so domain and k must be those of a section.
+    """Formal-density probes for generalized functions: each probe of
+    the space as a density, times each (y*)^L, with each derivative
+    stack up to stack_cap (a discrete space has only the empty one).
+    They are built without validation, so domain and k must be those
+    of a section.
     """
+    keys = enumerate_upto(k, star_cap)
+    stacks = enumerate_upto(space.ndim, stack_cap)
     out = []
-    if space.kind == "discrete":
-        keys = enumerate_upto(k, star_cap)
-        for p in sorted(domain.region):
-            tau = BaseDensity._trusted(space, {p: QC(1)}, None)
-            for l in keys:
-                out.append(FormalDensity._trusted(space, domain, k,
-                                                  {l: (((), tau),)}))
-        return out
-    for lo, hi, _, _ in domain.region.pieces:
-        for wlo, whi in _probe_windows(lo, hi):
-            bexpr, supp, _ = _window_bump(wlo, whi)
-            for e in range(xdeg_cap + 1):
-                expr = mul(bexpr, pow_(X, e)) if e else bexpr
-                tau = BaseDensity.smooth(space, expr, supp)
-                for l in enumerate_upto(k, star_cap):
-                    for i in range(stack_cap + 1):
-                        out.append(FormalDensity.monomial(
-                            space, domain, k, l, tau, i=(i,)))
+    for c, supp in space.probes(domain.region, xdeg_cap):
+        tau = BaseDensity._trusted(space, c, supp)
+        out.extend(FormalDensity._trusted(space, domain, k, {l: ((i, tau),)})
+                   for l in keys for i in stacks)
     return out
 
 
@@ -463,24 +259,11 @@ def mv_split(eta1: FormalDensity, eta2: FormalDensity,
         raise SupportError("kernel supports are not confined to the "
                            "intersection")
 
-    if space.kind == "discrete":
-        g = indicator_cutoff(space, u1, k, trunc, kset)
-        return eta1.cutoff_restrict(g, v)
-
-    klo, khi = kset.hull()
-    home = None
-    for lo, hi, _, _ in v.region.pieces:
-        if lo < klo and khi < hi:
-            home = (lo, hi)
-            break
-    if home is None:
-        raise SupportError("kernel support hull spans a gap of the "
-                           "intersection")
-    lo, hi = home
-    gl = Fraction(1) if lo == NEG_INF else klo - lo
-    gr = Fraction(1) if hi == POS_INF else hi - khi
-    g = bump_cutoff(space, u1, k, trunc,
-                    klo - gl / 2, klo - gl / 4, khi + gr / 4, khi + gr / 2)
+    c, supp, plateau = space.cutoff_near(kset, v.region)
+    if not supp <= u1.region:
+        raise SupportError("cutoff support escapes the domain")
+    g = SupportedFormalFunction(space, u1, k, trunc, {mi([0] * k): c},
+                                support=supp, plateau=plateau)
     return eta1.cutoff_restrict(g, v)
 
 

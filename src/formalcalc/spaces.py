@@ -26,6 +26,14 @@ parsing a base point, sampling, JSON) is a method of the space. Only
 this module knows how a region is represented; an OpenSet holds one
 region value.
 
+Each backend also supplies the ingredients of the sheaf constructions,
+as base data that sheaf.py turns into formal sections: the probes that
+functional equality is decided against (`probes`), the coefficients of
+a partition of unity (`partition`), a cutoff that is one near a support
+(`cutoff_near`) and the check that a partition sums to one
+(`unit_gap`). Label indicators on Discrete, exact; plateau bumps on
+SmoothLine, with the partition's denominator certified positive.
+
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
 unions, including degenerate single points) and plateau regions, so
@@ -36,12 +44,16 @@ in rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
-from .errors import BackendError, DomainMismatchError, SupportError, json_shape
-from .expr import (ZERO, Const, X, compile_f, diff, ev, mul, parse_sexpr,
-                   pow_, to_sexpr)
+from .errors import (BackendError, CertificateError, DomainMismatchError,
+                     SupportError, json_shape)
+from .expr import (ONE, ZERO, Const, X, add, bump, compile_f, diff, div, ev,
+                   falling_edge, mul, parse_sexpr, pow_, rising_edge, to_sexpr,
+                   window_bump)
 from .quadrature import DEFAULT_ABS_TOL, integrate_expr
-from .scalars import (QC, QC_ZERO, qc, qc_from_json, qc_to_json,
+from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_to_json,
                       rat_from_json, rat_to_json)
 
 NEG_INF = float("-inf")
@@ -286,6 +298,37 @@ class Discrete:
 
     open_from_json = region_from_json
 
+    # -- sheaf ingredients --------------------------------------------------
+    #
+    # Indicators of labels: the probes are the complete dual basis, and
+    # partitions and cutoffs are exact.
+
+    def probes(self, region, xdeg_cap):
+        """(coefficient, support) of each probe: the indicator of every
+        label of the region, in order (there are no powers of x)."""
+        return [({p: QC_ONE}, frozenset({p})) for p in sorted(region)]
+
+    def partition(self, whole, parts):
+        """(coefficient, support, plateau) per part: the indicator of
+        the labels that no earlier part holds (first match)."""
+        out, assigned = [], frozenset()
+        for part in parts:
+            labels = part - assigned
+            assigned |= labels
+            out.append((self.constant(1, labels), labels, labels))
+        return out
+
+    def cutoff_near(self, r, region):
+        """(coefficient, support, plateau) of a cutoff that is one on r:
+        the indicator of r."""
+        return self.constant(1, r), r, r
+
+    def unit_gap(self, coeffs, region) -> float:
+        """0.0 if the coefficients sum exactly to one on each label of
+        the region and to zero outside it, else 1.0."""
+        total = reduce(self.add, coeffs, {})
+        return 0.0 if total == self.constant(1, region) else 1.0
+
     # -- coefficient algebra ------------------------------------------------
 
     def zero(self):
@@ -352,14 +395,14 @@ class Discrete:
     def restrict(self, c, u: "OpenSet"):
         return {p: v for p, v in c.items() if p in u.region}
 
-    def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
+    def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL):
         """Exact sum of c over the labels of a region."""
         acc = QC_ZERO
         for p in sorted(c.keys() & region):
             acc = acc + c[p]
         return acc
 
-    def pair(self, a, b, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
+    def pair(self, a, b, region, abs_tol=DEFAULT_ABS_TOL):
         """Exact sum of a * b over the labels where both are nonzero.
 
         The region only bounds quadrature on the line; callers pass one
@@ -446,6 +489,74 @@ class Discrete:
         return "Discrete(%s)" % (list(self.points),)
 
 
+def _probe_windows(lo, hi):
+    """Bounded probe windows strictly inside an interval piece."""
+    if lo == NEG_INF and hi == POS_INF:
+        return [(Fraction(-1), Fraction(1)), (Fraction(-3), Fraction(3))]
+    if lo == NEG_INF:
+        return [(hi - 3, hi - 1), (hi - 2, hi - Fraction(1, 2))]
+    if hi == POS_INF:
+        return [(lo + 1, lo + 3), (lo + Fraction(1, 2), lo + 2)]
+    w = hi - lo
+    return [(lo + w / 8, hi - w / 8),
+            (lo + w / 8, lo + w / 2),
+            (hi - w / 2, hi - w / 8)]
+
+
+def _lo_treatment(m_rs: RSet, lo, delta: Fraction):
+    """Factor and bookkeeping for the lower end of a part piece.
+
+    Returns (factor expr or None, positivity bound, support bound,
+    support-closed flag). Bounds pair with open/closed flags for the
+    RSet pieces built by the caller.
+    """
+    if lo == NEG_INF:
+        return None, NEG_INF, NEG_INF, True
+    if m_rs.contains(lo):
+        return (rising_edge(lo + delta / 2, lo + delta),
+                lo + delta / 2, lo + delta / 2, False)
+    below = [hi2 for _, hi2, _, _ in m_rs.pieces
+             if hi2 != POS_INF and hi2 <= lo]
+    if not below:
+        return None, lo, lo, True
+    gap = lo - max(below)
+    if gap > 0:
+        return rising_edge(lo - gap / 2, lo), lo, lo, True
+    return rising_edge(lo, lo + delta), lo, lo, True
+
+
+def _hi_treatment(m_rs: RSet, hi, delta: Fraction):
+    if hi == POS_INF:
+        return None, POS_INF, POS_INF, True
+    if m_rs.contains(hi):
+        return (falling_edge(hi - delta, hi - delta / 2),
+                hi - delta / 2, hi - delta / 2, False)
+    above = [lo2 for lo2, _, _, _ in m_rs.pieces
+             if lo2 != NEG_INF and lo2 >= hi]
+    if not above:
+        return None, hi, hi, True
+    gap = min(above) - hi
+    if gap > 0:
+        return falling_edge(hi, hi + gap / 2), hi, hi, True
+    return falling_edge(hi - delta, hi), hi, hi, True
+
+
+def _part_bumps(m_rs: RSet, part: RSet, delta: Fraction):
+    """Bump sum for one part: (expr or None, positivity RSet, support RSet)."""
+    expr = None
+    pos = RSet()
+    supp = RSet()
+    for lo, hi, _, _ in part.pieces:
+        rise, plo, slo, slo_open = _lo_treatment(m_rs, lo, delta)
+        fall, phi, shi, shi_open = _hi_treatment(m_rs, hi, delta)
+        edges = [f for f in (rise, fall) if f is not None]
+        b = reduce(mul, edges) if edges else ONE
+        expr = b if expr is None else add(expr, b)
+        pos = pos.union(RSet([(plo, phi, True, True)]))
+        supp = supp.union(RSet([(slo, shi, slo_open, shi_open)]))
+    return expr, pos, supp
+
+
 class SmoothLine:
     """The real line with global coordinate x."""
 
@@ -516,6 +627,81 @@ class SmoothLine:
     def open_from_json(self, v):
         return _pairs_from_json(v)
 
+    # -- sheaf ingredients --------------------------------------------------
+    #
+    # Plateau bumps built from exact rational endpoints: the probes are a
+    # fixed catalogue, partitions are certified quotients of bumps.
+
+    def probes(self, region, xdeg_cap):
+        """(coefficient, support) of each probe: bump * x^e for e up to
+        xdeg_cap, over fixed windows inside each piece of the region."""
+        out = []
+        for lo, hi, _, _ in region.pieces:
+            for wlo, whi in _probe_windows(lo, hi):
+                b, supp, _ = window_bump(wlo, whi)
+                out.extend((mul(b, pow_(X, e)) if e else b, supp)
+                           for e in range(xdeg_cap + 1))
+        return out
+
+    def partition(self, whole, parts):
+        """(coefficient, support, plateau) per part.
+
+        Each part gets a sum of plateau bumps confined to its pieces,
+        shrunk by an automatically chosen margin, and every coefficient
+        is the quotient of its bump by the shared denominator S = sum of
+        all bumps, certified strictly positive on the whole set before
+        any quotient is built. CertificateError when no margin makes the
+        bumps cover the whole set or the certificate fails.
+        """
+        if len(parts) == 1:
+            return [(ONE, whole, whole)]
+        eps = sorted({v for r in parts + [whole] for lo, hi, _, _ in r.pieces
+                      for v in (lo, hi) if not _is_inf(v)})
+        diffs = [b - a for a, b in zip(eps, eps[1:]) if b > a]
+        delta = min(diffs) / 4 if diffs else Fraction(1)
+        for _ in range(40):
+            built = [_part_bumps(whole, part, delta) for part in parts]
+            if whole <= reduce(or_, (pos for _, pos, _ in built), RSet()):
+                break
+            delta = delta / 2
+        else:
+            raise CertificateError("no shrinking margin makes the bumps "
+                                   "cover the whole set")
+        bumps = [b for b, _, _ in built if b is not None]
+        if not bumps:
+            raise CertificateError("cover admits no bumps at all")
+        s_expr = reduce(add, bumps)
+        out = []
+        for idx, (b, _, supp) in enumerate(built):
+            if b is None:
+                out.append((ZERO, RSet(), RSet()))
+                continue
+            others = reduce(or_, (o for jdx, (_, _, o) in enumerate(built)
+                                  if jdx != idx), RSet())
+            out.append((div(b, s_expr, region=whole), supp, supp - others))
+        return out
+
+    def cutoff_near(self, r, region):
+        """(coefficient, support, plateau) of a cutoff that is one on r:
+        a bump that is one on the hull of r, inside the piece of the
+        region that holds the hull."""
+        klo, khi = r.hull()
+        for lo, hi, _, _ in region.pieces:
+            if lo < klo and khi < hi:
+                break
+        else:
+            raise SupportError("kernel support hull spans a gap of the "
+                               "intersection")
+        gl = Fraction(1) if lo == NEG_INF else klo - lo
+        gr = Fraction(1) if hi == POS_INF else hi - khi
+        return bump(klo - gl / 2, klo - gl / 4, khi + gr / 4, khi + gr / 2)
+
+    def unit_gap(self, coeffs, region) -> float:
+        """Largest |sum of the coefficients - 1| at the sample points of
+        the region."""
+        return max((abs(sum(complex(ev(c, a)) for c in coeffs) - 1)
+                    for a in self.sample_points(region)), default=0.0)
+
     # -- coefficient algebra ------------------------------------------------
     #
     # A base coefficient is an expression in x, taken as globally defined.
@@ -560,14 +746,13 @@ class SmoothLine:
     def restrict(self, c, u: "OpenSet"):
         return c
 
-    def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
+    def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL):
         """Integral of c over the pieces of a bounded region."""
-        return integrate_expr(c, region.bounds_list(), abs_tol, budget)
+        return integrate_expr(c, region.bounds_list(), abs_tol)
 
-    def pair(self, a, b, region, abs_tol=DEFAULT_ABS_TOL, budget=None):
+    def pair(self, a, b, region, abs_tol=DEFAULT_ABS_TOL):
         """Integral of a * b over the pieces of a bounded region."""
-        return integrate_expr(mul(a, b), region.bounds_list(), abs_tol,
-                              budget)
+        return integrate_expr(mul(a, b), region.bounds_list(), abs_tol)
 
     def gather(self, pairs):
         """Canonical (coefficient, bound) integral terms of a distribution:

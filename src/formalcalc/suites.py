@@ -25,7 +25,7 @@ from .distributions import (BaseDistribution, CompactFormalDistribution,
                             dist_space_dimension, jet_kernel_check,
                             normalized_monomial, point_basis)
 from .errors import FormalcalcError
-from .expr import Const, X, add, bump, mul, pow_
+from .expr import Const, X, add, mul, pow_, window_bump
 from .functions import (FormalFunction, SupportedFormalFunction, bump_cutoff,
                         indicator_cutoff)
 from .multiindex import degree, enumerate_upto, mi
@@ -96,9 +96,7 @@ def rand_window(rng, lo: Fraction, hi: Fraction):
 
 
 def rand_smooth_tau(rng, space, lo, hi) -> BaseDensity:
-    wlo, whi = rand_window(rng, lo, hi)
-    ww = whi - wlo
-    bexpr, supp, _ = bump(wlo, wlo + ww / 4, whi - ww / 4, whi)
+    bexpr, supp, _ = window_bump(*rand_window(rng, lo, hi))
     return BaseDensity.smooth(space, mul(bexpr, rand_poly(rng)), supp)
 
 
@@ -150,9 +148,7 @@ def rand_supported_function(rng, space, domain, k, trunc):
         return SupportedFormalFunction(space, domain, k, trunc, coeffs,
                                        support=frozenset(support))
     lo, hi = _bounded_box(domain)
-    wlo, whi = rand_window(rng, lo, hi)
-    ww = whi - wlo
-    bexpr, supp, _ = bump(wlo, wlo + ww / 4, whi - ww / 4, whi)
+    bexpr, supp, _ = window_bump(*rand_window(rng, lo, hi))
     coeffs = {mi([0] * k): mul(bexpr, rand_poly(rng))}
     for j in enumerate_upto(k, trunc):
         if degree(j) and rng.randint(0, 1):
@@ -167,11 +163,10 @@ def _rand_base_distribution(rng, space, domain, window=None):
     terms = []
     if window is not None:
         wlo, whi = window
-        ww = whi - wlo
-        bexpr, bsupp, _ = bump(wlo, wlo + ww / 4, whi - ww / 4, whi)
+        bexpr, bsupp, _ = window_bump(wlo, whi)
         terms.append(SmoothTerm(mul(bexpr, rand_poly(rng)), bsupp))
         if rng.randint(0, 1):
-            a = wlo + ww * Fraction(rng.randint(2, 6), 8)
+            a = wlo + (whi - wlo) * Fraction(rng.randint(2, 6), 8)
             terms.append(PointTerm(a, rng.randint(0, 1), rand_qc(rng)))
     else:
         terms.append(SmoothTerm(rand_poly(rng)))

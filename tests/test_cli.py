@@ -241,6 +241,23 @@ def test_too_many_y_indices_is_an_input_error(capsys, tmp_path):
     assert code == 2 and "y-indices" in err
 
 
+def test_kernel_of_a_kernel_near_zero_is_an_input_error(capsys, tmp_path):
+    # s(s(x^3)) at 1/100 asks for exp(-1/t) with 1/t about 10^434294,
+    # which ran for minutes before the kernel argument had a floor
+    path = tmp_path / "kernel_of_kernel.json"
+    path.write_text(json.dumps({
+        "schema": 1, "backend": "smoothline", "k": 1, "trunc": 2,
+        "functions": {"u": {"trunc": 2,
+                            "coeffs": {"0": "(s (s (* x x x)))"}}}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jet", "u", "1/100", "0", "--scenario",
+                         str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "kernel argument" in err
+
+
 def test_internal_error_exits_three(capsys, monkeypatch):
     import formalcalc.cli as cli
 

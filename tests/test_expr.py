@@ -195,6 +195,22 @@ def test_kernel_vanishes_exactly_left_of_zero():
     assert ev(d3, Fraction(-2)) == QC(0)
 
 
+def test_kernel_of_a_vanishing_argument_is_refused():
+    # s(s(x^3)) at 1/100: the inner kernel is about 10^-434294, and
+    # exp(-1/t) of that is refused at once instead of running for minutes
+    e = kern(kern(mul(X, mul(X, X))))
+    for x in (Fraction(1, 100), 0.01):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="kernel argument"):
+            ev(e, x)
+        assert time.perf_counter() - start < 5.0
+    # the bound is 2^-MAX_FOLD_BITS, the one exact powers obey
+    with pytest.raises(ValueError, match="kernel argument"):
+        ev(kern(X), Fraction(1, 2 ** 65537))
+    assert ev(kern(X), Fraction(1, 2 ** 65535)) > 0
+    assert ev(e, Fraction(1, 2)) > 0
+
+
 def test_bump_plateau_is_exactly_one_and_tails_exactly_zero():
     e, supp, plat = bump(Fraction(-2), Fraction(-1), 1, 2)
     assert supp == RSet.closed_pairs([(-2, 2)])
