@@ -106,12 +106,12 @@ class FormalDensity(_GradedSection):
         """Single term (tau . d_x^I)(y*)^L."""
         if i is None:
             i = (0,) * space.ndim
-        eta = cls(space, domain, k)
-        l, i, tau = eta._index(l), eta._x_index(i), eta._own_inside(tau)
+        zero = cls(space, domain, k)
+        l, i, tau = zero._index(l), zero._x_index(i), zero._own_inside(tau)
+        if tau.is_exactly_zero():
+            return zero
         # one term is already in canonical form
-        if not tau.is_exactly_zero():
-            eta.coeffs[l] = ((i, tau),)
-        return eta
+        return cls._trusted(space, domain, k, {l: ((i, tau),)})
 
     # -- queries ---------------------------------------------------------
 
@@ -140,14 +140,14 @@ class FormalDensity(_GradedSection):
     def pair(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL):
         """<eta, u> = sum_L L! sum_(I,tau) integral of tau * (d_x^I u_L).
 
-        Exact on the discrete backend; complex (quadrature) when any
-        smooth non-polynomial coefficient enters.
+        Only the L that u carries too are visited. Exact on the
+        discrete backend; complex (quadrature) when any smooth
+        non-polynomial coefficient enters.
         """
         self._check_partner(u, self.star_degree())
         acc = QC_ZERO
-        zero = self.space.zero()
-        for l in self.keys_sorted():
-            ul = u.coeffs.get(l, zero)
+        for l in self._shared_keys(u):
+            ul = u.coeffs[l]
             lfact = mi_factorial(l)
             for i, tau in self.coeffs[l]:
                 der = self.space.diff(ul, i[0] if i else 0)

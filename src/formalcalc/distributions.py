@@ -485,15 +485,14 @@ class FormalDistribution(_DualSection):
         if not self.space.is_compact(u.support):
             raise SupportError("the partner needs a compact support witness")
         region = u.support & self.domain.region
-        zero = self.space.zero()
-        keys = self.keys_sorted()
+        keys = self._shared_keys(u)
         out = []
         for j in range(self.e_dim):
             acc = QC_ZERO
             for l in keys:
                 lf = mi_factorial(l)
-                v = self.coeffs[l][j].act_on_function(u.coeffs.get(l, zero),
-                                                      region, abs_tol)
+                v = self.coeffs[l][j].act_on_function(u.coeffs[l], region,
+                                                      abs_tol)
                 acc = acc + lf * v
             out.append(_fin(acc))
         return out
@@ -694,13 +693,13 @@ class GeneralizedFunction(_DualSection):
     def apply(self, eta: FormalDensity, abs_tol=DEFAULT_ABS_TOL):
         """E-vector <u, eta>; derivative stacks transpose onto u."""
         eta._check_partner(self, eta.star_degree())
-        keys = eta.keys_sorted()
+        keys = eta._shared_keys(self)
         out = []
         for j in range(self.e_dim):
             acc = QC_ZERO
             for l in keys:
                 lf = mi_factorial(l)
-                vec = self.coeffs.get(l) or self.coeff(l)
+                vec = self.coeffs[l]
                 for i, tau in eta.coeffs[l]:
                     stack = i[0] if i else 0
                     acc = acc + lf * vec[j].act_on_density(tau, stack, self.domain,

@@ -17,6 +17,8 @@ constant one (used by cutoff arguments).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (BackendError, DomainMismatchError, SupportError,
                      TruncationError, json_shape)
 from .expr import bump as _bump_expr
@@ -104,11 +106,29 @@ class _GradedSection:
                                       % (stray,))
         return c
 
-    def _top_degree(self) -> int:
+    # A section never changes after it is built, so its key order and
+    # top degree are computed on first use and kept on the instance.
+
+    @cached_property
+    def _keys(self):
+        return sorted(self.coeffs, key=grlex_key)
+
+    @cached_property
+    def _top(self):
         return max(map(degree, self.coeffs), default=0)
 
+    def _top_degree(self) -> int:
+        return self._top
+
     def keys_sorted(self):
-        return sorted(self.coeffs, key=grlex_key)
+        """The keys in grlex order (the section's own list: read only)."""
+        return self._keys
+
+    def _shared_keys(self, other):
+        """The keys of this section that other carries too, in grlex
+        order: in a pairing every other term is exactly zero."""
+        carried = other.coeffs
+        return [j for j in self._keys if j in carried]
 
     def is_exactly_zero(self) -> bool:
         return not self.coeffs

@@ -187,12 +187,18 @@ def _apply_probe(obj, probe):
 
 
 def _vec_gap(va, vb) -> float:
+    if len(va) != len(vb):
+        raise DomainMismatchError("functionals with E_dim %d and %d are "
+                                  "not comparable" % (len(va), len(vb)))
     return max((abs(complex(x) - complex(y)) for x, y in zip(va, vb)),
                default=0.0)
 
 
 def functional_residual(a, b, probes):
-    """Max probe disagreement and the witnessing probe (None if empty)."""
+    """Max probe disagreement and the witnessing probe (None if empty).
+
+    Functionals of different E_dim raise DomainMismatchError.
+    """
     worst, witness = 0.0, None
     for p in probes:
         gap = _vec_gap(_apply_probe(a, p), _apply_probe(b, p))
@@ -397,6 +403,7 @@ def flabby_check(sections, u: OpenSet, tol: float = 0.0) -> bool:
     sees (residual above tol). Functions extend data-identically and
     are checked structurally.
     """
+    families = {}
     for z in sections:
         if isinstance(z, SupportedFormalFunction):
             if not z.is_exactly_zero() and z.extend_by_zero(u).is_exactly_zero():
@@ -407,8 +414,10 @@ def flabby_check(sections, u: OpenSet, tol: float = 0.0) -> bool:
         if z.is_exactly_zero():
             continue
         e = z.ext(u)
-        probes = dual_function_family(z.space, u, z.k, z.star_degree())
-        resid, _ = functional_zero_residual(e, probes)
+        shape = (z.k, z.star_degree())
+        if shape not in families:
+            families[shape] = dual_function_family(u.space, u, *shape)
+        resid, _ = functional_zero_residual(e, families[shape])
         if resid <= tol:
             return False
     return True

@@ -6,6 +6,9 @@ import random
 import time
 from functools import reduce
 from operator import getitem
+from pathlib import Path
+
+import pytest
 
 from formalcalc.cli import main
 from formalcalc.scalars import rat_str
@@ -15,6 +18,7 @@ PAIR = "scenarios/pair_demo.json"
 DEMO = "scenarios/discrete_demo.json"
 MISMATCH = "scenarios/glue_mismatch.json"
 SMOOTH = "scenarios/smooth_demo.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -102,6 +106,21 @@ def test_check_all_discrete(capsys):
     code, out, _ = run(capsys, "check", "all", "--scenario", PAIR)
     assert code == 0
     assert out.splitlines()[-1] == "PASS"
+
+
+@pytest.mark.parametrize("name", ["discrete_demo check", "pair_demo check",
+                                  "glue_mismatch check"])
+def test_check_all_json_matches_the_benchmark_goldens(capsys, name):
+    # the byte-exact outputs the benchmark's verdict oracle holds the
+    # exact path to; this test only reads them
+    with open(ROOT / "perfbench" / "goldens.json", encoding="utf-8") as fh:
+        golden = json.load(fh)[name]
+    assert golden["exact"]
+    argv = [str(ROOT / a) if a.startswith("scenarios/") else a
+            for a in golden["argv"]]
+    code, out, _ = run(capsys, *argv)
+    assert code == golden["exit"]
+    assert out == golden["stdout"]
 
 
 def test_declared_glue_mismatch_fails_with_witness(capsys):

@@ -147,6 +147,20 @@ def test_support_and_ext():
         stray.ext(DS.whole())
 
 
+def test_monomial_is_built_with_its_term():
+    tau = BaseDensity.discrete(DS, {"a": 3, "b": 1})
+    eta = FormalDensity.monomial(DS, DS.whole(), 2, (1, 1), tau)
+    assert eta.keys_sorted() == [(1, 1)]
+    assert eta.star_degree() == 2
+    u = FormalFunction(DS, DS.whole(), 2, 2, {(1, 1): {"a": 2},
+                                               (0, 0): {"b": 7}})
+    assert eta.pair(u) == QC(6)
+    none = FormalDensity.monomial(DS, DS.whole(), 2, (1, 1),
+                                  BaseDensity.discrete(DS, {}))
+    assert none == FormalDensity.zero(DS, DS.whole(), 2)
+    assert none.keys_sorted() == [] and none.star_degree() == 0
+
+
 def test_ext_preserves_pairing_against_restriction():
     rng = random.Random(89)
     v = OpenSet(DS, ["a", "b", "c"])

@@ -157,6 +157,20 @@ def test_functional_residual_reports_worst_witness():
     assert functional_zero_residual(eta.add(eta.scale(-1)), probes) == (0.0, None)
 
 
+def test_functional_residual_refuses_different_value_dimensions():
+    # comparing only the shared E-components read T1 and T2 as equal
+    z = BaseDistribution.zero(DS)
+    w = BaseDistribution.point(DS, "a")
+    t1 = FormalDistribution(DS, DS.whole(), 1, 1, {(0,): (z,)})
+    t2 = FormalDistribution(DS, DS.whole(), 1, 2, {(0,): (z, w)})
+    probes = dual_function_family(DS, DS.whole(), 1, 1)
+    with pytest.raises(DomainMismatchError):
+        functional_residual(t1, t2, probes)
+    with pytest.raises(DomainMismatchError):
+        functional_residual(t2, t1, probes)
+    assert functional_residual(t2, t2, probes) == (0.0, None)
+
+
 # -- Mayer-Vietoris ------------------------------------------------------------------
 
 
