@@ -75,6 +75,9 @@ def _canon_terms(terms):
 class FormalDensity(_GradedSection):
     """sum_L (sum tau . d_x^I) (y*)^L over an open set."""
 
+    # read against probes, a density is a functional with scalar values
+    e_dim = 1
+
     def __init__(self, space, domain: OpenSet, k: int, coeffs=None):
         super().__init__(space, domain, k)
         clean = {}
@@ -154,6 +157,15 @@ class FormalDensity(_GradedSection):
                 val = tau.mul_coeff(der).integrate(self.domain, abs_tol)
                 acc = acc + lfact * val
         return acc
+
+    def apply(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL):
+        """<eta, u> as an E-vector with one entry, as distributions give."""
+        return [self.pair(u, abs_tol)]
+
+    def weight_vectors(self):
+        """(L, (weight map,)) per y*-index on a discrete space, where a
+        key holds a single term (there are no derivative stacks)."""
+        return ((l, (terms[0][1].coeff,)) for l, terms in self.coeffs.items())
 
     # -- module action -------------------------------------------------------------
 

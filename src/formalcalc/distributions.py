@@ -417,6 +417,11 @@ class _DualSection(_GradedSection):
         return self._clone({j: tuple(w.scale(c) for w in vec)
                             for j, vec in self.coeffs.items()})
 
+    def weight_vectors(self):
+        """(key, E-vector of weight maps) per key on a discrete space."""
+        return ((j, tuple(w.weights for w in vec))
+                for j, vec in self.coeffs.items())
+
     def component(self, j: int):
         return self._clone({key: (vec[j],) for key, vec in self.coeffs.items()},
                            e_dim=1)

@@ -9,7 +9,17 @@ polynomial probes on the line, sound for the classes this package
 builds, not for arbitrary functionals), the coefficients of a
 partition of unity (first-match indicators, or bump quotients whose
 shared denominator is certified positive), a cutoff that is one near a
-support, and the check that a partition sums to one. The constructions:
+support, and the check that a partition sums to one.
+
+Functionals are compared over a dual family (dual_function_family,
+dual_density_family), which knows its shape and builds a probe section
+only when one is asked for: in practice the witness a failed check
+reports. The space reads a section's value at each probe
+(`probe_values`). On a discrete space the probes are the dual basis, so
+the values come off the section's coefficient table (the probe
+1_a . y^J reads J! times the weight at a of the J-th coefficient) and
+two sections are compared only where either carries a weight; on the
+line each probe is built and paired. The constructions:
 
 * build_pou: partitions of unity subordinate to a finite cover.
 
@@ -31,6 +41,9 @@ support, and the check that a partition sums to one. The constructions:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from functools import cached_property
+
 from .basedensity import BaseDensity
 from .densities import FormalDensity
 from .distributions import (CompactFormalDistribution, FormalDistribution,
@@ -39,6 +52,7 @@ from .errors import (CertificateError, DomainMismatchError,
                      IncompatibilityError, SupportError)
 from .functions import SupportedFormalFunction, cutoff_product
 from .multiindex import degree, enumerate_upto, mi
+from .scalars import QC_ZERO
 from .spaces import OpenSet
 
 POU_GRID_TOL = 1e-12
@@ -141,6 +155,101 @@ def build_pou(cover: Cover, k: int, trunc: int) -> PartitionOfUnity:
         for c, supp, plateau in whole.space.partition(whole.region, parts)])
 
 
+class _ProbeFamily(Sequence):
+    """A dual family known by its shape: space, domain, k, the cap on
+    its keys, the x-degree cap and the derivative stacks.
+
+    Probe n is the space's base probe n // width times the key and the
+    stack at n % width (keys in grlex order, stacks innermost). The
+    space reads a section's values at all probes at once (`values`); a
+    probe section is built only when one is asked for, by index or
+    iteration: in practice the witness of a failed check. A family
+    compares equal to the list of its probes.
+    """
+
+    def __init__(self, space, domain: OpenSet, k: int, cap: int,
+                 xdeg_cap: int, stacks):
+        self.space, self.domain, self.k, self.cap = space, domain, k, cap
+        self.xdeg_cap, self.stacks = xdeg_cap, stacks
+        self.keys = enumerate_upto(k, cap)
+        self.width = len(self.keys) * len(stacks)
+        # where each key's first probe sits in the block of a base probe
+        self.key_offset = {j: n * len(stacks) for n, j in enumerate(self.keys)}
+
+    @cached_property
+    def base(self):
+        """(coefficient, support) of each probe of the space."""
+        return self.space.probes(self.domain.region, self.xdeg_cap)
+
+    def __len__(self):
+        return len(self.base) * self.width
+
+    def __getitem__(self, n):
+        b, r = divmod(range(len(self))[n], self.width)
+        j, i = divmod(r, len(self.stacks))
+        return self._probe(*self.base[b], self.keys[j], self.stacks[i])
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _ProbeFamily)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def check(self, section):
+        """Raise what pairing the section with the probes raises:
+        TypeError for a section that reads no probe of this kind,
+        DomainMismatchError, TruncationError. An empty family reads
+        nothing and raises nothing."""
+        if not len(self):
+            return
+        if not isinstance(section, self.readers):
+            raise TypeError("no probe application for %r"
+                            % type(section).__name__)
+        self._check_partner(section)
+
+    def values(self, section):
+        """{probe position: E-vector} of a checked section, from the
+        space; a position left out reads zero."""
+        return self.space.probe_values(section, self) if len(self) else {}
+
+
+class _FunctionProbes(_ProbeFamily):
+    """Supported functions c * y^J, truncated at the cap."""
+
+    readers = (FormalDensity, FormalDistribution)
+
+    def __init__(self, space, domain, k, cap, xdeg_cap):
+        super().__init__(space, domain, k, cap, xdeg_cap, ((),))
+        self.trunc = cap
+
+    def _probe(self, c, supp, j, _):
+        return SupportedFormalFunction._trusted(
+            self.space, self.domain, self.k, {j: c}, trunc=self.cap,
+            support=supp, plateau=None)
+
+    def _check_partner(self, section):
+        section._check_partner(self, section.star_degree())
+
+
+class _DensityProbes(_ProbeFamily):
+    """Formal densities (c . d_x^I)(y*)^L."""
+
+    readers = (GeneralizedFunction,)
+
+    def _probe(self, c, supp, l, i):
+        tau = BaseDensity._trusted(self.space, c, supp)
+        return FormalDensity._trusted(self.space, self.domain, self.k,
+                                      {l: ((i, tau),)})
+
+    def _check_partner(self, section):
+        # each probe checks the section as its partner, in key order, so
+        # the first to fail is one of degree trunc + 1
+        FormalDensity._trusted(self.space, self.domain, self.k, {}) \
+            ._check_partner(section, min(self.cap, section.trunc + 1))
+
+
 def dual_function_family(space, domain: OpenSet, k: int, trunc: int,
                          xdeg_cap: int = 2):
     """Supported-function probes for densities and distributions: each
@@ -148,12 +257,7 @@ def dual_function_family(space, domain: OpenSet, k: int, trunc: int,
     validation, so domain, k and trunc must be those of a section (as
     every caller here passes).
     """
-    keys = enumerate_upto(k, trunc)
-    return [SupportedFormalFunction._trusted(
-                space, domain, k, {j: c}, trunc=trunc, support=supp,
-                plateau=None)
-            for c, supp in space.probes(domain.region, xdeg_cap)
-            for j in keys]
+    return _FunctionProbes(space, domain, k, trunc, xdeg_cap)
 
 
 def dual_density_family(space, domain: OpenSet, k: int, star_cap: int,
@@ -164,57 +268,49 @@ def dual_density_family(space, domain: OpenSet, k: int, star_cap: int,
     They are built without validation, so domain and k must be those
     of a section.
     """
-    keys = enumerate_upto(k, star_cap)
-    stacks = enumerate_upto(space.ndim, stack_cap)
-    out = []
-    for c, supp in space.probes(domain.region, xdeg_cap):
-        tau = BaseDensity._trusted(space, c, supp)
-        out.extend(FormalDensity._trusted(space, domain, k, {l: ((i, tau),)})
-                   for l in keys for i in stacks)
-    return out
+    return _DensityProbes(space, domain, k, star_cap, xdeg_cap,
+                          enumerate_upto(space.ndim, stack_cap))
 
 
 # -- functional comparison --------------------------------------------------------
 
 
-def _apply_probe(obj, probe):
-    """E-vector (as a list) of the functional read against one probe."""
-    if isinstance(obj, FormalDensity):
-        return [obj.pair(probe)]
-    if isinstance(obj, (FormalDistribution, GeneralizedFunction)):
-        return obj.apply(probe)
-    raise TypeError("no probe application for %r" % type(obj).__name__)
+def _worst(family, va, vb, e_dim):
+    """The largest gap between two value maps of the family and the
+    first probe that reaches it (None when no gap is positive). Only
+    an unequal pair of values is converted to complex."""
+    zero = [QC_ZERO] * e_dim
+    worst, at = 0.0, None
+    for n in sorted(va.keys() | vb.keys()):
+        gap = max((abs(complex(x) - complex(y)) for x, y in
+                   zip(va.get(n, zero), vb.get(n, zero)) if x != y),
+                  default=0.0)
+        if gap > worst:
+            worst, at = gap, n
+    return worst, None if at is None else family[at]
 
 
-def _vec_gap(va, vb) -> float:
-    if len(va) != len(vb):
-        raise DomainMismatchError("functionals with E_dim %d and %d are "
-                                  "not comparable" % (len(va), len(vb)))
-    return max((abs(complex(x) - complex(y)) for x, y in zip(va, vb)),
-               default=0.0)
+def functional_residual(a, b, family):
+    """Max probe disagreement over a dual family (from
+    dual_function_family or dual_density_family) and the witnessing
+    probe (None if there is none): the first probe, in family order,
+    with the largest gap.
 
-
-def functional_residual(a, b, probes):
-    """Max probe disagreement and the witnessing probe (None if empty).
-
-    Functionals of different E_dim raise DomainMismatchError.
+    Functionals of different E_dim raise DomainMismatchError, whatever
+    the family.
     """
-    worst, witness = 0.0, None
-    for p in probes:
-        gap = _vec_gap(_apply_probe(a, p), _apply_probe(b, p))
-        if gap > worst:
-            worst, witness = gap, p
-    return worst, witness
+    if a.e_dim != b.e_dim:
+        raise DomainMismatchError("functionals with E_dim %d and %d are "
+                                  "not comparable" % (a.e_dim, b.e_dim))
+    family.check(a)
+    family.check(b)
+    return _worst(family, family.values(a), family.values(b), a.e_dim)
 
 
-def functional_zero_residual(a, probes):
-    """Max probe magnitude and the witnessing probe."""
-    worst, witness = 0.0, None
-    for p in probes:
-        gap = max((abs(complex(x)) for x in _apply_probe(a, p)), default=0.0)
-        if gap > worst:
-            worst, witness = gap, p
-    return worst, witness
+def functional_zero_residual(a, family):
+    """Max probe magnitude over a dual family and the witnessing probe."""
+    family.check(a)
+    return _worst(family, family.values(a), {}, a.e_dim)
 
 
 # -- Mayer-Vietoris -----------------------------------------------------------------

@@ -28,11 +28,13 @@ region value.
 
 Each backend also supplies the ingredients of the sheaf constructions,
 as base data that sheaf.py turns into formal sections: the probes that
-functional equality is decided against (`probes`), the coefficients of
-a partition of unity (`partition`), a cutoff that is one near a support
+functional equality is decided against (`probes`) and a section's value
+at each of them (`probe_values`), the coefficients of a partition of
+unity (`partition`), a cutoff that is one near a support
 (`cutoff_near`) and the check that a partition sums to one
-(`unit_gap`). Label indicators on Discrete, exact; plateau bumps on
-SmoothLine, with the partition's denominator certified positive.
+(`unit_gap`). Label indicators on Discrete, exact, whose probe values
+are read off a section's coefficients; plateau bumps on SmoothLine,
+paired one by one, with the partition's denominator certified positive.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -52,6 +54,7 @@ from .errors import (BackendError, CertificateError, DomainMismatchError,
 from .expr import (ONE, ZERO, Const, X, add, bump, compile_f, diff, div, ev,
                    falling_edge, mul, parse_sexpr, pow_, rising_edge, to_sexpr,
                    window_bump)
+from .multiindex import mi_factorial
 from .quadrature import DEFAULT_ABS_TOL, integrate_expr
 from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_to_json,
                       rat_from_json, rat_to_json)
@@ -307,6 +310,30 @@ class Discrete:
         """(coefficient, support) of each probe: the indicator of every
         label of the region, in order (there are no powers of x)."""
         return [({p: QC_ONE}, frozenset({p})) for p in sorted(region)]
+
+    def probe_values(self, section, family):
+        """{probe position: E-vector} of a section against a dual family
+        (sheaf.py), read off the section's coefficients.
+
+        The probes are the dual basis: probe (a, J), the indicator of
+        label a times y^J (or the density at a times (y*)^J), reads J!
+        times the weight at a of the section's J-th coefficient. Only
+        positions where the section has a weight appear; the other
+        probes read zero. Keys beyond the family's cap and labels
+        outside its domain are read by no probe. The labels take the
+        order `probes` gives them.
+        """
+        at = {p: n * family.width
+              for n, p in enumerate(sorted(family.domain.region))}
+        e_dim, out = section.e_dim, {}
+        for j, vec in section.weight_vectors():
+            if j in family.key_offset:
+                f, off = mi_factorial(j), family.key_offset[j]
+                for comp, weights in enumerate(vec):
+                    for p in weights.keys() & at.keys():
+                        vals = out.setdefault(at[p] + off, [QC_ZERO] * e_dim)
+                        vals[comp] = weights[p] * f
+        return out
 
     def partition(self, whole, parts):
         """(coefficient, support, plateau) per part: the indicator of
@@ -642,6 +669,11 @@ class SmoothLine:
                 out.extend((mul(b, pow_(X, e)) if e else b, supp)
                            for e in range(xdeg_cap + 1))
         return out
+
+    def probe_values(self, section, family):
+        """{probe position: E-vector} of a section against a dual family:
+        every probe of the family, built and paired."""
+        return {n: section.apply(p) for n, p in enumerate(family)}
 
     def partition(self, whole, parts):
         """(coefficient, support, plateau) per part.

@@ -171,6 +171,18 @@ def test_functional_residual_refuses_different_value_dimensions():
     assert functional_residual(t2, t2, probes) == (0.0, None)
 
 
+def test_functional_residual_refuses_different_value_dimensions_without_probes():
+    # with no probe to read, E_dim 1 against E_dim 2 read as equal
+    empty = OpenSet(DS, [])
+    t1 = FormalDistribution(DS, empty, 1, 1)
+    t2 = FormalDistribution(DS, empty, 1, 2)
+    for probes in (dual_function_family(DS, empty, 1, 1), []):
+        with pytest.raises(DomainMismatchError):
+            functional_residual(t1, t2, probes)
+    assert functional_residual(t2, t2, dual_function_family(
+        DS, empty, 1, 1)) == (0.0, None)
+
+
 # -- Mayer-Vietoris ------------------------------------------------------------------
 
 
