@@ -344,7 +344,7 @@ def _terms_key(w):
     out = []
     for t in w.terms:
         if isinstance(t, SmoothTerm):
-            out.append(("smooth", w.space.to_json(t.g), _bound_key(t.bound)))
+            out.append(("smooth", t.g, _bound_key(t.bound)))
         else:
             out.append(("point", t.a, t.i, complex(t.c) if not isinstance(t.c, QC)
                         else t.c))

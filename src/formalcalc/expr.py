@@ -33,11 +33,14 @@ one statement per distinct subterm, constants bound once as complex
 values, each statement the float operation of its node. `ev_f` is the
 one-point entry to the same program.
 
+Nodes are interned where they are built (`Expr.__new__`): one
+structure, a quotient's region aside, is one live object, so `==` and
+`hash` are object identity and printing is for output only.
+
 `_fold` over `_postorder` is the one walk: evaluation, bounds,
-derivatives, printing (so `==` and `hash`), `poly_coeffs` and the
-program visit each distinct node once, children first. So only the
-parser recurses, and a derivative shares the derivatives of shared
-subterms.
+derivatives, printing, `poly_coeffs` and the program visit each
+distinct node once, children first. So only the parser recurses, and a
+derivative shares the derivatives of shared subterms.
 
 Quotient denominators are certified positive at construction by exact
 adaptive interval bisection over the region where the quotient will be
@@ -49,6 +52,7 @@ from __future__ import annotations
 import math
 import operator
 import re as _re
+import weakref
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -65,7 +69,22 @@ POS_INF = float("inf")
 # -- nodes ------------------------------------------------------------------
 
 class Expr:
-    __slots__ = ()
+    """A node. Nodes are interned: one structure is one live object, so
+    `==` and `hash` are object identity. A quotient's region is not part
+    of its structure; the node keeps the region it was first built with.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        # __slots__ name the fields in order; the key is the class and
+        # the first two (the children, n or m), so a quotient's region,
+        # its third, is left out
+        return _intern(cls, (cls, *fields[:2]), fields)
+
+    def __reduce__(self):
+        # a copy or an unpickled node is the live node of its structure
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def __add__(self, other):
         return add(self, _as_expr(other))
@@ -85,23 +104,32 @@ class Expr:
     def __rmul__(self, other):
         return mul(_as_expr(other), self)
 
-    # equal structure, region of a quotient aside: the printed form
-    def __eq__(self, other):
-        return self is other or (type(self) is type(other)
-                                 and to_sexpr(self) == to_sexpr(other))
-
-    def __hash__(self):
-        return hash(to_sexpr(self))
-
     def __repr__(self):
         return to_sexpr(self)
+
+
+# structure key -> its one live node; an entry goes when its node dies
+_LIVE = weakref.WeakValueDictionary()
+
+
+def _intern(cls, key, fields):
+    node = _LIVE.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, v in zip(cls.__slots__, fields):
+            setattr(node, name, v)
+        _LIVE[key] = node
+    return node
 
 
 class Const(Expr):
     __slots__ = ("v",)
 
-    def __init__(self, v):
-        self.v = qc(v)
+    def __new__(cls, v):
+        # keyed by the exact value, without hashing its Fractions
+        v = qc(v)
+        return _intern(cls, (cls, v.re.numerator, v.re.denominator,
+                             v.im.numerator, v.im.denominator), (v,))
 
 
 class Var(Expr):
@@ -111,15 +139,9 @@ class Var(Expr):
 class Add(Expr):
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
 
 class Mul(Expr):
     __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
 
 
 class Div(Expr):
@@ -127,24 +149,15 @@ class Div(Expr):
 
     __slots__ = ("num", "den", "region")
 
-    def __init__(self, num, den, region):
-        self.num, self.den, self.region = num, den, region
-
 
 class Pow(Expr):
     __slots__ = ("base", "n")
-
-    def __init__(self, base, n):
-        self.base, self.n = base, n
 
 
 class Kern(Expr):
     """s_m(arg): exp(-1/arg)/arg^m for arg > 0, zero otherwise."""
 
     __slots__ = ("arg", "m")
-
-    def __init__(self, arg, m):
-        self.arg, self.m = arg, m
 
 
 X = Var()
@@ -288,7 +301,7 @@ _CHILDREN = {Const: (), Var: (), Add: ("a", "b"), Mul: ("a", "b"),
 
 
 def _postorder(e: Expr) -> list:
-    """Every distinct node object of e once, each after its children.
+    """Every distinct node of e once, each after its children.
 
     Children are taken left to right, so the list is the order in which
     a recursive left-to-right walk first finishes each node. Iterative:
@@ -302,9 +315,9 @@ def _postorder(e: Expr) -> list:
         if done:
             out.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         kids = _CHILDREN.get(type(node))
         if kids is None:
             raise TypeError("unknown expression node %r" % (node,))
@@ -327,11 +340,11 @@ def _fold(nodes: list, visit):
         if not kids:
             v = visit(node)
         elif len(kids) == 1:
-            v = visit(node, vals[id(getattr(node, kids[0]))])
+            v = visit(node, vals[getattr(node, kids[0])])
         else:
-            v = visit(node, vals[id(getattr(node, kids[0]))],
-                      vals[id(getattr(node, kids[1]))])
-        vals[id(node)] = v
+            v = visit(node, vals[getattr(node, kids[0])],
+                      vals[getattr(node, kids[1])])
+        vals[node] = v
     return v
 
 
@@ -483,36 +496,23 @@ def _float_program(e: Expr):
     """Source of e's float64 program and the constants it reads.
 
     Returns (source, constants): source defines `_f(x)` with one
-    assignment per structurally distinct non-constant subterm, in the
-    order a left-to-right evaluation first needs it; constants maps the
-    names c0, c1, ... to their complex values. Subterms are keyed by
-    node kind, the names of their children and n or m (constants by
-    their exact value), so equal subterms share one statement without
-    hashing whole trees.
+    assignment per distinct non-constant subterm (one node each), in
+    the order a left-to-right evaluation first needs it; constants maps
+    the names c0, c1, ... to their complex values.
     """
     lines = []
     consts = {}
-    by_key = {}
 
     def visit(node, *kids):
         kind = type(node)
         if kind is Const:
-            v = node.v
-            key = (kind, v.re.numerator, v.re.denominator, v.im.numerator,
-                   v.im.denominator)
+            name = "c%d" % len(consts)
+            consts[name] = complex(node.v)
         else:
-            key = (kind, kids,
-                   node.n if kind is Pow else node.m if kind is Kern else None)
-        name = by_key.get(key)
-        if name is None:
-            if kind is Const:
-                name = "c%d" % len(consts)
-                consts[name] = complex(node.v)
-            else:
-                name = "v%d" % len(lines)
-                lines.append("    %s = %s" % (name, _STATEMENT[kind].format(
-                    *kids, p=key[2])))
-            by_key[key] = name
+            name = "v%d" % len(lines)
+            lines.append("    %s = %s" % (name, _STATEMENT[kind].format(
+                *kids, p=node.n if kind is Pow else
+                node.m if kind is Kern else None)))
         return name
     lines.append("    return %s" % _fold(_postorder(e), visit))
     return "def _f(x):\n" + "\n".join(lines) + "\n", consts

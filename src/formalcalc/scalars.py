@@ -250,6 +250,4 @@ def qc_to_json(v: QC):
 
 def to_complex(v) -> complex:
     """Flatten a QC or any numeric value to a Python complex."""
-    if isinstance(v, QC):
-        return complex(v)
     return complex(v)

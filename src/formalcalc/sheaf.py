@@ -184,6 +184,11 @@ class _ProbeFamily(Sequence):
     def __len__(self):
         return len(self.base) * self.width
 
+    def __bool__(self):
+        # without building `base`: a space has probes over every
+        # nonempty region
+        return bool(self.width and self.domain.region)
+
     def __getitem__(self, n):
         b, r = divmod(range(len(self))[n], self.width)
         j, i = divmod(r, len(self.stacks))
@@ -202,7 +207,7 @@ class _ProbeFamily(Sequence):
         TypeError for a section that reads no probe of this kind,
         DomainMismatchError, TruncationError. An empty family reads
         nothing and raises nothing."""
-        if not len(self):
+        if not self:
             return
         if not isinstance(section, self.readers):
             raise TypeError("no probe application for %r"
@@ -212,7 +217,7 @@ class _ProbeFamily(Sequence):
     def values(self, section):
         """{probe position: E-vector} of a checked section, from the
         space; a position left out reads zero."""
-        return self.space.probe_values(section, self) if len(self) else {}
+        return self.space.probe_values(section, self) if self else {}
 
 
 class _FunctionProbes(_ProbeFamily):

@@ -374,7 +374,7 @@ def test_deep_expressions_walk_without_recursion():
     flat = "(+ %s)" % " ".join(["x"] * 1500)
     for n, e, twin in ((5000, deep_chain(5000), deep_chain(5000)),
                        (1500, parse_sexpr(flat), parse_sexpr(flat))):
-        assert e is not twin
+        assert e is twin
         assert ev(e, 1) == QC(n)
         assert ev(e, 0.5) == mpf(n) / 2
         lo, hi = ibounds(e, 0.0, 1.0)
