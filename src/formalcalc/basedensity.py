@@ -69,11 +69,6 @@ class BaseDensity:
         return self.space.weights(self.coeff)
 
     @property
-    def expr(self):
-        """The expression on the line, None on the discrete backend."""
-        return self.space.expr(self.coeff)
-
-    @property
     def support(self):
         return self.bound
 
@@ -144,12 +139,6 @@ class BaseDensity:
             return QC_ZERO
         return self.space.integrate(self.coeff, region, abs_tol)
 
-    def value_at(self, p):
-        """Pointwise value of the density coefficient."""
-        if p not in self.bound:
-            return QC_ZERO
-        return self.space.ev(self.coeff, p)
-
     # -- plumbing -----------------------------------------------------------------
 
     def _check(self, other):
@@ -171,5 +160,5 @@ class BaseDensity:
         return self.space.bounded_to_json(self.coeff, self.bound)
 
     @classmethod
-    def from_json(cls, space, v, region=None):
-        return cls(space, *space.bounded_from_json(v, region=region))
+    def from_json(cls, space, v):
+        return cls(space, *space.bounded_from_json(v))

@@ -264,6 +264,9 @@ def _main(argv) -> int:
     if args.trunc is not None and args.trunc < 0:
         print("error: --trunc must be nonnegative", file=sys.stderr)
         return 2
+    if args.tol is not None and not 0 <= args.tol < float("inf"):
+        print("error: --tol must be finite and nonnegative", file=sys.stderr)
+        return 2
     try:
         sc = Scenario.load(args.scenario, trunc_override=args.trunc)
         tol = args.tol if args.tol is not None else sc.tol

@@ -158,9 +158,9 @@ class FormalDensity(_GradedSection):
                 acc = acc + lfact * val
         return acc
 
-    def apply(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL):
+    def apply(self, u: FormalFunction):
         """<eta, u> as an E-vector with one entry, as distributions give."""
-        return [self.pair(u, abs_tol)]
+        return [self.pair(u)]
 
     def weight_vectors(self):
         """(L, (weight map,)) per y*-index on a discrete space, where a
@@ -195,13 +195,6 @@ class FormalDensity(_GradedSection):
         if not supp <= self.domain.region:
             raise SupportError("support escapes the domain")
         return FormalDensity._trusted(self.space, m, self.k, self.coeffs)
-
-    def restrict_data(self, v: OpenSet) -> "FormalDensity":
-        """Restriction of the raw coefficient data; sensible when the
-        support already sits inside v (cutoff first otherwise)."""
-        self._check_inside(v)
-        return self._canon({l: tuple((i, tau.restrict(v)) for i, tau in terms)
-                            for l, terms in self.coeffs.items()}, v)
 
     def cutoff_restrict(self, f: SupportedFormalFunction, v: OpenSet) -> "FormalDensity":
         """(eta . f)|_v for a cutoff f supported inside v.
@@ -243,7 +236,7 @@ class FormalDensity(_GradedSection):
         return {"coeffs": out}
 
     @classmethod
-    def from_json(cls, space, domain, k, v, region=None):
+    def from_json(cls, space, domain, k, v):
         if not isinstance(v, dict) or "coeffs" not in v:
             raise ValueError("formal density needs a 'coeffs' field")
         coeffs = {}
@@ -253,7 +246,7 @@ class FormalDensity(_GradedSection):
             for t in json_shape(terms, list, "density terms"):
                 i = mi(json_shape(t, dict, "density term").get(
                     "I", [0] * space.ndim))
-                tau = BaseDensity.from_json(space, t["tau"], region=region)
+                tau = BaseDensity.from_json(space, t["tau"])
                 lst.append((i, tau))
             coeffs[l] = tuple(lst)
         return cls(space, domain, k, coeffs)

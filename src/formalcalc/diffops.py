@@ -82,7 +82,7 @@ class _DiffOp(_GradedSection):
                           for i, l in self.keys_sorted()]}
 
     @classmethod
-    def from_json(cls, space, domain, k, v, region=None):
+    def from_json(cls, space, domain, k, v):
         if not isinstance(v, dict) or "terms" not in v:
             raise ValueError("operator needs a 'terms' field")
         terms = {}
@@ -92,8 +92,7 @@ class _DiffOp(_GradedSection):
             l = mi(t.get("L", [0] * k))
             if (i, l) in terms:
                 raise ValueError("duplicate operator term at (%r, %r)" % (i, l))
-            terms[(i, l)] = cls._coeff_from_json(space, domain, k, t["coeff"],
-                                                 region)
+            terms[(i, l)] = cls._coeff_from_json(space, domain, k, t["coeff"])
         return cls(space, domain, k, terms)
 
 
@@ -115,8 +114,8 @@ class DensityDiffOp(_DiffOp):
         return cls(space, domain, k, {(mi(i), mi(l)): tau})
 
     @staticmethod
-    def _coeff_from_json(space, domain, k, v, region):
-        return BaseDensity.from_json(space, v, region=region)
+    def _coeff_from_json(space, domain, k, v):
+        return BaseDensity.from_json(space, v)
 
     # -- linear structure --------------------------------------------------
 
@@ -157,16 +156,6 @@ class DensityDiffOp(_DiffOp):
 
     # -- composition with functions ----------------------------------------------
 
-    def postcompose_function(self, f: FormalFunction) -> "DensityDiffOp":
-        """f . D: multiply the output density by f via the reduction.
-
-        Densities on the base only feel the y-constant coefficient f_0.
-        """
-        self._check_partner(f)
-        f0 = f.coeff((0,) * self.k)
-        out = {key: tau.mul_coeff(f0) for key, tau in self.terms.items()}
-        return DensityDiffOp(self.space, self.domain, self.k, out)
-
     def precompose_function(self, f: FormalFunction) -> "DensityDiffOp":
         """D . f, with apply(D . f, u) = apply(D, f u).
 
@@ -190,14 +179,6 @@ class DensityDiffOp(_DiffOp):
         self._check_extends(m)
         return DensityDiffOp(self.space, m, self.k, self.terms)
 
-    def restrict_op(self, v: OpenSet) -> "DensityDiffOp":
-        """Restriction to a smaller open set holding the whole support."""
-        self._check_inside(v)
-        if not self.support() & self.domain.region <= v.region:
-            raise SupportError("operator support escapes the target open set")
-        out = {key: tau.restrict(v) for key, tau in self.terms.items()}
-        return DensityDiffOp(self.space, v, self.k, out)
-
     # -- plumbing ----------------------------------------------------------------------
 
     def __repr__(self):
@@ -215,15 +196,8 @@ class EndoDiffOp(_DiffOp):
             raise SupportError("coefficients need a support witness")
         self._check_partner(f)
 
-    @classmethod
-    def identity_term(cls, space, domain, k, f: SupportedFormalFunction):
-        """The multiplication operator u -> (f u)_0."""
-        zero_i = (0,) * space.ndim
-        zero_l = (0,) * k
-        return cls(space, domain, k, {(zero_i, zero_l): f})
-
     @staticmethod
-    def _coeff_from_json(space, domain, k, v, region):
+    def _coeff_from_json(space, domain, k, v):
         return SupportedFormalFunction.from_json(space, domain, k, v)
 
     def apply_reduced(self, u: FormalFunction):

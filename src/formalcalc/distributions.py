@@ -46,7 +46,6 @@ from .functions import (FormalFunction, SupportedFormalFunction, _GradedSection,
                         cutoff_product)
 from .multiindex import (degree, enumerate_upto, key_str, mi, mi_add, mi_factorial,
                          parse_key)
-from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json
 from .spaces import OpenSet
 
@@ -131,10 +130,6 @@ class BaseDistribution:
         return cls._trusted(space, ())
 
     @classmethod
-    def from_weights(cls, space, weights):
-        return cls(space, weights=weights)
-
-    @classmethod
     def smooth(cls, space, g, bound=None):
         return cls(space, terms=(SmoothTerm(g, bound),))
 
@@ -181,7 +176,7 @@ class BaseDistribution:
 
     # -- actions ------------------------------------------------------------
 
-    def act_on_function(self, c, region, abs_tol=DEFAULT_ABS_TOL):
+    def act_on_function(self, c, region):
         """Pair with a base function coefficient vanishing outside a
         bounded region (the partner's support)."""
         sp = self.space
@@ -189,13 +184,12 @@ class BaseDistribution:
         for t in self.terms:
             if isinstance(t, SmoothTerm):
                 r = region if t.bound is None else region & t.bound
-                acc = acc + sp.pair(t.g, c, r, abs_tol)
+                acc = acc + sp.pair(t.g, c, r)
             else:
                 acc = acc + _scalar_mul(t.c, sp.ev(sp.diff(c, t.i), t.a))
         return acc
 
-    def act_on_density(self, tau: BaseDensity, stack: int, domain: OpenSet,
-                       abs_tol=DEFAULT_ABS_TOL):
+    def act_on_density(self, tau: BaseDensity, stack: int, domain: OpenSet):
         """Pair with a base density carrying a derivative stack d^stack."""
         sp = self.space
         acc = QC_ZERO
@@ -204,8 +198,7 @@ class BaseDistribution:
                 g = sp.diff(t.g, stack)
                 r = tau.bound if t.bound is None else tau.bound & t.bound
                 r = r & domain.region
-                val = sp.pair(tau.coeff, g, r, abs_tol) if r \
-                    else QC_ZERO
+                val = sp.pair(tau.coeff, g, r) if r else QC_ZERO
                 acc = acc + val
             elif t.a in tau.bound:
                 sign = -1 if stack % 2 else 1
@@ -278,7 +271,7 @@ class BaseDistribution:
         return self.space.terms_to_json(out)
 
     @classmethod
-    def from_json(cls, space, v, region=None):
+    def from_json(cls, space, v):
         terms = []
         for t in space.terms_from_json(v):
             kind = json_shape(t, dict, "distribution term").get("kind")
@@ -286,8 +279,7 @@ class BaseDistribution:
                 bound = None
                 if "support" in t:
                     bound = space.region_from_json(t["support"])
-                terms.append(SmoothTerm(space.from_json(t["expr"], region=region),
-                                        bound))
+                terms.append(SmoothTerm(space.from_json(t["expr"]), bound))
             elif kind == "point":
                 terms.append(PointTerm(space.point(t["a"]), int(t["i"]),
                                        qc_from_json(t.get("c", 1))))
@@ -444,13 +436,13 @@ class _DualSection(_GradedSection):
         }
 
     @staticmethod
-    def _vectors_from_json(space, k, v, region):
+    def _vectors_from_json(space, k, v):
         """(E_dim, coefficient vectors) of a JSON object."""
         coeffs = {}
         for key, vecs in json_shape(v.get("coeffs", {}), dict,
                                     "'coeffs'").items():
             coeffs[parse_key(key, length=k)] = tuple(
-                BaseDistribution.from_json(space, w, region=region)
+                BaseDistribution.from_json(space, w)
                 for w in json_shape(vecs, list, "coefficient vector"))
         return int(v.get("E_dim", 1)), coeffs
 
@@ -482,7 +474,7 @@ class FormalDistribution(_DualSection):
 
     # -- action ------------------------------------------------------------------
 
-    def apply(self, u: SupportedFormalFunction, abs_tol=DEFAULT_ABS_TOL):
+    def apply(self, u: SupportedFormalFunction):
         """E-vector of pairings against a compactly supported function."""
         self._check_partner(u, self.star_degree())
         if not isinstance(u, SupportedFormalFunction):
@@ -496,8 +488,7 @@ class FormalDistribution(_DualSection):
             acc = QC_ZERO
             for l in keys:
                 lf = mi_factorial(l)
-                v = self.coeffs[l][j].act_on_function(u.coeffs[l], region,
-                                                      abs_tol)
+                v = self.coeffs[l][j].act_on_function(u.coeffs[l], region)
                 acc = acc + lf * v
             out.append(_fin(acc))
         return out
@@ -524,10 +515,10 @@ class FormalDistribution(_DualSection):
         return ("distribution", self.e_dim, self.coeffs)
 
     @classmethod
-    def from_json(cls, space, domain, k, v, region=None):
+    def from_json(cls, space, domain, k, v):
         if not isinstance(v, dict):
             raise ValueError("distribution needs an object with E_dim and coeffs")
-        return cls(space, domain, k, *cls._vectors_from_json(space, k, v, region))
+        return cls(space, domain, k, *cls._vectors_from_json(space, k, v))
 
 
 class CompactFormalDistribution(FormalDistribution):
@@ -608,8 +599,8 @@ class CompactFormalDistribution(FormalDistribution):
         return out
 
     @classmethod
-    def from_json(cls, space, domain, k, v, region=None):
-        plain = FormalDistribution.from_json(space, domain, k, v, region=region)
+    def from_json(cls, space, domain, k, v):
+        plain = FormalDistribution.from_json(space, domain, k, v)
         support = None
         if "support" in v:
             support = space.region_from_json(v["support"])
@@ -628,9 +619,9 @@ class ExtendedFunctional:
         self.eta = eta
         self.cutoff = cutoff
 
-    def __call__(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL):
+    def __call__(self, u: FormalFunction):
         v = cutoff_product(self.cutoff, u)
-        return self.eta.apply(v.restrict(self.eta.domain), abs_tol)
+        return self.eta.apply(v.restrict(self.eta.domain))
 
 
 def cutoff_extend(eta: CompactFormalDistribution,
@@ -695,7 +686,7 @@ class GeneralizedFunction(_DualSection):
         trunc = min(self.trunc, other.trunc)
         return self._with(self._sum(other, trunc), trunc=trunc)
 
-    def apply(self, eta: FormalDensity, abs_tol=DEFAULT_ABS_TOL):
+    def apply(self, eta: FormalDensity):
         """E-vector <u, eta>; derivative stacks transpose onto u."""
         eta._check_partner(self, eta.star_degree())
         keys = eta._shared_keys(self)
@@ -707,8 +698,7 @@ class GeneralizedFunction(_DualSection):
                 vec = self.coeffs[l]
                 for i, tau in eta.coeffs[l]:
                     stack = i[0] if i else 0
-                    acc = acc + lf * vec[j].act_on_density(tau, stack, self.domain,
-                                                           abs_tol)
+                    acc = acc + lf * vec[j].act_on_density(tau, stack, self.domain)
             out.append(_fin(acc))
         return out
 
@@ -736,10 +726,10 @@ class GeneralizedFunction(_DualSection):
         return {"trunc": self.trunc, **super().to_json()}
 
     @classmethod
-    def from_json(cls, space, domain, k, v, region=None):
+    def from_json(cls, space, domain, k, v):
         if not isinstance(v, dict) or "trunc" not in v:
             raise ValueError("generalized function needs a 'trunc' field")
-        e_dim, coeffs = cls._vectors_from_json(space, k, v, region)
+        e_dim, coeffs = cls._vectors_from_json(space, k, v)
         return cls(space, domain, k, int(v["trunc"]), e_dim, coeffs)
 
 

@@ -87,22 +87,22 @@ class Expr:
         return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
     def __add__(self, other):
-        return add(self, _as_expr(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_as_expr(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, _as_expr(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_as_expr(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _as_expr(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_as_expr(other), self)
+        return mul(other, self)
 
     def __repr__(self):
         return to_sexpr(self)
@@ -178,8 +178,11 @@ def _is_const(e, value=None):
 
 
 # -- smart constructors ------------------------------------------------------
+# each takes a plain number wherever it takes an expression
+
 
 def add(a, b) -> Expr:
+    a, b = _as_expr(a), _as_expr(b)
     if _is_const(a) and _is_const(b):
         return Const(a.v + b.v)
     if _is_const(a, 0):
@@ -194,6 +197,7 @@ def sub(a, b) -> Expr:
 
 
 def mul(a, b) -> Expr:
+    a, b = _as_expr(a), _as_expr(b)
     if _is_const(a) and _is_const(b):
         return Const(a.v * b.v)
     if _is_const(a, 0) or _is_const(b, 0):
@@ -211,6 +215,7 @@ def pow_(e, n: int) -> Expr:
         raise ValueError("pow exponent must be nonnegative; use a quotient")
     if n == 0:
         return ONE
+    e = _as_expr(e)
     if n == 1:
         return e
     if _is_const(e):
@@ -260,6 +265,7 @@ def kern(arg, m: int = 0) -> Expr:
     m = int(m)
     if m < 0:
         raise ValueError("kernel order must be nonnegative")
+    arg = _as_expr(arg)
     if _is_const(arg):
         if not arg.v.is_real:
             raise BackendError("kernel of a non-real constant")
@@ -276,6 +282,7 @@ def div(num, den, region=None) -> Expr:
     node is built.
     """
     from .spaces import RSet
+    num, den = _as_expr(num), _as_expr(den)
     if _is_const(num, 0):
         return ZERO
     if _is_const(den):
@@ -462,11 +469,6 @@ def ev(e: Expr, x):
     return _fold(_postorder(e), visit)
 
 
-def ev_c(e: Expr, x) -> complex:
-    """Evaluate and flatten to a Python complex."""
-    return complex(ev(e, x))
-
-
 def ev_f(e: Expr, x: float) -> complex:
     """Float64 value at one point: compiles e and runs the program once.
 
@@ -595,10 +597,6 @@ def _poly_pow(base: dict, n: int) -> dict:
         raise ValueError("polynomial degree exceeds %d" % MAX_POLY_DEGREE)
     return _squarings(base, n, {0: QC_ONE}, _poly_mul, lambda p: max(
         map(_qc_bits, p.values()), default=0))
-
-
-def is_polynomial(e: Expr) -> bool:
-    return poly_coeffs(e) is not None
 
 
 def poly_definite_integral(coeffs: dict, lo: Fraction, hi: Fraction) -> QC:

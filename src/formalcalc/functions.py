@@ -290,14 +290,14 @@ class FormalFunction(_GradedSection):
         }
 
     @classmethod
-    def from_json(cls, space, domain, k, v, region=None):
+    def from_json(cls, space, domain, k, v):
         if not isinstance(v, dict) or "trunc" not in v:
             raise ValueError("formal function needs a 'trunc' field")
         coeffs = {}
         for key, cv in json_shape(v.get("coeffs", {}), dict,
                                   "'coeffs'").items():
             j = parse_key(key, length=k)
-            coeffs[j] = space.from_json(cv, domain=domain, region=region)
+            coeffs[j] = space.from_json(cv, domain=domain)
         return cls(space, domain, k, int(v["trunc"]), coeffs)
 
 
@@ -347,8 +347,8 @@ class SupportedFormalFunction(FormalFunction):
         return out
 
     @classmethod
-    def from_json(cls, space, domain, k, v, region=None):
-        plain = FormalFunction.from_json(space, domain, k, v, region=region)
+    def from_json(cls, space, domain, k, v):
+        plain = FormalFunction.from_json(space, domain, k, v)
         support = None
         if "support" in v:
             support = space.region_from_json(v["support"])

@@ -65,12 +65,6 @@ def mi_sub(m: tuple, s: tuple) -> tuple:
     return t
 
 
-def mi_leq(m: tuple, s: tuple) -> bool:
-    """Componentwise m <= s."""
-    assert len(m) == len(s)
-    return all(a <= b for a, b in zip(m, s))
-
-
 def grlex_key(m: tuple):
     return (sum(m), m)
 

@@ -5,15 +5,13 @@ antiderivative. Everything else is compiled once into a straight-line
 float64 program (`expr.compile_f`: one statement per distinct subterm)
 and goes to adaptive Gauss-Kronrod (G7, K15) quadrature, which calls
 that program once per node. Quadrature runs with an absolute tolerance
-(default 1e-10) and a hard budget on integrand evaluations (default
-10**6, overridable through the FORMALCALC_QUAD_BUDGET environment
-variable). Failure to converge within the budget raises QuadratureError
+(default 1e-10) and a hard budget of 10**6 integrand evaluations per
+integral. Failure to converge within the budget raises QuadratureError
 rather than returning a silently degraded value.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 from .errors import QuadratureError
@@ -48,17 +46,6 @@ _WG = (
 )
 
 
-def quad_budget() -> int:
-    raw = os.environ.get("FORMALCALC_QUAD_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise QuadratureError("FORMALCALC_QUAD_BUDGET must be an integer, "
-                              "got %r" % raw) from None
-
-
 def _gk15(f, lo: float, hi: float):
     """One Gauss-Kronrod panel: (kronrod value, |kronrod - gauss|)."""
     half = 0.5 * (hi - lo)
@@ -73,10 +60,9 @@ def _gk15(f, lo: float, hi: float):
     return half * k, abs(half * (k - g))
 
 
-def integrate_callable(f, ranges, abs_tol=DEFAULT_ABS_TOL, budget=None) -> complex:
+def integrate_callable(f, ranges, abs_tol=DEFAULT_ABS_TOL,
+                       budget=DEFAULT_BUDGET) -> complex:
     """Adaptive quadrature of a float64 callable over bounded ranges."""
-    if budget is None:
-        budget = quad_budget()
     total_len = 0.0
     segs = []
     for lo, hi in ranges:
@@ -109,7 +95,8 @@ def integrate_callable(f, ranges, abs_tol=DEFAULT_ABS_TOL, budget=None) -> compl
     return acc
 
 
-def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL, budget=None):
+def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
+                   budget=DEFAULT_BUDGET):
     """Integrate an expression over a list of (lo, hi) bounds.
 
     Polynomials with finite bounds integrate exactly to a QC; other

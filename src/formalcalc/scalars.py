@@ -134,10 +134,6 @@ class QC:
     def __pos__(self):
         return self
 
-    def conjugate(self):
-        a = self.im
-        return self if a is _ZERO else _qc(self.re, -a)
-
     # -- comparisons and conversions -----------------------------------
 
     def __eq__(self, other):

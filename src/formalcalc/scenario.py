@@ -15,7 +15,7 @@ Top-level fields:
                together may give at most MAX_Y_INDICES y-indices
                C(k + trunc, k)
     E_dim      coefficient dimension for distributions (default 1)
-    tol        default tolerance for checks (default 1e-8)
+    tol        default tolerance for checks, finite and >= 0 (default 1e-8)
     seed       default seed for randomized suites (default 0)
     opensets   name -> open-set JSON ("M" is always the whole space)
     functions  name -> formal function JSON (+"domain", +"support")
@@ -107,6 +107,8 @@ class Scenario:
             self.tol = float(data.get("tol", 1e-8))
         except (TypeError, ValueError):
             raise ScenarioError("field 'tol' must be a number")
+        if isinstance(data.get("tol"), bool) or not 0 <= self.tol < math.inf:
+            raise ScenarioError("field 'tol' must be a finite, nonnegative number")
         self.seed = _int_field(data, "seed", 0, 0)
 
         self.opensets = {"M": self.space.whole()}

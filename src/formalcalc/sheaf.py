@@ -84,17 +84,6 @@ class Cover:
     def __repr__(self):
         return "Cover(%r, %d parts)" % (self.whole, len(self.parts))
 
-    def to_json(self):
-        return {"whole": self.whole.to_json(),
-                "parts": [p.to_json() for p in self.parts]}
-
-    @classmethod
-    def from_json(cls, space, v):
-        if not isinstance(v, dict) or "whole" not in v or "parts" not in v:
-            raise ValueError("cover needs 'whole' and 'parts' fields")
-        whole = OpenSet.from_json(space, v["whole"])
-        parts = [OpenSet.from_json(space, p) for p in v["parts"]]
-        return cls(whole, parts)
 
 
 class PartitionOfUnity:
@@ -163,8 +152,7 @@ class _ProbeFamily(Sequence):
     stack at n % width (keys in grlex order, stacks innermost). The
     space reads a section's values at all probes at once (`values`); a
     probe section is built only when one is asked for, by index or
-    iteration: in practice the witness of a failed check. A family
-    compares equal to the list of its probes.
+    iteration: in practice the witness of a failed check.
     """
 
     def __init__(self, space, domain: OpenSet, k: int, cap: int,
@@ -193,14 +181,6 @@ class _ProbeFamily(Sequence):
         b, r = divmod(range(len(self))[n], self.width)
         j, i = divmod(r, len(self.stacks))
         return self._probe(*self.base[b], self.keys[j], self.stacks[i])
-
-    def __eq__(self, other):
-        if isinstance(other, (list, _ProbeFamily)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __radd__(self, other):
-        return list(other) + list(self)
 
     def check(self, section):
         """Raise what pairing the section with the probes raises:

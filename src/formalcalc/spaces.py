@@ -429,7 +429,7 @@ class Discrete:
             acc = acc + c[p]
         return acc
 
-    def pair(self, a, b, region, abs_tol=DEFAULT_ABS_TOL):
+    def pair(self, a, b, region):
         """Exact sum of a * b over the labels where both are nonzero.
 
         The region only bounds quadrature on the line; callers pass one
@@ -474,7 +474,7 @@ class Discrete:
     def to_json(self, c):
         return {p: qc_to_json(v) for p, v in sorted(c.items())}
 
-    def from_json(self, v, domain: "OpenSet" = None, region=None):
+    def from_json(self, v, domain: "OpenSet" = None):
         if not isinstance(v, dict):
             raise ValueError("discrete coefficient must be a point->value map")
         return self.clean({p: qc_from_json(w) for p, w in v.items()}, domain)
@@ -483,7 +483,7 @@ class Discrete:
         """JSON of a coefficient with its support bound (a density)."""
         return self.to_json(c)
 
-    def bounded_from_json(self, v, region=None):
+    def bounded_from_json(self, v):
         """(coefficient, bound) from bounded_to_json output."""
         return self.from_json(v), None
 
@@ -501,10 +501,6 @@ class Discrete:
     def weights(self, c):
         """The coefficient as a weight map (None on the line)."""
         return c
-
-    def expr(self, c):
-        """The coefficient as an expression (None on a discrete space)."""
-        return None
 
     def __eq__(self, other):
         return isinstance(other, Discrete) and self.points == other.points
@@ -782,9 +778,9 @@ class SmoothLine:
         """Integral of c over the pieces of a bounded region."""
         return integrate_expr(c, region.bounds_list(), abs_tol)
 
-    def pair(self, a, b, region, abs_tol=DEFAULT_ABS_TOL):
+    def pair(self, a, b, region):
         """Integral of a * b over the pieces of a bounded region."""
-        return integrate_expr(mul(a, b), region.bounds_list(), abs_tol)
+        return integrate_expr(mul(a, b), region.bounds_list())
 
     def gather(self, pairs):
         """Canonical (coefficient, bound) integral terms of a distribution:
@@ -829,18 +825,18 @@ class SmoothLine:
     def to_json(self, c):
         return to_sexpr(c)
 
-    def from_json(self, v, domain: "OpenSet" = None, region=None):
+    def from_json(self, v, domain: "OpenSet" = None):
         if not isinstance(v, str):
             raise ValueError("smooth coefficient must be an expression string")
-        return parse_sexpr(v, region=region)
+        return parse_sexpr(v)
 
     def bounded_to_json(self, c, bound):
         return {"expr": to_sexpr(c), "support": self.region_to_json(bound)}
 
-    def bounded_from_json(self, v, region=None):
+    def bounded_from_json(self, v):
         if not isinstance(v, dict) or "expr" not in v or "support" not in v:
             raise ValueError("smooth density needs 'expr' and 'support' fields")
-        return (self.from_json(v["expr"], region=region),
+        return (self.from_json(v["expr"]),
                 self.region_from_json(v["support"]))
 
     def terms_to_json(self, terms):
@@ -853,9 +849,6 @@ class SmoothLine:
 
     def weights(self, c):
         return None
-
-    def expr(self, c):
-        return c
 
     def __eq__(self, other):
         return isinstance(other, SmoothLine)

@@ -168,6 +168,24 @@ def test_input_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path):
+    # glue_mismatch fails at any usable tolerance; a NaN or infinite one
+    # would turn its failing check into PASS, so it is refused as input
+    for tol in ("nan", "inf", "-inf", "-1e-8"):
+        code, out, err = run(capsys, "check", "glue", "--scenario", MISMATCH,
+                             "--tol", tol)
+        assert code == 2 and out == "" and "--tol" in err, tol
+    data = json.loads((ROOT / MISMATCH).read_text())
+    for tol in ("nan", "inf", "-1", -0.5, True):
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({**data, "tol": tol}))
+        code, out, err = run(capsys, "check", "glue", "--scenario", str(path))
+        assert code == 2 and out == "" and "'tol'" in err, tol
+    code, _, _ = run(capsys, "check", "glue", "--scenario", MISMATCH,
+                     "--tol", "0")
+    assert code == 1
+
+
 def test_unknown_command_and_suite_exit_two(capsys):
     assert run(capsys, "frobnicate", "--scenario", PAIR)[0] == 2
     assert run(capsys, "check", "nosuite", "--scenario", PAIR)[0] == 2

@@ -32,8 +32,8 @@ OTHER = Discrete(["a", "b", "c", "d", "e"])
 SL = SmoothLine()
 M = DS.whole()
 U = OpenSet(DS, ["a", "b"])
-W = BaseDistribution.from_weights(DS, {"a": 1})
-W_OTHER = BaseDistribution.from_weights(OTHER, {"a": 1})
+W = BaseDistribution(DS, weights={"a": 1})
+W_OTHER = BaseDistribution(OTHER, weights={"a": 1})
 TAU = BaseDensity.discrete(DS, {"a": 1})
 TAU_OTHER = BaseDensity.discrete(OTHER, {"a": 1})
 # weights at d, outside U, and a point term outside an interval
@@ -211,8 +211,7 @@ def _check_round(rng, space, k=2, trunc=2, e_dim=2):
     zeta = suites.rand_density(rng, space, whole, k, trunc)
     local = suites.rand_density(rng, space, u1, k, trunc)
     for x in (eta.add(zeta), eta.add(eta.scale(-1)),
-              eta.scale(_scalar(rng)), eta.module_action(u),
-              eta.restrict_data(u1), local.ext(whole),
+              eta.scale(_scalar(rng)), eta.module_action(u), local.ext(whole),
               eta.cutoff_restrict(f, u1)):
         assert_canonical(x)
     # distributions and generalized functions

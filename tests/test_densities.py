@@ -170,17 +170,6 @@ def test_ext_preserves_pairing_against_restriction():
         assert eta.ext(DS.whole()).pair(u) == eta.pair(u.restrict(v))
 
 
-def test_restrict_data_drops_outside_weights():
-    tau = BaseDensity.discrete(DS, {"a": 1, "c": 2})
-    eta = FormalDensity.monomial(DS, DS.whole(), 1, (0,), tau)
-    v = OpenSet(DS, ["a", "b"])
-    r = eta.restrict_data(v)
-    assert r.domain == v
-    assert r.coeffs[(0,)][0][1].weights == {"a": QC(1)}
-    with pytest.raises(DomainMismatchError):
-        r.restrict_data(OpenSet(DS, ["c"]))
-
-
 def test_cutoff_restrict_extends_back_to_module_action():
     rng = random.Random(97)
     v = OpenSet(DS, ["a", "b"])

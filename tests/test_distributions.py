@@ -46,8 +46,8 @@ def rand_distribution(rng, domain, k, star, e_dim):
         if rng.random() < 0.4:
             continue
         coeffs[l] = tuple(
-            BaseDistribution.from_weights(
-                DS, {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            BaseDistribution(
+                DS, weights={p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                      for p in sorted(domain.region) if rng.random() < 0.6})
             for _ in range(e_dim))
     return FormalDistribution(DS, domain, k, e_dim, coeffs)
@@ -124,7 +124,7 @@ def test_restrict_is_transpose_of_extension():
 
 
 def test_compact_support_inference_and_validation():
-    w = BaseDistribution.from_weights(DS, {"a": 1, "b": 2})
+    w = BaseDistribution(DS, weights={"a": 1, "b": 2})
     t = CompactFormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
     assert t.support == frozenset({"a", "b"})
     with pytest.raises(SupportError):
@@ -133,7 +133,7 @@ def test_compact_support_inference_and_validation():
     small = OpenSet(DS, ["a"])
     with pytest.raises(SupportError):
         CompactFormalDistribution(DS, small, 1, 1,
-                                  {(0,): (BaseDistribution.from_weights(DS, {"a": 1}),)},
+                                  {(0,): (BaseDistribution(DS, weights={"a": 1}),)},
                                   support=frozenset({"a", "b"}))
 
 
@@ -141,8 +141,8 @@ def test_compact_ext_restrict_roundtrip():
     rng = random.Random(181)
     v = OpenSet(DS, ["a", "b"])
     for _ in range(40):
-        w = BaseDistribution.from_weights(
-            DS, {p: Fraction(rng.randint(-3, 3), 2) for p in ["a", "b"]})
+        w = BaseDistribution(
+            DS, weights={p: Fraction(rng.randint(-3, 3), 2) for p in ["a", "b"]})
         t = CompactFormalDistribution(DS, v, 1, 1, {(1,): (w,)})
         up = t.ext(DS.whole())
         assert up.domain == DS.whole()
@@ -154,7 +154,7 @@ def test_compact_ext_restrict_roundtrip():
 
 
 def test_component_keeps_the_support_witness():
-    w = BaseDistribution.from_weights(DS, {"b": 1})
+    w = BaseDistribution(DS, weights={"b": 1})
     zero = BaseDistribution.zero(DS)
     v = OpenSet(DS, ["a", "b"])
     t = CompactFormalDistribution(DS, v, 1, 2, {(0,): (w, w), (1,): (zero, w)})
@@ -171,8 +171,8 @@ def test_component_keeps_the_support_witness():
 def test_cutoff_extension_is_cutoff_independent():
     rng = random.Random(191)
     for _ in range(60):
-        w = BaseDistribution.from_weights(
-            DS, {"b": Fraction(rng.randint(-3, 3), 2), "c": rng.randint(-2, 2)})
+        w = BaseDistribution(
+            DS, weights={"b": Fraction(rng.randint(-3, 3), 2), "c": rng.randint(-2, 2)})
         eta = CompactFormalDistribution(DS, DS.whole(), 1, 1,
                                         {(0,): (w,), (1,): (w.scale(2),)},
                                         support=frozenset({"b", "c"}))
@@ -188,7 +188,7 @@ def test_cutoff_extension_is_cutoff_independent():
 
 
 def test_cutoff_extension_demands_plateau_over_support():
-    w = BaseDistribution.from_weights(DS, {"b": 1, "c": 1})
+    w = BaseDistribution(DS, weights={"b": 1, "c": 1})
     eta = CompactFormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
     small = indicator_cutoff(DS, DS.whole(), 1, 1, ["b"])
     with pytest.raises(SupportError):
@@ -409,7 +409,7 @@ def test_base_distribution_json_roundtrip_with_bounds():
     ))
     back = BaseDistribution.from_json(SL, w.to_json())
     assert back == w
-    d = BaseDistribution.from_weights(DS, {"a": Fraction(1, 2)})
+    d = BaseDistribution(DS, weights={"a": Fraction(1, 2)})
     assert BaseDistribution.from_json(DS, d.to_json()) == d
     with pytest.raises(ValueError):
         BaseDistribution.from_json(SL, [{"kind": "mystery"}])
@@ -420,7 +420,7 @@ def test_formal_distribution_json_roundtrip():
     eta = rand_distribution(rng, DS.whole(), 2, 2, 2)
     back = FormalDistribution.from_json(DS, DS.whole(), 2, eta.to_json())
     assert back == eta
-    w = BaseDistribution.from_weights(DS, {"a": 1})
+    w = BaseDistribution(DS, weights={"a": 1})
     t = CompactFormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
     back = CompactFormalDistribution.from_json(DS, DS.whole(), 1, t.to_json())
     assert back.support == t.support and back.coeffs == t.coeffs
@@ -448,7 +448,7 @@ def test_generalized_refuses_coefficients_over_another_space():
 
 
 def test_equality_tells_the_kinds_apart():
-    w = BaseDistribution.from_weights(DS, {"a": 1})
+    w = BaseDistribution(DS, weights={"a": 1})
     plain = FormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
     compact = CompactFormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
     gen = GeneralizedFunction(DS, DS.whole(), 1, 1, 1, {(0,): (w,)})

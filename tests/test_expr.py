@@ -21,11 +21,9 @@ from formalcalc.expr import (
     diff,
     div,
     ev,
-    ev_c,
     ev_f,
     falling_edge,
     ibounds,
-    is_polynomial,
     kern,
     mul,
     add,
@@ -78,7 +76,6 @@ def test_poly_coeffs_roundtrip_and_rejection():
         want = {d: QC(v) for d, v in coeffs.items() if v}
         assert got == want
     assert poly_coeffs(kern(X)) is None
-    assert not is_polynomial(kern(sub(X, ONE)))
     # a kernel of a positive constant is constant but transcendental
     assert poly_coeffs(kern(Const(2))) is None
 
@@ -258,8 +255,9 @@ def test_ev_f_agrees_with_ev():
 
 
 def test_ev_c_flattens_to_complex():
-    assert ev_c(Const(QC(Fraction(1, 2), Fraction(3))), Fraction(0)) == 0.5 + 3j
-    assert isinstance(ev_c(kern(X), Fraction(1)), complex)
+    assert complex(ev(Const(QC(Fraction(1, 2), Fraction(3))), Fraction(0))) \
+        == 0.5 + 3j
+    assert isinstance(complex(ev(kern(X), Fraction(1))), complex)
 
 
 def test_constructor_simplifications():

@@ -102,6 +102,22 @@ def test_smart_constructors_intern():
     assert div(X, add(mul(X, X), ONE)) is div(X, mul(X, X) + 1)
 
 
+def test_smart_constructors_take_plain_numbers():
+    den = add(mul(X, X), ONE)
+    assert add(X, 1) is add(X, Const(1)) and add(2, X) is add(Const(2), X)
+    assert add(1, 2) is Const(3) and add(X, 0) is X
+    assert mul(2, X) is mul(Const(2), X) and mul(X, 0) is ZERO
+    assert mul(X, Fraction(1, 3)) is mul(X, Const(Fraction(1, 3)))
+    assert sub(X, 1) is sub(X, Const(1)) and sub(1, X) is sub(Const(1), X)
+    assert kern(1) is kern(Const(1)) and kern(-1) is ZERO
+    assert kern(2, 1) is kern(Const(2), 1)
+    assert div(X, 2) is div(X, Const(2)) and div(1, den) is div(ONE, den)
+    assert pow_(3, 2) is pow_(Const(3), 2) is Const(9)
+    assert pow_(QC(0, 1), 1) is Const(QC(0, 1))
+    assert to_sexpr(add(X, 1)) == "(+ x 1)"
+    assert to_sexpr(mul(2, kern(1))) == "(* 2 (s 1))"
+
+
 def test_a_quotient_keeps_its_first_region():
     den = add(mul(X, X), ONE)
     unit = RSet.closed_pairs([(0, 1)])
@@ -153,3 +169,74 @@ def test_deep_twins_compare_and_hash_without_allocating():
 def test_derivatives_are_one_node_per_structure():
     e, _, _ = bump(-2, -1, 1, 2)
     assert len(_postorder(diff(e, 7))) < 2_000
+
+
+def rand_dag(rng, depth, pool):
+    """A node built from the node classes directly, drawing on a pool of
+    earlier subterms; small constants and exponents keep equal
+    structures common across seeds. Quotients get a random region."""
+    if pool and rng.random() < 0.3:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.2:
+        return X if rng.random() < 0.5 else Const(rng.randint(-2, 2))
+    kind = rng.choice("+*/pk")
+    a = rand_dag(rng, depth - 1, pool)
+    if kind == "+":
+        node = Add(a, rand_dag(rng, depth - 1, pool))
+    elif kind == "*":
+        node = Mul(a, rand_dag(rng, depth - 1, pool))
+    elif kind == "/":
+        region = rng.choice((None, RSet.closed_pairs([(0, 1)]),
+                             RSet.open_pairs([(-1, 2)])))
+        node = Div(a, rand_dag(rng, depth - 1, pool), region)
+    elif kind == "p":
+        node = Pow(a, rng.randint(2, 3))
+    else:
+        node = Kern(a, rng.randint(0, 1))
+    pool.append(node)
+    return node
+
+
+def structural_key(e, memo):
+    """Node kind, constant value, n or m and the children's keys; the
+    region of a quotient is left out."""
+    k = memo.get(id(e))
+    if k is None:
+        t = type(e)
+        if t is Const:
+            k = (t, e.v.re, e.v.im)
+        elif t is Var:
+            k = (t,)
+        elif t in (Add, Mul):
+            k = (t, structural_key(e.a, memo), structural_key(e.b, memo))
+        elif t is Div:
+            k = (t, structural_key(e.num, memo), structural_key(e.den, memo))
+        elif t is Pow:
+            k = (t, structural_key(e.base, memo), e.n)
+        else:
+            k = (t, structural_key(e.arg, memo), e.m)
+        memo[id(e)] = k
+    return k
+
+
+def test_identity_matches_structural_keys_across_seeds():
+    # two seeds build their DAGs independently; a node of one is the node
+    # of the other exactly when their structures agree
+    sides = []
+    for seed in (71, 72):
+        rng = random.Random(seed)
+        pool = []
+        dags = [rand_dag(rng, rng.randint(1, 4), pool) for _ in range(120)]
+        nodes = list({id(n): n for d in dags for n in _postorder(d)}.values())
+        sides.append(nodes[:250])
+    memo = {}
+    equal, compound, unequal = 0, 0, 0
+    for a in sides[0]:
+        ka = structural_key(a, memo)
+        for b in sides[1]:
+            same = ka == structural_key(b, memo)
+            assert (a is b) == same, (a, b)
+            equal += same
+            compound += same and not isinstance(a, (Const, Var))
+            unequal += not same
+    assert equal > 15 and compound > 5 and unequal > 10000

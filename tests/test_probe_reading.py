@@ -318,7 +318,7 @@ def test_empty_families_read_nothing(kind):
         s = draw(random.Random(3), kind, empty, 1, 2, e_dim)
     for cap in (0, 2):
         fam, probes = families(kind, empty, 1, cap)
-        assert len(fam) == 0 and fam == probes == []
+        assert len(fam) == 0 and list(fam) == probes == []
         assert assert_same_residual(s, s, fam, probes) == (0.0, None)
         assert assert_same_zero_residual(s, fam, probes) == (0.0, None)
 

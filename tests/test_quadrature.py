@@ -22,10 +22,8 @@ from formalcalc.expr import (
 )
 from formalcalc.quadrature import (
     DEFAULT_ABS_TOL,
-    DEFAULT_BUDGET,
     integrate_callable,
     integrate_expr,
-    quad_budget,
 )
 from formalcalc.scalars import QC
 
@@ -107,20 +105,6 @@ def test_budget_exhaustion_raises():
     e, _, _ = bump(-2, -1, 1, 2)
     with pytest.raises(QuadratureError):
         integrate_expr(e, [(Fraction(-2), Fraction(2))], budget=20)
-
-
-def test_budget_env_var(monkeypatch):
-    monkeypatch.delenv("FORMALCALC_QUAD_BUDGET", raising=False)
-    assert quad_budget() == DEFAULT_BUDGET
-    monkeypatch.setenv("FORMALCALC_QUAD_BUDGET", "123")
-    assert quad_budget() == 123
-    e, _, _ = bump(-2, -1, 1, 2)
-    monkeypatch.setenv("FORMALCALC_QUAD_BUDGET", "20")
-    with pytest.raises(QuadratureError):
-        integrate_expr(e, [(Fraction(-2), Fraction(2))])
-    monkeypatch.setenv("FORMALCALC_QUAD_BUDGET", "lots")
-    with pytest.raises(QuadratureError):
-        quad_budget()
 
 
 def test_tolerance_is_respected():

@@ -60,10 +60,6 @@ def test_cover_validation():
         Cover(DS.whole(), [U1])  # does not exhaust
     with pytest.raises(DomainMismatchError):
         Cover(DS.whole(), [OpenSet(SL, [(0, 1)])])
-    back = Cover.from_json(DS, c.to_json())
-    assert back.whole == c.whole and back.parts == c.parts
-    with pytest.raises(ValueError):
-        Cover.from_json(DS, {"whole": DS.whole().to_json()})
 
 
 def test_discrete_pou_first_match_indicators():
@@ -281,8 +277,8 @@ def test_cosheaf_roundtrip_compact_distributions_discrete():
     pou = build_pou(Cover(DS.whole(), [U1, U2]), 1, 1)
     probes = dual_function_family(DS, DS.whole(), 1, 1)
     for _ in range(60):
-        w = BaseDistribution.from_weights(
-            DS, {p: Fraction(rng.randint(-3, 3), 2) for p in DS.points
+        w = BaseDistribution(
+            DS, weights={p: Fraction(rng.randint(-3, 3), 2) for p in DS.points
                  if rng.random() < 0.7})
         eta = CompactFormalDistribution(DS, DS.whole(), 1, 1,
                                         {(0,): (w,), (1,): (w.scale(-2),)})
@@ -362,8 +358,8 @@ def test_glue_formal_distributions_discrete():
     for _ in range(40):
         coeffs = {}
         for l in enumerate_upto(1, 1):
-            coeffs[l] = (BaseDistribution.from_weights(
-                DS, {p: Fraction(rng.randint(-3, 3), 2) for p in DS.points
+            coeffs[l] = (BaseDistribution(
+                DS, weights={p: Fraction(rng.randint(-3, 3), 2) for p in DS.points
                      if rng.random() < 0.7}),)
         eta = FormalDistribution(DS, DS.whole(), 1, 1, coeffs)
         glued = sheaf_glue([eta.restrict(U1), eta.restrict(U2)], pou)
@@ -373,10 +369,10 @@ def test_glue_formal_distributions_discrete():
 
 def test_glue_rejects_incompatible_locals():
     pou = build_pou(Cover(DS.whole(), [U1, U2]), 1, 1)
-    w = BaseDistribution.from_weights(DS, {"a": 1, "b": 2})
+    w = BaseDistribution(DS, weights={"a": 1, "b": 2})
     eta = FormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
     bad = eta.restrict(U2).add(FormalDistribution(
-        DS, U2, 1, 1, {(0,): (BaseDistribution.from_weights(DS, {"c": 1}),)}))
+        DS, U2, 1, 1, {(0,): (BaseDistribution(DS, weights={"c": 1}),)}))
     with pytest.raises(IncompatibilityError) as exc:
         sheaf_glue([eta.restrict(U1), bad], pou)
     assert exc.value.first == 0 and exc.value.second == 1
@@ -385,7 +381,7 @@ def test_glue_rejects_incompatible_locals():
 
 def test_glue_structural_validations():
     pou = build_pou(Cover(DS.whole(), [U1, U2]), 1, 1)
-    w = BaseDistribution.from_weights(DS, {"a": 1})
+    w = BaseDistribution(DS, weights={"a": 1})
     eta = FormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
     g = GeneralizedFunction.zero(DS, U1, 1, 1)
     with pytest.raises(ValueError):
@@ -415,7 +411,7 @@ def test_flabby_check_discrete_family():
     rng = random.Random(257)
     sections = [rand_density(rng, VV, 1, 1) for _ in range(20)]
     sections.append(FormalDensity.zero(DS, VV, 1))
-    w = BaseDistribution.from_weights(DS, {"b": Fraction(1, 3)})
+    w = BaseDistribution(DS, weights={"b": Fraction(1, 3)})
     sections.append(CompactFormalDistribution(DS, VV, 1, 1, {(0,): (w,)}))
     sections.append(SupportedFormalFunction(DS, VV, 1, 1, {(0,): {"c": 2}},
                                             support=frozenset({"c"})))

@@ -345,7 +345,7 @@ def test_probe_families_match_discrete():
         new = dual_density_family(DS, dom, k, cap, xcap, scap)
         ref = ref_dual_density_family(DS, dom, k, cap, xcap, scap)
         assert _json(new) == _json(ref)
-        assert new == ref
+        assert list(new) == ref
 
 
 def test_probe_families_match_line():
@@ -361,7 +361,7 @@ def test_probe_families_match_line():
         new = dual_density_family(SL, dom, k, cap, xcap, scap)
         ref = ref_dual_density_family(SL, dom, k, cap, xcap, scap)
         assert _json(new) == _json(ref)
-        assert new == ref
+        assert list(new) == ref
 
 
 @pytest.mark.parametrize("space, make_cover, seed, rounds", [

@@ -108,8 +108,8 @@ class DiscreteParts:
                                          if rng.random() < 0.6})
 
     def distribution(self, rng):
-        return BaseDistribution.from_weights(
-            DS, {p: rand_q(rng) for p in "abcd" if rng.random() < 0.6})
+        return BaseDistribution(
+            DS, weights={p: rand_q(rng) for p in "abcd" if rng.random() < 0.6})
 
 
 class LineParts:
@@ -190,18 +190,18 @@ def draw(kind, parts, rng):
         section = rand_density(parts, rng, k, cap)
         partners = [rand_function(parts, rng, k, cap + rng.randint(0, 1), False)
                     for _ in range(3)]
-        return section, partners + dual_function_family(sp, dom, k, cap, 1)
+        return section, partners + list(dual_function_family(sp, dom, k, cap, 1))
     e_dim = rng.randint(1, 2)
     vectors = rand_vectors(parts, rng, k, cap, e_dim)
     if kind == "distribution":
         section = FormalDistribution(sp, dom, k, e_dim, vectors)
         partners = [rand_function(parts, rng, k, cap + rng.randint(0, 1), True)
                     for _ in range(3)]
-        return section, partners + dual_function_family(sp, dom, k, cap, 1)
+        return section, partners + list(dual_function_family(sp, dom, k, cap, 1))
     section = GeneralizedFunction(sp, dom, k, cap, e_dim, vectors)
     partners = [rand_density(parts, rng, k, rng.randint(0, cap))
                 for _ in range(3)]
-    return section, partners + dual_density_family(sp, dom, k, cap, 1)
+    return section, partners + list(dual_density_family(sp, dom, k, cap, 1))
 
 
 READ = {
