@@ -23,8 +23,8 @@ from .errors import (BackendError, CertificateError, DomainMismatchError,
 from .expr import (Const, Kern, Var, X, add, bump, certify_positive, diff,
                    div, ev, falling_edge, kern, mul, parse_sexpr, pow_,
                    rising_edge, to_sexpr)
-from .functions import (FormalFunction, SupportedFormalFunction, bump_cutoff,
-                        cutoff_product, indicator_cutoff)
+from .functions import (FormalFunction, SupportedFormalFunction, cutoff,
+                        cutoff_product)
 from .multiindex import (degree, enumerate_degree, enumerate_upto, mi,
                          mi_binom, mi_factorial)
 from .quadrature import DEFAULT_ABS_TOL, integrate_expr
@@ -51,7 +51,7 @@ __all__ = [
     "Const", "Kern", "Var", "X", "add", "bump", "certify_positive", "diff",
     "div", "ev", "falling_edge", "kern", "mul", "parse_sexpr", "pow_",
     "rising_edge", "to_sexpr", "FormalFunction", "SupportedFormalFunction",
-    "bump_cutoff", "cutoff_product", "indicator_cutoff", "degree",
+    "cutoff", "cutoff_product", "degree",
     "enumerate_degree", "enumerate_upto", "mi", "mi_binom", "mi_factorial",
     "DEFAULT_ABS_TOL", "integrate_expr", "QC", "qc", "SCHEMA_VERSION",
     "Scenario", "Cover", "PartitionOfUnity", "build_pou",

@@ -23,7 +23,7 @@ from .errors import (BackendError, CertificateError, DomainMismatchError,
                      SupportError, TruncationError)
 from .multiindex import enumerate_upto, key_str
 from .quadrature import DEFAULT_ABS_TOL
-from .scalars import QC, rat_str, to_complex
+from .scalars import QC, rat_str
 from .scenario import SCHEMA_VERSION, Scenario
 from .sheaf import build_pou, sheaf_glue
 from .suites import SUITE_NAMES, run_suite
@@ -42,7 +42,7 @@ def _scalar_json(v):
         if v.im == 0:
             return rat_str(v.re)
         return [rat_str(v.re), rat_str(v.im)]
-    c = to_complex(v)
+    c = complex(v)
     if c.imag == 0.0:
         return c.real
     return [c.real, c.imag]

@@ -9,9 +9,10 @@ Three dual families over a common coefficient type BaseDistribution:
 * FormalDistribution: continuous functionals on compactly supported
   formal functions, graded by y*-multi-indices with L! pairing weights.
   They restrict (transpose of extension by zero); the compactly
-  supported ones form CompactFormalDistribution, which extends to
-  larger open sets and, through a cutoff, to functionals on all global
-  sections (cutoff_extend).
+  supported ones form CompactFormalDistribution, which extends by zero
+  (ext), localizes along a cutoff (cutoff_restrict) and, through a
+  cutoff, extends to functionals on all global sections
+  (cutoff_extend).
 
 * GeneralizedFunction: continuous functionals on compactly supported
   formal densities, graded by y-multi-indices up to a truncation order.
@@ -28,7 +29,8 @@ coefficient function at a). A discrete weight map is a single
 SmoothTerm whose coefficient is the map. When a derivative stack
 d_x^I from a density coefficient meets a term, the stack is transposed
 onto the smooth side: SmoothTerm differentiates g, PointTerm folds the
-stack into its own order with the sign (-1)^|I|.
+stack into its own order with the sign (-1)^|I|. Point-term
+coefficients are QC or complex, combined by QC's operators (scalars.py).
 """
 
 from __future__ import annotations
@@ -53,12 +55,6 @@ from .spaces import OpenSet
 def _fin(v):
     """Exact values stay exact; mpmath values flatten to complex."""
     return v if isinstance(v, QC) else complex(v)
-
-
-def _is_zero_scalar(c) -> bool:
-    if isinstance(c, QC):
-        return not c
-    return c == 0
 
 
 class SmoothTerm:
@@ -171,7 +167,7 @@ class BaseDistribution:
             if isinstance(t, SmoothTerm):
                 out.append(SmoothTerm(self.space.scale(t.g, c), t.bound))
             else:
-                out.append(PointTerm(t.a, t.i, _scalar_mul(t.c, c)))
+                out.append(PointTerm(t.a, t.i, _fin(t.c * c)))
         return BaseDistribution._trusted(self.space, out)
 
     # -- actions ------------------------------------------------------------
@@ -186,7 +182,7 @@ class BaseDistribution:
                 r = region if t.bound is None else region & t.bound
                 acc = acc + sp.pair(t.g, c, r)
             else:
-                acc = acc + _scalar_mul(t.c, sp.ev(sp.diff(c, t.i), t.a))
+                acc = acc + t.c * _fin(sp.ev(sp.diff(c, t.i), t.a))
         return acc
 
     def act_on_density(self, tau: BaseDensity, stack: int, domain: OpenSet):
@@ -203,7 +199,7 @@ class BaseDistribution:
             elif t.a in tau.bound:
                 sign = -1 if stack % 2 else 1
                 v = sp.ev(sp.diff(tau.coeff, t.i + stack), t.a)
-                acc = acc + sign * _scalar_mul(t.c, v)
+                acc = acc + sign * (t.c * _fin(v))
         return acc
 
     def mul_coeff(self, f0) -> "BaseDistribution":
@@ -216,7 +212,7 @@ class BaseDistribution:
             else:
                 for j in range(t.i + 1):
                     d = sp.ev(sp.diff(f0, t.i - j), t.a)
-                    c = _scalar_mul(t.c, math.comb(t.i, j) * _as_scalar(d))
+                    c = t.c * (math.comb(t.i, j) * _fin(d))
                     out.append(PointTerm(t.a, j, c))
         return BaseDistribution._trusted(sp, out)
 
@@ -288,20 +284,6 @@ class BaseDistribution:
         return cls(space, terms=terms)
 
 
-def _as_scalar(v):
-    return v if isinstance(v, (QC, complex)) else complex(v)
-
-
-def _scalar_mul(a, b):
-    if isinstance(a, QC) and isinstance(b, QC):
-        return a * b
-    if isinstance(a, QC) and isinstance(b, int):
-        return a * b
-    if isinstance(b, QC) and isinstance(a, int):
-        return b * a
-    return complex(a) * complex(b)
-
-
 def _canon_dist_terms(space, terms):
     integrals = []
     points = {}
@@ -311,13 +293,13 @@ def _canon_dist_terms(space, terms):
         elif isinstance(t, PointTerm):
             key = (t.a, t.i)
             prev = points.get(key)
-            points[key] = t.c if prev is None else _scalar_add(prev, t.c)
+            points[key] = t.c if prev is None else prev + t.c
         else:
             raise TypeError("unknown distribution term %r" % (t,))
     out = [SmoothTerm(g, bound) for g, bound in space.gather(integrals)]
     for (a, i) in sorted(points):
         c = points[(a, i)]
-        if not _is_zero_scalar(c):
+        if c:
             out.append(PointTerm(a, i, c))
     return tuple(out)
 
@@ -326,20 +308,13 @@ def _bound_key(bound):
     return () if bound is None else bound.pieces
 
 
-def _scalar_add(a, b):
-    if isinstance(a, QC) and isinstance(b, QC):
-        return a + b
-    return complex(a) + complex(b)
-
-
 def _terms_key(w):
     out = []
     for t in w.terms:
         if isinstance(t, SmoothTerm):
             out.append(("smooth", t.g, _bound_key(t.bound)))
         else:
-            out.append(("point", t.a, t.i, complex(t.c) if not isinstance(t.c, QC)
-                        else t.c))
+            out.append(("point", t.a, t.i, t.c))
     return out
 
 
@@ -593,6 +568,16 @@ class CompactFormalDistribution(FormalDistribution):
         return self._with_support(plain.coeffs,
                                   self.support & v.region, v)
 
+    def cutoff_restrict(self, f: SupportedFormalFunction,
+                        v: OpenSet) -> "CompactFormalDistribution":
+        """(eta . f)|_v for a cutoff f supported inside v, its smooth
+        bounds and its support witness clipped to the cutoff's support."""
+        plain = FormalDistribution.restrict(self.module_action(f), v)
+        supp = f.support & self.support
+        return self._with_support(
+            {l: tuple(w.clip_bounds(supp) for w in vec)
+             for l, vec in plain.coeffs.items()}, supp, v)
+
     def to_json(self):
         out = super().to_json()
         out["support"] = self.space.region_to_json(self.support)
@@ -755,7 +740,7 @@ class PointDistribution(_GradedSection):
             if len(vec) != e_dim:
                 raise ValueError("coefficient vector at (%r, %r) has %d entries, "
                                  "expected %d" % (i, j, len(vec), e_dim))
-            if not all(_is_zero_scalar(c) for c in vec):
+            if any(vec):
                 clean[(i, j)] = vec
         self.coeffs = clean
 
@@ -774,8 +759,8 @@ class PointDistribution(_GradedSection):
             acc = QC_ZERO
             for (i, j) in self.keys_sorted():
                 c = self.coeffs[(i, j)][comp]
-                if not _is_zero_scalar(c):
-                    acc = acc + _scalar_mul(c, _as_scalar(u.jet(self.a, i, j)))
+                if c:
+                    acc = acc + c * _fin(u.jet(self.a, i, j))
             out.append(_fin(acc))
         return out
 
@@ -785,7 +770,7 @@ class PointDistribution(_GradedSection):
         for (i, j), vec in self.coeffs.items():
             stack = i[0] if i else 0
             coeffs[j] = vec_add(coeffs.get(j), tuple(
-                BaseDistribution.zero(self.space) if _is_zero_scalar(c)
+                BaseDistribution.zero(self.space) if not c
                 else BaseDistribution.point(self.space, self.a, stack, c)
                 for c in vec))
         return CompactFormalDistribution(self.space, self.domain, self.k,

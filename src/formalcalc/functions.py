@@ -21,10 +21,8 @@ from functools import cached_property
 
 from .errors import (BackendError, DomainMismatchError, SupportError,
                      TruncationError, json_shape)
-from .expr import bump as _bump_expr
 from .multiindex import (degree, grlex_key, key_str, mi, mi_add, mi_factorial,
                          parse_key)
-from .scalars import QC
 from .spaces import OpenSet
 
 
@@ -324,7 +322,7 @@ class SupportedFormalFunction(FormalFunction):
             self.space, v, self.k, plain.coeffs, trunc=self.trunc,
             support=self.support & v.region, plateau=None)
 
-    def extend_by_zero(self, m: OpenSet) -> "SupportedFormalFunction":
+    def ext(self, m: OpenSet) -> "SupportedFormalFunction":
         """Reinterpret over a larger open set, zero outside the support.
 
         Requires a compact support witness sitting inside the current
@@ -338,6 +336,11 @@ class SupportedFormalFunction(FormalFunction):
         return SupportedFormalFunction._trusted(
             self.space, m, self.k, self.coeffs, trunc=self.trunc,
             support=self.support, plateau=self.plateau)
+
+    def cutoff_restrict(self, f: "SupportedFormalFunction",
+                        v: OpenSet) -> "SupportedFormalFunction":
+        """(f u)|_v for a cutoff f supported inside v."""
+        return cutoff_product(f, self).restrict(v)
 
     def to_json(self):
         out = super().to_json()
@@ -382,30 +385,15 @@ def cutoff_product(f: SupportedFormalFunction, u: FormalFunction):
                                             plateau=None)
 
 
-def indicator_cutoff(space, domain: OpenSet, k: int, trunc: int, labels):
-    """Discrete cutoff: the indicator of a label set, constant in y."""
-    if space.kind != "discrete":
-        raise BackendError("indicator cutoffs exist on the discrete backend only")
-    labels = frozenset(str(p) for p in labels)
-    if not labels <= domain.region:
-        raise SupportError("indicator labels escape the domain")
-    j0 = mi([0] * k)
-    c = {p: QC(1) for p in labels}
-    return SupportedFormalFunction(space, domain, k, trunc, {j0: c},
-                                   support=labels, plateau=labels)
-
-
-def bump_cutoff(space, domain: OpenSet, k: int, trunc: int, a, b, c, d):
-    """Smooth cutoff: a plateau bump in x, constant in y.
-
-    Zero outside (a, d), exactly one on [b, c]; support witness [a, d]
-    must sit inside the domain.
-    """
-    if space.kind != "smoothline":
-        raise BackendError("bump cutoffs exist on the smooth backend only")
-    e, support, plateau = _bump_expr(a, b, c, d)
+def cutoff(space, domain: OpenSet, k: int, trunc: int, plateau, support):
+    """A cutoff, constant in y: one on the plateau, zero outside the
+    support (which lies in the domain), its coefficient built by the
+    space: a label indicator, or a plateau bump on the line."""
+    plateau, support = space.region(plateau), space.region(support)
+    if not plateau <= support:
+        raise SupportError("cutoff plateau escapes its support")
     if not support <= domain.region:
-        raise SupportError("bump support [%s, %s] escapes the domain" % (a, d))
-    j0 = mi([0] * k)
-    return SupportedFormalFunction(space, domain, k, trunc, {j0: e},
+        raise SupportError("cutoff support escapes the domain")
+    return SupportedFormalFunction(space, domain, k, trunc,
+                                   {mi([0] * k): space.cutoff(plateau, support)},
                                    support=support, plateau=plateau)

@@ -2,10 +2,12 @@
 
 The discrete backend and the exact evaluation paths of the smooth
 backend produce QC values: complex numbers whose real and imaginary
-parts are fractions.Fraction. Arithmetic between QC values is exact.
-Mixing a QC with a float, complex, or mpmath value falls back to
-ordinary inexact complex arithmetic, so exactness is preserved by
-construction exactly as long as every operand is exact.
+parts are fractions.Fraction. QC's operators hold the package's one
+mixing rule: a QC with a QC, an int or a Fraction stays exact, and a
+QC with a float or a complex is complex arithmetic on complex(QC).
+Point-term coefficients, which are QC or complex, meet through these
+operators and nowhere else, so exactness is preserved by construction
+exactly as long as every operand is exact.
 """
 
 from __future__ import annotations
@@ -242,8 +244,3 @@ def qc_to_json(v: QC):
     if v.im == 0:
         return rat_to_json(v.re)
     return [rat_to_json(v.re), rat_to_json(v.im)]
-
-
-def to_complex(v) -> complex:
-    """Flatten a QC or any numeric value to a Python complex."""
-    return complex(v)

@@ -25,7 +25,8 @@ Top-level fields:
                             "generalized"|"point", "domain": ..., ...}
     covers     name -> {"whole": openset name, "parts": [names]}
     tasks      optional declared work, e.g. {"glue": {"cover": name,
-               "locals": [distribution names]}}
+               "locals": [distribution names]}}, whose locals are all
+               "generalized" or all "distribution" or "compact"
 """
 
 from __future__ import annotations
@@ -168,6 +169,13 @@ class Scenario:
                 or not isinstance(glue.get("locals", []), list):
             raise ScenarioError("task 'glue' must be an object with a "
                                 "'locals' list")
+        # sheaf_glue glues generalized functions or formal distributions,
+        # one kind at a time
+        kinds = {type(self.distribution(nm)) for nm in glue.get("locals", [])}
+        if not (kinds <= {GeneralizedFunction} or
+                kinds <= {FormalDistribution, CompactFormalDistribution}):
+            raise ScenarioError("task 'glue' needs locals all 'generalized', "
+                                "or all 'distribution' or 'compact'")
 
     @staticmethod
     def _section(data, key):

@@ -1,15 +1,17 @@
 """Covers, partitions of unity, and sheaf/cosheaf verifications.
 
-Every construction is stated once for every base space: the space
-supplies its ingredients as base data (coefficients and regions) and
-this module builds the formal sections from them. They are the probes
-that functional equality is decided against (the finite dual basis on
-a discrete space, complete and exact; a fixed catalogue of bump x
-polynomial probes on the line, sound for the classes this package
-builds, not for arbitrary functionals), the coefficients of a
-partition of unity (first-match indicators, or bump quotients whose
-shared denominator is certified positive), a cutoff that is one near a
-support, and the check that a partition sums to one.
+Every construction is stated once, for every base space and every
+section kind. The space supplies its ingredients as base data
+(coefficients and regions) and this module builds the formal sections
+from them. They are the probes that functional equality is decided
+against (the finite dual basis on a discrete space, complete and
+exact; a fixed catalogue of bump x polynomial probes on the line, sound
+for the classes this package builds, not for arbitrary functionals),
+the coefficients of a partition of unity (first-match indicators, or
+bump quotients whose shared denominator is certified positive), a
+cutoff that is one near a support, and the check that a partition sums
+to one. Each compactly supported kind owns its cosheaf steps: `ext`
+(extension by zero) and `cutoff_restrict` (times a cutoff, restricted).
 
 Functionals are compared over a dual family (dual_function_family,
 dual_density_family), which knows its shape and builds a probe section
@@ -41,8 +43,9 @@ line each probe is built and paired. The constructions:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .basedensity import BaseDensity
 from .densities import FormalDensity
@@ -50,9 +53,9 @@ from .distributions import (CompactFormalDistribution, FormalDistribution,
                             GeneralizedFunction, vec_add)
 from .errors import (CertificateError, DomainMismatchError,
                      IncompatibilityError, SupportError)
-from .functions import SupportedFormalFunction, cutoff_product
+from .functions import SupportedFormalFunction, cutoff
 from .multiindex import degree, enumerate_upto, mi
-from .scalars import QC_ZERO
+from .scalars import QC, QC_ZERO
 from .spaces import OpenSet
 
 POU_GRID_TOL = 1e-12
@@ -260,6 +263,16 @@ def dual_density_family(space, domain: OpenSet, k: int, star_cap: int,
 # -- functional comparison --------------------------------------------------------
 
 
+def _gap(x, y) -> float:
+    """|x - y| of two unequal values as a float. Two exact values never
+    read as 0.0 apart: where their floats coincide the gap is the exact
+    difference, or the least positive float if even that underflows."""
+    gap = abs(complex(x) - complex(y))
+    if gap or not (isinstance(x, QC) and isinstance(y, QC)):
+        return gap
+    return abs(complex(x - y)) or math.ulp(0.0)
+
+
 def _worst(family, va, vb, e_dim):
     """The largest gap between two value maps of the family and the
     first probe that reaches it (None when no gap is positive). Only
@@ -267,7 +280,7 @@ def _worst(family, va, vb, e_dim):
     zero = [QC_ZERO] * e_dim
     worst, at = 0.0, None
     for n in sorted(va.keys() | vb.keys()):
-        gap = max((abs(complex(x) - complex(y)) for x, y in
+        gap = max((_gap(x, y) for x, y in
                    zip(va.get(n, zero), vb.get(n, zero)) if x != y),
                   default=0.0)
         if gap > worst:
@@ -346,15 +359,19 @@ def mv_split(eta1: FormalDensity, eta2: FormalDensity,
         raise SupportError("kernel supports are not confined to the "
                            "intersection")
 
-    c, supp, plateau = space.cutoff_near(kset, v.region)
-    if not supp <= u1.region:
-        raise SupportError("cutoff support escapes the domain")
-    g = SupportedFormalFunction(space, u1, k, trunc, {mi([0] * k): c},
-                                support=supp, plateau=plateau)
+    g = cutoff(space, u1, k, trunc, *space.cutoff_near(kset, v.region))
     return eta1.cutoff_restrict(g, v)
 
 
 # -- cosheaf decomposition ------------------------------------------------------------
+
+
+def _compact(section, verb):
+    """section, refused with TypeError unless it extends by zero."""
+    if not isinstance(section, (FormalDensity, SupportedFormalFunction,
+                                CompactFormalDistribution)):
+        raise TypeError("cannot %s %r" % (verb, type(section).__name__))
+    return section
 
 
 def cosheaf_decompose(section, pou: PartitionOfUnity):
@@ -365,47 +382,16 @@ def cosheaf_decompose(section, pou: PartitionOfUnity):
     functions. Reassembling with cosheaf_reassemble recovers the
     section.
     """
-    out = []
-    for f, part in zip(pou.functions, pou.cover.parts):
-        if isinstance(section, FormalDensity):
-            if section.domain != pou.cover.whole:
-                raise DomainMismatchError("section does not live on the "
-                                          "whole set")
-            out.append(section.cutoff_restrict(f, part))
-        elif isinstance(section, CompactFormalDistribution):
-            if section.domain != pou.cover.whole:
-                raise DomainMismatchError("section does not live on the "
-                                          "whole set")
-            acted = section.module_action(f)
-            plain = FormalDistribution.restrict(acted, part)
-            supp = f.support & section.support
-            coeffs = {l: tuple(w.clip_bounds(supp) for w in vec)
-                      for l, vec in plain.coeffs.items()}
-            out.append(CompactFormalDistribution(
-                section.space, part, section.k, section.e_dim, coeffs,
-                support=supp))
-        elif isinstance(section, SupportedFormalFunction):
-            prod = cutoff_product(f, section)
-            out.append(prod.restrict(part))
-        else:
-            raise TypeError("cannot decompose %r" % type(section).__name__)
-    return out
+    if _compact(section, "decompose").domain != pou.cover.whole:
+        raise DomainMismatchError("section does not live on the whole set")
+    return [section.cutoff_restrict(f, part)
+            for f, part in zip(pou.functions, pou.cover.parts)]
 
 
 def cosheaf_reassemble(locals_, m: OpenSet):
     """Sum of the extensions by zero of local sections over m."""
-    total = None
-    for loc in locals_:
-        if isinstance(loc, FormalDensity):
-            e = loc.ext(m)
-        elif isinstance(loc, CompactFormalDistribution):
-            e = loc.ext(m)
-        elif isinstance(loc, SupportedFormalFunction):
-            e = loc.extend_by_zero(m)
-        else:
-            raise TypeError("cannot reassemble %r" % type(loc).__name__)
-        total = e if total is None else total.add(e)
-    return total
+    exts = [_compact(loc, "reassemble").ext(m) for loc in locals_]
+    return reduce(lambda total, e: total.add(e), exts) if exts else None
 
 
 # -- sheaf gluing -----------------------------------------------------------------------
@@ -486,13 +472,11 @@ def flabby_check(sections, u: OpenSet, tol: float = 0.0) -> bool:
     """
     families = {}
     for z in sections:
-        if isinstance(z, SupportedFormalFunction):
-            if not z.is_exactly_zero() and z.extend_by_zero(u).is_exactly_zero():
-                return False
+        if _compact(z, "flabby-check").is_exactly_zero():
             continue
-        if not isinstance(z, (FormalDensity, CompactFormalDistribution)):
-            raise TypeError("cannot flabby-check %r" % type(z).__name__)
-        if z.is_exactly_zero():
+        if isinstance(z, SupportedFormalFunction):
+            if z.ext(u).is_exactly_zero():
+                return False
             continue
         e = z.ext(u)
         shape = (z.k, z.star_degree())

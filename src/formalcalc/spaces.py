@@ -30,11 +30,12 @@ Each backend also supplies the ingredients of the sheaf constructions,
 as base data that sheaf.py turns into formal sections: the probes that
 functional equality is decided against (`probes`) and a section's value
 at each of them (`probe_values`), the coefficients of a partition of
-unity (`partition`), a cutoff that is one near a support
-(`cutoff_near`) and the check that a partition sums to one
-(`unit_gap`). Label indicators on Discrete, exact, whose probe values
-are read off a section's coefficients; plateau bumps on SmoothLine,
-paired one by one, with the partition's denominator certified positive.
+unity (`partition`), a cutoff's coefficient (`cutoff`) and its plateau
+and support near a given set (`cutoff_near`), and the check that a
+partition sums to one (`unit_gap`). Label indicators on Discrete,
+exact, whose probe values are read off a section's coefficients;
+plateau bumps on SmoothLine, paired one by one, with the partition's
+denominator certified positive.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -264,6 +265,8 @@ class Discrete:
         return frozenset()
 
     def open_region(self, data):
+        if isinstance(data, RSet):
+            raise BackendError("not a region of a discrete space: %r" % (data,))
         labels = frozenset(str(p) for p in data)
         if not labels <= self._labels:
             raise ValueError("labels not in the base space: %s"
@@ -345,10 +348,13 @@ class Discrete:
             out.append((self.constant(1, labels), labels, labels))
         return out
 
+    def cutoff(self, plateau, support):
+        """The indicator of the plateau labels."""
+        return self.constant(1, plateau)
+
     def cutoff_near(self, r, region):
-        """(coefficient, support, plateau) of a cutoff that is one on r:
-        the indicator of r."""
-        return self.constant(1, r), r, r
+        """(plateau, support) of a cutoff that is one on r: both r."""
+        return r, r
 
     def unit_gap(self, coeffs, region) -> float:
         """0.0 if the coefficients sum exactly to one on each label of
@@ -709,10 +715,22 @@ class SmoothLine:
             out.append((div(b, s_expr, region=whole), supp, supp - others))
         return out
 
+    def cutoff(self, plateau, support):
+        """bump(a, b, c, d) for a plateau [b, c] inside a support [a, d],
+        both closed bounded intervals; any other shape is refused."""
+        # a piece is (lo, hi, lo_open, hi_open), and an infinite end is open
+        ends = [r.pieces[0][:2] for r in (plateau, support)
+                if len(r.pieces) == 1 and not any(r.pieces[0][2:])]
+        if len(ends) != 2:
+            raise ValueError("a smooth cutoff needs closed bounded "
+                             "intervals, not %r and %r" % (plateau, support))
+        (b, c), (a, d) = ends
+        return bump(a, b, c, d)[0]
+
     def cutoff_near(self, r, region):
-        """(coefficient, support, plateau) of a cutoff that is one on r:
-        a bump that is one on the hull of r, inside the piece of the
-        region that holds the hull."""
+        """(plateau, support) of a cutoff that is one on r: closed
+        intervals around the hull of r, inside the piece of the region
+        that holds the hull."""
         klo, khi = r.hull()
         for lo, hi, _, _ in region.pieces:
             if lo < klo and khi < hi:
@@ -722,7 +740,8 @@ class SmoothLine:
                                "intersection")
         gl = Fraction(1) if lo == NEG_INF else klo - lo
         gr = Fraction(1) if hi == POS_INF else hi - khi
-        return bump(klo - gl / 2, klo - gl / 4, khi + gr / 4, khi + gr / 2)
+        return (RSet.closed_pairs([(klo - gl / 4, khi + gr / 4)]),
+                RSet.closed_pairs([(klo - gl / 2, khi + gr / 2)]))
 
     def unit_gap(self, coeffs, region) -> float:
         """Largest |sum of the coefficients - 1| at the sample points of
@@ -798,6 +817,8 @@ class SmoothLine:
         return bound
 
     def region(self, r):
+        if not isinstance(r, RSet):
+            raise BackendError("not a region of the line: %r" % (r,))
         return r
 
     def stray(self, c, region):

@@ -7,8 +7,10 @@ report byte for byte. Reports are plain dicts:
     {"suite": name, "checks": n, "failures": [witnesses],
      "max_residual": float, "pass": bool}
 
-On the discrete backend every comparison is exact (threshold 0); on
-the smooth line residuals are compared against the caller's tolerance.
+Each suite run counts its checks in one _Tally, which builds the
+report. On the discrete backend every comparison is exact (threshold
+0); on the smooth line residuals are compared against the caller's
+tolerance.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .distributions import (BaseDistribution, CompactFormalDistribution,
                             normalized_monomial, point_basis)
 from .errors import FormalcalcError
 from .expr import Const, X, add, mul, pow_, window_bump
-from .functions import (FormalFunction, SupportedFormalFunction, bump_cutoff,
-                        indicator_cutoff)
+from .functions import FormalFunction, SupportedFormalFunction, cutoff
 from .multiindex import degree, enumerate_upto, mi
 from .scalars import QC
 from .sheaf import (Cover, build_pou, cosheaf_decompose,
@@ -40,9 +41,29 @@ from .spaces import NEG_INF, OpenSet, POS_INF, RSet
 SUITE_NAMES = ("mv", "glue", "cosheaf", "flabby", "duality", "jets")
 
 
-def _report(name, checks, failures, worst):
-    return {"suite": name, "checks": checks, "failures": failures,
-            "max_residual": worst, "pass": not failures}
+class _Tally:
+    """The checks of one suite run, its failure witnesses and its worst
+    residual. A residual check passes at or below the threshold thr; an
+    exact check holds or fails, and leaves max_residual alone."""
+
+    def __init__(self, thr=0.0):
+        self.thr, self.checks, self.failures, self.worst = thr, 0, [], 0.0
+
+    def residual(self, r, **witness):
+        self.checks += 1
+        self.worst = max(self.worst, r)
+        if r > self.thr:
+            self.failures.append({**witness, "residual": r})
+
+    def exact(self, ok, checks=1, residual=None, **witness):
+        self.checks += checks
+        if not ok:
+            self.failures.append({**witness, "residual": residual})
+
+    def report(self, name):
+        return {"suite": name, "checks": self.checks,
+                "failures": self.failures, "max_residual": self.worst,
+                "pass": not self.failures}
 
 
 # -- random instance generators ------------------------------------------------
@@ -272,55 +293,49 @@ def suite_mv(space, k, seed, tol, rounds=100):
     """phi o psi = 0 and mv_split recovers psi-preimages."""
     rng = random.Random(seed)
     smooth = space.kind == "smoothline"
-    thr = tol if smooth else 0.0
+    tally = _Tally(tol if smooth else 0.0)
     u1, u2 = _mv_parts(space)
     v = u1.intersect(u2)
-    failures, worst, checks = [], 0.0, 0
     for rd in range(rounds):
         star = rng.randint(0, 2)
         zeta = rand_density(rng, space, v, k, star)
         eta1, eta2 = mv_psi(zeta, u1, u2)
         comp = mv_phi(eta1, eta2)
-        checks += 1
         if smooth:
             r, _ = functional_zero_residual(
                 comp, dual_function_family(space, u1.union(u2), k, star))
-            worst = max(worst, r)
-            if r > thr:
-                failures.append({"round": rd, "law": "phi-psi", "residual": r})
-        elif not comp.is_exactly_zero():
-            failures.append({"round": rd, "law": "phi-psi", "residual": None})
+            tally.residual(r, round=rd, law="phi-psi")
+        else:
+            tally.exact(comp.is_exactly_zero(), round=rd, law="phi-psi")
         try:
             split = mv_split(eta1, eta2, tol)
         except FormalcalcError as e:
-            failures.append({"round": rd, "law": "split", "error": str(e)})
+            tally.failures.append({"round": rd, "law": "split",
+                                   "error": str(e)})
             continue
-        checks += 1
         if smooth:
             r1, _ = functional_residual(split.ext(u1), eta1,
                                         dual_function_family(space, u1, k, star))
             r2, _ = functional_residual(split.ext(u2).scale(-1), eta2,
                                         dual_function_family(space, u2, k, star))
-            r = max(r1, r2)
-            worst = max(worst, r)
-            if r > thr:
-                failures.append({"round": rd, "law": "split-ext", "residual": r})
-        elif not (split.ext(u1) == eta1 and split.ext(u2).scale(-1) == eta2):
-            failures.append({"round": rd, "law": "split-ext", "residual": None})
-    return _report("mv", checks, failures, worst)
+            tally.residual(max(r1, r2), round=rd, law="split-ext")
+        else:
+            tally.exact(split.ext(u1) == eta1
+                        and split.ext(u2).scale(-1) == eta2,
+                        round=rd, law="split-ext")
+    return tally.report("mv")
 
 
 def suite_glue(space, k, e_dim, seed, tol, rounds=25):
     """Restrict-then-glue is the identity on spanning families."""
     rng = random.Random(seed)
     smooth = space.kind == "smoothline"
-    thr = tol if smooth else 0.0
+    tally = _Tally(tol if smooth else 0.0)
     if smooth:
         e_dim = 1
     cover = _three_part_cover(space)
     pou = build_pou(cover, k, 4)
     m = cover.whole
-    failures, worst, checks = [], 0.0, 0
     xcap, scap = (1, 0) if smooth else (2, 1)
     for rd in range(rounds):
         g = rand_generalized(rng, space, m, k, 2, e_dim)
@@ -329,77 +344,55 @@ def suite_glue(space, k, e_dim, seed, tol, rounds=25):
         probes = dual_density_family(space, m, k, 2, xdeg_cap=xcap,
                                      stack_cap=scap)
         r, _ = functional_residual(glued, g, probes)
-        worst = max(worst, r)
-        checks += 1
-        if r > thr:
-            failures.append({"round": rd, "law": "glue-generalized",
-                             "residual": r})
+        tally.residual(r, round=rd, law="glue-generalized")
         star = rng.randint(0, 2)
         t = rand_distribution(rng, space, m, k, star, e_dim)
         locs = [t.restrict(p) for p in cover.parts]
         glued = sheaf_glue(locs, pou, tol)
         probes = dual_function_family(space, m, k, star, xdeg_cap=xcap)
         r, _ = functional_residual(glued, t, probes)
-        worst = max(worst, r)
-        checks += 1
-        if r > thr:
-            failures.append({"round": rd, "law": "glue-distribution",
-                             "residual": r})
-    return _report("glue", checks, failures, worst)
+        tally.residual(r, round=rd, law="glue-distribution")
+    return tally.report("glue")
 
 
 def suite_cosheaf(space, k, e_dim, seed, tol, rounds=25):
     """Decompose-then-extend is the identity for all three section kinds."""
     rng = random.Random(seed)
     smooth = space.kind == "smoothline"
-    thr = tol if smooth else 0.0
+    tally = _Tally(tol if smooth else 0.0)
     if smooth:
         e_dim = 1
     cover = _three_part_cover(space)
     pou = build_pou(cover, k, 4)
     m = cover.whole
-    failures, worst, checks = [], 0.0, 0
     xcap = 1 if smooth else 2
     for rd in range(rounds):
         star = rng.randint(0, 2)
         eta = rand_density(rng, space, m, k, star)
         back = cosheaf_reassemble(cosheaf_decompose(eta, pou), m)
-        checks += 1
         if smooth:
             r, _ = functional_residual(
                 back, eta, dual_function_family(space, m, k, star,
                                                 xdeg_cap=xcap))
-            worst = max(worst, r)
-            if r > thr:
-                failures.append({"round": rd, "law": "cosheaf-density",
-                                 "residual": r})
-        elif back != eta:
-            failures.append({"round": rd, "law": "cosheaf-density",
-                             "residual": None})
+            tally.residual(r, round=rd, law="cosheaf-density")
+        else:
+            tally.exact(back == eta, round=rd, law="cosheaf-density")
         u = rand_supported_function(rng, space, m, k, 2)
         back = cosheaf_reassemble(cosheaf_decompose(u, pou), m)
-        r = function_residual(back, u)
-        worst = max(worst, r)
-        checks += 1
-        if r > thr:
-            failures.append({"round": rd, "law": "cosheaf-function",
-                             "residual": r})
+        tally.residual(function_residual(back, u), round=rd,
+                       law="cosheaf-function")
         t = rand_compact_distribution(rng, space, m, k, star, e_dim)
         back = cosheaf_reassemble(cosheaf_decompose(t, pou), m)
         probes = dual_function_family(space, m, k, star, xdeg_cap=xcap)
         r, _ = functional_residual(back, t, probes)
-        worst = max(worst, r)
-        checks += 1
-        if r > thr:
-            failures.append({"round": rd, "law": "cosheaf-distribution",
-                             "residual": r})
-    return _report("cosheaf", checks, failures, worst)
+        tally.residual(r, round=rd, law="cosheaf-distribution")
+    return tally.report("cosheaf")
 
 
 def suite_flabby(space, k, seed, tol, rounds=20):
     """Extension by zero has trivial kernel on dual spanning families."""
     rng = random.Random(seed)
-    failures, worst, checks = [], 0.0, 0
+    tally = _Tally()
     m = space.whole()
     if space.kind == "discrete":
         pts = sorted(m.region)
@@ -416,39 +409,33 @@ def suite_flabby(space, k, seed, tol, rounds=20):
             v = OpenSet(space, sub)
             fam = list(dual_density_family(space, v, k, 2))
             fam.append(rand_density(rng, space, v, k, 2))
-            checks += len(fam)
-            if not flabby_check(fam, m, tol=0.0):
-                failures.append({"subset": sorted(sub), "law": "flabby",
-                                 "residual": None})
-        return _report("flabby", checks, failures, worst)
+            tally.exact(flabby_check(fam, m, tol=0.0), checks=len(fam),
+                        subset=sorted(sub), law="flabby")
+        return tally.report("flabby")
     for wlo, whi in ((Fraction(-2), Fraction(2)), (Fraction(-3), Fraction(1))):
         v = OpenSet(space, [(wlo, whi)])
         fam = dual_density_family(space, v, k, 1, xdeg_cap=2, stack_cap=0)
-        checks += len(fam)
-        if not flabby_check(fam, m, tol=tol):
-            failures.append({"window": [str(wlo), str(whi)], "law": "flabby",
-                             "residual": None})
-    return _report("flabby", checks, failures, worst)
+        tally.exact(flabby_check(fam, m, tol=tol), checks=len(fam),
+                    window=[str(wlo), str(whi)], law="flabby")
+    return tally.report("flabby")
 
 
 def suite_duality(space, k, trunc, e_dim, seed, tol, rounds=60):
     """cutoff_extend values agree across distinct admissible cutoffs."""
     rng = random.Random(seed)
     smooth = space.kind == "smoothline"
-    thr = tol if smooth else 0.0
+    tally = _Tally(tol if smooth else 0.0)
     if smooth:
         e_dim = 1
     m = space.whole()
-    failures, worst, checks = [], 0.0, 0
     star = min(2, trunc)
     cap = max(trunc, star, 1)
     if smooth:
         u = OpenSet(space, [(Fraction(-4), Fraction(4))])
         box = OpenSet(space, [(Fraction(-1), Fraction(1))])
-        f1 = bump_cutoff(space, m, k, cap, Fraction(-3), Fraction(-2),
-                         Fraction(2), Fraction(3))
-        f2 = bump_cutoff(space, m, k, cap, Fraction(-7, 2), Fraction(-5, 2),
-                         Fraction(5, 2), Fraction(7, 2))
+        f1, f2 = (cutoff(space, m, k, cap, RSet.closed_pairs([(-b, b)]),
+                         RSet.closed_pairs([(-b - 1, b + 1)]))
+                  for b in (Fraction(2), Fraction(5, 2)))
     else:
         pts = space.points
         u = OpenSet(space, pts[:-1]) if len(pts) > 1 else m
@@ -459,63 +446,51 @@ def suite_duality(space, k, trunc, e_dim, seed, tol, rounds=60):
         else:
             t = rand_compact_distribution(rng, space, u, k, star, e_dim)
             s = t.support
-            f1 = indicator_cutoff(space, m, k, cap, s)
+            f1 = cutoff(space, m, k, cap, s, s)
             extra = s | {sorted(u.region)[rng.randrange(len(u.region))]}
-            f2 = indicator_cutoff(space, m, k, cap, extra)
+            f2 = cutoff(space, m, k, cap, extra, extra)
         ufn = rand_function(rng, space, m, k, cap)
         v1 = cutoff_extend(t, f1)(ufn)
         v2 = cutoff_extend(t, f2)(ufn)
-        gap = max(abs(complex(x) - complex(y)) for x, y in zip(v1, v2))
-        worst = max(worst, gap)
-        checks += 1
-        if gap > thr:
-            failures.append({"round": rd, "law": "cutoff-extend",
-                             "residual": gap})
-    return _report("duality", checks, failures, worst)
+        tally.residual(max(abs(complex(x) - complex(y))
+                           for x, y in zip(v1, v2)),
+                       round=rd, law="cutoff-extend")
+    return tally.report("duality")
 
 
 def suite_jets(space, k, trunc, seed, tol):
     """Point-distribution basis duality and jet-ideal membership flags."""
     del seed, tol
-    failures, worst, checks = [], 0.0, 0
+    tally = _Tally()
     m = space.whole()
     ndim = space.ndim
     r = min(trunc, 4)
     a = space.origin()
     basis = point_basis(space, m, k, a, r)
     keys = enumerate_upto(ndim + k, r)
-    checks += 1
-    if len(basis) != dist_space_dimension(ndim, k, r) or \
-            len(basis) != math.comb(ndim + k + r, ndim + k):
-        failures.append({"law": "dimension", "residual": None})
+    tally.exact(len(basis) == dist_space_dimension(ndim, k, r)
+                == math.comb(ndim + k + r, ndim + k), law="dimension")
     for row, pd in enumerate(basis):
         for col, mkey in enumerate(keys):
             i, j = mkey[:ndim], mkey[ndim:]
             mono = normalized_monomial(space, m, k, r, i, j)
             val = pd.apply(mono)[0]
             expect = QC(1) if row == col else QC(0)
-            checks += 1
-            if val != expect:
-                failures.append({"law": "basis", "row": row, "col": col,
-                                 "residual": abs(complex(val) - complex(expect))})
+            ok = val == expect
+            tally.exact(ok, law="basis", row=row, col=col, residual=None if ok
+                        else abs(complex(val) - complex(expect)))
     for mkey in keys:
         i, j = mkey[:ndim], mkey[ndim:]
         d = degree(mkey)
         mono = normalized_monomial(space, m, k, r, i, j)
-        checks += 1
-        if not jet_kernel_check(mono, a, d):
-            failures.append({"law": "jet-ideal", "key": list(mkey),
-                             "residual": None})
+        tally.exact(jet_kernel_check(mono, a, d), law="jet-ideal",
+                    key=list(mkey))
         if d < r:
-            checks += 1
-            if jet_kernel_check(mono, a, d + 1):
-                failures.append({"law": "jet-ideal-sharp", "key": list(mkey),
-                                 "residual": None})
+            tally.exact(not jet_kernel_check(mono, a, d + 1),
+                        law="jet-ideal-sharp", key=list(mkey))
     zero = FormalFunction(space, m, k, r, {})
-    checks += 1
-    if not jet_kernel_check(zero, a, r):
-        failures.append({"law": "jet-zero", "residual": None})
-    return _report("jets", checks, failures, worst)
+    tally.exact(jet_kernel_check(zero, a, r), law="jet-zero")
+    return tally.report("jets")
 
 
 def run_suite(name, space, k, trunc, e_dim, seed, tol):

@@ -27,7 +27,7 @@ from formalcalc.distributions import (BaseDistribution,
                                       normalized_monomial, point_basis)
 from formalcalc.expr import Const, X, add, bump, ev, mul, pow_
 from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
-                                  indicator_cutoff)
+                                  cutoff)
 from formalcalc.multiindex import enumerate_upto, mi, mi_factorial
 from formalcalc.scalars import QC
 from formalcalc.sheaf import (Cover, build_pou, cosheaf_decompose,
@@ -364,9 +364,9 @@ def test_dual_extension_is_cutoff_independent():
                     coeffs[mi(l)] = (BaseDistribution(space, weights=w),)
         eta = CompactFormalDistribution(space, whole, 1, 1, coeffs,
                                         support=supp)
-        f1 = indicator_cutoff(space, whole, 1, 2, supp)
+        f1 = cutoff(space, whole, 1, 2, supp, supp)
         extra = supp | {pts[rng.randrange(len(pts))]}
-        f2 = indicator_cutoff(space, whole, 1, 2, extra)
+        f2 = cutoff(space, whole, 1, 2, extra, extra)
         u = FormalFunction(space, whole, 1, 2,
                            {mi(j): rand_weights(rng, whole.region)
                             for j in enumerate_upto(1, 2)})

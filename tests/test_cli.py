@@ -138,6 +138,40 @@ def test_declared_glue_mismatch_fails_with_witness(capsys):
     assert code == 1 and out.splitlines()[-1] == "FAIL"
 
 
+def _glue_variant(tmp_path, bad2):
+    """glue_mismatch.json with its second local replaced."""
+    data = json.loads((ROOT / MISMATCH).read_text())
+    data["distributions"]["bad2"] = bad2
+    path = tmp_path / "glue.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_declared_glue_sees_a_gap_below_float_resolution(capsys, tmp_path):
+    # the locals disagree at c by 10^-30, which the floats of 1 and
+    # 1 + 10^-30 cannot show
+    near = _glue_variant(tmp_path, {
+        "kind": "distribution", "domain": "W2",
+        "coeffs": {"0": [{"c": "%d/%d" % (10 ** 30 + 1, 10 ** 30), "d": 1}]}})
+    code, out, _ = run(capsys, "check", "glue", "--scenario", near,
+                       "--tol", "0", "--json")
+    assert code == 1
+    declared = json.loads(out)["suites"][-1]
+    assert declared["suite"] == "glue-declared"
+    assert declared["max_residual"] == 1e-30
+
+
+@pytest.mark.parametrize("bad2", [
+    {"kind": "point", "domain": "W2", "a": "c", "terms": [{"c": [1]}]},
+    {"kind": "generalized", "domain": "W2", "trunc": 2,
+     "coeffs": {"0": [{"c": 1, "d": 1}]}}], ids=["point", "mixed"])
+def test_declared_glue_refuses_locals_it_cannot_glue(capsys, tmp_path, bad2):
+    path = _glue_variant(tmp_path, bad2)
+    code, out, err = run(capsys, "check", "glue", "--scenario", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: task 'glue'") and err.count("\n") == 1
+
+
 def test_smooth_pair_quadrature(capsys):
     code, out, _ = run(capsys, "pair", "eta", "u", "--scenario", SMOOTH,
                        "--json")

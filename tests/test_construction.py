@@ -22,10 +22,10 @@ from formalcalc.distributions import (BaseDistribution,
 from formalcalc.errors import (DomainMismatchError, SupportError,
                                TruncationError)
 from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
-                                  bump_cutoff, cutoff_product, indicator_cutoff)
+                                  cutoff, cutoff_product)
 from formalcalc.multiindex import mi
 from formalcalc.scalars import QC
-from formalcalc.spaces import Discrete, OpenSet, SmoothLine
+from formalcalc.spaces import Discrete, OpenSet, RSet, SmoothLine
 
 DS = Discrete(["a", "b", "c", "d"])
 OTHER = Discrete(["a", "b", "c", "d", "e"])
@@ -188,9 +188,10 @@ def _cutoff(space, whole, part, k, trunc, rng):
     """A cutoff over the whole set supported inside part."""
     if space.kind == "discrete":
         labels = [p for p in sorted(part.region) if rng.randint(0, 1)]
-        return indicator_cutoff(space, whole, k, trunc, labels)
-    return bump_cutoff(space, whole, k, trunc, Fraction(-3), Fraction(-2),
-                       Fraction(-1), Fraction(0))
+        return cutoff(space, whole, k, trunc, labels, labels)
+    return cutoff(space, whole, k, trunc,
+                  RSet.closed_pairs([(Fraction(-2), Fraction(-1))]),
+                  RSet.closed_pairs([(Fraction(-3), Fraction(0))]))
 
 
 def _check_round(rng, space, k=2, trunc=2, e_dim=2):
@@ -203,7 +204,7 @@ def _check_round(rng, space, k=2, trunc=2, e_dim=2):
     f = _cutoff(space, whole, u1, k, trunc, rng)
     for x in (u.add(v), u.add(u.scale(-1)), u.scale(_scalar(rng)), u.mul(v),
               u.restrict(u1), s.restrict(u1.intersect(u2)),
-              s.extend_by_zero(whole), cutoff_product(f, u.restrict(u1)),
+              s.ext(whole), cutoff_product(f, u.restrict(u1)),
               f):
         assert_canonical(x)
     # densities

@@ -10,7 +10,7 @@ from formalcalc.densities import FormalDensity, submultiindices
 from formalcalc.errors import (DomainMismatchError, SupportError,
                                TruncationError)
 from formalcalc.expr import X, pow_
-from formalcalc.functions import FormalFunction, indicator_cutoff
+from formalcalc.functions import FormalFunction, cutoff
 from formalcalc.multiindex import enumerate_upto, mi, mi_factorial
 from formalcalc.scalars import QC
 from formalcalc.spaces import Discrete, OpenSet, RSet, SmoothLine
@@ -173,13 +173,13 @@ def test_ext_preserves_pairing_against_restriction():
 def test_cutoff_restrict_extends_back_to_module_action():
     rng = random.Random(97)
     v = OpenSet(DS, ["a", "b"])
-    f = indicator_cutoff(DS, DS.whole(), 1, 3, ["a", "b"])
+    f = cutoff(DS, DS.whole(), 1, 3, ["a", "b"], ["a", "b"])
     for _ in range(40):
         eta = rand_density(rng, DS.whole(), 1, 2)
         cut = eta.cutoff_restrict(f, v)
         assert cut.domain == v
         assert cut.ext(DS.whole()) == eta.module_action(f)
-    g = indicator_cutoff(DS, DS.whole(), 1, 3, ["a", "c"])
+    g = cutoff(DS, DS.whole(), 1, 3, ["a", "c"], ["a", "c"])
     with pytest.raises(SupportError):
         eta.cutoff_restrict(g, v)
 

@@ -11,7 +11,7 @@ from formalcalc.errors import (DomainMismatchError, SupportError,
                                TruncationError)
 from formalcalc.expr import X, bump, pow_
 from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
-                                  bump_cutoff)
+                                  cutoff)
 from formalcalc.multiindex import enumerate_upto, mi, mi_factorial
 from formalcalc.scalars import QC
 from formalcalc.spaces import Discrete, OpenSet, RSet, SmoothLine
@@ -223,7 +223,8 @@ def test_endo_operator_validation():
 
 def test_endo_operator_seminorm_smooth_grid():
     u_set = OpenSet(SL, [(-5, 5)])
-    f = bump_cutoff(SL, u_set, 1, 1, -2, -1, 1, 2)
+    f = cutoff(SL, u_set, 1, 1, RSet.closed_pairs([(-1, 1)]),
+               RSet.closed_pairs([(-2, 2)]))
     x_op = EndoDiffOp(SL, u_set, 1, {(mi((0,)), mi((0,))): f})
     u = FormalFunction(SL, u_set, 1, 1, {(0,): X})
     v = seminorm(u, x_op)

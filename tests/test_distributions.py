@@ -19,7 +19,7 @@ from formalcalc.errors import (DomainMismatchError, SupportError,
                                TruncationError)
 from formalcalc.expr import ONE, X, Const, bump, mul, pow_
 from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
-                                  bump_cutoff, indicator_cutoff)
+                                  cutoff)
 from formalcalc.multiindex import enumerate_upto, mi, mi_factorial
 from formalcalc.scalars import QC
 from formalcalc.spaces import Discrete, OpenSet, RSet, SmoothLine
@@ -120,7 +120,7 @@ def test_restrict_is_transpose_of_extension():
     for _ in range(80):
         eta = rand_distribution(rng, DS.whole(), 1, 2, 1)
         u = rand_supported(rng, v, 1, 3)
-        assert eta.restrict(v).apply(u) == eta.apply(u.extend_by_zero(DS.whole()))
+        assert eta.restrict(v).apply(u) == eta.apply(u.ext(DS.whole()))
 
 
 def test_compact_support_inference_and_validation():
@@ -176,8 +176,8 @@ def test_cutoff_extension_is_cutoff_independent():
         eta = CompactFormalDistribution(DS, DS.whole(), 1, 1,
                                         {(0,): (w,), (1,): (w.scale(2),)},
                                         support=frozenset({"b", "c"}))
-        f1 = indicator_cutoff(DS, DS.whole(), 1, 2, ["b", "c"])
-        f2 = indicator_cutoff(DS, DS.whole(), 1, 2, ["a", "b", "c"])
+        f1 = cutoff(DS, DS.whole(), 1, 2, ["b", "c"], ["b", "c"])
+        f2 = cutoff(DS, DS.whole(), 1, 2, ["a", "b", "c"], ["a", "b", "c"])
         u = FormalFunction(DS, DS.whole(), 1, 2,
                            {j: {p: Fraction(rng.randint(-4, 4), rng.randint(1, 2))
                                 for p in DS.points}
@@ -190,7 +190,7 @@ def test_cutoff_extension_is_cutoff_independent():
 def test_cutoff_extension_demands_plateau_over_support():
     w = BaseDistribution(DS, weights={"b": 1, "c": 1})
     eta = CompactFormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
-    small = indicator_cutoff(DS, DS.whole(), 1, 1, ["b"])
+    small = cutoff(DS, DS.whole(), 1, 1, ["b"], ["b"])
     with pytest.raises(SupportError):
         cutoff_extend(eta, small)
 
@@ -389,14 +389,17 @@ def test_smooth_cutoff_extension_cutoff_independence():
                                      PointTerm(Fraction(0), 1, 1)))
     eta = CompactFormalDistribution(SL, dom, 1, 1, {(0,): (w0,), (1,): (w0,)},
                                     support=box)
-    f1 = bump_cutoff(SL, dom, 1, 2, -3, -2, 2, 3)
-    f2 = bump_cutoff(SL, dom, 1, 2, Fraction(-7, 2), Fraction(-5, 2),
-                     Fraction(5, 2), Fraction(7, 2))
+    f1 = cutoff(SL, dom, 1, 2, RSet.closed_pairs([(-2, 2)]),
+                RSet.closed_pairs([(-3, 3)]))
+    f2 = cutoff(SL, dom, 1, 2,
+                RSet.closed_pairs([(Fraction(-5, 2), Fraction(5, 2))]),
+                RSet.closed_pairs([(Fraction(-7, 2), Fraction(7, 2))]))
     u = FormalFunction(SL, dom, 1, 2, {(0,): pow_(X, 2), (1,): X})
     v1 = cutoff_extend(eta, f1)(u)[0]
     v2 = cutoff_extend(eta, f2)(u)[0]
     assert abs(v1 - v2) < 1e-9
-    small = bump_cutoff(SL, dom, 1, 2, Fraction(-1, 2), 0, 0, Fraction(1, 2))
+    small = cutoff(SL, dom, 1, 2, RSet.closed_pairs([(0, 0)]),
+                   RSet.closed_pairs([(Fraction(-1, 2), Fraction(1, 2))]))
     with pytest.raises(SupportError):
         cutoff_extend(eta, small)
 

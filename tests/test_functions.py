@@ -7,9 +7,9 @@ import pytest
 
 from formalcalc.errors import (BackendError, DomainMismatchError, SupportError,
                                TruncationError)
-from formalcalc.expr import Const, X, pow_
+from formalcalc.expr import Const, X, bump, pow_
 from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
-                                  bump_cutoff, cutoff_product, indicator_cutoff)
+                                  cutoff, cutoff_product)
 from formalcalc.multiindex import degree, enumerate_upto, mi_factorial
 from formalcalc.scalars import QC
 from formalcalc.spaces import Discrete, OpenSet, RSet, SmoothLine
@@ -186,22 +186,23 @@ def test_supported_function_restrict_intersects_support():
 def test_extend_by_zero_checks():
     small = OpenSet(DS, ["a", "b"])
     f = SupportedFormalFunction(DS, small, 1, 1, {(0,): {"a": 1}})
-    g = f.extend_by_zero(DS.whole())
+    g = f.ext(DS.whole())
     assert g.domain == DS.whole()
     assert g.coeff((0,)) == {"a": QC(1)}
     with pytest.raises(DomainMismatchError):
-        f.extend_by_zero(OpenSet(DS, ["a"]))
+        f.ext(OpenSet(DS, ["a"]))
     # a smooth witness must be compact to extend
     u = OpenSet(SL, [(-5, 5)])
-    h = bump_cutoff(SL, u, 1, 1, -1, 0, 0, 1)
+    h = cutoff(SL, u, 1, 1, RSet.closed_pairs([(0, 0)]),
+               RSet.closed_pairs([(-1, 1)]))
     wide = SupportedFormalFunction(SL, u, 1, 1, h.coeffs,
                                    support=RSet.closed_pairs([(0, float("inf"))]))
     with pytest.raises(SupportError):
-        wide.extend_by_zero(SL.whole())
+        wide.ext(SL.whole())
 
 
 def test_indicator_cutoff_and_product():
-    f = indicator_cutoff(DS, DS.whole(), 1, 2, ["a", "b"])
+    f = cutoff(DS, DS.whole(), 1, 2, ["a", "b"], ["a", "b"])
     assert f.plateau == frozenset({"a", "b"})
     assert f.ev("a") == QC(1)
     assert f.ev("c") == QC(0)
@@ -211,27 +212,67 @@ def test_indicator_cutoff_and_product():
     assert p.coeff((1,)) == {"b": QC(5)}
     assert p.support == frozenset({"a", "b"})
     with pytest.raises(SupportError):
-        indicator_cutoff(DS, OpenSet(DS, ["a"]), 1, 1, ["b"])
+        cutoff(DS, OpenSet(DS, ["a"]), 1, 1, ["b"], ["b"])
     with pytest.raises(BackendError):
-        indicator_cutoff(SL, SL.whole(), 1, 1, ["a"])
+        cutoff(SL, SL.whole(), 1, 1, ["a"], ["a"])
 
 
 def test_bump_cutoff_plateau_is_exactly_one():
     u = OpenSet(SL, [(-3, 3)])
-    f = bump_cutoff(SL, u, 1, 2, -2, -1, 1, 2)
+    f = cutoff(SL, u, 1, 2, RSet.closed_pairs([(-1, 1)]),
+               RSet.closed_pairs([(-2, 2)]))
     assert f.support == RSet.closed_pairs([(-2, 2)])
     assert f.plateau == RSet.closed_pairs([(-1, 1)])
     assert f.ev(Fraction(0)) == 1
     assert f.ev(Fraction(5, 2)) == QC(0)
     with pytest.raises(SupportError):
-        bump_cutoff(SL, OpenSet(SL, [(-1, 1)]), 1, 1, -2, -1, 1, 2)
+        cutoff(SL, OpenSet(SL, [(-1, 1)]), 1, 1, RSet.closed_pairs([(-1, 1)]),
+               RSet.closed_pairs([(-2, 2)]))
     with pytest.raises(BackendError):
-        bump_cutoff(DS, DS.whole(), 1, 1, -2, -1, 1, 2)
+        cutoff(DS, DS.whole(), 1, 1, RSet.closed_pairs([(-1, 1)]),
+               RSet.closed_pairs([(-2, 2)]))
+
+
+def test_cutoff_is_the_backend_coefficient_on_its_regions():
+    rng = random.Random(41)
+    for _ in range(40):
+        a, b, c, d = sorted(Fraction(rng.randint(-40, 40), rng.randint(1, 4))
+                            for _ in range(4))
+        if not a < b < c < d:
+            continue
+        f = cutoff(SL, SL.whole(), 1, 2, RSet.closed_pairs([(b, c)]),
+                   RSet.closed_pairs([(a, d)]))
+        e, supp, plateau = bump(a, b, c, d)
+        assert list(f.coeffs) == [(0,)] and f.coeffs[(0,)] is e
+        assert (f.support, f.plateau) == (supp, plateau)
+        labels = [p for p in DS.points if rng.randint(0, 1)]
+        f = cutoff(DS, DS.whole(), 1, 2, labels, labels)
+        assert f.coeffs == ({(0,): {p: QC(1) for p in labels}} if labels
+                            else {})
+        assert f.support == f.plateau == frozenset(labels)
+    with pytest.raises(SupportError):
+        cutoff(DS, DS.whole(), 1, 1, ["a", "b"], ["a"])
+    with pytest.raises(SupportError):
+        cutoff(SL, SL.whole(), 1, 1, RSet.closed_pairs([(-1, 3)]),
+               RSet.closed_pairs([(-2, 2)]))
+    with pytest.raises(SupportError):
+        cutoff(SL, OpenSet(SL, [(-2, 2)]), 1, 1, RSet.closed_pairs([(-1, 1)]),
+               RSet.closed_pairs([(-2, 2)]))
+    for plateau in (RSet.closed_pairs([(-1, 0), (Fraction(1, 2), 1)]),
+                    RSet.open_pairs([(-1, 1)]), RSet()):
+        with pytest.raises(ValueError):
+            cutoff(SL, SL.whole(), 1, 1, plateau, RSet.closed_pairs([(-2, 2)]))
+    with pytest.raises(BackendError):
+        cutoff(SL, SL.whole(), 1, 1, ["a"], ["a", "b"])
+    with pytest.raises(BackendError):
+        cutoff(DS, DS.whole(), 1, 1, RSet.closed_pairs([(-1, 1)]),
+               RSet.closed_pairs([(-2, 2)]))
 
 
 def test_cutoff_product_smooth_keeps_witness():
     u = OpenSet(SL, [(-3, 3)])
-    f = bump_cutoff(SL, SL.whole(), 1, 2, -2, -1, 1, 2)
+    f = cutoff(SL, SL.whole(), 1, 2, RSet.closed_pairs([(-1, 1)]),
+               RSet.closed_pairs([(-2, 2)]))
     g = FormalFunction(SL, u, 1, 2, {(0,): X, (2,): Const(1)})
     p = cutoff_product(f, g)
     assert p.domain == SL.whole()

@@ -107,7 +107,7 @@ def ref_flabby_check(sections, u, tol=0.0):
     families = {}
     for z in sections:
         if isinstance(z, SupportedFormalFunction):
-            if not z.is_exactly_zero() and z.extend_by_zero(u).is_exactly_zero():
+            if not z.is_exactly_zero() and z.ext(u).is_exactly_zero():
                 return False
             continue
         if not isinstance(z, (FormalDensity, CompactFormalDistribution)):

@@ -1,5 +1,6 @@
 """Covers, partitions of unity, Mayer-Vietoris, cosheaf, gluing, flabbiness."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from formalcalc.errors import (CertificateError, DomainMismatchError,
                                IncompatibilityError, SupportError)
 from formalcalc.expr import ONE, X, bump, pow_
 from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
-                                  indicator_cutoff)
+                                  cutoff)
 from formalcalc.multiindex import enumerate_upto, mi
 from formalcalc.scalars import QC
 from formalcalc.sheaf import (Cover, PartitionOfUnity, build_pou,
@@ -73,8 +74,8 @@ def test_discrete_pou_first_match_indicators():
 
 def test_pou_constructor_validations():
     cover = Cover(DS.whole(), [U1, U2])
-    ind1 = indicator_cutoff(DS, DS.whole(), 1, 1, U1.region)
-    ind2 = indicator_cutoff(DS, DS.whole(), 1, 1, U2.region)
+    ind1 = cutoff(DS, DS.whole(), 1, 1, U1.region, U1.region)
+    ind2 = cutoff(DS, DS.whole(), 1, 1, U2.region, U2.region)
     with pytest.raises(ValueError):
         PartitionOfUnity(cover, [ind1])
     with pytest.raises(CertificateError):
@@ -83,13 +84,13 @@ def test_pou_constructor_validations():
                                    support=frozenset({"a"}))
     with pytest.raises(ValueError):
         PartitionOfUnity(cover, [ydep, ind2])
-    off = indicator_cutoff(DS, U1, 1, 1, ["a"])
+    off = cutoff(DS, U1, 1, 1, ["a"], ["a"])
     with pytest.raises(DomainMismatchError):
         PartitionOfUnity(cover, [off, ind2])
-    wide = indicator_cutoff(DS, DS.whole(), 1, 1, ["a", "d"])
+    wide = cutoff(DS, DS.whole(), 1, 1, ["a", "d"], ["a", "d"])
     with pytest.raises(SupportError):
-        PartitionOfUnity(cover, [wide, indicator_cutoff(DS, DS.whole(), 1, 1,
-                                                        ["b", "c"])])
+        PartitionOfUnity(cover, [wide, cutoff(DS, DS.whole(), 1, 1, ["b", "c"],
+                                              ["b", "c"])])
 
 
 def test_smooth_pou_two_parts():
@@ -151,6 +152,23 @@ def test_functional_residual_reports_worst_witness():
     assert resid == 5.0
     assert witness.support == frozenset({"c"})
     assert functional_zero_residual(eta.add(eta.scale(-1)), probes) == (0.0, None)
+
+
+def test_exact_gaps_below_float_resolution_are_not_zero():
+    # 1 and 1 + 10^-30 are one float apart by 0.0, and 10^-400 is 0.0 as
+    # a float: the first gap is read exactly, the second as the least
+    # positive float, so neither unequal pair passes at tolerance 0
+    probes = dual_function_family(DS, DS.whole(), 1, 0)
+    one, near = (FormalDensity.monomial(DS, DS.whole(), 1, (0,),
+                                        BaseDensity.discrete(DS, {"c": w}))
+                 for w in (1, 1 + Fraction(1, 10 ** 30)))
+    resid, witness = functional_residual(one, near, probes)
+    assert resid == 1e-30 and witness.support == frozenset({"c"})
+    tiny = FormalDensity.monomial(DS, VV, 1, (0,), BaseDensity.discrete(
+        DS, {"b": Fraction(1, 10 ** 400)}))
+    probes = dual_function_family(DS, VV, 1, 0)
+    assert functional_zero_residual(tiny, probes)[0] == math.ulp(0.0)
+    assert flabby_check([tiny], DS.whole())
 
 
 def test_functional_residual_refuses_different_value_dimensions():

@@ -20,8 +20,7 @@ from formalcalc.densities import FormalDensity
 from formalcalc.errors import CertificateError, SupportError
 from formalcalc.expr import (ONE, X, add, bump, div, ev, falling_edge, mul,
                              pow_, rising_edge)
-from formalcalc.functions import (SupportedFormalFunction, bump_cutoff,
-                                  indicator_cutoff)
+from formalcalc.functions import SupportedFormalFunction, cutoff
 from formalcalc.multiindex import enumerate_upto, mi
 from formalcalc.scalars import QC
 from formalcalc.sheaf import (Cover, PartitionOfUnity, build_pou,
@@ -163,8 +162,8 @@ def ref_build_pou(cover, k, trunc):
         for part in cover.parts:
             labels = part.region - assigned
             assigned |= labels
-            functions.append(indicator_cutoff(space, cover.whole, k, trunc,
-                                              labels))
+            functions.append(cutoff(space, cover.whole, k, trunc, labels,
+                                    labels))
         return functions
 
     m_rs = cover.whole.region
@@ -242,7 +241,7 @@ def ref_sum_residual(space, whole_region, coeffs):
 
 def ref_mv_cutoff(space, u1, v, kset, k, trunc):
     if space.kind == "discrete":
-        return indicator_cutoff(space, u1, k, trunc, kset)
+        return cutoff(space, u1, k, trunc, kset, kset)
     klo, khi = kset.hull()
     home = None
     for lo, hi, _, _ in v.region.pieces:
@@ -255,8 +254,9 @@ def ref_mv_cutoff(space, u1, v, kset, k, trunc):
     lo, hi = home
     gl = Fraction(1) if lo == NEG_INF else klo - lo
     gr = Fraction(1) if hi == POS_INF else hi - khi
-    return bump_cutoff(space, u1, k, trunc,
-                       klo - gl / 2, klo - gl / 4, khi + gr / 4, khi + gr / 2)
+    return cutoff(space, u1, k, trunc,
+                  RSet.closed_pairs([(klo - gl / 4, khi + gr / 4)]),
+                  RSet.closed_pairs([(klo - gl / 2, khi + gr / 2)]))
 
 
 # -- seeded domains and covers --------------------------------------------------------
