@@ -26,7 +26,7 @@ from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC, rat_str
 from .scenario import SCHEMA_VERSION, Scenario
 from .sheaf import build_pou, sheaf_glue
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, _Tally, run_suite
 
 _CHECK_ERRORS = (CertificateError, IncompatibilityError, QuadratureError)
 # OverflowError: an exact value of the input too large for the float
@@ -126,16 +126,15 @@ def _declared_glue(sc, tol):
     cover = sc.cover(task.get("cover", ""))
     locals_ = [sc.distribution(nm) for nm in task.get("locals", ())]
     pou = build_pou(cover, sc.k, sc.trunc)
-    failures = []
-    worst = 0.0
+    tally = _Tally(tol)
     try:
         sheaf_glue(locals_, pou, tol)
     except IncompatibilityError as e:
-        worst = float(e.residual or 0.0)
-        failures.append({"law": "declared-glue", "error": str(e),
-                         "residual": e.residual, "probe": e.probe})
-    return {"suite": "glue-declared", "checks": 1, "failures": failures,
-            "max_residual": worst, "pass": not failures}
+        tally.residual(e.residual, law="declared-glue", error=str(e),
+                       probe=e.probe)
+    else:
+        tally.exact(True)
+    return tally.report("glue-declared")
 
 
 def cmd_check(args, sc, tol, seed):

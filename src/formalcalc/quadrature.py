@@ -6,12 +6,23 @@ float64 program (`expr.compile_f`: one statement per distinct subterm)
 and goes to adaptive Gauss-Kronrod (G7, K15) quadrature, which calls
 that program once per node. Quadrature runs with an absolute tolerance
 (default 1e-10) and a hard budget of 10**6 integrand evaluations per
-integral. Failure to converge within the budget raises QuadratureError
-rather than returning a silently degraded value.
+integral. Failure to converge within the budget raises QuadratureError.
+One rule still passes a value without its tolerance: a panel narrower
+than 1e-14 is accepted whatever its error estimate, so an integrand
+with a steep enough feature can come back less accurate than asked,
+and nothing says so.
+
+While the outermost call of a check decorated with `shares_integrals`
+runs, integrate_expr makes each distinct integral (interned node,
+bounds with their types, abs_tol, budget: all its result depends on)
+once and returns that result for a repeat. A QuadratureError is not
+stored, and the memo ends with the outermost call.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 from fractions import Fraction
 
 from .errors import QuadratureError
@@ -95,13 +106,47 @@ def integrate_callable(f, ranges, abs_tol=DEFAULT_ABS_TOL,
     return acc
 
 
+# (node, typed bounds, abs_tol, budget) -> result, while a check runs
+_shared = contextvars.ContextVar("shared_integrals", default=None)
+
+
+def shares_integrals(check):
+    """Decorate a check so that integrate_expr integrates each distinct
+    integral once while the check's outermost call runs. A nested call
+    joins the running check's memo."""
+    @functools.wraps(check)
+    def scoped(*args, **kw):
+        if _shared.get() is not None:
+            return check(*args, **kw)
+        token = _shared.set({})
+        try:
+            return check(*args, **kw)
+        finally:
+            _shared.reset(token)
+    return scoped
+
+
 def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
                    budget=DEFAULT_BUDGET):
     """Integrate an expression over a list of (lo, hi) bounds.
 
     Polynomials with finite bounds integrate exactly to a QC; other
-    integrands return a complex from adaptive quadrature.
+    integrands return a complex from adaptive quadrature. Inside a
+    check that shares its integrals, a repeat returns the stored result.
     """
+    memo = _shared.get()
+    if memo is None:
+        return _integrate(e, ranges, abs_tol, budget)
+    # Fraction(1) and 1.0 are equal keys, but only the first bounds a
+    # polynomial integral
+    key = (e, tuple((type(lo), lo, type(hi), hi) for lo, hi in ranges),
+           abs_tol, budget)
+    if key not in memo:
+        memo[key] = _integrate(e, ranges, abs_tol, budget)
+    return memo[key]
+
+
+def _integrate(e: Expr, ranges, abs_tol, budget):
     coeffs = poly_coeffs(e)
     if coeffs is not None:
         if not coeffs:

@@ -21,7 +21,10 @@ reports. The space reads a section's value at each probe
 the values come off the section's coefficient table (the probe
 1_a . y^J reads J! times the weight at a of the J-th coefficient) and
 two sections are compared only where either carries a weight; on the
-line each probe is built and paired. The constructions:
+line each probe is built and paired. A check (functional_residual,
+functional_zero_residual, flabby_check, and sheaf_glue and mv_split
+through them) integrates each distinct integral once, however often
+its probes and sections repeat it. The constructions:
 
 * build_pou: partitions of unity subordinate to a finite cover.
 
@@ -55,6 +58,7 @@ from .errors import (CertificateError, DomainMismatchError,
                      IncompatibilityError, SupportError)
 from .functions import SupportedFormalFunction, cutoff
 from .multiindex import degree, enumerate_upto, mi
+from .quadrature import shares_integrals
 from .scalars import QC, QC_ZERO
 from .spaces import OpenSet
 
@@ -273,21 +277,25 @@ def _gap(x, y) -> float:
     return abs(complex(x - y)) or math.ulp(0.0)
 
 
+def max_gap(xs, ys) -> float:
+    """The largest gap between paired values, 0.0 when every pair is
+    equal. Only an unequal pair is converted to complex."""
+    return max((_gap(x, y) for x, y in zip(xs, ys) if x != y), default=0.0)
+
+
 def _worst(family, va, vb, e_dim):
     """The largest gap between two value maps of the family and the
-    first probe that reaches it (None when no gap is positive). Only
-    an unequal pair of values is converted to complex."""
+    first probe that reaches it (None when no gap is positive)."""
     zero = [QC_ZERO] * e_dim
     worst, at = 0.0, None
     for n in sorted(va.keys() | vb.keys()):
-        gap = max((_gap(x, y) for x, y in
-                   zip(va.get(n, zero), vb.get(n, zero)) if x != y),
-                  default=0.0)
+        gap = max_gap(va.get(n, zero), vb.get(n, zero))
         if gap > worst:
             worst, at = gap, n
     return worst, None if at is None else family[at]
 
 
+@shares_integrals
 def functional_residual(a, b, family):
     """Max probe disagreement over a dual family (from
     dual_function_family or dual_density_family) and the witnessing
@@ -305,6 +313,7 @@ def functional_residual(a, b, family):
     return _worst(family, family.values(a), family.values(b), a.e_dim)
 
 
+@shares_integrals
 def functional_zero_residual(a, family):
     """Max probe magnitude over a dual family and the witnessing probe."""
     family.check(a)
@@ -462,6 +471,7 @@ def sheaf_glue(locals_, pou: PartitionOfUnity,
 # -- flabbiness ---------------------------------------------------------------------------
 
 
+@shares_integrals
 def flabby_check(sections, u: OpenSet, tol: float = 0.0) -> bool:
     """Does extension by zero to u kill any nonzero family member?
 

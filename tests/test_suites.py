@@ -1,11 +1,18 @@
 """Property suites: report shape, exactness, determinism."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
+from formalcalc import suites
+from formalcalc.functions import SupportedFormalFunction
+from formalcalc.multiindex import mi
+from formalcalc.scalars import QC
 from formalcalc.spaces import Discrete, SmoothLine
-from formalcalc.suites import (SUITE_NAMES, run_suite, suite_cosheaf,
-                               suite_duality, suite_flabby, suite_glue,
-                               suite_jets, suite_mv)
+from formalcalc.suites import (SUITE_NAMES, function_residual, run_suite,
+                               suite_cosheaf, suite_duality, suite_flabby,
+                               suite_glue, suite_jets, suite_mv)
 
 DS = Discrete(["a", "b", "c", "d", "e"])
 SL = SmoothLine()
@@ -71,3 +78,26 @@ def test_smooth_duality_suite():
 def test_smooth_jets_suite_is_exact():
     rep = suite_jets(SL, 1, 2, 3, 1e-8)
     assert rep["pass"] and rep["max_residual"] == 0.0
+
+
+# 1 + 10^-30: its float is 1.0
+NEAR_ONE = QC(Fraction(10 ** 30 + 1, 10 ** 30))
+
+
+def test_function_residual_sees_a_gap_below_float_resolution():
+    m = DS.whole()
+    u, v = (SupportedFormalFunction(DS, m, 1, 1, {mi((0,)): {"a": w}},
+                                    support=frozenset("a"))
+            for w in (QC(1), NEAR_ONE))
+    assert function_residual(u, v) == 1e-30
+    assert function_residual(u, u) == 0.0
+
+
+def test_duality_gap_below_float_resolution_fails(monkeypatch):
+    # the two cutoff extensions read 1 and 1 + 10^-30, alternately
+    values = itertools.cycle([(QC(1),), (NEAR_ONE,)])
+    monkeypatch.setattr(suites, "cutoff_extend",
+                        lambda t, f: lambda u: next(values))
+    rep = suite_duality(DS, 1, 2, 1, 5, 0.0, rounds=1)
+    assert rep["max_residual"] == 1e-30
+    assert not rep["pass"]
