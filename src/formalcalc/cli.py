@@ -3,11 +3,12 @@
 Commands operate on named objects from a scenario file (see scenario.py
 for the schema). Exit codes: 0 on success, 1 when a verification or
 certified construction fails, 2 on input errors (including text nested
-past the recursion limit of the expression or JSON parser), 3 on any
-other exception, which is a fault of formalcalc itself; the four are
-never conflated. With --json the report is emitted as canonical JSON
-(sorted keys, no whitespace), so a given (scenario, seed) pair yields
-byte-identical output across runs.
+past the recursion limit of the expression or JSON parser) and on an
+integral out of reach of the quadrature budget, which leaves an answer
+undecided, not failed, 3 on any other exception, which is a fault of
+formalcalc itself; the four are never conflated. With --json the report
+is emitted as canonical JSON (sorted keys, no whitespace), so a given
+(scenario, seed) pair yields byte-identical output across runs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .scenario import SCHEMA_VERSION, Scenario
 from .sheaf import build_pou, sheaf_glue
 from .suites import SUITE_NAMES, _Tally, run_suite
 
-_CHECK_ERRORS = (CertificateError, IncompatibilityError, QuadratureError)
+_CHECK_ERRORS = (CertificateError, IncompatibilityError)
 # OverflowError: an exact value of the input too large for the float
 # residual or report that reads it
 _INPUT_ERRORS = (ScenarioError, DomainMismatchError, BackendError,
@@ -274,6 +275,9 @@ def _main(argv) -> int:
     except _CHECK_ERRORS as e:
         print("check failed: %s" % e, file=sys.stderr)
         return 1
+    except QuadratureError as e:
+        print("error: %s: integral out of reach" % e, file=sys.stderr)
+        return 2
     except _INPUT_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

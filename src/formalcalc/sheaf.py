@@ -24,7 +24,9 @@ two sections are compared only where either carries a weight; on the
 line each probe is built and paired. A check (functional_residual,
 functional_zero_residual, flabby_check, and sheaf_glue and mv_split
 through them) integrates each distinct integral once, however often
-its probes and sections repeat it. The constructions:
+its probes and sections repeat it; functional_residual reads two `==`
+sections, once both pass the family's checks, as 0.0 without a probe.
+The constructions:
 
 * build_pou: partitions of unity subordinate to a finite cover.
 
@@ -98,9 +100,11 @@ class PartitionOfUnity:
 
     Every function is constant in y (only the zero y-index carries a
     coefficient). The space's unit_gap checks the sum identity: exactly
-    on a discrete space, on a sample grid (within POU_GRID_TOL) on the
-    line, where the construction in build_pou additionally makes it an
-    algebraic identity through the shared denominator.
+    on a discrete space. On the line it is proved, not sampled, for the
+    bump quotients build_pou makes, whose numerators sum to their one
+    shared denominator; any other line partition (hand-built,
+    reordered, scaled, or a single part) is sampled on a grid, within
+    POU_GRID_TOL.
     """
 
     def __init__(self, cover: Cover, functions):
@@ -303,13 +307,16 @@ def functional_residual(a, b, family):
     with the largest gap.
 
     Functionals of different E_dim raise DomainMismatchError, whatever
-    the family.
+    the family. Equal sections, once both are checked against the
+    family, read (0.0, None) without a probe value.
     """
     if a.e_dim != b.e_dim:
         raise DomainMismatchError("functionals with E_dim %d and %d are "
                                   "not comparable" % (a.e_dim, b.e_dim))
     family.check(a)
     family.check(b)
+    if a == b:
+        return 0.0, None
     return _worst(family, family.values(a), family.values(b), a.e_dim)
 
 

@@ -35,7 +35,8 @@ and support near a given set (`cutoff_near`), and the check that a
 partition sums to one (`unit_gap`). Label indicators on Discrete,
 exact, whose probe values are read off a section's coefficients;
 plateau bumps on SmoothLine, paired one by one, with the partition's
-denominator certified positive.
+denominator certified positive; its unit check proves the sum for the
+quotients `partition` builds and samples any other coefficient list.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -52,9 +53,9 @@ from operator import or_
 
 from .errors import (BackendError, CertificateError, DomainMismatchError,
                      SupportError, json_shape)
-from .expr import (ONE, ZERO, Const, X, add, bump, compile_f, diff, div, ev,
-                   falling_edge, mul, parse_sexpr, pow_, rising_edge, to_sexpr,
-                   window_bump)
+from .expr import (ONE, ZERO, Const, Div, X, add, bump, compile_f, diff, div,
+                   ev, falling_edge, mul, parse_sexpr, pow_, rising_edge,
+                   to_sexpr, window_bump)
 from .multiindex import mi_factorial
 from .quadrature import DEFAULT_ABS_TOL, integrate_expr
 from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_to_json,
@@ -744,8 +745,18 @@ class SmoothLine:
                 RSet.closed_pairs([(klo - gl / 2, khi + gr / 2)]))
 
     def unit_gap(self, coeffs, region) -> float:
-        """Largest |sum of the coefficients - 1| at the sample points of
+        """0.0, proved, when the coefficients are as `partition` builds
+        them: each nonzero one is b_i / S over one denominator node S,
+        certified positive on a region holding this one, and the b_i sum
+        to S itself (an identity test, as nodes are interned). Otherwise
+        (a hand-built, reordered or scaled partition, a single part) the
+        largest |sum of the coefficients - 1| at the sample points of
         the region."""
+        quots = [c for c in coeffs if c != ZERO]
+        if (quots and all(type(c) is Div and c.den is quots[0].den
+                          and region <= c.region for c in quots)
+                and reduce(add, [c.num for c in quots]) is quots[0].den):
+            return 0.0
         return max((abs(sum(complex(ev(c, a)) for c in coeffs) - 1)
                     for a in self.sample_points(region)), default=0.0)
 

@@ -329,6 +329,24 @@ def test_kernel_of_a_kernel_near_zero_is_an_input_error(capsys, tmp_path):
     assert "kernel argument" in err
 
 
+def test_an_integral_out_of_reach_is_not_a_failed_check(capsys, tmp_path):
+    # x^41 s(3 + x) s(3 - x) integrates to 0 by symmetry, but its values
+    # near the ends exhaust the evaluation budget: the answer is
+    # undecided, and pair verifies nothing that could fail
+    path = tmp_path / "x41.json"
+    path.write_text(json.dumps({
+        "schema": 1, "backend": "smoothline", "k": 1, "trunc": 0,
+        "functions": {"one": {"trunc": 0, "coeffs": {"0": "1"}}},
+        "densities": {"eta": {"coeffs": {"0": [{"I": [0], "tau": {
+            "expr": "(* (pow x 41) (* (s (+ 3 x)) (s (+ 3 (* -1 x)))))",
+            "support": [[-3, 3]]}}]}}}}))
+    code, out, err = run(capsys, "pair", "eta", "one", "--scenario",
+                         str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "budget" in err and err.rstrip().endswith("out of reach")
+
+
 def test_internal_error_exits_three(capsys, monkeypatch):
     import formalcalc.cli as cli
 

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from formalcalc import densities
 from formalcalc.basedensity import BaseDensity
 from formalcalc.densities import FormalDensity, submultiindices
 from formalcalc.errors import (DomainMismatchError, SupportError,
                                TruncationError)
-from formalcalc.expr import X, pow_
-from formalcalc.functions import FormalFunction, cutoff
+from formalcalc.expr import X, add, bump, mul, pow_
+from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
+                                  cutoff)
 from formalcalc.multiindex import enumerate_upto, mi, mi_factorial
 from formalcalc.scalars import QC
 from formalcalc.spaces import Discrete, OpenSet, RSet, SmoothLine
@@ -241,3 +243,48 @@ def test_json_roundtrip():
     assert back == sm
     with pytest.raises(ValueError):
         FormalDensity.from_json(DS, DS.whole(), 1, {"trunc": 0})
+
+
+def seeded_module_identity(seed):
+    """(<eta . f, u>, <eta, f u>) on the line, with
+    eta = (tau0 . d^2) + (tau1 . d^2) y*, bump-windowed quadratic
+    weights and a supported u."""
+    rng = random.Random(seed)
+
+    def quadratic():
+        c0, c1, c2 = (Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                               rng.randint(1, 3)) for _ in range(3))
+        return add(add(c0, mul(c1, X)), mul(c2, pow_(X, 2)))
+
+    def window(slot):
+        lo = Fraction(-3) + Fraction(slot, 4)
+        expr, supp, _ = bump(lo, lo + Fraction(5, 8), lo + Fraction(15, 8),
+                             lo + Fraction(5, 2))
+        return expr, supp
+    dom = OpenSet(SL, [(-4, 4)])
+    slot = rng.randint(1, 7)
+    bt, st = window(slot)
+    bu, su = window(slot + rng.randint(-1, 1))
+    tau0, tau1 = (BaseDensity.smooth(SL, mul(bt, quadratic()), st)
+                  for _ in range(2))
+    u = SupportedFormalFunction(SL, dom, 1, 1, {
+        (0,): mul(bu, quadratic()), (1,): mul(bu, quadratic())}, support=su)
+    n = mi((2,))
+    eta = FormalDensity(SL, dom, 1, {(0,): ((n, tau0),), (1,): ((n, tau1),)})
+    f = FormalFunction(SL, dom, 1, 1, {(0,): quadratic(), (1,): quadratic()})
+    return eta.module_action(f).pair(u), eta.pair(f.mul(u))
+
+
+def test_smooth_module_identity_at_x_order_two():
+    # only a derivative stack of order 2 or more weighs the binomial
+    # C(I, I') of the Leibniz expansion
+    for seed in (0, 2, 3):
+        lhs, rhs = seeded_module_identity(seed)
+        assert abs(complex(lhs) - complex(rhs)) <= 1e-8
+
+
+def test_the_module_identity_sees_a_dropped_binomial(monkeypatch):
+    monkeypatch.setattr(densities, "mi_binom", lambda m, s: 1)
+    for seed in (0, 2, 3):
+        lhs, rhs = seeded_module_identity(seed)
+        assert abs(complex(lhs) - complex(rhs)) > 1

@@ -95,16 +95,32 @@ def test_a_failed_quadrature_is_not_stored(quads):
     assert len(quads) == 2
 
 
-def test_sharing_leaves_a_glue_round_bit_identical(quads, monkeypatch):
-    shared = suites.suite_glue(SL, 1, 1, 3, TOL, rounds=1)
-    n_shared = len(quads)
-    quads.clear()
-    for name in ("functional_residual", "functional_zero_residual"):
+def unshared(monkeypatch):
+    """Remove the sharing from every check, where the suites call it."""
+    for name in ("functional_residual", "functional_zero_residual",
+                 "flabby_check"):
         raw = getattr(sheaf, name).__wrapped__
         for mod in (sheaf, suites):
             monkeypatch.setattr(mod, name, raw)
+
+
+def test_sharing_leaves_a_glue_round_bit_identical(quads, monkeypatch):
+    shared = suites.suite_glue(SL, 1, 1, 3, TOL, rounds=1)
+    quads.clear()
+    unshared(monkeypatch)
     alone = suites.suite_glue(SL, 1, 1, 3, TOL, rounds=1)
     assert not any(quads)
     assert alone == shared
     assert alone["max_residual"].hex() == shared["max_residual"].hex()
-    assert n_shared < len(quads)
+
+
+def test_sharing_halves_a_flabby_round_bit_identically(quads, monkeypatch):
+    shared = suites.suite_flabby(SL, 1, 1, TOL)
+    assert len(quads) == 108
+    quads.clear()
+    unshared(monkeypatch)
+    alone = suites.suite_flabby(SL, 1, 1, TOL)
+    assert not any(quads)
+    assert len(quads) == 216
+    assert alone == shared
+    assert alone["max_residual"].hex() == shared["max_residual"].hex()
