@@ -731,6 +731,8 @@ class PointDistribution(_GradedSection):
         a = space.point(a)
         if not domain.contains(a):
             raise DomainMismatchError("base point %r outside the domain" % (a,))
+        if e_dim < 1:
+            raise ValueError("value space dimension must be at least 1")
         self.a = a
         self.e_dim = e_dim
         clean = {}

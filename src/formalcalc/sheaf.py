@@ -113,7 +113,7 @@ class PartitionOfUnity:
             raise ValueError("one function per cover part, got %d for %d"
                              % (len(functions), len(cover.parts)))
         space = cover.whole.space
-        j0 = mi([0] * functions[0].k) if functions else ()
+        j0 = mi([0] * functions[0].k)
         for f, part in zip(functions, cover.parts):
             if f.space != space or f.domain != cover.whole:
                 raise DomainMismatchError("partition function does not live "
@@ -124,15 +124,11 @@ class PartitionOfUnity:
                 raise SupportError("partition function support escapes its part")
         self.cover = cover
         self.functions = functions
-        self.grid_residual = self._sum_residual()
+        self.grid_residual = space.unit_gap([f.coeff(j0) for f in functions],
+                                            cover.whole.region)
         if self.grid_residual > POU_GRID_TOL:
             raise CertificateError("partition sum deviates from one by %g"
                                    % self.grid_residual)
-
-    def _sum_residual(self) -> float:
-        j0 = mi([0] * self.functions[0].k)
-        return self.cover.whole.space.unit_gap(
-            [f.coeff(j0) for f in self.functions], self.cover.whole.region)
 
     def __repr__(self):
         return "PartitionOfUnity(%d parts, grid_residual=%g)" % (

@@ -533,58 +533,42 @@ def _probe_windows(lo, hi):
             (hi - w / 2, hi - w / 8)]
 
 
-def _lo_treatment(m_rs: RSet, lo, delta: Fraction):
-    """Factor and bookkeeping for the lower end of a part piece.
+def _edge(whole: RSet, end, side: int, delta: Fraction):
+    """(edge factor or None, bound, open flag) at one end of a part piece:
+    side -1 is the lower end (a rising edge), +1 the upper (falling).
 
-    Returns (factor expr or None, positivity bound, support bound,
-    support-closed flag). Bounds pair with open/closed flags for the
-    RSet pieces built by the caller.
+    The piece's bump is positive inside the bound, and its support in
+    the whole set ends there, open when the flag says so. An end inside
+    the whole set is pulled in by delta/2; any other finite end gets an
+    edge halfway to the nearest end of the whole set beyond it (delta
+    inward when that end touches it), or no factor when there is none.
     """
-    if lo == NEG_INF:
-        return None, NEG_INF, NEG_INF, True
-    if m_rs.contains(lo):
-        return (rising_edge(lo + delta / 2, lo + delta),
-                lo + delta / 2, lo + delta / 2, False)
-    below = [hi2 for _, hi2, _, _ in m_rs.pieces
-             if hi2 != POS_INF and hi2 <= lo]
-    if not below:
-        return None, lo, lo, True
-    gap = lo - max(below)
-    if gap > 0:
-        return rising_edge(lo - gap / 2, lo), lo, lo, True
-    return rising_edge(lo, lo + delta), lo, lo, True
+    if _is_inf(end):
+        return None, end, True
+    edge = rising_edge if side < 0 else falling_edge
+    if whole.contains(end):
+        bound = end - side * delta / 2
+        return edge(*sorted((bound, end - side * delta))), bound, False
+    # distance to the nearest piece end of the whole set beyond this end:
+    # a piece's upper end faces a lower end, its lower end an upper one
+    gap = min((g for g in ((p[(1 - side) // 2] - end) * side
+                           for p in whole.pieces) if g >= 0), default=None)
+    if gap is None:
+        return None, end, True
+    reach = end + side * gap / 2 if gap else end - side * delta
+    return edge(*sorted((reach, end))), end, True
 
 
-def _hi_treatment(m_rs: RSet, hi, delta: Fraction):
-    if hi == POS_INF:
-        return None, POS_INF, POS_INF, True
-    if m_rs.contains(hi):
-        return (falling_edge(hi - delta, hi - delta / 2),
-                hi - delta / 2, hi - delta / 2, False)
-    above = [lo2 for lo2, _, _, _ in m_rs.pieces
-             if lo2 != NEG_INF and lo2 >= hi]
-    if not above:
-        return None, hi, hi, True
-    gap = min(above) - hi
-    if gap > 0:
-        return falling_edge(hi, hi + gap / 2), hi, hi, True
-    return falling_edge(hi - delta, hi), hi, hi, True
-
-
-def _part_bumps(m_rs: RSet, part: RSet, delta: Fraction):
+def _part_bumps(whole: RSet, part: RSet, delta: Fraction):
     """Bump sum for one part: (expr or None, positivity RSet, support RSet)."""
-    expr = None
-    pos = RSet()
-    supp = RSet()
+    bumps, pos, supp = [], [], []
     for lo, hi, _, _ in part.pieces:
-        rise, plo, slo, slo_open = _lo_treatment(m_rs, lo, delta)
-        fall, phi, shi, shi_open = _hi_treatment(m_rs, hi, delta)
-        edges = [f for f in (rise, fall) if f is not None]
-        b = reduce(mul, edges) if edges else ONE
-        expr = b if expr is None else add(expr, b)
-        pos = pos.union(RSet([(plo, phi, True, True)]))
-        supp = supp.union(RSet([(slo, shi, slo_open, shi_open)]))
-    return expr, pos, supp
+        rise, plo, lo_open = _edge(whole, lo, -1, delta)
+        fall, phi, hi_open = _edge(whole, hi, 1, delta)
+        bumps.append(mul(rise or ONE, fall or ONE))
+        pos.append((plo, phi, True, True))
+        supp.append((plo, phi, lo_open, hi_open))
+    return (reduce(add, bumps) if bumps else None), RSet(pos), RSet(supp)
 
 
 class SmoothLine:

@@ -123,6 +123,17 @@ def test_check_all_json_matches_the_benchmark_goldens(capsys, name):
     assert out == golden["stdout"]
 
 
+def test_smooth_pou_json_matches_the_benchmark_golden(capsys):
+    # the line partition's s-expressions and its proved 0.0 are exact, so
+    # these bytes hold on every platform; this test only reads them
+    with open(ROOT / "perfbench" / "goldens.json", encoding="utf-8") as fh:
+        golden = json.load(fh)["smooth pou"]
+    code, out, _ = run(capsys, "pou", "C", "--scenario", str(ROOT / SMOOTH),
+                       "--json")
+    assert code == golden["exit"] == 0
+    assert out == golden["stdout"]
+
+
 def test_declared_glue_mismatch_fails_with_witness(capsys):
     code, out, _ = run(capsys, "check", "glue", "--scenario", MISMATCH,
                        "--json")
@@ -200,6 +211,23 @@ def test_input_errors_exit_two(capsys):
     code, _, err = run(capsys, "pou", "C", "--scenario", PAIR,
                        "--trunc", "-1")
     assert code == 2
+
+
+def test_empty_value_space_and_string_index_are_input_errors(capsys,
+                                                            tmp_path):
+    # a point functional with E_dim 0 used to load and apply to [], and
+    # "I": "1" used to be read as the derivative stack (1,)
+    point = json.loads((ROOT / PAIR).read_text())
+    point["distributions"] = {"P": {"kind": "point", "a": "p", "E_dim": 0}}
+    smooth = json.loads((ROOT / SMOOTH).read_text())
+    smooth["densities"]["eta"]["coeffs"]["1"][0]["I"] = "1"
+    for data, argv, why in ((point, ("jet", "u", "p", "0"), "at least 1"),
+                            (smooth, ("pair", "eta", "u"), "string")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, "--scenario", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and why in err
 
 
 def test_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path):

@@ -256,6 +256,17 @@ def test_point_distribution_applies_jets():
     assert got == [QC(3), QC(10)]  # 2! * 5 in the second slot
 
 
+def test_point_distribution_refuses_an_empty_value_space():
+    for e_dim in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            PointDistribution(DS, DS.whole(), 1, "a", e_dim)
+        with pytest.raises(ValueError, match="at least 1"):
+            PointDistribution.from_json(DS, DS.whole(), 1,
+                                        {"a": "a", "E_dim": e_dim})
+        with pytest.raises(ValueError, match="at least 1"):
+            point_basis(DS, DS.whole(), 1, "a", 1, e_dim)
+
+
 def test_point_basis_is_dual_to_normalized_monomials():
     r = 3
     for space, domain, a, n in ((DS, DS.whole(), "a", 0),

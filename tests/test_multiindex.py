@@ -15,6 +15,14 @@ def test_mi_normalizes():
         mi((-1,))
 
 
+def test_mi_refuses_a_string():
+    # "12" read entry by entry would be the index (1, 2)
+    for text in ("12", "1", ""):
+        with pytest.raises(ValueError, match="string"):
+            mi(text)
+    assert parse_key("1,2") == (1, 2)
+
+
 def test_degree_and_factorial():
     assert degree((2, 3)) == 5
     assert mi_factorial((2, 3)) == 2 * 6
