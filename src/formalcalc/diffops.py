@@ -14,7 +14,8 @@ terms of D into a formal density, and pairing rho(D) against u is the
 same number as integrating D(u).
 
 An EndoDiffOp has formal-function coefficients and lands back in base
-functions; it only feeds the seminorm diagnostics.
+functions; it only feeds the seminorm diagnostics and is built in
+code, never read from JSON.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def _term_sort_key(key):
 
 
 class _DiffOp(_GradedSection):
-    """Terms coeff_{I,L} . d_x^I d_y^L keyed by (I, L); the subclasses
-    differ in the coefficient type, which `_check_coeff` validates."""
+    """Terms coeff_{I,L} . d_x^I d_y^L keyed by (I, L), of the coefficient
+    type `_check_coeff` validates; only DensityDiffOp reads JSON back."""
 
     def __init__(self, space, domain: OpenSet, k: int, terms=None):
         super().__init__(space, domain, k)
@@ -81,20 +82,6 @@ class _DiffOp(_GradedSection):
                            "coeff": self.terms[(i, l)].to_json()}
                           for i, l in self.keys_sorted()]}
 
-    @classmethod
-    def from_json(cls, space, domain, k, v):
-        if not isinstance(v, dict) or "terms" not in v:
-            raise ValueError("operator needs a 'terms' field")
-        terms = {}
-        for t in json_shape(v["terms"], list, "'terms'"):
-            i = mi(json_shape(t, dict, "operator term").get(
-                "I", [0] * space.ndim))
-            l = mi(t.get("L", [0] * k))
-            if (i, l) in terms:
-                raise ValueError("duplicate operator term at (%r, %r)" % (i, l))
-            terms[(i, l)] = cls._coeff_from_json(space, domain, k, t["coeff"])
-        return cls(space, domain, k, terms)
-
 
 class DensityDiffOp(_DiffOp):
     """Operator sum tau_{I,L} . d_x^I d_y^L from functions to densities."""
@@ -109,13 +96,18 @@ class DensityDiffOp(_DiffOp):
     _check_coeff = _GradedSection._own
 
     @classmethod
-    def monomial(cls, space, domain, k, i, l, tau: BaseDensity):
-        """Single term tau . d_x^I d_y^L."""
-        return cls(space, domain, k, {(mi(i), mi(l)): tau})
-
-    @staticmethod
-    def _coeff_from_json(space, domain, k, v):
-        return BaseDensity.from_json(space, v)
+    def from_json(cls, space, domain, k, v):
+        if not isinstance(v, dict) or "terms" not in v:
+            raise ValueError("operator needs a 'terms' field")
+        terms = {}
+        for t in json_shape(v["terms"], list, "'terms'"):
+            i = mi(json_shape(t, dict, "operator term").get(
+                "I", [0] * space.ndim))
+            l = mi(t.get("L", [0] * k))
+            if (i, l) in terms:
+                raise ValueError("duplicate operator term at (%r, %r)" % (i, l))
+            terms[(i, l)] = BaseDensity.from_json(space, t["coeff"])
+        return cls(space, domain, k, terms)
 
     # -- linear structure --------------------------------------------------
 
@@ -195,10 +187,6 @@ class EndoDiffOp(_DiffOp):
         if not isinstance(f, SupportedFormalFunction):
             raise SupportError("coefficients need a support witness")
         self._check_partner(f)
-
-    @staticmethod
-    def _coeff_from_json(space, domain, k, v):
-        return SupportedFormalFunction.from_json(space, domain, k, v)
 
     def apply_reduced(self, u: FormalFunction):
         """Base coefficient of X(u): sum (f_{I,L})_0 * L! * (d_x^I u_L)."""

@@ -277,8 +277,8 @@ class BaseDistribution:
                     bound = space.region_from_json(t["support"])
                 terms.append(SmoothTerm(space.from_json(t["expr"]), bound))
             elif kind == "point":
-                terms.append(PointTerm(space.point(t["a"]), int(t["i"]),
-                                       qc_from_json(t.get("c", 1))))
+                terms.append(PointTerm(space.point(t["a"]), json_shape(
+                    t["i"], int, "'i'"), qc_from_json(t.get("c", 1))))
             else:
                 raise ValueError("unknown distribution term kind %r" % (kind,))
         return cls(space, terms=terms)
@@ -419,7 +419,7 @@ class _DualSection(_GradedSection):
             coeffs[parse_key(key, length=k)] = tuple(
                 BaseDistribution.from_json(space, w)
                 for w in json_shape(vecs, list, "coefficient vector"))
-        return int(v.get("E_dim", 1)), coeffs
+        return json_shape(v.get("E_dim", 1), int, "'E_dim'"), coeffs
 
 
 class FormalDistribution(_DualSection):
@@ -431,10 +431,6 @@ class FormalDistribution(_DualSection):
 
     def __init__(self, space, domain: OpenSet, k: int, e_dim: int, coeffs=None):
         super().__init__(space, domain, k, e_dim, coeffs)
-
-    @classmethod
-    def zero(cls, space, domain, k, e_dim=1):
-        return cls(space, domain, k, e_dim)
 
     star_degree = _GradedSection._top_degree
 
@@ -715,7 +711,8 @@ class GeneralizedFunction(_DualSection):
         if not isinstance(v, dict) or "trunc" not in v:
             raise ValueError("generalized function needs a 'trunc' field")
         e_dim, coeffs = cls._vectors_from_json(space, k, v)
-        return cls(space, domain, k, int(v["trunc"]), e_dim, coeffs)
+        return cls(space, domain, k, json_shape(v["trunc"], int, "'trunc'"),
+                   e_dim, coeffs)
 
 
 class PointDistribution(_GradedSection):
@@ -745,9 +742,6 @@ class PointDistribution(_GradedSection):
             if any(vec):
                 clean[(i, j)] = vec
         self.coeffs = clean
-
-    def order(self) -> int:
-        return max((degree(i) + degree(j) for i, j in self.coeffs), default=0)
 
     def keys_sorted(self):
         return sorted(self.coeffs,
@@ -798,7 +792,7 @@ class PointDistribution(_GradedSection):
     @classmethod
     def from_json(cls, space, domain, k, v):
         a = space.point(v["a"])
-        e_dim = int(v.get("E_dim", 1))
+        e_dim = json_shape(v.get("E_dim", 1), int, "'E_dim'")
         coeffs = {}
         for t in json_shape(v.get("terms", []), list, "'terms'"):
             i = mi(json_shape(t, dict, "point term").get("I", [0] * space.ndim))

@@ -1,13 +1,13 @@
 """Exception types shared across the package."""
 
-_JSON_KINDS = {dict: "object", list: "array", str: "string"}
+_JSON_KINDS = {dict: "object", list: "array", str: "string", int: "integer"}
 
 
 def json_shape(value, kind, what):
     """value, refused with a ValueError unless it is of the given JSON
-    kind (dict, list or str); readers of JSON input check each value
-    before they look inside it."""
-    if not isinstance(value, kind):
+    kind (dict, list, str or int, which takes no bool); readers of JSON
+    input check each value before they look inside it."""
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError("%s must be a JSON %s, got %r"
                          % (what, _JSON_KINDS[kind], value))
     return value

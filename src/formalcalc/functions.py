@@ -296,7 +296,8 @@ class FormalFunction(_GradedSection):
                                   "'coeffs'").items():
             j = parse_key(key, length=k)
             coeffs[j] = space.from_json(cv, domain=domain)
-        return cls(space, domain, k, int(v["trunc"]), coeffs)
+        return cls(space, domain, k, json_shape(v["trunc"], int, "'trunc'"),
+                   coeffs)
 
 
 class SupportedFormalFunction(FormalFunction):

@@ -560,15 +560,14 @@ def _edge(whole: RSet, end, side: int, delta: Fraction):
 
 
 def _part_bumps(whole: RSet, part: RSet, delta: Fraction):
-    """Bump sum for one part: (expr or None, positivity RSet, support RSet)."""
-    bumps, pos, supp = [], [], []
+    """Bump sum for one part: (expr or None, support RSet)."""
+    bumps, supp = [], []
     for lo, hi, _, _ in part.pieces:
         rise, plo, lo_open = _edge(whole, lo, -1, delta)
         fall, phi, hi_open = _edge(whole, hi, 1, delta)
         bumps.append(mul(rise or ONE, fall or ONE))
-        pos.append((plo, phi, True, True))
         supp.append((plo, phi, lo_open, hi_open))
-    return (reduce(add, bumps) if bumps else None), RSet(pos), RSet(supp)
+    return (reduce(add, bumps) if bumps else None), RSet(supp)
 
 
 class SmoothLine:
@@ -663,39 +662,37 @@ class SmoothLine:
         return {n: section.apply(p) for n, p in enumerate(family)}
 
     def partition(self, whole, parts):
-        """(coefficient, support, plateau) per part.
+        """(coefficient, support, plateau) per part: a sum of plateau
+        bumps confined to the part's pieces over the shared denominator
+        S = sum of all bumps, certified positive on the whole set first.
+        CertificateError when the parts do not cover the whole set, no
+        part has a bump, or the certificate fails.
 
-        Each part gets a sum of plateau bumps confined to its pieces,
-        shrunk by an automatically chosen margin, and every coefficient
-        is the quotient of its bump by the shared denominator S = sum of
-        all bumps, certified strictly positive on the whole set before
-        any quotient is built. CertificateError when no margin makes the
-        bumps cover the whole set or the certificate fails.
+        One margin delta, a quarter of the least gap between distinct
+        finite endpoints, covers: a bump is positive on its piece but
+        within delta/2 of an end lo in the whole set, a strip positive
+        for the piece (lo', hi') of a part holding lo, as lo - lo' and
+        hi' - lo are at least 4 delta.
         """
         if len(parts) == 1:
             return [(ONE, whole, whole)]
+        if not whole <= reduce(or_, parts, RSet()):
+            raise CertificateError("the parts do not cover the whole set")
         eps = sorted({v for r in parts + [whole] for lo, hi, _, _ in r.pieces
                       for v in (lo, hi) if not _is_inf(v)})
         diffs = [b - a for a, b in zip(eps, eps[1:]) if b > a]
         delta = min(diffs) / 4 if diffs else Fraction(1)
-        for _ in range(40):
-            built = [_part_bumps(whole, part, delta) for part in parts]
-            if whole <= reduce(or_, (pos for _, pos, _ in built), RSet()):
-                break
-            delta = delta / 2
-        else:
-            raise CertificateError("no shrinking margin makes the bumps "
-                                   "cover the whole set")
-        bumps = [b for b, _, _ in built if b is not None]
+        built = [_part_bumps(whole, part, delta) for part in parts]
+        bumps = [b for b, _ in built if b is not None]
         if not bumps:
             raise CertificateError("cover admits no bumps at all")
         s_expr = reduce(add, bumps)
         out = []
-        for idx, (b, _, supp) in enumerate(built):
+        for idx, (b, supp) in enumerate(built):
             if b is None:
                 out.append((ZERO, RSet(), RSet()))
                 continue
-            others = reduce(or_, (o for jdx, (_, _, o) in enumerate(built)
+            others = reduce(or_, (o for jdx, (_, o) in enumerate(built)
                                   if jdx != idx), RSet())
             out.append((div(b, s_expr, region=whole), supp, supp - others))
         return out

@@ -230,6 +230,38 @@ def test_empty_value_space_and_string_index_are_input_errors(capsys,
         assert err.startswith("error:") and why in err
 
 
+def test_object_integer_fields_must_be_json_integers(capsys, tmp_path):
+    # a float, bool or string trunc, E_dim or point-term order used to be
+    # read through int(): 2.5 as 2, true as 1
+    pair = json.loads((ROOT / PAIR).read_text())
+    smooth = json.loads((ROOT / SMOOTH).read_text())
+    cases = []
+    for field, value in (("trunc", 2.5), ("trunc", "2")):
+        data = copy.deepcopy(pair)
+        data["functions"]["u"][field] = value
+        cases.append((data, "p"))
+    for kind in ("point", "distribution"):
+        for value in (True, 1.0):
+            data = copy.deepcopy(pair)
+            data["distributions"] = {"P": {"kind": kind, "a": "p",
+                                           "E_dim": value}}
+            cases.append((data, "p"))
+    data = copy.deepcopy(pair)
+    data["distributions"] = {"G": {"kind": "generalized", "trunc": 1.5}}
+    cases.append((data, "p"))
+    data = copy.deepcopy(smooth)
+    data["distributions"]["T"]["coeffs"]["0"][0][1]["i"] = 1.5
+    cases.append((data, "0"))
+    for data, point in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "jet", "u", point, "0",
+                             "--scenario", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "must be a JSON integer" in err
+
+
 def test_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path):
     # glue_mismatch fails at any usable tolerance; a NaN or infinite one
     # would turn its failing check into PASS, so it is refused as input

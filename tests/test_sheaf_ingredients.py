@@ -11,10 +11,12 @@ backends the single code path must build the same sections (equal
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from formalcalc import spaces
 from formalcalc.basedensity import BaseDensity
 from formalcalc.densities import FormalDensity
 from formalcalc.errors import CertificateError, SupportError
@@ -388,6 +390,61 @@ def test_build_pou_matches(space, make_cover, seed, rounds):
         assert pou.grid_residual == ref_sum_residual(
             space, cover.whole.region, [f.coeff(j0) for f in ref])
     assert parts_seen == {1, 2, 3}
+
+
+def _part_bumps_calls(monkeypatch):
+    """The parts `spaces._part_bumps` is called on, as they come."""
+    calls, part_bumps = [], spaces._part_bumps
+
+    def counted(whole, part, delta):
+        calls.append(part)
+        return part_bumps(whole, part, delta)
+
+    monkeypatch.setattr(spaces, "_part_bumps", counted)
+    return calls
+
+
+def test_line_partition_builds_in_one_pass(monkeypatch):
+    """On covers the first margin already covers, so each part's bumps
+    are built once and the partition equals the halving reference."""
+    calls = _part_bumps_calls(monkeypatch)
+    rng = random.Random(947)
+    for _ in range(100):
+        cover = rand_line_cover(rng)
+        k, trunc = rng.randint(0, 1), rng.randint(0, 1)
+        parts = [p.region for p in cover.parts]
+        built = parts if len(parts) > 1 else []
+        calls.clear()
+        try:
+            ref = ref_build_pou(cover, k, trunc)
+        except CertificateError as exc:
+            # an edge too narrow to certify stops the one pass early
+            with pytest.raises(CertificateError, match=re.escape(str(exc))):
+                build_pou(cover, k, trunc)
+            assert calls and calls == built[:len(calls)]
+            continue
+        pou = build_pou(cover, k, trunc)
+        assert _json(pou.functions) == _json(ref)
+        assert [f.plateau for f in pou.functions] == [f.plateau for f in ref]
+        assert calls == built
+
+
+def test_line_partition_refuses_parts_that_miss_the_whole_set(monkeypatch):
+    # the reference halves its margin here until a certificate fails
+    calls = _part_bumps_calls(monkeypatch)
+    whole = RSet.open_pairs([(-3, Fraction(2, 3))])
+    parts = [RSet.open_pairs([(Fraction(1, 2), Fraction(2, 3))]),
+             RSet.open_pairs([(Fraction(-4, 3), Fraction(2, 3))])]
+    with pytest.raises(CertificateError,
+                       match="the parts do not cover the whole set"):
+        SL.partition(whole, parts)
+    assert calls == []
+
+
+def test_line_partition_of_the_empty_set_has_no_bumps():
+    with pytest.raises(CertificateError,
+                       match="cover admits no bumps at all"):
+        SL.partition(RSet(), [RSet(), RSet()])
 
 
 def test_unit_gap_matches_on_sums_that_fail():
