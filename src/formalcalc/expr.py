@@ -27,11 +27,12 @@ positive argument or an inexact operand enters; from there on values
 are mpmath floats carried at 30 significant digits, so kernel tails
 never underflow and plateau ratios of equal values divide to exactly 1.
 
-Float64 evaluation (quadrature, grid scans) compiles the expression
-once into a straight-line Python function x -> complex (`compile_f`):
-one statement per distinct subterm, constants bound once as complex
-values, each statement the float operation of its node. `ev_f` is the
-one-point entry to the same program.
+Float64 evaluation compiles the expression once into a straight-line
+function x -> complex, one statement per distinct subterm. `compile_f`
+(and `ev_f`, its one-point entry) keeps the exact complex bits of
+evaluating the tree node by node. The typed program of the same writer
+(quadrature, grid scans) computes real subterms in float arithmetic and
+keeps exact integrals: for finite values it differs only in a zero's sign.
 
 Nodes are interned where they are built (`Expr.__new__`): one
 structure, a quotient's region aside, is one live object, so `==` and
@@ -479,29 +480,40 @@ def ev_f(e: Expr, x: float) -> complex:
 
 # -- the compiled float program ----------------------------------------------------
 
-# one statement per node kind; {0}, {1} are the child values, {p} is n or m.
-# Each does the float operation of the recursive left-to-right
-# evaluation: complex + * / and complex ** int, and for a kernel
-# exp(-1/t)/t^m on the real part t, 0j where t <= 0 or exp underflows.
+# one statement per node kind; {0}, {1} are the child values, {p} is n,
+# {w} a kernel's value from w = exp(-1/t). Each does the float operation
+# of the recursive left-to-right evaluation: complex + * / and complex
+# ** int, and for a kernel s_m of the real part t, 0j where t <= 0 or
+# exp underflows
 _STATEMENT = {
     Var: "complex(x)",
     Add: "{0} + {1}",
     Mul: "{0} * {1}",
     Div: "{0} / {1}",
     Pow: "{0} ** {p}",
-    Kern: "0j if (t := {0}.real) <= 0.0 or (w := exp(-1.0 / t)) == 0.0 "
-          "else complex(w / t ** {p})",
+    Kern: "0j if (t := {0}) <= 0.0 or (w := exp(-1.0 / t)) == 0.0 "
+          "else complex({w})",
 }
+# the same in float arithmetic, for a real node of the typed program; a
+# power keeps CPython's complex repeated squaring and its OverflowError
+_REAL_STATEMENT = {**_STATEMENT, Var: "float(x)", Pow: "({0} ** {p}).real",
+                   Kern: "0.0 if (t := {0}) <= 0.0 or (w := exp(-1.0 / t)) "
+                         "== 0.0 else {w}"}
 
 
-def _float_program(e: Expr):
+def _float_program(e, typed=False):
     """Source of e's float64 program and the constants it reads.
 
     Returns (source, constants): source defines `_f(x)` with one
     assignment per distinct non-constant subterm (one node each), in
     the order a left-to-right evaluation first needs it; constants maps
-    the names c0, c1, ... to their complex values.
+    the names c0, c1, ... to their values. e may be its `_postorder`
+    list. Typed, x, a kernel, a real constant, a sum, product or
+    quotient of real nodes and a power of one up to the 100th (past it,
+    CPython's complex power is polar) are float values; a real root is
+    returned as a complex.
     """
+    nodes = e if isinstance(e, list) else _postorder(e)
     lines = []
     consts = {}
 
@@ -509,14 +521,23 @@ def _float_program(e: Expr):
         kind = type(node)
         if kind is Const:
             name = "c%d" % len(consts)
-            consts[name] = complex(node.v)
-        else:
-            name = "v%d" % len(lines)
-            lines.append("    %s = %s" % (name, _STATEMENT[kind].format(
-                *kids, p=node.n if kind is Pow else
-                node.m if kind is Kern else None)))
-        return name
-    lines.append("    return %s" % _fold(_postorder(e), visit))
+            real = typed and node.v.is_real
+            consts[name] = float(node.v.re) if real else complex(node.v)
+            return name, real
+        # a kernel reads the real part of a complex argument, and a
+        # power takes a real base as a complex
+        args = [n + ".real" if kind is Kern and not r else
+                "complex(%s)" % n if kind is Pow and r else n for n, r in kids]
+        real = typed and (kind is Var or kind is Kern or all(
+            r for _, r in kids) and (kind is not Pow or node.n <= 100))
+        m = getattr(node, "m", 0)
+        statement = (_REAL_STATEMENT if real else _STATEMENT)[kind].format(
+            *args, p=getattr(node, "n", 0), w="w / t ** %d" % m if m else "w")
+        name = "v%d" % len(lines)
+        lines.append("    %s = %s" % (name, statement))
+        return name, real
+    root, real = _fold(nodes, visit)
+    lines.append("    return %s" % ("complex(%s)" % root if real else root))
     return "def _f(x):\n" + "\n".join(lines) + "\n", consts
 
 
@@ -527,7 +548,12 @@ def compile_f(e: Expr):
     are those of evaluating the tree node by node, left to right, in
     float64 complex arithmetic.
     """
-    source, consts = _float_program(e)
+    return _compile(e)
+
+
+def _compile(e, typed=False):
+    """compile_f, or typed the program quadrature and grid scans run."""
+    source, consts = _float_program(e, typed)
     namespace = {"complex": complex, "exp": math.exp, **consts}
     exec(compile(source, "<formalcalc.expr program>", "exec"), namespace)
     return namespace["_f"]
@@ -572,7 +598,11 @@ def poly_coeffs(e: Expr):
     Kern and Div are never treated as polynomial; a kernel of a positive
     constant is constant but transcendental.
     """
-    nodes = _postorder(e)
+    return _poly_coeffs(_postorder(e))
+
+
+def _poly_coeffs(nodes: list):
+    """poly_coeffs of the root of a `_postorder` list."""
     if any(type(n) is Kern or type(n) is Div for n in nodes):
         return None
     return _fold(nodes, _poly_visit)

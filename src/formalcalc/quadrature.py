@@ -1,9 +1,11 @@
 """Definite integration of smooth expressions over bounded intervals.
 
 Polynomial integrands are integrated exactly through their
-antiderivative. Everything else is compiled once into a straight-line
-float64 program (`expr.compile_f`: one statement per distinct subterm)
-and goes to adaptive Gauss-Kronrod (G7, K15) quadrature, which calls
+antiderivative. Everything else is compiled once, from the same walk
+of its nodes, into the typed float64 program of `expr._compile`: one
+statement per distinct subterm, real ones in float arithmetic. While
+values stay finite, its integral is bit for bit that of the complex
+`expr.compile_f`. Adaptive Gauss-Kronrod (G7, K15) quadrature calls
 that program once per node. Quadrature runs with an absolute tolerance
 (default 1e-10) and a hard budget of 10**6 integrand evaluations per
 integral. Failure to converge within the budget raises QuadratureError.
@@ -26,7 +28,8 @@ import functools
 from fractions import Fraction
 
 from .errors import QuadratureError
-from .expr import Expr, compile_f, poly_coeffs, poly_definite_integral
+from .expr import (Expr, _compile, _poly_coeffs, _postorder,
+                   poly_definite_integral)
 from .scalars import QC_ZERO
 
 DEFAULT_ABS_TOL = 1e-10
@@ -147,7 +150,8 @@ def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
 
 
 def _integrate(e: Expr, ranges, abs_tol, budget):
-    coeffs = poly_coeffs(e)
+    nodes = _postorder(e)
+    coeffs = _poly_coeffs(nodes)
     if coeffs is not None:
         if not coeffs:
             return QC_ZERO
@@ -159,4 +163,4 @@ def _integrate(e: Expr, ranges, abs_tol, budget):
                 continue
             acc = acc + poly_definite_integral(coeffs, Fraction(lo), Fraction(hi))
         return acc
-    return integrate_callable(compile_f(e), ranges, abs_tol, budget)
+    return integrate_callable(_compile(nodes, typed=True), ranges, abs_tol, budget)

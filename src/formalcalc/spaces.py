@@ -53,8 +53,8 @@ from operator import or_
 
 from .errors import (BackendError, CertificateError, DomainMismatchError,
                      SupportError, json_shape)
-from .expr import (ONE, ZERO, Const, Div, X, add, bump, compile_f, diff, div,
-                   ev, falling_edge, mul, parse_sexpr, pow_, rising_edge,
+from .expr import (ONE, ZERO, Const, Div, X, _compile, add, bump, diff,
+                   div, ev, falling_edge, mul, parse_sexpr, pow_, rising_edge,
                    to_sexpr, window_bump)
 from .multiindex import mi_factorial
 from .quadrature import DEFAULT_ABS_TOL, integrate_expr
@@ -828,7 +828,7 @@ class SmoothLine:
     def sup_abs(self, c, region, grid):
         """Max of |c| on `grid` even steps across a region's hull."""
         lo, hi = region.hull()
-        f = compile_f(c)
+        f = _compile(c, typed=True)
         best = 0.0
         for t in range(grid):
             a = lo + (hi - lo) * t / (grid - 1)

@@ -8,6 +8,7 @@ included, or raise the same exception.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,11 @@ from formalcalc.expr import (
     compile_f,
     diff,
     ev_f,
+    _compile,
     _float_program,
 )
+from formalcalc.errors import QuadratureError
+from formalcalc.quadrature import integrate_callable
 from formalcalc.scalars import QC
 
 
@@ -209,3 +213,51 @@ def test_deep_chain_compiles_without_recursion():
     for _ in range(5000):
         e = Add(e, X)
     assert compile_f(e)(0.5) == 2500.5 + 0j
+
+
+def integral(f, ranges):
+    try:
+        return bits(integrate_callable(f, ranges, 1e-10, 3000))
+    except (ArithmeticError, QuadratureError) as exc:
+        return type(exc)
+
+
+def test_typed_program_integrates_to_the_same_bits():
+    # real and complex constants, zero divisors and unconverged panels;
+    # ranges stay bounded, since an overflow to inf is where they part
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(400):
+        e = rand_tree(rng, rng.randint(1, 6), [])
+        lo, hi = sorted((rng.uniform(-3, 9), rng.uniform(-3, 9)))
+        want = integral(compile_f(e), [(lo, hi)])
+        got = integral(_compile(e, typed=True), [(lo, hi)])
+        assert got == want, (e, lo, hi)
+        seen.add(want if isinstance(want, type) else complex)
+    assert seen == {complex, ZeroDivisionError, QuadratureError}
+    for e, (lo, hi) in bump_family():
+        assert (integral(_compile(e, typed=True), [(lo, hi)])
+                == integral(compile_f(e), [(lo, hi)])), e
+
+
+def test_typed_bump_programs_are_float_programs():
+    # a power of a real base is the one statement left in complex
+    # arithmetic, for CPython's repeated squaring
+    power = re.compile(r"    v\d+ = \(complex\(v\d+\) \*\* \d+\)\.real")
+    for e, _ in bump_family():
+        source, consts = _float_program(e, typed=True)
+        assert all(type(v) is float for v in consts.values())
+        for line in source.splitlines():
+            assert ".real" not in line or power.fullmatch(line), line
+
+
+def test_typed_power_overflow_raises():
+    big = Pow(Mul(X, Const(10 ** 200)), 2)
+    with pytest.raises(OverflowError):
+        _compile(big, typed=True)(1.0)
+    # past the 100th power CPython's complex power leaves an imaginary
+    # part, so that power stays complex
+    e = Mul(Pow(Add(X, Const(-2)), 101), Pow(Add(X, Const(-3)), 101))
+    f, g = _compile(e, typed=True), compile_f(e)
+    for x in (0.9, 0.5, -0.1):
+        assert bits(f(x)) == bits(g(x))
