@@ -127,10 +127,9 @@ class Const(Expr):
     __slots__ = ("v",)
 
     def __new__(cls, v):
-        # keyed by the exact value, without hashing its Fractions
+        # keyed by the exact value: a QC's triple is canonical
         v = qc(v)
-        return _intern(cls, (cls, v.re.numerator, v.re.denominator,
-                             v.im.numerator, v.im.denominator), (v,))
+        return _intern(cls, (cls, v.n, v.m, v.d), (v,))
 
 
 class Var(Expr):

@@ -8,11 +8,14 @@ values stay finite, its integral is bit for bit that of the complex
 `expr.compile_f`. Adaptive Gauss-Kronrod (G7, K15) quadrature calls
 that program once per node. Quadrature runs with an absolute tolerance
 (default 1e-10) and a hard budget of 10**6 integrand evaluations per
-integral. Failure to converge within the budget raises QuadratureError.
-One rule still passes a value without its tolerance: a panel narrower
-than 1e-14 is accepted whatever its error estimate, so an integrand
-with a steep enough feature can come back less accurate than asked,
-and nothing says so.
+integral. Failure to converge within the budget raises QuadratureError,
+and so does the first panel whose error estimate is not finite (a NaN
+or infinite integrand value, or an estimate past the float range):
+such a panel is refused at once, not bisected until the budget is
+gone. One rule still passes a value without its tolerance: a panel
+narrower than 1e-14 is accepted whatever its (finite) error estimate,
+so an integrand with a steep enough feature can come back less
+accurate than asked, and nothing says so.
 
 While the outermost call of a check decorated with `shares_integrals`
 runs, integrate_expr makes each distinct integral (interned node,
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import math
 from fractions import Fraction
 
 from .errors import QuadratureError
@@ -99,6 +103,9 @@ def integrate_callable(f, ranges, abs_tol=DEFAULT_ABS_TOL,
                                   "segment [%g, %g] unresolved" % (budget, lo, hi))
         val, err = _gk15(f, lo, hi)
         evals += 15
+        if not math.isfinite(err):
+            raise QuadratureError("integrand is not finite on segment "
+                                  "[%g, %g]" % (lo, hi))
         share = abs_tol * (hi - lo) / total_len
         if err <= share or err <= 1e-16 * max(1.0, abs(val)) or hi - lo < 1e-14:
             acc += val

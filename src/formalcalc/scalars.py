@@ -1,19 +1,20 @@
 """Exact complex rational scalars.
 
 The discrete backend and the exact evaluation paths of the smooth
-backend produce QC values: complex numbers whose real and imaginary
-parts are fractions.Fraction. QC's operators hold the package's one
-mixing rule: a QC with a QC, an int or a Fraction stays exact, and a
-QC with a float or a complex is complex arithmetic on complex(QC).
-Point-term coefficients, which are QC or complex, meet through these
-operators and nowhere else, so exactness is preserved by construction
-exactly as long as every operand is exact.
+backend produce QC values: Gaussian rationals (n + m i)/d held as one
+integer triple. QC's operators hold the package's one mixing rule: a
+QC with a QC, an int or a Fraction stays exact, and a QC with a float
+or a complex is complex arithmetic on complex(QC). Point-term
+coefficients, which are QC or complex, meet through these operators
+and nowhere else, so exactness is preserved by construction exactly
+as long as every operand is exact.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 _HASH_IMAG = sys.hash_info.imag
 _HASH_MASK = (1 << sys.hash_info.width) - 1
@@ -37,101 +38,109 @@ def _frac(v) -> Fraction:
 
 
 class QC:
-    """Complex number with exact rational real and imaginary parts.
+    """Complex number (n + m i)/d with integer n, m and d.
+
+    The triple is canonical: d > 0 and gcd(n, m, d) == 1, so two QCs
+    are equal exactly when their triples are, and each operator is
+    integer arithmetic with one gcd per result (Henrici, JACM 3(1),
+    1956; Knuth, TAOCP Vol. 2, 4.5.1). The parts re and im are
+    Fractions, built on first read and then kept.
 
     A QC is never mutated, so arithmetic may return an operand as its
-    result: adding QC_ZERO or multiplying by 1 gives the other operand
-    back, and multiplying by QC_ZERO gives QC_ZERO. The imaginary part
-    of a real QC is the shared Fraction _ZERO, which every constructor
-    sets, so a real operand is told by identity and real arithmetic
-    does one Fraction operation per part it needs. A zero imaginary
-    part held in any other Fraction (from a pickle, say) is still
-    correct, only slower.
+    result: adding zero or multiplying by 1 gives the other operand
+    back, and multiplying by zero gives QC_ZERO.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("n", "m", "d", "_re", "_im")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _nz(_frac(im))
+        re, im = _frac(re), _frac(im)
+        b, e = re.denominator, im.denominator
+        n, m, d = re.numerator * e, im.numerator * b, b * e
+        g = gcd(n, m, d)
+        self.n, self.m, self.d = n // g, m // g, d // g
+
+    @property
+    def re(self) -> Fraction:
+        try:
+            return self._re
+        except AttributeError:
+            self._re = r = Fraction(self.n, self.d)
+            return r
+
+    @property
+    def im(self) -> Fraction:
+        try:
+            return self._im
+        except AttributeError:
+            self._im = r = Fraction(self.m, self.d)
+            return r
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, QC):
-            if other is QC_ZERO:
-                return self
-            if self is QC_ZERO:
-                return other
-            a, b = self.im, other.im
-            return _qc(self.re + other.re,
-                       a if b is _ZERO else b if a is _ZERO else _nz(a + b))
-        if isinstance(other, (int, Fraction)):
-            return _qc(self.re + other, self.im)
-        return complex(self) + other
+        if other.__class__ is not QC:
+            if not isinstance(other, (int, Fraction)):
+                return complex(self) + other
+            other = _lift(other)
+        a, b, c = self.n, self.m, self.d
+        n, m, d = other.n, other.m, other.d
+        if not (n or m):
+            return self
+        if not (a or b):
+            return other
+        return qc_triple(a * d + n * c, b * d + m * c, c * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, QC):
-            if other is QC_ZERO:
-                return self
-            a, b = self.im, other.im
-            return _qc(self.re - other.re,
-                       a if b is _ZERO else _nz(a - b))
-        if isinstance(other, (int, Fraction)):
-            return _qc(self.re - other, self.im)
-        return complex(self) - other
+        if other.__class__ is not QC:
+            if not isinstance(other, (int, Fraction)):
+                return complex(self) - other
+            other = _lift(other)
+        a, b, c = self.n, self.m, self.d
+        n, m, d = other.n, other.m, other.d
+        if not (n or m):
+            return self
+        return qc_triple(a * d - n * c, b * d - m * c, c * d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, QC):
-            if self is QC_ZERO or other is QC_ZERO:
-                return QC_ZERO
-            ar, ai, br, bi = self.re, self.im, other.re, other.im
-            if ai is _ZERO:
-                if bi is _ZERO:
-                    return _qc(ar * br)
-                return _qc(ar * br, _nz(ar * bi))
-            if bi is _ZERO:
-                return _qc(ar * br, _nz(ai * br))
-            return _qc(ar * br - ai * bi, _nz(ar * bi + ai * br))
-        if isinstance(other, (int, Fraction)):
-            if other == 1:
-                return self
-            if not other:
-                return QC_ZERO
-            a = self.im
-            return _qc(self.re * other, a if a is _ZERO else a * other)
-        return complex(self) * other
+        if other.__class__ is not QC:
+            if not isinstance(other, (int, Fraction)):
+                return complex(self) * other
+            other = _lift(other)
+        a, b, c = self.n, self.m, self.d
+        n, m, d = other.n, other.m, other.d
+        if not (a or b) or not (n or m):
+            return QC_ZERO
+        if n == d and not m:
+            return self
+        return qc_triple(a * n - b * m, a * m + b * n, c * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QC(other)
-        if isinstance(other, QC):
-            ar, ai, br, bi = self.re, self.im, other.re, other.im
-            if bi is _ZERO:
-                if not br:
-                    raise ZeroDivisionError("division by exact zero")
-                return _qc(ar / br, ai if ai is _ZERO else _nz(ai / br))
-            d = br * br + bi * bi
-            if d == 0:
-                raise ZeroDivisionError("division by exact zero")
-            return _qc((ar * br + ai * bi) / d, _nz((ai * br - ar * bi) / d))
-        return complex(self) / other
+        if other.__class__ is not QC:
+            if not isinstance(other, (int, Fraction)):
+                return complex(self) / other
+            other = _lift(other)
+        n, m, d = other.n, other.m, other.d
+        if not (n or m):
+            raise ZeroDivisionError("division by exact zero")
+        a, b = self.n, self.m
+        return qc_triple(d * (a * n + b * m), d * (b * n - a * m),
+                        self.d * (n * n + m * m))
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QC(other) / self
+            return _lift(other) / self
         return other / complex(self)
 
     def __neg__(self):
-        a = self.im
-        return _qc(-self.re, a if a is _ZERO else -a)
+        return _make(-self.n, -self.m, self.d)
 
     def __pos__(self):
         return self
@@ -139,11 +148,12 @@ class QC:
     # -- comparisons and conversions -----------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, QC):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction, float)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, complex):
+        if other.__class__ is not QC and isinstance(other, (int, Fraction)):
+            other = _lift(other)
+        if other.__class__ is QC:
+            return (self.n == other.n and self.m == other.m
+                    and self.d == other.d)
+        if isinstance(other, (float, complex)):
             return self.re == other.real and self.im == other.imag
         return NotImplemented
 
@@ -157,50 +167,53 @@ class QC:
         return -2 if h == -1 else h
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.n or self.m)
 
     def __abs__(self):
         return abs(complex(self))
 
     def __complex__(self):
-        # float(Fraction) is this same int/int true division, reached
-        # through the generic numbers.Rational method
-        re, im = self.re, self.im
-        return complex(re.numerator / re.denominator,
-                       0.0 if im is _ZERO else im.numerator / im.denominator)
+        # int / int is correctly rounded, so this is float() of each
+        # reduced part
+        return complex(self.n / self.d, self.m / self.d)
 
     def __repr__(self):
-        if self.im == 0:
+        if not self.m:
             return "QC(%s)" % (self.re,)
         return "QC(%s, %s)" % (self.re, self.im)
 
     def __str__(self):
-        if self.im == 0:
+        if not self.m:
             return rat_str(self.re)
-        sign = "-" if self.im < 0 else "+"
+        sign = "-" if self.m < 0 else "+"
         return "%s%s%si" % (rat_str(self.re), sign, rat_str(abs(self.im)))
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.m
 
 
-_ZERO = Fraction(0)
 _new = object.__new__
 
 
-def _nz(f: Fraction) -> Fraction:
-    """f, or the shared _ZERO when f is zero."""
-    return f if f else _ZERO
-
-
-def _qc(re: Fraction, im: Fraction = _ZERO) -> QC:
-    """Trusted constructor: both parts are Fractions, and a zero
-    imaginary part is _ZERO."""
+def _make(n: int, m: int, d: int) -> QC:
+    """Trusted constructor: (n, m, d) is already canonical."""
     v = _new(QC)
-    v.re = re
-    v.im = im
+    v.n, v.m, v.d = n, m, d
     return v
+
+
+def qc_triple(n: int, m: int, d: int) -> QC:
+    """The QC (n + m i)/d, for ints with d > 0."""
+    g = gcd(n, m, d)
+    return _make(n // g, m // g, d // g)
+
+
+def _lift(v) -> QC:
+    """An int or a Fraction as a QC."""
+    if isinstance(v, int):
+        return _make(v, 0, 1)
+    return _make(v.numerator, 0, v.denominator)
 
 
 QC_ZERO = QC(0)
@@ -211,6 +224,8 @@ def qc(v) -> QC:
     """Coerce an exact value (int, Fraction, str, pair, QC) to QC."""
     if isinstance(v, QC):
         return v
+    if isinstance(v, (int, Fraction)):
+        return _lift(v)
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise TypeError("complex literal needs exactly two entries")

@@ -30,7 +30,7 @@ from .errors import FormalcalcError
 from .expr import Const, X, add, mul, pow_, window_bump
 from .functions import FormalFunction, SupportedFormalFunction, cutoff
 from .multiindex import degree, enumerate_upto, mi
-from .scalars import QC
+from .scalars import QC, qc_triple
 from .sheaf import (Cover, build_pou, cosheaf_decompose,
                     cosheaf_reassemble, dual_density_family,
                     dual_function_family, flabby_check, functional_residual,
@@ -69,20 +69,28 @@ class _Tally:
 # -- random instance generators ------------------------------------------------
 
 
+# rng.choice(range(a, b + 1)) draws what rng.randint(a, b) draws, with
+# less argument checking per call
+_NUMS, _DENS, _BIT, _TRIT = range(-6, 7), range(1, 4), range(2), range(3)
+
+
 def rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    return Fraction(rng.choice(_NUMS), rng.choice(_DENS))
 
 
 def rand_qc(rng: random.Random) -> QC:
-    if rng.randint(0, 1):
-        return QC(rand_fraction(rng), rand_fraction(rng))
-    return QC(rand_fraction(rng))
+    """(a/b) + (c/e) i, or a/b, for a, c in -6..6 and b, e in 1..3."""
+    draw = rng.choice
+    if draw(_BIT):
+        a, b, c, e = draw(_NUMS), draw(_DENS), draw(_NUMS), draw(_DENS)
+        return qc_triple(a * e, c * b, b * e)
+    return qc_triple(draw(_NUMS), 0, draw(_DENS))
 
 
 def rand_weights(rng, labels):
     out = {}
     for p in sorted(labels):
-        if rng.randint(0, 2):
+        if rng.choice(_TRIT):
             v = rand_qc(rng)
             if v:
                 out[p] = v

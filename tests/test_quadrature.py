@@ -130,3 +130,25 @@ def test_flat_scenario_sums_integrate_without_recursion():
     assert math.isfinite(got.real) and math.isfinite(got.imag)
     want = 1500 * integrate_expr(mul(kern(X), X), [(Fraction(0), Fraction(1))])
     assert abs(got - want) < 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan")),
+                                 complex(float("-inf"), 1)])
+def test_non_finite_integrand_fails_at_its_first_panel(bad):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return bad if x > 0.75 else complex(x)
+
+    # the first panel popped is [0.5, 1], which reaches the bad values:
+    # it is refused at once, not bisected until the budget is gone
+    with pytest.raises(QuadratureError,
+                       match=r"not finite on segment \[0\.5, 1\]"):
+        integrate_callable(f, [(0.0, 0.5), (0.5, 1.0)])
+    assert len(calls) == 15
+
+    calls.clear()
+    with pytest.raises(QuadratureError, match="not finite"):
+        integrate_callable(lambda x: calls.append(x) or bad, [(0.0, 1.0)])
+    assert len(calls) == 15

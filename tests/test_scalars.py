@@ -1,3 +1,5 @@
+import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -219,3 +221,84 @@ def test_complex_matches_float_of_both_parts_bit_for_bit():
     assert outcomes == {"overflow", "-0.0", "zero", "finite"}
     assert _complex_bits(lambda: complex(QC(Fraction(-1, 10 ** 400)))) \
         == ("-0x0.0p+0", "0x0.0p+0")
+
+
+# -- the canonical integer triple ----------------------------------------------
+
+def _triple(v):
+    return v.n, v.m, v.d
+
+
+def _is_canonical(v):
+    return (type(v) is QC and all(type(x) is int for x in _triple(v))
+            and v.d > 0 and math.gcd(v.n, v.m, v.d) == 1)
+
+
+def test_every_result_is_a_canonical_triple():
+    rng = random.Random(20)
+    made = [QC(), QC(3), QC(Fraction(6, 4), Fraction(-9, 6)), QC(0, "-2/4"),
+            qc([2, "4/6"]), qc(Fraction(10, 4)), qc(-7), qc("0.5"),
+            qc_from_json(["-3/9", 0]), QC_ZERO, QC_ONE]
+    for _ in range(4000):
+        a, b = _operand(rng), _operand(rng)
+        if not isinstance(a, QC) and not isinstance(b, QC):
+            continue
+        made += [-v for v in (a, b) if isinstance(v, QC)]
+        for op in "+-*/":
+            try:
+                made.append(_apply(op, a, b))
+            except ZeroDivisionError:
+                pass
+    for v in made:
+        assert _is_canonical(v), (v, _triple(v))
+        assert (v.n, v.m) == (v.re * v.d, v.im * v.d)
+
+
+def test_equality_is_equality_of_triples():
+    rng = random.Random(21)
+
+    def small():
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+    # a small value range, reached also through arithmetic, so that many
+    # pairs are equal without being the same object
+    pool = []
+    for _ in range(150):
+        a, b = QC(small(), small()), QC(small(), small() * 0)
+        pool += [a, b, a + b - b, a * b, (a * b) / b if b else a, -(-a)]
+    equal = 0
+    for x in pool:
+        for y in pool[:120]:
+            same = _triple(x) == _triple(y)
+            assert (x == y) == same == ((x.re, x.im) == (y.re, y.im))
+            if same:
+                assert hash(x) == hash(y)
+                equal += x is not y
+    assert equal > 1000
+
+
+def test_pickle_and_copy_keep_the_value():
+    rng = random.Random(22)
+    for i in range(300):
+        v = QC(_rand_frac(rng), _rand_frac(rng) if i % 2 else 0) * QC(i % 5)
+        if i % 3:
+            v.re, v.im                        # parts read before the copy
+        copies = [copy.copy(v), copy.deepcopy(v)]
+        copies += [pickle.loads(pickle.dumps(v, proto))
+                   for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for w in copies:
+            assert _is_canonical(w) and _triple(w) == _triple(v)
+            assert w == v and hash(w) == hash(v)
+            assert (w.re, w.im) == (v.re, v.im)
+
+
+def test_parts_are_built_once():
+    rng = random.Random(23)
+    for _ in range(200):
+        a, b = _operand(rng), _operand(rng)
+        if not isinstance(a, QC):
+            continue
+        for v in (a, a + b, a * b, -a):
+            re, im = v.re, v.im
+            assert type(re) is Fraction and type(im) is Fraction
+            assert v.re is re and v.im is im

@@ -1,6 +1,7 @@
 """Property suites: report shape, exactness, determinism."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,3 +102,44 @@ def test_duality_gap_below_float_resolution_fails(monkeypatch):
     rep = suite_duality(DS, 1, 2, 1, 5, 0.0, rounds=1)
     assert rep["max_residual"] == 1e-30
     assert not rep["pass"]
+
+
+# -- seeded draws -----------------------------------------------------------------
+# the generators as they were written with randint and Fraction: the
+# reference the faster draws must reproduce value for value
+
+def ref_rand_fraction(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+
+def ref_rand_qc(rng):
+    if rng.randint(0, 1):
+        return QC(ref_rand_fraction(rng), ref_rand_fraction(rng))
+    return QC(ref_rand_fraction(rng))
+
+
+def ref_rand_weights(rng, labels):
+    out = {}
+    for p in sorted(labels):
+        if rng.randint(0, 2):
+            v = ref_rand_qc(rng)
+            if v:
+                out[p] = v
+    return out
+
+
+def test_generators_draw_what_randint_draws():
+    labels = ["a", "b", "c", "d", "e", "f"]
+    for seed in range(2000):
+        got, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            f = suites.rand_fraction(got)
+            assert type(f) is Fraction and f == ref_rand_fraction(ref)
+            v, w = suites.rand_qc(got), ref_rand_qc(ref)
+            assert type(v) is QC and (v.n, v.m, v.d) == (w.n, w.m, w.d)
+            got_w = suites.rand_weights(got, labels[:seed % 7])
+            ref_w = ref_rand_weights(ref, labels[:seed % 7])
+            assert list(got_w) == list(ref_w)
+            assert all((got_w[p].n, got_w[p].m, got_w[p].d)
+                       == (ref_w[p].n, ref_w[p].m, ref_w[p].d) for p in ref_w)
+            assert got.getstate() == ref.getstate()
