@@ -500,7 +500,7 @@ _REAL_STATEMENT = {**_STATEMENT, Var: "float(x)", Pow: "({0} ** {p}).real",
                          "== 0.0 else {w}"}
 
 
-def _float_program(e, typed=False):
+def _float_program(e, typed=False, roots=None):
     """Source of e's float64 program and the constants it reads.
 
     Returns (source, constants): source defines `_f(x)` with one
@@ -510,11 +510,14 @@ def _float_program(e, typed=False):
     list. Typed, x, a kernel, a real constant, a sum, product or
     quotient of real nodes and a power of one up to the 100th (past it,
     CPython's complex power is polar) are float values; a real root is
-    returned as a complex.
+    returned as a complex. Given roots, nodes of that list, `_f` returns
+    the tuple of their values instead of the last node's: one program
+    for several integrands, each shared subterm computed once.
     """
     nodes = e if isinstance(e, list) else _postorder(e)
     lines = []
     consts = {}
+    names = {}
 
     def visit(node, *kids):
         kind = type(node)
@@ -522,6 +525,7 @@ def _float_program(e, typed=False):
             name = "c%d" % len(consts)
             real = typed and node.v.is_real
             consts[name] = float(node.v.re) if real else complex(node.v)
+            names[node] = name, real
             return name, real
         # a kernel reads the real part of a complex argument, and a
         # power takes a real base as a complex
@@ -534,9 +538,12 @@ def _float_program(e, typed=False):
             *args, p=getattr(node, "n", 0), w="w / t ** %d" % m if m else "w")
         name = "v%d" % len(lines)
         lines.append("    %s = %s" % (name, statement))
+        names[node] = name, real
         return name, real
-    root, real = _fold(nodes, visit)
-    lines.append("    return %s" % ("complex(%s)" % root if real else root))
+    last = _fold(nodes, visit)
+    outs = [last] if roots is None else [names[r] for r in roots]
+    out = ", ".join("complex(%s)" % n if real else n for n, real in outs)
+    lines.append("    return %s" % (out if roots is None else "(%s,)" % out))
     return "def _f(x):\n" + "\n".join(lines) + "\n", consts
 
 
@@ -550,9 +557,9 @@ def compile_f(e: Expr):
     return _compile(e)
 
 
-def _compile(e, typed=False):
+def _compile(e, typed=False, roots=None):
     """compile_f, or typed the program quadrature and grid scans run."""
-    source, consts = _float_program(e, typed)
+    source, consts = _float_program(e, typed, roots)
     namespace = {"complex": complex, "exp": math.exp, **consts}
     exec(compile(source, "<formalcalc.expr program>", "exec"), namespace)
     return namespace["_f"]
@@ -600,9 +607,14 @@ def poly_coeffs(e: Expr):
     return _poly_coeffs(_postorder(e))
 
 
+def _polynomial(nodes: list) -> bool:
+    """Whether the root of a `_postorder` list is a polynomial in x."""
+    return not any(type(n) is Kern or type(n) is Div for n in nodes)
+
+
 def _poly_coeffs(nodes: list):
     """poly_coeffs of the root of a `_postorder` list."""
-    if any(type(n) is Kern or type(n) is Div for n in nodes):
+    if not _polynomial(nodes):
         return None
     return _fold(nodes, _poly_visit)
 

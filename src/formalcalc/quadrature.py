@@ -22,6 +22,16 @@ runs, integrate_expr makes each distinct integral (interned node,
 bounds with their types, abs_tol, budget: all its result depends on)
 once and returns that result for a repeat. A QuadratureError is not
 stored, and the memo ends with the outermost call.
+
+Inside such a check, `planned(run)` calls run twice. In the plan pass
+integrate_expr records each integral the memo lacks and returns
+QC_ZERO. The recorded non-polynomial integrals are grouped by (bounds,
+abs_tol, budget), and each group compiles one program with a value per
+member. Each member keeps its own adaptive quadrature, bit for bit,
+and reads its value from the group's table per abscissa, so a node
+that several members' meshes share is evaluated once. The real pass
+finds the results in the memo; a member whose shared quadrature
+raised is not there, and is integrated alone as without a plan.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import math
 from fractions import Fraction
 
 from .errors import QuadratureError
-from .expr import (Expr, _compile, _poly_coeffs, _postorder,
+from .expr import (Expr, _compile, _poly_coeffs, _polynomial, _postorder,
                    poly_definite_integral)
 from .scalars import QC_ZERO
 
@@ -118,6 +128,8 @@ def integrate_callable(f, ranges, abs_tol=DEFAULT_ABS_TOL,
 
 # (node, typed bounds, abs_tol, budget) -> result, while a check runs
 _shared = contextvars.ContextVar("shared_integrals", default=None)
+# the same keys -> their ranges, while a plan pass records them
+_plan = contextvars.ContextVar("planned_integrals", default=None)
 
 
 def shares_integrals(check):
@@ -140,9 +152,12 @@ def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
                    budget=DEFAULT_BUDGET):
     """Integrate an expression over a list of (lo, hi) bounds.
 
-    Polynomials with finite bounds integrate exactly to a QC; other
+    Polynomials with exact bounds integrate exactly to a QC; other
     integrands return a complex from adaptive quadrature. Inside a
-    check that shares its integrals, a repeat returns the stored result.
+    check that shares its integrals, a repeat returns the stored
+    result. In the plan pass of `planned` an integral not yet stored
+    is only recorded and reads QC_ZERO; the group of integrals over its
+    bounds is then made by one program before the real pass reads it.
     """
     memo = _shared.get()
     if memo is None:
@@ -152,8 +167,60 @@ def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
     key = (e, tuple((type(lo), lo, type(hi), hi) for lo, hi in ranges),
            abs_tol, budget)
     if key not in memo:
+        plan = _plan.get()
+        if plan is not None:
+            plan[key] = ranges
+            return QC_ZERO
         memo[key] = _integrate(e, ranges, abs_tol, budget)
     return memo[key]
+
+
+def planned(run):
+    """run() after a plan pass has put the integrals it asks for into
+    the running check's memo, one program per group (module docstring);
+    just run() outside such a check."""
+    memo = _shared.get()
+    if memo is None:
+        return run()
+    plan = {}
+    token = _plan.set(plan)
+    try:
+        run()
+    except Exception:
+        # planning stops here; the real pass meets the error again
+        pass
+    finally:
+        _plan.reset(token)
+    groups = {}
+    for key, ranges in plan.items():
+        nodes = _postorder(key[0])
+        if not _polynomial(nodes):
+            groups.setdefault(key[1:], []).append((key, ranges, nodes))
+    for members in groups.values():
+        # each member's postorder, first occurrences kept, is a postorder
+        # of the union: every node still follows its children
+        union = list(dict.fromkeys(n for *_, nodes in members for n in nodes))
+        program = _compile(union, typed=True,
+                           roots=[key[0] for key, _, _ in members])
+        values = {}
+        for i, (key, ranges, _) in enumerate(members):
+            try:
+                memo[key] = integrate_callable(_component(program, values, i),
+                                               ranges, *key[2:])
+            except (ArithmeticError, QuadratureError):
+                pass  # left to the real pass, which integrates it alone
+    return run()
+
+
+def _component(program, values, i):
+    """Member i's integrand: its entry of the program's tuple at x, the
+    tuple computed once per abscissa and kept in values."""
+    def f(x):
+        row = values.get(x)
+        if row is None:
+            row = values[x] = program(x)
+        return row[i]
+    return f
 
 
 def _integrate(e: Expr, ranges, abs_tol, budget):
@@ -165,7 +232,8 @@ def _integrate(e: Expr, ranges, abs_tol, budget):
         acc = QC_ZERO
         for lo, hi in ranges:
             if not (isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction))):
-                raise QuadratureError("polynomial integrand over an unbounded range")
+                raise QuadratureError("a polynomial integrand needs exact (int "
+                                      "or Fraction) bounds, not %r" % ((lo, hi),))
             if lo >= hi:
                 continue
             acc = acc + poly_definite_integral(coeffs, Fraction(lo), Fraction(hi))

@@ -57,7 +57,7 @@ from .expr import (ONE, ZERO, Const, Div, X, _compile, add, bump, diff,
                    div, ev, falling_edge, mul, parse_sexpr, pow_, rising_edge,
                    to_sexpr, window_bump)
 from .multiindex import mi_factorial
-from .quadrature import DEFAULT_ABS_TOL, integrate_expr
+from .quadrature import DEFAULT_ABS_TOL, integrate_expr, planned
 from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_to_json,
                       rat_from_json, rat_to_json)
 
@@ -658,8 +658,13 @@ class SmoothLine:
 
     def probe_values(self, section, family):
         """{probe position: E-vector} of a section against a dual family:
-        every probe of the family, built and paired."""
-        return {n: section.apply(p) for n, p in enumerate(family)}
+        every probe of the family, built and paired. Within a check the
+        pairing runs twice (`quadrature.planned`): the first pass only
+        collects the family's integrals, which are then made one program
+        per range, so the second reads them all from the check's memo."""
+        probes = list(family)
+        return planned(lambda: {n: section.apply(p)
+                                for n, p in enumerate(probes)})
 
     def partition(self, whole, parts):
         """(coefficient, support, plateau) per part: a sum of plateau
