@@ -23,7 +23,7 @@ from .errors import (BackendError, CertificateError, DomainMismatchError,
                      IncompatibilityError, QuadratureError, ScenarioError,
                      SupportError, TruncationError)
 from .multiindex import enumerate_upto, key_str
-from .quadrature import DEFAULT_ABS_TOL
+from .quadrature import DEFAULT_ABS_TOL, shares_integrals
 from .scalars import QC, rat_str
 from .scenario import SCHEMA_VERSION, Scenario
 from .sheaf import build_pou, sheaf_glue
@@ -49,7 +49,10 @@ def _scalar_json(v):
     return [c.real, c.imag]
 
 
+@shares_integrals
 def cmd_pair(args, sc, tol, seed):
+    """The pairing and its part per y*-index L; the parts read the
+    total's integrals from the command's memo."""
     del seed
     eta = sc.density(args.density)
     u = sc.function(args.function)

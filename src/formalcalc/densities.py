@@ -145,17 +145,25 @@ class FormalDensity(_GradedSection):
 
         Only the L that u carries too are visited. Exact on the
         discrete backend; complex (quadrature) when any smooth
-        non-polynomial coefficient enters.
+        non-polynomial coefficient enters. Each term's integral is
+        clipped to its support witness, as `BaseDensity.integrate`
+        clips, and all are made as one batch (the space's
+        `integrate_all`): on the line, one program per range, each term
+        on its own adaptive mesh. They are then summed in term order.
         """
         self._check_partner(u, self.star_degree())
-        acc = QC_ZERO
+        terms = []  # (L!, coefficient of tau * d^I u_L, clipped region)
         for l in self._shared_keys(u):
             ul = u.coeffs[l]
             lfact = mi_factorial(l)
             for i, tau in self.coeffs[l]:
-                der = self.space.diff(ul, i[0] if i else 0)
-                val = tau.mul_coeff(der).integrate(self.domain, abs_tol)
-                acc = acc + lfact * val
+                d = tau.mul_coeff(self.space.diff(ul, i[0] if i else 0))
+                terms.append((lfact, d.coeff, d.bound & self.domain.region))
+        vals = iter(self.space.integrate_all(
+            [(c, region) for _, c, region in terms if region], abs_tol))
+        acc = QC_ZERO
+        for lfact, _, region in terms:
+            acc = acc + lfact * (next(vals) if region else QC_ZERO)
         return acc
 
     def apply(self, u: FormalFunction):

@@ -23,15 +23,23 @@ bounds with their types, abs_tol, budget: all its result depends on)
 once and returns that result for a repeat. A QuadratureError is not
 stored, and the memo ends with the outermost call.
 
-Inside such a check, `planned(run)` calls run twice. In the plan pass
-integrate_expr records each integral the memo lacks and returns
-QC_ZERO. The recorded non-polynomial integrals are grouped by (bounds,
-abs_tol, budget), and each group compiles one program with a value per
-member. Each member keeps its own adaptive quadrature, bit for bit,
-and reads its value from the group's table per abscissa, so a node
-that several members' meshes share is evaluated once. The real pass
-finds the results in the memo; a member whose shared quadrature
-raised is not there, and is integrated alone as without a plan.
+Integrals that are asked for together are made as groups: the
+non-polynomial ones over equal (bounds, abs_tol, budget) compile one
+program with a value per member. Each member keeps its own adaptive
+quadrature, bit for bit, and reads its value from the group's table
+per abscissa, so a node that several members' meshes share is
+evaluated once. A member whose quadrature fails raises its error in
+its turn, as alone; a member that the union program failed (another
+member's subterm may raise) is integrated alone. A group of one is
+integrated alone. Two entries ask for such groups:
+
+- `integrate_exprs(items)`, the terms of one pairing: the items the
+  running check's memo lacks (outside a check, a memo of the call's
+  own) are made as groups, the rest read from the memo.
+- `planned(run)`, inside a check, calls run twice. In the plan pass
+  integrate_expr and integrate_exprs record each integral the memo
+  lacks and return QC_ZERO; the recorded integrals are made as groups,
+  and the real pass finds them in the memo.
 """
 
 from __future__ import annotations
@@ -162,10 +170,7 @@ def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
     memo = _shared.get()
     if memo is None:
         return _integrate(e, ranges, abs_tol, budget)
-    # Fraction(1) and 1.0 are equal keys, but only the first bounds a
-    # polynomial integral
-    key = (e, tuple((type(lo), lo, type(hi), hi) for lo, hi in ranges),
-           abs_tol, budget)
+    key = _key(e, ranges, abs_tol, budget)
     if key not in memo:
         plan = _plan.get()
         if plan is not None:
@@ -173,6 +178,38 @@ def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
             return QC_ZERO
         memo[key] = _integrate(e, ranges, abs_tol, budget)
     return memo[key]
+
+
+def integrate_exprs(items, abs_tol=DEFAULT_ABS_TOL, budget=DEFAULT_BUDGET):
+    """[integrate_expr(e, ranges, abs_tol, budget) for e, ranges in items],
+    the non-polynomial integrals over equal bounds made by one program
+    (module docstring). Inside a check they join its memo; outside one a
+    memo of the call's own makes equal items once."""
+    if _plan.get() is not None:
+        return [integrate_expr(e, ranges, abs_tol, budget)
+                for e, ranges in items]
+    memo = _shared.get()
+    if memo is None:
+        memo = {}
+    keyed = [(_key(e, ranges, abs_tol, budget), ranges) for e, ranges in items]
+    failed = _make_groups(memo, {key: ranges for key, ranges in keyed
+                                 if key not in memo})
+    out = []
+    for key, ranges in keyed:
+        if key not in memo:
+            if key in failed:
+                raise failed[key]
+            # polynomial, or its group's program raised: made alone
+            memo[key] = _integrate(key[0], ranges, abs_tol, budget)
+        out.append(memo[key])
+    return out
+
+
+def _key(e, ranges, abs_tol, budget):
+    """The memo key of an integral: all its result depends on. Fraction(1)
+    and 1.0 are equal, but only the first bounds a polynomial integral."""
+    return (e, tuple((type(lo), lo, type(hi), hi) for lo, hi in ranges),
+            abs_tol, budget)
 
 
 def planned(run):
@@ -191,34 +228,61 @@ def planned(run):
         pass
     finally:
         _plan.reset(token)
+    _make_groups(memo, plan)
+    return run()
+
+
+def _make_groups(memo, pending):
+    """Put into memo the non-polynomial integrals of pending ({key:
+    ranges}), one program per group of equal (bounds, abs_tol, budget).
+    Returns {key: QuadratureError} for members whose quadrature failed;
+    a member whose program raised is in neither, to be made alone."""
     groups = {}
-    for key, ranges in plan.items():
+    for key, ranges in pending.items():
         nodes = _postorder(key[0])
         if not _polynomial(nodes):
             groups.setdefault(key[1:], []).append((key, ranges, nodes))
+    failed = {}
     for members in groups.values():
+        if len(members) == 1:
+            continue  # nothing to share: made alone
         # each member's postorder, first occurrences kept, is a postorder
         # of the union: every node still follows its children
         union = list(dict.fromkeys(n for *_, nodes in members for n in nodes))
         program = _compile(union, typed=True,
                            roots=[key[0] for key, _, _ in members])
         values = {}
+        last = len(members) - 1
         for i, (key, ranges, _) in enumerate(members):
+            rows = _TABLE_VALUES // len(members) if i < last else 0
             try:
-                memo[key] = integrate_callable(_component(program, values, i),
-                                               ranges, *key[2:])
-            except (ArithmeticError, QuadratureError):
-                pass  # left to the real pass, which integrates it alone
-    return run()
+                memo[key] = integrate_callable(
+                    _component(program, values, i, rows), ranges, *key[2:])
+            except QuadratureError as e:
+                # it read only its own values: alone it raises the same
+                failed[key] = e
+            except ArithmeticError:
+                pass  # perhaps another member's subterm: made alone
+    return failed
 
 
-def _component(program, values, i):
-    """Member i's integrand: its entry of the program's tuple at x, the
-    tuple computed once per abscissa and kept in values."""
+# a group's table stops growing at this many values (rows times
+# members): it bounds the table of a member that runs to the end of its
+# budget; the largest table of the benchmark workloads, over seeds 1, 13
+# and 9001, holds 42,390 values
+_TABLE_VALUES = 1 << 18
+
+
+def _component(program, values, i, rows):
+    """Member i's integrand: its entry of the program's tuple at x. The
+    tuple is kept in values while they hold fewer than rows, for a later
+    member of the group to read."""
     def f(x):
         row = values.get(x)
         if row is None:
-            row = values[x] = program(x)
+            row = program(x)
+            if len(values) < rows:
+                values[x] = row
         return row[i]
     return f
 

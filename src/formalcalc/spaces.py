@@ -57,7 +57,8 @@ from .expr import (ONE, ZERO, Const, Div, X, _compile, add, bump, diff,
                    div, ev, falling_edge, mul, parse_sexpr, pow_, rising_edge,
                    to_sexpr, window_bump)
 from .multiindex import mi_factorial
-from .quadrature import DEFAULT_ABS_TOL, integrate_expr, planned
+from .quadrature import (DEFAULT_ABS_TOL, integrate_expr, integrate_exprs,
+                         planned)
 from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_to_json,
                       rat_from_json, rat_to_json)
 
@@ -436,6 +437,10 @@ class Discrete:
             acc = acc + c[p]
         return acc
 
+    def integrate_all(self, items, abs_tol=DEFAULT_ABS_TOL):
+        """integrate(c, region, abs_tol) for each (c, region) of items."""
+        return [self.integrate(c, region, abs_tol) for c, region in items]
+
     def pair(self, a, b, region):
         """Exact sum of a * b over the labels where both are nonzero.
 
@@ -793,6 +798,12 @@ class SmoothLine:
     def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL):
         """Integral of c over the pieces of a bounded region."""
         return integrate_expr(c, region.bounds_list(), abs_tol)
+
+    def integrate_all(self, items, abs_tol=DEFAULT_ABS_TOL):
+        """integrate(c, region, abs_tol) for each (c, region) of items,
+        made as one batch: one program per range (`integrate_exprs`)."""
+        return integrate_exprs([(c, r.bounds_list()) for c, r in items],
+                               abs_tol)
 
     def pair(self, a, b, region):
         """Integral of a * b over the pieces of a bounded region."""
