@@ -20,8 +20,8 @@ accurate than asked, and nothing says so.
 While the outermost call of a check decorated with `shares_integrals`
 runs, integrate_expr makes each distinct integral (interned node,
 bounds with their types, abs_tol, budget: all its result depends on)
-once and returns that result for a repeat. A QuadratureError is not
-stored, and the memo ends with the outermost call.
+once and returns that result for a repeat (it raises a group
+member's stored QuadratureError). The memo ends with the outermost call.
 
 Integrals that are asked for together are made as groups: the
 non-polynomial ones over equal (bounds, abs_tol, budget) compile one
@@ -29,9 +29,10 @@ program with a value per member. Each member keeps its own adaptive
 quadrature, bit for bit, and reads its value from the group's table
 per abscissa, so a node that several members' meshes share is
 evaluated once. A member whose quadrature fails raises its error in
-its turn, as alone; a member that the union program failed (another
-member's subterm may raise) is integrated alone. A group of one is
-integrated alone. Two entries ask for such groups:
+its turn, as alone, with no second run; a member that the union
+program failed (another member's subterm may raise) is integrated
+alone. A group of one is integrated alone. Two entries ask for such
+groups:
 
 - `integrate_exprs(items)`, the terms of one pairing: the items the
   running check's memo lacks (outside a check, a memo of the call's
@@ -39,7 +40,8 @@ integrated alone. Two entries ask for such groups:
 - `planned(run)`, inside a check, calls run twice. In the plan pass
   integrate_expr and integrate_exprs record each integral the memo
   lacks and return QC_ZERO; the recorded integrals are made as groups,
-  and the real pass finds them in the memo.
+  and the real pass finds them, or a member's stored error, in the
+  memo.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
             plan[key] = ranges
             return QC_ZERO
         memo[key] = _integrate(e, ranges, abs_tol, budget)
-    return memo[key]
+    return _read(memo[key])
 
 
 def integrate_exprs(items, abs_tol=DEFAULT_ABS_TOL, budget=DEFAULT_BUDGET):
@@ -192,17 +194,22 @@ def integrate_exprs(items, abs_tol=DEFAULT_ABS_TOL, budget=DEFAULT_BUDGET):
     if memo is None:
         memo = {}
     keyed = [(_key(e, ranges, abs_tol, budget), ranges) for e, ranges in items]
-    failed = _make_groups(memo, {key: ranges for key, ranges in keyed
-                                 if key not in memo})
+    _make_groups(memo, {key: ranges for key, ranges in keyed
+                        if key not in memo})
     out = []
     for key, ranges in keyed:
         if key not in memo:
-            if key in failed:
-                raise failed[key]
             # polynomial, or its group's program raised: made alone
             memo[key] = _integrate(key[0], ranges, abs_tol, budget)
-        out.append(memo[key])
+        out.append(_read(memo[key]))
     return out
+
+
+def _read(stored):
+    """A memo entry's result; a stored QuadratureError is raised."""
+    if isinstance(stored, QuadratureError):
+        raise stored
+    return stored
 
 
 def _key(e, ranges, abs_tol, budget):
@@ -235,14 +242,13 @@ def planned(run):
 def _make_groups(memo, pending):
     """Put into memo the non-polynomial integrals of pending ({key:
     ranges}), one program per group of equal (bounds, abs_tol, budget).
-    Returns {key: QuadratureError} for members whose quadrature failed;
-    a member whose program raised is in neither, to be made alone."""
+    A failed member's entry is its QuadratureError, for _read to raise;
+    a member whose program raised gets none, to be made alone."""
     groups = {}
     for key, ranges in pending.items():
         nodes = _postorder(key[0])
         if not _polynomial(nodes):
             groups.setdefault(key[1:], []).append((key, ranges, nodes))
-    failed = {}
     for members in groups.values():
         if len(members) == 1:
             continue  # nothing to share: made alone
@@ -260,10 +266,9 @@ def _make_groups(memo, pending):
                     _component(program, values, i, rows), ranges, *key[2:])
             except QuadratureError as e:
                 # it read only its own values: alone it raises the same
-                failed[key] = e
+                memo[key] = e
             except ArithmeticError:
                 pass  # perhaps another member's subterm: made alone
-    return failed
 
 
 # a group's table stops growing at this many values (rows times

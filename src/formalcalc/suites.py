@@ -8,9 +8,13 @@ report byte for byte. Reports are plain dicts:
      "max_residual": float, "pass": bool}
 
 Each suite run counts its checks in one _Tally, which builds the
-report. On the discrete backend every comparison is exact (threshold
-0); on the smooth line residuals are compared against the caller's
-tolerance.
+report. Generators and suites are written once; what the backends do
+differently sits in one draw object each, picked by the space's type:
+_DiscreteDraws (weights on labels, exact comparisons, threshold 0) and
+_LineDraws (bumps times polynomials, point terms, functional residuals
+over dual families against the caller's tolerance, E_dim 1). Each also
+holds its backend's fixtures, probe caps, round counts, flabby cases
+and duality cutoffs.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .sheaf import (Cover, build_pou, cosheaf_decompose,
                     dual_function_family, flabby_check, functional_residual,
                     functional_zero_residual, max_gap, mv_phi, mv_psi,
                     mv_split, sheaf_glue)
-from .spaces import NEG_INF, OpenSet, POS_INF, RSet
+from .spaces import NEG_INF, Discrete, OpenSet, POS_INF, RSet, SmoothLine
 
 SUITE_NAMES = ("mv", "glue", "cosheaf", "flabby", "duality", "jets")
 
@@ -129,154 +133,250 @@ def rand_smooth_tau(rng, space, lo, hi) -> BaseDensity:
     return BaseDensity.smooth(space, mul(bexpr, rand_poly(rng)), supp)
 
 
+class _DiscreteDraws:
+    """Instances on labels, compared exactly."""
+
+    rounds = {"mv": 100, "glue": 25, "cosheaf": 25, "duality": 60}
+    xcap, scap = 2, 1
+
+    def __init__(self, space):
+        self.space = space
+
+    def tally(self, tol):
+        return _Tally()
+
+    def e_dim(self, e_dim):
+        return e_dim
+
+    def coeff(self, rng, domain):
+        return rand_weights(rng, domain.region)
+
+    def density_terms(self, rng, domain):
+        w = rand_weights(rng, domain.region)
+        if w:
+            return ((mi(()), BaseDensity.discrete(self.space, w)),)
+
+    def base(self, rng, domain, where=None):
+        """Weights on the domain's labels, or on the labels where."""
+        labels = domain.region if where is None else where
+        return BaseDistribution(self.space, weights=rand_weights(rng, labels))
+
+    def compact(self, rng, domain):
+        """(where, support): a nonempty subset of the domain's labels."""
+        pts = sorted(domain.region)
+        support = {p for p in pts if rng.randint(0, 1)} or {pts[0]}
+        return support, frozenset(support)
+
+    def supported(self, rng, domain):
+        """A support and the drawer of a coefficient on it (None: none)."""
+        where, support = self.compact(rng, domain)
+
+        def coeff(rng, j):
+            if rng.randint(0, 2):
+                c = {p: rand_qc(rng) for p in sorted(where) if rng.randint(0, 1)}
+                return {p: v for p, v in c.items() if v}
+        return support, coeff
+
+    def agree(self, tally, pairs, k, star, xcap, **witness):
+        """Each a == b (b None: a is exactly zero) for (a, b, u) in pairs."""
+        tally.exact(all(a.is_exactly_zero() if b is None else a == b
+                        for a, b, _ in pairs), **witness)
+
+    def mv_parts(self):
+        pts, n = self.space.points, len(self.space.points)
+        return (OpenSet(self.space, pts[:2 * n // 3 + 1]),
+                OpenSet(self.space, pts[n // 3:]))
+
+    def three_part_cover(self):
+        pts, n = self.space.points, len(self.space.points)
+        a, b = n // 3, 2 * n // 3
+        parts = (pts[:a + 1], pts[a:b + 1], pts[b:])
+        return Cover(self.space.whole(), [OpenSet(self.space, p) for p in parts])
+
+    def flabby_cases(self, rng, m, k, rounds):
+        """Every nonempty subset of up to four labels, else rounds random
+        ones, each with its dual family and one random density."""
+        space, pts = self.space, sorted(m.region)
+        if len(pts) <= 4:
+            subsets = [[p for i, p in enumerate(pts) if mask & (1 << i)]
+                       for mask in range(1, 2 ** len(pts))]
+        else:
+            subsets = [[p for p in pts if rng.randint(0, 1)] or [pts[0]]
+                       for _ in range(rounds)]
+        for sub in subsets:
+            v = OpenSet(space, sub)
+            fam = list(dual_density_family(space, v, k, 2))
+            fam.append(rand_density(rng, space, v, k, 2))
+            yield fam, {"subset": sorted(sub)}
+
+    def duality_cases(self, rng, m, k, star, cap, e_dim, rounds):
+        """A compact distribution on all labels but the last, with its
+        support's cutoff and one with a label more."""
+        space, pts = self.space, self.space.points
+        u = OpenSet(space, pts[:-1]) if len(pts) > 1 else m
+        for _ in range(rounds):
+            t = rand_compact_distribution(rng, space, u, k, star, e_dim)
+            s = t.support
+            extra = s | {sorted(u.region)[rng.randrange(len(u.region))]}
+            yield t, cutoff(space, m, k, cap, s, s), \
+                cutoff(space, m, k, cap, extra, extra)
+
+
+class _LineDraws:
+    """Bumps and polynomials on the line, compared by residuals."""
+
+    rounds = {"mv": 6, "glue": 2, "cosheaf": 2, "duality": 4}
+    xcap, scap = 1, 0
+
+    def __init__(self, space):
+        self.space = space
+
+    def tally(self, tol):
+        return _Tally(tol)
+
+    def e_dim(self, e_dim):
+        return 1
+
+    def coeff(self, rng, domain):
+        return rand_poly(rng)
+
+    def density_terms(self, rng, domain):
+        lo, hi = _bounded_box(domain)
+        return tuple((mi((rng.randint(0, 1),)),
+                      rand_smooth_tau(rng, self.space, lo, hi))
+                     for _ in range(rng.randint(1, 2)))
+
+    def base(self, rng, domain, where=None):
+        """A polynomial, or a bump on the window where times one, perhaps
+        with a point term in the domain's bounded box or inside where."""
+        if where is None:
+            terms = [SmoothTerm(rand_poly(rng))]
+            (lo, hi), eighths = _bounded_box(domain), (1, 7)
+        else:
+            (lo, hi), eighths = where, (2, 6)
+            bexpr, bsupp, _ = window_bump(lo, hi)
+            terms = [SmoothTerm(mul(bexpr, rand_poly(rng)), bsupp)]
+        if rng.randint(0, 1):
+            a = lo + (hi - lo) * Fraction(rng.randint(*eighths), 8)
+            terms.append(PointTerm(a, rng.randint(0, 1), rand_qc(rng)))
+        return BaseDistribution(self.space, terms=terms)
+
+    def compact(self, rng, domain):
+        """(where, support): a window inside the domain."""
+        window = rand_window(rng, *_bounded_box(domain))
+        return window, RSet.closed_pairs([window])
+
+    def supported(self, rng, domain):
+        """A window bump's support and the drawer of a coefficient on it,
+        always at degree 0 (None: none)."""
+        bexpr, supp, _ = window_bump(*rand_window(rng, *_bounded_box(domain)))
+
+        def coeff(rng, j):
+            if not degree(j) or rng.randint(0, 1):
+                return mul(bexpr, rand_poly(rng))
+        return supp, coeff
+
+    def agree(self, tally, pairs, k, star, xcap, **witness):
+        """The worst functional residual of a against b (None: zero) over
+        u's dual function family, for (a, b, u) in pairs."""
+        def residual(a, b, u):
+            fam = dual_function_family(self.space, u, k, star, xdeg_cap=xcap)
+            return (functional_zero_residual(a, fam) if b is None
+                    else functional_residual(a, b, fam))[0]
+        tally.residual(max(residual(*p) for p in pairs), **witness)
+
+    def mv_parts(self):
+        return (OpenSet(self.space, [(NEG_INF, Fraction(1))]),
+                OpenSet(self.space, [(Fraction(-1), POS_INF)]))
+
+    def three_part_cover(self):
+        whole, *parts = (OpenSet(self.space, [(Fraction(lo), Fraction(hi))])
+                         for lo, hi in ((-6, 6), (-6, -1), (-3, 3), (1, 6)))
+        return Cover(whole, parts)
+
+    def flabby_cases(self, rng, m, k, rounds):
+        """Two fixed windows, each with its dual family."""
+        for wlo, whi in ((Fraction(-2), Fraction(2)), (Fraction(-3), Fraction(1))):
+            v = OpenSet(self.space, [(wlo, whi)])
+            yield (dual_density_family(self.space, v, k, 1, xdeg_cap=2,
+                                       stack_cap=0),
+                   {"window": [str(wlo), str(whi)]})
+
+    def duality_cases(self, rng, m, k, star, cap, e_dim, rounds):
+        """A compact distribution on (-1, 1), extended to (-4, 4), with
+        two fixed cutoffs."""
+        space = self.space
+        u = OpenSet(space, [(Fraction(-4), Fraction(4))])
+        box = OpenSet(space, [(Fraction(-1), Fraction(1))])
+        f1, f2 = (cutoff(space, m, k, cap, RSet.closed_pairs([(-b, b)]),
+                         RSet.closed_pairs([(-b - 1, b + 1)]))
+                  for b in (Fraction(2), Fraction(5, 2)))
+        for _ in range(rounds):
+            t = rand_compact_distribution(rng, space, box, k, star, e_dim)
+            yield t.ext(u), f1, f2
+
+
+_DRAWS = {Discrete: _DiscreteDraws, SmoothLine: _LineDraws}
+
+
+def _draws(space):
+    return _DRAWS[type(space)](space)
+
+
 def rand_density(rng, space, domain, k, star) -> FormalDensity:
     """Compactly supported formal density with random coefficients."""
-    coeffs = {}
-    if space.kind == "discrete":
-        for l in enumerate_upto(k, star):
-            if rng.randint(0, 1):
-                w = rand_weights(rng, domain.region)
-                if w:
-                    coeffs[mi(l)] = ((mi(()), BaseDensity.discrete(space, w)),)
-    else:
-        lo, hi = _bounded_box(domain)
-        for l in enumerate_upto(k, star):
-            if rng.randint(0, 1):
-                terms = []
-                for _ in range(rng.randint(1, 2)):
-                    stack = mi((rng.randint(0, 1),))
-                    terms.append((stack, rand_smooth_tau(rng, space, lo, hi)))
-                coeffs[mi(l)] = tuple(terms)
-    return FormalDensity(space, domain, k, coeffs)
+    draws = _draws(space)
+    return FormalDensity(space, domain, k, {
+        mi(l): terms for l in enumerate_upto(k, star)
+        if rng.randint(0, 1) and (terms := draws.density_terms(rng, domain))})
 
 
 def rand_function(rng, space, domain, k, trunc) -> FormalFunction:
-    coeffs = {}
-    for j in enumerate_upto(k, trunc):
-        if rng.randint(0, 2):
-            if space.kind == "discrete":
-                c = rand_weights(rng, domain.region)
-                if c:
-                    coeffs[mi(j)] = c
-            else:
-                coeffs[mi(j)] = rand_poly(rng)
-    return FormalFunction(space, domain, k, trunc, coeffs)
+    draws = _draws(space)
+    return FormalFunction(space, domain, k, trunc, {
+        mi(j): c for j in enumerate_upto(k, trunc)
+        if rng.randint(0, 2) and (c := draws.coeff(rng, domain))})
 
 
 def rand_supported_function(rng, space, domain, k, trunc):
-    if space.kind == "discrete":
-        pts = sorted(domain.region)
-        support = {p for p in pts if rng.randint(0, 1)} or {pts[0]}
-        coeffs = {}
-        for j in enumerate_upto(k, trunc):
-            if rng.randint(0, 2):
-                c = {p: rand_qc(rng) for p in sorted(support) if rng.randint(0, 1)}
-                c = {p: v for p, v in c.items() if v}
-                if c:
-                    coeffs[mi(j)] = c
-        return SupportedFormalFunction(space, domain, k, trunc, coeffs,
-                                       support=frozenset(support))
-    lo, hi = _bounded_box(domain)
-    bexpr, supp, _ = window_bump(*rand_window(rng, lo, hi))
-    coeffs = {mi([0] * k): mul(bexpr, rand_poly(rng))}
-    for j in enumerate_upto(k, trunc):
-        if degree(j) and rng.randint(0, 1):
-            coeffs[mi(j)] = mul(bexpr, rand_poly(rng))
+    support, coeff = _draws(space).supported(rng, domain)
+    coeffs = {mi(j): c for j in enumerate_upto(k, trunc) if (c := coeff(rng, j))}
     return SupportedFormalFunction(space, domain, k, trunc, coeffs,
-                                   support=supp)
+                                   support=support)
 
 
-def _rand_base_distribution(rng, space, domain, window=None):
-    if space.kind == "discrete":
-        return BaseDistribution(space, weights=rand_weights(rng, domain.region))
-    terms = []
-    if window is not None:
-        wlo, whi = window
-        bexpr, bsupp, _ = window_bump(wlo, whi)
-        terms.append(SmoothTerm(mul(bexpr, rand_poly(rng)), bsupp))
-        if rng.randint(0, 1):
-            a = wlo + (whi - wlo) * Fraction(rng.randint(2, 6), 8)
-            terms.append(PointTerm(a, rng.randint(0, 1), rand_qc(rng)))
-    else:
-        terms.append(SmoothTerm(rand_poly(rng)))
-        lo, hi = _bounded_box(domain)
-        if rng.randint(0, 1):
-            a = lo + (hi - lo) * Fraction(rng.randint(1, 7), 8)
-            terms.append(PointTerm(a, rng.randint(0, 1), rand_qc(rng)))
-    return BaseDistribution(space, terms=terms)
+def _vectors(rng, draws, domain, k, deg, e_dim, where=None):
+    """Perhaps an E-vector of base distributions at each key."""
+    return {mi(l): tuple(draws.base(rng, domain, where) for _ in range(e_dim))
+            for l in enumerate_upto(k, deg) if rng.randint(0, 1)}
 
 
 def rand_distribution(rng, space, domain, k, star, e_dim) -> FormalDistribution:
-    coeffs = {}
-    for l in enumerate_upto(k, star):
-        if rng.randint(0, 1):
-            coeffs[mi(l)] = tuple(_rand_base_distribution(rng, space, domain)
-                                  for _ in range(e_dim))
-    return FormalDistribution(space, domain, k, e_dim, coeffs)
+    return FormalDistribution(space, domain, k, e_dim, _vectors(
+        rng, _draws(space), domain, k, star, e_dim))
 
 
 def rand_compact_distribution(rng, space, domain, k, star, e_dim):
-    if space.kind == "discrete":
-        pts = sorted(domain.region)
-        support = {p for p in pts if rng.randint(0, 1)} or {pts[0]}
-        coeffs = {}
-        for l in enumerate_upto(k, star):
-            if rng.randint(0, 1):
-                coeffs[mi(l)] = tuple(
-                    BaseDistribution(space, weights=rand_weights(rng, support))
-                    for _ in range(e_dim))
-        return CompactFormalDistribution(space, domain, k, e_dim, coeffs,
-                                         support=frozenset(support))
-    lo, hi = _bounded_box(domain)
-    window = rand_window(rng, lo, hi)
-    coeffs = {}
-    for l in enumerate_upto(k, star):
-        if rng.randint(0, 1):
-            coeffs[mi(l)] = tuple(
-                _rand_base_distribution(rng, space, domain, window=window)
-                for _ in range(e_dim))
-    support = RSet.closed_pairs([window])
-    return CompactFormalDistribution(space, domain, k, e_dim, coeffs,
-                                     support=support)
+    draws = _draws(space)
+    where, support = draws.compact(rng, domain)
+    return CompactFormalDistribution(space, domain, k, e_dim, _vectors(
+        rng, draws, domain, k, star, e_dim, where), support=support)
 
 
 def rand_generalized(rng, space, domain, k, trunc, e_dim) -> GeneralizedFunction:
-    coeffs = {}
-    for j in enumerate_upto(k, trunc):
-        if rng.randint(0, 1):
-            coeffs[mi(j)] = tuple(_rand_base_distribution(rng, space, domain)
-                                  for _ in range(e_dim))
-    return GeneralizedFunction(space, domain, k, trunc, e_dim, coeffs)
+    return GeneralizedFunction(space, domain, k, trunc, e_dim, _vectors(
+        rng, _draws(space), domain, k, trunc, e_dim))
 
 
 # -- shared fixtures ---------------------------------------------------------------
 
 
 def _mv_parts(space):
-    if space.kind == "discrete":
-        pts = space.points
-        n = len(pts)
-        u1 = OpenSet(space, pts[:2 * n // 3 + 1])
-        u2 = OpenSet(space, pts[n // 3:])
-        return u1, u2
-    return (OpenSet(space, [(NEG_INF, Fraction(1))]),
-            OpenSet(space, [(Fraction(-1), POS_INF)]))
+    return _draws(space).mv_parts()
 
 
 def _three_part_cover(space) -> Cover:
-    if space.kind == "discrete":
-        pts = space.points
-        n = len(pts)
-        a, b = n // 3, 2 * n // 3
-        parts = [OpenSet(space, pts[:a + 1]),
-                 OpenSet(space, pts[a:b + 1]),
-                 OpenSet(space, pts[b:])]
-        return Cover(space.whole(), parts)
-    whole = OpenSet(space, [(Fraction(-6), Fraction(6))])
-    parts = [OpenSet(space, [(Fraction(-6), Fraction(-1))]),
-             OpenSet(space, [(Fraction(-3), Fraction(3))]),
-             OpenSet(space, [(Fraction(1), Fraction(6))])]
-    return Cover(whole, parts)
+    return _draws(space).three_part_cover()
 
 
 def function_residual(a: FormalFunction, b: FormalFunction) -> float:
@@ -302,64 +402,50 @@ def function_residual(a: FormalFunction, b: FormalFunction) -> float:
 def suite_mv(space, k, seed, tol, rounds=100):
     """phi o psi = 0 and mv_split recovers psi-preimages."""
     rng = random.Random(seed)
-    smooth = space.kind == "smoothline"
-    tally = _Tally(tol if smooth else 0.0)
+    draws = _draws(space)
+    tally = draws.tally(tol)
     u1, u2 = _mv_parts(space)
-    v = u1.intersect(u2)
+    v, whole = u1.intersect(u2), u1.union(u2)
     for rd in range(rounds):
         star = rng.randint(0, 2)
         zeta = rand_density(rng, space, v, k, star)
         eta1, eta2 = mv_psi(zeta, u1, u2)
-        comp = mv_phi(eta1, eta2)
-        if smooth:
-            r, _ = functional_zero_residual(
-                comp, dual_function_family(space, u1.union(u2), k, star))
-            tally.residual(r, round=rd, law="phi-psi")
-        else:
-            tally.exact(comp.is_exactly_zero(), round=rd, law="phi-psi")
+        draws.agree(tally, [(mv_phi(eta1, eta2), None, whole)], k, star, 2,
+                    round=rd, law="phi-psi")
         try:
             split = mv_split(eta1, eta2, tol)
         except FormalcalcError as e:
             tally.failures.append({"round": rd, "law": "split",
                                    "error": str(e)})
             continue
-        if smooth:
-            r1, _ = functional_residual(split.ext(u1), eta1,
-                                        dual_function_family(space, u1, k, star))
-            r2, _ = functional_residual(split.ext(u2).scale(-1), eta2,
-                                        dual_function_family(space, u2, k, star))
-            tally.residual(max(r1, r2), round=rd, law="split-ext")
-        else:
-            tally.exact(split.ext(u1) == eta1
-                        and split.ext(u2).scale(-1) == eta2,
-                        round=rd, law="split-ext")
+        draws.agree(tally, [(split.ext(u1), eta1, u1),
+                            (split.ext(u2).scale(-1), eta2, u2)], k, star, 2,
+                    round=rd, law="split-ext")
     return tally.report("mv")
 
 
 def suite_glue(space, k, e_dim, seed, tol, rounds=25):
     """Restrict-then-glue is the identity on spanning families."""
     rng = random.Random(seed)
-    smooth = space.kind == "smoothline"
-    tally = _Tally(tol if smooth else 0.0)
-    if smooth:
-        e_dim = 1
+    draws = _draws(space)
+    tally = draws.tally(tol)
+    e_dim = draws.e_dim(e_dim)
     cover = _three_part_cover(space)
     pou = build_pou(cover, k, 4)
     m = cover.whole
-    xcap, scap = (1, 0) if smooth else (2, 1)
     for rd in range(rounds):
         g = rand_generalized(rng, space, m, k, 2, e_dim)
         locs = [g.restrict(p) for p in cover.parts]
         glued = sheaf_glue(locs, pou, tol)
-        probes = dual_density_family(space, m, k, 2, xdeg_cap=xcap,
-                                     stack_cap=scap)
+        probes = dual_density_family(space, m, k, 2, xdeg_cap=draws.xcap,
+                                     stack_cap=draws.scap)
         r, _ = functional_residual(glued, g, probes)
         tally.residual(r, round=rd, law="glue-generalized")
         star = rng.randint(0, 2)
         t = rand_distribution(rng, space, m, k, star, e_dim)
         locs = [t.restrict(p) for p in cover.parts]
         glued = sheaf_glue(locs, pou, tol)
-        probes = dual_function_family(space, m, k, star, xdeg_cap=xcap)
+        probes = dual_function_family(space, m, k, star, xdeg_cap=draws.xcap)
         r, _ = functional_residual(glued, t, probes)
         tally.residual(r, round=rd, law="glue-distribution")
     return tally.report("glue")
@@ -368,32 +454,25 @@ def suite_glue(space, k, e_dim, seed, tol, rounds=25):
 def suite_cosheaf(space, k, e_dim, seed, tol, rounds=25):
     """Decompose-then-extend is the identity for all three section kinds."""
     rng = random.Random(seed)
-    smooth = space.kind == "smoothline"
-    tally = _Tally(tol if smooth else 0.0)
-    if smooth:
-        e_dim = 1
+    draws = _draws(space)
+    tally = draws.tally(tol)
+    e_dim = draws.e_dim(e_dim)
     cover = _three_part_cover(space)
     pou = build_pou(cover, k, 4)
     m = cover.whole
-    xcap = 1 if smooth else 2
     for rd in range(rounds):
         star = rng.randint(0, 2)
         eta = rand_density(rng, space, m, k, star)
         back = cosheaf_reassemble(cosheaf_decompose(eta, pou), m)
-        if smooth:
-            r, _ = functional_residual(
-                back, eta, dual_function_family(space, m, k, star,
-                                                xdeg_cap=xcap))
-            tally.residual(r, round=rd, law="cosheaf-density")
-        else:
-            tally.exact(back == eta, round=rd, law="cosheaf-density")
+        draws.agree(tally, [(back, eta, m)], k, star, draws.xcap,
+                    round=rd, law="cosheaf-density")
         u = rand_supported_function(rng, space, m, k, 2)
         back = cosheaf_reassemble(cosheaf_decompose(u, pou), m)
         tally.residual(function_residual(back, u), round=rd,
                        law="cosheaf-function")
         t = rand_compact_distribution(rng, space, m, k, star, e_dim)
         back = cosheaf_reassemble(cosheaf_decompose(t, pou), m)
-        probes = dual_function_family(space, m, k, star, xdeg_cap=xcap)
+        probes = dual_function_family(space, m, k, star, xdeg_cap=draws.xcap)
         r, _ = functional_residual(back, t, probes)
         tally.residual(r, round=rd, law="cosheaf-distribution")
     return tally.report("cosheaf")
@@ -402,63 +481,26 @@ def suite_cosheaf(space, k, e_dim, seed, tol, rounds=25):
 def suite_flabby(space, k, seed, tol, rounds=20):
     """Extension by zero has trivial kernel on dual spanning families."""
     rng = random.Random(seed)
-    tally = _Tally()
+    draws = _draws(space)
+    tally = draws.tally(tol)
     m = space.whole()
-    if space.kind == "discrete":
-        pts = sorted(m.region)
-        subsets = []
-        if len(pts) <= 4:
-            for mask in range(1, 2 ** len(pts)):
-                subsets.append([p for i, p in enumerate(pts)
-                                if mask & (1 << i)])
-        else:
-            for _ in range(rounds):
-                sub = [p for p in pts if rng.randint(0, 1)]
-                subsets.append(sub or [pts[0]])
-        for sub in subsets:
-            v = OpenSet(space, sub)
-            fam = list(dual_density_family(space, v, k, 2))
-            fam.append(rand_density(rng, space, v, k, 2))
-            tally.exact(flabby_check(fam, m, tol=0.0), checks=len(fam),
-                        subset=sorted(sub), law="flabby")
-        return tally.report("flabby")
-    for wlo, whi in ((Fraction(-2), Fraction(2)), (Fraction(-3), Fraction(1))):
-        v = OpenSet(space, [(wlo, whi)])
-        fam = dual_density_family(space, v, k, 1, xdeg_cap=2, stack_cap=0)
-        tally.exact(flabby_check(fam, m, tol=tol), checks=len(fam),
-                    window=[str(wlo), str(whi)], law="flabby")
+    for fam, witness in draws.flabby_cases(rng, m, k, rounds):
+        tally.exact(flabby_check(fam, m, tol=tally.thr),
+                    checks=len(fam), **witness, law="flabby")
     return tally.report("flabby")
 
 
 def suite_duality(space, k, trunc, e_dim, seed, tol, rounds=60):
     """cutoff_extend values agree across distinct admissible cutoffs."""
     rng = random.Random(seed)
-    smooth = space.kind == "smoothline"
-    tally = _Tally(tol if smooth else 0.0)
-    if smooth:
-        e_dim = 1
+    draws = _draws(space)
+    tally = draws.tally(tol)
     m = space.whole()
     star = min(2, trunc)
     cap = max(trunc, star, 1)
-    if smooth:
-        u = OpenSet(space, [(Fraction(-4), Fraction(4))])
-        box = OpenSet(space, [(Fraction(-1), Fraction(1))])
-        f1, f2 = (cutoff(space, m, k, cap, RSet.closed_pairs([(-b, b)]),
-                         RSet.closed_pairs([(-b - 1, b + 1)]))
-                  for b in (Fraction(2), Fraction(5, 2)))
-    else:
-        pts = space.points
-        u = OpenSet(space, pts[:-1]) if len(pts) > 1 else m
-    for rd in range(rounds):
-        if smooth:
-            t = rand_compact_distribution(rng, space, box, k, star, e_dim)
-            t = t.ext(u)
-        else:
-            t = rand_compact_distribution(rng, space, u, k, star, e_dim)
-            s = t.support
-            f1 = cutoff(space, m, k, cap, s, s)
-            extra = s | {sorted(u.region)[rng.randrange(len(u.region))]}
-            f2 = cutoff(space, m, k, cap, extra, extra)
+    cases = draws.duality_cases(rng, m, k, star, cap, draws.e_dim(e_dim),
+                                rounds)
+    for rd, (t, f1, f2) in enumerate(cases):
         ufn = rand_function(rng, space, m, k, cap)
         v1 = cutoff_extend(t, f1)(ufn)
         v2 = cutoff_extend(t, f2)(ufn)
@@ -502,21 +544,13 @@ def suite_jets(space, k, trunc, seed, tol):
 
 
 def run_suite(name, space, k, trunc, e_dim, seed, tol):
-    """Dispatch one named suite with backend-appropriate round counts."""
-    smooth = space.kind == "smoothline"
-    if name == "mv":
-        return suite_mv(space, k, seed, tol, rounds=6 if smooth else 100)
-    if name == "glue":
-        return suite_glue(space, k, e_dim, seed, tol, rounds=2 if smooth else 25)
-    if name == "cosheaf":
-        return suite_cosheaf(space, k, e_dim, seed, tol,
-                             rounds=2 if smooth else 25)
-    if name == "flabby":
-        return suite_flabby(space, k, seed, tol)
-    if name == "duality":
-        return suite_duality(space, k, trunc, e_dim, seed, tol,
-                             rounds=4 if smooth else 60)
-    if name == "jets":
-        return suite_jets(space, k, trunc, seed, tol)
-    raise ValueError("unknown suite %r (one of %s)"
-                     % (name, ", ".join(SUITE_NAMES)))
+    """Dispatch one named suite with its backend's round counts."""
+    args = {"mv": (k,), "glue": (k, e_dim), "cosheaf": (k, e_dim),
+            "flabby": (k,), "duality": (k, trunc, e_dim), "jets": (k, trunc)}
+    if name not in args:
+        raise ValueError("unknown suite %r (one of %s)"
+                         % (name, ", ".join(SUITE_NAMES)))
+    rounds = _draws(space).rounds
+    extra = {"rounds": rounds[name]} if name in rounds else {}
+    # looked up at call time, so that a wrapped suite_<name> is the one run
+    return globals()["suite_" + name](space, *args[name], seed, tol, **extra)

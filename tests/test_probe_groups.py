@@ -121,6 +121,28 @@ def test_an_exhausted_budget_raises_what_the_per_integral_path_raises(
     assert str(planned.value) == str(per_integral.value)
 
 
+def test_an_exhausted_budget_is_not_integrated_again_by_the_real_pass(
+        monkeypatch):
+    # the plan pass's group integrates the family's 18 integrals, one of
+    # which runs out of budget; the real pass raises that member's stored
+    # error instead of integrating it a second time
+    raw = quadrature.integrate_callable
+    runs = []
+
+    def counted(f, ranges, abs_tol, budget):
+        runs.append(ranges)
+        return raw(f, ranges, abs_tol, 150)
+    monkeypatch.setattr(quadrature, "integrate_callable", counted)
+    section, family = density(random.Random(0), 0)
+    with pytest.raises(QuadratureError) as per_integral:
+        alone(section, family)
+    del runs[:]
+    with pytest.raises(QuadratureError) as planned:
+        grouped(section, family)
+    assert len(runs) == 18
+    assert str(planned.value) == str(per_integral.value)
+
+
 def check_all(capsys):
     code = main(["check", "all", "--scenario", str(SMOOTH), "--json"])
     return code, capsys.readouterr().out
