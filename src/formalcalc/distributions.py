@@ -31,6 +31,12 @@ d_x^I from a density coefficient meets a term, the stack is transposed
 onto the smooth side: SmoothTerm differentiates g, PointTerm folds the
 stack into its own order with the sign (-1)^|I|. Point-term
 coefficients are QC or complex, combined by QC's operators (scalars.py).
+
+Each term class owns its algebra, so a BaseDistribution operation is
+one pass over its terms; only construction and the canonical form sort
+them by kind. A compact distribution builds every result through one
+trusted path given the result's support witness, to which restrict and
+cutoff_restrict clip smooth bounds.
 """
 
 from __future__ import annotations
@@ -57,6 +63,11 @@ def _fin(v):
     return v if isinstance(v, QC) else complex(v)
 
 
+def _scalar_json(c):
+    """JSON of a QC or complex scalar."""
+    return qc_to_json(c) if isinstance(c, QC) else [c.real, c.imag]
+
+
 class SmoothTerm:
     """Acts on a partner coefficient g' by integrating g * g'.
 
@@ -65,6 +76,9 @@ class SmoothTerm:
     `bound` is an optional support witness for g (an RSet). Integration
     ranges are clipped to it, so that a narrow g inside a wide partner
     support cannot slip between quadrature nodes.
+
+    The methods below, and PointTerm's of the same names, are the term
+    algebra of BaseDistribution; `sp` is the space that owns g.
     """
 
     __slots__ = ("g", "bound")
@@ -77,6 +91,55 @@ class SmoothTerm:
         if self.bound is None:
             return "SmoothTerm(%r)" % (self.g,)
         return "SmoothTerm(%r, bound=%s)" % (self.g, self.bound)
+
+    def stray(self, sp, u: OpenSet):
+        return sp.stray(self.g, u.region)
+
+    def scale(self, sp, c):
+        return SmoothTerm(sp.scale(self.g, c), self.bound)
+
+    def act_on_function(self, sp, c, region):
+        r = region if self.bound is None else region & self.bound
+        return sp.pair(self.g, c, r)
+
+    def act_on_density(self, sp, tau: BaseDensity, stack: int, domain: OpenSet):
+        """<tau d^stack, g> = integral of tau * d^stack g."""
+        r = tau.bound if self.bound is None else tau.bound & self.bound
+        r = r & domain.region
+        return sp.pair(tau.coeff, sp.diff(self.g, stack), r) if r else QC_ZERO
+
+    def mul_coeff(self, sp, f0):
+        return (SmoothTerm(sp.mul(f0, self.g), self.bound),)
+
+    def clip(self, region):
+        return SmoothTerm(self.g, region if self.bound is None
+                          else self.bound & region)
+
+    def restrict(self, sp, u: OpenSet):
+        return (SmoothTerm(sp.restrict(self.g, u), self.bound),)
+
+    def support(self, sp):
+        return sp.support((self.g,), self.bound)
+
+    def check_inside(self, sp, support, where):
+        """Refuse weights or a bound outside a support witness."""
+        stray = sp.stray(self.g, support)
+        if stray:
+            raise SupportError("weights outside the support witness "
+                               "at %r: %s" % (where, stray))
+        if self.bound is not None and not self.bound <= support:
+            raise SupportError("smooth term bound escapes the "
+                               "support witness")
+
+    def key(self):
+        return ("smooth", self.g,
+                () if self.bound is None else self.bound.pieces)
+
+    def to_json(self, sp):
+        tj = {"kind": "smooth", "expr": sp.to_json(self.g)}
+        if self.bound is not None:
+            tj["support"] = sp.region_to_json(self.bound)
+        return tj
 
 
 class PointTerm:
@@ -93,6 +156,51 @@ class PointTerm:
 
     def __repr__(self):
         return "PointTerm(a=%s, i=%d, c=%s)" % (self.a, self.i, self.c)
+
+    def stray(self, sp, u: OpenSet):
+        return [] if u.contains(self.a) else [self.a]
+
+    def scale(self, sp, c):
+        return PointTerm(self.a, self.i, _fin(self.c * c))
+
+    def act_on_function(self, sp, c, region):
+        return self.c * _fin(sp.ev(sp.diff(c, self.i), self.a))
+
+    def act_on_density(self, sp, tau: BaseDensity, stack: int, domain: OpenSet):
+        """The stack moves onto the point: (-1)^stack times
+        c (d^(i+stack) tau)(a), zero where tau's witness ends."""
+        if self.a not in tau.bound:
+            return QC_ZERO
+        v = sp.ev(sp.diff(tau.coeff, self.i + stack), self.a)
+        return (-1 if stack % 2 else 1) * (self.c * _fin(v))
+
+    def mul_coeff(self, sp, f0):
+        """The product rule: f0 . (c d^i at a) is the sum over j of
+        C(i, j) c (d^(i-j) f0)(a) times d^j at a."""
+        a, i = self.a, self.i
+        return [PointTerm(a, j, self.c * (math.comb(i, j) * _fin(
+            sp.ev(sp.diff(f0, i - j), a)))) for j in range(i + 1)]
+
+    def clip(self, region):
+        return self
+
+    def restrict(self, sp, u: OpenSet):
+        return (self,) if u.contains(self.a) else ()
+
+    def support(self, sp):
+        return sp.point_region(self.a)
+
+    def check_inside(self, sp, support, where):
+        if self.a not in support:
+            raise SupportError("point term at %s outside the support "
+                               "witness" % self.a)
+
+    def key(self):
+        return ("point", self.a, self.i, self.c)
+
+    def to_json(self, sp):
+        return {"kind": "point", "a": str(self.a), "i": self.i,
+                "c": _scalar_json(self.c)}
 
 
 class BaseDistribution:
@@ -146,13 +254,7 @@ class BaseDistribution:
 
     def stray(self, u: OpenSet):
         """Stray weights and point-term points outside an open set."""
-        out = []
-        for t in self.terms:
-            if isinstance(t, SmoothTerm):
-                out += self.space.stray(t.g, u.region)
-            elif not u.contains(t.a):
-                out.append(t.a)
-        return out
+        return [p for t in self.terms for p in t.stray(self.space, u)]
 
     # -- linear structure ---------------------------------------------------
 
@@ -162,109 +264,53 @@ class BaseDistribution:
         return BaseDistribution._trusted(self.space, self.terms + other.terms)
 
     def scale(self, c) -> "BaseDistribution":
-        out = []
-        for t in self.terms:
-            if isinstance(t, SmoothTerm):
-                out.append(SmoothTerm(self.space.scale(t.g, c), t.bound))
-            else:
-                out.append(PointTerm(t.a, t.i, _fin(t.c * c)))
-        return BaseDistribution._trusted(self.space, out)
+        return BaseDistribution._trusted(
+            self.space, [t.scale(self.space, c) for t in self.terms])
 
     # -- actions ------------------------------------------------------------
 
     def act_on_function(self, c, region):
         """Pair with a base function coefficient vanishing outside a
         bounded region (the partner's support)."""
-        sp = self.space
-        acc = QC_ZERO
-        for t in self.terms:
-            if isinstance(t, SmoothTerm):
-                r = region if t.bound is None else region & t.bound
-                acc = acc + sp.pair(t.g, c, r)
-            else:
-                acc = acc + t.c * _fin(sp.ev(sp.diff(c, t.i), t.a))
-        return acc
+        return sum((t.act_on_function(self.space, c, region)
+                    for t in self.terms), QC_ZERO)
 
     def act_on_density(self, tau: BaseDensity, stack: int, domain: OpenSet):
         """Pair with a base density carrying a derivative stack d^stack."""
-        sp = self.space
-        acc = QC_ZERO
-        for t in self.terms:
-            if isinstance(t, SmoothTerm):
-                g = sp.diff(t.g, stack)
-                r = tau.bound if t.bound is None else tau.bound & t.bound
-                r = r & domain.region
-                val = sp.pair(tau.coeff, g, r) if r else QC_ZERO
-                acc = acc + val
-            elif t.a in tau.bound:
-                sign = -1 if stack % 2 else 1
-                v = sp.ev(sp.diff(tau.coeff, t.i + stack), t.a)
-                acc = acc + sign * (t.c * _fin(v))
-        return acc
+        return sum((t.act_on_density(self.space, tau, stack, domain)
+                    for t in self.terms), QC_ZERO)
 
     def mul_coeff(self, f0) -> "BaseDistribution":
         """Product with a base function: <f.w, g> = <w, f g>."""
-        sp = self.space
-        out = []
-        for t in self.terms:
-            if isinstance(t, SmoothTerm):
-                out.append(SmoothTerm(sp.mul(f0, t.g), t.bound))
-            else:
-                for j in range(t.i + 1):
-                    d = sp.ev(sp.diff(f0, t.i - j), t.a)
-                    c = t.c * (math.comb(t.i, j) * _fin(d))
-                    out.append(PointTerm(t.a, j, c))
-        return BaseDistribution._trusted(sp, out)
+        return BaseDistribution._trusted(self.space, [
+            s for t in self.terms for s in t.mul_coeff(self.space, f0)])
 
-    def clip_bounds(self, region) -> "BaseDistribution":
+    def clip(self, region) -> "BaseDistribution":
         """Intersect smooth-term support bounds with a region witness.
 
         Sound when every smooth term is known to vanish outside the
         region, e.g. after multiplication by a cutoff supported there.
         """
-        out = []
-        for t in self.terms:
-            if isinstance(t, SmoothTerm):
-                b = region if t.bound is None else t.bound & region
-                out.append(SmoothTerm(t.g, b))
-            else:
-                out.append(t)
-        return BaseDistribution._trusted(self.space, out)
+        return BaseDistribution._trusted(self.space,
+                                         [t.clip(region) for t in self.terms])
 
     def restrict(self, u: OpenSet) -> "BaseDistribution":
-        out = []
-        for t in self.terms:
-            if isinstance(t, SmoothTerm):
-                out.append(SmoothTerm(self.space.restrict(t.g, u), t.bound))
-            elif u.contains(t.a):
-                out.append(t)
-        return BaseDistribution._trusted(self.space, out)
+        return BaseDistribution._trusted(self.space, [
+            s for t in self.terms for s in t.restrict(self.space, u)])
 
     # -- plumbing ---------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, BaseDistribution) or self.space != other.space:
             return False
-        return _terms_key(self) == _terms_key(other)
+        return [t.key() for t in self.terms] == [t.key() for t in other.terms]
 
     def __repr__(self):
         return "BaseDistribution(%s)" % (list(self.terms),)
 
     def to_json(self):
-        out = []
-        for t in self.terms:
-            if isinstance(t, SmoothTerm):
-                tj = {"kind": "smooth", "expr": self.space.to_json(t.g)}
-                if t.bound is not None:
-                    tj["support"] = self.space.region_to_json(t.bound)
-                out.append(tj)
-            else:
-                if isinstance(t.c, QC):
-                    cj = qc_to_json(t.c)
-                else:
-                    cj = [t.c.real, t.c.imag]
-                out.append({"kind": "point", "a": str(t.a), "i": t.i, "c": cj})
-        return self.space.terms_to_json(out)
+        return self.space.terms_to_json([t.to_json(self.space)
+                                         for t in self.terms])
 
     @classmethod
     def from_json(cls, space, v):
@@ -302,20 +348,6 @@ def _canon_dist_terms(space, terms):
         if c:
             out.append(PointTerm(a, i, c))
     return tuple(out)
-
-
-def _bound_key(bound):
-    return () if bound is None else bound.pieces
-
-
-def _terms_key(w):
-    out = []
-    for t in w.terms:
-        if isinstance(t, SmoothTerm):
-            out.append(("smooth", t.g, _bound_key(t.bound)))
-        else:
-            out.append(("point", t.a, t.i, t.c))
-    return out
 
 
 def _nonzero_vectors(coeffs):
@@ -379,6 +411,19 @@ class _DualSection(_GradedSection):
         """A section of this very kind with new data; a support witness,
         where there is one, is carried over."""
         return self._with(coeffs, domain, e_dim)
+
+    def _pair_sum(self, keys, values):
+        """E-vector of sum_L L! v over the keys, where values(L, w) yields
+        the values v that the entry w at L takes on the partner's terms."""
+        out = []
+        for j in range(self.e_dim):
+            acc = QC_ZERO
+            for l in keys:
+                lf = mi_factorial(l)
+                for v in values(l, self.coeffs[l][j]):
+                    acc = acc + lf * v
+            out.append(_fin(acc))
+        return out
 
     def scale(self, c):
         return self._clone({j: tuple(w.scale(c) for w in vec)
@@ -453,16 +498,8 @@ class FormalDistribution(_DualSection):
         if not self.space.is_compact(u.support):
             raise SupportError("the partner needs a compact support witness")
         region = u.support & self.domain.region
-        keys = self._shared_keys(u)
-        out = []
-        for j in range(self.e_dim):
-            acc = QC_ZERO
-            for l in keys:
-                lf = mi_factorial(l)
-                v = self.coeffs[l][j].act_on_function(u.coeffs[l], region)
-                acc = acc + lf * v
-            out.append(_fin(acc))
-        return out
+        return self._pair_sum(self._shared_keys(u), lambda l, w: (
+            w.act_on_function(u.coeffs[l], region),))
 
     # -- module action ----------------------------------------------------------
 
@@ -504,7 +541,9 @@ class CompactFormalDistribution(FormalDistribution):
     def __init__(self, space, domain, k, e_dim, coeffs=None, support=None):
         super().__init__(space, domain, k, e_dim, coeffs)
         if support is None:
-            support = self._support_from_coeffs()
+            support = reduce(or_, (t.support(space) for vec in self.coeffs.values()
+                                   for w in vec for t in w.terms),
+                             space.empty_region())
         support = space.region(support)
         if not space.is_compact(support):
             raise SupportError("support witness is not compact")
@@ -513,45 +552,23 @@ class CompactFormalDistribution(FormalDistribution):
         for l, vec in self.coeffs.items():
             for w in vec:
                 for t in w.terms:
-                    if isinstance(t, PointTerm):
-                        if t.a not in support:
-                            raise SupportError("point term at %s outside the "
-                                               "support witness" % t.a)
-                        continue
-                    stray = space.stray(t.g, support)
-                    if stray:
-                        raise SupportError("weights outside the support witness "
-                                           "at %r: %s" % (l, stray))
-                    if t.bound is not None and not t.bound <= support:
-                        raise SupportError("smooth term bound escapes the "
-                                           "support witness")
+                    t.check_inside(space, support, l)
         self.support = support
 
-    def _support_from_coeffs(self):
-        sp = self.space
-        return reduce(or_, (sp.point_region(t.a) if isinstance(t, PointTerm)
-                            else sp.support((t.g,), t.bound)
-                            for vec in self.coeffs.values() for w in vec
-                            for t in w.terms), sp.empty_region())
-
-    def _with_support(self, coeffs, support, domain=None):
-        return CompactFormalDistribution(self.space, domain or self.domain,
-                                         self.k, self.e_dim, coeffs,
-                                         support=support)
-
-    def _clone(self, coeffs, domain=None, e_dim=None):
+    def _clone(self, coeffs, domain=None, e_dim=None, support=None):
         # the witness stays honest: scale, component, module_action and
-        # ext only shrink or keep the coefficients' supports
+        # ext only shrink or keep the coefficients' supports, and add,
+        # restrict and cutoff_restrict pass the witness of their result
         return CompactFormalDistribution._trusted(
             self.space, domain or self.domain, self.k,
             _nonzero_vectors(coeffs), e_dim=e_dim or self.e_dim,
-            support=self.support)
+            support=self.support if support is None else support)
 
     def add(self, other):
         plain = FormalDistribution.add(self, other)
         if isinstance(other, CompactFormalDistribution):
-            return self._with_support(plain.coeffs,
-                                      self.support | other.support)
+            return self._clone(plain.coeffs,
+                               support=self.support | other.support)
         return plain
 
     def ext(self, m: OpenSet) -> "CompactFormalDistribution":
@@ -560,9 +577,9 @@ class CompactFormalDistribution(FormalDistribution):
         return self._clone(self.coeffs, m)
 
     def restrict(self, v: OpenSet) -> "CompactFormalDistribution":
-        plain = FormalDistribution.restrict(self, v)
-        return self._with_support(plain.coeffs,
-                                  self.support & v.region, v)
+        """The restriction, its witness and smooth bounds clipped to v."""
+        return self._clipped(FormalDistribution.restrict(self, v),
+                             self.support & v.region)
 
     def cutoff_restrict(self, f: SupportedFormalFunction,
                         v: OpenSet) -> "CompactFormalDistribution":
@@ -570,9 +587,16 @@ class CompactFormalDistribution(FormalDistribution):
         bounds and its support witness clipped to the cutoff's support."""
         plain = FormalDistribution.restrict(self.module_action(f), v)
         supp = f.support & self.support
-        return self._with_support(
-            {l: tuple(w.clip_bounds(supp) for w in vec)
-             for l, vec in plain.coeffs.items()}, supp, v)
+        if not supp <= v.region:
+            raise SupportError("support witness escapes the domain")
+        return self._clipped(plain, supp)
+
+    def _clipped(self, plain, support):
+        """A restriction of this distribution with the witness support,
+        which every term vanishes outside, its smooth bounds clipped."""
+        return self._clone({l: tuple(w.clip(support) for w in vec)
+                            for l, vec in plain.coeffs.items()},
+                           plain.domain, support=support)
 
     def to_json(self):
         out = super().to_json()
@@ -670,18 +694,9 @@ class GeneralizedFunction(_DualSection):
     def apply(self, eta: FormalDensity):
         """E-vector <u, eta>; derivative stacks transpose onto u."""
         eta._check_partner(self, eta.star_degree())
-        keys = eta._shared_keys(self)
-        out = []
-        for j in range(self.e_dim):
-            acc = QC_ZERO
-            for l in keys:
-                lf = mi_factorial(l)
-                vec = self.coeffs[l]
-                for i, tau in eta.coeffs[l]:
-                    stack = i[0] if i else 0
-                    acc = acc + lf * vec[j].act_on_density(tau, stack, self.domain)
-            out.append(_fin(acc))
-        return out
+        return self._pair_sum(eta._shared_keys(self), lambda l, w: (
+            w.act_on_density(tau, i[0] if i else 0, self.domain)
+            for i, tau in eta.coeffs[l]))
 
     def module_action(self, f: FormalFunction) -> "GeneralizedFunction":
         """f . u with coefficientwise Cauchy products: <f u, eta> = <u, eta . f>."""
@@ -784,8 +799,7 @@ class PointDistribution(_GradedSection):
             "a": str(self.a),
             "E_dim": self.e_dim,
             "terms": [{"I": list(i), "J": list(j),
-                       "c": [qc_to_json(c) if isinstance(c, QC) else
-                             [c.real, c.imag] for c in self.coeffs[(i, j)]]}
+                       "c": [_scalar_json(c) for c in self.coeffs[(i, j)]]}
                       for i, j in self.keys_sorted()],
         }
 

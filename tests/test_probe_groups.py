@@ -3,6 +3,7 @@ program per group of (bounds, abs_tol, budget); the probe values are bit
 for bit those of pairing each probe with its own integrals."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from formalcalc import quadrature, spaces, suites
 from formalcalc.cli import main
 from formalcalc.errors import QuadratureError
-from formalcalc.expr import X
+from formalcalc.expr import X, mul, window_bump
 from formalcalc.quadrature import shares_integrals
 from formalcalc.scalars import QC
 from formalcalc.sheaf import dual_density_family, dual_function_family
@@ -160,3 +161,39 @@ def test_a_polynomial_integrand_asks_for_exact_bounds():
     with pytest.raises(QuadratureError,
                        match=r"exact \(int or Fraction\) bounds"):
         quadrature.integrate_expr(X, [(0.0, 1.0)])
+
+
+def test_a_run_that_raises_after_its_integrals_is_grouped_then_raises_once(
+        monkeypatch):
+    # the plan pass swallows the error, the two bump integrals over one
+    # range are made by one program, and the real pass reads them and
+    # raises the error to the caller
+    made = {"programs": 0, "quadratures": 0}
+    compile_, integrate = quadrature._compile, quadrature.integrate_callable
+
+    def program(*args, **kw):
+        made["programs"] += 1
+        return compile_(*args, **kw)
+
+    def quadrature_(*args, **kw):
+        made["quadratures"] += 1
+        return integrate(*args, **kw)
+    monkeypatch.setattr(quadrature, "_compile", program)
+    monkeypatch.setattr(quadrature, "integrate_callable", quadrature_)
+    bump, supp, _ = window_bump(Fraction(-1), Fraction(1))
+    ranges = supp.bounds_list()
+    runs = []
+
+    def run():
+        runs.append([quadrature.integrate_expr(bump, ranges),
+                     quadrature.integrate_expr(mul(X, bump), ranges)])
+        raise ArithmeticError("after the integrals")
+
+    @shares_integrals
+    def check():
+        return quadrature.planned(run)
+    with pytest.raises(ArithmeticError, match="after the integrals"):
+        check()
+    assert made == {"programs": 1, "quadratures": 2}
+    assert len(runs) == 2
+    assert runs[0] == [0, 0] and not isinstance(runs[1][0], QC)
