@@ -25,14 +25,13 @@ member's stored QuadratureError). The memo ends with the outermost call.
 
 Integrals that are asked for together are made as groups: the
 non-polynomial ones over equal (bounds, abs_tol, budget) compile one
-program with a value per member. Each member keeps its own adaptive
-quadrature, bit for bit, and reads its value from the group's table
-per abscissa, so a node that several members' meshes share is
-evaluated once. A member whose quadrature fails raises its error in
-its turn, as alone, with no second run; a member that the union
-program failed (another member's subterm may raise) is integrated
-alone. A group of one is integrated alone. Two entries ask for such
-groups:
+program with a value per member, and one adaptive loop walks the
+union of their meshes, each panel's abscissas run once: every member
+keeps its own accept-or-split decisions, its panels and its bits. A
+member whose quadrature fails raises its error in its turn, as alone,
+with no second run; a member that the union program failed (another
+member's subterm may raise) is integrated alone. A group of one is
+integrated alone. Two entries ask for such groups:
 
 - `integrate_exprs(items)`, the terms of one pairing: the items the
   running check's memo lacks (outside a check, a memo of the call's
@@ -50,6 +49,7 @@ import contextvars
 import functools
 import math
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import QuadratureError
 from .expr import (Expr, _compile, _poly_coeffs, _polynomial, _postorder,
@@ -84,23 +84,19 @@ _WG = (
 )
 
 
-def _gk15(f, lo: float, hi: float):
-    """One Gauss-Kronrod panel: (kronrod value, |kronrod - gauss|)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    k = 0j
-    g = 0j
-    for i, t in enumerate(_XK):
-        v = f(mid + half * t)
-        k += _WK[i] * v
-        if i % 2 == 1:
-            g += _WG[i // 2] * v
-    return half * k, abs(half * (k - g))
-
-
 def integrate_callable(f, ranges, abs_tol=DEFAULT_ABS_TOL,
                        budget=DEFAULT_BUDGET) -> complex:
-    """Adaptive quadrature of a float64 callable over bounded ranges."""
+    """Adaptive quadrature of a float64 callable: `_adaptive` for one."""
+    out, = _adaptive(lambda x: (f(x),), 1, ranges, abs_tol, budget)
+    return _read(out)
+
+
+def _adaptive(program, n, ranges, abs_tol, budget):
+    """The n outcomes of the adaptive quadratures of program(x)'s entries:
+    a complex, or the exception the member met (the program's may be
+    another member's). One walk of the bisection tree, depth first and
+    right half first, one program run per abscissa; each member splits,
+    accepts and spends its budget on its own, in the order it would."""
     total_len = 0.0
     segs = []
     for lo, hi in ranges:
@@ -108,32 +104,55 @@ def integrate_callable(f, ranges, abs_tol=DEFAULT_ABS_TOL,
         if flo >= fhi:
             continue
         if flo == float("-inf") or fhi == float("inf"):
-            raise QuadratureError("quadrature range is unbounded")
+            return [QuadratureError("quadrature range is unbounded")
+                    for _ in range(n)]
         segs.append((flo, fhi))
         total_len += fhi - flo
-    if not segs:
-        return 0j
-    evals = 0
-    acc = 0j
-    stack = list(segs)
+    out = [0j] * n
+    evals = [0] * n
+    stack = [(lo, hi, range(n)) for lo, hi in segs]
     while stack:
-        lo, hi = stack.pop()
-        if evals + 15 > budget:
-            raise QuadratureError("evaluation budget %d exhausted with "
-                                  "segment [%g, %g] unresolved" % (budget, lo, hi))
-        val, err = _gk15(f, lo, hi)
-        evals += 15
-        if not math.isfinite(err):
-            raise QuadratureError("integrand is not finite on segment "
-                                  "[%g, %g]" % (lo, hi))
+        lo, hi, members = stack.pop()
+        live = []
+        for i in members:
+            if type(out[i]) is not complex:
+                continue  # it failed on an earlier panel
+            if evals[i] + 15 > budget:
+                out[i] = QuadratureError(
+                    "evaluation budget %d exhausted with segment [%g, %g] "
+                    "unresolved" % (budget, lo, hi))
+            else:
+                evals[i] += 15
+                live.append(i)
+        if not live:
+            continue
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        try:
+            columns = list(zip(*[program(mid + half * t) for t in _XK]))
+        except ArithmeticError as e:
+            for i in live:
+                out[i] = e
+            continue
         share = abs_tol * (hi - lo) / total_len
-        if err <= share or err <= 1e-16 * max(1.0, abs(val)) or hi - lo < 1e-14:
-            acc += val
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    return acc
+        split = []
+        for i in live:
+            # term by term in node order: the bits of a loop per member
+            k = functools.reduce(add, map(mul, _WK, columns[i]), 0j)
+            g = functools.reduce(add, map(mul, _WG, columns[i][1::2]), 0j)
+            val, err = half * k, abs(half * (k - g))
+            if not math.isfinite(err):
+                out[i] = QuadratureError("integrand is not finite on "
+                                         "segment [%g, %g]" % (lo, hi))
+            elif (err <= share or err <= 1e-16 * max(1.0, abs(val))
+                  or hi - lo < 1e-14):
+                out[i] += val
+            else:
+                split.append(i)
+        if split:
+            stack.append((lo, mid, split))
+            stack.append((mid, hi, split))
+    return out
 
 
 # (node, typed bounds, abs_tol, budget) -> result, while a check runs
@@ -206,8 +225,8 @@ def integrate_exprs(items, abs_tol=DEFAULT_ABS_TOL, budget=DEFAULT_BUDGET):
 
 
 def _read(stored):
-    """A memo entry's result; a stored QuadratureError is raised."""
-    if isinstance(stored, QuadratureError):
+    """A memo entry's result; a stored exception is raised."""
+    if isinstance(stored, Exception):
         raise stored
     return stored
 
@@ -249,7 +268,7 @@ def _make_groups(memo, pending):
         nodes = _postorder(key[0])
         if not _polynomial(nodes):
             groups.setdefault(key[1:], []).append((key, ranges, nodes))
-    for members in groups.values():
+    for (_, abs_tol, budget), members in groups.items():
         if len(members) == 1:
             continue  # nothing to share: made alone
         # each member's postorder, first occurrences kept, is a postorder
@@ -257,39 +276,13 @@ def _make_groups(memo, pending):
         union = list(dict.fromkeys(n for *_, nodes in members for n in nodes))
         program = _compile(union, typed=True,
                            roots=[key[0] for key, _, _ in members])
-        values = {}
-        last = len(members) - 1
-        for i, (key, ranges, _) in enumerate(members):
-            rows = _TABLE_VALUES // len(members) if i < last else 0
-            try:
-                memo[key] = integrate_callable(
-                    _component(program, values, i, rows), ranges, *key[2:])
-            except QuadratureError as e:
-                # it read only its own values: alone it raises the same
-                memo[key] = e
-            except ArithmeticError:
-                pass  # perhaps another member's subterm: made alone
-
-
-# a group's table stops growing at this many values (rows times
-# members): it bounds the table of a member that runs to the end of its
-# budget; the largest table of the benchmark workloads, over seeds 1, 13
-# and 9001, holds 42,390 values
-_TABLE_VALUES = 1 << 18
-
-
-def _component(program, values, i, rows):
-    """Member i's integrand: its entry of the program's tuple at x. The
-    tuple is kept in values while they hold fewer than rows, for a later
-    member of the group to read."""
-    def f(x):
-        row = values.get(x)
-        if row is None:
-            row = program(x)
-            if len(values) < rows:
-                values[x] = row
-        return row[i]
-    return f
+        outcomes = _adaptive(program, len(members), members[0][1], abs_tol,
+                             budget)
+        for (key, _, _), out in zip(members, outcomes):
+            if not isinstance(out, ArithmeticError):
+                # a value, or the QuadratureError the member met alone;
+                # an ArithmeticError may be another member's: made alone
+                memo[key] = out
 
 
 def _integrate(e: Expr, ranges, abs_tol, budget):

@@ -105,15 +105,15 @@ def test_a_failing_union_program_leaves_its_members_to_the_real_pass(
     want = alone(section, family)
     monkeypatch.setattr(quadrature, "_compile", breaking)
     assert bits(grouped(section, family)) == bits(want)
-    assert len(raised) > 1
+    assert len(raised) == 1
 
 
 def test_an_exhausted_budget_raises_what_the_per_integral_path_raises(
         monkeypatch):
-    raw = quadrature.integrate_callable
-    monkeypatch.setattr(quadrature, "integrate_callable",
-                        lambda f, ranges, abs_tol, budget:
-                        raw(f, ranges, abs_tol, 150))
+    raw = quadrature._adaptive
+    monkeypatch.setattr(quadrature, "_adaptive",
+                        lambda program, n, ranges, abs_tol, budget:
+                        raw(program, n, ranges, abs_tol, 150))
     section, family = density(random.Random(0), 0)
     with pytest.raises(QuadratureError) as per_integral:
         alone(section, family)
@@ -127,13 +127,13 @@ def test_an_exhausted_budget_is_not_integrated_again_by_the_real_pass(
     # the plan pass's group integrates the family's 18 integrals, one of
     # which runs out of budget; the real pass raises that member's stored
     # error instead of integrating it a second time
-    raw = quadrature.integrate_callable
+    raw = quadrature._adaptive
     runs = []
 
-    def counted(f, ranges, abs_tol, budget):
-        runs.append(ranges)
-        return raw(f, ranges, abs_tol, 150)
-    monkeypatch.setattr(quadrature, "integrate_callable", counted)
+    def counted(program, n, ranges, abs_tol, budget):
+        runs.extend([ranges] * n)
+        return raw(program, n, ranges, abs_tol, 150)
+    monkeypatch.setattr(quadrature, "_adaptive", counted)
     section, family = density(random.Random(0), 0)
     with pytest.raises(QuadratureError) as per_integral:
         alone(section, family)
@@ -169,17 +169,17 @@ def test_a_run_that_raises_after_its_integrals_is_grouped_then_raises_once(
     # range are made by one program, and the real pass reads them and
     # raises the error to the caller
     made = {"programs": 0, "quadratures": 0}
-    compile_, integrate = quadrature._compile, quadrature.integrate_callable
+    compile_, integrate = quadrature._compile, quadrature._adaptive
 
     def program(*args, **kw):
         made["programs"] += 1
         return compile_(*args, **kw)
 
-    def quadrature_(*args, **kw):
-        made["quadratures"] += 1
-        return integrate(*args, **kw)
+    def quadrature_(program, n, *args):
+        made["quadratures"] += n
+        return integrate(program, n, *args)
     monkeypatch.setattr(quadrature, "_compile", program)
-    monkeypatch.setattr(quadrature, "integrate_callable", quadrature_)
+    monkeypatch.setattr(quadrature, "_adaptive", quadrature_)
     bump, supp, _ = window_bump(Fraction(-1), Fraction(1))
     ranges = supp.bounds_list()
     runs = []

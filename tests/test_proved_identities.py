@@ -97,7 +97,7 @@ def test_equal_sections_read_zero_without_integrating(monkeypatch):
     g = suites.rand_generalized(random.Random(0), SL, DOM, 1, 1, 1)
     assert same is not t and same == t
     fam = dual_function_family(SL, DOM, 1, 1)
-    refuse(monkeypatch, quadrature, "integrate_callable")
+    refuse(monkeypatch, quadrature, "_adaptive")
     assert functional_residual(t, t, fam) == (0.0, None)
     assert functional_residual(t, same, fam) == (0.0, None)
     assert functional_residual(g, g, dual_density_family(SL, DOM, 1, 1)) \

@@ -21,12 +21,12 @@ def quads(monkeypatch):
     """Counts the adaptive quadratures made (exact integrals make none)
     and whether a memo was active for each."""
     made = []
-    raw = quadrature.integrate_callable
+    raw = quadrature._adaptive
 
-    def counted(*args, **kw):
-        made.append(quadrature._shared.get() is not None)
-        return raw(*args, **kw)
-    monkeypatch.setattr(quadrature, "integrate_callable", counted)
+    def counted(program, n, *args):
+        made.extend([quadrature._shared.get() is not None] * n)
+        return raw(program, n, *args)
+    monkeypatch.setattr(quadrature, "_adaptive", counted)
     return made
 
 
