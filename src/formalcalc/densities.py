@@ -27,11 +27,11 @@ from operator import or_
 
 from .basedensity import BaseDensity
 from .errors import SupportError, json_shape
-from .functions import FormalFunction, SupportedFormalFunction, _GradedSection
+from .functions import (FormalFunction, SupportedFormalFunction, _GradedSection,
+                        read_pairings)
 from .multiindex import (grlex_key, key_str, mi, mi_binom, mi_factorial, mi_sub,
                          parse_key)
 from .quadrature import DEFAULT_ABS_TOL
-from .scalars import QC_ZERO
 from .spaces import OpenSet
 
 
@@ -140,31 +140,26 @@ class FormalDensity(_GradedSection):
 
     # -- pairing ----------------------------------------------------------------
 
-    def pair(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL):
-        """<eta, u> = sum_L L! sum_(I,tau) integral of tau * (d_x^I u_L).
-
-        Only the L that u carries too are visited. Exact on the
-        discrete backend; complex (quadrature) when any smooth
-        non-polynomial coefficient enters. Each term's integral is
-        clipped to its support witness, as `BaseDensity.integrate`
-        clips, and all are made as one batch (the space's
-        `integrate_all`): on the line, one program per range, each term
-        on its own adaptive mesh. They are then summed in term order.
-        """
+    def pairing(self, u: FormalFunction):
+        """<eta, u> as terms (`read_pairings`): one E-entry, with (L!,
+        parts) per term tau . d^I at each L that u carries too. The part
+        integrates tau * d^I u_L over tau's witness, as
+        `BaseDensity.integrate` clips (no part if that is empty)."""
         self._check_partner(u, self.star_degree())
-        terms = []  # (L!, coefficient of tau * d^I u_L, clipped region)
+        entry = []
         for l in self._shared_keys(u):
-            ul = u.coeffs[l]
             lfact = mi_factorial(l)
             for i, tau in self.coeffs[l]:
-                d = tau.mul_coeff(self.space.diff(ul, i[0] if i else 0))
-                terms.append((lfact, d.coeff, d.bound & self.domain.region))
-        vals = iter(self.space.integrate_all(
-            [(c, region) for _, c, region in terms if region], abs_tol))
-        acc = QC_ZERO
-        for lfact, _, region in terms:
-            acc = acc + lfact * (next(vals) if region else QC_ZERO)
-        return acc
+                d = tau.mul_coeff(self.space.diff(u.coeffs[l], i[0] if i else 0))
+                region = d.bound & self.domain.region
+                entry.append((lfact, [(d.coeff, region)] if region else []))
+        return [entry]
+
+    def pair(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL):
+        """<eta, u> = sum_L L! sum_(I,tau) integral of tau * (d_x^I u_L):
+        exact on the discrete backend, complex (quadrature) when a smooth
+        non-polynomial coefficient enters."""
+        return read_pairings(self.space, [self.pairing(u)], abs_tol)[0][0]
 
     def apply(self, u: FormalFunction):
         """<eta, u> as an E-vector with one entry, as distributions give."""

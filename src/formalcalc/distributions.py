@@ -51,16 +51,11 @@ from .densities import FormalDensity, leibniz
 from .errors import (BackendError, DomainMismatchError, SupportError,
                      TruncationError, json_shape)
 from .functions import (FormalFunction, SupportedFormalFunction, _GradedSection,
-                        cutoff_product)
+                        _fin, cutoff_product, read_pairings)
 from .multiindex import (degree, enumerate_upto, key_str, mi, mi_add, mi_factorial,
                          parse_key)
 from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json
 from .spaces import OpenSet
-
-
-def _fin(v):
-    """Exact values stay exact; mpmath values flatten to complex."""
-    return v if isinstance(v, QC) else complex(v)
 
 
 def _scalar_json(c):
@@ -78,7 +73,9 @@ class SmoothTerm:
     support cannot slip between quadrature nodes.
 
     The methods below, and PointTerm's of the same names, are the term
-    algebra of BaseDistribution; `sp` is the space that owns g.
+    algebra of BaseDistribution; `sp` is the space that owns g. Acting
+    on a partner gives a part of a pairing (`read_pairings`): here an
+    integral request (coefficient, region), on a PointTerm a value.
     """
 
     __slots__ = ("g", "bound")
@@ -100,13 +97,13 @@ class SmoothTerm:
 
     def act_on_function(self, sp, c, region):
         r = region if self.bound is None else region & self.bound
-        return sp.pair(self.g, c, r)
+        return sp.mul(self.g, c), r
 
     def act_on_density(self, sp, tau: BaseDensity, stack: int, domain: OpenSet):
         """<tau d^stack, g> = integral of tau * d^stack g."""
         r = tau.bound if self.bound is None else tau.bound & self.bound
         r = r & domain.region
-        return sp.pair(tau.coeff, sp.diff(self.g, stack), r) if r else QC_ZERO
+        return (sp.mul(tau.coeff, sp.diff(self.g, stack)), r) if r else QC_ZERO
 
     def mul_coeff(self, sp, f0):
         return (SmoothTerm(sp.mul(f0, self.g), self.bound),)
@@ -272,13 +269,17 @@ class BaseDistribution:
     def act_on_function(self, c, region):
         """Pair with a base function coefficient vanishing outside a
         bounded region (the partner's support)."""
-        return sum((t.act_on_function(self.space, c, region)
-                    for t in self.terms), QC_ZERO)
+        return self._read([t.act_on_function(self.space, c, region)
+                           for t in self.terms])
 
     def act_on_density(self, tau: BaseDensity, stack: int, domain: OpenSet):
         """Pair with a base density carrying a derivative stack d^stack."""
-        return sum((t.act_on_density(self.space, tau, stack, domain)
-                    for t in self.terms), QC_ZERO)
+        return self._read([t.act_on_density(self.space, tau, stack, domain)
+                           for t in self.terms])
+
+    def _read(self, parts):
+        """The sum of the terms' parts (`read_pairings`)."""
+        return read_pairings(self.space, [[[(1, parts)]]])[0][0]
 
     def mul_coeff(self, f0) -> "BaseDistribution":
         """Product with a base function: <f.w, g> = <w, f g>."""
@@ -412,18 +413,13 @@ class _DualSection(_GradedSection):
         where there is one, is carried over."""
         return self._with(coeffs, domain, e_dim)
 
-    def _pair_sum(self, keys, values):
-        """E-vector of sum_L L! v over the keys, where values(L, w) yields
-        the values v that the entry w at L takes on the partner's terms."""
-        out = []
-        for j in range(self.e_dim):
-            acc = QC_ZERO
-            for l in keys:
-                lf = mi_factorial(l)
-                for v in values(l, self.coeffs[l][j]):
-                    acc = acc + lf * v
-            out.append(_fin(acc))
-        return out
+    def _pairing(self, keys, parts):
+        """The E-entries of sum_L L! v over the keys (`read_pairings`):
+        (L!, p) for each list p of parts that parts(L, w) yields for the
+        entry w at L, one per value v it takes on the partner's terms."""
+        return [[(mi_factorial(l), p) for l in keys
+                 for p in parts(l, self.coeffs[l][j])]
+                for j in range(self.e_dim)]
 
     def scale(self, c):
         return self._clone({j: tuple(w.scale(c) for w in vec)
@@ -490,16 +486,21 @@ class FormalDistribution(_DualSection):
 
     # -- action ------------------------------------------------------------------
 
-    def apply(self, u: SupportedFormalFunction):
-        """E-vector of pairings against a compactly supported function."""
+    def pairing(self, u: SupportedFormalFunction):
+        """The pairing with a compactly supported function as terms
+        (`read_pairings`): per component, (L!, <w_L, u_L>'s parts)."""
         self._check_partner(u, self.star_degree())
         if not isinstance(u, SupportedFormalFunction):
             raise SupportError("distributions pair with supported functions")
         if not self.space.is_compact(u.support):
             raise SupportError("the partner needs a compact support witness")
-        region = u.support & self.domain.region
-        return self._pair_sum(self._shared_keys(u), lambda l, w: (
-            w.act_on_function(u.coeffs[l], region),))
+        sp, region = self.space, u.support & self.domain.region
+        return self._pairing(self._shared_keys(u), lambda l, w: (
+            [t.act_on_function(sp, u.coeffs[l], region) for t in w.terms],))
+
+    def apply(self, u: SupportedFormalFunction):
+        """E-vector of pairings against a compactly supported function."""
+        return read_pairings(self.space, [self.pairing(u)])[0]
 
     # -- module action ----------------------------------------------------------
 
@@ -691,12 +692,18 @@ class GeneralizedFunction(_DualSection):
         trunc = min(self.trunc, other.trunc)
         return self._with(self._sum(other, trunc), trunc=trunc)
 
+    def pairing(self, eta: FormalDensity):
+        """<u, eta> as terms (`read_pairings`): per component, (L!,
+        parts) per term tau . d^I of eta at L, the stack moved onto u."""
+        eta._check_partner(self, eta.star_degree())
+        sp, dom = self.space, self.domain
+        return self._pairing(eta._shared_keys(self), lambda l, w: (
+            [t.act_on_density(sp, tau, i[0] if i else 0, dom) for t in w.terms]
+            for i, tau in eta.coeffs[l]))
+
     def apply(self, eta: FormalDensity):
         """E-vector <u, eta>; derivative stacks transpose onto u."""
-        eta._check_partner(self, eta.star_degree())
-        return self._pair_sum(eta._shared_keys(self), lambda l, w: (
-            w.act_on_density(tau, i[0] if i else 0, self.domain)
-            for i, tau in eta.coeffs[l]))
+        return read_pairings(self.space, [self.pairing(eta)])[0]
 
     def module_action(self, f: FormalFunction) -> "GeneralizedFunction":
         """f . u with coefficientwise Cauchy products: <f u, eta> = <u, eta . f>."""

@@ -12,7 +12,9 @@ the discrete backend, smooth expressions on the line), handled only
 through the space's coefficient algebra. SupportedFormalFunction adds a
 support witness region outside of which every coefficient vanishes,
 plus an optional plateau region on which the function is exactly the
-constant one (used by cutoff arguments).
+constant one (used by cutoff arguments). The sections of densities.py
+and distributions.py state their pairings as terms, read by
+`read_pairings`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,33 @@ from .errors import (BackendError, DomainMismatchError, SupportError,
                      TruncationError, json_shape)
 from .multiindex import (degree, grlex_key, key_str, mi, mi_add, mi_factorial,
                          parse_key)
+from .quadrature import DEFAULT_ABS_TOL
+from .scalars import QC, QC_ZERO
 from .spaces import OpenSet
+
+
+def _fin(v):
+    """Exact values stay exact; mpmath values flatten to complex."""
+    return v if isinstance(v, QC) else complex(v)
+
+
+def read_pairings(space, pairings, abs_tol=DEFAULT_ABS_TOL):
+    """The E-vector of each pairing: a list of E-entries, each a list of
+    (L!, parts), a part an exact value or an integral request
+    (coefficient, region). All requests are made in one batch (the
+    space's `integrate_all`: on the line, one program per range), then
+    each entry is summed in order, L! times the sum of its parts."""
+    requests = [p for pairing in pairings for entry in pairing
+                for _, parts in entry for p in parts if isinstance(p, tuple)]
+    vals = iter(space.integrate_all(requests, abs_tol))
+
+    def total(entry):
+        acc = QC_ZERO
+        for lf, parts in entry:
+            acc = acc + lf * sum((next(vals) if isinstance(p, tuple) else p
+                                  for p in parts), QC_ZERO)
+        return _fin(acc)
+    return [[total(entry) for entry in pairing] for pairing in pairings]
 
 
 def _nonzero(space, coeffs):
@@ -130,6 +158,11 @@ class _GradedSection:
 
     def is_exactly_zero(self) -> bool:
         return not self.coeffs
+
+    def apply_all(self, partners):
+        """[self.apply(p) for p in partners], every integral of the
+        pairings (`pairing`) made in one batch (`read_pairings`)."""
+        return read_pairings(self.space, [self.pairing(p) for p in partners])
 
     # -- partners ------------------------------------------------------------
 

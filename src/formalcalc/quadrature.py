@@ -31,16 +31,11 @@ keeps its own accept-or-split decisions, its panels and its bits. A
 member whose quadrature fails raises its error in its turn, as alone,
 with no second run; a member that the union program failed (another
 member's subterm may raise) is integrated alone. A group of one is
-integrated alone. Two entries ask for such groups:
-
-- `integrate_exprs(items)`, the terms of one pairing: the items the
-  running check's memo lacks (outside a check, a memo of the call's
-  own) are made as groups, the rest read from the memo.
-- `planned(run)`, inside a check, calls run twice. In the plan pass
-  integrate_expr and integrate_exprs record each integral the memo
-  lacks and return QC_ZERO; the recorded integrals are made as groups,
-  and the real pass finds them, or a member's stored error, in the
-  memo.
+integrated alone. `integrate_exprs(items)` asks for such groups: the
+items the running check's memo lacks (outside a check, a memo of the
+call's own) are made as groups, the rest read from the memo. Its items
+are the terms of a pairing, or of every pairing of a probe family
+(`functions.read_pairings`).
 """
 
 from __future__ import annotations
@@ -157,8 +152,6 @@ def _adaptive(program, n, ranges, abs_tol, budget):
 
 # (node, typed bounds, abs_tol, budget) -> result, while a check runs
 _shared = contextvars.ContextVar("shared_integrals", default=None)
-# the same keys -> their ranges, while a plan pass records them
-_plan = contextvars.ContextVar("planned_integrals", default=None)
 
 
 def shares_integrals(check):
@@ -183,20 +176,13 @@ def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
 
     Polynomials with exact bounds integrate exactly to a QC; other
     integrands return a complex from adaptive quadrature. Inside a
-    check that shares its integrals, a repeat returns the stored
-    result. In the plan pass of `planned` an integral not yet stored
-    is only recorded and reads QC_ZERO; the group of integrals over its
-    bounds is then made by one program before the real pass reads it.
+    check that shares its integrals, a repeat returns the stored result.
     """
     memo = _shared.get()
     if memo is None:
         return _integrate(e, ranges, abs_tol, budget)
     key = _key(e, ranges, abs_tol, budget)
     if key not in memo:
-        plan = _plan.get()
-        if plan is not None:
-            plan[key] = ranges
-            return QC_ZERO
         memo[key] = _integrate(e, ranges, abs_tol, budget)
     return _read(memo[key])
 
@@ -206,9 +192,6 @@ def integrate_exprs(items, abs_tol=DEFAULT_ABS_TOL, budget=DEFAULT_BUDGET):
     the non-polynomial integrals over equal bounds made by one program
     (module docstring). Inside a check they join its memo; outside one a
     memo of the call's own makes equal items once."""
-    if _plan.get() is not None:
-        return [integrate_expr(e, ranges, abs_tol, budget)
-                for e, ranges in items]
     memo = _shared.get()
     if memo is None:
         memo = {}
@@ -236,26 +219,6 @@ def _key(e, ranges, abs_tol, budget):
     and 1.0 are equal, but only the first bounds a polynomial integral."""
     return (e, tuple((type(lo), lo, type(hi), hi) for lo, hi in ranges),
             abs_tol, budget)
-
-
-def planned(run):
-    """run() after a plan pass has put the integrals it asks for into
-    the running check's memo, one program per group (module docstring);
-    just run() outside such a check."""
-    memo = _shared.get()
-    if memo is None:
-        return run()
-    plan = {}
-    token = _plan.set(plan)
-    try:
-        run()
-    except Exception:
-        # planning stops here; the real pass meets the error again
-        pass
-    finally:
-        _plan.reset(token)
-    _make_groups(memo, plan)
-    return run()
 
 
 def _make_groups(memo, pending):

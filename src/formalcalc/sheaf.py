@@ -21,14 +21,14 @@ reports. The space reads a section's value at each probe
 the values come off the section's coefficient table (the probe
 1_a . y^J reads J! times the weight at a of the J-th coefficient) and
 two sections are compared only where either carries a weight; on the
-line each probe is built and paired twice, once to collect the
-family's integrals, which are then made one compiled program per
-integration range, and once to read them all from the check's memo
-(`quadrature.planned`). A check (functional_residual,
-functional_zero_residual, flabby_check, and sheaf_glue and mv_split
-through them) integrates each distinct integral once, however often
-its probes and sections repeat it; functional_residual reads two `==`
-sections, once both pass the family's checks, as 0.0 without a probe.
+line each probe is built, the section states its pairing with each as
+terms, and the family's integrals are made in one batch, one compiled
+program per integration range (`functions.read_pairings`). A check
+(functional_residual, functional_zero_residual, flabby_check, and
+sheaf_glue and mv_split through them) integrates each distinct
+integral once, however often its probes and sections repeat it;
+functional_residual reads two `==` sections, once both pass the
+family's checks, as 0.0 without a probe.
 The constructions:
 
 * build_pou: partitions of unity subordinate to a finite cover.

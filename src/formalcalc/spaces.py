@@ -15,7 +15,7 @@ functions on the base that formal functions, densities and
 distributions are built from: a dict label -> nonzero QC on Discrete,
 a smooth expression on SmoothLine. No other module looks inside a
 coefficient; they call the space's methods (zero, add, scale, mul,
-diff, ev, restrict, integrate, pair, support, to_json, ...).
+diff, ev, restrict, integrate, integrate_all, support, to_json, ...).
 
 A region (an open set, a support, a plateau) is one value of the
 space: a frozenset of labels on Discrete, an RSet on SmoothLine. Both
@@ -34,9 +34,10 @@ unity (`partition`), a cutoff's coefficient (`cutoff`) and its plateau
 and support near a given set (`cutoff_near`), and the check that a
 partition sums to one (`unit_gap`). Label indicators on Discrete,
 exact, whose probe values are read off a section's coefficients;
-plateau bumps on SmoothLine, paired one by one, with the partition's
-denominator certified positive; its unit check proves the sum for the
-quotients `partition` builds and samples any other coefficient list.
+plateau bumps on SmoothLine, against which a section's pairings are
+read as one batch, with the partition's denominator certified
+positive; its unit check proves the sum for the quotients `partition`
+builds and samples any other coefficient list.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -57,8 +58,7 @@ from .expr import (ONE, ZERO, Const, Div, X, _compile, add, bump, diff,
                    div, ev, falling_edge, mul, parse_sexpr, pow_, rising_edge,
                    to_sexpr, window_bump)
 from .multiindex import mi_factorial
-from .quadrature import (DEFAULT_ABS_TOL, integrate_expr, integrate_exprs,
-                         planned)
+from .quadrature import DEFAULT_ABS_TOL, integrate_expr, integrate_exprs
 from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_to_json,
                       rat_from_json, rat_to_json)
 
@@ -245,7 +245,6 @@ class Discrete:
     exact, and there are no x-derivatives.
     """
 
-    kind = "discrete"
     ndim = 0
 
     def __init__(self, labels):
@@ -441,17 +440,6 @@ class Discrete:
         """integrate(c, region, abs_tol) for each (c, region) of items."""
         return [self.integrate(c, region, abs_tol) for c, region in items]
 
-    def pair(self, a, b, region):
-        """Exact sum of a * b over the labels where both are nonzero.
-
-        The region only bounds quadrature on the line; callers pass one
-        outside which a or b vanishes, so the sum needs no clipping.
-        """
-        acc = QC_ZERO
-        for p in sorted(a.keys() & b.keys()):
-            acc = acc + a[p] * b[p]
-        return acc
-
     def gather(self, pairs):
         """Canonical (coefficient, bound) integral terms of a distribution:
         the weight maps summed into one, bounds dropped."""
@@ -578,7 +566,6 @@ def _part_bumps(whole: RSet, part: RSet, delta: Fraction):
 class SmoothLine:
     """The real line with global coordinate x."""
 
-    kind = "smoothline"
     ndim = 1
 
     def whole(self) -> "OpenSet":
@@ -663,13 +650,10 @@ class SmoothLine:
 
     def probe_values(self, section, family):
         """{probe position: E-vector} of a section against a dual family:
-        every probe of the family, built and paired. Within a check the
-        pairing runs twice (`quadrature.planned`): the first pass only
-        collects the family's integrals, which are then made one program
-        per range, so the second reads them all from the check's memo."""
-        probes = list(family)
-        return planned(lambda: {n: section.apply(p)
-                                for n, p in enumerate(probes)})
+        every probe of the family built, and the pairings with all of
+        them read as one batch (the section's `apply_all`), so the
+        family's integrals are made one program per range."""
+        return dict(enumerate(section.apply_all(family)))
 
     def partition(self, whole, parts):
         """(coefficient, support, plateau) per part: a sum of plateau
@@ -804,10 +788,6 @@ class SmoothLine:
         made as one batch: one program per range (`integrate_exprs`)."""
         return integrate_exprs([(c, r.bounds_list()) for c, r in items],
                                abs_tol)
-
-    def pair(self, a, b, region):
-        """Integral of a * b over the pieces of a bounded region."""
-        return integrate_expr(mul(a, b), region.bounds_list())
 
     def gather(self, pairs):
         """Canonical (coefficient, bound) integral terms of a distribution:

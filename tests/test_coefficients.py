@@ -113,7 +113,7 @@ def test_discrete_pair_mul_integrate_match_dense_sums(overlap):
         elif overlap == "equal":
             assert a.keys() == b.keys()
         dense = {p: _dense_product(a, b, p) for p in D8.points}
-        got = D8.pair(a, b, D8.whole().region)
+        got = D8.integrate(D8.mul(a, b), D8.whole().region)
         assert (got.re, got.im) == (sum(v[0] for v in dense.values()),
                                     sum(v[1] for v in dense.values()))
         prod = D8.mul(a, b)

@@ -186,7 +186,7 @@ def _scalar(rng):
 
 def _cutoff(space, whole, part, k, trunc, rng):
     """A cutoff over the whole set supported inside part."""
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         labels = [p for p in sorted(part.region) if rng.randint(0, 1)]
         return cutoff(space, whole, k, trunc, labels, labels)
     return cutoff(space, whole, k, trunc,

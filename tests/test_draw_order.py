@@ -101,7 +101,7 @@ def rand_smooth_tau(rng, space, lo, hi) -> BaseDensity:
 def rand_density(rng, space, domain, k, star) -> FormalDensity:
     """Compactly supported formal density with random coefficients."""
     coeffs = {}
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         for l in enumerate_upto(k, star):
             if rng.randint(0, 1):
                 w = rand_weights(rng, domain.region)
@@ -123,7 +123,7 @@ def rand_function(rng, space, domain, k, trunc) -> FormalFunction:
     coeffs = {}
     for j in enumerate_upto(k, trunc):
         if rng.randint(0, 2):
-            if space.kind == "discrete":
+            if isinstance(space, Discrete):
                 c = rand_weights(rng, domain.region)
                 if c:
                     coeffs[mi(j)] = c
@@ -133,7 +133,7 @@ def rand_function(rng, space, domain, k, trunc) -> FormalFunction:
 
 
 def rand_supported_function(rng, space, domain, k, trunc):
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         pts = sorted(domain.region)
         support = {p for p in pts if rng.randint(0, 1)} or {pts[0]}
         coeffs = {}
@@ -156,7 +156,7 @@ def rand_supported_function(rng, space, domain, k, trunc):
 
 
 def _rand_base_distribution(rng, space, domain, window=None):
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         return BaseDistribution(space, weights=rand_weights(rng, domain.region))
     terms = []
     if window is not None:
@@ -185,7 +185,7 @@ def rand_distribution(rng, space, domain, k, star, e_dim) -> FormalDistribution:
 
 
 def rand_compact_distribution(rng, space, domain, k, star, e_dim):
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         pts = sorted(domain.region)
         support = {p for p in pts if rng.randint(0, 1)} or {pts[0]}
         coeffs = {}
@@ -222,7 +222,7 @@ def rand_generalized(rng, space, domain, k, trunc, e_dim) -> GeneralizedFunction
 
 
 def _mv_parts(space):
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         pts = space.points
         n = len(pts)
         u1 = OpenSet(space, pts[:2 * n // 3 + 1])
@@ -233,7 +233,7 @@ def _mv_parts(space):
 
 
 def _three_part_cover(space) -> Cover:
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         pts = space.points
         n = len(pts)
         a, b = n // 3, 2 * n // 3

@@ -1,6 +1,7 @@
-"""On the line a probe family's integrals are planned, then made one
-program per group of (bounds, abs_tol, budget); the probe values are bit
-for bit those of pairing each probe with its own integrals."""
+"""On the line a probe family's pairings are read as one batch, their
+integrals made one program per group of (bounds, abs_tol, budget); the
+probe values are bit for bit those of pairing each probe with its own
+integrals."""
 
 import random
 from fractions import Fraction
@@ -10,8 +11,10 @@ import pytest
 
 from formalcalc import quadrature, spaces, suites
 from formalcalc.cli import main
+from formalcalc.distributions import (BaseDistribution, FormalDistribution,
+                                      PointTerm, SmoothTerm)
 from formalcalc.errors import QuadratureError
-from formalcalc.expr import X, mul, window_bump
+from formalcalc.expr import X, window_bump
 from formalcalc.quadrature import shares_integrals
 from formalcalc.scalars import QC
 from formalcalc.sheaf import dual_density_family, dual_function_family
@@ -124,9 +127,9 @@ def test_an_exhausted_budget_raises_what_the_per_integral_path_raises(
 
 def test_an_exhausted_budget_is_not_integrated_again_by_the_real_pass(
         monkeypatch):
-    # the plan pass's group integrates the family's 18 integrals, one of
-    # which runs out of budget; the real pass raises that member's stored
-    # error instead of integrating it a second time
+    # the family's batch integrates its 18 integrals as one group, one of
+    # which runs out of budget; reading the batch raises that member's
+    # stored error instead of integrating it a second time
     raw = quadrature._adaptive
     runs = []
 
@@ -149,12 +152,31 @@ def check_all(capsys):
     return code, capsys.readouterr().out
 
 
-def test_smooth_demo_reports_the_same_bytes_without_a_plan(capsys,
-                                                           monkeypatch):
-    planned = check_all(capsys)
-    # SmoothLine.probe_values reads planned from its own module
-    monkeypatch.setattr(spaces, "planned", lambda run: run())
-    assert check_all(capsys) == planned
+def test_smooth_demo_reports_the_same_bytes_when_each_probe_is_paired_alone(
+        capsys, monkeypatch):
+    grouped_out = check_all(capsys)
+    monkeypatch.setattr(SmoothLine, "probe_values",
+                        lambda self, section, family: {
+                            n: section.apply(p) for n, p in enumerate(family)})
+    assert check_all(capsys) == grouped_out
+
+
+def test_each_probe_pairing_differentiates_its_partner_once(monkeypatch):
+    # SmoothLine.diff reads diff from its own module
+    raw, calls = spaces.diff, []
+    monkeypatch.setattr(spaces, "diff",
+                        lambda c, i: calls.append(i) or raw(c, i))
+    counts = {}
+    for make, seed, stacks in CASES:
+        section, family = make(random.Random(seed), stacks)
+        for read in (alone, grouped):
+            del calls[:]
+            read(section, family)
+            counts[make.__name__, seed, stacks, read.__name__] = len(calls)
+    for make, seed, stacks in CASES:
+        key = (make.__name__, seed, stacks)
+        assert counts[key + ("grouped",)] == counts[key + ("alone",)], key
+    assert counts["generalized", 0, 1, "alone"] > 0
 
 
 def test_a_polynomial_integrand_asks_for_exact_bounds():
@@ -163,37 +185,39 @@ def test_a_polynomial_integrand_asks_for_exact_bounds():
         quadrature.integrate_expr(X, [(0.0, 1.0)])
 
 
-def test_a_run_that_raises_after_its_integrals_is_grouped_then_raises_once(
+def test_a_probe_pairing_that_raises_stops_the_family_before_any_quadrature(
         monkeypatch):
-    # the plan pass swallows the error, the two bump integrals over one
-    # range are made by one program, and the real pass reads them and
-    # raises the error to the caller
-    made = {"programs": 0, "quadratures": 0}
-    compile_, integrate = quadrature._compile, quadrature._adaptive
-
-    def program(*args, **kw):
-        made["programs"] += 1
-        return compile_(*args, **kw)
+    # the terms of every probe's pairing are built before the family's
+    # batch is integrated, so the error of the second probe to reach the
+    # point term comes out at once, with nothing integrated
+    made = {"quadratures": 0, "alone": 0}
+    adaptive, integrate = quadrature._adaptive, quadrature._integrate
 
     def quadrature_(program, n, *args):
         made["quadratures"] += n
-        return integrate(program, n, *args)
-    monkeypatch.setattr(quadrature, "_compile", program)
+        return adaptive(program, n, *args)
+
+    def alone_(*args):
+        made["alone"] += 1
+        return integrate(*args)
     monkeypatch.setattr(quadrature, "_adaptive", quadrature_)
+    monkeypatch.setattr(quadrature, "_integrate", alone_)
     bump, supp, _ = window_bump(Fraction(-1), Fraction(1))
-    ranges = supp.bounds_list()
-    runs = []
+    w = BaseDistribution(SL, terms=[SmoothTerm(bump, supp), PointTerm(0, 0)])
+    section = FormalDistribution(SL, DOM, 1, 1, {(0,): (w,)})
+    family = dual_function_family(SL, DOM, 1, 1, xdeg_cap=1)
+    assert grouped(section, family)
+    assert made["quadratures"] > 0
+    made.update(quadratures=0, alone=0)
+    raw, calls = PointTerm.act_on_function, []
 
-    def run():
-        runs.append([quadrature.integrate_expr(bump, ranges),
-                     quadrature.integrate_expr(mul(X, bump), ranges)])
-        raise ArithmeticError("after the integrals")
-
-    @shares_integrals
-    def check():
-        return quadrature.planned(run)
-    with pytest.raises(ArithmeticError, match="after the integrals"):
-        check()
-    assert made == {"programs": 1, "quadratures": 2}
-    assert len(runs) == 2
-    assert runs[0] == [0, 0] and not isinstance(runs[1][0], QC)
+    def raising(self, sp, c, region):
+        calls.append(c)
+        if len(calls) == 2:
+            raise ArithmeticError("the second probe")
+        return raw(self, sp, c, region)
+    monkeypatch.setattr(PointTerm, "act_on_function", raising)
+    with pytest.raises(ArithmeticError, match="the second probe"):
+        grouped(section, family)
+    assert len(calls) == 2
+    assert made == {"quadratures": 0, "alone": 0}

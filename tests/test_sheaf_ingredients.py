@@ -58,7 +58,7 @@ def ref_window_bump(wlo, whi):
 
 def ref_dual_function_family(space, domain, k, trunc, xdeg_cap=2):
     out = []
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         one, keys = QC(1), enumerate_upto(k, trunc)
         for p in sorted(domain.region):
             support = space.point_region(p)
@@ -81,7 +81,7 @@ def ref_dual_function_family(space, domain, k, trunc, xdeg_cap=2):
 def ref_dual_density_family(space, domain, k, star_cap, xdeg_cap=2,
                             stack_cap=1):
     out = []
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         keys = enumerate_upto(k, star_cap)
         for p in sorted(domain.region):
             tau = BaseDensity._trusted(space, {p: QC(1)}, None)
@@ -158,7 +158,7 @@ def ref_part_bumps(m_rs, part, delta):
 def ref_build_pou(cover, k, trunc):
     """The functions of the partition (not checked for their sum)."""
     space = cover.whole.space
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         assigned = set()
         functions = []
         for part in cover.parts:
@@ -226,7 +226,7 @@ def ref_build_pou(cover, k, trunc):
 
 
 def ref_sum_residual(space, whole_region, coeffs):
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         acc = {}
         for c in coeffs:
             for p, v in c.items():
@@ -242,7 +242,7 @@ def ref_sum_residual(space, whole_region, coeffs):
 
 
 def ref_mv_cutoff(space, u1, v, kset, k, trunc):
-    if space.kind == "discrete":
+    if isinstance(space, Discrete):
         return cutoff(space, u1, k, trunc, kset, kset)
     klo, khi = kset.hull()
     home = None
