@@ -274,12 +274,18 @@ def kern(arg, m: int = 0) -> Expr:
     return Kern(arg, m)
 
 
+# denominator node -> the regions it was proven positive on; a failed
+# proof is never kept, and an entry goes when its node dies
+_CERTIFIED = weakref.WeakKeyDictionary()
+
+
 def div(num, den, region=None) -> Expr:
     """Quotient with a positivity certificate for the denominator.
 
     `region` is an RSet (or None for the whole line) over which den is
     proven strictly positive by adaptive interval bisection before the
-    node is built.
+    node is built. A (den, region) pair is proven once while den lives;
+    a proof on one region is not reused for another.
     """
     from .spaces import RSet
     num, den = _as_expr(num), _as_expr(den)
@@ -291,7 +297,9 @@ def div(num, den, region=None) -> Expr:
         return mul(Const(QC_ONE / den.v), num)
     if region is None:
         region = RSet.whole()
-    certify_positive(den, region)
+    if region not in _CERTIFIED.get(den, ()):
+        certify_positive(den, region)
+        _CERTIFIED.setdefault(den, set()).add(region)
     return Div(num, den, region)
 
 

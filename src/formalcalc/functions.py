@@ -48,8 +48,10 @@ def read_pairings(space, pairings, abs_tol=DEFAULT_ABS_TOL):
     def total(entry):
         acc = QC_ZERO
         for lf, parts in entry:
-            acc = acc + lf * sum((next(vals) if isinstance(p, tuple) else p
-                                  for p in parts), QC_ZERO)
+            got = (next(vals) if isinstance(p, tuple) else p for p in parts)
+            # from the first part on: a QC_ZERO start would turn into a
+            # complex at every entry that reads an integral
+            acc = acc + lf * sum(got, next(got, QC_ZERO))
         return _fin(acc)
     return [[total(entry) for entry in pairing] for pairing in pairings]
 

@@ -31,13 +31,14 @@ as base data that sheaf.py turns into formal sections: the probes that
 functional equality is decided against (`probes`) and a section's value
 at each of them (`probe_values`), the coefficients of a partition of
 unity (`partition`), a cutoff's coefficient (`cutoff`) and its plateau
-and support near a given set (`cutoff_near`), and the check that a
-partition sums to one (`unit_gap`). Label indicators on Discrete,
-exact, whose probe values are read off a section's coefficients;
-plateau bumps on SmoothLine, against which a section's pairings are
-read as one batch, with the partition's denominator certified
-positive; its unit check proves the sum for the quotients `partition`
-builds and samples any other coefficient list.
+and support near a given set (`cutoff_near`), the check that a
+partition sums to one (`unit_gap`) and that two coefficients agree
+(`proves_equal`). Label indicators on Discrete, exact, whose probe
+values are read off a section's coefficients; plateau bumps on
+SmoothLine, against which a section's pairings are read as one batch,
+with the partition's denominator certified positive; both checks prove
+what the partition's identity closes (`_sums_to_one`) and sample the
+rest.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -54,9 +55,9 @@ from operator import or_
 
 from .errors import (BackendError, CertificateError, DomainMismatchError,
                      SupportError, json_shape)
-from .expr import (ONE, ZERO, Const, Div, X, _compile, add, bump, diff,
-                   div, ev, falling_edge, mul, parse_sexpr, pow_, rising_edge,
-                   to_sexpr, window_bump)
+from .expr import (ONE, ZERO, Add, Const, Div, Mul, X, _compile, add, bump,
+                   diff, div, ev, falling_edge, mul, parse_sexpr, pow_,
+                   rising_edge, to_sexpr, window_bump)
 from .multiindex import mi_factorial
 from .quadrature import DEFAULT_ABS_TOL, integrate_expr, integrate_exprs
 from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_to_json,
@@ -363,6 +364,10 @@ class Discrete:
         total = reduce(self.add, coeffs, {})
         return 0.0 if total == self.constant(1, region) else 1.0
 
+    def proves_equal(self, a, b, region) -> bool:
+        """a == b: exact weights need no proof beyond comparison."""
+        return a == b
+
     # -- coefficient algebra ------------------------------------------------
 
     def zero(self):
@@ -563,6 +568,15 @@ def _part_bumps(whole: RSet, part: RSet, delta: Fraction):
     return (reduce(add, bumps) if bumps else None), RSet(supp)
 
 
+def _sums_to_one(quots, region) -> bool:
+    """True when quots are b_i / S over one denominator node S, certified
+    positive on a region holding this one, and the b_i sum to S itself (an
+    identity test, as nodes are interned), as `partition` builds them."""
+    return bool(quots) and all(
+        type(c) is Div and c.den is quots[0].den and region <= c.region
+        for c in quots) and reduce(add, [c.num for c in quots]) is quots[0].den
+
+
 class SmoothLine:
     """The real line with global coordinate x."""
 
@@ -720,20 +734,27 @@ class SmoothLine:
                 RSet.closed_pairs([(klo - gl / 2, khi + gr / 2)]))
 
     def unit_gap(self, coeffs, region) -> float:
-        """0.0, proved, when the coefficients are as `partition` builds
-        them: each nonzero one is b_i / S over one denominator node S,
-        certified positive on a region holding this one, and the b_i sum
-        to S itself (an identity test, as nodes are interned). Otherwise
-        (a hand-built, reordered or scaled partition, a single part) the
-        largest |sum of the coefficients - 1| at the sample points of
-        the region."""
-        quots = [c for c in coeffs if c != ZERO]
-        if (quots and all(type(c) is Div and c.den is quots[0].den
-                          and region <= c.region for c in quots)
-                and reduce(add, [c.num for c in quots]) is quots[0].den):
+        """0.0, proved, when the nonzero coefficients are as `partition`
+        builds them (`_sums_to_one`). Otherwise (a hand-built, reordered
+        or scaled partition, a single part) the largest |sum of the
+        coefficients - 1| at the sample points of the region."""
+        if _sums_to_one([c for c in coeffs if c != ZERO], region):
             return 0.0
         return max((abs(sum(complex(ev(c, a)) for c in coeffs) - 1)
                     for a in self.sample_points(region)), default=0.0)
+
+    def proves_equal(self, a, b, region) -> bool:
+        """True when a is b, or when one is a sum of products q_i * (the
+        other), nested left as `cosheaf_reassemble` adds them, whose q_i
+        sum to one on the region (`_sums_to_one`). False: unknown."""
+        for s, c in ((a, b), (b, a)):
+            terms = [s]
+            while type(terms[-1]) is Add:
+                terms[-1:] = terms[-1].b, terms[-1].a
+            if all(type(t) is Mul and t.b is c for t in terms) \
+                    and _sums_to_one([t.a for t in reversed(terms)], region):
+                return True
+        return a is b
 
     # -- coefficient algebra ------------------------------------------------
     #

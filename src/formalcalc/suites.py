@@ -382,13 +382,15 @@ def _three_part_cover(space) -> Cover:
 def function_residual(a: FormalFunction, b: FormalFunction) -> float:
     """Max coefficient disagreement where either coefficient can be
     nonzero: at their labels on the discrete backend, on a sample grid
-    of the domain on the smooth line. Equal coefficients are skipped;
-    unequal exact values never read as 0.0 apart."""
+    of the domain on the smooth line. A pair the space proves equal on
+    the domain (`proves_equal`: equal coefficients, and on the line a
+    partition's reassembly of the other) reads 0.0 unsampled; unequal
+    exact values never read as 0.0 apart."""
     space = a.space
     worst = 0.0
     for j in set(a.coeffs) | set(b.coeffs):
         ca, cb = a.coeff(j), b.coeff(j)
-        if ca == cb:
+        if space.proves_equal(ca, cb, a.domain.region):
             continue
         pts = space.sample_points(space.support((ca, cb), a.domain.region))
         worst = max(worst, max_gap([space.ev(ca, x) for x in pts],

@@ -134,6 +134,20 @@ def test_smooth_pou_json_matches_the_benchmark_golden(capsys):
     assert out == golden["stdout"]
 
 
+def test_smooth_check_all_json_matches_its_golden(capsys):
+    # every suite of the smooth demo, byte for byte as recorded; its
+    # residuals are float64 quadrature values, so the bytes hold for one
+    # platform's libm and Python float formatting
+    with open(ROOT / "tests" / "smooth_demo_check.json",
+              encoding="utf-8") as fh:
+        golden = json.load(fh)
+    argv = [str(ROOT / a) if a.startswith("scenarios/") else a
+            for a in golden["argv"]]
+    code, out, _ = run(capsys, *argv)
+    assert code == golden["exit"] == 0
+    assert out == golden["stdout"]
+
+
 def test_declared_glue_mismatch_fails_with_witness(capsys):
     code, out, _ = run(capsys, "check", "glue", "--scenario", MISMATCH,
                        "--json")

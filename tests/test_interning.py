@@ -3,7 +3,8 @@
 Every way of building a node (the smart constructors, the node classes
 themselves and the parser) returns the one live node of its structure,
 so `==` and `hash` are object identity and cost nothing, whatever the
-depth. The table of live nodes holds them weakly.
+depth. The table of live nodes holds them weakly, and so does the table
+of the regions each denominator node was proven positive on.
 """
 
 import copy
@@ -11,9 +12,13 @@ import gc
 import pickle
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
-from formalcalc import expr
+import pytest
+
+from formalcalc import expr, suites
 from formalcalc.expr import (
     ONE,
     ZERO,
@@ -35,10 +40,17 @@ from formalcalc.expr import (
     pow_,
     sub,
     to_sexpr,
+    window_bump,
     _postorder,
 )
+from formalcalc.errors import CertificateError
 from formalcalc.scalars import QC
-from formalcalc.spaces import RSet
+from formalcalc.scenario import Scenario
+from formalcalc.sheaf import build_pou
+from formalcalc.spaces import RSet, SmoothLine
+
+SMOOTH = Path(__file__).resolve().parent.parent / "scenarios" \
+    / "smooth_demo.json"
 
 
 def rand_smart(rng, depth):
@@ -240,3 +252,92 @@ def test_identity_matches_structural_keys_across_seeds():
             compound += same and not isinstance(a, (Const, Var))
             unequal += not same
     assert equal > 15 and compound > 5 and unequal > 10000
+
+
+# -- one certificate per (denominator node, region) ---------------------------
+
+
+def count_certificates(monkeypatch):
+    """The (denominator, region) pairs certify_positive is asked to prove
+    from now on, in order."""
+    asked = []
+    prove = expr.certify_positive
+
+    def counted(e, region):
+        asked.append((e, region))
+        prove(e, region)
+    monkeypatch.setattr(expr, "certify_positive", counted)
+    return asked
+
+
+def test_a_repeated_quotient_is_certified_once(monkeypatch):
+    asked = count_certificates(monkeypatch)
+    den = add(pow_(X, 2), Const(Fraction(1, 7919)))
+    assert div(X, den) is div(X, den)
+    assert div(ONE, den) is not div(X, den)   # another numerator, same proof
+    assert [e for e, _ in asked] == [den]
+    del asked[:]
+    lo, hi = Fraction(-2, 7919) - 2, Fraction(3)
+    assert window_bump(lo, hi) == window_bump(lo, hi)
+    # a rising and a falling edge, each proven once
+    assert len(asked) == 2 and asked[0][0] is not asked[1][0]
+
+
+def test_a_failing_denominator_raises_on_every_call(monkeypatch):
+    asked = count_certificates(monkeypatch)
+    den = add(X, Const(Fraction(1, 7907)))
+    for _ in range(3):
+        with pytest.raises(CertificateError):
+            div(ONE, den)
+    assert len(asked) == 3 and den not in expr._CERTIFIED
+
+
+def test_a_proof_is_not_reused_for_another_region(monkeypatch):
+    asked = count_certificates(monkeypatch)
+    den = add(X, Const(2 + Fraction(1, 7901)))
+    near = RSet.open_pairs([(-1, 1)])
+    div(ONE, den, region=near)
+    div(ONE, den, region=near)
+    with pytest.raises(CertificateError):
+        div(ONE, den, region=RSet.open_pairs([(-3, 3)]))
+    div(ONE, den, region=RSet.open_pairs([(0, 1)]))
+    assert len(asked) == 3
+    assert expr._CERTIFIED[den] == {near, RSet.open_pairs([(0, 1)])}
+
+
+def test_a_proof_goes_with_its_denominator():
+    gc.collect()
+    before = len(expr._CERTIFIED)
+    den = add(pow_(X, 2), Const(Fraction(1, 7883)))
+    q = div(X, den)
+    gone = weakref.ref(den)
+    assert den in expr._CERTIFIED and len(expr._CERTIFIED) == before + 1
+    del q, den
+    gc.collect()
+    assert gone() is None and len(expr._CERTIFIED) <= before
+
+
+def test_every_quotient_built_is_certified_on_its_own_region(monkeypatch):
+    # a quotient is built by div, which certifies its denominator, or is
+    # derived from a certified one (a derivative's den^2); so each one the
+    # smooth demo and a round of every line suite build is proven again
+    built = {}
+    intern = expr._intern
+
+    def kept(cls, key, fields):
+        node = intern(cls, key, fields)
+        if cls is Div:
+            built[id(node)] = node
+        return node
+    monkeypatch.setattr(expr, "_intern", kept)
+    sc = Scenario.load(SMOOTH)
+    build_pou(sc.cover("C"), sc.k, sc.trunc)
+    args = {"mv": (1,), "glue": (1, 1), "cosheaf": (1, 1), "flabby": (1,),
+            "duality": (1, 2, 1), "jets": (1, 2)}
+    for name in suites.SUITE_NAMES:
+        extra = {} if name == "jets" else {"rounds": 1}
+        suite = getattr(suites, "suite_" + name)
+        assert suite(SmoothLine(), *args[name], 0, 1e-8, **extra)["pass"]
+    assert len(built) > 10
+    for q in built.values():
+        expr.certify_positive(q.den, q.region)

@@ -2,12 +2,15 @@
 
 A line partition built by build_pou sums to one because its numerators
 sum to the one interned denominator they share, so its unit check
-samples nothing; any other coefficient list is still sampled. Two equal
-sections agree on every probe, so comparing them integrates nothing,
-once both are checked against the family.
+samples nothing; any other coefficient list is still sampled. The same
+identity proves a supported function's coefficient equal to its
+reassembly from the partition, so the cosheaf function law samples
+nothing either. Two equal sections agree on every probe, so comparing
+them integrates nothing, once both are checked against the family.
 """
 
 import random
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -15,10 +18,11 @@ import pytest
 from formalcalc import quadrature, spaces, suites
 from formalcalc.errors import (CertificateError, DomainMismatchError,
                                TruncationError)
-from formalcalc.expr import ONE, div, mul
-from formalcalc.functions import SupportedFormalFunction
+from formalcalc.expr import ONE, X, Add, add, div, mul, window_bump
+from formalcalc.functions import FormalFunction, SupportedFormalFunction
 from formalcalc.scenario import Scenario
 from formalcalc.sheaf import (Cover, PartitionOfUnity, build_pou,
+                              cosheaf_decompose, cosheaf_reassemble,
                               dual_density_family, dual_function_family,
                               functional_residual)
 from formalcalc.spaces import OpenSet, SmoothLine
@@ -127,3 +131,86 @@ def test_equal_function_coefficients_are_not_sampled(monkeypatch):
     assert suites.function_residual(u, u) == 0.0
     with pytest.raises(Measured):
         suites.function_residual(u, v)
+
+
+# -- the cosheaf function law ---------------------------------------------------
+
+
+def reassembled(pou, seed):
+    """(back, u): a seeded supported function on the cover's whole set,
+    as the cosheaf suite draws it, and its reassembly from the partition."""
+    m = pou.cover.whole
+    u = suites.rand_supported_function(random.Random(seed), SL, m, 1, 2)
+    return cosheaf_reassemble(cosheaf_decompose(u, pou), m), u
+
+
+@pytest.mark.parametrize("name", sorted(COVERS))
+def test_the_cosheaf_function_law_is_proved_without_sampling(name,
+                                                             monkeypatch):
+    pou = build_pou(COVERS[name](), 1, 4)
+    pairs = [reassembled(pou, seed) for seed in range(4)]
+    refuse_sampling(monkeypatch)
+    for back, u in pairs:
+        assert any(back.coeff(j) is not c for j, c in u.coeffs.items())
+        assert suites.function_residual(back, u) == 0.0
+        assert suites.function_residual(u, back) == 0.0
+
+
+def test_the_cosheaf_suite_samples_no_function(monkeypatch):
+    refuse_sampling(monkeypatch)
+    assert suites.suite_cosheaf(SL, 1, 1, 0, 1e-8, rounds=2)["pass"]
+
+
+def summands(e):
+    """The terms of a left-nested sum, in order."""
+    out = []
+    while type(e) is Add:
+        e, t = e.a, e.b
+        out.append(t)
+    return [e] + out[::-1]
+
+
+def test_a_perturbed_reassembly_is_measured(monkeypatch):
+    pou = build_pou(suites._three_part_cover(SL), 1, 4)
+    back, u = reassembled(pou, 0)
+    m = u.domain
+    ca, cb = back.coeff((0,)), u.coeff((0,))
+    quots = [t.a for t in summands(ca)]
+    assert len(quots) == 3 and all(t.b is cb for t in summands(ca))
+    den, region = quots[0].den, quots[0].region
+
+    def rebuilt(qs):
+        return reduce(add, [mul(q, cb) for q in qs])
+    scaled = div(mul(2, quots[0].num), den, region=region)
+    twice = [div(q.num, mul(2, den), region=region) for q in quots]
+    wider = OpenSet(SL, [(-7, 7)])
+    assert SL.proves_equal(ca, cb, m.region)
+    assert SL.proves_equal(rebuilt(quots), cb, m.region)
+    cases = [(m, ca, add(cb, mul(X, window_bump(-1, 1)[0]))),  # u + x bump
+             (m, rebuilt([scaled] + quots[1:]), cb),           # one scaled
+             (m, rebuilt(quots[:2]), cb),                      # one dropped
+             (m, rebuilt(twice[:1] + quots[1:]), cb),          # other den
+             (m, rebuilt(twice), cb),                          # all over 2S
+             (wider, ca, cb)]                                  # not certified
+    refuse_sampling(monkeypatch)
+    for dom, a, b in cases:
+        assert not SL.proves_equal(a, b, dom.region)
+        assert not SL.proves_equal(b, a, dom.region)
+        with pytest.raises(Measured):
+            suites.function_residual(FormalFunction(SL, dom, 1, 2, {(0,): a}),
+                                     FormalFunction(SL, dom, 1, 2, {(0,): b}))
+
+
+def test_every_proved_reassembly_samples_to_zero(monkeypatch):
+    pou = build_pou(suites._three_part_cover(SL), 1, 4)
+    proved = []
+    for seed in range(20):
+        back, u = reassembled(pou, seed)
+        for j in u.coeffs:
+            assert SL.proves_equal(back.coeff(j), u.coeff(j), u.domain.region)
+        proved.append((back, u))
+    # with no proof on hand, function_residual samples at 30 digits
+    monkeypatch.setattr(SmoothLine, "proves_equal",
+                        lambda self, a, b, region: a is b)
+    for back, u in proved:
+        assert suites.function_residual(back, u) == 0.0
