@@ -50,6 +50,7 @@ evaluated (the whole line by default).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re as _re
@@ -566,11 +567,26 @@ def compile_f(e: Expr):
 
 
 def _compile(e, typed=False, roots=None):
-    """compile_f, or typed the program quadrature and grid scans run."""
+    """compile_f, or typed the program quadrature and grid scans run:
+    `_code` of its text, run in a fresh namespace of its constants."""
     source, consts = _float_program(e, typed, roots)
     namespace = {"complex": complex, "exp": math.exp, **consts}
-    exec(compile(source, "<formalcalc.expr program>", "exec"), namespace)
+    exec(_code(source, typed), namespace)
     return namespace["_f"]
+
+
+# texts whose code objects are kept: a benchmark run compiles at most 53
+# and `check all` on the smooth demo 87; 256 texts of 147 lines hold
+# about 4 MB
+_CODE_CACHE = 256
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE)
+def _code(source, typed):
+    """A program text's code object, compiled once per (text, typed):
+    the text reads its constants by name, so one serves a whole shape."""
+    name = "<formalcalc.expr %sprogram>" % ("typed " if typed else "")
+    return compile(source, name, "exec")
 
 
 # -- polynomial fast path ----------------------------------------------------------
@@ -825,8 +841,17 @@ def certify_positive(e: Expr, region) -> None:
 
 # -- bump construction ----------------------------------------------------------
 
+# endpoint pairs kept per edge: a benchmark run or `check all` on the
+# smooth demo builds at most 29; 256 edges with their proofs hold about
+# 0.8 MB
+_EDGE_CACHE = 256
+
+
+@functools.lru_cache(maxsize=_EDGE_CACHE)
 def rising_edge(a: Fraction, b: Fraction) -> Expr:
-    """Smooth 0-to-1 step: zero for x <= a, one for x >= b. Needs a < b."""
+    """Smooth 0-to-1 step: zero for x <= a, one for x >= b. Needs a < b.
+    The last _EDGE_CACHE exact (a, b) keep their node, and so the proof
+    `div` holds for it; a refusal is never kept."""
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError("rising edge needs a < b")
@@ -835,8 +860,10 @@ def rising_edge(a: Fraction, b: Fraction) -> Expr:
     return div(up, add(up, down))
 
 
+@functools.lru_cache(maxsize=_EDGE_CACHE)
 def falling_edge(c: Fraction, d: Fraction) -> Expr:
-    """Smooth 1-to-0 step: one for x <= c, zero for x >= d. Needs c < d."""
+    """Smooth 1-to-0 step: one for x <= c, zero for x >= d. Needs c < d.
+    Kept like `rising_edge`: one node and one proof per (c, d)."""
     c, d = Fraction(c), Fraction(d)
     if not c < d:
         raise ValueError("falling edge needs c < d")
@@ -870,7 +897,9 @@ def window_bump(lo, hi):
 
 # -- S-expression serialization ---------------------------------------------------
 
-_RAT_RE = _re.compile(r"^[+-]?(\d+(/\d+)?|\d*\.\d+)$")
+# a pattern text, compiled and kept by re, so that `_code` holds the
+# package's one call of the builtin compiler
+_RAT_RE = r"^[+-]?(\d+(/\d+)?|\d*\.\d+)$"
 
 
 def to_sexpr(e: Expr) -> str:
@@ -931,7 +960,7 @@ def parse_sexpr(s: str, region=None) -> Expr:
             raise ValueError("expected an integer, got %r" % tok) from None
 
     def parse_rat(tok: str) -> Fraction:
-        if not _RAT_RE.match(tok):
+        if not _re.match(_RAT_RE, tok):
             raise ValueError("expected a rational literal, got %r" % tok)
         try:
             return Fraction(tok)
@@ -983,7 +1012,7 @@ def parse_sexpr(s: str, region=None) -> Expr:
             raise ValueError("unexpected ) in %r" % s)
         if t == "x":
             return X
-        if _RAT_RE.match(t):
+        if _re.match(_RAT_RE, t):
             return Const(QC(parse_rat(t)))
         raise ValueError("unexpected token %r" % t)
 

@@ -1,9 +1,11 @@
 """Definite integration of smooth expressions over bounded intervals.
 
 Polynomial integrands are integrated exactly through their
-antiderivative. Everything else is compiled once, from the same walk
-of its nodes, into the typed float64 program of `expr._compile`: one
-statement per distinct subterm, real ones in float arithmetic. While
+antiderivative. Everything else is written, from the same walk of its
+nodes, as the typed float64 program of `expr._compile`: one statement
+per distinct subterm, real ones in float arithmetic. A program text is
+compiled once per process, and integrands of one shape share it, each
+with its own constants. While
 values stay finite, its integral is bit for bit that of the complex
 `expr.compile_f`. Adaptive Gauss-Kronrod (G7, K15) quadrature calls
 that program once per node. Quadrature runs with an absolute tolerance
