@@ -33,6 +33,8 @@ function x -> complex, one statement per distinct subterm. `compile_f`
 evaluating the tree node by node. The typed program of the same writer
 (quadrature, grid scans) computes real subterms in float arithmetic and
 keeps exact integrals: for finite values it differs only in a zero's sign.
+There a kernel argument's orders share its exp(-1/t), a real power is
+float products, and a real value is returned as a float.
 
 Nodes are interned where they are built (`Expr.__new__`): one
 structure, a quotient's region aside, is one live object, so `==` and
@@ -503,10 +505,37 @@ _STATEMENT = {
           "else complex({w})",
 }
 # the same in float arithmetic, for a real node of the typed program; a
-# power keeps CPython's complex repeated squaring and its OverflowError
-_REAL_STATEMENT = {**_STATEMENT, Var: "float(x)", Pow: "({0} ** {p}).real",
-                   Kern: "0.0 if (t := {0}) <= 0.0 or (w := exp(-1.0 / t)) "
-                         "== 0.0 else {w}"}
+# power of 2 to 100 is written apart (`_chain`), so the power left here
+# is a raw node's 0th or 1st
+_REAL_STATEMENT = {**_STATEMENT, Var: "float(x)", Pow: "({0} ** {p}).real"}
+# a typed kernel: one w = exp(-1/t) per argument, its order-0 kernel,
+# and the order m > 0 read from it
+_WEIGHT = "    w{0} = 0.0 if (t{0} := {1}) <= 0.0 else exp(-1.0 / t{0})"
+_REAL_KERN = "0.0 if w{0} == 0.0 else w{0} / t{0} ** {1}"
+# a typed power of 2 to 100: `_chain`'s products of its base, or, where
+# they are not finite, the complex power of the base, so that its NaN
+# or OverflowError is that power's; one fallback function per exponent,
+# at the top of the text
+_REAL_POW = "r if (r := {0}) - r == 0.0 else _p{1}({2})"
+_POWER_FALLBACK = "def _p{0}(v0):\n    v0 = (complex(v0) ** {0}).real\n" \
+                  "    return v0\n"
+
+
+def _chain(x: str, n: int) -> str:
+    """Text of the float x**n, 2 <= n, as the products of CPython's
+    complex power (c_powu): from the low bit of n up, r = r*p for a set
+    bit, and p squared while bits remain. Once r reads a p, the local p
+    holds it for the next squaring."""
+    r, p, name = None, x, x
+    while True:
+        if n & 1:
+            r = p if r is None else "%s * %s" % (r, p)
+            p = name
+        n >>= 1
+        if not n:
+            return r
+        p = ("(%s * %s)" if n == 1 else "(p := %s * %s)") % (p, name)
+        name = "p"
 
 
 def _float_program(e, typed=False, roots=None):
@@ -518,15 +547,20 @@ def _float_program(e, typed=False, roots=None):
     the names c0, c1, ... to their values. e may be its `_postorder`
     list. Typed, x, a kernel, a real constant, a sum, product or
     quotient of real nodes and a power of one up to the 100th (past it,
-    CPython's complex power is polar) are float values; a real root is
-    returned as a complex. Given roots, nodes of that list, `_f` returns
-    the tuple of their values instead of the last node's: one program
-    for several integrands, each shared subterm computed once.
+    CPython's complex power is polar) are float values, and a real root
+    is returned as a float; a kernel reads its argument's `_WEIGHT`,
+    and a power of 2 to 100 is `_chain`'s products, or the complex
+    power once those are not finite. Given roots, nodes of that list,
+    `_f` returns the tuple of their values instead of the last node's:
+    one program for several integrands, each shared subterm computed
+    once.
     """
     nodes = e if isinstance(e, list) else _postorder(e)
     lines = []
     consts = {}
     names = {}
+    weights = {}  # a typed kernel's argument -> the k of its wk and tk
+    powers = set()  # exponents whose fallback the typed text defines
 
     def visit(node, *kids):
         kind = type(node)
@@ -542,18 +576,32 @@ def _float_program(e, typed=False, roots=None):
                 "complex(%s)" % n if kind is Pow and r else n for n, r in kids]
         real = typed and (kind is Var or kind is Kern or all(
             r for _, r in kids) and (kind is not Pow or node.n <= 100))
-        m = getattr(node, "m", 0)
-        statement = (_REAL_STATEMENT if real else _STATEMENT)[kind].format(
-            *args, p=getattr(node, "n", 0), w="w / t ** %d" % m if m else "w")
+        if real and kind is Kern:
+            if node.arg not in weights:
+                weights[node.arg] = len(lines)
+                lines.append(_WEIGHT.format(len(lines), args[0]))
+            if not node.m:
+                names[node] = "w%d" % weights[node.arg], True
+                return names[node]
+            statement = _REAL_KERN.format(weights[node.arg], node.m)
+        elif real and kind is Pow and node.n >= 2:
+            powers.add(node.n)
+            statement = _REAL_POW.format(_chain(kids[0][0], node.n), node.n,
+                                         kids[0][0])
+        else:
+            m = getattr(node, "m", 0)
+            statement = (_REAL_STATEMENT if real else _STATEMENT)[kind].format(
+                *args, p=getattr(node, "n", 0), w="w / t ** %d" % m if m else "w")
         name = "v%d" % len(lines)
         lines.append("    %s = %s" % (name, statement))
         names[node] = name, real
         return name, real
     last = _fold(nodes, visit)
     outs = [last] if roots is None else [names[r] for r in roots]
-    out = ", ".join("complex(%s)" % n if real else n for n, real in outs)
+    out = ", ".join(n for n, _ in outs)
     lines.append("    return %s" % (out if roots is None else "(%s,)" % out))
-    return "def _f(x):\n" + "\n".join(lines) + "\n", consts
+    return "".join(_POWER_FALLBACK.format(n) for n in sorted(powers)) + \
+        "def _f(x):\n" + "\n".join(lines) + "\n", consts
 
 
 def compile_f(e: Expr):

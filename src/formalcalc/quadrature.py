@@ -3,11 +3,12 @@
 Polynomial integrands are integrated exactly through their
 antiderivative. Everything else is written, from the same walk of its
 nodes, as the typed float64 program of `expr._compile`: one statement
-per distinct subterm, real ones in float arithmetic. A program text is
-compiled once per process, and integrands of one shape share it, each
-with its own constants. While
-values stay finite, its integral is bit for bit that of the complex
-`expr.compile_f`. Adaptive Gauss-Kronrod (G7, K15) quadrature calls
+per distinct subterm, real ones in float arithmetic, and a real
+integrand's value returned as a float. A program text is compiled once
+per process, and integrands of one shape share it, each with its own
+constants. The sums of a panel start at 0j, so an integral is a
+complex, and while values stay finite it is bit for bit that of the
+complex `expr.compile_f`. Adaptive Gauss-Kronrod (G7, K15) quadrature calls
 that program once per node. Quadrature runs with an absolute tolerance
 (default 1e-10) and a hard budget of 10**6 integrand evaluations per
 integral. Failure to converge within the budget raises QuadratureError,

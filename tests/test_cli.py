@@ -502,3 +502,19 @@ def test_fuzzed_scenarios_keep_the_exit_contract(capsys, tmp_path):
         assert time.perf_counter() - start < 2.0, where
         assert code in (0, 1, 2), where
         assert "Traceback" not in err and "internal error" not in err, where
+
+
+@pytest.mark.parametrize("name", ["discrete_demo", "pair_demo",
+                                  "glue_mismatch", "smooth_demo"])
+def test_check_all_json_at_seed_13_matches_its_golden(capsys, name):
+    # the benchmark's second seed on every bundled scenario, byte for
+    # byte as recorded; smooth residuals are float64 quadrature values,
+    # so like smooth_demo_check.json these bytes hold for one platform
+    with open(ROOT / "tests" / "check_all_seed13.json",
+              encoding="utf-8") as fh:
+        golden = json.load(fh)[name]
+    argv = [str(ROOT / a) if a.startswith("scenarios/") else a
+            for a in golden["argv"]]
+    code, out, _ = run(capsys, *argv)
+    assert code == golden["exit"] == (1 if name == "glue_mismatch" else 0)
+    assert out == golden["stdout"]
