@@ -34,7 +34,9 @@ evaluating the tree node by node. The typed program of the same writer
 (quadrature, grid scans) computes real subterms in float arithmetic and
 keeps exact integrals: for finite values it differs only in a zero's sign.
 There a kernel argument's orders share its exp(-1/t), a real power is
-float products, and a real value is returned as a float.
+float products, and a real value is returned as a float. Quadrature
+runs its panel form: one call per panel runs the panel's abscissas and
+sums each root's Kronrod and Gauss rules, a real root's in float.
 
 Nodes are interned where they are built (`Expr.__new__`): one
 structure, a quotient's region aside, is one live object, so `==` and
@@ -510,7 +512,7 @@ _STATEMENT = {
 _REAL_STATEMENT = {**_STATEMENT, Var: "float(x)", Pow: "({0} ** {p}).real"}
 # a typed kernel: one w = exp(-1/t) per argument, its order-0 kernel,
 # and the order m > 0 read from it
-_WEIGHT = "    w{0} = 0.0 if (t{0} := {1}) <= 0.0 else exp(-1.0 / t{0})"
+_WEIGHT = "w{0} = 0.0 if (t{0} := {1}) <= 0.0 else exp(-1.0 / t{0})"
 _REAL_KERN = "0.0 if w{0} == 0.0 else w{0} / t{0} ** {1}"
 # a typed power of 2 to 100: `_chain`'s products of its base, or, where
 # they are not finite, the complex power of the base, so that its NaN
@@ -538,7 +540,7 @@ def _chain(x: str, n: int) -> str:
         name = "p"
 
 
-def _float_program(e, typed=False, roots=None):
+def _float_program(e, typed=False, roots=None, panel=False):
     """Source of e's float64 program and the constants it reads.
 
     Returns (source, constants): source defines `_f(x)` with one
@@ -554,12 +556,22 @@ def _float_program(e, typed=False, roots=None):
     `_f` returns the tuple of their values instead of the last node's:
     one program for several integrands, each shared subterm computed
     once.
+
+    Given roots and panel, the text defines the panel form `_f(mid,
+    half)` instead: one program call per quadrature panel. It runs the
+    statements at x = mid + half * xk for each (xk, wk, wg) of the rule
+    `_rule` in order and sums each root's wk * value and, where wg is
+    not 0.0, its wg * value; it returns the tuples of those Kronrod and
+    Gauss sums. A complex root sums from 0j; a real root sums in float
+    from 0.0 and returns complex(sum), bit for bit the 0j-started sum,
+    whose imaginary part stays 0.0. The names the loop reads (constants,
+    fallbacks, exp, complex, `_rule`) are its locals, bound as defaults.
     """
     nodes = e if isinstance(e, list) else _postorder(e)
     lines = []
     consts = {}
     names = {}
-    weights = {}  # a typed kernel's argument -> the k of its wk and tk
+    weights = {}  # a typed kernel's argument -> the i of its w<i>, t<i>
     powers = set()  # exponents whose fallback the typed text defines
 
     def visit(node, *kids):
@@ -593,15 +605,37 @@ def _float_program(e, typed=False, roots=None):
             statement = (_REAL_STATEMENT if real else _STATEMENT)[kind].format(
                 *args, p=getattr(node, "n", 0), w="w / t ** %d" % m if m else "w")
         name = "v%d" % len(lines)
-        lines.append("    %s = %s" % (name, statement))
+        lines.append("%s = %s" % (name, statement))
         names[node] = name, real
         return name, real
     last = _fold(nodes, visit)
-    outs = [last] if roots is None else [names[r] for r in roots]
-    out = ", ".join(n for n, _ in outs)
-    lines.append("    return %s" % (out if roots is None else "(%s,)" % out))
-    return "".join(_POWER_FALLBACK.format(n) for n in sorted(powers)) + \
-        "def _f(x):\n" + "\n".join(lines) + "\n", consts
+    head = "".join(_POWER_FALLBACK.format(n) for n in sorted(powers))
+    if not panel:
+        outs = [last] if roots is None else [names[r] for r in roots]
+        out = ", ".join(n for n, _ in outs)
+        lines.append("return %s" % (out if roots is None else "(%s,)" % out))
+        return head + "def _f(x):\n" + _block(lines, 1), consts
+    outs = [names[r] for r in roots]
+    sums = ["k%d = g%d = %s" % (i, i, "0.0" if r else "0j")
+            for i, (_, r) in enumerate(outs)]
+    lines += ["k%d += wk * %s" % (i, n) for i, (n, _) in enumerate(outs)]
+    gauss = ["g%d += wg * %s" % (i, n) for i, (n, _) in enumerate(outs)]
+    ks, gs = (", ".join(("complex(%s%d)" if r else "%s%d") % (s, i)
+                        for i, (_, r) in enumerate(outs)) for s in "kg")
+    # names the loop reads are locals, bound once at the def: a local read
+    # is cheaper than a global one
+    bound = [*consts, *("_p%d" % n for n in sorted(powers)), "exp", "complex",
+             "_rule"]
+    return (head + "def _f(mid, half, %s):\n" % ", ".join(
+                "%s=%s" % (n, n) for n in bound) + _block(sums, 1)
+            + "    for xk, wk, wg in _rule:\n        x = mid + half * xk\n"
+            + _block(lines, 2) + "        if wg:\n" + _block(gauss, 3)
+            + "    return (%s,), (%s,)\n" % (ks, gs)), consts
+
+
+def _block(lines, depth):
+    """lines as a block of statements indented depth levels."""
+    return "".join("    " * depth + line + "\n" for line in lines)
 
 
 def compile_f(e: Expr):
@@ -614,18 +648,21 @@ def compile_f(e: Expr):
     return _compile(e)
 
 
-def _compile(e, typed=False, roots=None):
-    """compile_f, or typed the program quadrature and grid scans run:
-    `_code` of its text, run in a fresh namespace of its constants."""
-    source, consts = _float_program(e, typed, roots)
-    namespace = {"complex": complex, "exp": math.exp, **consts}
+def _compile(e, typed=False, roots=None, rule=None):
+    """compile_f, or typed the program grid scans run, or given roots and
+    a rule of (abscissa, Kronrod weight, Gauss weight or 0.0) triples the
+    panel form quadrature runs: `_code` of its text, run in a fresh
+    namespace of its constants."""
+    source, consts = _float_program(e, typed, roots, rule is not None)
+    namespace = {"complex": complex, "exp": math.exp, "_rule": rule,
+                 **consts}
     exec(_code(source, typed), namespace)
     return namespace["_f"]
 
 
 # texts whose code objects are kept: a benchmark run compiles at most 53
-# and `check all` on the smooth demo 87; 256 texts of 147 lines hold
-# about 4 MB
+# and `check all` on the smooth demo 87; 256 copies of the longest of
+# these (295 lines) hold about 6 MB with their texts
 _CODE_CACHE = 256
 
 

@@ -2,23 +2,26 @@
 
 Polynomial integrands are integrated exactly through their
 antiderivative. Everything else is written, from the same walk of its
-nodes, as the typed float64 program of `expr._compile`: one statement
-per distinct subterm, real ones in float arithmetic, and a real
-integrand's value returned as a float. A program text is compiled once
-per process, and integrands of one shape share it, each with its own
-constants. The sums of a panel start at 0j, so an integral is a
-complex, and while values stay finite it is bit for bit that of the
-complex `expr.compile_f`. Adaptive Gauss-Kronrod (G7, K15) quadrature calls
-that program once per node. Quadrature runs with an absolute tolerance
-(default 1e-10) and a hard budget of 10**6 integrand evaluations per
-integral. Failure to converge within the budget raises QuadratureError,
-and so does the first panel whose error estimate is not finite (a NaN
-or infinite integrand value, or an estimate past the float range):
-such a panel is refused at once, not bisected until the budget is
-gone. One rule still passes a value without its tolerance: a panel
-narrower than 1e-14 is accepted whatever its (finite) error estimate,
-so an integrand with a steep enough feature can come back less
-accurate than asked, and nothing says so.
+nodes, as the panel form of the typed float64 program of
+`expr._compile`: one statement per distinct subterm, real ones in float
+arithmetic. Adaptive Gauss-Kronrod (G7, K15) quadrature makes one
+program call per panel: the program runs the panel's 15 abscissas and
+sums its own Kronrod and Gauss rules, a real integrand's in float. A
+program text is compiled once per process, and integrands of one shape
+share it, each with its own constants. Each sum is bit for bit one
+started at 0j, so an integral is a complex, and while values stay
+finite it is bit for bit that of the complex `expr.compile_f`
+(`integrate_callable`, which sums a callable's rules in Python, is that
+sum). Quadrature runs with an absolute tolerance (default 1e-10) and a
+hard budget of 10**6 integrand evaluations per integral. Failure to
+converge within the budget raises QuadratureError, and so does the
+first panel whose error estimate is not finite (a NaN or infinite
+integrand value, or an estimate past the float range): such a panel is
+refused at once, not bisected until the budget is gone. One rule still
+passes a value without its tolerance: a panel narrower than 1e-14 is
+accepted whatever its (finite) error estimate, so an integrand with a
+steep enough feature can come back less accurate than asked, and
+nothing says so.
 
 While the outermost call of a check decorated with `shares_integrals`
 runs, integrate_expr makes each distinct integral (interned node,
@@ -29,7 +32,7 @@ member's stored QuadratureError). The memo ends with the outermost call.
 Integrals that are asked for together are made as groups: the
 non-polynomial ones over equal (bounds, abs_tol, budget) compile one
 program with a value per member, and one adaptive loop walks the
-union of their meshes, each panel's abscissas run once: every member
+union of their meshes, one program call per panel: every member
 keeps its own accept-or-split decisions, its panels and its bits. A
 member whose quadrature fails raises its error in its turn, as alone,
 with no second run; a member that the union program failed (another
@@ -80,21 +83,32 @@ _WG = (
     0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
     0.1294849661688697,
 )
+# (abscissa, Kronrod weight, Gauss weight or 0.0) in node order: the
+# rule a panel program sums
+_RULE = tuple(zip(_XK, _WK, (0.0, *(w for g in _WG for w in (g, 0.0)))))
 
 
 def integrate_callable(f, ranges, abs_tol=DEFAULT_ABS_TOL,
                        budget=DEFAULT_BUDGET) -> complex:
-    """Adaptive quadrature of a float64 callable: `_adaptive` for one."""
-    out, = _adaptive(lambda x: (f(x),), 1, ranges, abs_tol, budget)
+    """Adaptive quadrature of a float64 callable: `_adaptive` of the
+    panel whose one root is f, each rule summed term by term in node
+    order from 0j."""
+    def panel(mid, half):
+        ys = [f(mid + half * t) for t in _XK]
+        return ((functools.reduce(add, map(mul, _WK, ys), 0j),),
+                (functools.reduce(add, map(mul, _WG, ys[1::2]), 0j),))
+    out, = _adaptive(panel, 1, ranges, abs_tol, budget)
     return _read(out)
 
 
-def _adaptive(program, n, ranges, abs_tol, budget):
-    """The n outcomes of the adaptive quadratures of program(x)'s entries:
-    a complex, or the exception the member met (the program's may be
-    another member's). One walk of the bisection tree, depth first and
-    right half first, one program run per abscissa; each member splits,
-    accepts and spends its budget on its own, in the order it would."""
+def _adaptive(panel, n, ranges, abs_tol, budget):
+    """The n outcomes of the adaptive quadratures of a panel program's
+    roots: a complex, or the exception the member met (the program's may
+    be another member's). panel(mid, half) returns the roots' Kronrod
+    and Gauss sums on [mid - half, mid + half] (`expr._float_program`).
+    One walk of the bisection tree, depth first and right half first,
+    one program call per panel; each member splits, accepts and spends
+    its budget on its own, in the order it would."""
     total_len = 0.0
     segs = []
     for lo, hi in ranges:
@@ -127,7 +141,7 @@ def _adaptive(program, n, ranges, abs_tol, budget):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
         try:
-            columns = list(zip(*[program(mid + half * t) for t in _XK]))
+            ks, gs = panel(mid, half)
         except ArithmeticError as e:
             for i in live:
                 out[i] = e
@@ -135,9 +149,7 @@ def _adaptive(program, n, ranges, abs_tol, budget):
         share = abs_tol * (hi - lo) / total_len
         split = []
         for i in live:
-            # term by term in node order: the bits of a loop per member
-            k = functools.reduce(add, map(mul, _WK, columns[i]), 0j)
-            g = functools.reduce(add, map(mul, _WG, columns[i][1::2]), 0j)
+            k, g = ks[i], gs[i]
             val, err = half * k, abs(half * (k - g))
             if not math.isfinite(err):
                 out[i] = QuadratureError("integrand is not finite on "
@@ -240,9 +252,9 @@ def _make_groups(memo, pending):
         # each member's postorder, first occurrences kept, is a postorder
         # of the union: every node still follows its children
         union = list(dict.fromkeys(n for *_, nodes in members for n in nodes))
-        program = _compile(union, typed=True,
-                           roots=[key[0] for key, _, _ in members])
-        outcomes = _adaptive(program, len(members), members[0][1], abs_tol,
+        panel = _compile(union, typed=True,
+                         roots=[key[0] for key, _, _ in members], rule=_RULE)
+        outcomes = _adaptive(panel, len(members), members[0][1], abs_tol,
                              budget)
         for (key, _, _), out in zip(members, outcomes):
             if not isinstance(out, ArithmeticError):
@@ -266,4 +278,6 @@ def _integrate(e: Expr, ranges, abs_tol, budget):
                 continue
             acc = acc + poly_definite_integral(coeffs, Fraction(lo), Fraction(hi))
         return acc
-    return integrate_callable(_compile(nodes, typed=True), ranges, abs_tol, budget)
+    out, = _adaptive(_compile(nodes, typed=True, roots=[e], rule=_RULE), 1,
+                     ranges, abs_tol, budget)
+    return _read(out)

@@ -843,13 +843,15 @@ class SmoothLine:
         return point(a, i, c)
 
     def sup_abs(self, c, region, grid):
-        """Max of |c| on `grid` even steps across a region's hull."""
+        """Max of |c| on `grid` even steps across a region's hull; NaN if
+        a sample is NaN."""
         lo, hi = region.hull()
         f = _compile(c, typed=True)
         best = 0.0
         for t in range(grid):
-            a = lo + (hi - lo) * t / (grid - 1)
-            best = max(best, abs(f(a)))
+            v = abs(f(lo + (hi - lo) * t / (grid - 1)))
+            # max(best, nan) is best, and max(nan, v) is nan
+            best = max(best, v) if v == v else v
         return best
 
     def to_json(self, c):

@@ -110,8 +110,10 @@ def rand_ranges(rng):
 
 def rand_group(rng, ranges, poles):
     """2 to 8 integrands drawn from one pool, and now and then 1/x or an
-    overflow among them, compiled as one union program. Without poles,
-    no member divides, and 1/x only joins a range centred on 0."""
+    overflow among them, compiled as one union program: its x-program
+    for the oracle, its panel form for `_adaptive`, and the member count.
+    Without poles, no member divides, and 1/x only joins a range centred
+    on 0."""
     pool = []
     members = []
     size = rng.randint(2, 8)
@@ -124,7 +126,9 @@ def rand_group(rng, ranges, poles):
         if rng.random() < 0.2 and (poles or odd is HUGE or centred):
             members.insert(rng.randrange(len(members) + 1), odd)
     union = list(dict.fromkeys(n for e in members for n in _postorder(e)))
-    return _compile(union, typed=True, roots=members), len(members)
+    return (_compile(union, typed=True, roots=members),
+            _compile(union, typed=True, roots=members, rule=quadrature._RULE),
+            len(members))
 
 
 def what(outcome):
@@ -151,8 +155,8 @@ def test_each_member_gets_what_it_gets_alone(budget, poles, seen):
     met = set()
     for _ in range(80):
         ranges = rand_ranges(rng)
-        program, n = rand_group(rng, ranges, poles)
-        got = quadrature._adaptive(program, n, ranges, 1e-10, budget)
+        program, panel, n = rand_group(rng, ranges, poles)
+        got = quadrature._adaptive(panel, n, ranges, 1e-10, budget)
         assert len(got) == n
         for i, outcome in enumerate(got):
             want = alone(program, i, ranges, 1e-10, budget)
@@ -163,28 +167,27 @@ def test_each_member_gets_what_it_gets_alone(budget, poles, seen):
 
 def test_an_unbounded_range_fails_every_member():
     ranges = [(0.0, float("inf"))]
-    program, n = rand_group(random.Random(2), ranges, True)
-    got = quadrature._adaptive(program, n, ranges, 1e-10, 3000)
+    _, panel, n = rand_group(random.Random(2), ranges, True)
+    got = quadrature._adaptive(panel, n, ranges, 1e-10, 3000)
     assert [grouped(o) for o in got] == [
         (QuadratureError, "quadrature range is unbounded")] * n
 
 
 def union_runs(monkeypatch, run):
-    """Runs run() with every group program counted; returns, per group,
-    (its abscissas in order, its union panels by the oracle)."""
+    """Runs run() with every panel program counted; returns, per group,
+    (its (mid, half) calls in order, its union panels by the oracle, run
+    on the group's x-program)."""
     compile_, adaptive = quadrature._compile, quadrature._adaptive
     groups = []
 
-    def compiled(nodes, typed=False, roots=None):
-        program = compile_(nodes, typed, roots)
-        if roots is None:
-            return program
-        xs = []
+    def compiled(nodes, typed=False, roots=None, rule=None):
+        panel = compile_(nodes, typed, roots, rule)
+        calls = []
 
-        def counted(x):
-            xs.append(x)
-            return program(x)
-        counted.xs, counted.raw = xs, program
+        def counted(mid, half):
+            calls.append((mid, half))
+            return panel(mid, half)
+        counted.calls, counted.raw = calls, compile_(nodes, typed, roots)
         return counted
 
     def made(program, n, *args):
@@ -209,7 +212,7 @@ def union_runs(monkeypatch, run):
                 alone(program.raw, i, *args)
         finally:
             globals()["_gk15"] = raw_gk15
-        out.append((program.xs, panels))
+        out.append((program.calls, panels))
     return out
 
 
@@ -220,6 +223,8 @@ def test_a_group_runs_its_program_once_per_abscissa(monkeypatch):
                 lambda: eta.pair(u)):
         groups = union_runs(monkeypatch, run)
         assert groups
-        for xs, panels in groups:
-            assert len(set(xs)) == len(xs)
-            assert len(xs) == 15 * len(panels)
+        for calls, panels in groups:
+            assert len(set(calls)) == len(calls)
+            assert len(calls) == len(panels)
+            assert set(calls) == {(0.5 * (hi + lo), 0.5 * (hi - lo))
+                                  for lo, hi in panels}

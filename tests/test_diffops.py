@@ -1,5 +1,6 @@
 """Differential operators, the regrouping map, and compositions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from formalcalc.basedensity import BaseDensity
 from formalcalc.diffops import DensityDiffOp, EndoDiffOp, seminorm
 from formalcalc.errors import (DomainMismatchError, SupportError,
                                TruncationError)
-from formalcalc.expr import X, bump, pow_
+from formalcalc.expr import Const, Mul, X, add, bump, mul, pow_
 from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
                                   cutoff)
 from formalcalc.multiindex import enumerate_upto, mi, mi_factorial
@@ -230,3 +231,20 @@ def test_endo_operator_seminorm_smooth_grid():
     v = seminorm(u, x_op)
     # sup of |x * bump(x)| sits at or just outside the plateau edge
     assert 0.9 < v < 2.1
+
+
+def test_a_nan_sample_makes_the_smooth_sup_nan():
+    # 10^300 * (10^300 * x) overflows to inf off 0, so big - big is NaN
+    # at 8 of the 9 grid points on [-1, 1] and 0.0 at x = 0
+    big = Mul(Const(10 ** 300), Mul(Const(10 ** 300), X))
+    c = add(big, mul(Const(-1), big))
+    v = SL.sup_abs(c, RSet.closed_pairs([(-1, 1)]), 9)
+    assert math.isnan(v)
+    u_set = OpenSet(SL, [(-5, 5)])
+    f = cutoff(SL, u_set, 1, 1, RSet.closed_pairs([(-1, 1)]),
+               RSet.closed_pairs([(-2, 2)]))
+    x_op = EndoDiffOp(SL, u_set, 1, {(mi((0,)), mi((0,))): f})
+    assert math.isnan(seminorm(FormalFunction(SL, u_set, 1, 1, {(0,): c}),
+                               x_op))
+    # an inf sample already gave inf
+    assert SL.sup_abs(big, RSet.closed_pairs([(-1, 1)]), 9) == math.inf
