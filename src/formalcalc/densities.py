@@ -159,7 +159,7 @@ class FormalDensity(_GradedSection):
         """<eta, u> = sum_L L! sum_(I,tau) integral of tau * (d_x^I u_L):
         exact on the discrete backend, complex (quadrature) when a smooth
         non-polynomial coefficient enters."""
-        return read_pairings(self.space, [self.pairing(u)], abs_tol)[0][0]
+        return next(read_pairings(self.space, [self.pairing(u)], abs_tol))[0]
 
     def apply(self, u: FormalFunction):
         """<eta, u> as an E-vector with one entry, as distributions give."""

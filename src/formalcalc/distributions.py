@@ -279,7 +279,7 @@ class BaseDistribution:
 
     def _read(self, parts):
         """The sum of the terms' parts (`read_pairings`)."""
-        return read_pairings(self.space, [[[(1, parts)]]])[0][0]
+        return next(read_pairings(self.space, [[[(1, parts)]]]))[0]
 
     def mul_coeff(self, f0) -> "BaseDistribution":
         """Product with a base function: <f.w, g> = <w, f g>."""
@@ -500,7 +500,7 @@ class FormalDistribution(_DualSection):
 
     def apply(self, u: SupportedFormalFunction):
         """E-vector of pairings against a compactly supported function."""
-        return read_pairings(self.space, [self.pairing(u)])[0]
+        return next(read_pairings(self.space, [self.pairing(u)]))
 
     # -- module action ----------------------------------------------------------
 
@@ -703,7 +703,7 @@ class GeneralizedFunction(_DualSection):
 
     def apply(self, eta: FormalDensity):
         """E-vector <u, eta>; derivative stacks transpose onto u."""
-        return read_pairings(self.space, [self.pairing(eta)])[0]
+        return next(read_pairings(self.space, [self.pairing(eta)]))
 
     def module_action(self, f: FormalFunction) -> "GeneralizedFunction":
         """f . u with coefficientwise Cauchy products: <f u, eta> = <u, eta . f>."""

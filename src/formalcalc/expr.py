@@ -660,9 +660,9 @@ def _compile(e, typed=False, roots=None, rule=None):
     return namespace["_f"]
 
 
-# texts whose code objects are kept: a benchmark run compiles at most 53
-# and `check all` on the smooth demo 87; 256 copies of the longest of
-# these (295 lines) hold about 6 MB with their texts
+# texts whose code objects are kept: a benchmark run compiles at most 38
+# and `check all` on the smooth demo 48; 256 copies of the longest of
+# these (319 lines) hold about 6.4 MB with their texts
 _CODE_CACHE = 256
 
 

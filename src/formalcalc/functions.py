@@ -36,11 +36,13 @@ def _fin(v):
 
 
 def read_pairings(space, pairings, abs_tol=DEFAULT_ABS_TOL):
-    """The E-vector of each pairing: a list of E-entries, each a list of
-    (L!, parts), a part an exact value or an integral request
-    (coefficient, region). All requests are made in one batch (the
-    space's `integrate_all`: on the line, one program per range), then
-    each entry is summed in order, L! times the sum of its parts."""
+    """An iterator over the E-vector of each pairing: a list of
+    E-entries, each a list of (L!, parts), a part an exact value or an
+    integral request (coefficient, region). All requests are made in one
+    batch by the call (the space's `integrate_all`: on the line, one
+    program per range). Each entry is summed, in order, as the iterator
+    reaches its pairing: L! times the sum of its parts, so a failed
+    integral raises there."""
     requests = [p for pairing in pairings for entry in pairing
                 for _, parts in entry for p in parts if isinstance(p, tuple)]
     vals = iter(space.integrate_all(requests, abs_tol))
@@ -53,7 +55,7 @@ def read_pairings(space, pairings, abs_tol=DEFAULT_ABS_TOL):
             # complex at every entry that reads an integral
             acc = acc + lf * sum(got, next(got, QC_ZERO))
         return _fin(acc)
-    return [[total(entry) for entry in pairing] for pairing in pairings]
+    return ([total(entry) for entry in pairing] for pairing in pairings)
 
 
 def _nonzero(space, coeffs):
@@ -160,11 +162,6 @@ class _GradedSection:
 
     def is_exactly_zero(self) -> bool:
         return not self.coeffs
-
-    def apply_all(self, partners):
-        """[self.apply(p) for p in partners], every integral of the
-        pairings (`pairing`) made in one batch (`read_pairings`)."""
-        return read_pairings(self.space, [self.pairing(p) for p in partners])
 
     # -- partners ------------------------------------------------------------
 

@@ -26,8 +26,9 @@ nothing says so.
 While the outermost call of a check decorated with `shares_integrals`
 runs, integrate_expr makes each distinct integral (interned node,
 bounds with their types, abs_tol, budget: all its result depends on)
-once and returns that result for a repeat (it raises a group
-member's stored QuadratureError). The memo ends with the outermost call.
+once and returns that result for a repeat (it raises the stored error
+of one that `integrate_exprs` made). The memo ends with the outermost
+call.
 
 Integrals that are asked for together are made as groups: the
 non-polynomial ones over equal (bounds, abs_tol, budget) compile one
@@ -39,9 +40,10 @@ with no second run; a member that the union program failed (another
 member's subterm may raise) is integrated alone. A group of one is
 integrated alone. `integrate_exprs(items)` asks for such groups: the
 items the running check's memo lacks (outside a check, a memo of the
-call's own) are made as groups, the rest read from the memo. Its items
-are the terms of a pairing, or of every pairing of a probe family
-(`functions.read_pairings`).
+call's own) are made as groups, the rest read from the memo. All are
+made at once, and a failed item raises only when it is read. Its items
+are the terms of a pairing, or of every section a check reads against
+its family (`functions.read_pairings`).
 """
 
 from __future__ import annotations
@@ -203,23 +205,27 @@ def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
 
 
 def integrate_exprs(items, abs_tol=DEFAULT_ABS_TOL, budget=DEFAULT_BUDGET):
-    """[integrate_expr(e, ranges, abs_tol, budget) for e, ranges in items],
-    the non-polynomial integrals over equal bounds made by one program
-    (module docstring). Inside a check they join its memo; outside one a
-    memo of the call's own makes equal items once."""
+    """An iterator over integrate_expr(e, ranges, abs_tol, budget) for e,
+    ranges in items. Every integral is made by the call, the
+    non-polynomial ones over equal bounds by one program (module
+    docstring); a failed one raises only when the iterator reaches it.
+    Inside a check they join its memo; outside one a memo of the call's
+    own makes equal items once."""
     memo = _shared.get()
     if memo is None:
         memo = {}
     keyed = [(_key(e, ranges, abs_tol, budget), ranges) for e, ranges in items]
     _make_groups(memo, {key: ranges for key, ranges in keyed
                         if key not in memo})
-    out = []
     for key, ranges in keyed:
         if key not in memo:
-            # polynomial, or its group's program raised: made alone
-            memo[key] = _integrate(key[0], ranges, abs_tol, budget)
-        out.append(_read(memo[key]))
-    return out
+            # polynomial, or its group's program raised: made alone, and
+            # a failure kept, as a group member's, to be raised in its turn
+            try:
+                memo[key] = _integrate(key[0], ranges, abs_tol, budget)
+            except (ArithmeticError, QuadratureError) as e:
+                memo[key] = e
+    return map(_read, [memo[key] for key, _ in keyed])
 
 
 def _read(stored):

@@ -22,13 +22,13 @@ the values come off the section's coefficient table (the probe
 1_a . y^J reads J! times the weight at a of the J-th coefficient) and
 two sections are compared only where either carries a weight; on the
 line each probe is built, the section states its pairing with each as
-terms, and the family's integrals are made in one batch, one compiled
-program per integration range (`functions.read_pairings`). A check
-(functional_residual, functional_zero_residual, flabby_check, and
-sheaf_glue and mv_split through them) integrates each distinct
-integral once, however often its probes and sections repeat it;
-functional_residual reads two `==` sections, once both pass the
-family's checks, as 0.0 without a probe.
+terms, and the integrals of every section a check reads against its
+family are made in one batch, one compiled program per integration
+range (`functions.read_pairings`). A check (functional_residual,
+functional_zero_residual, flabby_check, and sheaf_glue and mv_split
+through them) integrates each distinct integral once, however often its
+probes and sections repeat it; functional_residual reads two `==`
+sections, once both pass the family's checks, as 0.0 without a probe.
 The constructions:
 
 * build_pou: partitions of unity subordinate to a finite cover.
@@ -160,9 +160,11 @@ class _ProbeFamily(Sequence):
 
     Probe n is the space's base probe n // width times the key and the
     stack at n % width (keys in grlex order, stacks innermost). The
-    space reads a section's values at all probes at once (`values`); a
-    probe section is built only when one is asked for, by index or
-    iteration: in practice the witness of a failed check.
+    space reads every section a check reads against its family at all
+    probes at once (`values`); a probe section is built only when one
+    is asked for, by index or iteration: on the line for that read, and
+    on a discrete space in practice only as the witness of a failed
+    check.
     """
 
     def __init__(self, space, domain: OpenSet, k: int, cap: int,
@@ -204,10 +206,12 @@ class _ProbeFamily(Sequence):
                             % type(section).__name__)
         self._check_partner(section)
 
-    def values(self, section):
-        """{probe position: E-vector} of a checked section, from the
-        space; a position left out reads zero."""
-        return self.space.probe_values(section, self) if self else {}
+    def values(self, *sections):
+        """The {probe position: E-vector} map of each checked section, in
+        order, a position left out reading zero: every section a check
+        reads against its family, read by the space as one batch
+        (`probe_values`)."""
+        return self.space.probe_values([(s, self) for s in sections])
 
 
 class _FunctionProbes(_ProbeFamily):
@@ -316,14 +320,16 @@ def functional_residual(a, b, family):
     family.check(b)
     if a == b:
         return 0.0, None
-    return _worst(family, family.values(a), family.values(b), a.e_dim)
+    va, vb = family.values(a, b)
+    return _worst(family, va, vb, a.e_dim)
 
 
 @shares_integrals
 def functional_zero_residual(a, family):
     """Max probe magnitude over a dual family and the witnessing probe."""
     family.check(a)
-    return _worst(family, family.values(a), {}, a.e_dim)
+    va, = family.values(a)
+    return _worst(family, va, {}, a.e_dim)
 
 
 # -- Mayer-Vietoris -----------------------------------------------------------------
@@ -484,9 +490,13 @@ def flabby_check(sections, u: OpenSet, tol: float = 0.0) -> bool:
     True when the kernel is trivial on the family: every section with
     nonzero data extends to a functional that some probe on u still
     sees (residual above tol). A function's ext keeps its nonzero
-    coefficients, so it is called only for its refusals.
+    coefficients, so it is called only for its refusals. Every section
+    is extended and checked against the family of its shape first, in
+    order, so a refusal comes out before any section is decided; then
+    the reads of all of them are made as one batch, and the sections
+    are decided in order, each raising what its read raises.
     """
-    families = {}
+    families, reads = {}, []
     for z in sections:
         if _compact(z, "flabby-check").is_exactly_zero():
             continue
@@ -497,7 +507,9 @@ def flabby_check(sections, u: OpenSet, tol: float = 0.0) -> bool:
         shape = (z.k, z.star_degree())
         if shape not in families:
             families[shape] = dual_function_family(u.space, u, *shape)
-        resid, _ = functional_zero_residual(e, families[shape])
-        if resid <= tol:
+        families[shape].check(e)
+        reads.append((e, families[shape]))
+    for (e, family), values in zip(reads, u.space.probe_values(reads)):
+        if _worst(family, values, {}, e.e_dim)[0] <= tol:
             return False
     return True

@@ -35,10 +35,10 @@ and support near a given set (`cutoff_near`), the check that a
 partition sums to one (`unit_gap`) and that two coefficients agree
 (`proves_equal`). Label indicators on Discrete, exact, whose probe
 values are read off a section's coefficients; plateau bumps on
-SmoothLine, against which a section's pairings are read as one batch,
-with the partition's denominator certified positive; both checks prove
-what the partition's identity closes (`_sums_to_one`) and sample the
-rest.
+SmoothLine, against which the pairings of every section a check reads
+are read as one batch, with the partition's denominator certified
+positive; both checks prove what the partition's identity closes
+(`_sums_to_one`) and sample the rest.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from operator import or_
 
 from .errors import (BackendError, CertificateError, DomainMismatchError,
@@ -316,9 +317,10 @@ class Discrete:
         label of the region, in order (there are no powers of x)."""
         return [({p: QC_ONE}, frozenset({p})) for p in sorted(region)]
 
-    def probe_values(self, section, family):
-        """{probe position: E-vector} of a section against a dual family
-        (sheaf.py), read off the section's coefficients.
+    def probe_values(self, reads):
+        """The {probe position: E-vector} map of each (section, dual
+        family) read (sheaf.py), in order, read off the section's
+        coefficients.
 
         The probes are the dual basis: probe (a, J), the indicator of
         label a times y^J (or the density at a times (y*)^J), reads J!
@@ -328,17 +330,21 @@ class Discrete:
         outside its domain are read by no probe. The labels take the
         order `probes` gives them.
         """
-        at = {p: n * family.width
-              for n, p in enumerate(sorted(family.domain.region))}
-        e_dim, out = section.e_dim, {}
-        for j, vec in section.weight_vectors():
-            if j in family.key_offset:
-                f, off = mi_factorial(j), family.key_offset[j]
-                for comp, weights in enumerate(vec):
-                    for p in weights.keys() & at.keys():
-                        vals = out.setdefault(at[p] + off, [QC_ZERO] * e_dim)
-                        vals[comp] = weights[p] * f
-        return out
+        maps = []
+        for section, family in reads:
+            at = {p: n * family.width
+                  for n, p in enumerate(sorted(family.domain.region))}
+            e_dim, out = section.e_dim, {}
+            for j, vec in section.weight_vectors():
+                if j in family.key_offset:
+                    f, off = mi_factorial(j), family.key_offset[j]
+                    for comp, weights in enumerate(vec):
+                        for p in weights.keys() & at.keys():
+                            vals = out.setdefault(at[p] + off,
+                                                  [QC_ZERO] * e_dim)
+                            vals[comp] = weights[p] * f
+            maps.append(out)
+        return maps
 
     def partition(self, whole, parts):
         """(coefficient, support, plateau) per part: the indicator of
@@ -662,12 +668,23 @@ class SmoothLine:
                            for e in range(xdeg_cap + 1))
         return out
 
-    def probe_values(self, section, family):
-        """{probe position: E-vector} of a section against a dual family:
-        every probe of the family built, and the pairings with all of
-        them read as one batch (the section's `apply_all`), so the
-        family's integrals are made one program per range."""
-        return dict(enumerate(section.apply_all(family)))
+    def probe_values(self, reads):
+        """An iterator over the {probe position: E-vector} map of each
+        (section, dual family) read, in order: each family's probes
+        built once, and the pairings of every read made as one batch
+        (`read_pairings`), so that the integrals of every section a
+        check reads against its family are made one program per range.
+        A map is summed, and a failed integral of it raised, when the
+        iterator reaches it."""
+        from .functions import read_pairings  # functions imports spaces
+        probes = {}
+        for _, family in reads:
+            if family not in probes:
+                probes[family] = list(family)
+        vecs = read_pairings(self, [section.pairing(p) for section, family
+                                    in reads for p in probes[family]])
+        return (dict(enumerate(islice(vecs, len(probes[family]))))
+                for _, family in reads)
 
     def partition(self, whole, parts):
         """(coefficient, support, plateau) per part: a sum of plateau
@@ -924,13 +941,14 @@ class OpenSet:
         return not self.region
 
     def _check_space(self, other):
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise DomainMismatchError("open sets over different base spaces")
 
     # -- plumbing -----------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, OpenSet) and self.space == other.space
+        return (isinstance(other, OpenSet)
+                and (self.space is other.space or self.space == other.space)
                 and self.region == other.region)
 
     def __hash__(self):

@@ -522,19 +522,17 @@ def suite_jets(space, k, trunc, seed, tol):
     keys = enumerate_upto(ndim + k, r)
     tally.exact(len(basis) == dist_space_dimension(ndim, k, r)
                 == math.comb(ndim + k + r, ndim + k), law="dimension")
+    monos = [normalized_monomial(space, m, k, r, mkey[:ndim], mkey[ndim:])
+             for mkey in keys]
     for row, pd in enumerate(basis):
-        for col, mkey in enumerate(keys):
-            i, j = mkey[:ndim], mkey[ndim:]
-            mono = normalized_monomial(space, m, k, r, i, j)
+        for col, mono in enumerate(monos):
             val = pd.apply(mono)[0]
             expect = QC(1) if row == col else QC(0)
             ok = val == expect
             tally.exact(ok, law="basis", row=row, col=col, residual=None if ok
                         else abs(complex(val) - complex(expect)))
-    for mkey in keys:
-        i, j = mkey[:ndim], mkey[ndim:]
+    for mkey, mono in zip(keys, monos):
         d = degree(mkey)
-        mono = normalized_monomial(space, m, k, r, i, j)
         tally.exact(jet_kernel_check(mono, a, d), law="jet-ideal",
                     key=list(mkey))
         if d < r:

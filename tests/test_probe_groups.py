@@ -55,7 +55,7 @@ def alone(section, family):
 
 @shares_integrals
 def grouped(section, family):
-    return SL.probe_values(section, family)
+    return next(SL.probe_values([(section, family)]))
 
 
 def bits(values):
@@ -82,7 +82,7 @@ def test_a_smooth_flabby_round_compiles_one_program_per_group(monkeypatch):
         return raw(*args, **kw)
     monkeypatch.setattr(quadrature, "_compile", counted)
     assert suites.suite_flabby(SL, 1, 1, 1e-8)["pass"]
-    assert len(made) == 18
+    assert len(made) == 6
     assert all(made)
 
 
@@ -156,8 +156,9 @@ def test_smooth_demo_reports_the_same_bytes_when_each_probe_is_paired_alone(
         capsys, monkeypatch):
     grouped_out = check_all(capsys)
     monkeypatch.setattr(SmoothLine, "probe_values",
-                        lambda self, section, family: {
-                            n: section.apply(p) for n, p in enumerate(family)})
+                        lambda self, reads: [
+                            {n: section.apply(p) for n, p in enumerate(family)}
+                            for section, family in reads])
     assert check_all(capsys) == grouped_out
 
 
