@@ -20,7 +20,7 @@ from __future__ import annotations
 from .errors import DomainMismatchError
 from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC_ZERO, qc
-from .spaces import OpenSet
+from .spaces import OpenSet, same
 
 
 class BaseDensity:
@@ -132,7 +132,7 @@ class BaseDensity:
         Exact QC on the discrete backend and for polynomial expressions;
         complex from adaptive quadrature otherwise.
         """
-        if self.space != over.space:
+        if not same(self.space, over.space):
             raise DomainMismatchError("integrating over a different base space")
         region = self.bound & over.region
         if not region:
@@ -142,11 +142,11 @@ class BaseDensity:
     # -- plumbing -----------------------------------------------------------------
 
     def _check(self, other):
-        if self.space != other.space:
+        if not same(self.space, other.space):
             raise DomainMismatchError("densities over different base spaces")
 
     def __eq__(self, other):
-        if not isinstance(other, BaseDensity) or self.space != other.space:
+        if not isinstance(other, BaseDensity) or not same(self.space, other.space):
             return False
         return self.coeff == other.coeff and self.bound == other.bound
 

@@ -22,8 +22,9 @@ from .distributions import dist_space_dimension, jet_kernel_check
 from .errors import (BackendError, CertificateError, DomainMismatchError,
                      IncompatibilityError, QuadratureError, ScenarioError,
                      SupportError, TruncationError)
+from .functions import read_pairings
 from .multiindex import enumerate_upto, key_str
-from .quadrature import DEFAULT_ABS_TOL, shares_integrals
+from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC, rat_str
 from .scenario import SCHEMA_VERSION, Scenario
 from .sheaf import build_pou, sheaf_glue
@@ -49,19 +50,21 @@ def _scalar_json(v):
     return [c.real, c.imag]
 
 
-@shares_integrals
 def cmd_pair(args, sc, tol, seed):
-    """The pairing and its part per y*-index L; the parts read the
-    total's integrals from the command's memo."""
+    """The pairing and its part per y*-index L, read in one batch: the
+    parts' integrals are the total's, so each is made once. The total
+    is summed, and raises, first."""
     del seed
     eta = sc.density(args.density)
     u = sc.function(args.function)
     abs_tol = args.tol if args.tol is not None else DEFAULT_ABS_TOL
-    total = eta.pair(u, abs_tol=abs_tol)
-    per_l = {}
-    for l in eta.keys_sorted():
-        part = FormalDensity(sc.space, eta.domain, sc.k, {l: eta.coeffs[l]})
-        per_l[key_str(l)] = _scalar_json(part.pair(u, abs_tol=abs_tol))
+    keys = eta.keys_sorted()
+    parts = [FormalDensity(sc.space, eta.domain, sc.k, {l: eta.coeffs[l]})
+             for l in keys]
+    values = read_pairings(eta.space, [d.pairing(u) for d in [eta, *parts]],
+                           abs_tol)
+    total = next(values)[0]
+    per_l = {key_str(l): _scalar_json(v[0]) for l, v in zip(keys, values)}
     report = {"command": "pair", "schema": SCHEMA_VERSION,
               "density": args.density, "function": args.function,
               "value": _scalar_json(total), "per_L": per_l}

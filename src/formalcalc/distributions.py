@@ -55,7 +55,7 @@ from .functions import (FormalFunction, SupportedFormalFunction, _GradedSection,
 from .multiindex import (degree, enumerate_upto, key_str, mi, mi_add, mi_factorial,
                          parse_key)
 from .scalars import QC, QC_ZERO, qc, qc_from_json, qc_to_json
-from .spaces import OpenSet
+from .spaces import OpenSet, same
 
 
 def _scalar_json(c):
@@ -256,7 +256,7 @@ class BaseDistribution:
     # -- linear structure ---------------------------------------------------
 
     def add(self, other: "BaseDistribution") -> "BaseDistribution":
-        if self.space != other.space:
+        if not same(self.space, other.space):
             raise DomainMismatchError("distributions over different base spaces")
         return BaseDistribution._trusted(self.space, self.terms + other.terms)
 
@@ -302,7 +302,7 @@ class BaseDistribution:
     # -- plumbing ---------------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, BaseDistribution) or self.space != other.space:
+        if not isinstance(other, BaseDistribution) or not same(self.space, other.space):
             return False
         return [t.key() for t in self.terms] == [t.key() for t in other.terms]
 
@@ -638,7 +638,7 @@ def cutoff_extend(eta: CompactFormalDistribution,
     distribution's open set, and its recorded plateau (where it equals
     one) covers a neighborhood of the distribution's support.
     """
-    if f.space != eta.space or f.k != eta.k:
+    if not same(f.space, eta.space) or f.k != eta.k:
         raise DomainMismatchError("cutoff does not match the distribution")
     if not eta.domain.is_subset(f.domain):
         raise DomainMismatchError("cutoff domain does not contain the "

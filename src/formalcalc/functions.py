@@ -27,7 +27,7 @@ from .multiindex import (degree, grlex_key, key_str, mi, mi_add, mi_factorial,
                          parse_key)
 from .quadrature import DEFAULT_ABS_TOL
 from .scalars import QC, QC_ZERO
-from .spaces import OpenSet
+from .spaces import OpenSet, same
 
 
 def _fin(v):
@@ -75,7 +75,7 @@ class _GradedSection:
     """
 
     def __init__(self, space, domain: OpenSet, k: int):
-        if domain.space != space:
+        if not same(domain.space, space):
             raise DomainMismatchError("domain belongs to a different base space")
         if k < 0:
             raise ValueError("k must be nonnegative")
@@ -124,7 +124,7 @@ class _GradedSection:
 
     def _own(self, c):
         """c, checked to live over the same base space."""
-        if c.space != self.space:
+        if not same(c.space, self.space):
             raise DomainMismatchError("coefficient over a different base space")
         return c
 
@@ -168,10 +168,8 @@ class _GradedSection:
     def _check_partner(self, other, need=None):
         """other lives on the same base space, open set and k; given need,
         its guaranteed order trunc is at least need."""
-        sp, dom = other.space, other.domain
-        if (sp is not self.space and sp != self.space) \
-                or (dom is not self.domain and dom != self.domain) \
-                or other.k != self.k:
+        if not same(other.space, self.space) \
+                or not same(other.domain, self.domain) or other.k != self.k:
             raise DomainMismatchError("%s partner lives on a different domain"
                                       % type(self).__name__)
         if need is not None and other.trunc < need:
@@ -191,7 +189,7 @@ class _GradedSection:
             raise DomainMismatchError("extension target does not contain the domain")
 
     def __eq__(self, other):
-        return (isinstance(other, _GradedSection) and self.space == other.space
+        return (isinstance(other, _GradedSection) and same(self.space, other.space)
                 and self.domain == other.domain and self.k == other.k
                 and self._eq_key() == other._eq_key())
 
@@ -403,7 +401,7 @@ def cutoff_product(f: SupportedFormalFunction, u: FormalFunction):
     with support witness supp(f), intersected with supp(u) when u also
     carries one.
     """
-    if f.space != u.space or f.k != u.k:
+    if not same(f.space, u.space) or f.k != u.k:
         raise DomainMismatchError("cutoff and function do not match")
     if not u.domain.is_subset(f.domain):
         raise DomainMismatchError("cutoff domain does not contain the function domain")

@@ -23,32 +23,23 @@ accepted whatever its (finite) error estimate, so an integrand with a
 steep enough feature can come back less accurate than asked, and
 nothing says so.
 
-While the outermost call of a check decorated with `shares_integrals`
-runs, integrate_expr makes each distinct integral (interned node,
-bounds with their types, abs_tol, budget: all its result depends on)
-once and returns that result for a repeat (it raises the stored error
-of one that `integrate_exprs` made). The memo ends with the outermost
-call.
-
-Integrals that are asked for together are made as groups: the
-non-polynomial ones over equal (bounds, abs_tol, budget) compile one
-program with a value per member, and one adaptive loop walks the
-union of their meshes, one program call per panel: every member
-keeps its own accept-or-split decisions, its panels and its bits. A
-member whose quadrature fails raises its error in its turn, as alone,
-with no second run; a member that the union program failed (another
-member's subterm may raise) is integrated alone. A group of one is
-integrated alone. `integrate_exprs(items)` asks for such groups: the
-items the running check's memo lacks (outside a check, a memo of the
-call's own) are made as groups, the rest read from the memo. All are
-made at once, and a failed item raises only when it is read. Its items
-are the terms of a pairing, or of every section a check reads against
-its family (`functions.read_pairings`).
+Integrals are made in batches (`integrate_exprs`; `integrate_expr` is
+a batch of one), each distinct integral (interned node, bounds with
+their types, abs_tol, budget: all its result depends on) once per
+batch. The non-polynomial ones over equal (bounds, abs_tol, budget)
+form a group: one program with a value per member, and one adaptive
+loop that walks the union of their meshes, one program call per panel:
+every member keeps its own accept-or-split decisions, its panels and
+its bits. A member whose quadrature fails raises its error in its
+turn, as alone, with no second run; a member that the union program
+failed (another member's subterm may raise) is made again as a group
+of one. All of a batch is made at once, and a failed item raises only
+when it is read. Its items are the terms of a pairing, or of every
+section a check reads against its family (`functions.read_pairings`).
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 from fractions import Fraction
@@ -167,64 +158,25 @@ def _adaptive(panel, n, ranges, abs_tol, budget):
     return out
 
 
-# (node, typed bounds, abs_tol, budget) -> result, while a check runs
-_shared = contextvars.ContextVar("shared_integrals", default=None)
-
-
-def shares_integrals(check):
-    """Decorate a check so that integrate_expr integrates each distinct
-    integral once while the check's outermost call runs. A nested call
-    joins the running check's memo."""
-    @functools.wraps(check)
-    def scoped(*args, **kw):
-        if _shared.get() is not None:
-            return check(*args, **kw)
-        token = _shared.set({})
-        try:
-            return check(*args, **kw)
-        finally:
-            _shared.reset(token)
-    return scoped
-
-
 def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
                    budget=DEFAULT_BUDGET):
-    """Integrate an expression over a list of (lo, hi) bounds.
+    """Integrate an expression over a list of (lo, hi) bounds: a batch
+    of one (`integrate_exprs`).
 
     Polynomials with exact bounds integrate exactly to a QC; other
-    integrands return a complex from adaptive quadrature. Inside a
-    check that shares its integrals, a repeat returns the stored result.
+    integrands return a complex from adaptive quadrature.
     """
-    memo = _shared.get()
-    if memo is None:
-        return _integrate(e, ranges, abs_tol, budget)
-    key = _key(e, ranges, abs_tol, budget)
-    if key not in memo:
-        memo[key] = _integrate(e, ranges, abs_tol, budget)
-    return _read(memo[key])
+    return next(integrate_exprs([(e, ranges)], abs_tol, budget))
 
 
 def integrate_exprs(items, abs_tol=DEFAULT_ABS_TOL, budget=DEFAULT_BUDGET):
-    """An iterator over integrate_expr(e, ranges, abs_tol, budget) for e,
-    ranges in items. Every integral is made by the call, the
-    non-polynomial ones over equal bounds by one program (module
-    docstring); a failed one raises only when the iterator reaches it.
-    Inside a check they join its memo; outside one a memo of the call's
-    own makes equal items once."""
-    memo = _shared.get()
-    if memo is None:
-        memo = {}
+    """An iterator over the integrals of e over ranges, for e, ranges in
+    items. Every integral is made by the call, each distinct one once,
+    the non-polynomial ones over equal bounds by one program (module
+    docstring); a failed one raises only when the iterator reaches it."""
     keyed = [(_key(e, ranges, abs_tol, budget), ranges) for e, ranges in items]
-    _make_groups(memo, {key: ranges for key, ranges in keyed
-                        if key not in memo})
-    for key, ranges in keyed:
-        if key not in memo:
-            # polynomial, or its group's program raised: made alone, and
-            # a failure kept, as a group member's, to be raised in its turn
-            try:
-                memo[key] = _integrate(key[0], ranges, abs_tol, budget)
-            except (ArithmeticError, QuadratureError) as e:
-                memo[key] = e
+    memo = {}
+    _make_groups(memo, dict(keyed))
     return map(_read, [memo[key] for key, _ in keyed])
 
 
@@ -243,47 +195,55 @@ def _key(e, ranges, abs_tol, budget):
 
 
 def _make_groups(memo, pending):
-    """Put into memo the non-polynomial integrals of pending ({key:
-    ranges}), one program per group of equal (bounds, abs_tol, budget).
-    A failed member's entry is its QuadratureError, for _read to raise;
-    a member whose program raised gets none, to be made alone."""
+    """Put into memo every integral of pending ({key: ranges}): the
+    polynomial ones exact, the others one program per group of equal
+    (bounds, abs_tol, budget). A failed integral's entry is its error,
+    for _read to raise."""
     groups = {}
     for key, ranges in pending.items():
         nodes = _postorder(key[0])
         if not _polynomial(nodes):
             groups.setdefault(key[1:], []).append((key, ranges, nodes))
+            continue
+        try:
+            memo[key] = _integrate(nodes, ranges)
+        except (ArithmeticError, ValueError, QuadratureError) as e:
+            memo[key] = e  # past the degree cap too: raised in its turn
     for (_, abs_tol, budget), members in groups.items():
-        if len(members) == 1:
-            continue  # nothing to share: made alone
-        # each member's postorder, first occurrences kept, is a postorder
-        # of the union: every node still follows its children
-        union = list(dict.fromkeys(n for *_, nodes in members for n in nodes))
+        for member, out in zip(members, _walk(members, abs_tol, budget)):
+            # a value, or the QuadratureError the member met alone; an
+            # ArithmeticError of a larger group may be another member's:
+            # made again as a group of one, which keeps its own
+            if isinstance(out, ArithmeticError) and len(members) > 1:
+                out, = _walk([member], abs_tol, budget)
+            memo[member[0]] = out
+
+
+def _walk(members, abs_tol, budget):
+    """The outcomes of one adaptive walk of the members' union program
+    over their common ranges."""
+    # each member's postorder, first occurrences kept, is a postorder of
+    # the union: every node still follows its children
+    union = list(dict.fromkeys(n for *_, nodes in members for n in nodes))
+    try:
         panel = _compile(union, typed=True,
                          roots=[key[0] for key, _, _ in members], rule=_RULE)
-        outcomes = _adaptive(panel, len(members), members[0][1], abs_tol,
-                             budget)
-        for (key, _, _), out in zip(members, outcomes):
-            if not isinstance(out, ArithmeticError):
-                # a value, or the QuadratureError the member met alone;
-                # an ArithmeticError may be another member's: made alone
-                memo[key] = out
+    except ArithmeticError as e:  # a constant past the float range
+        return [e] * len(members)
+    return _adaptive(panel, len(members), members[0][1], abs_tol, budget)
 
 
-def _integrate(e: Expr, ranges, abs_tol, budget):
-    nodes = _postorder(e)
+def _integrate(nodes, ranges):
+    """The exact integral of a polynomial, given its `_postorder` list."""
     coeffs = _poly_coeffs(nodes)
-    if coeffs is not None:
-        if not coeffs:
-            return QC_ZERO
-        acc = QC_ZERO
-        for lo, hi in ranges:
-            if not (isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction))):
-                raise QuadratureError("a polynomial integrand needs exact (int "
-                                      "or Fraction) bounds, not %r" % ((lo, hi),))
-            if lo >= hi:
-                continue
-            acc = acc + poly_definite_integral(coeffs, Fraction(lo), Fraction(hi))
-        return acc
-    out, = _adaptive(_compile(nodes, typed=True, roots=[e], rule=_RULE), 1,
-                     ranges, abs_tol, budget)
-    return _read(out)
+    if not coeffs:
+        return QC_ZERO
+    acc = QC_ZERO
+    for lo, hi in ranges:
+        if not (isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction))):
+            raise QuadratureError("a polynomial integrand needs exact (int "
+                                  "or Fraction) bounds, not %r" % ((lo, hi),))
+        if lo >= hi:
+            continue
+        acc = acc + poly_definite_integral(coeffs, Fraction(lo), Fraction(hi))
+    return acc

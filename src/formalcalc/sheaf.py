@@ -24,11 +24,10 @@ two sections are compared only where either carries a weight; on the
 line each probe is built, the section states its pairing with each as
 terms, and the integrals of every section a check reads against its
 family are made in one batch, one compiled program per integration
-range (`functions.read_pairings`). A check (functional_residual,
-functional_zero_residual, flabby_check, and sheaf_glue and mv_split
-through them) integrates each distinct integral once, however often its
-probes and sections repeat it; functional_residual reads two `==`
-sections, once both pass the family's checks, as 0.0 without a probe.
+range (`functions.read_pairings`), each distinct integral once, however
+often its probes and sections repeat it. functional_residual reads two
+`==` sections, once both pass the family's checks, as 0.0 without a
+probe.
 The constructions:
 
 * build_pou: partitions of unity subordinate to a finite cover.
@@ -63,9 +62,8 @@ from .errors import (CertificateError, DomainMismatchError,
                      IncompatibilityError, SupportError)
 from .functions import SupportedFormalFunction, cutoff
 from .multiindex import degree, enumerate_upto, mi
-from .quadrature import shares_integrals
 from .scalars import QC, QC_ZERO
-from .spaces import OpenSet
+from .spaces import OpenSet, same
 
 POU_GRID_TOL = 1e-12
 DEFAULT_FUNCTIONAL_TOL = 1e-8
@@ -80,7 +78,7 @@ class Cover:
             raise ValueError("a cover needs at least one part")
         union = None
         for p in parts:
-            if p.space != whole.space:
+            if not same(p.space, whole.space):
                 raise DomainMismatchError("cover part over a different base space")
             if not p.is_subset(whole):
                 raise ValueError("cover part escapes the whole set")
@@ -118,7 +116,7 @@ class PartitionOfUnity:
         space = cover.whole.space
         j0 = mi([0] * functions[0].k)
         for f, part in zip(functions, cover.parts):
-            if f.space != space or f.domain != cover.whole:
+            if not same(f.space, space) or f.domain != cover.whole:
                 raise DomainMismatchError("partition function does not live "
                                           "on the whole set")
             if any(j != j0 for j in f.coeffs):
@@ -302,7 +300,6 @@ def _worst(family, va, vb, e_dim):
     return worst, None if at is None else family[at]
 
 
-@shares_integrals
 def functional_residual(a, b, family):
     """Max probe disagreement over a dual family (from
     dual_function_family or dual_density_family) and the witnessing
@@ -324,7 +321,6 @@ def functional_residual(a, b, family):
     return _worst(family, va, vb, a.e_dim)
 
 
-@shares_integrals
 def functional_zero_residual(a, family):
     """Max probe magnitude over a dual family and the witnessing probe."""
     family.check(a)
@@ -354,7 +350,7 @@ def mv_split(eta1: FormalDensity, eta2: FormalDensity,
     ext(eta1) + ext(eta2) = 0. Returns eta' on V = U1 n U2 with
     ext_{U1,V}(eta') = eta1 and ext_{U2,V}(-eta') = eta2.
     """
-    if eta1.space != eta2.space or eta1.k != eta2.k:
+    if not same(eta1.space, eta2.space) or eta1.k != eta2.k:
         raise DomainMismatchError("split partners do not match")
     space, k = eta1.space, eta1.k
     u1, u2 = eta1.domain, eta2.domain
@@ -437,7 +433,7 @@ def sheaf_glue(locals_, pou: PartitionOfUnity,
     for loc, part in zip(locals_, cover.parts):
         if isinstance(loc, GeneralizedFunction) != generalized:
             raise TypeError("mixed section kinds in one gluing")
-        if loc.space != space or loc.domain != part:
+        if not same(loc.space, space) or loc.domain != part:
             raise DomainMismatchError("local section does not live on its part")
         if loc.k != first.k or loc.e_dim != first.e_dim:
             raise DomainMismatchError("local sections disagree on k or E_dim")
@@ -483,7 +479,6 @@ def sheaf_glue(locals_, pou: PartitionOfUnity,
 # -- flabbiness ---------------------------------------------------------------------------
 
 
-@shares_integrals
 def flabby_check(sections, u: OpenSet, tol: float = 0.0) -> bool:
     """Does extension by zero to u kill any nonzero family member?
 

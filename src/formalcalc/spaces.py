@@ -74,6 +74,12 @@ def _is_inf(v) -> bool:
     return v == NEG_INF or v == POS_INF
 
 
+def same(a, b) -> bool:
+    """a == b, asked only when a is not b: spaces and open sets are
+    compared often, and mostly with themselves."""
+    return a is b or a == b
+
+
 def _ep_from_json(v, side: str):
     if v is None:
         return NEG_INF if side == "lo" else POS_INF
@@ -941,14 +947,14 @@ class OpenSet:
         return not self.region
 
     def _check_space(self, other):
-        if self.space is not other.space and self.space != other.space:
+        if not same(self.space, other.space):
             raise DomainMismatchError("open sets over different base spaces")
 
     # -- plumbing -----------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, OpenSet)
-                and (self.space is other.space or self.space == other.space)
+                and same(self.space, other.space)
                 and self.region == other.region)
 
     def __hash__(self):

@@ -15,7 +15,6 @@ from formalcalc.distributions import (BaseDistribution, FormalDistribution,
                                       PointTerm, SmoothTerm)
 from formalcalc.errors import QuadratureError
 from formalcalc.expr import X, window_bump
-from formalcalc.quadrature import shares_integrals
 from formalcalc.scalars import QC
 from formalcalc.sheaf import dual_density_family, dual_function_family
 from formalcalc.spaces import OpenSet, SmoothLine
@@ -47,13 +46,11 @@ CASES = [(make, seed, stacks) for make in (density, distribution, generalized)
          if make is generalized or stacks == 0]
 
 
-@shares_integrals
 def alone(section, family):
     """The per-integral path: every probe paired on its own."""
     return {n: section.apply(p) for n, p in enumerate(family)}
 
 
-@shares_integrals
 def grouped(section, family):
     return next(SL.probe_values([(section, family)]))
 
