@@ -19,7 +19,8 @@ from .distributions import (BaseDistribution, CompactFormalDistribution,
                             normalized_monomial, point_basis)
 from .errors import (BackendError, CertificateError, DomainMismatchError,
                      FormalcalcError, IncompatibilityError, QuadratureError,
-                     ScenarioError, SupportError, TruncationError)
+                     ScenarioError, SupportError, TruncationError,
+                     UndecidedCertificateError)
 from .expr import (Const, Kern, Var, X, add, bump, certify_positive, diff,
                    div, ev, falling_edge, kern, mul, parse_sexpr, pow_,
                    rising_edge, to_sexpr)
@@ -48,6 +49,7 @@ __all__ = [
     "point_basis", "BackendError", "CertificateError",
     "DomainMismatchError", "FormalcalcError", "IncompatibilityError",
     "QuadratureError", "ScenarioError", "SupportError", "TruncationError",
+    "UndecidedCertificateError",
     "Const", "Kern", "Var", "X", "add", "bump", "certify_positive", "diff",
     "div", "ev", "falling_edge", "kern", "mul", "parse_sexpr", "pow_",
     "rising_edge", "to_sexpr", "FormalFunction", "SupportedFormalFunction",

@@ -137,7 +137,8 @@ class BaseDensity:
         region = self.bound & over.region
         if not region:
             return QC_ZERO
-        return self.space.integrate(self.coeff, region, abs_tol)
+        total, = self.space.integrate_all([(self.coeff, region)], abs_tol)
+        return total
 
     # -- plumbing -----------------------------------------------------------------
 

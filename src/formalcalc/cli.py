@@ -4,8 +4,8 @@ Commands operate on named objects from a scenario file (see scenario.py
 for the schema). Exit codes: 0 on success, 1 when a verification or
 certified construction fails, 2 on input errors (including text nested
 past the recursion limit of the expression or JSON parser) and on an
-integral out of reach of the quadrature budget, which leaves an answer
-undecided, not failed, 3 on any other exception, which is a fault of
+integral or positivity proof out of reach of its budget or precision,
+an answer undecided, not failed, 3 on any other exception, a fault of
 formalcalc itself; the four are never conflated. With --json the report
 is emitted as canonical JSON (sorted keys, no whitespace), so a given
 (scenario, seed) pair yields byte-identical output across runs.
@@ -21,7 +21,7 @@ from .densities import FormalDensity
 from .distributions import dist_space_dimension, jet_kernel_check
 from .errors import (BackendError, CertificateError, DomainMismatchError,
                      IncompatibilityError, QuadratureError, ScenarioError,
-                     SupportError, TruncationError)
+                     SupportError, TruncationError, UndecidedCertificateError)
 from .functions import read_pairings
 from .multiindex import enumerate_upto, key_str
 from .quadrature import DEFAULT_ABS_TOL
@@ -278,6 +278,9 @@ def _main(argv) -> int:
         tol = args.tol if args.tol is not None else sc.tol
         seed = args.seed if args.seed is not None else sc.seed
         report, code = _COMMANDS[args.command](args, sc, tol, seed)
+    except UndecidedCertificateError as e:
+        print("error: %s: proof out of reach" % e, file=sys.stderr)
+        return 2
     except _CHECK_ERRORS as e:
         print("check failed: %s" % e, file=sys.stderr)
         return 1

@@ -38,7 +38,11 @@ class QuadratureError(FormalcalcError):
 
 
 class CertificateError(FormalcalcError):
-    """A positivity certificate for a denominator could not be established."""
+    """A certified construction failed: refuted, or (the subclass) undecided."""
+
+
+class UndecidedCertificateError(CertificateError):
+    """A proof out of precision or budget: undecided, not refuted."""
 
 
 class ScenarioError(FormalcalcError):

@@ -63,8 +63,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .errors import BackendError, CertificateError
-from .scalars import QC, QC_ONE, QC_ZERO, qc, rat_str
+from .errors import BackendError, CertificateError, UndecidedCertificateError
+from .scalars import QC, QC_ONE, QC_ZERO, qc, qc_map_add, rat_str
 
 mp.dps = 30
 
@@ -676,17 +676,6 @@ def _code(source, typed):
 
 # -- polynomial fast path ----------------------------------------------------------
 
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, v in b.items():
-        w = out.get(d, QC_ZERO) + v
-        if w:
-            out[d] = w
-        elif d in out:
-            del out[d]
-    return out
-
-
 # largest degree of any product poly_coeffs expands; with MAX_FOLD_BITS
 # on the coefficients of a power, (pow x 50000000) is refused at once
 MAX_POLY_DEGREE = 1 << 10
@@ -735,7 +724,7 @@ def _poly_visit(n: Expr, *c) -> dict:
     if kind is Var:
         return {1: QC_ONE}
     if kind is Add:
-        return _poly_add(*c)
+        return qc_map_add(*c)
     if kind is Mul:
         return _poly_mul(*c)
     return _poly_pow(c[0], n.n)
@@ -831,8 +820,6 @@ def _ibounds(nodes: list, lo: float, hi: float):
             cands = []
             for x in a:
                 for y in b:
-                    if y == 0.0:
-                        continue
                     if ((x == POS_INF or x == NEG_INF)
                             and (y == POS_INF or y == NEG_INF)):
                         continue
@@ -888,8 +875,9 @@ _CERT_MIN_WIDTH = Fraction(1, 2 ** 60)
 def certify_positive(e: Expr, region) -> None:
     """Prove e > 0 on the region by adaptive interval bisection.
 
-    Raises CertificateError with a witness interval when the proof does
-    not close within budget or a piece is shown nonpositive.
+    Raises CertificateError with a witness interval when a piece is
+    shown nonpositive, and its UndecidedCertificateError when the proof
+    does not close within budget or above the width floor.
     """
     nodes = _postorder(e)
     stack = []
@@ -900,8 +888,9 @@ def certify_positive(e: Expr, region) -> None:
         lo, hi = stack.pop()
         steps += 1
         if steps > _CERT_BUDGET:
-            raise CertificateError("positivity certificate budget exhausted "
-                                   "near [%s, %s]" % (lo, hi))
+            raise UndecidedCertificateError(
+                "positivity certificate budget exhausted near [%s, %s]"
+                % (lo, hi))
         blo, bhi = _ibounds(nodes, float(lo), float(hi))
         if blo > 0.0:
             continue
@@ -917,8 +906,8 @@ def certify_positive(e: Expr, region) -> None:
             mid = (lo if isinstance(lo, Fraction) else Fraction(lo)) + 1
         else:
             if hi - lo < _CERT_MIN_WIDTH:
-                raise CertificateError("cannot certify positivity near "
-                                       "[%s, %s]" % (lo, hi))
+                raise UndecidedCertificateError(
+                    "cannot certify positivity near [%s, %s]" % (lo, hi))
             mid = (Fraction(lo) + Fraction(hi)) / 2
         stack.append((lo, mid))
         stack.append((mid, hi))

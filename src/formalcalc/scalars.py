@@ -220,6 +220,18 @@ QC_ZERO = QC(0)
 QC_ONE = QC(1)
 
 
+def qc_map_add(a: dict, b: dict) -> dict:
+    """a + b of sparse maps key -> nonzero QC; a cancelled key is dropped."""
+    out = dict(a)
+    for key, v in b.items():
+        w = out.get(key, QC_ZERO) + v
+        if w:
+            out[key] = w
+        elif key in out:
+            del out[key]
+    return out
+
+
 def qc(v) -> QC:
     """Coerce an exact value (int, Fraction, str, pair, QC) to QC."""
     if isinstance(v, QC):

@@ -16,8 +16,8 @@ to one. Each compactly supported kind owns its cosheaf steps: `ext`
 Functionals are compared over a dual family (dual_function_family,
 dual_density_family), which knows its shape and builds a probe section
 only when one is asked for: in practice the witness a failed check
-reports. The space reads a section's value at each probe
-(`probe_values`). On a discrete space the probes are the dual basis, so
+reports. `probe_values` reads a section at each probe, by the reader of
+the space's type. On a discrete space the probes are the dual basis, so
 the values come off the section's coefficient table (the probe
 1_a . y^J reads J! times the weight at a of the J-th coefficient) and
 two sections are compared only where either carries a weight; on the
@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import cached_property, reduce
+from itertools import islice
 
 from .basedensity import BaseDensity
 from .densities import FormalDensity
@@ -60,10 +61,10 @@ from .distributions import (CompactFormalDistribution, FormalDistribution,
                             GeneralizedFunction, vec_add)
 from .errors import (CertificateError, DomainMismatchError,
                      IncompatibilityError, SupportError)
-from .functions import SupportedFormalFunction, cutoff
-from .multiindex import degree, enumerate_upto, mi
+from .functions import SupportedFormalFunction, cutoff, read_pairings
+from .multiindex import degree, enumerate_upto, mi, mi_factorial
 from .scalars import QC, QC_ZERO
-from .spaces import OpenSet, same
+from .spaces import Discrete, OpenSet, SmoothLine, same
 
 POU_GRID_TOL = 1e-12
 DEFAULT_FUNCTIONAL_TOL = 1e-8
@@ -157,12 +158,13 @@ class _ProbeFamily(Sequence):
     its keys, the x-degree cap and the derivative stacks.
 
     Probe n is the space's base probe n // width times the key and the
-    stack at n % width (keys in grlex order, stacks innermost). The
-    space reads every section a check reads against its family at all
-    probes at once (`values`); a probe section is built only when one
-    is asked for, by index or iteration: on the line for that read, and
-    on a discrete space in practice only as the witness of a failed
-    check.
+    stack at n % width (keys in grlex order, stacks innermost).
+    `probe_values` reads every section a check reads against its family
+    at all probes at once: off the coefficients on a discrete space, by
+    one batch of pairings on the line. A probe section is built only
+    when one is asked for, by index or iteration: on the line for that
+    read, and on a discrete space in practice only as the witness of a
+    failed check.
     """
 
     def __init__(self, space, domain: OpenSet, k: int, cap: int,
@@ -203,13 +205,6 @@ class _ProbeFamily(Sequence):
             raise TypeError("no probe application for %r"
                             % type(section).__name__)
         self._check_partner(section)
-
-    def values(self, *sections):
-        """The {probe position: E-vector} map of each checked section, in
-        order, a position left out reading zero: every section a check
-        reads against its family, read by the space as one batch
-        (`probe_values`)."""
-        return self.space.probe_values([(s, self) for s in sections])
 
 
 class _FunctionProbes(_ProbeFamily):
@@ -269,6 +264,63 @@ def dual_density_family(space, domain: OpenSet, k: int, star_cap: int,
                           enumerate_upto(space.ndim, stack_cap))
 
 
+# -- probe values -------------------------------------------------------------
+
+
+def _read_discrete(space, reads):
+    """The {probe position: E-vector} map of each (section, dual family)
+    read, in order, read off the section's coefficients.
+
+    The probes are the dual basis: probe (a, J), the indicator of label
+    a times y^J (or the density at a times (y*)^J), reads J! times the
+    weight at a of the section's J-th coefficient. Only positions where
+    the section has a weight appear; the other probes read zero. Keys
+    beyond the family's cap and labels outside its domain are read by
+    no probe. The labels take the order `Discrete.probes` gives them.
+    """
+    maps = []
+    for section, family in reads:
+        at = {p: n * family.width
+              for n, p in enumerate(sorted(family.domain.region))}
+        e_dim, out = section.e_dim, {}
+        for j, vec in section.weight_vectors():
+            if j in family.key_offset:
+                f, off = mi_factorial(j), family.key_offset[j]
+                for comp, weights in enumerate(vec):
+                    for p in weights.keys() & at.keys():
+                        vals = out.setdefault(at[p] + off, [QC_ZERO] * e_dim)
+                        vals[comp] = weights[p] * f
+        maps.append(out)
+    return maps
+
+
+def _read_line(space, reads):
+    """An iterator over the {probe position: E-vector} map of each
+    (section, dual family) read, in order: each family's probes built
+    once, and the pairings of every read made as one batch
+    (`read_pairings`), so that the integrals of every section a check
+    reads against its family are made one program per range. A map is
+    summed, and a failed integral of it raised, when the iterator
+    reaches it."""
+    probes = {}
+    for _, family in reads:
+        if family not in probes:
+            probes[family] = list(family)
+    vecs = read_pairings(space, [section.pairing(p) for section, family
+                                 in reads for p in probes[family]])
+    return (dict(enumerate(islice(vecs, len(probes[family]))))
+            for _, family in reads)
+
+
+_PROBE_READERS = {Discrete: _read_discrete, SmoothLine: _read_line}
+
+
+def probe_values(space, reads):
+    """The {probe position: E-vector} map of each checked (section, dual
+    family) read, in order, a position left out reading zero."""
+    return _PROBE_READERS[type(space)](space, reads)
+
+
 # -- functional comparison --------------------------------------------------------
 
 
@@ -317,14 +369,14 @@ def functional_residual(a, b, family):
     family.check(b)
     if a == b:
         return 0.0, None
-    va, vb = family.values(a, b)
+    va, vb = probe_values(family.space, [(a, family), (b, family)])
     return _worst(family, va, vb, a.e_dim)
 
 
 def functional_zero_residual(a, family):
     """Max probe magnitude over a dual family and the witnessing probe."""
     family.check(a)
-    va, = family.values(a)
+    va, = probe_values(family.space, [(a, family)])
     return _worst(family, va, {}, a.e_dim)
 
 
@@ -504,7 +556,7 @@ def flabby_check(sections, u: OpenSet, tol: float = 0.0) -> bool:
             families[shape] = dual_function_family(u.space, u, *shape)
         families[shape].check(e)
         reads.append((e, families[shape]))
-    for (e, family), values in zip(reads, u.space.probe_values(reads)):
+    for (e, family), values in zip(reads, probe_values(u.space, reads)):
         if _worst(family, values, {}, e.e_dim)[0] <= tol:
             return False
     return True

@@ -15,7 +15,7 @@ functions on the base that formal functions, densities and
 distributions are built from: a dict label -> nonzero QC on Discrete,
 a smooth expression on SmoothLine. No other module looks inside a
 coefficient; they call the space's methods (zero, add, scale, mul,
-diff, ev, restrict, integrate, integrate_all, support, to_json, ...).
+diff, ev, restrict, integrate_all, support, to_json, ...).
 
 A region (an open set, a support, a plateau) is one value of the
 space: a frozenset of labels on Discrete, an RSet on SmoothLine. Both
@@ -28,17 +28,15 @@ region value.
 
 Each backend also supplies the ingredients of the sheaf constructions,
 as base data that sheaf.py turns into formal sections: the probes that
-functional equality is decided against (`probes`) and a section's value
-at each of them (`probe_values`), the coefficients of a partition of
-unity (`partition`), a cutoff's coefficient (`cutoff`) and its plateau
-and support near a given set (`cutoff_near`), the check that a
-partition sums to one (`unit_gap`) and that two coefficients agree
-(`proves_equal`). Label indicators on Discrete, exact, whose probe
-values are read off a section's coefficients; plateau bumps on
-SmoothLine, against which the pairings of every section a check reads
-are read as one batch, with the partition's denominator certified
+functional equality is decided against (`probes`), the coefficients of
+a partition of unity (`partition`), a cutoff's coefficient (`cutoff`)
+and its plateau and support near a given set (`cutoff_near`), the check
+that a partition sums to one (`unit_gap`) and that two coefficients
+agree (`proves_equal`). Label indicators on Discrete, exact; plateau
+bumps on SmoothLine, with the partition's denominator certified
 positive; both checks prove what the partition's identity closes
-(`_sums_to_one`) and sample the rest.
+(`_sums_to_one`) and sample the rest. Reading a section at the probes
+is section-level work, done in sheaf.py.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -51,7 +49,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 from operator import or_
 
 from .errors import (BackendError, CertificateError, DomainMismatchError,
@@ -59,10 +56,9 @@ from .errors import (BackendError, CertificateError, DomainMismatchError,
 from .expr import (ONE, ZERO, Add, Const, Div, Mul, X, _compile, add, bump,
                    diff, div, ev, falling_edge, mul, parse_sexpr, pow_,
                    rising_edge, to_sexpr, window_bump)
-from .multiindex import mi_factorial
-from .quadrature import DEFAULT_ABS_TOL, integrate_expr, integrate_exprs
-from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_to_json,
-                      rat_from_json, rat_to_json)
+from .quadrature import DEFAULT_ABS_TOL, integrate_exprs
+from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_map_add,
+                      qc_to_json, rat_from_json, rat_to_json)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -323,35 +319,6 @@ class Discrete:
         label of the region, in order (there are no powers of x)."""
         return [({p: QC_ONE}, frozenset({p})) for p in sorted(region)]
 
-    def probe_values(self, reads):
-        """The {probe position: E-vector} map of each (section, dual
-        family) read (sheaf.py), in order, read off the section's
-        coefficients.
-
-        The probes are the dual basis: probe (a, J), the indicator of
-        label a times y^J (or the density at a times (y*)^J), reads J!
-        times the weight at a of the section's J-th coefficient. Only
-        positions where the section has a weight appear; the other
-        probes read zero. Keys beyond the family's cap and labels
-        outside its domain are read by no probe. The labels take the
-        order `probes` gives them.
-        """
-        maps = []
-        for section, family in reads:
-            at = {p: n * family.width
-                  for n, p in enumerate(sorted(family.domain.region))}
-            e_dim, out = section.e_dim, {}
-            for j, vec in section.weight_vectors():
-                if j in family.key_offset:
-                    f, off = mi_factorial(j), family.key_offset[j]
-                    for comp, weights in enumerate(vec):
-                        for p in weights.keys() & at.keys():
-                            vals = out.setdefault(at[p] + off,
-                                                  [QC_ZERO] * e_dim)
-                            vals[comp] = weights[p] * f
-            maps.append(out)
-        return maps
-
     def partition(self, whole, parts):
         """(coefficient, support, plateau) per part: the indicator of
         the labels that no earlier part holds (first match)."""
@@ -413,15 +380,7 @@ class Discrete:
         value = qc(value)
         return dict.fromkeys(points, value) if value else {}
 
-    def add(self, a, b):
-        out = dict(a)
-        for p, v in b.items():
-            w = out.get(p, QC_ZERO) + v
-            if w:
-                out[p] = w
-            elif p in out:
-                del out[p]
-        return out
+    add = staticmethod(qc_map_add)
 
     def scale(self, c, s):
         """s * c."""
@@ -446,16 +405,11 @@ class Discrete:
     def restrict(self, c, u: "OpenSet"):
         return {p: v for p, v in c.items() if p in u.region}
 
-    def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL):
-        """Exact sum of c over the labels of a region."""
-        acc = QC_ZERO
-        for p in sorted(c.keys() & region):
-            acc = acc + c[p]
-        return acc
-
     def integrate_all(self, items, abs_tol=DEFAULT_ABS_TOL):
-        """integrate(c, region, abs_tol) for each (c, region) of items."""
-        return [self.integrate(c, region, abs_tol) for c, region in items]
+        """The exact sum of c over the labels of the region, in label
+        order, for each (c, region) of items."""
+        return [sum((c[p] for p in sorted(c.keys() & region)), QC_ZERO)
+                for c, region in items]
 
     def gather(self, pairs):
         """Canonical (coefficient, bound) integral terms of a distribution:
@@ -674,24 +628,6 @@ class SmoothLine:
                            for e in range(xdeg_cap + 1))
         return out
 
-    def probe_values(self, reads):
-        """An iterator over the {probe position: E-vector} map of each
-        (section, dual family) read, in order: each family's probes
-        built once, and the pairings of every read made as one batch
-        (`read_pairings`), so that the integrals of every section a
-        check reads against its family are made one program per range.
-        A map is summed, and a failed integral of it raised, when the
-        iterator reaches it."""
-        from .functions import read_pairings  # functions imports spaces
-        probes = {}
-        for _, family in reads:
-            if family not in probes:
-                probes[family] = list(family)
-        vecs = read_pairings(self, [section.pairing(p) for section, family
-                                    in reads for p in probes[family]])
-        return (dict(enumerate(islice(vecs, len(probes[family]))))
-                for _, family in reads)
-
     def partition(self, whole, parts):
         """(coefficient, support, plateau) per part: a sum of plateau
         bumps confined to the part's pieces over the shared denominator
@@ -823,13 +759,10 @@ class SmoothLine:
     def restrict(self, c, u: "OpenSet"):
         return c
 
-    def integrate(self, c, region, abs_tol=DEFAULT_ABS_TOL):
-        """Integral of c over the pieces of a bounded region."""
-        return integrate_expr(c, region.bounds_list(), abs_tol)
-
     def integrate_all(self, items, abs_tol=DEFAULT_ABS_TOL):
-        """integrate(c, region, abs_tol) for each (c, region) of items,
-        made as one batch: one program per range (`integrate_exprs`)."""
+        """The integral of c over the pieces of the bounded region for
+        each (c, region) of items, made as one batch: one program per
+        range (`integrate_exprs`)."""
         return integrate_exprs([(c, r.bounds_list()) for c, r in items],
                                abs_tol)
 

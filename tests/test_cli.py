@@ -90,6 +90,20 @@ def test_pou_discrete_and_smooth(capsys):
     assert json.loads(out)["grid_residual"] <= 1e-12
 
 
+def test_an_undecided_partition_is_out_of_reach_not_failed(capsys,
+                                                           tmp_path):
+    # parts that cover but overlap by 1/1000: the edge denominator there
+    # falls below the smallest float, so its positivity stays unproved
+    data = json.loads((ROOT / SMOOTH).read_text())
+    data["opensets"].update(L=[[None, "-1999/1000"]], R=[[-2, None]])
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "pou", "C", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot certify positivity near ")
+    assert err.endswith(": proof out of reach\n")
+
+
 def test_check_suite_passes_and_is_deterministic(capsys):
     code, out1, _ = run(capsys, "check", "duality", "--scenario", PAIR,
                         "--json", "--seed", "9")

@@ -113,7 +113,7 @@ def test_discrete_pair_mul_integrate_match_dense_sums(overlap):
         elif overlap == "equal":
             assert a.keys() == b.keys()
         dense = {p: _dense_product(a, b, p) for p in D8.points}
-        got = D8.integrate(D8.mul(a, b), D8.whole().region)
+        got, = D8.integrate_all([(D8.mul(a, b), D8.whole().region)])
         assert (got.re, got.im) == (sum(v[0] for v in dense.values()),
                                     sum(v[1] for v in dense.values()))
         prod = D8.mul(a, b)
@@ -121,7 +121,7 @@ def test_discrete_pair_mul_integrate_match_dense_sums(overlap):
             p: v for p, v in dense.items() if v != (0, 0)}
         assert all(prod.values())
         region = frozenset(p for p in D8.points if rng.random() < 0.5)
-        total = D8.integrate(a, region)
+        total, = D8.integrate_all([(a, region)])
         assert (total.re, total.im) == (
             sum((a[p].re for p in region if p in a), Fraction(0)),
             sum((a[p].im for p in region if p in a), Fraction(0)))

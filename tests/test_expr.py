@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mpc, mpf
 
-from formalcalc.errors import BackendError, CertificateError
+from formalcalc import expr
+from formalcalc.errors import (BackendError, CertificateError,
+                               UndecidedCertificateError)
 from formalcalc.expr import (
     MAX_POLY_DEGREE,
     ONE,
@@ -294,6 +296,26 @@ def test_certify_positive_accepts_and_rejects():
         certify_positive(sub(pow_(X, 2), ONE), RSet.open_pairs([(-2, 2)]))
     with pytest.raises(CertificateError):
         div(ONE, X)
+
+
+def test_a_refuted_certificate_is_not_undecided():
+    # -x is shown nonpositive on [1, inf), the third piece bounded
+    with pytest.raises(CertificateError) as refuted:
+        certify_positive(mul(Const(-1), X), RSet.whole())
+    assert type(refuted.value) is CertificateError
+    assert str(refuted.value) == "denominator is nonpositive on [1, inf]"
+
+
+def test_a_proof_out_of_precision_or_budget_is_undecided(monkeypatch):
+    # x > 0 on (0, 1) holds, but no interval reaching 0 proves it: the
+    # bisection stops at the width floor, or sooner at the step budget
+    with pytest.raises(UndecidedCertificateError, match="cannot certify"):
+        certify_positive(X, RSet.open_pairs([(0, 1)]))
+    with pytest.raises(UndecidedCertificateError, match="cannot certify"):
+        rising_edge(-2, -2 + Fraction(1, 1024))
+    monkeypatch.setattr(expr, "_CERT_BUDGET", 3)
+    with pytest.raises(UndecidedCertificateError, match="budget exhausted"):
+        certify_positive(X, RSet.open_pairs([(0, 1)]))
 
 
 def test_certified_quotient_edge_denominator():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from formalcalc import quadrature, spaces, suites
+from formalcalc import quadrature, sheaf, spaces, suites
 from formalcalc.cli import main
 from formalcalc.distributions import (BaseDistribution, FormalDistribution,
                                       PointTerm, SmoothTerm)
@@ -52,7 +52,7 @@ def alone(section, family):
 
 
 def grouped(section, family):
-    return next(SL.probe_values([(section, family)]))
+    return next(sheaf._read_line(SL, [(section, family)]))
 
 
 def bits(values):
@@ -152,8 +152,8 @@ def check_all(capsys):
 def test_smooth_demo_reports_the_same_bytes_when_each_probe_is_paired_alone(
         capsys, monkeypatch):
     grouped_out = check_all(capsys)
-    monkeypatch.setattr(SmoothLine, "probe_values",
-                        lambda self, reads: [
+    monkeypatch.setitem(sheaf._PROBE_READERS, SmoothLine,
+                        lambda space, reads: [
                             {n: section.apply(p) for n, p in enumerate(family)}
                             for section, family in reads])
     assert check_all(capsys) == grouped_out
