@@ -14,20 +14,15 @@ to one. Each compactly supported kind owns its cosheaf steps: `ext`
 (extension by zero) and `cutoff_restrict` (times a cutoff, restricted).
 
 Functionals are compared over a dual family (dual_function_family,
-dual_density_family), which knows its shape and builds a probe section
-only when one is asked for: in practice the witness a failed check
-reports. `probe_values` reads a section at each probe, by the reader of
-the space's type. On a discrete space the probes are the dual basis, so
-the values come off the section's coefficient table (the probe
-1_a . y^J reads J! times the weight at a of the J-th coefficient) and
-two sections are compared only where either carries a weight; on the
-line each probe is built, the section states its pairing with each as
-terms, and the integrals of every section a check reads against its
-family are made in one batch, one compiled program per integration
-range (`functions.read_pairings`), each distinct integral once, however
-often its probes and sections repeat it. functional_residual reads two
-`==` sections, once both pass the family's checks, as 0.0 without a
-probe.
+dual_density_family), which builds a probe section only when one is
+asked for, in practice a failed check's witness. `probe_values` reads
+sections at its probes by the reader of the space's type: off the
+coefficients on a discrete space, by one batch of pairings per check on
+the line. functional_residual reads no probe for two sections the space
+proves equal (`_PROOFS`), once both pass the family's checks: `==`
+sections, and on the line a glued or reassembled distribution against
+the section it came from, whose split terms the partition identity sums
+back (`SmoothLine.proves_integrals_equal`).
 The constructions:
 
 * build_pou: partitions of unity subordinate to a finite cover.
@@ -54,11 +49,13 @@ import math
 from collections.abc import Sequence
 from functools import cached_property, reduce
 from itertools import islice
+from operator import eq
 
 from .basedensity import BaseDensity
 from .densities import FormalDensity
 from .distributions import (CompactFormalDistribution, FormalDistribution,
-                            GeneralizedFunction, vec_add)
+                            GeneralizedFunction, PointTerm, SmoothTerm,
+                            _DualSection, vec_add)
 from .errors import (CertificateError, DomainMismatchError,
                      IncompatibilityError, SupportError)
 from .functions import SupportedFormalFunction, cutoff, read_pairings
@@ -158,13 +155,10 @@ class _ProbeFamily(Sequence):
     its keys, the x-degree cap and the derivative stacks.
 
     Probe n is the space's base probe n // width times the key and the
-    stack at n % width (keys in grlex order, stacks innermost).
-    `probe_values` reads every section a check reads against its family
-    at all probes at once: off the coefficients on a discrete space, by
-    one batch of pairings on the line. A probe section is built only
-    when one is asked for, by index or iteration: on the line for that
-    read, and on a discrete space in practice only as the witness of a
-    failed check.
+    stack at n % width (keys in grlex order, stacks innermost). A probe
+    section is built only when one is asked for, by index or iteration:
+    on the line to be read (`probe_values`), on a discrete space in
+    practice only as a failed check's witness.
     """
 
     def __init__(self, space, domain: OpenSet, k: int, cap: int,
@@ -352,6 +346,29 @@ def _worst(family, va, vb, e_dim):
     return worst, None if at is None else family[at]
 
 
+def _proves_line(a, b) -> bool:
+    """a == b, or distribution sections of one kind, domain, k and key set
+    whose point terms pair up by (a, i) with no gap between their scalars
+    and whose integral terms `proves_integrals_equal` proves equal."""
+    if type(a) is not type(b) or not isinstance(a, _DualSection) \
+            or (a.domain, a.k, a.coeffs.keys()) != (b.domain, b.k, b.coeffs.keys()):
+        return a == b
+    for j, vec in a.coeffs.items():
+        for entries in zip(vec, b.coeffs[j]):
+            (sa, pa), (sb, pb) = (
+                ([(t.g, t.bound) for t in w.terms if type(t) is SmoothTerm],
+                 [t for t in w.terms if type(t) is PointTerm]) for w in entries)
+            if [(t.a, t.i) for t in pa] != [(t.a, t.i) for t in pb] \
+                    or max_gap([t.c for t in pa], [t.c for t in pb]) or not \
+                    a.space.proves_integrals_equal(sa, sb, a.domain.region):
+                return False
+    return True
+
+
+# two sections proved equal on a space: on a discrete one `==` decides
+_PROOFS = {Discrete: eq, SmoothLine: _proves_line}
+
+
 def functional_residual(a, b, family):
     """Max probe disagreement over a dual family (from
     dual_function_family or dual_density_family) and the witnessing
@@ -359,15 +376,15 @@ def functional_residual(a, b, family):
     with the largest gap.
 
     Functionals of different E_dim raise DomainMismatchError, whatever
-    the family. Equal sections, once both are checked against the
-    family, read (0.0, None) without a probe value.
+    the family. Sections the space proves equal (`_PROOFS`), once both
+    are checked against the family, read (0.0, None) without a probe.
     """
     if a.e_dim != b.e_dim:
         raise DomainMismatchError("functionals with E_dim %d and %d are "
                                   "not comparable" % (a.e_dim, b.e_dim))
     family.check(a)
     family.check(b)
-    if a == b:
+    if _PROOFS[type(family.space)](a, b):
         return 0.0, None
     va, vb = probe_values(family.space, [(a, family), (b, family)])
     return _worst(family, va, vb, a.e_dim)

@@ -20,23 +20,23 @@ diff, ev, restrict, integrate_all, support, to_json, ...).
 A region (an open set, a support, a plateau) is one value of the
 space: a frozenset of labels on Discrete, an RSet on SmoothLine. Both
 answer to the same operators, | & - <= `in` and truthiness, so the
-rest of the package combines regions without knowing which it holds.
-What really differs between the backends (compactness, interiors,
-parsing a base point, sampling, JSON) is a method of the space. Only
-this module knows how a region is represented; an OpenSet holds one
-region value.
+rest of the package combines regions without knowing which it holds;
+what differs (compactness, interiors, parsing a base point, sampling,
+JSON) is a method of the space, and only this module knows how a
+region is represented.
 
 Each backend also supplies the ingredients of the sheaf constructions,
-as base data that sheaf.py turns into formal sections: the probes that
-functional equality is decided against (`probes`), the coefficients of
-a partition of unity (`partition`), a cutoff's coefficient (`cutoff`)
-and its plateau and support near a given set (`cutoff_near`), the check
-that a partition sums to one (`unit_gap`) and that two coefficients
-agree (`proves_equal`). Label indicators on Discrete, exact; plateau
-bumps on SmoothLine, with the partition's denominator certified
-positive; both checks prove what the partition's identity closes
-(`_sums_to_one`) and sample the rest. Reading a section at the probes
-is section-level work, done in sheaf.py.
+as base data that sheaf.py turns into formal sections: the probes
+(`probes`), a partition of unity (`partition`), a cutoff and its
+plateau and support near a set (`cutoff`, `cutoff_near`), and the
+checks that a partition sums to one (`unit_gap`) and that two
+coefficients agree (`proves_equal`), or on the line two lists of
+integral terms (`proves_integrals_equal`). Label indicators on
+Discrete, exact; on SmoothLine plateau bumps over one certified
+denominator, whose checks prove what the partition identity closes
+(`_sums_to_one`, the one such rule) and sample or leave unknown the
+rest. Reading a section at the probes is section-level work, done in
+sheaf.py.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -543,6 +543,17 @@ def _sums_to_one(quots, region) -> bool:
         for c in quots) and reduce(add, [c.num for c in quots]) is quots[0].den
 
 
+def _summand_order(quots):
+    """quots (Div nodes) in the order `partition` adds up their numerators
+    in the first one's denominator; one found nowhere sorts first."""
+    rank, e = {}, quots[0].den
+    for n in range(len(quots) - 1, 0, -1):
+        if type(e) is Add:
+            rank[e.b], e = n, e.a
+    rank[e] = 0
+    return sorted(quots, key=lambda q: rank.get(q.num, -1))
+
+
 class SmoothLine:
     """The real line with global coordinate x."""
 
@@ -714,6 +725,30 @@ class SmoothLine:
                     and _sums_to_one([t.a for t in reversed(terms)], region):
                 return True
         return a is b
+
+    def proves_integrals_equal(self, a, b, region) -> bool:
+        """True when two lists of (coefficient, bound) integral terms, as
+        `gather` leaves them, are equal, or when each term (c, B) of one
+        is split in the other into terms (q_i * c, B_i) whose bounds lie
+        in B and cover it (None: the whole line) and whose q_i, in
+        summand order, sum to one on the region (`_sums_to_one`)."""
+        whole = RSet.whole()
+        for s, o in ((a, b), (b, a)):
+            groups = {c: (whole if bd is None else bd, []) for c, bd in s}
+            for g, bd in o:
+                if type(g) is not Mul or type(g.a) is not Div \
+                        or g.b not in groups:
+                    break
+                groups[g.b][1].append((g.a, whole if bd is None else bd))
+            else:
+                if len(groups) == len(s) and all(
+                        parts and all(r <= bound for _, r in parts)
+                        and bound <= reduce(or_, [r for _, r in parts])
+                        and _sums_to_one(_summand_order([q for q, _ in parts]),
+                                         region)
+                        for bound, parts in groups.values()):
+                    return True
+        return a == b
 
     # -- coefficient algebra ------------------------------------------------
     #

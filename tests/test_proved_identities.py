@@ -5,17 +5,25 @@ sum to the one interned denominator they share, so its unit check
 samples nothing; any other coefficient list is still sampled. The same
 identity proves a supported function's coefficient equal to its
 reassembly from the partition, so the cosheaf function law samples
-nothing either. Two equal sections agree on every probe, so comparing
-them integrates nothing, once both are checked against the family.
+nothing either, and a glued or reassembled distribution equal to the
+section it came from, term by term, so those laws integrate nothing.
+Two equal sections agree on every probe, so comparing them integrates
+nothing, once both are checked against the family.
 """
 
+import operator
 import random
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
 import pytest
 
-from formalcalc import quadrature, spaces, suites
+from formalcalc import quadrature, sheaf, spaces, suites
+from formalcalc.distributions import (BaseDistribution,
+                                      CompactFormalDistribution,
+                                      FormalDistribution, GeneralizedFunction,
+                                      PointTerm, SmoothTerm)
 from formalcalc.errors import (CertificateError, DomainMismatchError,
                                TruncationError)
 from formalcalc.expr import ONE, X, Add, add, div, mul, window_bump
@@ -25,7 +33,7 @@ from formalcalc.sheaf import (Cover, PartitionOfUnity, build_pou,
                               cosheaf_decompose, cosheaf_reassemble,
                               dual_density_family, dual_function_family,
                               functional_residual)
-from formalcalc.spaces import OpenSet, SmoothLine
+from formalcalc.spaces import OpenSet, RSet, SmoothLine
 
 SL = SmoothLine()
 DOM = OpenSet(SL, [(-4, 4)])
@@ -214,3 +222,96 @@ def test_every_proved_reassembly_samples_to_zero(monkeypatch):
                         lambda self, a, b, region: a is b)
     for back, u in proved:
         assert suites.function_residual(back, u) == 0.0
+
+
+# -- glued and reassembled distributions ------------------------------------------
+
+
+def test_every_proved_glue_and_reassembly_measures_to_zero(monkeypatch):
+    seen = []
+
+    def recording(a, b, family):
+        seen.append((a, b, family))
+        return functional_residual(a, b, family)
+    monkeypatch.setattr(suites, "functional_residual", recording)
+    for seed in range(20):
+        suites.suite_glue(SL, 1, 1, seed, 1e-8, rounds=1)
+        suites.suite_cosheaf(SL, 1, 1, seed, 1e-8, rounds=1)
+    proved = [(a, b, fam) for a, b, fam in seen
+              if a != b and sheaf._proves_line(a, b)]
+    # both glue laws and the cosheaf distribution law
+    assert {type(a) for a, _, _ in proved} == {
+        GeneralizedFunction, FormalDistribution, CompactFormalDistribution}
+    monkeypatch.setitem(sheaf._PROOFS, SmoothLine, operator.eq)
+    for a, b, fam in proved:
+        assert functional_residual(a, b, fam)[0] <= 1e-12
+
+
+def edited(section, edit, support=None):
+    """section with the terms of its first entry passed through edit."""
+    j = min(section.coeffs)
+    coeffs = dict(section.coeffs)
+    coeffs[j] = (BaseDistribution(SL, terms=edit(list(coeffs[j][0].terms))),)
+    return CompactFormalDistribution(SL, section.domain, 1, 1, coeffs,
+                                     support=section.support if support is None
+                                     else support)
+
+
+def test_a_perturbed_distribution_reassembly_is_measured(monkeypatch):
+    pou = build_pou(suites._three_part_cover(SL), 1, 4)
+    m = pou.cover.whole
+    t = suites.rand_compact_distribution(random.Random(6), SL, m, 1, 1, 1)
+    back = cosheaf_reassemble(cosheaf_decompose(t, pou), m)
+    split = [n for n, s in enumerate(back.coeffs[min(back.coeffs)][0].terms)
+             if isinstance(s, SmoothTerm)]
+    assert len(split) == 3
+
+    def dropped(terms):
+        del terms[split[0]]
+        return terms
+
+    def doubled(terms):
+        g = terms[split[0]].g
+        q = div(mul(2, g.a.num), g.a.den, region=g.a.region)
+        terms[split[0]] = SmoothTerm(mul(q, g.b), terms[split[0]].bound)
+        return terms
+
+    def shrunk(terms):
+        bounds = [terms[n].bound for n in split]
+        top = max(split, key=lambda n: terms[n].bound.hull()[1])
+        lo, hi = terms[top].bound.hull()
+        terms[top] = SmoothTerm(terms[top].g,
+                                RSet.closed_pairs([(lo, hi - (hi - lo) / 4)]))
+        whole = reduce(RSet.union, bounds)
+        assert not whole <= reduce(RSet.union,
+                                   [terms[n].bound for n in split])
+        return terms
+
+    beyond = RSet.closed_pairs([(5, Fraction(11, 2))])
+
+    def widened(terms):
+        n = split[0]
+        terms[n] = SmoothTerm(terms[n].g, terms[n].bound | beyond)
+        return terms
+
+    def moved(terms):
+        p = terms[-1]
+        assert isinstance(p, PointTerm)
+        terms[-1] = PointTerm(p.a, p.i, complex(p.c) + 1e-12)
+        return terms
+    bexpr, bsupp, _ = window_bump(-1, 1)
+    bumped = t.add(CompactFormalDistribution(
+        SL, m, 1, 1, {(0,): (BaseDistribution.smooth(SL, mul(X, bexpr),
+                                                     bsupp),)}))
+    wider = OpenSet(SL, [(-7, 7)])
+    cases = [(edited(back, e), t) for e in (dropped, doubled, shrunk, moved)] \
+        + [(edited(back, widened, back.support | beyond), t),
+           (back, bumped), (back.ext(wider), t.ext(wider))]
+    refuse(monkeypatch, quadrature, "_adaptive")
+    fam = dual_function_family(SL, m, 1, 1)
+    assert back != t and functional_residual(back, t, fam) == (0.0, None)
+    for a, b in cases:
+        assert not sheaf._proves_line(a, b)
+        assert not sheaf._proves_line(b, a)
+        with pytest.raises(Measured):
+            functional_residual(a, b, dual_function_family(SL, a.domain, 1, 1))
