@@ -39,8 +39,8 @@ runs its panel form: one call per panel runs the panel's abscissas and
 sums each root's Kronrod and Gauss rules, a real root's in float.
 
 Nodes are interned where they are built (`Expr.__new__`): one
-structure, a quotient's region aside, is one live object, so `==` and
-`hash` are object identity and printing is for output only.
+structure is one live object, so `==` and `hash` are object identity
+and printing is for output only.
 
 `_fold` over `_postorder` is the one walk: evaluation, bounds,
 derivatives, printing, `poly_coeffs` and the program visit each
@@ -49,7 +49,8 @@ derivative shares the derivatives of shared subterms.
 
 Quotient denominators are certified positive at construction by exact
 adaptive interval bisection over the region where the quotient will be
-evaluated (the whole line by default).
+evaluated (the whole line by default), and the proof is kept beside
+the denominator node (`certified`), not on the quotient.
 """
 
 from __future__ import annotations
@@ -76,17 +77,17 @@ POS_INF = float("inf")
 
 class Expr:
     """A node. Nodes are interned: one structure is one live object, so
-    `==` and `hash` are object identity. A quotient's region is not part
-    of its structure; the node keeps the region it was first built with.
-    """
+    `==` and `hash` are object identity."""
 
     __slots__ = ("__weakref__",)
 
     def __new__(cls, *fields):
-        # __slots__ name the fields in order; the key is the class and
-        # the first two (the children, n or m), so a quotient's region,
-        # its third, is left out
-        return _intern(cls, (cls, *fields[:2]), fields)
+        # __slots__ name the fields in order, and the key is the class
+        # and all of them: a field the class does not declare is refused,
+        # so no second live node of one structure can be made
+        if len(fields) != len(cls.__slots__):
+            raise TypeError("%s has the fields %s" % (cls.__name__, cls.__slots__))
+        return _intern(cls, (cls, *fields), fields)
 
     def __reduce__(self):
         # a copy or an unpickled node is the live node of its structure
@@ -150,9 +151,9 @@ class Mul(Expr):
 
 
 class Div(Expr):
-    """Certified quotient. `region` is where positivity of den is known."""
+    """Certified quotient: den is proven positive (`certified`)."""
 
-    __slots__ = ("num", "den", "region")
+    __slots__ = ("num", "den")
 
 
 class Pow(Expr):
@@ -305,13 +306,18 @@ def div(num, den, region=None) -> Expr:
     if region not in _CERTIFIED.get(den, ()):
         certify_positive(den, region)
         _CERTIFIED.setdefault(den, set()).add(region)
-    return Div(num, den, region)
+    return Div(num, den)
 
 
-def _div_unchecked(num, den, region) -> Expr:
+def certified(den, region) -> bool:
+    """Has `div` proven den positive on a region holding this one?"""
+    return any(region <= r for r in _CERTIFIED.get(den, ()))
+
+
+def _div_unchecked(num, den) -> Expr:
     if _is_const(num, 0):
         return ZERO
-    return Div(num, den, region)
+    return Div(num, den)
 
 
 # -- the one walk ------------------------------------------------------------------
@@ -389,8 +395,8 @@ def _diff_visit(e: Expr, *d) -> Expr:
         return add(mul(d[0], e.b), mul(e.a, d[1]))
     if kind is Div:
         num = sub(mul(d[0], e.den), mul(e.num, d[1]))
-        # den^2 inherits positivity from den on the same region
-        return _div_unchecked(num, pow_(e.den, 2), e.region)
+        # den^2 is positive wherever den is
+        return _div_unchecked(num, pow_(e.den, 2))
     if kind is Pow:
         return mul(mul(Const(e.n), pow_(e.base, e.n - 1)), d[0])
     inner = add(Kern(e.arg, e.m + 2), mul(Const(-e.m), Kern(e.arg, e.m + 1)))

@@ -18,11 +18,11 @@ dual_density_family), which builds a probe section only when one is
 asked for, in practice a failed check's witness. `probe_values` reads
 sections at its probes by the reader of the space's type: off the
 coefficients on a discrete space, by one batch of pairings per check on
-the line. functional_residual reads no probe for two sections the space
-proves equal (`_PROOFS`), once both pass the family's checks: `==`
-sections, and on the line a glued or reassembled distribution against
-the section it came from, whose split terms the partition identity sums
-back (`SmoothLine.proves_integrals_equal`).
+the line. functional_residual reads no probe for two sections proved
+equal (`_proves`, one rule for every space) once both pass the family's
+checks: `==` sections, and distributions whose integral terms the space
+proves equal (`proves_equal`), on the line a glued or reassembled
+distribution against the section it came from.
 The constructions:
 
 * build_pou: partitions of unity subordinate to a finite cover.
@@ -49,7 +49,6 @@ import math
 from collections.abc import Sequence
 from functools import cached_property, reduce
 from itertools import islice
-from operator import eq
 
 from .basedensity import BaseDensity
 from .densities import FormalDensity
@@ -100,9 +99,9 @@ class PartitionOfUnity:
     Every function is constant in y (only the zero y-index carries a
     coefficient). The space's unit_gap checks the sum identity: exactly
     on a discrete space. On the line it is proved, not sampled, for the
-    bump quotients build_pou makes, whose numerators sum to their one
-    shared denominator; any other line partition (hand-built,
-    reordered, scaled, or a single part) is sampled on a grid, within
+    bump quotients build_pou makes, in any order, whose numerators sum
+    to their one shared denominator; any other line partition
+    (hand-built, scaled, or a single part) is sampled on a grid, within
     POU_GRID_TOL.
     """
 
@@ -346,27 +345,25 @@ def _worst(family, va, vb, e_dim):
     return worst, None if at is None else family[at]
 
 
-def _proves_line(a, b) -> bool:
+def _proves(a, b) -> bool:
     """a == b, or distribution sections of one kind, domain, k and key set
     whose point terms pair up by (a, i) with no gap between their scalars
-    and whose integral terms `proves_integrals_equal` proves equal."""
+    and whose integral terms the space proves equal (`proves_equal`)."""
+    if a == b:
+        return True
     if type(a) is not type(b) or not isinstance(a, _DualSection) \
             or (a.domain, a.k, a.coeffs.keys()) != (b.domain, b.k, b.coeffs.keys()):
-        return a == b
+        return False
     for j, vec in a.coeffs.items():
         for entries in zip(vec, b.coeffs[j]):
             (sa, pa), (sb, pb) = (
                 ([(t.g, t.bound) for t in w.terms if type(t) is SmoothTerm],
                  [t for t in w.terms if type(t) is PointTerm]) for w in entries)
             if [(t.a, t.i) for t in pa] != [(t.a, t.i) for t in pb] \
-                    or max_gap([t.c for t in pa], [t.c for t in pb]) or not \
-                    a.space.proves_integrals_equal(sa, sb, a.domain.region):
+                    or max_gap([t.c for t in pa], [t.c for t in pb]) \
+                    or not a.space.proves_equal(sa, sb, a.domain.region):
                 return False
     return True
-
-
-# two sections proved equal on a space: on a discrete one `==` decides
-_PROOFS = {Discrete: eq, SmoothLine: _proves_line}
 
 
 def functional_residual(a, b, family):
@@ -376,7 +373,7 @@ def functional_residual(a, b, family):
     with the largest gap.
 
     Functionals of different E_dim raise DomainMismatchError, whatever
-    the family. Sections the space proves equal (`_PROOFS`), once both
+    the family. Sections the space proves equal (`_proves`), once both
     are checked against the family, read (0.0, None) without a probe.
     """
     if a.e_dim != b.e_dim:
@@ -384,7 +381,7 @@ def functional_residual(a, b, family):
                                   "not comparable" % (a.e_dim, b.e_dim))
     family.check(a)
     family.check(b)
-    if _PROOFS[type(family.space)](a, b):
+    if _proves(a, b):
         return 0.0, None
     va, vb = probe_values(family.space, [(a, family), (b, family)])
     return _worst(family, va, vb, a.e_dim)

@@ -29,14 +29,13 @@ Each backend also supplies the ingredients of the sheaf constructions,
 as base data that sheaf.py turns into formal sections: the probes
 (`probes`), a partition of unity (`partition`), a cutoff and its
 plateau and support near a set (`cutoff`, `cutoff_near`), and the
-checks that a partition sums to one (`unit_gap`) and that two
-coefficients agree (`proves_equal`), or on the line two lists of
-integral terms (`proves_integrals_equal`). Label indicators on
-Discrete, exact; on SmoothLine plateau bumps over one certified
-denominator, whose checks prove what the partition identity closes
-(`_sums_to_one`, the one such rule) and sample or leave unknown the
-rest. Reading a section at the probes is section-level work, done in
-sheaf.py.
+checks that a partition sums to one (`unit_gap`) and that two lists
+of (coefficient, bound) terms agree (`proves_equal`, one rule per
+space). Label indicators on Discrete, exact; on SmoothLine plateau
+bumps over one certified denominator, whose checks prove what the
+partition identity closes (`_sums_to_one`, order-free) and sample or
+leave unknown the rest. Reading a section at the probes is
+section-level work, done in sheaf.py.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -47,6 +46,7 @@ in rational arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -54,8 +54,8 @@ from operator import or_
 from .errors import (BackendError, CertificateError, DomainMismatchError,
                      SupportError, json_shape)
 from .expr import (ONE, ZERO, Add, Const, Div, Mul, X, _compile, add, bump,
-                   diff, div, ev, falling_edge, mul, parse_sexpr, pow_,
-                   rising_edge, to_sexpr, window_bump)
+                   certified, diff, div, ev, falling_edge, mul, parse_sexpr,
+                   pow_, rising_edge, to_sexpr, window_bump)
 from .quadrature import DEFAULT_ABS_TOL, integrate_exprs
 from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_map_add,
                       qc_to_json, rat_from_json, rat_to_json)
@@ -344,7 +344,7 @@ class Discrete:
         return 0.0 if total == self.constant(1, region) else 1.0
 
     def proves_equal(self, a, b, region) -> bool:
-        """a == b: exact weights need no proof beyond comparison."""
+        """a == b, lists of (weights, bound) terms: exact, no proof needed."""
         return a == b
 
     # -- coefficient algebra ------------------------------------------------
@@ -534,24 +534,27 @@ def _part_bumps(whole: RSet, part: RSet, delta: Fraction):
     return (reduce(add, bumps) if bumps else None), RSet(supp)
 
 
+def _summands(e):
+    """The summands of e, a sum nested either way (or e itself)."""
+    out, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is Add:
+            stack += e.a, e.b
+        else:
+            out.append(e)
+    return out
+
+
 def _sums_to_one(quots, region) -> bool:
     """True when quots are b_i / S over one denominator node S, certified
-    positive on a region holding this one, and the b_i sum to S itself (an
-    identity test, as nodes are interned), as `partition` builds them."""
+    positive on a region holding this one, and the b_i's summands are S's
+    as a multiset of interned nodes, in any order and nesting."""
     return bool(quots) and all(
-        type(c) is Div and c.den is quots[0].den and region <= c.region
-        for c in quots) and reduce(add, [c.num for c in quots]) is quots[0].den
-
-
-def _summand_order(quots):
-    """quots (Div nodes) in the order `partition` adds up their numerators
-    in the first one's denominator; one found nowhere sorts first."""
-    rank, e = {}, quots[0].den
-    for n in range(len(quots) - 1, 0, -1):
-        if type(e) is Add:
-            rank[e.b], e = n, e.a
-    rank[e] = 0
-    return sorted(quots, key=lambda q: rank.get(q.num, -1))
+        type(c) is Div and c.den is quots[0].den for c in quots) \
+        and certified(quots[0].den, region) \
+        and Counter(t for c in quots for t in _summands(c.num)) \
+        == Counter(_summands(quots[0].den))
 
 
 class SmoothLine:
@@ -705,50 +708,39 @@ class SmoothLine:
 
     def unit_gap(self, coeffs, region) -> float:
         """0.0, proved, when the nonzero coefficients are as `partition`
-        builds them (`_sums_to_one`). Otherwise (a hand-built, reordered
-        or scaled partition, a single part) the largest |sum of the
-        coefficients - 1| at the sample points of the region."""
+        builds them (`_sums_to_one`), in any order. Otherwise (a
+        hand-built or scaled partition, a single part) the largest |sum of
+        the coefficients - 1| at the sample points of the region."""
         if _sums_to_one([c for c in coeffs if c != ZERO], region):
             return 0.0
         return max((abs(sum(complex(ev(c, a)) for c in coeffs) - 1)
                     for a in self.sample_points(region)), default=0.0)
 
     def proves_equal(self, a, b, region) -> bool:
-        """True when a is b, or when one is a sum of products q_i * (the
-        other), nested left as `cosheaf_reassemble` adds them, whose q_i
-        sum to one on the region (`_sums_to_one`). False: unknown."""
-        for s, c in ((a, b), (b, a)):
-            terms = [s]
-            while type(terms[-1]) is Add:
-                terms[-1:] = terms[-1].b, terms[-1].a
-            if all(type(t) is Mul and t.b is c for t in terms) \
-                    and _sums_to_one([t.a for t in reversed(terms)], region):
-                return True
-        return a is b
-
-    def proves_integrals_equal(self, a, b, region) -> bool:
-        """True when two lists of (coefficient, bound) integral terms, as
-        `gather` leaves them, are equal, or when each term (c, B) of one
-        is split in the other into terms (q_i * c, B_i) whose bounds lie
-        in B and cover it (None: the whole line) and whose q_i, in
-        summand order, sum to one on the region (`_sums_to_one`)."""
+        """True when two lists of (coefficient, bound) terms are equal, or
+        when each term (c, B) of one is split in the other into summands
+        q_i * c whose terms' bounds lie in B and cover it (None: the whole
+        line), and whose q_i sum to one on the region (`_sums_to_one`).
+        So a coefficient's partition reassembly, one term, is proved
+        against the coefficient. False: unknown."""
+        if a == b:
+            return True
         whole = RSet.whole()
         for s, o in ((a, b), (b, a)):
             groups = {c: (whole if bd is None else bd, []) for c, bd in s}
-            for g, bd in o:
-                if type(g) is not Mul or type(g.a) is not Div \
-                        or g.b not in groups:
+            for t, bd in [(t, bd) for g, bd in o for t in _summands(g)]:
+                if type(t) is not Mul or type(t.a) is not Div \
+                        or t.b not in groups:
                     break
-                groups[g.b][1].append((g.a, whole if bd is None else bd))
+                groups[t.b][1].append((t.a, whole if bd is None else bd))
             else:
                 if len(groups) == len(s) and all(
                         parts and all(r <= bound for _, r in parts)
                         and bound <= reduce(or_, [r for _, r in parts])
-                        and _sums_to_one(_summand_order([q for q, _ in parts]),
-                                         region)
+                        and _sums_to_one([q for q, _ in parts], region)
                         for bound, parts in groups.values()):
                     return True
-        return a == b
+        return False
 
     # -- coefficient algebra ------------------------------------------------
     #

@@ -383,14 +383,14 @@ def function_residual(a: FormalFunction, b: FormalFunction) -> float:
     """Max coefficient disagreement where either coefficient can be
     nonzero: at their labels on the discrete backend, on a sample grid
     of the domain on the smooth line. A pair the space proves equal on
-    the domain (`proves_equal`: equal coefficients, and on the line a
-    partition's reassembly of the other) reads 0.0 unsampled; unequal
-    exact values never read as 0.0 apart."""
+    the domain (`proves_equal` on one-term lists: equal coefficients,
+    and on the line a partition's reassembly of the other) reads 0.0
+    unsampled; unequal exact values never read as 0.0 apart."""
     space = a.space
     worst = 0.0
     for j in set(a.coeffs) | set(b.coeffs):
         ca, cb = a.coeff(j), b.coeff(j)
-        if space.proves_equal(ca, cb, a.domain.region):
+        if space.proves_equal([(ca, None)], [(cb, None)], a.domain.region):
             continue
         pts = space.sample_points(space.support((ca, cb), a.domain.region))
         worst = max(worst, max_gap([space.ev(ca, x) for x in pts],

@@ -88,7 +88,7 @@ def grouped(outcome):
 
 # 1/x divides by zero at the first panel of a range centred on 0;
 # 10^200 * (10^200 * x) overflows to inf without raising
-POLE = Div(Const(1), X, None)
+POLE = Div(Const(1), X)
 HUGE = Mul(Const(10 ** 200), Mul(Const(10 ** 200), X))
 
 

@@ -36,7 +36,7 @@ from formalcalc.quadrature import integrate_exprs
 from formalcalc.scalars import QC
 from formalcalc.scenario import Scenario
 from formalcalc.sheaf import build_pou
-from formalcalc.spaces import SmoothLine
+from formalcalc.spaces import RSet, SmoothLine
 
 SMOOTH = Path(__file__).resolve().parent.parent / "scenarios" \
     / "smooth_demo.json"
@@ -155,7 +155,7 @@ def test_an_edge_and_its_proof_outlive_their_first_result(counted):
     again = rising_edge(a, b)
     assert first() is again and type(again) is Div
     assert len(counted["certify"]) == 1
-    assert again.region in expr._CERTIFIED[again.den]
+    assert expr.certified(again.den, RSet.whole())
     down = falling_edge(a, b)
     assert falling_edge(a, b) is down
     assert len(counted["certify"]) == 2
@@ -209,8 +209,9 @@ def test_every_edge_returned_holds_its_proof(monkeypatch, counted):
     assert hits > 10 and len(returned) > hits
     proofs = set()
     for q in returned:
-        assert type(q) is Div and q.region in expr._CERTIFIED[q.den]
-        proofs.add((q.den, q.region))
+        # an edge is proven on the whole line
+        assert type(q) is Div and expr.certified(q.den, RSet.whole())
+        proofs.add((q.den, RSet.whole()))
     # no edge is proven twice, and the cache returns most of them
     asked = Counter(p for p in counted["certify"] if p in proofs)
     assert set(asked.values()) == {1} and len(proofs) < len(returned)

@@ -96,7 +96,7 @@ def rand_tree(rng, depth, pool):
     elif kind == "*":
         e = Mul(rand_tree(rng, depth - 1, pool), rand_tree(rng, depth - 1, pool))
     elif kind == "/":
-        e = Div(rand_tree(rng, depth - 1, pool), rand_tree(rng, depth - 1, pool), None)
+        e = Div(rand_tree(rng, depth - 1, pool), rand_tree(rng, depth - 1, pool))
     elif kind == "p":
         e = Pow(rand_tree(rng, depth - 1, pool), rng.randint(0, 4))
     elif kind == "k":
@@ -167,7 +167,7 @@ def test_ev_f_is_the_compiled_program():
 
 
 def test_zero_denominator_raises_on_both():
-    e = Div(X, Add(X, Const(-1)), None)
+    e = Div(X, Add(X, Const(-1)))
     with pytest.raises(ZeroDivisionError):
         tree_ev_f(e, 1.0)
     with pytest.raises(ZeroDivisionError):
@@ -177,7 +177,7 @@ def test_zero_denominator_raises_on_both():
 def test_exceptions_come_in_left_to_right_order():
     # the left operand overflows before the right one divides by zero
     big = Pow(Mul(X, Const(10 ** 200)), 2)
-    e = Add(big, Div(Const(1), Add(X, Const(-1)), None))
+    e = Add(big, Div(Const(1), Add(X, Const(-1))))
     assert outcome(tree_ev_f, e, 1.0) is OverflowError
     assert outcome(compile_f(e), 1.0) is OverflowError
 

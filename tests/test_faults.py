@@ -44,9 +44,19 @@ def glue_sums_one_part_fewer(monkeypatch):
     monkeypatch.setattr(suites, "sheaf_glue", sheaf_glue)
 
 
+def reassemble_drops_its_last_local(monkeypatch):
+    real = sheaf.cosheaf_reassemble
+
+    def cosheaf_reassemble(locals_, m):
+        return real(list(locals_)[:-1], m)
+    monkeypatch.setattr(suites, "cosheaf_reassemble", cosheaf_reassemble)
+
+
 FAULTS = {
     "FormalDensity.ext drops the top key": (ext_drops_the_top_key, "all"),
     "sheaf_glue sums one part fewer": (glue_sums_one_part_fewer, "glue"),
+    "cosheaf_reassemble drops its last local":
+        (reassemble_drops_its_last_local, "cosheaf"),
 }
 
 

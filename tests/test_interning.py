@@ -130,11 +130,18 @@ def test_smart_constructors_take_plain_numbers():
     assert to_sexpr(mul(2, kern(1))) == "(* 2 (s 1))"
 
 
-def test_a_quotient_keeps_its_first_region():
+def test_a_field_its_class_does_not_declare_is_refused():
+    # a quotient is its numerator and denominator, its proof is kept
+    # beside the denominator: a leftover region argument cannot make a
+    # second live node of one structure
     den = add(mul(X, X), ONE)
-    unit = RSet.closed_pairs([(0, 1)])
-    q = Div(X, den, unit)
-    assert Div(X, den, None) is q and q.region is unit
+    q = Div(X, den)
+    for bad in (lambda: Div(X, den, RSet.closed_pairs([(0, 1)])),
+                lambda: Div(X, den, None), lambda: Div(X),
+                lambda: Add(X, X, X), lambda: Var(X)):
+        with pytest.raises(TypeError):
+            bad()
+    assert Div(X, den) is q and not hasattr(q, "region")
 
 
 def test_parsing_returns_the_live_node():
@@ -186,7 +193,7 @@ def test_derivatives_are_one_node_per_structure():
 def rand_dag(rng, depth, pool):
     """A node built from the node classes directly, drawing on a pool of
     earlier subterms; small constants and exponents keep equal
-    structures common across seeds. Quotients get a random region."""
+    structures common across seeds."""
     if pool and rng.random() < 0.3:
         return rng.choice(pool)
     if depth == 0 or rng.random() < 0.2:
@@ -198,9 +205,7 @@ def rand_dag(rng, depth, pool):
     elif kind == "*":
         node = Mul(a, rand_dag(rng, depth - 1, pool))
     elif kind == "/":
-        region = rng.choice((None, RSet.closed_pairs([(0, 1)]),
-                             RSet.open_pairs([(-1, 2)])))
-        node = Div(a, rand_dag(rng, depth - 1, pool), region)
+        node = Div(a, rand_dag(rng, depth - 1, pool))
     elif kind == "p":
         node = Pow(a, rng.randint(2, 3))
     else:
@@ -210,8 +215,7 @@ def rand_dag(rng, depth, pool):
 
 
 def structural_key(e, memo):
-    """Node kind, constant value, n or m and the children's keys; the
-    region of a quotient is left out."""
+    """Node kind, constant value, n or m and the children's keys."""
     k = memo.get(id(e))
     if k is None:
         t = type(e)
@@ -305,6 +309,17 @@ def test_a_proof_is_not_reused_for_another_region(monkeypatch):
     assert expr._CERTIFIED[den] == {near, RSet.open_pairs([(0, 1)])}
 
 
+def test_a_proof_holds_on_every_region_inside_its_own():
+    den = add(X, Const(2 + Fraction(1, 7877)))
+    near = RSet.open_pairs([(-1, 1)])
+    assert not expr.certified(den, near)
+    div(ONE, den, region=near)
+    assert expr.certified(den, near)
+    assert expr.certified(den, RSet.closed_pairs([(0, Fraction(1, 2))]))
+    assert not expr.certified(den, RSet.open_pairs([(-1, 2)]))
+    assert not expr.certified(add(den, X), near)
+
+
 def test_a_proof_goes_with_its_denominator():
     gc.collect()
     before = len(expr._CERTIFIED)
@@ -340,4 +355,9 @@ def test_every_quotient_built_is_certified_on_its_own_region(monkeypatch):
         assert suite(SmoothLine(), *args[name], 0, 1e-8, **extra)["pass"]
     assert len(built) > 10
     for q in built.values():
-        expr.certify_positive(q.den, q.region)
+        # a derivative's den^2 is positive where den is
+        den = q.den
+        while den not in expr._CERTIFIED:
+            den = den.base
+        for region in expr._CERTIFIED[den]:
+            expr.certify_positive(q.den, region)

@@ -1,8 +1,9 @@
 """What the construction guarantees is proved, not measured.
 
-A line partition built by build_pou sums to one because its numerators
-sum to the one interned denominator they share, so its unit check
-samples nothing; any other coefficient list is still sampled. The same
+A line partition built by build_pou sums to one because the summands of
+its numerators are those of the one interned denominator they share, in
+any order, so its unit check samples nothing; any other coefficient list
+is still sampled. The same
 identity proves a supported function's coefficient equal to its
 reassembly from the partition, so the cosheaf function law samples
 nothing either, and a glued or reassembled distribution equal to the
@@ -78,12 +79,12 @@ def test_a_built_line_partition_is_proved_without_sampling(name,
 def test_any_other_coefficient_list_is_sampled(monkeypatch):
     pou = build_pou(two_part_cover(), 1, 1)
     c0, c1 = (f.coeff((0,)) for f in pou.functions)
-    doubled = div(mul(2, c0.num), c0.den, region=c0.region)
+    doubled = div(mul(2, c0.num), c0.den, region=DOM.region)
     wider = OpenSet(SL, [(-5, 5)]).region
     refuse_sampling(monkeypatch)
     assert SL.unit_gap([c0, c1], DOM.region) == 0.0
-    for coeffs, region in (([c1, c0], DOM.region),       # reordered
-                           ([doubled, c1], DOM.region),  # sum is not S
+    assert SL.unit_gap([c1, c0], DOM.region) == 0.0    # reordered
+    for coeffs, region in (([doubled, c1], DOM.region),  # sum is not S
                            ([mul(2, c0), c1], DOM.region),  # scaled
                            ([ONE], DOM.region),          # a single part
                            ([c0, c1], wider)):           # S not certified
@@ -95,11 +96,75 @@ def test_a_partition_whose_numerators_miss_s_is_refused():
     cover = two_part_cover()
     f0, f1 = build_pou(cover, 1, 1).functions
     c0 = f0.coeff((0,))
-    c0 = div(mul(2, c0.num), c0.den, region=c0.region)
+    c0 = div(mul(2, c0.num), c0.den, region=DOM.region)
     doubled = SupportedFormalFunction(SL, DOM, 1, 1, {(0,): c0},
                                       support=f0.support, plateau=f0.plateau)
     with pytest.raises(CertificateError):
         PartitionOfUnity(cover, [doubled, f1])
+
+
+def three_quotients():
+    """The three quotients b_i / S of the three-part cover's partition,
+    its whole set's region, and S = (b_0 + b_1) + b_2."""
+    pou = build_pou(suites._three_part_cover(SL), 1, 1)
+    quots = [f.coeff((0,)) for f in pou.functions]
+    assert quots[0].den is add(add(*(q.num for q in quots[:2])), quots[2].num)
+    return quots, pou.cover.whole.region
+
+
+def test_the_partition_identity_is_order_free(monkeypatch):
+    (q0, q1, q2), region = three_quotients()
+    den = q0.den
+    cb = suites.rand_function(random.Random(0), SL, DOM, 1, 0).coeff((0,))
+    # one numerator nesting b_2 + (b_1 + b_0), the reverse of S
+    reverse = div(add(q2.num, add(q1.num, q0.num)), den, region=region)
+    first_two = div(add(q1.num, q0.num), den, region=region)
+    refuse_sampling(monkeypatch)
+    for quots in ([q2, q0, q1], [q1, q2, q0], [reverse], [q2, first_two]):
+        assert SL.unit_gap(quots, region) == 0.0
+        back = reduce(add, [mul(q, cb) for q in quots])
+        assert SL.proves_equal(one(back), one(cb), region)
+        assert SL.proves_equal(one(cb), one(back), region)
+
+
+def test_a_wrong_order_free_sum_is_still_sampled(monkeypatch):
+    (q0, q1, q2), region = three_quotients()
+    den = q0.den
+    doubled = div(mul(2, q0.num), den, region=region)
+    repeated = div(add(q0.num, q1.num), den, region=region)
+    wider = RSet.open_pairs([(-9, 9)])
+    cb = suites.rand_function(random.Random(0), SL, DOM, 1, 0).coeff((0,))
+    refuse_sampling(monkeypatch)
+    for quots, r in (([q2, doubled, q1], region),      # one numerator doubled
+                     ([q2, q0], region),               # one part dropped
+                     ([q2, repeated, q1], region),     # b_1 counted twice
+                     ([q1, q0, q2, q1], region),       # one part repeated
+                     ([q2, q1, q0], wider)):           # S not certified there
+        with pytest.raises(Measured):
+            SL.unit_gap(quots, r)
+        back = reduce(add, [mul(q, cb) for q in quots])
+        assert not SL.proves_equal(one(back), one(cb), r)
+        assert not SL.proves_equal(one(cb), one(back), r)
+
+
+def test_a_proof_does_not_depend_on_which_nodes_are_alive(monkeypatch):
+    # the (-4, 4) two-part partition builds the very quotient nodes of
+    # smooth_demo's cover C, whose whole set is the line; with it alive,
+    # C's partition and its reassemblies are proved all the same
+    alive = build_pou(two_part_cover(), 1, 1)
+    cover = COVERS["smooth_demo C"]()
+    assert cover.whole == SL.whole() != alive.cover.whole
+    refuse_sampling(monkeypatch)
+    pou = build_pou(cover, 1, 4)
+    assert pou.grid_residual == 0.0
+    assert [f.coeff((0,)) for f in pou.functions] \
+        == [f.coeff((0,)) for f in alive.functions]
+    pairs = [reassembled(pou, seed) for seed in range(4)]
+    assert sum(len(u.coeffs) for _, u in pairs) == 9
+    for back, u in pairs:
+        assert suites.function_residual(back, u) == 0.0
+        assert suites.function_residual(u, back) == 0.0
+    assert alive.grid_residual == 0.0
 
 
 def test_equal_sections_read_zero_without_integrating(monkeypatch):
@@ -169,6 +234,11 @@ def test_the_cosheaf_suite_samples_no_function(monkeypatch):
     assert suites.suite_cosheaf(SL, 1, 1, 0, 1e-8, rounds=2)["pass"]
 
 
+def one(c):
+    """A coefficient as a list of one (coefficient, bound) term."""
+    return [(c, None)]
+
+
 def summands(e):
     """The terms of a left-nested sum, in order."""
     out = []
@@ -185,15 +255,15 @@ def test_a_perturbed_reassembly_is_measured(monkeypatch):
     ca, cb = back.coeff((0,)), u.coeff((0,))
     quots = [t.a for t in summands(ca)]
     assert len(quots) == 3 and all(t.b is cb for t in summands(ca))
-    den, region = quots[0].den, quots[0].region
+    den, region = quots[0].den, m.region
 
     def rebuilt(qs):
         return reduce(add, [mul(q, cb) for q in qs])
     scaled = div(mul(2, quots[0].num), den, region=region)
     twice = [div(q.num, mul(2, den), region=region) for q in quots]
     wider = OpenSet(SL, [(-7, 7)])
-    assert SL.proves_equal(ca, cb, m.region)
-    assert SL.proves_equal(rebuilt(quots), cb, m.region)
+    assert SL.proves_equal(one(ca), one(cb), m.region)
+    assert SL.proves_equal(one(rebuilt(quots)), one(cb), m.region)
     cases = [(m, ca, add(cb, mul(X, window_bump(-1, 1)[0]))),  # u + x bump
              (m, rebuilt([scaled] + quots[1:]), cb),           # one scaled
              (m, rebuilt(quots[:2]), cb),                      # one dropped
@@ -202,8 +272,8 @@ def test_a_perturbed_reassembly_is_measured(monkeypatch):
              (wider, ca, cb)]                                  # not certified
     refuse_sampling(monkeypatch)
     for dom, a, b in cases:
-        assert not SL.proves_equal(a, b, dom.region)
-        assert not SL.proves_equal(b, a, dom.region)
+        assert not SL.proves_equal(one(a), one(b), dom.region)
+        assert not SL.proves_equal(one(b), one(a), dom.region)
         with pytest.raises(Measured):
             suites.function_residual(FormalFunction(SL, dom, 1, 2, {(0,): a}),
                                      FormalFunction(SL, dom, 1, 2, {(0,): b}))
@@ -215,11 +285,12 @@ def test_every_proved_reassembly_samples_to_zero(monkeypatch):
     for seed in range(20):
         back, u = reassembled(pou, seed)
         for j in u.coeffs:
-            assert SL.proves_equal(back.coeff(j), u.coeff(j), u.domain.region)
+            assert SL.proves_equal(one(back.coeff(j)), one(u.coeff(j)),
+                                   u.domain.region)
         proved.append((back, u))
     # with no proof on hand, function_residual samples at 30 digits
     monkeypatch.setattr(SmoothLine, "proves_equal",
-                        lambda self, a, b, region: a is b)
+                        lambda self, a, b, region: a == b)
     for back, u in proved:
         assert suites.function_residual(back, u) == 0.0
 
@@ -238,11 +309,11 @@ def test_every_proved_glue_and_reassembly_measures_to_zero(monkeypatch):
         suites.suite_glue(SL, 1, 1, seed, 1e-8, rounds=1)
         suites.suite_cosheaf(SL, 1, 1, seed, 1e-8, rounds=1)
     proved = [(a, b, fam) for a, b, fam in seen
-              if a != b and sheaf._proves_line(a, b)]
+              if a != b and sheaf._proves(a, b)]
     # both glue laws and the cosheaf distribution law
     assert {type(a) for a, _, _ in proved} == {
         GeneralizedFunction, FormalDistribution, CompactFormalDistribution}
-    monkeypatch.setitem(sheaf._PROOFS, SmoothLine, operator.eq)
+    monkeypatch.setattr(sheaf, "_proves", operator.eq)
     for a, b, fam in proved:
         assert functional_residual(a, b, fam)[0] <= 1e-12
 
@@ -272,7 +343,7 @@ def test_a_perturbed_distribution_reassembly_is_measured(monkeypatch):
 
     def doubled(terms):
         g = terms[split[0]].g
-        q = div(mul(2, g.a.num), g.a.den, region=g.a.region)
+        q = div(mul(2, g.a.num), g.a.den, region=m.region)
         terms[split[0]] = SmoothTerm(mul(q, g.b), terms[split[0]].bound)
         return terms
 
@@ -311,7 +382,7 @@ def test_a_perturbed_distribution_reassembly_is_measured(monkeypatch):
     fam = dual_function_family(SL, m, 1, 1)
     assert back != t and functional_residual(back, t, fam) == (0.0, None)
     for a, b in cases:
-        assert not sheaf._proves_line(a, b)
-        assert not sheaf._proves_line(b, a)
+        assert not sheaf._proves(a, b)
+        assert not sheaf._proves(b, a)
         with pytest.raises(Measured):
             functional_residual(a, b, dual_function_family(SL, a.domain, 1, 1))
