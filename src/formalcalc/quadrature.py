@@ -36,6 +36,9 @@ failed (another member's subterm may raise) is made again as a group
 of one. All of a batch is made at once, and a failed item raises only
 when it is read. Its items are the terms of a pairing, or of every
 section a check reads against its family (`functions.read_pairings`).
+A batch is read in entry order up to its first error, so a group fails
+fast: once a member has failed, no later member is walked, and what it
+holds is an error that is never read.
 """
 
 from __future__ import annotations
@@ -101,7 +104,8 @@ def _adaptive(panel, n, ranges, abs_tol, budget):
     and Gauss sums on [mid - half, mid + half] (`expr._float_program`).
     One walk of the bisection tree, depth first and right half first,
     one program call per panel; each member splits, accepts and spends
-    its budget on its own, in the order it would."""
+    its budget on its own, in the order it would, unless a later
+    member is stopped by the fail-fast rule of a batch group (`_fail`)."""
     total_len = 0.0
     segs = []
     for lo, hi in ranges:
@@ -123,9 +127,10 @@ def _adaptive(panel, n, ranges, abs_tol, budget):
             if type(out[i]) is not complex:
                 continue  # it failed on an earlier panel
             if evals[i] + 15 > budget:
-                out[i] = QuadratureError(
-                    "evaluation budget %d exhausted with segment [%g, %g] "
-                    "unresolved" % (budget, lo, hi))
+                if _fail(panel, out, i, QuadratureError(
+                        "evaluation budget %d exhausted with segment [%g, %g] "
+                        "unresolved" % (budget, lo, hi))):
+                    break
             else:
                 evals[i] += 15
                 live.append(i)
@@ -145,8 +150,10 @@ def _adaptive(panel, n, ranges, abs_tol, budget):
             k, g = ks[i], gs[i]
             val, err = half * k, abs(half * (k - g))
             if not math.isfinite(err):
-                out[i] = QuadratureError("integrand is not finite on "
-                                         "segment [%g, %g]" % (lo, hi))
+                if _fail(panel, out, i, QuadratureError(
+                        "integrand is not finite on segment [%g, %g]"
+                        % (lo, hi))):
+                    break
             elif (err <= share or err <= 1e-16 * max(1.0, abs(val))
                   or hi - lo < 1e-14):
                 out[i] += val
@@ -156,6 +163,17 @@ def _adaptive(panel, n, ranges, abs_tol, budget):
             stack.append((lo, mid, split))
             stack.append((mid, hi, split))
     return out
+
+
+def _fail(panel, out, i, error):
+    """Store member i's quadrature error. A batch group's panel (`_walk`)
+    fails fast: every later member is stopped, and True returned."""
+    out[i] = error
+    if not getattr(panel, "fails_fast", False):
+        return False
+    out[i + 1:] = [QuadratureError("not integrated: an earlier member of "
+                                   "its group failed")] * (len(out) - i - 1)
+    return True
 
 
 def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
@@ -173,7 +191,9 @@ def integrate_exprs(items, abs_tol=DEFAULT_ABS_TOL, budget=DEFAULT_BUDGET):
     """An iterator over the integrals of e over ranges, for e, ranges in
     items. Every integral is made by the call, each distinct one once,
     the non-polynomial ones over equal bounds by one program (module
-    docstring); a failed one raises only when the iterator reaches it."""
+    docstring); a failed one raises only when the iterator reaches it.
+    Read it in order up to its first error: after that one, an integral
+    of the failed one's group is not made, and raises no error of its own."""
     keyed = [(_key(e, ranges, abs_tol, budget), ranges) for e, ranges in items]
     memo = {}
     _make_groups(memo, dict(keyed))
@@ -230,6 +250,7 @@ def _walk(members, abs_tol, budget):
                          roots=[key[0] for key, _, _ in members], rule=_RULE)
     except ArithmeticError as e:  # a constant past the float range
         return [e] * len(members)
+    panel.fails_fast = True  # read in entry order, up to the first error
     return _adaptive(panel, len(members), members[0][1], abs_tol, budget)
 
 

@@ -18,8 +18,10 @@ dual_density_family), which builds a probe section only when one is
 asked for, in practice a failed check's witness. `probe_values` reads
 sections at its probes by the reader of the space's type: off the
 coefficients on a discrete space, by one batch of pairings per check on
-the line. functional_residual reads no probe for two sections proved
-equal (`_proves`, one rule for every space) once both pass the family's
+the line (per stage for flabby_check, which reads the block of base
+probe 0 first and the other blocks only for what it left unseen).
+functional_residual reads no probe for two sections proved equal
+(`_proves`, one rule for every space) once both pass the family's
 checks: `==` sections, and distributions whose integral terms the space
 proves equal (`proves_equal`), on the line a glued or reassembled
 distribution against the section it came from.
@@ -45,6 +47,7 @@ The constructions:
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Sequence
 from functools import cached_property, reduce
@@ -187,6 +190,13 @@ class _ProbeFamily(Sequence):
         j, i = divmod(r, len(self.stacks))
         return self._probe(*self.base[b], self.keys[j], self.stacks[i])
 
+    def blocks(self, bases: slice):
+        """The family of the probes of the base probes in the slice
+        `bases` (their blocks of width probes), numbered from 0."""
+        view = copy.copy(self)
+        view.base = self.base[bases]
+        return view
+
     def check(self, section):
         """Raise what pairing the section with the probes raises:
         TypeError for a section that reads no probe of this kind,
@@ -268,13 +278,13 @@ def _read_discrete(space, reads):
     a times y^J (or the density at a times (y*)^J), reads J! times the
     weight at a of the section's J-th coefficient. Only positions where
     the section has a weight appear; the other probes read zero. Keys
-    beyond the family's cap and labels outside its domain are read by
-    no probe. The labels take the order `Discrete.probes` gives them.
+    beyond the family's cap and labels outside its base probes are read
+    by no probe.
     """
     maps = []
     for section, family in reads:
         at = {p: n * family.width
-              for n, p in enumerate(sorted(family.domain.region))}
+              for n, (c, _) in enumerate(family.base) for p in c}
         e_dim, out = section.e_dim, {}
         for j, vec in section.weight_vectors():
             if j in family.key_offset:
@@ -388,8 +398,12 @@ def functional_residual(a, b, family):
 
 
 def functional_zero_residual(a, family):
-    """Max probe magnitude over a dual family and the witnessing probe."""
+    """Max probe magnitude over a dual family and the witnessing probe;
+    an exactly zero section, once checked against the family, reads
+    (0.0, None) without a probe."""
     family.check(a)
+    if a.is_exactly_zero():
+        return 0.0, None
     va, = probe_values(family.space, [(a, family)])
     return _worst(family, va, {}, a.e_dim)
 
@@ -553,9 +567,15 @@ def flabby_check(sections, u: OpenSet, tol: float = 0.0) -> bool:
     sees (residual above tol). A function's ext keeps its nonzero
     coefficients, so it is called only for its refusals. Every section
     is extended and checked against the family of its shape first, in
-    order, so a refusal comes out before any section is decided; then
-    the reads of all of them are made as one batch, and the sections
-    are decided in order, each raising what its read raises.
+    order, so a refusal comes out before any section is decided.
+
+    The probes are then read in two stages, one batch each: the block
+    of base probe 0 of every section, then the other blocks of those
+    the first did not see, up to the first whose read raised. So a
+    section is seen, unseen, or has the error of a read it reached, and
+    the first one not seen, in order, raises its error or makes the
+    check False. A section seen by its first block makes no later
+    integral, so none of those can raise.
     """
     families, reads = {}, []
     for z in sections:
@@ -570,7 +590,31 @@ def flabby_check(sections, u: OpenSet, tol: float = 0.0) -> bool:
             families[shape] = dual_function_family(u.space, u, *shape)
         families[shape].check(e)
         reads.append((e, families[shape]))
-    for (e, family), values in zip(reads, probe_values(u.space, reads)):
-        if _worst(family, values, {}, e.e_dim)[0] <= tol:
-            return False
+    unseen, error = reads, None
+    for bases in (slice(1), slice(1, None)):
+        if unseen:
+            unseen, failed = _unseen(u.space, unseen, bases, tol)
+            error = failed or error
+    if unseen:
+        return False
+    if error is not None:
+        raise error
     return True
+
+
+def _unseen(space, reads, bases, tol):
+    """The (section, dual family) reads that the probes of the base
+    probes in the slice `bases` do not see (residual at most tol), in
+    order, up to the first whose read raised, and that read's error
+    (None when none raised): one batch of probe values."""
+    block = {f: f.blocks(bases) for f in dict.fromkeys(f for _, f in reads)}
+    values = iter(probe_values(space, [(e, block[f]) for e, f in reads]))
+    unseen = []
+    for e, family in reads:
+        try:
+            got = next(values)
+        except Exception as exc:  # decided in section order by the caller
+            return unseen, exc
+        if _worst(block[family], got, {}, e.e_dim)[0] <= tol:
+            unseen.append((e, family))
+    return unseen, None

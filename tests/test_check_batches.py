@@ -1,7 +1,8 @@
 """A check reads every section against its probe family in one batch:
-functional_residual and flabby_check make all their integrals with one
-`_make_groups` call. Each residual, witness, decision and error is the
-one of reading the sections one at a time, each probe paired alone."""
+functional_residual makes all its integrals with one `_make_groups`
+call, and flabby_check one call per stage (test_flabby_stages.py). Each
+residual, witness, decision and error is the one of reading the
+sections one at a time, each probe paired alone."""
 
 import random
 from fractions import Fraction
@@ -13,8 +14,8 @@ from formalcalc.errors import DomainMismatchError, QuadratureError
 from formalcalc.sheaf import dual_function_family, flabby_check, \
     functional_residual
 from formalcalc.spaces import OpenSet
-from test_probe_groups import (DOM, SL, alone, bits, density,
-                               distribution, generalized)
+from test_probe_groups import (DOM, SL, alone, density, distribution,
+                               generalized)
 
 LEFT = OpenSet(SL, [(-2, 0)])
 RIGHT = OpenSet(SL, [(0, 2)])
@@ -68,64 +69,6 @@ def drawn(rng, draw, *args):
     while (z := draw(rng, SL, *args)).is_exactly_zero():
         pass
     return z
-
-
-def flabby_sections(seed):
-    """A density, a compact distribution and a density of another star
-    degree, so that the round reads two families."""
-    rng = random.Random(seed)
-    return [drawn(rng, suites.rand_density, LEFT, 1, 1),
-            drawn(rng, suites.rand_compact_distribution, DOM, 1, 1, 2),
-            drawn(rng, suites.rand_density, RIGHT, 1, 0)]
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_flabby_reads_each_section_as_alone(seed, groups, monkeypatch):
-    sections = flabby_sections(seed)
-    assert len({(z.k, z.star_degree()) for z in sections}) == 2
-    want = [bits(alone(z.ext(DOM), dual_function_family(
-        SL, DOM, z.k, z.star_degree()))) for z in sections]
-    read, worst = [], sheaf._worst
-
-    def reading(family, va, vb, e_dim):
-        read.append(bits(va))
-        return worst(family, va, vb, e_dim)
-    monkeypatch.setattr(sheaf, "_worst", reading)
-    del groups[:]
-    # at tol 0.0 every section is read and decided
-    assert flabby_check(sections, DOM) is True
-    assert read == want
-    assert len(groups) == 1
-
-
-def budget_on_the_right(monkeypatch, budget=15):
-    """Quadratures over ranges inside RIGHT get a small budget."""
-    raw = quadrature._adaptive
-
-    def small(program, n, ranges, abs_tol, budget_):
-        if all(lo >= 0 for lo, _ in ranges):
-            budget_ = budget
-        return raw(program, n, ranges, abs_tol, budget_)
-    monkeypatch.setattr(quadrature, "_adaptive", small)
-
-
-def test_flabby_decides_a_kernel_section_before_a_later_failed_read(
-        monkeypatch, groups):
-    rng = random.Random(0)
-    # extension by zero keeps it, but no probe sees it above TOL
-    faint = drawn(rng, suites.rand_density, LEFT, 1, 1).scale(
-        Fraction(1, 10 ** 12))
-    failing = drawn(rng, suites.rand_density, RIGHT, 1, 1)
-    budget_on_the_right(monkeypatch)
-    with pytest.raises(QuadratureError, match="budget 15 exhausted"):
-        flabby_check([failing], DOM, TOL)
-    with pytest.raises(QuadratureError, match="budget 15 exhausted"):
-        flabby_check([failing, faint], DOM, TOL)
-    del groups[:]
-    # the failing section's integrals are made in the batch, and its
-    # error is never read
-    assert flabby_check([faint, failing], DOM, TOL) is False
-    assert len(groups) == 1
 
 
 def test_flabby_refuses_an_extension_before_deciding_any_section():

@@ -70,19 +70,6 @@ def test_grouped_probe_values_are_bit_identical(make, seed, stacks):
     assert bits(grouped(section, family)) == bits(want)
 
 
-def test_a_smooth_flabby_round_compiles_one_program_per_group(monkeypatch):
-    made = []
-    raw = quadrature._compile
-
-    def counted(*args, **kw):
-        made.append(kw.get("roots"))
-        return raw(*args, **kw)
-    monkeypatch.setattr(quadrature, "_compile", counted)
-    assert suites.suite_flabby(SL, 1, 1, 1e-8)["pass"]
-    assert len(made) == 6
-    assert all(made)
-
-
 def test_a_failing_union_program_leaves_its_members_to_the_real_pass(
         monkeypatch):
     raw = quadrature._compile

@@ -17,7 +17,6 @@ from formalcalc.scalars import QC
 from formalcalc.spaces import SmoothLine
 
 SL = SmoothLine()
-TOL = 1e-8
 SMOOTH = Path(__file__).resolve().parent.parent / "scenarios" \
     / "smooth_demo.json"
 
@@ -34,15 +33,6 @@ def quads(monkeypatch):
         return raw(program, n, *args)
     monkeypatch.setattr(quadrature, "_adaptive", counted)
     return made
-
-
-def test_a_smooth_flabby_round_integrates_each_integral_once(quads):
-    # a round is 216 integrals, 108 of them distinct; back-to-back
-    # rounds have identical inputs and still share nothing
-    for _ in range(2):
-        quads.clear()
-        assert suites.suite_flabby(SL, 1, 1, TOL)["pass"]
-        assert sum(quads) == 108
 
 
 def test_no_memo_outlives_its_check(quads):
