@@ -29,8 +29,8 @@ from .basedensity import BaseDensity
 from .errors import SupportError, json_shape
 from .functions import (FormalFunction, SupportedFormalFunction, _GradedSection,
                         read_pairings)
-from .multiindex import (grlex_key, key_str, mi, mi_binom, mi_factorial, mi_sub,
-                         parse_key)
+from .multiindex import (degree, grlex_key, key_str, mi, mi_binom,
+                         mi_factorial, mi_sub, parse_key)
 from .quadrature import DEFAULT_ABS_TOL
 from .spaces import OpenSet
 
@@ -53,7 +53,7 @@ def leibniz(f: FormalFunction, l: tuple, i: tuple):
         ratio = lfact // mi_factorial(jp)
         fj = f.coeffs.get(mi_sub(l, jp), f.space.zero())
         for ip in submultiindices(i):
-            order = mi_sub(i, ip)[0] if i else 0
+            order = degree(mi_sub(i, ip))
             yield ip, jp, ratio * mi_binom(i, ip), f.space.diff(fj, order)
 
 
@@ -150,7 +150,7 @@ class FormalDensity(_GradedSection):
         for l in self._shared_keys(u):
             lfact = mi_factorial(l)
             for i, tau in self.coeffs[l]:
-                d = tau.mul_coeff(self.space.diff(u.coeffs[l], i[0] if i else 0))
+                d = tau.mul_coeff(self.space.diff(u.coeffs[l], degree(i)))
                 region = d.bound & self.domain.region
                 entry.append((lfact, [(d.coeff, region)] if region else []))
         return [entry]

@@ -130,7 +130,7 @@ class DensityDiffOp(_DiffOp):
         acc = BaseDensity.zero(self.space)
         for (i, l) in self.keys_sorted():
             tau = self.terms[(i, l)]
-            der = self.space.diff(u.coeff(l), i[0] if i else 0)
+            der = self.space.diff(u.coeff(l), degree(i))
             acc = acc.add(tau.mul_coeff(der).scale(mi_factorial(l)))
         return acc
 
@@ -195,7 +195,7 @@ class EndoDiffOp(_DiffOp):
         acc = sp.zero()
         for (i, l) in self.keys_sorted():
             f0 = self.terms[(i, l)].coeff((0,) * self.k)
-            der = sp.diff(u.coeff(l), i[0] if i else 0)
+            der = sp.diff(u.coeff(l), degree(i))
             acc = sp.add(acc, sp.mul(f0, sp.scale(der, mi_factorial(l))))
         return acc
 

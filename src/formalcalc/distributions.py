@@ -698,7 +698,7 @@ class GeneralizedFunction(_DualSection):
         eta._check_partner(self, eta.star_degree())
         sp, dom = self.space, self.domain
         return self._pairing(eta._shared_keys(self), lambda l, w: (
-            [t.act_on_density(sp, tau, i[0] if i else 0, dom) for t in w.terms]
+            [t.act_on_density(sp, tau, degree(i), dom) for t in w.terms]
             for i, tau in eta.coeffs[l]))
 
     def apply(self, eta: FormalDensity):
@@ -786,7 +786,7 @@ class PointDistribution(_GradedSection):
         """Repackage as a compactly supported formal distribution."""
         coeffs = {}
         for (i, j), vec in self.coeffs.items():
-            stack = i[0] if i else 0
+            stack = degree(i)
             coeffs[j] = vec_add(coeffs.get(j), tuple(
                 BaseDistribution.zero(self.space) if not c
                 else BaseDistribution.point(self.space, self.a, stack, c)

@@ -28,15 +28,16 @@ are mpmath floats carried at 30 significant digits, so kernel tails
 never underflow and plateau ratios of equal values divide to exactly 1.
 
 Float64 evaluation compiles the expression once into a straight-line
-function x -> complex, one statement per distinct subterm. `compile_f`
-(and `ev_f`, its one-point entry) keeps the exact complex bits of
-evaluating the tree node by node. The typed program of the same writer
-(quadrature, grid scans) computes real subterms in float arithmetic and
-keeps exact integrals: for finite values it differs only in a zero's sign.
-There a kernel argument's orders share its exp(-1/t), a real power is
-float products, and a real value is returned as a float. Quadrature
-runs its panel form: one call per panel runs the panel's abscissas and
-sums each root's Kronrod and Gauss rules, a real root's in float.
+function of x, one statement per distinct subterm (`_compile`; `ev_f`
+is its one-point entry). Real subterms are computed in float
+arithmetic and complex ones in complex arithmetic, and a real value is
+returned as a float: for finite values a program differs from
+evaluating the tree node by node in complex arithmetic only in a
+zero's sign, and its integrals keep that evaluation's bits. A kernel
+argument's orders share its exp(-1/t), and a real power is float
+products. Quadrature runs its panel form: one call per panel runs the
+panel's abscissas and sums each root's Kronrod and Gauss rules, a real
+root's in float.
 
 Nodes are interned where they are built (`Expr.__new__`): one
 structure is one live object, so `==` and `hash` are object identity
@@ -489,38 +490,30 @@ def ev(e: Expr, x):
 
 
 def ev_f(e: Expr, x: float) -> complex:
-    """Float64 value at one point: compiles e and runs the program once.
-
-    Compile once with `compile_f` to evaluate at many points.
-    """
-    return compile_f(e)(x)
+    """Float64 value at one point: e's program (`_compile`), run once."""
+    return complex(_compile(e)(x))
 
 
 # -- the compiled float program ----------------------------------------------------
 
-# one statement per node kind; {0}, {1} are the child values, {p} is n,
-# {w} a kernel's value from w = exp(-1/t). Each does the float operation
-# of the recursive left-to-right evaluation: complex + * / and complex
-# ** int, and for a kernel s_m of the real part t, 0j where t <= 0 or
-# exp underflows
+# one statement per node kind of a complex node; {0}, {1} are the child
+# values, {p} is n. Each does the float operation of the recursive
+# left-to-right evaluation: complex + * / and complex ** int
 _STATEMENT = {
-    Var: "complex(x)",
     Add: "{0} + {1}",
     Mul: "{0} * {1}",
     Div: "{0} / {1}",
     Pow: "{0} ** {p}",
-    Kern: "0j if (t := {0}) <= 0.0 or (w := exp(-1.0 / t)) == 0.0 "
-          "else complex({w})",
 }
-# the same in float arithmetic, for a real node of the typed program; a
-# power of 2 to 100 is written apart (`_chain`), so the power left here
-# is a raw node's 0th or 1st
+# the same in float arithmetic, for a real node; a power of 2 to 100 is
+# written apart (`_chain`), so the power left here is a raw node's 0th
+# or 1st
 _REAL_STATEMENT = {**_STATEMENT, Var: "float(x)", Pow: "({0} ** {p}).real"}
-# a typed kernel: one w = exp(-1/t) per argument, its order-0 kernel,
-# and the order m > 0 read from it
+# a kernel: one w = exp(-1/t) per argument, its order-0 kernel, and the
+# order m > 0 read from it
 _WEIGHT = "w{0} = 0.0 if (t{0} := {1}) <= 0.0 else exp(-1.0 / t{0})"
 _REAL_KERN = "0.0 if w{0} == 0.0 else w{0} / t{0} ** {1}"
-# a typed power of 2 to 100: `_chain`'s products of its base, or, where
+# a real power of 2 to 100: `_chain`'s products of its base, or, where
 # they are not finite, the complex power of the base, so that its NaN
 # or OverflowError is that power's; one fallback function per exponent,
 # at the top of the text
@@ -546,17 +539,17 @@ def _chain(x: str, n: int) -> str:
         name = "p"
 
 
-def _float_program(e, typed=False, roots=None, panel=False):
+def _float_program(e, roots=None, panel=False):
     """Source of e's float64 program and the constants it reads.
 
     Returns (source, constants): source defines `_f(x)` with one
     assignment per distinct non-constant subterm (one node each), in
     the order a left-to-right evaluation first needs it; constants maps
     the names c0, c1, ... to their values. e may be its `_postorder`
-    list. Typed, x, a kernel, a real constant, a sum, product or
-    quotient of real nodes and a power of one up to the 100th (past it,
-    CPython's complex power is polar) are float values, and a real root
-    is returned as a float; a kernel reads its argument's `_WEIGHT`,
+    list. x, a kernel, a real constant, a sum, product or quotient of
+    real nodes and a power of one up to the 100th (past it, CPython's
+    complex power is polar) are float values, and a real root is
+    returned as a float; a kernel reads its argument's `_WEIGHT`,
     and a power of 2 to 100 is `_chain`'s products, or the complex
     power once those are not finite. Given roots, nodes of that list,
     `_f` returns the tuple of their values instead of the last node's:
@@ -577,14 +570,14 @@ def _float_program(e, typed=False, roots=None, panel=False):
     lines = []
     consts = {}
     names = {}
-    weights = {}  # a typed kernel's argument -> the i of its w<i>, t<i>
-    powers = set()  # exponents whose fallback the typed text defines
+    weights = {}  # a kernel's argument -> the i of its w<i>, t<i>
+    powers = set()  # exponents whose fallback the text defines
 
     def visit(node, *kids):
         kind = type(node)
         if kind is Const:
             name = "c%d" % len(consts)
-            real = typed and node.v.is_real
+            real = node.v.is_real
             consts[name] = float(node.v.re) if real else complex(node.v)
             names[node] = name, real
             return name, real
@@ -592,9 +585,9 @@ def _float_program(e, typed=False, roots=None, panel=False):
         # power takes a real base as a complex
         args = [n + ".real" if kind is Kern and not r else
                 "complex(%s)" % n if kind is Pow and r else n for n, r in kids]
-        real = typed and (kind is Var or kind is Kern or all(
-            r for _, r in kids) and (kind is not Pow or node.n <= 100))
-        if real and kind is Kern:
+        real = kind is Var or kind is Kern or all(
+            r for _, r in kids) and (kind is not Pow or node.n <= 100)
+        if kind is Kern:
             if node.arg not in weights:
                 weights[node.arg] = len(lines)
                 lines.append(_WEIGHT.format(len(lines), args[0]))
@@ -607,9 +600,8 @@ def _float_program(e, typed=False, roots=None, panel=False):
             statement = _REAL_POW.format(_chain(kids[0][0], node.n), node.n,
                                          kids[0][0])
         else:
-            m = getattr(node, "m", 0)
             statement = (_REAL_STATEMENT if real else _STATEMENT)[kind].format(
-                *args, p=getattr(node, "n", 0), w="w / t ** %d" % m if m else "w")
+                *args, p=getattr(node, "n", 0))
         name = "v%d" % len(lines)
         lines.append("%s = %s" % (name, statement))
         names[node] = name, real
@@ -644,25 +636,15 @@ def _block(lines, depth):
     return "".join("    " * depth + line + "\n" for line in lines)
 
 
-def compile_f(e: Expr):
-    """Compile e once into a float64 function x -> complex.
-
-    Values, signed zeros and exceptions (ZeroDivisionError, overflow)
-    are those of evaluating the tree node by node, left to right, in
-    float64 complex arithmetic.
-    """
-    return _compile(e)
-
-
-def _compile(e, typed=False, roots=None, rule=None):
-    """compile_f, or typed the program grid scans run, or given roots and
-    a rule of (abscissa, Kronrod weight, Gauss weight or 0.0) triples the
-    panel form quadrature runs: `_code` of its text, run in a fresh
-    namespace of its constants."""
-    source, consts = _float_program(e, typed, roots, rule is not None)
+def _compile(e, roots=None, rule=None):
+    """e's float64 program, the one `ev_f` and grid scans run, or given
+    roots and a rule of (abscissa, Kronrod weight, Gauss weight or 0.0)
+    triples the panel form quadrature runs: `_code` of its text, run in
+    a fresh namespace of its constants."""
+    source, consts = _float_program(e, roots, rule is not None)
     namespace = {"complex": complex, "exp": math.exp, "_rule": rule,
                  **consts}
-    exec(_code(source, typed), namespace)
+    exec(_code(source), namespace)
     return namespace["_f"]
 
 
@@ -673,11 +655,10 @@ _CODE_CACHE = 256
 
 
 @functools.lru_cache(maxsize=_CODE_CACHE)
-def _code(source, typed):
-    """A program text's code object, compiled once per (text, typed):
-    the text reads its constants by name, so one serves a whole shape."""
-    name = "<formalcalc.expr %sprogram>" % ("typed " if typed else "")
-    return compile(source, name, "exec")
+def _code(source):
+    """A program text's code object, compiled once per text: the text
+    reads its constants by name, so one serves a whole shape."""
+    return compile(source, "<formalcalc.expr program>", "exec")
 
 
 # -- polynomial fast path ----------------------------------------------------------

@@ -294,7 +294,7 @@ class FormalFunction(_GradedSection):
         j = self._index(j, self.trunc)
         if not self.domain.contains(a):
             raise DomainMismatchError("jet point %r outside the domain" % (a,))
-        c = self.space.diff(self.coeff(j), i[0] if i else 0)
+        c = self.space.diff(self.coeff(j), degree(i))
         return mi_factorial(j) * self.space.ev(c, a)
 
     # -- plumbing -----------------------------------------------------------------

@@ -2,26 +2,26 @@
 
 Polynomial integrands are integrated exactly through their
 antiderivative. Everything else is written, from the same walk of its
-nodes, as the panel form of the typed float64 program of
-`expr._compile`: one statement per distinct subterm, real ones in float
-arithmetic. Adaptive Gauss-Kronrod (G7, K15) quadrature makes one
-program call per panel: the program runs the panel's 15 abscissas and
-sums its own Kronrod and Gauss rules, a real integrand's in float. A
-program text is compiled once per process, and integrands of one shape
-share it, each with its own constants. Each sum is bit for bit one
-started at 0j, so an integral is a complex, and while values stay
-finite it is bit for bit that of the complex `expr.compile_f`
-(`integrate_callable`, which sums a callable's rules in Python, is that
-sum). Quadrature runs with an absolute tolerance (default 1e-10) and a
-hard budget of 10**6 integrand evaluations per integral. Failure to
-converge within the budget raises QuadratureError, and so does the
-first panel whose error estimate is not finite (a NaN or infinite
-integrand value, or an estimate past the float range): such a panel is
-refused at once, not bisected until the budget is gone. One rule still
-passes a value without its tolerance: a panel narrower than 1e-14 is
-accepted whatever its (finite) error estimate, so an integrand with a
-steep enough feature can come back less accurate than asked, and
-nothing says so.
+nodes, as the panel form of the float64 program of `expr._compile`:
+one statement per distinct subterm, real ones in float arithmetic.
+Adaptive Gauss-Kronrod (G7, K15) quadrature makes one program call per
+panel: the program runs the panel's 15 abscissas and sums its own
+Kronrod and Gauss rules, a real integrand's in float. A program text
+is compiled once per process, and integrands of one shape share it,
+each with its own constants. Each sum is bit for bit one started at
+0j, so an integral is a complex, and while values stay finite it is
+bit for bit that of evaluating the tree node by node in complex
+arithmetic (`integrate_callable`, which sums a callable's rules in
+Python, is that sum). Quadrature runs with an absolute tolerance
+(default 1e-10) and a hard budget of 10**6 integrand evaluations per
+integral. Failure to converge within the budget raises QuadratureError,
+and so does the first panel whose error estimate is not finite (a NaN
+or infinite integrand value, or an estimate past the float range):
+such a panel is refused at once, not bisected until the budget is gone.
+One rule still passes a value without its tolerance: a panel narrower
+than 1e-14 is accepted whatever its (finite) error estimate, so an
+integrand with a steep enough feature can come back less accurate than
+asked, and nothing says so.
 
 Integrals are made in batches (`integrate_exprs`; `integrate_expr` is
 a batch of one), each distinct integral (interned node, bounds with
@@ -30,15 +30,15 @@ batch. The non-polynomial ones over equal (bounds, abs_tol, budget)
 form a group: one program with a value per member, and one adaptive
 loop that walks the union of their meshes, one program call per panel:
 every member keeps its own accept-or-split decisions, its panels and
-its bits. A member whose quadrature fails raises its error in its
-turn, as alone, with no second run; a member that the union program
-failed (another member's subterm may raise) is made again as a group
+its bits. The walk fails fast: a member whose quadrature fails keeps
+its error, as alone, with no second run, and every later member of its
+group is stopped. A member that the union program failed (another
+member's subterm may raise) stops nothing and is made again as a group
 of one. All of a batch is made at once, and a failed item raises only
 when it is read. Its items are the terms of a pairing, or of every
 section a check reads against its family (`functions.read_pairings`).
-A batch is read in entry order up to its first error, so a group fails
-fast: once a member has failed, no later member is walked, and what it
-holds is an error that is never read.
+A batch is read in entry order up to its first error, so what a
+stopped member holds is an error that is never read.
 """
 
 from __future__ import annotations
@@ -104,8 +104,9 @@ def _adaptive(panel, n, ranges, abs_tol, budget):
     and Gauss sums on [mid - half, mid + half] (`expr._float_program`).
     One walk of the bisection tree, depth first and right half first,
     one program call per panel; each member splits, accepts and spends
-    its budget on its own, in the order it would, unless a later
-    member is stopped by the fail-fast rule of a batch group (`_fail`)."""
+    its budget on its own, in the order it would alone, until one's
+    quadrature fails: that stops every later member (`_fail`). A panel's
+    ArithmeticError stops no member, since it may be another's."""
     total_len = 0.0
     segs = []
     for lo, hi in ranges:
@@ -127,13 +128,12 @@ def _adaptive(panel, n, ranges, abs_tol, budget):
             if type(out[i]) is not complex:
                 continue  # it failed on an earlier panel
             if evals[i] + 15 > budget:
-                if _fail(panel, out, i, QuadratureError(
-                        "evaluation budget %d exhausted with segment [%g, %g] "
-                        "unresolved" % (budget, lo, hi))):
-                    break
-            else:
-                evals[i] += 15
-                live.append(i)
+                _fail(out, i, QuadratureError(
+                    "evaluation budget %d exhausted with segment [%g, %g] "
+                    "unresolved" % (budget, lo, hi)))
+                break
+            evals[i] += 15
+            live.append(i)
         if not live:
             continue
         half = 0.5 * (hi - lo)
@@ -150,12 +150,11 @@ def _adaptive(panel, n, ranges, abs_tol, budget):
             k, g = ks[i], gs[i]
             val, err = half * k, abs(half * (k - g))
             if not math.isfinite(err):
-                if _fail(panel, out, i, QuadratureError(
-                        "integrand is not finite on segment [%g, %g]"
-                        % (lo, hi))):
-                    break
-            elif (err <= share or err <= 1e-16 * max(1.0, abs(val))
-                  or hi - lo < 1e-14):
+                _fail(out, i, QuadratureError(
+                    "integrand is not finite on segment [%g, %g]" % (lo, hi)))
+                break
+            if (err <= share or err <= 1e-16 * max(1.0, abs(val))
+                    or hi - lo < 1e-14):
                 out[i] += val
             else:
                 split.append(i)
@@ -165,15 +164,12 @@ def _adaptive(panel, n, ranges, abs_tol, budget):
     return out
 
 
-def _fail(panel, out, i, error):
-    """Store member i's quadrature error. A batch group's panel (`_walk`)
-    fails fast: every later member is stopped, and True returned."""
+def _fail(out, i, error):
+    """Store member i's quadrature error, and stop every later member:
+    a batch is read in entry order up to its first error."""
     out[i] = error
-    if not getattr(panel, "fails_fast", False):
-        return False
     out[i + 1:] = [QuadratureError("not integrated: an earlier member of "
                                    "its group failed")] * (len(out) - i - 1)
-    return True
 
 
 def integrate_expr(e: Expr, ranges, abs_tol=DEFAULT_ABS_TOL,
@@ -231,9 +227,10 @@ def _make_groups(memo, pending):
             memo[key] = e  # past the degree cap too: raised in its turn
     for (_, abs_tol, budget), members in groups.items():
         for member, out in zip(members, _walk(members, abs_tol, budget)):
-            # a value, or the QuadratureError the member met alone; an
-            # ArithmeticError of a larger group may be another member's:
-            # made again as a group of one, which keeps its own
+            # a value, the QuadratureError the member met alone, or the
+            # stop after an earlier member's; an ArithmeticError of a
+            # larger group may be another member's: made again as a
+            # group of one, which keeps its own
             if isinstance(out, ArithmeticError) and len(members) > 1:
                 out, = _walk([member], abs_tol, budget)
             memo[member[0]] = out
@@ -246,11 +243,10 @@ def _walk(members, abs_tol, budget):
     # the union: every node still follows its children
     union = list(dict.fromkeys(n for *_, nodes in members for n in nodes))
     try:
-        panel = _compile(union, typed=True,
-                         roots=[key[0] for key, _, _ in members], rule=_RULE)
+        panel = _compile(union, roots=[key[0] for key, _, _ in members],
+                         rule=_RULE)
     except ArithmeticError as e:  # a constant past the float range
         return [e] * len(members)
-    panel.fails_fast = True  # read in entry order, up to the first error
     return _adaptive(panel, len(members), members[0][1], abs_tol, budget)
 
 

@@ -829,7 +829,7 @@ class SmoothLine:
         """Max of |c| on `grid` even steps across a region's hull; NaN if
         a sample is NaN."""
         lo, hi = region.hull()
-        f = _compile(c, typed=True)
+        f = _compile(c)
         best = 0.0
         for t in range(grid):
             v = abs(f(lo + (hi - lo) * t / (grid - 1)))

@@ -4,7 +4,9 @@
 quadrature that `quadrature._adaptive` replaced, kept word for word as
 the oracle: for every seeded group of integrands compiled as one union
 program, each member's outcome (its value's bits, or its exception's
-type and message) must be what the oracle gives for that member alone.
+type and message) must be what the oracle gives for that member alone,
+up to the first member whose quadrature fails. The walk fails fast:
+every member after that one holds the stop error.
 """
 
 import math
@@ -126,9 +128,13 @@ def rand_group(rng, ranges, poles):
         if rng.random() < 0.2 and (poles or odd is HUGE or centred):
             members.insert(rng.randrange(len(members) + 1), odd)
     union = list(dict.fromkeys(n for e in members for n in _postorder(e)))
-    return (_compile(union, typed=True, roots=members),
-            _compile(union, typed=True, roots=members, rule=quadrature._RULE),
+    return (_compile(union, roots=members),
+            _compile(union, roots=members, rule=quadrature._RULE),
             len(members))
+
+
+STOPPED = (QuadratureError,
+           "not integrated: an earlier member of its group failed")
 
 
 def what(outcome):
@@ -162,6 +168,10 @@ def test_each_member_gets_what_it_gets_alone(budget, poles, seen):
             want = alone(program, i, ranges, 1e-10, budget)
             assert grouped(outcome) == want, (i, ranges, budget)
             met.add(what(want))
+            if want[0] is QuadratureError:
+                assert [grouped(o) for o in got[i + 1:]] \
+                    == [STOPPED] * (n - i - 1)
+                break
     assert met == seen
 
 
@@ -180,14 +190,14 @@ def union_runs(monkeypatch, run):
     compile_, adaptive = quadrature._compile, quadrature._adaptive
     groups = []
 
-    def compiled(nodes, typed=False, roots=None, rule=None):
-        panel = compile_(nodes, typed, roots, rule)
+    def compiled(nodes, roots=None, rule=None):
+        panel = compile_(nodes, roots, rule)
         calls = []
 
         def counted(mid, half):
             calls.append((mid, half))
             return panel(mid, half)
-        counted.calls, counted.raw = calls, compile_(nodes, typed, roots)
+        counted.calls, counted.raw = calls, compile_(nodes, roots)
         return counted
 
     def made(program, n, *args):

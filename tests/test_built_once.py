@@ -80,9 +80,9 @@ def counted(monkeypatch):
     return calls
 
 
-def fresh(e, typed=False, roots=None):
+def fresh(e, roots=None):
     """e's program compiled from its own text, past every cache."""
-    source, consts = _float_program(e, typed, roots)
+    source, consts = _float_program(e, roots)
     namespace = {"complex": complex, "exp": math.exp, **consts}
     exec(compile(source, "<fresh>", "exec"), namespace)
     return namespace["_f"]
@@ -100,41 +100,37 @@ def outcome(f, x):
 def test_integrands_of_one_shape_make_one_compile(counted):
     a = parse_sexpr(SHAPES[0])
     b = parse_sexpr(SHAPES[1])
-    fa, fb = _compile(a, typed=True), _compile(b, typed=True)
+    fa, fb = _compile(a), _compile(b)
     assert len(counted["compile"]) == 1
     assert fa.__code__ is fb.__code__
     assert fa(2.0) != fb(2.0)
-    _compile(a, typed=True)
+    _compile(a)
     assert len(counted["compile"]) == 1
     info = expr._code.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
-@pytest.mark.parametrize("typed", [False, True])
-def test_each_program_has_the_bits_of_its_own_text(counted, typed):
+def test_each_program_has_the_bits_of_its_own_text(counted):
     trees = [parse_sexpr(s) for s in SHAPES]
     for e in trees:
         for roots in (None, [e], [_postorder(e)[1], e]):
-            cached, own = _compile(e, typed, roots), fresh(e, typed, roots)
+            cached, own = _compile(e, roots), fresh(e, roots)
             for x in POINTS:
                 assert outcome(cached, x) == outcome(own, x)
     # half the shapes repeat a text: one compile per distinct text
-    texts = {_float_program(e, typed, roots)[0]
+    texts = {_float_program(e, roots)[0]
              for e in trees
              for roots in (None, [e], [_postorder(e)[1], e])}
     assert len(counted["compile"]) == len(texts) == 12
 
 
-def test_typed_and_rootedness_never_share_a_code_object(counted):
+def test_rooted_and_lone_programs_never_share_a_code_object(counted):
     trees = [parse_sexpr(s) for s in SHAPES] + [Const(QC(1, 2))]
-    # a lone complex constant has one text typed and untyped
-    lone = trees[-1]
-    assert _float_program(lone, True)[0] == _float_program(lone, False)[0]
     for e in trees:
-        codes = [_compile(e, typed, roots).__code__
-                 for typed in (False, True) for roots in (None, [e])]
-        assert len({id(c) for c in codes}) == 4
-    assert _compile(lone, True)(0.0) == _compile(lone, False)(0.0) == 1 + 2j
+        codes = [_compile(e, roots).__code__ for roots in (None, [e])]
+        assert len({id(c) for c in codes}) == 2
+    assert _compile(trees[-1])(0.0) == 1 + 2j
+    assert _compile(trees[-1], [trees[-1]])(0.0) == (1 + 2j,)
 
 
 def test_a_group_integrates_to_the_same_bits_cold_and_warm(counted):

@@ -2,12 +2,14 @@
 
 The public constructors check everything that comes from outside; the
 results of the algebra are built without those checks. The refusal
-table pins what every public constructor still refuses, and the oracle
-rebuilds algebra results through the public constructors, which must
-give back the very same section.
+table pins what every public constructor still refuses, the operation
+table what extension, cutoff and splitting refuse, each with its
+message, and the oracle rebuilds algebra results through the public
+constructors, which must give back the very same section.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,13 +20,15 @@ from formalcalc.densities import FormalDensity
 from formalcalc.distributions import (BaseDistribution,
                                       CompactFormalDistribution,
                                       FormalDistribution,
-                                      GeneralizedFunction)
+                                      GeneralizedFunction, cutoff_extend)
 from formalcalc.errors import (DomainMismatchError, SupportError,
                                TruncationError)
+from formalcalc.expr import ONE, bump
 from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
                                   cutoff, cutoff_product)
 from formalcalc.multiindex import mi
 from formalcalc.scalars import QC
+from formalcalc.sheaf import mv_split
 from formalcalc.spaces import Discrete, OpenSet, RSet, SmoothLine
 
 DS = Discrete(["a", "b", "c", "d"])
@@ -127,6 +131,72 @@ REFUSALS = [
 def test_public_constructors_refuse_bad_input(cls, bad, args, error):
     with pytest.raises(error):
         cls(*args)
+
+
+# a distribution on U supported at a, and cutoffs of every kind of fault
+ETA = CompactFormalDistribution(DS, U, 1, 1, {(0,): (W,)})
+ETA_LINE = CompactFormalDistribution(
+    SL, OpenSet(SL, [(-4, 4)]), 1, 1,
+    {(0,): (BaseDistribution.point(SL, 0),)})
+# one everywhere, its witness the whole line: not compact
+EVERYWHERE = SupportedFormalFunction(SL, SL.whole(), 1, 1, {(0,): ONE},
+                                     support=RSet.whole(),
+                                     plateau=RSet.whole())
+# a witness with c, outside U
+LEAKY = SupportedFormalFunction(DS, U, 1, 1, {}, support={"a", "c"})
+# a kernel pair on (-2, 2) and (-1, 2) whose first witness, [-3/2, 1/2],
+# is looser than its bump's support, [-1/2, 1/2], and leaves (-1, 2)
+_BUMP, _SUPP, _ = bump(Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4),
+                       Fraction(1, 2))
+LOOSE_PAIR = (
+    FormalDensity.monomial(SL, OpenSet(SL, [(-2, 2)]), 1, (0,),
+                           BaseDensity.smooth(SL, _BUMP, RSet.closed_pairs(
+                               [(Fraction(-3, 2), Fraction(1, 2))]))),
+    FormalDensity.monomial(SL, OpenSet(SL, [(-1, 2)]), 1, (0,),
+                           BaseDensity.smooth(SL, _BUMP, _SUPP)).scale(-1))
+
+# (operation, bad input, arguments, expected refusal, its message)
+OPERATION_REFUSALS = [
+    (cutoff_extend, "cutoff of another k",
+     (ETA, cutoff(DS, M, 2, 1, ["a"], ["a"])), DomainMismatchError,
+     "cutoff does not match the distribution"),
+    (cutoff_extend, "cutoff on a smaller open set",
+     (ETA, cutoff(DS, OpenSet(DS, ["a"]), 1, 1, ["a"], ["a"])),
+     DomainMismatchError,
+     "cutoff domain does not contain the distribution's open set"),
+    (cutoff_extend, "cutoff with no compact witness",
+     (ETA_LINE, EVERYWHERE), SupportError,
+     "cutoff needs a compact support witness"),
+    (cutoff_extend, "cutoff supported outside the open set",
+     (ETA, cutoff(DS, M, 1, 1, ["a"], ["a", "c"])), SupportError,
+     "cutoff support escapes the distribution's open set"),
+    (cutoff_extend, "cutoff with no plateau",
+     (ETA, SupportedFormalFunction(DS, M, 1, 1, {(0,): {"a": 1}},
+                                   support={"a"})), SupportError,
+     "cutoff carries no plateau witness"),
+    (mv_split, "partners of another k",
+     (FormalDensity.zero(DS, U, 1), FormalDensity.zero(DS, M, 2)),
+     DomainMismatchError, "split partners do not match"),
+    (mv_split, "a witness outside the intersection", LOOSE_PAIR,
+     SupportError, "kernel supports are not confined to the intersection"),
+    (SupportedFormalFunction.ext, "a witness outside the domain",
+     (LEAKY, M), SupportError, "support witness escapes the domain"),
+    (cutoff_product, "cutoff of another k",
+     (cutoff(DS, M, 2, 1, ["a"], ["a"]), FormalFunction(DS, U, 1, 1, {})),
+     DomainMismatchError, "cutoff and function do not match"),
+    (cutoff_product, "cutoff on a smaller open set",
+     (cutoff(DS, U, 1, 1, ["a"], ["a"]), FormalFunction(DS, M, 1, 1, {})),
+     DomainMismatchError,
+     "cutoff domain does not contain the function domain"),
+]
+
+
+@pytest.mark.parametrize("op, bad, args, error, message", OPERATION_REFUSALS,
+                         ids=["%s: %s" % (r[0].__qualname__, r[1])
+                              for r in OPERATION_REFUSALS])
+def test_operations_refuse_bad_input(op, bad, args, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        op(*args)
 
 
 def test_mi_returns_a_plain_tuple_as_it_is():

@@ -168,6 +168,18 @@ def test_component_keeps_the_support_witness():
     assert t.component(1).coeffs == {(0,): (w,), (1,): (w,)}
 
 
+def test_a_compact_distribution_plus_a_plain_one_is_plain():
+    # the sum has no witness: the plain partner's support may be
+    # anywhere in the domain
+    w, d = (BaseDistribution(DS, weights={p: 1}) for p in "bd")
+    compact = CompactFormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,)})
+    plain = FormalDistribution(DS, DS.whole(), 1, 1, {(0,): (w,), (1,): (d,)})
+    total = compact.add(plain)
+    assert type(total) is FormalDistribution
+    assert total.coeffs == {(0,): (w.scale(2),), (1,): (d,)}
+    assert type(compact.add(compact)) is CompactFormalDistribution
+
+
 def test_cutoff_extension_is_cutoff_independent():
     rng = random.Random(191)
     for _ in range(60):

@@ -1,4 +1,4 @@
-"""The panel form of a typed program against its x-program's rows.
+"""The panel form of a program against its x-program's rows.
 
 `quadrature._adaptive` makes one program call per panel: the panel form
 runs the panel's 15 abscissas and sums each root's Kronrod and Gauss
@@ -50,8 +50,8 @@ def group(rng):
     for odd in (POLE, HUGE):
         members.insert(rng.randrange(len(members) + 1), odd)
     union = list(dict.fromkeys(n for e in members for n in _postorder(e)))
-    return (_compile(union, typed=True, roots=members),
-            _compile(union, typed=True, roots=members, rule=_RULE))
+    return (_compile(union, roots=members),
+            _compile(union, roots=members, rule=_RULE))
 
 
 def rand_panel(rng):
@@ -130,7 +130,7 @@ def test_a_lone_integral_is_the_callable_integral_of_its_x_program():
             continue
         a = rng.choice([3.0, 1e200])
         lo, hi = sorted((rng.uniform(-a, a), rng.uniform(-a, a)))
-        want = alone(integrate_callable, _compile(e, typed=True), [(lo, hi)],
+        want = alone(integrate_callable, _compile(e), [(lo, hi)],
                      1e-10, 3000)
         assert alone(integrate_expr, e, [(lo, hi)], 1e-10, 3000) == want, e
         met.add(complex if isinstance(want[0], tuple) else want[0])

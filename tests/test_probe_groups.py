@@ -75,8 +75,8 @@ def test_a_failing_union_program_leaves_its_members_to_the_real_pass(
     raw = quadrature._compile
     raised = []
 
-    def breaking(nodes, typed=False, roots=None, rule=None):
-        f = raw(nodes, typed, roots, rule)
+    def breaking(nodes, roots=None, rule=None):
+        f = raw(nodes, roots, rule)
         if len(roots) == 1:
             return f  # a lone integral's
 

@@ -370,6 +370,21 @@ def test_glue_generalized_functions_discrete():
         assert functional_residual(glued, g, probes)[0] == 0.0
 
 
+def test_glue_generalized_locals_of_unequal_trunc_keeps_the_least():
+    # the glued cap is the least trunc: the keys of degree 2 the first
+    # local holds are dropped, not refused
+    pou = build_pou(Cover(DS.whole(), [U1, U2]), 1, 2)
+    coeffs = {(0,): {"a": 1, "c": 2}, (1,): {"b": 3}, (2,): {"a": 5, "d": 1}}
+    high = GeneralizedFunction.embed(FormalFunction(DS, DS.whole(), 1, 2,
+                                                    coeffs))
+    low = GeneralizedFunction.embed(FormalFunction(
+        DS, DS.whole(), 1, 1, {j: c for j, c in coeffs.items() if j != (2,)}))
+    glued = sheaf_glue([high.restrict(U1), low.restrict(U2)], pou)
+    assert glued.trunc == 1 and set(glued.coeffs) == {(0,), (1,)}
+    probes = dual_density_family(DS, DS.whole(), 1, 1)
+    assert functional_residual(glued, low, probes)[0] == 0.0
+
+
 def test_glue_formal_distributions_discrete():
     rng = random.Random(251)
     pou = build_pou(Cover(DS.whole(), [U1, U2]), 1, 1)

@@ -1,12 +1,12 @@
-"""The typed program's three cheap statement forms against their oracles.
+"""The float program's three cheap statement forms against their oracles.
 
 A real power of 2 to 100 is float products in the order of CPython's
 complex power, with that power as the fallback once they are not
 finite; every kernel of one argument reads one exp(-1/t); a real root
 leaves the program as a float. Each must give what the complex
-statement it replaced gives: a power `(complex(b) ** n).real` (a
-zero's sign aside, which the typed contract allows), a kernel the real
-part of the untyped program's value, bit for bit.
+evaluation it replaced gives: a power `(complex(b) ** n).real` (a
+zero's sign aside, which the program's contract allows), a kernel the
+real part of its node-by-node value (`tree_ev_f`), bit for bit.
 """
 
 import math
@@ -29,7 +29,7 @@ from formalcalc.expr import (
 from formalcalc.quadrature import integrate_expr, integrate_exprs
 from formalcalc.scalars import QC
 from test_built_once import fresh
-from test_compiled import UNDERFLOW, bits
+from test_compiled import UNDERFLOW, bits, tree_ev_f
 
 
 def bases():
@@ -64,7 +64,7 @@ def test_a_real_power_is_the_complex_power_of_its_base():
     for n in range(2, 101):
         # the text as the cache-free helper runs it: complex, exp and
         # the constants in its namespace, the fallback defined by the text
-        f = fresh(Pow(X, n), typed=True)
+        f = fresh(Pow(X, n))
         for b in bases():
             want = power_outcome(lambda v: (complex(v) ** n).real, b)
             got = power_outcome(f, b)
@@ -79,7 +79,7 @@ def test_a_real_power_is_the_complex_power_of_its_base():
 
 
 def test_a_typed_power_text_reads_only_the_complex_power_in_its_fallback():
-    source, _ = _float_program(Pow(Add(X, Const(1)), 13), typed=True)
+    source, _ = _float_program(Pow(Add(X, Const(1)), 13))
     fallback, body = source.split("def _f(x):\n")
     assert fallback == ("def _p13(v0):\n    v0 = (complex(v0) ** 13).real\n"
                         "    return v0\n")
@@ -90,7 +90,7 @@ def test_a_typed_power_text_reads_only_the_complex_power_in_its_fallback():
 
 def test_an_overflowing_power_raises_through_its_fallback():
     big = Mul(Pow(Mul(X, Const(10 ** 200)), 2), Pow(X, 7))
-    for f in (fresh(big, typed=True), _compile(big, typed=True)):
+    for f in (fresh(big), _compile(big)):
         assert power_outcome(f, 1.0) is OverflowError
         assert power_outcome(f, 1e-200) == 0.0
         assert math.isnan(power_outcome(f, math.nan))
@@ -106,11 +106,9 @@ def test_every_kernel_order_of_one_argument_reads_one_exp():
     complex_arg = Add(X, Const(QC(0, 1)))
     roots = kernel_roots(real_arg) + kernel_roots(complex_arg)
     union = list(dict.fromkeys(n for r in roots for n in _postorder(r)))
-    typed_text, _ = _float_program(union, typed=True, roots=roots)
-    complex_text, _ = _float_program(union, roots=roots)
-    assert typed_text.count("exp(") == 2
-    assert complex_text.count("exp(") == 10
-    typed, untyped = fresh(union, True, roots), fresh(union, False, roots)
+    text, _ = _float_program(union, roots=roots)
+    assert text.count("exp(") == 2
+    program = fresh(union, roots)
     rng = random.Random(31)
     points = [*UNDERFLOW, *(-t for t in UNDERFLOW)]
     points += [rng.uniform(-2, 4) for _ in range(200)]
@@ -118,13 +116,13 @@ def test_every_kernel_order_of_one_argument_reads_one_exp():
     met = set()
     for x in points:
         try:
-            want = [bits(complex(v.real)) for v in untyped(x)]
+            want = [bits(complex(tree_ev_f(r, x).real)) for r in roots]
         except OverflowError:
             # t ** m past the float range, in both
             want = OverflowError
         try:
-            got = [bits(complex(v)) for v in typed(x)]
-            assert all(type(v) is float for v in typed(x))
+            got = [bits(complex(v)) for v in program(x)]
+            assert all(type(v) is float for v in program(x))
         except OverflowError:
             got = OverflowError
         assert got == want, x
@@ -139,10 +137,10 @@ def test_every_kernel_order_of_one_argument_reads_one_exp():
 def test_real_roots_are_floats_and_their_integrals_complex():
     e, _, _ = bump(-1, 0, 0, 1)
     d = diff(e, 2)
-    assert type(_compile(d, typed=True)(0.5)) is float
+    assert type(_compile(d)(0.5)) is float
     i = Const(QC(0, 1))
     union = list(dict.fromkeys([*_postorder(e), *_postorder(d), i]))
-    assert [type(v) for v in _compile(union, typed=True, roots=[e, d, i])(
+    assert [type(v) for v in _compile(union, roots=[e, d, i])(
         0.5)] == [float, float, complex]
     ranges = [(Fraction(-1), Fraction(1))]
     assert type(integrate_expr(d, ranges)) is complex
