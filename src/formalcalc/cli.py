@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .densities import FormalDensity
@@ -306,9 +307,18 @@ def _main(argv) -> int:
     return code
 
 
+# 128 + SIGPIPE: what a shell reports for a writer its reader ended
+EXIT_PIPE_CLOSED = 141
+
+
 def main(argv=None) -> int:
     try:
         return _main(argv)
+    except BrokenPipeError:
+        # the reader of stdout is gone, as with `| head`: stdout points
+        # at devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     except Exception as e:
         # a fault of formalcalc itself, not of its input
         print("internal error: %r" % (e,), file=sys.stderr)

@@ -22,9 +22,14 @@ the line (per stage for flabby_check, which reads the block of base
 probe 0 first and the other blocks only for what it left unseen).
 functional_residual reads no probe for two sections proved equal
 (`_proves`, one rule for every space) once both pass the family's
-checks: `==` sections, and distributions whose integral terms the space
-proves equal (`proves_equal`), on the line a glued or reassembled
-distribution against the section it came from.
+checks, nor functional_zero_residual for a section proved zero: `==`
+sections, distributions whose integral terms the space proves equal
+(`proves_equal`), on the line a glued or reassembled distribution
+against the section it came from, and densities whose terms it proves
+equal at each key and derivative stack, on the line by the partition
+identity and its derivatives, then on the pieces of their bounds
+(mv's phi-psi and split-ext laws, mv_split's kernel check, the cosheaf
+density law).
 The constructions:
 
 * build_pou: partitions of unity subordinate to a finite cover.
@@ -355,14 +360,32 @@ def _worst(family, va, vb, e_dim):
     return worst, None if at is None else family[at]
 
 
-def _proves(a, b) -> bool:
-    """a == b, or distribution sections of one kind, domain, k and key set
-    whose point terms pair up by (a, i) with no gap between their scalars
-    and whose integral terms the space proves equal (`proves_equal`)."""
-    if a == b:
+def _stacks(section):
+    """The (coefficient, bound) terms of a density at each (key,
+    derivative stack): one term each."""
+    return {(l, i): [(tau.coeff, tau.bound)]
+            for l, terms in section.coeffs.items() for i, tau in terms}
+
+
+def _proves(a, b=None) -> bool:
+    """a == b (b None: a is the zero section), or sections of one kind,
+    domain and k that the space proves equal: densities whose terms at
+    each (key, derivative stack) it proves equal (`proves_equal` with
+    pieces), a stack on one side only against no term; distributions of
+    one key set whose point terms pair up by (a, i) with no gap between
+    their scalars and whose integral terms it proves equal."""
+    if a == b or b is None and a.is_exactly_zero():
         return True
-    if type(a) is not type(b) or not isinstance(a, _DualSection) \
-            or (a.domain, a.k, a.coeffs.keys()) != (b.domain, b.k, b.coeffs.keys()):
+    if b is not None and (type(a) is not type(b)
+                          or (a.domain, a.k) != (b.domain, b.k)):
+        return False
+    region = a.domain.region
+    if isinstance(a, FormalDensity):
+        sa, sb = _stacks(a), {} if b is None else _stacks(b)
+        return all(a.space.proves_equal(sa.get(s, []), sb.get(s, []), region,
+                                        pieces=True) for s in sa.keys() | sb.keys())
+    if b is None or not isinstance(a, _DualSection) \
+            or a.coeffs.keys() != b.coeffs.keys():
         return False
     for j, vec in a.coeffs.items():
         for entries in zip(vec, b.coeffs[j]):
@@ -371,7 +394,7 @@ def _proves(a, b) -> bool:
                  [t for t in w.terms if type(t) is PointTerm]) for w in entries)
             if [(t.a, t.i) for t in pa] != [(t.a, t.i) for t in pb] \
                     or max_gap([t.c for t in pa], [t.c for t in pb]) \
-                    or not a.space.proves_equal(sa, sb, a.domain.region):
+                    or not a.space.proves_equal(sa, sb, region):
                 return False
     return True
 
@@ -399,10 +422,10 @@ def functional_residual(a, b, family):
 
 def functional_zero_residual(a, family):
     """Max probe magnitude over a dual family and the witnessing probe;
-    an exactly zero section, once checked against the family, reads
-    (0.0, None) without a probe."""
+    a section proved zero (`_proves`), once checked against the family,
+    reads (0.0, None) without a probe."""
     family.check(a)
-    if a.is_exactly_zero():
+    if _proves(a):
         return 0.0, None
     va, = probe_values(family.space, [(a, family)])
     return _worst(family, va, {}, a.e_dim)

@@ -34,8 +34,11 @@ of (coefficient, bound) terms agree (`proves_equal`, one rule per
 space). Label indicators on Discrete, exact; on SmoothLine plateau
 bumps over one certified denominator, whose checks prove what the
 partition identity closes (`_sums_to_one`, order-free) and sample or
-leave unknown the rest. Reading a section at the probes is
-section-level work, done in sheaf.py.
+leave unknown the rest. A density's terms at one key and derivative
+stack are proved further: with each partition reassembly in their
+coefficients summed, its derivatives summing to 0 (`_reassembled`),
+then on the pieces of their bounds (`expr.equal_on_pieces`). Reading
+a section at the probes is section-level work, done in sheaf.py.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -46,6 +49,7 @@ in rational arithmetic.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -54,8 +58,8 @@ from operator import or_
 from .errors import (BackendError, CertificateError, DomainMismatchError,
                      SupportError, json_shape)
 from .expr import (ONE, ZERO, Add, Const, Div, Mul, X, _compile, add, bump,
-                   certified, diff, div, ev, falling_edge, mul, parse_sexpr,
-                   pow_, rising_edge, to_sexpr, window_bump)
+                   certified, diff, div, equal_on_pieces, ev, falling_edge,
+                   mul, parse_sexpr, pow_, rising_edge, to_sexpr, window_bump)
 from .quadrature import DEFAULT_ABS_TOL, integrate_exprs
 from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_map_add,
                       qc_to_json, rat_from_json, rat_to_json)
@@ -343,7 +347,7 @@ class Discrete:
         total = reduce(self.add, coeffs, {})
         return 0.0 if total == self.constant(1, region) else 1.0
 
-    def proves_equal(self, a, b, region) -> bool:
+    def proves_equal(self, a, b, region, pieces=False) -> bool:
         """a == b, lists of (weights, bound) terms: exact, no proof needed."""
         return a == b
 
@@ -557,6 +561,40 @@ def _sums_to_one(quots, region) -> bool:
         == Counter(_summands(quots[0].den))
 
 
+# a derivative of a quotient, as `SmoothLine.diff` made it -> (the
+# quotient, the order); an entry goes when its derivative node dies
+_DERIVATIVES = weakref.WeakKeyDictionary()
+
+
+def _reassembled(terms, region):
+    """(coefficient, bound) terms with every partition reassembly among
+    the summands of a coefficient summed, and zero terms dropped: the
+    summands t * q or q * t over the quotients q of one partition
+    (`_sums_to_one` on the region) are t, and t * diff(q, j) for j >= 1
+    (`_DERIVATIVES`, the nodes `diff` made) are 0, the derivative of one
+    on the open region. Any other summand stays."""
+    out = []
+    for c, bd in terms:
+        groups, rest = {}, []
+        for s in _summands(c):
+            for t, q in ((s.a, s.b), (s.b, s.a)) if type(s) is Mul else ():
+                q, j = _DERIVATIVES.get(q, (q, 0))
+                if type(q) is Div:
+                    groups.setdefault((t, j), []).append((q, s))
+                    break
+            else:
+                rest.append(s)
+        closed = [(t, j) for (t, j), parts in groups.items()
+                  if _sums_to_one([q for q, _ in parts], region)]
+        if closed:
+            rest += [s for key, parts in groups.items() if key not in closed
+                     for _, s in parts]
+            c = reduce(add, [t for t, j in closed if not j] + rest, ZERO)
+        if c != ZERO:
+            out.append((c, bd))
+    return out
+
+
 class SmoothLine:
     """The real line with global coordinate x."""
 
@@ -716,13 +754,18 @@ class SmoothLine:
         return max((abs(sum(complex(ev(c, a)) for c in coeffs) - 1)
                     for a in self.sample_points(region)), default=0.0)
 
-    def proves_equal(self, a, b, region) -> bool:
+    def proves_equal(self, a, b, region, pieces=False) -> bool:
         """True when two lists of (coefficient, bound) terms are equal, or
         when each term (c, B) of one is split in the other into summands
         q_i * c whose terms' bounds lie in B and cover it (None: the whole
         line), and whose q_i sum to one on the region (`_sums_to_one`).
         So a coefficient's partition reassembly, one term, is proved
-        against the coefficient. False: unknown."""
+        against the coefficient. Given pieces (a density's terms at one
+        key and derivative stack, bounded), a pair these leave unknown is
+        then read with each partition reassembly in a coefficient summed
+        (`_reassembled`), and proved when the two read lists are equal or
+        equal on the pieces of their bounds (`equal_on_pieces`). False:
+        unknown."""
         if a == b:
             return True
         whole = RSet.whole()
@@ -740,7 +783,10 @@ class SmoothLine:
                         and _sums_to_one([q for q, _ in parts], region)
                         for bound, parts in groups.values()):
                     return True
-        return False
+        if not pieces:
+            return False
+        a, b = _reassembled(a, region), _reassembled(b, region)
+        return a == b or equal_on_pieces(a, b)
 
     # -- coefficient algebra ------------------------------------------------
     #
@@ -778,7 +824,13 @@ class SmoothLine:
         return mul(a, b)
 
     def diff(self, c, i: int):
-        return diff(c, i) if i else c
+        """The i-th derivative; a quotient's is kept in _DERIVATIVES."""
+        if not i:
+            return c
+        out = diff(c, i)
+        if type(c) is Div and type(out) is Div:
+            _DERIVATIVES[out] = (c, i)
+        return out
 
     def ev(self, c, a):
         return ev(c, a)

@@ -2,7 +2,10 @@
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from functools import reduce
 from operator import getitem
@@ -532,3 +535,19 @@ def test_check_all_json_at_seed_13_matches_its_golden(capsys, name):
     code, out, _ = run(capsys, *argv)
     assert code == golden["exit"] == (1 if name == "glue_mismatch" else 0)
     assert out == golden["stdout"]
+
+
+def test_a_reader_that_closes_stdout_ends_the_run_as_sigpipe_would():
+    # the read end is closed before the report is written, as `| head -c
+    # 10` closes it after ten bytes: no internal error, nothing on stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "formalcalc.cli", "check", "all", "--scenario",
+         str(ROOT / "scenarios" / "pair_demo.json"), "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""

@@ -14,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from formalcalc import sheaf, suites
+from formalcalc import expr, sheaf, suites
 from formalcalc.cli import main
 from formalcalc.densities import FormalDensity
 from formalcalc.multiindex import grlex_key
 from formalcalc.sheaf import flabby_check
+from formalcalc.spaces import RSet
+from test_density_proofs import proved_moved_pairs
 from test_flabby_stages import unreached
 
 SMOOTH = str(Path(__file__).resolve().parent.parent / "scenarios"
@@ -56,6 +58,26 @@ def reassemble_drops_its_last_local(monkeypatch):
     monkeypatch.setattr(suites, "cosheaf_reassemble", cosheaf_reassemble)
 
 
+def psi_drops_its_minus_sign(monkeypatch):
+    monkeypatch.setattr(suites, "mv_psi",
+                        lambda zeta, u1, u2: (zeta.ext(u1), zeta.ext(u2)))
+
+
+def cutoff_restrict_clips_inside_the_plateau(monkeypatch):
+    real = FormalDensity.cutoff_restrict
+
+    def cutoff_restrict(self, f, v):
+        out = real(self, f, v)
+        if not f.plateau:
+            return out
+        # the middle half of the plateau, where the cutoff is one
+        lo, hi = f.plateau.hull()
+        inner = RSet.closed_pairs([(lo + (hi - lo) / 4, hi - (hi - lo) / 4)])
+        return out._canon({l: tuple((i, tau.clip(inner)) for i, tau in terms)
+                           for l, terms in out.coeffs.items()})
+    monkeypatch.setattr(FormalDensity, "cutoff_restrict", cutoff_restrict)
+
+
 FAULTS = {
     "FormalDensity.ext drops the top key": (ext_drops_the_top_key, "all"),
     "FormalDensity.ext drops the top key, flabby alone":
@@ -63,6 +85,9 @@ FAULTS = {
     "sheaf_glue sums one part fewer": (glue_sums_one_part_fewer, "glue"),
     "cosheaf_reassemble drops its last local":
         (reassemble_drops_its_last_local, "cosheaf"),
+    "mv_psi drops its minus sign": (psi_drops_its_minus_sign, "mv"),
+    "cutoff_restrict clips inside the plateau":
+        (cutoff_restrict_clips_inside_the_plateau, "mv"),
 }
 
 
@@ -93,3 +118,57 @@ def test_the_unreached_section_sees_a_flabby_rule_that_passes_open_sections(
     assert flabby_check(*unreached()) is False
     open_sections_count_as_seen(monkeypatch)
     assert flabby_check(*unreached()) is True
+
+
+# -- faults in the piece rule ----------------------------------------------------
+#
+# A false proof of a true law leaves every check passing, so the test that
+# must see each of these is the one that moves every proved density pair by
+# an independent bump and proves none of them (test_density_proofs).
+
+
+def straddling_kernels_are_zeroed(monkeypatch):
+    real = expr._at_most_zero
+    # at most 0 at one end of the piece is taken for at most 0 on it
+    monkeypatch.setattr(expr, "_at_most_zero", lambda arg, lo, hi: (
+        real(arg, lo, lo) or real(arg, hi, hi)))
+
+
+def certificates_hold_every_piece(monkeypatch):
+    def _nonzero_on(den, piece):
+        while type(den) is expr.Pow:
+            den = den.base
+        # a certificate on any region, whether it holds the piece or not
+        return den in expr._CERTIFIED
+    monkeypatch.setattr(expr, "_nonzero_on", _nonzero_on)
+
+
+def the_budget_drops_terms(monkeypatch):
+    def pmul(self, p, q):
+        out = {}
+        for m, v in p.items():
+            for n, w in q.items():
+                if self.left[0] <= 0:
+                    return out  # the products left are dropped
+                self.left[0] -= 1
+                mn = expr._mono_mul(m, n)
+                out[mn] = out.get(mn, expr.QC_ZERO) + v * w
+        return {m: v for m, v in out.items() if v}
+    monkeypatch.setattr(expr._Piece, "pmul", pmul)
+    monkeypatch.setattr(expr, "PIECE_BUDGET", 10)
+
+
+RULE_FAULTS = {
+    "specialisation zeroes a straddling kernel": straddling_kernels_are_zeroed,
+    "a denominator inherits a certificate that misses the piece":
+        certificates_hold_every_piece,
+    "the expansion drops terms at its budget": the_budget_drops_terms,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_FAULTS))
+def test_a_moved_density_pair_sees_the_fault_in_the_piece_rule(name,
+                                                               monkeypatch):
+    # test_density_proofs holds that no moved pair is proved without it
+    RULE_FAULTS[name](monkeypatch)
+    assert proved_moved_pairs(first=True)

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from formalcalc import quadrature, sheaf, spaces, suites
+from formalcalc.densities import FormalDensity
 from formalcalc.distributions import (BaseDistribution,
                                       CompactFormalDistribution,
                                       FormalDistribution, GeneralizedFunction,
@@ -310,9 +311,10 @@ def test_every_proved_glue_and_reassembly_measures_to_zero(monkeypatch):
         suites.suite_cosheaf(SL, 1, 1, seed, 1e-8, rounds=1)
     proved = [(a, b, fam) for a, b, fam in seen
               if a != b and sheaf._proves(a, b)]
-    # both glue laws and the cosheaf distribution law
+    # both glue laws and the cosheaf distribution and density laws
     assert {type(a) for a, _, _ in proved} == {
-        GeneralizedFunction, FormalDistribution, CompactFormalDistribution}
+        GeneralizedFunction, FormalDistribution, CompactFormalDistribution,
+        FormalDensity}
     monkeypatch.setattr(sheaf, "_proves", operator.eq)
     for a, b, fam in proved:
         assert functional_residual(a, b, fam)[0] <= 1e-12
