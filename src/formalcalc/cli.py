@@ -313,7 +313,11 @@ EXIT_PIPE_CLOSED = 141
 
 def main(argv=None) -> int:
     try:
-        return _main(argv)
+        code = _main(argv)
+        # a report smaller than stdout's buffer reaches a pipe only here,
+        # so a reader that is gone is seen inside the try
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # the reader of stdout is gone, as with `| head`: stdout points
         # at devnull, so that the flush at exit does not raise again

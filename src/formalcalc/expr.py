@@ -916,11 +916,15 @@ def certify_positive(e: Expr, region) -> None:
 
 # -- equality on the pieces of term bounds ------------------------------------
 
-# monomial products one comparison may make: past it the comparison is
-# unknown, and the pair is measured, never decided on a cut expansion.
-# At about 4 us a product, 5,000 cost what measuring a split-ext pair
-# costs (17 ms); the line's mv and cosheaf suites at seeds 0..19 need
-# at most 1,585
+# monomial products one comparison (one call) may make: past it the
+# comparison is unknown, and the pair is measured, never decided on a cut
+# expansion. A density pair makes one comparison per (key, derivative
+# stack), so one it cannot prove may spend the budget once per stack
+# before it is measured. At 2 to 4 us a product, a comparison that spends
+# it takes 10 to 20 ms, about what measuring one split-ext pair costs
+# (17 ms); the line's mv and cosheaf suites at seeds 0..19 need at most
+# 1,585, and no comparison there, nor of their pairs moved by a bump,
+# reaches it
 PIECE_BUDGET = 5_000
 
 # the monomial 1, and the fraction 0

@@ -29,7 +29,8 @@ against the section it came from, and densities whose terms it proves
 equal at each key and derivative stack, on the line by the partition
 identity and its derivatives, then on the pieces of their bounds
 (mv's phi-psi and split-ext laws, mv_split's kernel check, the cosheaf
-density law).
+density law). The line tries the same two rules on any pair of bounded
+term lists, distributions' integral terms included.
 The constructions:
 
 * build_pou: partitions of unity subordinate to a finite cover.
@@ -370,10 +371,10 @@ def _stacks(section):
 def _proves(a, b=None) -> bool:
     """a == b (b None: a is the zero section), or sections of one kind,
     domain and k that the space proves equal: densities whose terms at
-    each (key, derivative stack) it proves equal (`proves_equal` with
-    pieces), a stack on one side only against no term; distributions of
-    one key set whose point terms pair up by (a, i) with no gap between
-    their scalars and whose integral terms it proves equal."""
+    each (key, derivative stack) it proves equal (`proves_equal`), a
+    stack on one side only against no term; distributions of one key set
+    whose point terms pair up by (a, i) with no gap between their scalars
+    and whose integral terms it proves equal."""
     if a == b or b is None and a.is_exactly_zero():
         return True
     if b is not None and (type(a) is not type(b)
@@ -382,8 +383,8 @@ def _proves(a, b=None) -> bool:
     region = a.domain.region
     if isinstance(a, FormalDensity):
         sa, sb = _stacks(a), {} if b is None else _stacks(b)
-        return all(a.space.proves_equal(sa.get(s, []), sb.get(s, []), region,
-                                        pieces=True) for s in sa.keys() | sb.keys())
+        return all(a.space.proves_equal(sa.get(s, []), sb.get(s, []), region)
+                   for s in sa.keys() | sb.keys())
     if b is None or not isinstance(a, _DualSection) \
             or a.coeffs.keys() != b.coeffs.keys():
         return False

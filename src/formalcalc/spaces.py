@@ -34,11 +34,12 @@ of (coefficient, bound) terms agree (`proves_equal`, one rule per
 space). Label indicators on Discrete, exact; on SmoothLine plateau
 bumps over one certified denominator, whose checks prove what the
 partition identity closes (`_sums_to_one`, order-free) and sample or
-leave unknown the rest. A density's terms at one key and derivative
-stack are proved further: with each partition reassembly in their
-coefficients summed, its derivatives summing to 0 (`_reassembled`),
-then on the pieces of their bounds (`expr.equal_on_pieces`). Reading
-a section at the probes is section-level work, done in sheaf.py.
+leave unknown the rest. Lists of bounded terms (a density's at one
+key and derivative stack, a distribution's integral terms) are proved
+further: with each partition reassembly in their coefficients summed,
+its derivatives summing to 0 (`_reassembled`), then on the pieces of
+their bounds (`expr.equal_on_pieces`). Reading a section at the
+probes is section-level work, done in sheaf.py.
 
 RSet is an exact boolean algebra of interval unions with explicit
 endpoint flags. It also models supports (closed, possibly unbounded
@@ -347,7 +348,7 @@ class Discrete:
         total = reduce(self.add, coeffs, {})
         return 0.0 if total == self.constant(1, region) else 1.0
 
-    def proves_equal(self, a, b, region, pieces=False) -> bool:
+    def proves_equal(self, a, b, region) -> bool:
         """a == b, lists of (weights, bound) terms: exact, no proof needed."""
         return a == b
 
@@ -754,18 +755,17 @@ class SmoothLine:
         return max((abs(sum(complex(ev(c, a)) for c in coeffs) - 1)
                     for a in self.sample_points(region)), default=0.0)
 
-    def proves_equal(self, a, b, region, pieces=False) -> bool:
+    def proves_equal(self, a, b, region) -> bool:
         """True when two lists of (coefficient, bound) terms are equal, or
         when each term (c, B) of one is split in the other into summands
         q_i * c whose terms' bounds lie in B and cover it (None: the whole
         line), and whose q_i sum to one on the region (`_sums_to_one`).
         So a coefficient's partition reassembly, one term, is proved
-        against the coefficient. Given pieces (a density's terms at one
-        key and derivative stack, bounded), a pair these leave unknown is
-        then read with each partition reassembly in a coefficient summed
-        (`_reassembled`), and proved when the two read lists are equal or
-        equal on the pieces of their bounds (`equal_on_pieces`). False:
-        unknown."""
+        against the coefficient. When every term is bounded, a pair these
+        leave unknown is then read with each partition reassembly in a
+        coefficient summed (`_reassembled`), and proved when the two read
+        lists are equal or equal on the pieces of their bounds
+        (`equal_on_pieces`). False: unknown."""
         if a == b:
             return True
         whole = RSet.whole()
@@ -783,7 +783,7 @@ class SmoothLine:
                         and _sums_to_one([q for q, _ in parts], region)
                         for bound, parts in groups.values()):
                     return True
-        if not pieces:
+        if any(bd is None for _, bd in a + b):
             return False
         a, b = _reassembled(a, region), _reassembled(b, region)
         return a == b or equal_on_pieces(a, b)
@@ -824,12 +824,14 @@ class SmoothLine:
         return mul(a, b)
 
     def diff(self, c, i: int):
-        """The i-th derivative; a quotient's is kept in _DERIVATIVES."""
+        """The i-th derivative; a quotient's is kept in _DERIVATIVES, by
+        its order over the quotient a derivative of one is taken of."""
         if not i:
             return c
         out = diff(c, i)
         if type(c) is Div and type(out) is Div:
-            _DERIVATIVES[out] = (c, i)
+            base, j = _DERIVATIVES.get(c, (c, 0))
+            _DERIVATIVES[out] = (base, j + i)
         return out
 
     def ev(self, c, a):

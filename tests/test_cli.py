@@ -537,11 +537,16 @@ def test_check_all_json_at_seed_13_matches_its_golden(capsys, name):
     assert out == golden["stdout"]
 
 
-def test_a_reader_that_closes_stdout_ends_the_run_as_sigpipe_would():
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_reader_that_closes_stdout_ends_the_run_as_sigpipe_would(buffered):
     # the read end is closed before the report is written, as `| head -c
-    # 10` closes it after ten bytes: no internal error, nothing on stderr
+    # 10` closes it after ten bytes: no internal error, nothing on stderr.
+    # Buffered (the default), the report reaches the pipe at main's flush
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "formalcalc.cli", "check", "all", "--scenario",
          str(ROOT / "scenarios" / "pair_demo.json"), "--json"],

@@ -14,12 +14,14 @@ piece of its bounds, and no such pair moved by an independent bump,
 import functools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from formalcalc import expr, sheaf, spaces, suites
 from formalcalc.expr import (ONE, Const, X, add, div, ev, kern, mul,
                              window_bump)
+from formalcalc.sheaf import build_pou
 from formalcalc.spaces import RSet, SmoothLine
 
 SL = SmoothLine()
@@ -31,23 +33,25 @@ EPS = Const(Fraction(1, 10 ** 9))
 def proved_pairs():
     """(a, b, region, rule) of every density pair of term lists that a
     rule proves, not ==, in the line's mv and cosheaf suites at SEEDS;
-    rule is "pieces" when the piece rule decided it, else "reassembly"."""
-    out, decided = [], []
-    real_proves, real_pieces = SmoothLine.proves_equal, spaces.equal_on_pieces
+    rule is "pieces" when the piece rule decided it, else "reassembly".
+    Cached for the process: a test that patches a rule calls it first,
+    so that the pairs are those of the rules as they stand."""
+    out, reached = [], []
+    real_proves = SmoothLine.proves_equal
+    real_reassembled, real_pieces = spaces._reassembled, spaces.equal_on_pieces
 
-    def pieces(a, b):
-        decided.append(real_pieces(a, b))
-        return decided[-1]
-
-    def proves_equal(self, a, b, region, pieces=False):
-        decided.clear()
-        got = real_proves(self, a, b, region, pieces)
-        if pieces and got and a != b:
-            out.append((a, b, region, "pieces" if decided else "reassembly"))
+    def proves_equal(self, a, b, region):
+        reached.clear()
+        got = real_proves(self, a, b, region)
+        if got and reached:
+            out.append((a, b, region, reached[-1]))
         return got
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SmoothLine, "proves_equal", proves_equal)
-        mp.setattr(spaces, "equal_on_pieces", pieces)
+        mp.setattr(spaces, "_reassembled", lambda terms, region: (
+            reached.append("reassembly") or real_reassembled(terms, region)))
+        mp.setattr(spaces, "equal_on_pieces", lambda a, b: (
+            reached.append("pieces") or real_pieces(a, b)))
         for seed in SEEDS:
             assert suites.suite_mv(SL, 1, seed, 1e-8, rounds=6)["pass"]
             assert suites.suite_cosheaf(SL, 1, 1, seed, 1e-8, rounds=2)["pass"]
@@ -104,15 +108,14 @@ def beyond_a_certificate():
     return side, side, RSet.open_pairs([(-3, 3)])
 
 
-def proved_moved_pairs(first=False):
-    """The moved pairs (`moved`) of the proved pairs and of
+def proved_moved_pairs(pairs, first=False):
+    """The moved pairs (`moved`) of the pairs (`proved_pairs`) and of
     `beyond_a_certificate` that the line proves: none, as the rules
     stand. Given first, stop at the first one."""
     out = []
-    for a, b, region, _ in proved_pairs() + [(*beyond_a_certificate(), "")]:
+    for a, b, region, _ in pairs + [(*beyond_a_certificate(), "")]:
         a, b = moved(a, b)
-        if SL.proves_equal(a, b, region, pieces=True) \
-                or SL.proves_equal(b, a, region, pieces=True):
+        if SL.proves_equal(a, b, region) or SL.proves_equal(b, a, region):
             out.append((a, b))
             if first:
                 break
@@ -123,16 +126,17 @@ def proved_moved_pairs(first=False):
 def test_no_moved_pair_is_proved(budget, monkeypatch):
     # at a budget of 10 products nearly every expansion gives up: still
     # unknown, never proved
+    pairs = proved_pairs()
     monkeypatch.setattr(expr, "PIECE_BUDGET", budget)
-    assert proved_moved_pairs() == []
+    assert proved_moved_pairs(pairs) == []
 
 
 def test_a_key_on_one_side_only_is_compared_against_zero():
     bump, bound, _ = window_bump(-1, 1)
     c = mul(bump, X)
     gone = [(add(c, mul(Const(-1), c)), bound)]
-    assert SL.proves_equal(gone, [], RSet.whole(), pieces=True)
-    assert not SL.proves_equal([(c, bound)], [], RSet.whole(), pieces=True)
+    assert SL.proves_equal(gone, [], RSet.whole())
+    assert not SL.proves_equal([(c, bound)], [], RSet.whole())
 
 
 def test_a_density_proved_zero_reads_no_probe(monkeypatch):
@@ -144,3 +148,22 @@ def test_a_density_proved_zero_reads_no_probe(monkeypatch):
     assert sheaf.functional_zero_residual(eta.add(eta.scale(-1)), fam) \
         == (0.0, None)
     assert calls == []
+
+
+def test_a_second_derivative_reassembles_whichever_way_it_was_taken(
+        monkeypatch):
+    # diff(q, 2) and diff(diff(q, 1), 1) are one node: its entry is the
+    # order over the partition quotient q either way, so the reassembly
+    # alone proves sum (tau q + t diff(q, 2)) = tau, the sum of a k=2
+    # Leibniz expansion
+    pou = build_pou(suites._three_part_cover(SL), 1, 4)
+    quots = [f.coeff((0,)) for f in pou.functions]
+    region = pou.cover.whole.region
+    tau, bound, _ = window_bump(-1, 1)
+    t = mul(X, tau)
+    monkeypatch.setattr(spaces, "equal_on_pieces", lambda a, b: False)
+    for order in ([2], [1, 1]):
+        twice = [reduce(SL.diff, order, q) for q in quots]
+        c = reduce(add, [add(mul(tau, q), mul(t, d))
+                         for q, d in zip(quots, twice)])
+        assert SL.proves_equal([(c, bound)], [(tau, bound)], region)

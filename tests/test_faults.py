@@ -20,7 +20,7 @@ from formalcalc.densities import FormalDensity
 from formalcalc.multiindex import grlex_key
 from formalcalc.sheaf import flabby_check
 from formalcalc.spaces import RSet
-from test_density_proofs import proved_moved_pairs
+from test_density_proofs import proved_moved_pairs, proved_pairs
 from test_flabby_stages import unreached
 
 SMOOTH = str(Path(__file__).resolve().parent.parent / "scenarios"
@@ -169,6 +169,8 @@ RULE_FAULTS = {
 @pytest.mark.parametrize("name", sorted(RULE_FAULTS))
 def test_a_moved_density_pair_sees_the_fault_in_the_piece_rule(name,
                                                                monkeypatch):
-    # test_density_proofs holds that no moved pair is proved without it
+    # test_density_proofs holds that no moved pair is proved without it;
+    # the pairs are found before the fault is in
+    pairs = proved_pairs()
     RULE_FAULTS[name](monkeypatch)
-    assert proved_moved_pairs(first=True)
+    assert proved_moved_pairs(pairs, first=True)
