@@ -72,7 +72,9 @@ SAMPLE_GRID = 101
 
 
 def _is_inf(v) -> bool:
-    return v == NEG_INF or v == POS_INF
+    # only a float can be infinite: a Fraction endpoint is never compared
+    # with a float infinity, which Fraction.__eq__ answers slowly
+    return type(v) is float and (v == NEG_INF or v == POS_INF)
 
 
 def same(a, b) -> bool:
@@ -95,14 +97,24 @@ class RSet:
     """Finite union of intervals with rational or infinite endpoints.
 
     Pieces are (lo, hi, lo_open, hi_open) tuples kept sorted, disjoint,
-    and maximal. Infinite endpoints are always open. A piece with
-    lo == hi and both ends closed is a single point.
+    and maximal: no two pieces touch, so each connected part of the set
+    is one piece. Infinite endpoints are always open floats. A piece
+    with lo == hi and both ends closed is a single point. Subset,
+    intersection and openness read this invariant piece by piece; only
+    the constructor (`_canon`) establishes it.
     """
 
     __slots__ = ("pieces",)
 
     def __init__(self, pieces=()):
         self.pieces = _canon(pieces)
+
+    @classmethod
+    def _trusted(cls, pieces) -> "RSet":
+        """The RSet of pieces that already keep its invariant."""
+        r = object.__new__(cls)
+        r.pieces = tuple(pieces)
+        return r
 
     @classmethod
     def open_pairs(cls, pairs):
@@ -163,19 +175,30 @@ class RSet:
         return RSet(out)
 
     def intersect(self, other: "RSet") -> "RSet":
+        # the meets of two separated piece lists, taken in order, are
+        # sorted and separated already: only the empty ones drop out
         out = []
         for a in self.pieces:
             for b in other.pieces:
                 lo, lo_open = max((a[0], a[2]), (b[0], b[2]))
-                hi, hi_open = min((a[1], not a[3]), (b[1], not b[3]))
-                out.append((lo, hi, lo_open, not hi_open))
-        return RSet(out)
+                hi, hi_closed = min((a[1], not a[3]), (b[1], not b[3]))
+                if lo < hi or (lo == hi and hi_closed and not lo_open):
+                    out.append((lo, hi, lo_open, not hi_closed))
+        return RSet._trusted(out)
 
     def difference(self, other: "RSet") -> "RSet":
         return self.intersect(other.complement())
 
     def is_subset(self, other: "RSet") -> bool:
-        return self.difference(other).is_empty
+        # a piece is connected, so it lies in other only inside one of
+        # its pieces; both lists are sorted, so the search never goes back
+        theirs, j = other.pieces, 0
+        for a in self.pieces:
+            while j < len(theirs) and not _inside(a, theirs[j]):
+                j += 1
+            if j == len(theirs):
+                return False
+        return True
 
     def closure(self) -> "RSet":
         return RSet([(lo, hi, _is_inf(lo), _is_inf(hi))
@@ -186,7 +209,8 @@ class RSet:
 
     @property
     def is_open(self) -> bool:
-        return self == self.interior()
+        # separated pieces: a closed end is a boundary point of the set
+        return all(lo_open and hi_open for _, _, lo_open, hi_open in self.pieces)
 
     # -- the frozenset spelling --------------------------------------------
     #
@@ -220,7 +244,15 @@ class RSet:
         return "RSet{%s}" % " u ".join(bits)
 
 
+def _inside(a, b) -> bool:
+    """Piece a lies in piece b."""
+    return ((b[0] < a[0] or (b[0] == a[0] and (a[2] or not b[2])))
+            and (a[1] < b[1] or (a[1] == b[1] and (a[3] or not b[3]))))
+
+
 def _canon(pieces):
+    """RSet's invariant for any pieces: infinite ends opened, empty
+    pieces dropped, the rest sorted and every touching pair merged."""
     kept = []
     for lo, hi, lo_open, hi_open in pieces:
         if _is_inf(lo):
@@ -931,7 +963,11 @@ class SmoothLine:
 
 class OpenSet:
     """An open subset of a base space, held as one region of the space
-    (a label frozenset on a discrete space, an open RSet on the line)."""
+    (a label frozenset on a discrete space, an open RSet on the line).
+
+    The constructor validates its data through `space.open_region`. A
+    union or an intersection of two open sets of one space is an open
+    region of that space, so those results skip it (`_trusted`)."""
 
     __slots__ = ("space", "region")
 
@@ -939,15 +975,23 @@ class OpenSet:
         self.space = space
         self.region = space.open_region(data)
 
+    @classmethod
+    def _trusted(cls, space, region) -> "OpenSet":
+        """An open set of a known open region of the space, unvalidated."""
+        u = object.__new__(cls)
+        u.space = space
+        u.region = region
+        return u
+
     # -- set operations ---------------------------------------------------
 
     def union(self, other: "OpenSet") -> "OpenSet":
         self._check_space(other)
-        return OpenSet(self.space, self.region | other.region)
+        return OpenSet._trusted(self.space, self.region | other.region)
 
     def intersect(self, other: "OpenSet") -> "OpenSet":
         self._check_space(other)
-        return OpenSet(self.space, self.region & other.region)
+        return OpenSet._trusted(self.space, self.region & other.region)
 
     def is_subset(self, other: "OpenSet") -> bool:
         self._check_space(other)

@@ -6,7 +6,7 @@ import pytest
 
 from formalcalc import cli
 from formalcalc.spaces import (Discrete, NEG_INF, OpenSet, POS_INF, RSet,
-                               SmoothLine)
+                               SmoothLine, _canon, _is_inf)
 
 
 def _sample_points():
@@ -173,3 +173,88 @@ def test_point_refusals_and_cli_messages(tmp_path, capsys):
         assert cli.main(["jet", "u", point, "1", "--scenario",
                          str(path)]) == 2
         assert capsys.readouterr().err.strip() == message
+
+
+# -- the piece-wise operations against the definitions they replace ----------
+
+def _rand_endpoint(rng):
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+
+
+def _rand_pieces(rng):
+    """Raw pieces: Fraction ends with denominators 1 to 4, infinite ends,
+    single points, empty pieces, and ends that touch."""
+    pieces, last = [], _rand_endpoint(rng)
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        if kind < 0.15:
+            pieces.append((last, last, False, False))
+            continue
+        lo = last if kind < 0.4 else _rand_endpoint(rng)
+        hi = lo + Fraction(rng.randint(0, 8), rng.randint(1, 4))
+        if rng.random() < 0.15:
+            lo = NEG_INF
+        if rng.random() < 0.15:
+            hi = POS_INF
+        pieces.append((lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        last = hi if hi != POS_INF else _rand_endpoint(rng)
+    return pieces
+
+
+def _meets(a, b):
+    """The meet of every piece of a with every piece of b, empty or not."""
+    out = []
+    for p in a.pieces:
+        for q in b.pieces:
+            lo, lo_open = max((p[0], p[2]), (q[0], q[2]))
+            hi, hi_open = min((p[1], not p[3]), (q[1], not q[3]))
+            out.append((lo, hi, lo_open, not hi_open))
+    return out
+
+
+def _old_is_subset(a, b):
+    # the complement-and-intersect construction, every step canonicalized
+    return not _canon(_meets(a, b.complement()))
+
+
+def test_piecewise_region_operations_equal_their_definitions():
+    rng = random.Random(39)
+    for _ in range(1500):
+        a, b = RSet(_rand_pieces(rng)), RSet(_rand_pieces(rng))
+        # canonical pieces are a fixed point of the constructor
+        assert RSet(a.pieces).pieces == a.pieces
+        # pairs that are subsets as often as not
+        for x, y in ((a, b), (b, a), (a & b, a), (a, a | b), (a, a.closure()),
+                     (a.interior(), a), (a.closure(), a), (a, RSet())):
+            assert x.is_subset(y) == _old_is_subset(x, y)
+        assert a.intersect(b).pieces == RSet(_meets(a, b)).pieces
+        for r in (a, b, a.closure(), a.interior(), a.complement()):
+            assert r.is_open == (r == r.interior())
+
+
+@pytest.mark.parametrize("v", [0, 7, -3, Fraction(5, 3), Fraction(-1, 4),
+                               0.5, -2.0, 1e308, NEG_INF, POS_INF])
+def test_is_inf_agrees_with_comparing_to_infinity(v):
+    assert _is_inf(v) == (v == NEG_INF or v == POS_INF)
+
+
+@pytest.mark.parametrize("space, big, small, inner, outer", BACKENDS,
+                         ids=["discrete", "smoothline"])
+def test_open_sets_made_by_the_algebra_equal_validated_ones(
+        space, big, small, inner, outer):
+    # a third open set that neither holds nor lies in the others
+    third = (["a", "c"] if isinstance(space, Discrete) else
+             [(Fraction(-3), Fraction(1, 2)), (Fraction(7, 4), POS_INF)])
+    sets = [OpenSet(space, d) for d in (big, small, third, [])]
+    sets.append(space.whole())
+    for u in sets:
+        for v in sets:
+            for made in (u.union(v), u.intersect(v)):
+                assert made.space is space
+                assert made == OpenSet(space, made.region)
+                assert hash(made) == hash(OpenSet(space, made.region))
+    # the validating constructor still refuses what is not an open region
+    bad = (["a", "zzz"] if isinstance(space, Discrete)
+           else RSet.closed_pairs([(Fraction(0), Fraction(1))]))
+    with pytest.raises(ValueError):
+        OpenSet(space, bad)
