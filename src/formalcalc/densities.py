@@ -45,13 +45,17 @@ def leibniz(f: FormalFunction, l: tuple, i: tuple):
 
     Yields (I', J', c, g) for every J' <= L and I' <= I, with the integer
     c = (L!/J'!) C(I, I') and the base coefficient g = d^{I-I'} f_{L-J'};
-    the derivative d^{I'} d^{J'} u then carries the factor c * g. Pass
-    the empty x-index for an expansion in y alone.
+    the derivative d^{I'} d^{J'} u then carries the factor c * g. A J'
+    whose f_{L-J'} is absent from f.coeffs yields nothing, as each of its
+    terms would be zero. Pass the empty x-index for an expansion in y
+    alone.
     """
     lfact = mi_factorial(l)
     for jp in submultiindices(l):
+        fj = f.coeffs.get(mi_sub(l, jp))
+        if fj is None:
+            continue
         ratio = lfact // mi_factorial(jp)
-        fj = f.coeffs.get(mi_sub(l, jp), f.space.zero())
         for ip in submultiindices(i):
             order = degree(mi_sub(i, ip))
             yield ip, jp, ratio * mi_binom(i, ip), f.space.diff(fj, order)

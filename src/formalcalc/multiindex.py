@@ -10,6 +10,7 @@ degree, then lexicographically on the entries.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 
@@ -87,11 +88,15 @@ def enumerate_degree(length: int, deg: int) -> list:
 
 
 def enumerate_upto(length: int, maxdeg: int) -> list:
-    """All multi-indices of the given length with degree <= maxdeg, graded lex."""
-    out = []
-    for d in range(maxdeg + 1):
-        out.extend(enumerate_degree(length, d))
-    return out
+    """All multi-indices of the given length with degree <= maxdeg, graded
+    lex: a new list on each call, of indices enumerated once per process."""
+    return list(_upto(length, maxdeg))
+
+
+@lru_cache(maxsize=None)
+def _upto(length: int, maxdeg: int) -> tuple:
+    return tuple(m for d in range(maxdeg + 1)
+                 for m in enumerate_degree(length, d))
 
 
 def key_str(m: tuple) -> str:

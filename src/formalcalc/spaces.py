@@ -163,7 +163,17 @@ class RSet:
     # -- boolean algebra -------------------------------------------------
 
     def union(self, other: "RSet") -> "RSet":
-        return RSet(self.pieces + other.pieces)
+        # both piece lists keep the invariant, so none is dropped: one
+        # walk merges them in _canon's order (self's piece first on a
+        # tie), and only pieces that touch across the two are joined
+        theirs, merged, j = other.pieces, [], 0
+        for p in self.pieces:
+            while j < len(theirs) and _start(theirs[j]) < _start(p):
+                merged.append(theirs[j])
+                j += 1
+            merged.append(p)
+        merged.extend(theirs[j:])
+        return RSet._trusted(_joined(merged))
 
     def complement(self) -> "RSet":
         out = []
@@ -264,9 +274,19 @@ def _canon(pieces):
         if lo == hi and (lo_open or hi_open):
             continue
         kept.append((lo, hi, lo_open, hi_open))
-    kept.sort(key=lambda p: (p[0], p[2]))
+    kept.sort(key=_start)
+    return tuple(_joined(kept))
+
+
+def _start(p):
+    """A piece's sort key: its left end, closed before open."""
+    return p[0], p[2]
+
+
+def _joined(pieces):
+    """Nonempty pieces in _start order, every touching pair merged."""
     out = []
-    for p in kept:
+    for p in pieces:
         if out:
             q = out[-1]
             touches = p[0] < q[1] or (p[0] == q[1] and not (q[3] and p[2]))
@@ -275,7 +295,7 @@ def _canon(pieces):
                 out[-1] = (q[0], hi, q[2], not hi_closed)
                 continue
         out.append(p)
-    return tuple(out)
+    return out
 
 
 class Discrete:

@@ -33,7 +33,7 @@ from .distributions import (BaseDistribution, CompactFormalDistribution,
 from .errors import FormalcalcError
 from .expr import Const, X, add, mul, pow_, window_bump
 from .functions import FormalFunction, SupportedFormalFunction, cutoff
-from .multiindex import degree, enumerate_upto, mi
+from .multiindex import degree, enumerate_upto
 from .scalars import QC, qc_triple
 from .sheaf import (Cover, build_pou, cosheaf_decompose,
                     cosheaf_reassemble, dual_density_family,
@@ -73,28 +73,35 @@ class _Tally:
 # -- random instance generators ------------------------------------------------
 
 
-# rng.choice(range(a, b + 1)) draws what rng.randint(a, b) draws, with
-# less argument checking per call
-_NUMS, _DENS, _BIT, _TRIT = range(-6, 7), range(1, 4), range(2), range(3)
+def _below(rng: random.Random, n: int) -> int:
+    """The draw of randrange(n) on rng, leaving rng where randrange
+    leaves it: the getrandbits loop of CPython's Random._randbelow,
+    without randrange's argument checks. Every draw of this module goes
+    through it."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice(_NUMS), rng.choice(_DENS))
+    return Fraction(_below(rng, 13) - 6, _below(rng, 3) + 1)
 
 
 def rand_qc(rng: random.Random) -> QC:
     """(a/b) + (c/e) i, or a/b, for a, c in -6..6 and b, e in 1..3."""
-    draw = rng.choice
-    if draw(_BIT):
-        a, b, c, e = draw(_NUMS), draw(_DENS), draw(_NUMS), draw(_DENS)
+    if _below(rng, 2):
+        a, b = _below(rng, 13) - 6, _below(rng, 3) + 1
+        c, e = _below(rng, 13) - 6, _below(rng, 3) + 1
         return qc_triple(a * e, c * b, b * e)
-    return qc_triple(draw(_NUMS), 0, draw(_DENS))
+    return qc_triple(_below(rng, 13) - 6, 0, _below(rng, 3) + 1)
 
 
 def rand_weights(rng, labels):
     out = {}
     for p in sorted(labels):
-        if rng.choice(_TRIT):
+        if _below(rng, 3):
             v = rand_qc(rng)
             if v:
                 out[p] = v
@@ -104,7 +111,7 @@ def rand_weights(rng, labels):
 def rand_poly(rng, deg: int = 2):
     e = Const(rand_qc(rng))
     for d in range(1, deg + 1):
-        if rng.randint(0, 1):
+        if _below(rng, 2):
             e = add(e, mul(Const(rand_qc(rng)), pow_(X, d)))
     return e
 
@@ -123,8 +130,8 @@ def _bounded_box(domain: OpenSet):
 
 def rand_window(rng, lo: Fraction, hi: Fraction):
     w = hi - lo
-    i = rng.randint(1, 4)
-    j = rng.randint(i + 2, 7)
+    i = 1 + _below(rng, 4)
+    j = i + 2 + _below(rng, 6 - i)
     return lo + w * Fraction(i, 8), lo + w * Fraction(j, 8)
 
 
@@ -154,7 +161,7 @@ class _DiscreteDraws:
     def density_terms(self, rng, domain):
         w = rand_weights(rng, domain.region)
         if w:
-            return ((mi(()), BaseDensity.discrete(self.space, w)),)
+            return (((), BaseDensity.discrete(self.space, w)),)
 
     def base(self, rng, domain, where=None):
         """Weights on the domain's labels, or on the labels where."""
@@ -164,7 +171,7 @@ class _DiscreteDraws:
     def compact(self, rng, domain):
         """(where, support): a nonempty subset of the domain's labels."""
         pts = sorted(domain.region)
-        support = {p for p in pts if rng.randint(0, 1)} or {pts[0]}
+        support = {p for p in pts if _below(rng, 2)} or {pts[0]}
         return support, frozenset(support)
 
     def supported(self, rng, domain):
@@ -172,8 +179,8 @@ class _DiscreteDraws:
         where, support = self.compact(rng, domain)
 
         def coeff(rng, j):
-            if rng.randint(0, 2):
-                c = {p: rand_qc(rng) for p in sorted(where) if rng.randint(0, 1)}
+            if _below(rng, 3):
+                c = {p: rand_qc(rng) for p in sorted(where) if _below(rng, 2)}
                 return {p: v for p, v in c.items() if v}
         return support, coeff
 
@@ -201,7 +208,7 @@ class _DiscreteDraws:
             subsets = [[p for i, p in enumerate(pts) if mask & (1 << i)]
                        for mask in range(1, 2 ** len(pts))]
         else:
-            subsets = [[p for p in pts if rng.randint(0, 1)] or [pts[0]]
+            subsets = [[p for p in pts if _below(rng, 2)] or [pts[0]]
                        for _ in range(rounds)]
         for sub in subsets:
             v = OpenSet(space, sub)
@@ -217,7 +224,7 @@ class _DiscreteDraws:
         for _ in range(rounds):
             t = rand_compact_distribution(rng, space, u, k, star, e_dim)
             s = t.support
-            extra = s | {sorted(u.region)[rng.randrange(len(u.region))]}
+            extra = s | {sorted(u.region)[_below(rng, len(u.region))]}
             yield t, cutoff(space, m, k, cap, s, s), \
                 cutoff(space, m, k, cap, extra, extra)
 
@@ -242,9 +249,9 @@ class _LineDraws:
 
     def density_terms(self, rng, domain):
         lo, hi = _bounded_box(domain)
-        return tuple((mi((rng.randint(0, 1),)),
+        return tuple(((_below(rng, 2),),
                       rand_smooth_tau(rng, self.space, lo, hi))
-                     for _ in range(rng.randint(1, 2)))
+                     for _ in range(1 + _below(rng, 2)))
 
     def base(self, rng, domain, where=None):
         """A polynomial, or a bump on the window where times one, perhaps
@@ -256,9 +263,11 @@ class _LineDraws:
             (lo, hi), eighths = where, (2, 6)
             bexpr, bsupp, _ = window_bump(lo, hi)
             terms = [SmoothTerm(mul(bexpr, rand_poly(rng)), bsupp)]
-        if rng.randint(0, 1):
-            a = lo + (hi - lo) * Fraction(rng.randint(*eighths), 8)
-            terms.append(PointTerm(a, rng.randint(0, 1), rand_qc(rng)))
+        if _below(rng, 2):
+            first, last = eighths
+            a = lo + (hi - lo) * Fraction(
+                first + _below(rng, last - first + 1), 8)
+            terms.append(PointTerm(a, _below(rng, 2), rand_qc(rng)))
         return BaseDistribution(self.space, terms=terms)
 
     def compact(self, rng, domain):
@@ -272,7 +281,7 @@ class _LineDraws:
         bexpr, supp, _ = window_bump(*rand_window(rng, *_bounded_box(domain)))
 
         def coeff(rng, j):
-            if not degree(j) or rng.randint(0, 1):
+            if not degree(j) or _below(rng, 2):
                 return mul(bexpr, rand_poly(rng))
         return supp, coeff
 
@@ -327,28 +336,28 @@ def rand_density(rng, space, domain, k, star) -> FormalDensity:
     """Compactly supported formal density with random coefficients."""
     draws = _draws(space)
     return FormalDensity(space, domain, k, {
-        mi(l): terms for l in enumerate_upto(k, star)
-        if rng.randint(0, 1) and (terms := draws.density_terms(rng, domain))})
+        l: terms for l in enumerate_upto(k, star)
+        if _below(rng, 2) and (terms := draws.density_terms(rng, domain))})
 
 
 def rand_function(rng, space, domain, k, trunc) -> FormalFunction:
     draws = _draws(space)
     return FormalFunction(space, domain, k, trunc, {
-        mi(j): c for j in enumerate_upto(k, trunc)
-        if rng.randint(0, 2) and (c := draws.coeff(rng, domain))})
+        j: c for j in enumerate_upto(k, trunc)
+        if _below(rng, 3) and (c := draws.coeff(rng, domain))})
 
 
 def rand_supported_function(rng, space, domain, k, trunc):
     support, coeff = _draws(space).supported(rng, domain)
-    coeffs = {mi(j): c for j in enumerate_upto(k, trunc) if (c := coeff(rng, j))}
+    coeffs = {j: c for j in enumerate_upto(k, trunc) if (c := coeff(rng, j))}
     return SupportedFormalFunction(space, domain, k, trunc, coeffs,
                                    support=support)
 
 
 def _vectors(rng, draws, domain, k, deg, e_dim, where=None):
     """Perhaps an E-vector of base distributions at each key."""
-    return {mi(l): tuple(draws.base(rng, domain, where) for _ in range(e_dim))
-            for l in enumerate_upto(k, deg) if rng.randint(0, 1)}
+    return {l: tuple(draws.base(rng, domain, where) for _ in range(e_dim))
+            for l in enumerate_upto(k, deg) if _below(rng, 2)}
 
 
 def rand_distribution(rng, space, domain, k, star, e_dim) -> FormalDistribution:
@@ -409,7 +418,7 @@ def suite_mv(space, k, seed, tol, rounds=100):
     u1, u2 = _mv_parts(space)
     v, whole = u1.intersect(u2), u1.union(u2)
     for rd in range(rounds):
-        star = rng.randint(0, 2)
+        star = _below(rng, 3)
         zeta = rand_density(rng, space, v, k, star)
         eta1, eta2 = mv_psi(zeta, u1, u2)
         draws.agree(tally, [(mv_phi(eta1, eta2), None, whole)], k, star, 2,
@@ -443,7 +452,7 @@ def suite_glue(space, k, e_dim, seed, tol, rounds=25):
                                      stack_cap=draws.scap)
         r, _ = functional_residual(glued, g, probes)
         tally.residual(r, round=rd, law="glue-generalized")
-        star = rng.randint(0, 2)
+        star = _below(rng, 3)
         t = rand_distribution(rng, space, m, k, star, e_dim)
         locs = [t.restrict(p) for p in cover.parts]
         glued = sheaf_glue(locs, pou, tol)
@@ -463,7 +472,7 @@ def suite_cosheaf(space, k, e_dim, seed, tol, rounds=25):
     pou = build_pou(cover, k, 4)
     m = cover.whole
     for rd in range(rounds):
-        star = rng.randint(0, 2)
+        star = _below(rng, 3)
         eta = rand_density(rng, space, m, k, star)
         back = cosheaf_reassemble(cosheaf_decompose(eta, pou), m)
         draws.agree(tally, [(back, eta, m)], k, star, draws.xcap,

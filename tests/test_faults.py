@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from formalcalc import expr, sheaf, suites
+import test_distributions
+import test_exact_laws
+from formalcalc import densities, expr, sheaf, suites
 from formalcalc.cli import main
 from formalcalc.densities import FormalDensity
 from formalcalc.multiindex import grlex_key
@@ -174,3 +176,43 @@ def test_a_moved_density_pair_sees_the_fault_in_the_piece_rule(name,
     pairs = proved_pairs()
     RULE_FAULTS[name](monkeypatch)
     assert proved_moved_pairs(pairs, first=True)
+
+
+# -- faults in the Leibniz factors ------------------------------------------------
+#
+# leibniz reads L!/J'! and C(I, I') through densities' mi_factorial and
+# mi_binom on every call. Each fault patches one of them after the law has
+# passed once in this process, so a table of the factors kept from an
+# earlier call, or a skipped term that should have carried them, would
+# hide it. Patched in densities, mi_factorial also drops the L! of
+# FormalDensity's pairing on both sides of the density identity, so its
+# law is the distribution one, whose pairing reads its own L!.
+
+
+def leibniz_drops_the_factorial_ratio(monkeypatch):
+    monkeypatch.setattr(densities, "mi_factorial", lambda m: 1)
+
+
+def leibniz_drops_the_binomial(monkeypatch):
+    monkeypatch.setattr(densities, "mi_binom", lambda m, s: 1)
+
+
+LEIBNIZ_FAULTS = {
+    "leibniz drops L!/J'!": (
+        leibniz_drops_the_factorial_ratio,
+        test_distributions.test_module_action_adjunction),
+    "leibniz drops C(I, I')": (
+        leibniz_drops_the_binomial,
+        lambda: test_exact_laws
+        .test_the_module_action_is_adjoint_to_multiplication(2, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEIBNIZ_FAULTS))
+def test_a_module_law_sees_the_fault_in_the_leibniz_factors(name,
+                                                            monkeypatch):
+    fault, law = LEIBNIZ_FAULTS[name]
+    law()
+    fault(monkeypatch)
+    with pytest.raises(AssertionError):
+        law()

@@ -71,6 +71,15 @@ def test_zero_direction_enumeration():
     assert enumerate_upto(0, 3) == [()]
 
 
+def test_enumerate_upto_returns_a_new_list_each_call():
+    first = enumerate_upto(2, 2)
+    expect = list(first)
+    assert enumerate_upto(2, 2) is not first
+    first.append((9, 9))
+    first[0] = (7, 7)
+    assert enumerate_upto(2, 2) == expect
+
+
 def test_graded_lex_order():
     seq = enumerate_upto(2, 3)
     keys = [grlex_key(m) for m in seq]

@@ -232,6 +232,17 @@ def test_piecewise_region_operations_equal_their_definitions():
             assert r.is_open == (r == r.interior())
 
 
+def test_union_merges_what_the_constructor_merges():
+    # the regions of the test above: the merge walk of two canonical
+    # piece lists gives the pieces _canon gives their concatenation
+    rng = random.Random(39)
+    for _ in range(1500):
+        a, b = RSet(_rand_pieces(rng)), RSet(_rand_pieces(rng))
+        for x, y in ((a, b), (b, a), (a, a), (a, RSet()), (RSet(), b),
+                     (a, a.complement()), (a.closure(), b.interior())):
+            assert x.union(y).pieces == RSet(x.pieces + y.pieces).pieces
+
+
 @pytest.mark.parametrize("v", [0, 7, -3, Fraction(5, 3), Fraction(-1, 4),
                                0.5, -2.0, 1e308, NEG_INF, POS_INF])
 def test_is_inf_agrees_with_comparing_to_infinity(v):

@@ -128,6 +128,16 @@ def ref_rand_weights(rng, labels):
     return out
 
 
+def test_below_draws_what_randrange_draws():
+    # the one draw helper reads getrandbits as randrange does, so the
+    # value and the Random state after it are the same
+    for seed in range(300):
+        got, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 21):
+            assert suites._below(got, n) == ref.randrange(n)
+            assert got.getstate() == ref.getstate()
+
+
 def test_generators_draw_what_randint_draws():
     labels = ["a", "b", "c", "d", "e", "f"]
     for seed in range(2000):
