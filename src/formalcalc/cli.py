@@ -14,6 +14,7 @@ is emitted as canonical JSON (sorted keys, no whitespace), so a given
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,6 +209,9 @@ def _fmt_json_scalar(v):
     return str(v)
 
 
+# built on the first call, not at import, and reused: parsing leaves the
+# parser as it was
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="formalcalc",

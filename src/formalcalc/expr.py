@@ -51,7 +51,10 @@ derivative shares the derivatives of shared subterms.
 Quotient denominators are certified positive at construction by exact
 adaptive interval bisection over the region where the quotient will be
 evaluated (the whole line by default), and the proof is kept beside
-the denominator node (`certified`), not on the quotient.
+the denominator node (`certified`), not on the quotient. The bisection
+starts from the region cut at the midpoints between consecutive zeros
+of the denominator's real affine kernel arguments (`_seeds`): an edge
+s(x - a) + s(b - x) is proved on one piece each side of (a + b)/2.
 
 Two lists of (coefficient, bound) terms are proved equal on the pieces
 of their bounds (`equal_on_pieces`): on each piece a kernel that is 0
@@ -881,9 +884,7 @@ def certify_positive(e: Expr, region) -> None:
     does not close within budget or above the width floor.
     """
     nodes = _postorder(e)
-    stack = []
-    for lo, hi, _, _ in region.pieces:
-        stack.append((lo, hi))
+    stack = _seeds(nodes, region)
     steps = 0
     while stack:
         lo, hi = stack.pop()
@@ -912,6 +913,28 @@ def certify_positive(e: Expr, region) -> None:
             mid = (Fraction(lo) + Fraction(hi)) / 2
         stack.append((lo, mid))
         stack.append((mid, hi))
+
+
+def _seeds(nodes: list, region) -> list:
+    """The pieces `certify_positive` starts from: the region's, each cut
+    at the midpoints between consecutive zeros of the real affine kernel
+    arguments among nodes. Each piece holds at most one such zero, so on
+    it every other such argument keeps its sign, away from 0."""
+    zeros = set()
+    for arg in {n.arg for n in nodes if type(n) is Kern}:
+        try:
+            c = _affine(arg)
+        except ValueError:  # past poly_coeffs' caps: not affine
+            continue
+        if c is not None and c[1]:
+            zeros.add(-c[0] / c[1])
+    zeros = sorted(zeros)
+    cuts = [(u + v) / 2 for u, v in zip(zeros, zeros[1:])]
+    out = []
+    for lo, hi, _, _ in region.pieces:
+        ends = [lo, *(c for c in cuts if lo < c < hi), hi]
+        out.extend(zip(ends, ends[1:]))
+    return out
 
 
 # -- equality on the pieces of term bounds ------------------------------------
@@ -975,15 +998,23 @@ def _at_most_zero(arg, lo, hi) -> bool:
     ends (its value at both), else by `ibounds` over the ends widened
     outward; a bound that cannot be taken says no."""
     try:
-        p = poly_coeffs(arg)
-        if p is not None and set(p) <= {0, 1} and NEG_INF < lo \
-                and hi < POS_INF and all(v.is_real for v in p.values()):
-            c0, c1 = (p.get(d, QC_ZERO).re for d in (0, 1))
-            return c0 + c1 * lo <= 0 and c0 + c1 * hi <= 0
+        c = _affine(arg)
+        if c is not None and NEG_INF < lo and hi < POS_INF:
+            return c[0] + c[1] * lo <= 0 and c[0] + c[1] * hi <= 0
         return _ibounds(_postorder(arg), _lo_widen(float(lo)),
                         _hi_widen(float(hi)))[1] <= 0.0
     except (CertificateError, ArithmeticError, ValueError):
         return False
+
+
+def _affine(arg):
+    """(c0, c1) if arg is the real affine c0 + c1*x, read by `poly_coeffs`
+    (whose ValueError past its caps passes through), else None."""
+    p = poly_coeffs(arg)
+    if p is None or not set(p) <= {0, 1} \
+            or not all(v.is_real for v in p.values()):
+        return None
+    return tuple(p.get(d, QC_ZERO).re for d in (0, 1))
 
 
 def _mono_mul(m, n):

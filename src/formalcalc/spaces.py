@@ -903,8 +903,9 @@ class SmoothLine:
         """Canonical (coefficient, bound) integral terms of a distribution:
         nonzero ones sorted, never merged."""
         kept = [(g, b) for g, b in pairs if g != ZERO]
-        kept.sort(key=lambda t: (to_sexpr(t[0]),
-                                 () if t[1] is None else t[1].pieces))
+        if len(kept) > 1:  # one term is its own order: print no sort key
+            kept.sort(key=lambda t: (to_sexpr(t[0]),
+                                     () if t[1] is None else t[1].pieces))
         return kept
 
     def support(self, cs, bound=None):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +16,13 @@ from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
                                   cutoff)
 from formalcalc.multiindex import enumerate_upto, mi, mi_factorial
 from formalcalc.scalars import QC
+from formalcalc.scenario import Scenario
 from formalcalc.spaces import Discrete, OpenSet, RSet, SmoothLine
 
 DS = Discrete(["a", "b", "c", "d"])
 SL = SmoothLine()
+SMOOTH = Path(__file__).resolve().parent.parent / "scenarios" \
+    / "smooth_demo.json"
 
 
 def rand_function(rng, domain, k, trunc):
@@ -243,6 +247,20 @@ def test_json_roundtrip():
     assert back == sm
     with pytest.raises(ValueError):
         FormalDensity.from_json(DS, DS.whole(), 1, {"trunc": 0})
+
+
+def test_a_term_without_i_is_the_term_at_i_zero():
+    # "I" may be left out of a density term: it reads as the zero
+    # multi-index, so the term loads, and pairs, as with "I": [0]
+    sc = Scenario.load(str(SMOOTH))
+    eta, u = sc.density("eta"), sc.function("u")
+    data = eta.to_json()
+    for terms in data["coeffs"].values():
+        for term in terms:
+            assert term.pop("I") == [0]
+    bare = FormalDensity.from_json(SL, eta.domain, eta.k, data)
+    assert bare == eta
+    assert bare.pair(u) == eta.pair(u)
 
 
 def seeded_module_identity(seed):

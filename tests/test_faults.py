@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import test_certificates
 import test_distributions
 import test_exact_laws
 from formalcalc import densities, expr, sheaf, suites
@@ -214,5 +215,27 @@ def test_a_module_law_sees_the_fault_in_the_leibniz_factors(name,
     fault, law = LEIBNIZ_FAULTS[name]
     law()
     fault(monkeypatch)
+    with pytest.raises(AssertionError):
+        law()
+
+
+# -- a fault in the certificate search --------------------------------------------
+#
+# The seeds must tile the region: a piece left out is a piece never
+# searched, so a denominator nonpositive only there would be certified.
+
+
+def seeds_omit_the_last_piece(monkeypatch):
+    real = expr._seeds
+    monkeypatch.setattr(expr, "_seeds",
+                        lambda nodes, region: real(nodes, region)[:-1])
+
+
+def test_a_refutation_past_the_last_cut_sees_seeds_that_omit_the_last_piece(
+        monkeypatch):
+    law = (test_certificates
+           .test_a_denominator_negative_only_past_its_last_cut_is_refuted)
+    law()
+    seeds_omit_the_last_piece(monkeypatch)
     with pytest.raises(AssertionError):
         law()

@@ -14,7 +14,8 @@ from formalcalc.cli import main
 from formalcalc.densities import FormalDensity
 from formalcalc.diffops import DensityDiffOp
 from formalcalc.errors import QuadratureError
-from formalcalc.expr import Const, X, add, mul, pow_, window_bump
+from formalcalc.expr import (Add, Const, Div, X, add, mul, pow_,
+                             window_bump)
 from formalcalc.functions import FormalFunction, SupportedFormalFunction
 from formalcalc.multiindex import mi, mi_factorial
 from formalcalc.quadrature import DEFAULT_ABS_TOL
@@ -152,6 +153,23 @@ def test_a_failing_union_program_leaves_its_terms_to_be_made_alone(
     monkeypatch.setattr(quadrature, "_compile", breaking)
     assert bits(eta.pair(u)) == bits(want)
     assert len(raised) == 1
+
+
+def test_a_group_of_one_that_raises_is_walked_once(monkeypatch):
+    # only a larger group's ArithmeticError may be another member's, so
+    # only a larger group's members are walked again alone; here the
+    # first panel's midpoint 1/2 divides by zero
+    raw = quadrature._walk
+    walks = []
+
+    def walk(members, abs_tol, budget):
+        walks.append(len(members))
+        return raw(members, abs_tol, budget)
+    monkeypatch.setattr(quadrature, "_walk", walk)
+    e = Div(Const(1), Add(X, Const(Fraction(-1, 2))))
+    with pytest.raises(ZeroDivisionError):
+        quadrature.integrate_expr(e, [(Fraction(0), Fraction(1))])
+    assert walks == [1]
 
 
 def test_an_exhausted_budget_raises_what_the_per_term_path_raises(
