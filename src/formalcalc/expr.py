@@ -44,9 +44,11 @@ structure is one live object, so `==` and `hash` are object identity
 and printing is for output only.
 
 `_fold` over `_postorder` is the one walk: evaluation, bounds,
-derivatives, printing, `poly_coeffs` and the program visit each
-distinct node once, children first. So only the parser recurses, and a
-derivative shares the derivatives of shared subterms.
+printing, `poly_coeffs` and the program visit each distinct node once,
+children first, so only the parser recurses. A node keeps its first
+derivative while it lives (`diff`): d/dx is taken once per node, the
+derivative of a shared subterm is shared, and a later order or a larger
+tree walks only the nodes not yet differentiated.
 
 Quotient denominators are certified positive at construction by exact
 adaptive interval bisection over the region where the quotient will be
@@ -87,9 +89,10 @@ POS_INF = float("inf")
 
 class Expr:
     """A node. Nodes are interned: one structure is one live object, so
-    `==` and `hash` are object identity."""
+    `==` and `hash` are object identity. `_d` keeps the node's first
+    derivative once `diff` has taken it (None before)."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_d")
 
     def __new__(cls, *fields):
         # __slots__ name the fields in order, and the key is the class
@@ -135,6 +138,7 @@ def _intern(cls, key, fields):
         node = object.__new__(cls)
         for name, v in zip(cls.__slots__, fields):
             setattr(node, name, v)
+        node._d = None
         _LIVE[key] = node
     return node
 
@@ -395,8 +399,22 @@ def _fold(nodes: list, visit):
 # -- differentiation -----------------------------------------------------------
 
 def diff(e: Expr, order: int = 1) -> Expr:
+    """d^order/dx^order of e. A node keeps its first derivative (`_d`)
+    while it lives, so each order walks only the nodes not yet
+    differentiated, children first, and stops at those that were."""
     for _ in range(order):
-        e = _fold(_postorder(e), _diff_visit)
+        stack = [e]
+        while stack:
+            node = stack[-1]
+            if node._d is None:
+                kids = [getattr(node, k) for k in _CHILDREN[type(node)]]
+                todo = [c for c in reversed(kids) if c._d is None]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                node._d = _diff_visit(node, *(c._d for c in kids))
+            stack.pop()
+        e = e._d
     return e
 
 
@@ -721,6 +739,31 @@ def _poly_coeffs(nodes: list):
     return _fold(nodes, _poly_visit)
 
 
+def _arg_polys(nodes: list) -> dict:
+    """kernel argument -> its poly_coeffs, for the kernels of a
+    `_postorder` list, in one fold over the nodes below the arguments
+    (a polynomial elsewhere in the list is never expanded): None for an
+    argument that is not a polynomial or passes poly_coeffs' caps."""
+    args = {n.arg for n in nodes if type(n) is Kern}
+    below = set(args)
+    for n in reversed(nodes):
+        if n in below:
+            below.update(getattr(n, k) for k in _CHILDREN[type(n)])
+    vals = {}
+    for n in nodes:
+        if n not in below:
+            continue
+        c = [vals[getattr(n, k)] for k in _CHILDREN[type(n)]]
+        p = None
+        if type(n) is not Kern and type(n) is not Div and None not in c:
+            try:
+                p = _poly_visit(n, *c)
+            except ValueError:
+                pass
+        vals[n] = p
+    return {a: vals[a] for a in args}
+
+
 def _poly_visit(n: Expr, *c) -> dict:
     kind = type(n)
     if kind is Const:
@@ -921,11 +964,8 @@ def _seeds(nodes: list, region) -> list:
     arguments among nodes. Each piece holds at most one such zero, so on
     it every other such argument keeps its sign, away from 0."""
     zeros = set()
-    for arg in {n.arg for n in nodes if type(n) is Kern}:
-        try:
-            c = _affine(arg)
-        except ValueError:  # past poly_coeffs' caps: not affine
-            continue
+    for p in _arg_polys(nodes).values():
+        c = _affine(p)
         if c is not None and c[1]:
             zeros.add(-c[0] / c[1])
     zeros = sorted(zeros)
@@ -998,7 +1038,7 @@ def _at_most_zero(arg, lo, hi) -> bool:
     ends (its value at both), else by `ibounds` over the ends widened
     outward; a bound that cannot be taken says no."""
     try:
-        c = _affine(arg)
+        c = _affine(poly_coeffs(arg))
         if c is not None and NEG_INF < lo and hi < POS_INF:
             return c[0] + c[1] * lo <= 0 and c[0] + c[1] * hi <= 0
         return _ibounds(_postorder(arg), _lo_widen(float(lo)),
@@ -1007,10 +1047,9 @@ def _at_most_zero(arg, lo, hi) -> bool:
         return False
 
 
-def _affine(arg):
-    """(c0, c1) if arg is the real affine c0 + c1*x, read by `poly_coeffs`
-    (whose ValueError past its caps passes through), else None."""
-    p = poly_coeffs(arg)
+def _affine(p):
+    """(c0, c1) if `poly_coeffs` p are those of the real affine c0 + c1*x,
+    else None."""
     if p is None or not set(p) <= {0, 1} \
             or not all(v.is_real for v in p.values()):
         return None

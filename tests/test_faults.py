@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import test_certificates
+import test_derivatives
 import test_distributions
 import test_exact_laws
 from formalcalc import densities, expr, sheaf, suites
@@ -239,3 +240,28 @@ def test_a_refutation_past_the_last_cut_sees_seeds_that_omit_the_last_piece(
     seeds_omit_the_last_piece(monkeypatch)
     with pytest.raises(AssertionError):
         law()
+
+
+# -- a fault in the derivative memo ------------------------------------------------
+#
+# A node keeps only its first derivative. A memo that answered any order
+# from it would hand back d/dx for d^2/dx^2, and only a comparison with the
+# walk that rebuilds every order (test_derivatives' oracle) tells.
+
+
+def the_memo_answers_every_order_with_the_first(monkeypatch):
+    real = expr.diff
+
+    def diff(e, order=1):
+        return e._d if order and e._d is not None else real(e, order)
+    monkeypatch.setattr(expr, "diff", diff)
+
+
+@pytest.mark.parametrize("kind", ["dag", "bump", "quotient"])
+def test_the_full_walk_sees_a_memo_that_answers_every_order_with_the_first(
+        kind, monkeypatch):
+    law = test_derivatives.test_diff_returns_the_node_the_full_walk_builds
+    law(kind, 1)
+    the_memo_answers_every_order_with_the_first(monkeypatch)
+    with pytest.raises(AssertionError):
+        law(kind, 1)
