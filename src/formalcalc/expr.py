@@ -44,11 +44,12 @@ structure is one live object, so `==` and `hash` are object identity
 and printing is for output only.
 
 `_fold` over `_postorder` is the one walk: evaluation, bounds,
-printing, `poly_coeffs` and the program visit each distinct node once,
-children first, so only the parser recurses. A node keeps its first
-derivative while it lives (`diff`): d/dx is taken once per node, the
-derivative of a shared subterm is shared, and a later order or a larger
-tree walks only the nodes not yet differentiated.
+derivatives, printing, `poly_coeffs` and the program visit each
+distinct node once, children first, so only the parser recurses. A
+node keeps its first derivative while it lives (`diff`): d/dx is taken
+once per node, the derivative of a shared subterm is shared, and a
+later order or a larger tree walks only the nodes not yet
+differentiated.
 
 Quotient denominators are certified positive at construction by exact
 adaptive interval bisection over the region where the quotient will be
@@ -348,8 +349,10 @@ _CHILDREN = {Const: (), Var: (), Add: ("a", "b"), Mul: ("a", "b"),
              Div: ("num", "den"), Pow: ("base",), Kern: ("arg",)}
 
 
-def _postorder(e: Expr) -> list:
-    """Every distinct node of e once, each after its children.
+def _postorder(e: Expr, pending: bool = False) -> list:
+    """Every distinct node of e once, each after its children; if
+    pending, only those reached without passing a node whose derivative
+    is kept (`_d`), which is left out as a leaf.
 
     Children are taken left to right, so the list is the order in which
     a recursive left-to-right walk first finishes each node. Iterative:
@@ -363,7 +366,7 @@ def _postorder(e: Expr) -> list:
         if done:
             out.append(node)
             continue
-        if node in seen:
+        if node in seen or pending and node._d is not None:
             continue
         seen.add(node)
         kids = _CHILDREN.get(type(node))
@@ -403,17 +406,9 @@ def diff(e: Expr, order: int = 1) -> Expr:
     while it lives, so each order walks only the nodes not yet
     differentiated, children first, and stops at those that were."""
     for _ in range(order):
-        stack = [e]
-        while stack:
-            node = stack[-1]
-            if node._d is None:
-                kids = [getattr(node, k) for k in _CHILDREN[type(node)]]
-                todo = [c for c in reversed(kids) if c._d is None]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                node._d = _diff_visit(node, *(c._d for c in kids))
-            stack.pop()
+        for node in _postorder(e, pending=True):
+            node._d = _diff_visit(node, *(getattr(node, k)._d
+                                          for k in _CHILDREN[type(node)]))
         e = e._d
     return e
 
@@ -739,31 +734,6 @@ def _poly_coeffs(nodes: list):
     return _fold(nodes, _poly_visit)
 
 
-def _arg_polys(nodes: list) -> dict:
-    """kernel argument -> its poly_coeffs, for the kernels of a
-    `_postorder` list, in one fold over the nodes below the arguments
-    (a polynomial elsewhere in the list is never expanded): None for an
-    argument that is not a polynomial or passes poly_coeffs' caps."""
-    args = {n.arg for n in nodes if type(n) is Kern}
-    below = set(args)
-    for n in reversed(nodes):
-        if n in below:
-            below.update(getattr(n, k) for k in _CHILDREN[type(n)])
-    vals = {}
-    for n in nodes:
-        if n not in below:
-            continue
-        c = [vals[getattr(n, k)] for k in _CHILDREN[type(n)]]
-        p = None
-        if type(n) is not Kern and type(n) is not Div and None not in c:
-            try:
-                p = _poly_visit(n, *c)
-            except ValueError:
-                pass
-        vals[n] = p
-    return {a: vals[a] for a in args}
-
-
 def _poly_visit(n: Expr, *c) -> dict:
     kind = type(n)
     if kind is Const:
@@ -964,8 +934,11 @@ def _seeds(nodes: list, region) -> list:
     arguments among nodes. Each piece holds at most one such zero, so on
     it every other such argument keeps its sign, away from 0."""
     zeros = set()
-    for p in _arg_polys(nodes).values():
-        c = _affine(p)
+    for arg in {n.arg for n in nodes if type(n) is Kern}:
+        try:
+            c = _affine(arg)
+        except ValueError:  # past poly_coeffs' caps: not affine
+            continue
         if c is not None and c[1]:
             zeros.add(-c[0] / c[1])
     zeros = sorted(zeros)
@@ -1038,7 +1011,7 @@ def _at_most_zero(arg, lo, hi) -> bool:
     ends (its value at both), else by `ibounds` over the ends widened
     outward; a bound that cannot be taken says no."""
     try:
-        c = _affine(poly_coeffs(arg))
+        c = _affine(arg)
         if c is not None and NEG_INF < lo and hi < POS_INF:
             return c[0] + c[1] * lo <= 0 and c[0] + c[1] * hi <= 0
         return _ibounds(_postorder(arg), _lo_widen(float(lo)),
@@ -1047,9 +1020,10 @@ def _at_most_zero(arg, lo, hi) -> bool:
         return False
 
 
-def _affine(p):
-    """(c0, c1) if `poly_coeffs` p are those of the real affine c0 + c1*x,
-    else None."""
+def _affine(arg):
+    """(c0, c1) if arg is the real affine c0 + c1*x, read by `poly_coeffs`
+    (whose ValueError past its caps passes through), else None."""
+    p = poly_coeffs(arg)
     if p is None or not set(p) <= {0, 1} \
             or not all(v.is_real for v in p.values()):
         return None
@@ -1204,9 +1178,11 @@ class _Piece:
 # -- bump construction ----------------------------------------------------------
 
 # endpoint pairs kept per edge: a benchmark run or `check all` on the
-# smooth demo builds at most 29; 256 edges with their proofs hold about
-# 0.8 MB
-_EDGE_CACHE = 256
+# smooth demo builds at most 29. A kept edge keeps its proof and the
+# derivatives `diff` took of it, so 64 of each kind hold about 0.3 MB
+# under tracemalloc, 1.2 MB once differentiated twice (the most a
+# benchmark run asks) and 19 MB at order 7
+_EDGE_CACHE = 64
 
 
 @functools.lru_cache(maxsize=_EDGE_CACHE)

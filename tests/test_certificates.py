@@ -252,46 +252,3 @@ def test_a_denominator_negative_only_past_its_last_cut_is_refuted():
     assert seeds == [(NEG_INF, Fraction(1, 2)), (Fraction(1, 2), Fraction(3)),
                      (Fraction(3), POS_INF)]
     assert check(e, RSet.whole()) == "refuted"
-
-
-def affine_alone(arg):
-    """`_affine` of one argument's own polynomial; past the caps, None."""
-    try:
-        return expr._affine(poly_coeffs(arg))
-    except ValueError:
-        return None
-
-
-def test_one_fold_reads_each_kernel_argument_as_it_reads_alone(monkeypatch):
-    # _seeds reads the arguments' polynomials in one fold over the
-    # denominator's nodes below them: on every denominator of this file it
-    # must read what each argument's own poly_coeffs reads. (x + 1)^2 - x^2
-    # is affine only after cancellation; x^2000 passes the degree cap
-    cancel = expr.sub(pow_(X + 1, 2), pow_(X, 2))
-    far = pow_(X, 2000)
-    dens = [add(kern(cancel), kern(far)), add(Const(1), kern(far)),
-            mul(kern(cancel, 1), kern(X * cancel))]
-    for j in range(13):
-        rng = random.Random(j)
-        dens.append(edge(Fraction(rng.randint(-40, 40), 8), Fraction(1, 2 ** j)))
-    for seed in range(12):
-        whole, parts = rand_cover(random.Random(seed))
-        dens.extend(c.den for c, _, _ in SL.partition(whole, parts))
-    for seed in range(40):
-        rng = random.Random(seed)
-        dens.append(Add(rand_dag(rng, 4, []), Const(rng.randint(1, 3))))
-    read = {}
-    for e in dens:
-        for arg, p in expr._arg_polys(_postorder(e)).items():
-            read[arg] = expr._affine(p)
-            assert read[arg] == affine_alone(arg), expr.to_sexpr(arg)
-    assert read[cancel] == (1, 2) and read[far] is None
-    assert sum(c is not None for c in read.values()) > 20
-    # a polynomial outside every kernel argument is not expanded
-    seen = set()
-    visit = expr._poly_visit
-    monkeypatch.setattr(expr, "_poly_visit", lambda n, *c: (
-        seen.add(n), visit(n, *c))[1])
-    e = add(kern(cancel), pow_(X + 1, 200))
-    assert expr._arg_polys(_postorder(e)) == {cancel: {0: QC(1), 1: QC(2)}}
-    assert seen == set(_postorder(cancel))

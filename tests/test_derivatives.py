@@ -61,12 +61,16 @@ def test_diff_returns_the_node_the_full_walk_builds(kind, seed):
     e = seeded(kind, seed)
     want = {k: oracle(e, k) for k in range(5)}
     # a subterm differentiated first leaves its derivatives kept
+    # (identity is taken before assert: a wrong node's printed form can
+    # be exponential in the size of its DAG)
     sub, k = rng.choice(_postorder(e)), rng.randint(1, 4)
-    assert expr.diff(sub, k) is oracle(sub, k)
+    same = expr.diff(sub, k) is oracle(sub, k)
+    assert same, (kind, seed, "subterm", k)
     orders = [0, 1, 2, 3, 4]
     rng.shuffle(orders)
     for k in orders + orders[::-1]:
-        assert expr.diff(e, k) is want[k], (kind, seed, k)
+        same = expr.diff(e, k) is want[k]
+        assert same, (kind, seed, k)
 
 
 def test_a_ladder_visits_each_node_once(monkeypatch):
@@ -85,7 +89,8 @@ def test_a_ladder_visits_each_node_once(monkeypatch):
         return _diff_visit(node, *d)
     monkeypatch.setattr(expr, "_diff_visit", visit)
     for k in (1, 2, 3, 1, 2, 3):
-        assert expr.diff(e, k) is oracle(e, k)
+        same = expr.diff(e, k) is oracle(e, k)
+        assert same, k
     assert len(todo) > 10 and set(visits) == todo
     assert set(visits.values()) == {1}
 
