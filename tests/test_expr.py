@@ -367,7 +367,12 @@ def test_parse_sexpr_grammar():
 
 def test_parse_sexpr_rejects_malformed_input():
     for bad in ("", "(", ")", "(+ 1)", "(pow x y)", "(frob x 1)",
-                "x x", "(s x", "(/ 1)", "y", "(complex 1)"):
+                "x x", "(s x", "(/ 1)", "y", "(complex 1)",
+                # each form's wrong arity or argument kind
+                "(sm x)", "(pow x)", "(pow x 2 3)", "(pow x 1.5)",
+                "(pow x -1)", "(s x 1)", "(sm x -1)", "(complex 1 2 3)",
+                "(complex x 1)", "(* x)", "(+)", "(/ 1 x x)", "1/0", "(s)",
+                "()"):
         with pytest.raises(ValueError):
             parse_sexpr(bad)
     # quotient certification runs during parsing

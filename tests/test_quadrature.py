@@ -61,6 +61,19 @@ def test_adaptive_quadrature_empty_ranges():
     assert integrate_callable(lambda x: 1j, [(2.0, 2.0), (3.0, 1.0)]) == 0j
 
 
+def test_the_default_budget_is_a_million_evaluations():
+    # sin(10^9 x) turns about 1.6e8 times on [0, 1], so no panel is
+    # accepted and the default budget is spent 15 evaluations a panel
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return complex(math.sin(1e9 * x))
+    with pytest.raises(QuadratureError, match=r"budget 1000000 exhausted"):
+        integrate_callable(f, [(0.0, 1.0)])
+    assert calls[0] == 999_990
+
+
 def test_adaptive_quadrature_rejects_unbounded_range():
     with pytest.raises(QuadratureError):
         integrate_callable(lambda x: 0j, [(0.0, float("inf"))])
