@@ -11,16 +11,13 @@ differentiation, s_m' = s_{m+2} - m*s_{m+1}, which is why the kernel
 node carries the integer m: the derivative of s(e) would otherwise
 need the quotient s(e)/e^2, whose denominator vanishes at e = 0.
 
-Serialized form is a prefix S-expression:
-
-    e := x | <rational> | (+ e e ...) | (* e e ...) | (/ e e)
-       | (pow e <int>) | (s e) | (sm e <int>) | (complex <rat> <rat>)
-
-(+ ...) and (* ...) accept two or more arguments and are printed as
-nested binary nodes. <rational> is an integer, p/q, or a decimal
-literal read exactly. (sm e m) and (complex re im) are extensions of
-the base grammar: the first appears only in derivatives of kernels,
-the second only when a coefficient was scaled by a non-real scalar.
+Serialized form is a prefix S-expression: x, a rational literal (an
+integer, p/q, or a decimal read exactly), or a compound form whose
+head, argument kinds and builder are an entry of `_FORMS`, the
+grammar's one statement: `parse_sexpr` reads it and `to_sexpr` prints
+it, (+ ...) and (* ...) as nested binary nodes. (sm e m) appears only
+in derivatives of kernels, (complex re im) only when a coefficient was
+scaled by a non-real scalar.
 
 Evaluation at a rational point is exact (a QC) until a kernel with a
 positive argument or an inexact operand enters; from there on values
@@ -1167,12 +1164,7 @@ class _Piece:
         return self.pmul(f[0], g[0]), den
 
     def power(self, f, n: int):
-        if not f[0]:
-            return _NIL
-        out = f
-        for _ in range(n - 1):
-            out = self.mul(out, f)
-        return out
+        return functools.reduce(self.mul, [f] * n)
 
 
 # -- bump construction ----------------------------------------------------------
@@ -1240,6 +1232,29 @@ def window_bump(lo, hi):
 _RAT_RE = r"^[+-]?(\d+(/\d+)?|\d*\.\d+)$"
 
 
+# The grammar's compound forms, its one statement: head -> (argument
+# kinds, builder, node class). An argument is an expression "e", an
+# integer "i" or a rational "r", and a trailing "+" takes any more
+# expressions, folded left. A builder takes the parse region, then the
+# arguments.
+_FORMS = {
+    "+": ("ee+", lambda region, *a: functools.reduce(add, a), Add),
+    "*": ("ee+", lambda region, *a: functools.reduce(mul, a), Mul),
+    "/": ("ee", lambda region, num, den: div(num, den, region), Div),
+    "pow": ("ei", lambda region, base, n: pow_(base, n), Pow),
+    "s": ("e", lambda region, arg: kern(arg), Kern),
+    "sm": ("ei", lambda region, arg, m: kern(arg, m), Kern),
+    "complex": ("rr", lambda region, re, im: Const(QC(re, im)), Const),
+}
+# node class -> number of arguments -> its form's text: a node prints as
+# the form of its class with as many arguments as it has, a sum or a
+# product as a binary node
+_PRINTS = {cls: {} for _, _, cls in _FORMS.values()}
+for _head, (_kinds, _, _cls) in _FORMS.items():
+    _PRINTS[_cls][len(_kinds.rstrip("+"))] = "(%s %s)" % (_head, " ".join(
+        "%d" if k == "i" else "%s" for k in _kinds.rstrip("+")))
+
+
 def to_sexpr(e: Expr) -> str:
     return _fold(_postorder(e), _sexpr_visit)
 
@@ -1250,115 +1265,76 @@ def _sexpr_visit(e: Expr, *s) -> str:
         v = e.v
         if v.im == 0:
             return rat_str(v.re)
-        return "(complex %s %s)" % (rat_str(v.re), rat_str(v.im))
-    if kind is Var:
+        s = rat_str(v.re), rat_str(v.im)
+    elif kind is Var:
         return "x"
-    if kind is Add:
-        return "(+ %s %s)" % s
-    if kind is Mul:
-        return "(* %s %s)" % s
-    if kind is Div:
-        return "(/ %s %s)" % s
-    if kind is Pow:
-        return "(pow %s %d)" % (s[0], e.n)
-    if e.m == 0:
-        return "(s %s)" % s
-    return "(sm %s %d)" % (s[0], e.m)
+    elif kind is Pow:
+        s = s[0], e.n
+    elif kind is Kern and e.m:
+        s = s[0], e.m
+    return _PRINTS[kind][len(s)] % s
 
 
-def _tokenize(s: str):
-    return s.replace("(", " ( ").replace(")", " ) ").split()
+def _int_literal(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError("expected an integer, got %r" % tok) from None
+
+
+def _rat_literal(tok: str) -> Fraction:
+    if not _re.match(_RAT_RE, tok):
+        raise ValueError("expected a rational literal, got %r" % tok)
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError("rational literal %r has a zero denominator"
+                         % tok) from None
+
+
+_LITERALS = {"i": _int_literal, "r": _rat_literal}
 
 
 def parse_sexpr(s: str, region=None) -> Expr:
-    """Parse the documented S-expression grammar.
-
+    """Read the grammar of `_FORMS`, recursing once per nesting level.
     `region` (an RSet, defaults to the whole line) is where quotient
-    denominators are certified positive.
-    """
-    toks = _tokenize(s)
+    denominators are certified positive."""
+    toks = s.replace("(", " ( ").replace(")", " ) ").split()[::-1]
     if not toks:
         raise ValueError("empty expression")
-    pos = [0]
 
     def take():
-        if pos[0] >= len(toks):
+        if not toks:
             raise ValueError("unexpected end of expression in %r" % s)
-        t = toks[pos[0]]
-        pos[0] += 1
-        return t
-
-    def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
-
-    def parse_int(tok: str) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValueError("expected an integer, got %r" % tok) from None
-
-    def parse_rat(tok: str) -> Fraction:
-        if not _re.match(_RAT_RE, tok):
-            raise ValueError("expected a rational literal, got %r" % tok)
-        try:
-            return Fraction(tok)
-        except ZeroDivisionError:
-            raise ValueError("rational literal %r has a zero denominator"
-                             % tok) from None
+        return toks.pop()
 
     def expr():
         t = take()
-        if t == "(":
-            head = take()
-            if head == "+" or head == "*":
-                args = []
-                while peek() != ")":
-                    args.append(expr())
-                take()
-                if len(args) < 2:
-                    raise ValueError("(%s ...) needs at least two arguments" % head)
-                out = args[0]
-                for arg in args[1:]:
-                    out = add(out, arg) if head == "+" else mul(out, arg)
-                return out
-            if head == "/":
-                num = expr()
-                den = expr()
-                _expect_close(take())
-                return div(num, den, region=region)
-            if head == "pow":
-                base = expr()
-                n = parse_int(take())
-                _expect_close(take())
-                return pow_(base, n)
-            if head == "s":
-                arg = expr()
-                _expect_close(take())
-                return kern(arg, 0)
-            if head == "sm":
-                arg = expr()
-                m = parse_int(take())
-                _expect_close(take())
-                return kern(arg, m)
-            if head == "complex":
-                rp = parse_rat(take())
-                ip = parse_rat(take())
-                _expect_close(take())
-                return Const(QC(rp, ip))
-            raise ValueError("unknown operator %r" % head)
-        if t == ")":
-            raise ValueError("unexpected ) in %r" % s)
         if t == "x":
             return X
         if _re.match(_RAT_RE, t):
-            return Const(QC(parse_rat(t)))
-        raise ValueError("unexpected token %r" % t)
-
-    def _expect_close(t):
+            return Const(QC(_rat_literal(t)))
+        if t != "(":
+            raise ValueError("unexpected token %r in %r" % (t, s))
+        head = take()
+        if head not in _FORMS:
+            raise ValueError("unknown operator %r" % head)
+        kinds, build, _ = _FORMS[head]
+        args = []
+        if kinds == "ee+":
+            while toks and toks[-1] != ")":
+                args.append(expr())
+            if len(args) < 2:
+                raise ValueError("(%s ...) needs at least two arguments" % head)
+        else:
+            for k in kinds:
+                args.append(expr() if k == "e" else _LITERALS[k](take()))
+        t = take()
         if t != ")":
             raise ValueError("expected ), got %r" % t)
+        return build(region, *args)
 
     out = expr()
-    if pos[0] != len(toks):
+    if toks:
         raise ValueError("trailing tokens in %r" % s)
     return out

@@ -45,7 +45,30 @@ from .spaces import Discrete, OpenSet, SmoothLine
 
 SCHEMA_VERSION = 1
 
-_DIST_KINDS = ("distribution", "compact", "generalized", "point")
+# a distribution's "kind" -> its class
+_DISTRIBUTIONS = {"distribution": FormalDistribution,
+                  "compact": CompactFormalDistribution,
+                  "generalized": GeneralizedFunction,
+                  "point": PointDistribution}
+
+
+def _distribution_class(name, v):
+    kind = v.get("kind", "distribution")
+    if not isinstance(kind, str) or kind not in _DISTRIBUTIONS:
+        raise ScenarioError("distribution %r has unknown kind %r (one of %s)"
+                            % (name, kind, ", ".join(_DISTRIBUTIONS)))
+    return _DISTRIBUTIONS[kind]
+
+
+# an object section -> the class an entry (name, JSON object) is read by,
+# through cls.from_json(space, domain, k, object)
+_SECTIONS = {
+    "functions": lambda name, v: (SupportedFormalFunction if "support" in v
+                                  else FormalFunction),
+    "densities": lambda name, v: FormalDensity,
+    "operators": lambda name, v: DensityDiffOp,
+    "distributions": _distribution_class,
+}
 
 # The jet basis and the probe families grow like the number of y-indices,
 # C(k + trunc, k), and `check jets` like its square: on a 2-CPU machine it
@@ -71,7 +94,8 @@ def _int_field(data, key, default, least):
 
 
 class Scenario:
-    """A parsed scenario; all object references resolved and validated."""
+    """A parsed scenario; all object references resolved and validated.
+    Each `_SECTIONS` key is an attribute, a map of name -> object."""
 
     def __init__(self, data, trunc_override=None):
         if not isinstance(data, dict):
@@ -117,39 +141,16 @@ class Scenario:
             self.opensets[name] = self._build(name, OpenSet.from_json,
                                               self.space, v)
 
-        self.functions = {}
-        for name, v in self._section(data, "functions").items():
-            dom = self.openset(self._domain_name(name, v))
-            cls = SupportedFormalFunction if "support" in v else FormalFunction
-            self.functions[name] = self._build(name, cls.from_json,
-                                               self.space, dom, self.k, v)
-
-        self.densities = {}
-        for name, v in self._section(data, "densities").items():
-            dom = self.openset(self._domain_name(name, v))
-            self.densities[name] = self._build(name, FormalDensity.from_json,
-                                               self.space, dom, self.k, v)
-
-        self.operators = {}
-        for name, v in self._section(data, "operators").items():
-            dom = self.openset(self._domain_name(name, v))
-            self.operators[name] = self._build(name, DensityDiffOp.from_json,
-                                               self.space, dom, self.k, v)
-
-        self.distributions = {}
-        for name, v in self._section(data, "distributions").items():
-            dom = self.openset(self._domain_name(name, v))
-            kind = v.get("kind", "distribution")
-            if kind not in _DIST_KINDS:
-                raise ScenarioError("distribution %r has unknown kind %r "
-                                    "(one of %s)" % (name, kind,
-                                                     ", ".join(_DIST_KINDS)))
-            cls = {"distribution": FormalDistribution,
-                   "compact": CompactFormalDistribution,
-                   "generalized": GeneralizedFunction,
-                   "point": PointDistribution}[kind]
-            self.distributions[name] = self._build(name, cls.from_json,
-                                                   self.space, dom, self.k, v)
+        for key, pick in _SECTIONS.items():
+            table = {}
+            for name, v in self._section(data, key).items():
+                if not isinstance(v, dict):
+                    raise ScenarioError("object %r must be a JSON object"
+                                        % name)
+                dom = self.openset(v.get("domain", "M"))
+                table[name] = self._build(name, pick(name, v).from_json,
+                                          self.space, dom, self.k, v)
+            setattr(self, key, table)
 
         self.covers = {}
         for name, v in self._section(data, "covers").items():
@@ -185,18 +186,10 @@ class Scenario:
         return v
 
     @staticmethod
-    def _domain_name(name, v):
-        if not isinstance(v, dict):
-            raise ScenarioError("object %r must be a JSON object" % name)
-        return v.get("domain", "M")
-
-    @staticmethod
     def _build(name, builder, *args):
         try:
             return builder(*args)
-        except FormalcalcError as e:
-            raise ScenarioError("invalid object %r: %s" % (name, e))
-        except (ValueError, KeyError, TypeError) as e:
+        except (FormalcalcError, ValueError, KeyError, TypeError) as e:
             raise ScenarioError("invalid object %r: %s" % (name, e))
 
     # -- name resolution ---------------------------------------------------

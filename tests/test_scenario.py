@@ -120,6 +120,8 @@ def test_malformed_objects_become_scenario_errors():
     with pytest.raises(ScenarioError):
         make(lambda d: d["distributions"].update(bad={"kind": "spectral"}))
     with pytest.raises(ScenarioError):
+        make(lambda d: d["distributions"].update(bad={"kind": ["point"]}))
+    with pytest.raises(ScenarioError):
         make(lambda d: d["covers"].update(bad={"whole": "M"}))
     with pytest.raises(ScenarioError):
         make(lambda d: d["covers"].update(bad={"whole": "M", "parts": ["U"]}))
