@@ -12,12 +12,12 @@ node carries the integer m: the derivative of s(e) would otherwise
 need the quotient s(e)/e^2, whose denominator vanishes at e = 0.
 
 Serialized form is a prefix S-expression: x, a rational literal (an
-integer, p/q, or a decimal read exactly), or a compound form whose
-head, argument kinds and builder are an entry of `_FORMS`, the
-grammar's one statement: `parse_sexpr` reads it and `to_sexpr` prints
-it, (+ ...) and (* ...) as nested binary nodes. (sm e m) appears only
-in derivatives of kernels, (complex re im) only when a coefficient was
-scaled by a non-real scalar.
+integer, p/q, or a decimal read exactly, in ASCII digits), or a
+compound form whose head, argument kinds and builder are an entry of
+`_FORMS`, the grammar's one statement: `parse_sexpr` reads it and
+`to_sexpr` prints it, (+ ...) and (* ...) as nested binary nodes.
+(sm e m) appears only in derivatives of kernels, (complex re im) only
+when a coefficient was scaled by a non-real scalar.
 
 Evaluation at a rational point is exact (a QC) until a kernel with a
 positive argument or an inexact operand enters; from there on values
@@ -55,6 +55,9 @@ the denominator node (`certified`), not on the quotient. The bisection
 starts from the region cut at the midpoints between consecutive zeros
 of the denominator's real affine kernel arguments (`_seeds`): an edge
 s(x - a) + s(b - x) is proved on one piece each side of (a + b)/2.
+Those zeros have one reader, `_kernel_zeros`, and a kernel node keeps
+its argument's zero once read, as it keeps its derivative; quadrature
+cuts an integral's ranges at the same zeros.
 
 Two lists of (coefficient, bound) terms are proved equal on the pieces
 of their bounds (`equal_on_pieces`): on each piece a kernel that is 0
@@ -88,9 +91,10 @@ POS_INF = float("inf")
 class Expr:
     """A node. Nodes are interned: one structure is one live object, so
     `==` and `hash` are object identity. `_d` keeps the node's first
-    derivative once `diff` has taken it (None before)."""
+    derivative once `diff` has taken it, and `_z` a kernel node's zeros
+    once `_kernel_zeros` has read them (None before)."""
 
-    __slots__ = ("__weakref__", "_d")
+    __slots__ = ("__weakref__", "_d", "_z")
 
     def __new__(cls, *fields):
         # __slots__ name the fields in order, and the key is the class
@@ -136,7 +140,7 @@ def _intern(cls, key, fields):
         node = object.__new__(cls)
         for name, v in zip(cls.__slots__, fields):
             setattr(node, name, v)
-        node._d = None
+        node._d = node._z = None
         _LIVE[key] = node
     return node
 
@@ -930,15 +934,7 @@ def _seeds(nodes: list, region) -> list:
     at the midpoints between consecutive zeros of the real affine kernel
     arguments among nodes. Each piece holds at most one such zero, so on
     it every other such argument keeps its sign, away from 0."""
-    zeros = set()
-    for arg in {n.arg for n in nodes if type(n) is Kern}:
-        try:
-            c = _affine(arg)
-        except ValueError:  # past poly_coeffs' caps: not affine
-            continue
-        if c is not None and c[1]:
-            zeros.add(-c[0] / c[1])
-    zeros = sorted(zeros)
+    zeros = sorted(set(_kernel_zeros(nodes)))
     cuts = [(u + v) / 2 for u, v in zip(zeros, zeros[1:])]
     out = []
     for lo, hi, _, _ in region.pieces:
@@ -1015,6 +1011,23 @@ def _at_most_zero(arg, lo, hi) -> bool:
                         _hi_widen(float(hi)))[1] <= 0.0
     except (CertificateError, ArithmeticError, ValueError):
         return False
+
+
+def _kernel_zeros(nodes: list) -> list:
+    """The zeros of the real affine kernel arguments among nodes, one for
+    each distinct argument c0 + c1*x with c1 != 0: -c0/c1. A kernel node
+    keeps its argument's zeros (`_z`, none or one) once they are read,
+    so `_affine` runs once per kernel node while it lives."""
+    out = []
+    for n in {n.arg: n for n in nodes if type(n) is Kern}.values():
+        if n._z is None:
+            try:
+                c = _affine(n.arg)
+            except ValueError:  # past poly_coeffs' caps: not affine
+                c = None
+            n._z = (-c[0] / c[1],) if c is not None and c[1] else ()
+        out.extend(n._z)
+    return out
 
 
 def _affine(arg):
@@ -1227,9 +1240,12 @@ def window_bump(lo, hi):
 
 # -- S-expression serialization ---------------------------------------------------
 
-# a pattern text, compiled and kept by re, so that `_code` holds the
-# package's one call of the builtin compiler
-_RAT_RE = r"^[+-]?(\d+(/\d+)?|\d*\.\d+)$"
+# pattern texts, compiled and kept by re, so that `_code` holds the
+# package's one call of the builtin compiler. Literals are ASCII decimal:
+# int(), Fraction() and \d also take other Unicode digits, and int()
+# takes underscores
+_INT_RE = r"^[+-]?[0-9]+$"
+_RAT_RE = r"^[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+)$"
 
 
 # The grammar's compound forms, its one statement: head -> (argument
@@ -1276,10 +1292,9 @@ def _sexpr_visit(e: Expr, *s) -> str:
 
 
 def _int_literal(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError("expected an integer, got %r" % tok) from None
+    if not _re.match(_INT_RE, tok):
+        raise ValueError("expected an integer, got %r" % tok)
+    return int(tok)
 
 
 def _rat_literal(tok: str) -> Fraction:

@@ -23,22 +23,33 @@ than 1e-14 is accepted whatever its (finite) error estimate, so an
 integrand with a steep enough feature can come back less accurate than
 asked, and nothing says so.
 
+A flat kernel exp(-1/t) is smooth but not analytic where t = 0, and
+bisection spends its panels there. So a non-polynomial integral's
+ranges are cut, in float, at the zeros of its real affine kernel
+arguments that lie strictly inside them (`expr._kernel_zeros`, which
+a kernel node keeps), and the segments are walked as its ranges
+(QUADPACK's QAGP takes break points for the same reason). The cuts
+are per member: they depend on its own integrand alone, and a panel's
+share of the tolerance is its width over the total length, which
+cutting keeps.
+
 Integrals are made in batches (`integrate_exprs`; `integrate_expr` is
 a batch of one), each distinct integral (interned node, bounds with
 their types, abs_tol, budget: all its result depends on) once per
-batch. The non-polynomial ones over equal (bounds, abs_tol, budget)
-form a group: one program with a value per member, and one adaptive
-loop that walks the union of their meshes, one program call per panel:
-every member keeps its own accept-or-split decisions, its panels and
-its bits. The walk fails fast: a member whose quadrature fails keeps
-its error, as alone, with no second run, and every later member of its
-group is stopped. A member that the union program failed (another
-member's subterm may raise) stops nothing and is made again as a group
-of one. All of a batch is made at once, and a failed item raises only
-when it is read. Its items are the terms of a pairing, or of every
-section a check reads against its family (`functions.read_pairings`).
-A batch is read in entry order up to its first error, so what a
-stopped member holds is an error that is never read.
+batch. The non-polynomial ones over equal (cut ranges, abs_tol,
+budget) form a group: one program with a value per member, and one
+adaptive loop that walks the union of their meshes, one program call
+per panel: every member keeps its own accept-or-split decisions, its
+panels and its bits. The walk fails fast: a member whose quadrature
+fails keeps its error, as alone, with no second run, and every later
+member of its group is stopped. A member that the union program failed
+(another member's subterm may raise) stops nothing and is made again
+as a group of one. All of a batch is made at once, and a failed item
+raises only when it is read. Its items are the terms of a pairing, or
+of every section a check reads against its family
+(`functions.read_pairings`). A batch is read in entry order up to its
+first error, so what a stopped member holds is an error that is never
+read.
 """
 
 from __future__ import annotations
@@ -49,8 +60,8 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import QuadratureError
-from .expr import (Expr, _compile, _poly_coeffs, _polynomial, _postorder,
-                   poly_definite_integral)
+from .expr import (Expr, _compile, _kernel_zeros, _poly_coeffs, _polynomial,
+                   _postorder, poly_definite_integral)
 from .scalars import QC_ZERO
 
 DEFAULT_ABS_TOL = 1e-10
@@ -213,13 +224,14 @@ def _key(e, ranges, abs_tol, budget):
 def _make_groups(memo, pending):
     """Put into memo every integral of pending ({key: ranges}): the
     polynomial ones exact, the others one program per group of equal
-    (bounds, abs_tol, budget). A failed integral's entry is its error,
-    for _read to raise."""
+    (cut ranges, abs_tol, budget). A failed integral's entry is its
+    error, for _read to raise."""
     groups = {}
     for key, ranges in pending.items():
         nodes = _postorder(key[0])
         if not _polynomial(nodes):
-            groups.setdefault(key[1:], []).append((key, ranges, nodes))
+            cut = _cut(ranges, _kernel_zeros(nodes))
+            groups.setdefault((cut, *key[2:]), []).append((key, cut, nodes))
             continue
         try:
             memo[key] = _integrate(nodes, ranges)
@@ -236,9 +248,22 @@ def _make_groups(memo, pending):
             memo[member[0]] = out
 
 
+def _cut(ranges, zeros):
+    """The ranges in float, each cut at the zeros strictly inside it: the
+    segments `_adaptive` walks. A zero that rounds to an end of its range
+    would cut off a segment that floats to nothing, so it is left out."""
+    zs = sorted({float(z) for z in zeros})
+    out = []
+    for lo, hi in ranges:
+        lo, hi = float(lo), float(hi)
+        ends = [lo, *(z for z in zs if lo < z < hi), hi]
+        out.extend(zip(ends, ends[1:]))
+    return tuple(out)
+
+
 def _walk(members, abs_tol, budget):
     """The outcomes of one adaptive walk of the members' union program
-    over their common ranges."""
+    over their common cut ranges."""
     # each member's postorder, first occurrences kept, is a postorder of
     # the union: every node still follows its children
     union = list(dict.fromkeys(n for *_, nodes in members for n in nodes))

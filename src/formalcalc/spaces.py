@@ -895,7 +895,7 @@ class SmoothLine:
     def integrate_all(self, items, abs_tol=DEFAULT_ABS_TOL):
         """The integral of c over the pieces of the bounded region for
         each (c, region) of items, made as one batch: one program per
-        range (`integrate_exprs`)."""
+        group of equal cut ranges (`integrate_exprs`)."""
         return integrate_exprs([(c, r.bounds_list()) for c, r in items],
                                abs_tol)
 

@@ -556,3 +556,15 @@ def test_a_reader_that_closes_stdout_ends_the_run_as_sigpipe_would(buffered):
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+def test_a_literal_that_is_not_ascii_decimal_exits_two(capsys, tmp_path):
+    # int() would read "1_0" as 10 and the Arabic-Indic digit three as 3
+    for text in ("(pow x 1_0)", "(pow x \u0663)", "(* x \u0663/2)"):
+        path = tmp_path / "literal.json"
+        path.write_text(json.dumps({
+            "schema": 1, "backend": "smoothline", "k": 1, "trunc": 0,
+            "functions": {"u": {"trunc": 0, "coeffs": {"0": text}}}}))
+        code, out, err = run(capsys, "jet", "u", "1", "0",
+                             "--scenario", str(path))
+        assert code == 2 and out == "" and err.startswith("error:"), text

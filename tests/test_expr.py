@@ -372,7 +372,11 @@ def test_parse_sexpr_rejects_malformed_input():
                 "(sm x)", "(pow x)", "(pow x 2 3)", "(pow x 1.5)",
                 "(pow x -1)", "(s x 1)", "(sm x -1)", "(complex 1 2 3)",
                 "(complex x 1)", "(* x)", "(+)", "(/ 1 x x)", "1/0", "(s)",
-                "()"):
+                "()",
+                # literals are ASCII decimal: no underscores, no other
+                # Unicode digits (Arabic-Indic three, fullwidth one)
+                "(pow x 1_0)", "(sm x 1_0)", "(pow x \u0663)", "(* x \u0663/2)",
+                "(* x 3/\u0662)", "\u0663", "\uff11.5", "1_0", "1_0/3"):
         with pytest.raises(ValueError):
             parse_sexpr(bad)
     # quotient certification runs during parsing
