@@ -26,15 +26,14 @@ never underflow and plateau ratios of equal values divide to exactly 1.
 
 Float64 evaluation compiles the expression once into a straight-line
 function of x, one statement per distinct subterm (`_compile`; `ev_f`
-is its one-point entry). Real subterms are computed in float
-arithmetic and complex ones in complex arithmetic, and a real value is
-returned as a float: for finite values a program differs from
-evaluating the tree node by node in complex arithmetic only in a
-zero's sign, and its integrals keep that evaluation's bits. A kernel
-argument's orders share its exp(-1/t), and a real power is float
-products. Quadrature runs its panel form: one call per panel runs the
-panel's abscissas and sums each root's Kronrod and Gauss rules, a real
-root's in float.
+is its one-point entry). A real subterm (x, a kernel, a real constant,
+or one whose children are all real) is computed in float arithmetic
+and any other in complex arithmetic, by one statement per node kind,
+so a real power is the float power, whose bits are the C library's
+`pow`; a real value is returned as a float. A kernel argument's orders
+share its exp(-1/t). Quadrature runs its panel form: one call per
+panel runs the panel's abscissas and sums each root's Kronrod and
+Gauss rules, a real root's in float.
 
 Nodes are interned where they are built (`Expr.__new__`): one
 structure is one live object, so `==` and `hash` are object identity
@@ -527,47 +526,20 @@ def ev_f(e: Expr, x: float) -> complex:
 
 # -- the compiled float program ----------------------------------------------------
 
-# one statement per node kind of a complex node; {0}, {1} are the child
-# values, {p} is n. Each does the float operation of the recursive
-# left-to-right evaluation: complex + * / and complex ** int
+# one statement per node kind; {0}, {1} are the child values, {p} is n.
+# A real node (x, a kernel, a real constant, or a node whose children
+# are all real) runs it in float arithmetic, any other node in complex
 _STATEMENT = {
+    Var: "float(x)",
     Add: "{0} + {1}",
     Mul: "{0} * {1}",
     Div: "{0} / {1}",
     Pow: "{0} ** {p}",
 }
-# the same in float arithmetic, for a real node; a power of 2 to 100 is
-# written apart (`_chain`), so the power left here is a raw node's 0th
-# or 1st
-_REAL_STATEMENT = {**_STATEMENT, Var: "float(x)", Pow: "({0} ** {p}).real"}
 # a kernel: one w = exp(-1/t) per argument, its order-0 kernel, and the
 # order m > 0 read from it
 _WEIGHT = "w{0} = 0.0 if (t{0} := {1}) <= 0.0 else exp(-1.0 / t{0})"
 _REAL_KERN = "0.0 if w{0} == 0.0 else w{0} / t{0} ** {1}"
-# a real power of 2 to 100: `_chain`'s products of its base, or, where
-# they are not finite, the complex power of the base, so that its NaN
-# or OverflowError is that power's; one fallback function per exponent,
-# at the top of the text
-_REAL_POW = "r if (r := {0}) - r == 0.0 else _p{1}({2})"
-_POWER_FALLBACK = "def _p{0}(v0):\n    v0 = (complex(v0) ** {0}).real\n" \
-                  "    return v0\n"
-
-
-def _chain(x: str, n: int) -> str:
-    """Text of the float x**n, 2 <= n, as the products of CPython's
-    complex power (c_powu): from the low bit of n up, r = r*p for a set
-    bit, and p squared while bits remain. Once r reads a p, the local p
-    holds it for the next squaring."""
-    r, p, name = None, x, x
-    while True:
-        if n & 1:
-            r = p if r is None else "%s * %s" % (r, p)
-            p = name
-        n >>= 1
-        if not n:
-            return r
-        p = ("(%s * %s)" if n == 1 else "(p := %s * %s)") % (p, name)
-        name = "p"
 
 
 def _float_program(e, roots=None, panel=False):
@@ -577,32 +549,27 @@ def _float_program(e, roots=None, panel=False):
     assignment per distinct non-constant subterm (one node each), in
     the order a left-to-right evaluation first needs it; constants maps
     the names c0, c1, ... to their values. e may be its `_postorder`
-    list. x, a kernel, a real constant, a sum, product or quotient of
-    real nodes and a power of one up to the 100th (past it, CPython's
-    complex power is polar) are float values, and a real root is
-    returned as a float; a kernel reads its argument's `_WEIGHT`,
-    and a power of 2 to 100 is `_chain`'s products, or the complex
-    power once those are not finite. Given roots, nodes of that list,
-    `_f` returns the tuple of their values instead of the last node's:
-    one program for several integrands, each shared subterm computed
-    once.
+    list. A real node is a float value and any other node a complex
+    one, so a real power is the float power of the C library's `pow`;
+    a kernel reads its argument's `_WEIGHT` (the real part of a complex
+    argument). Given roots, nodes of that list, `_f` returns the tuple
+    of their values instead of the last node's: one program for several
+    integrands, each shared subterm computed once.
 
     Given roots and panel, the text defines the panel form `_f(mid,
     half)` instead: one program call per quadrature panel. It runs the
     statements at x = mid + half * xk for each (xk, wk, wg) of the rule
     `_rule` in order and sums each root's wk * value and, where wg is
     not 0.0, its wg * value; it returns the tuples of those Kronrod and
-    Gauss sums. A complex root sums from 0j; a real root sums in float
-    from 0.0 and returns complex(sum), bit for bit the 0j-started sum,
-    whose imaginary part stays 0.0. The names the loop reads (constants,
-    fallbacks, exp, complex, `_rule`) are its locals, bound as defaults.
+    Gauss sums, a real root's summed in float from 0.0 and a complex
+    root's from 0j. The names the loop reads (constants, exp, `_rule`)
+    are its locals, bound as defaults.
     """
     nodes = e if isinstance(e, list) else _postorder(e)
     lines = []
     consts = {}
     names = {}
     weights = {}  # a kernel's argument -> the i of its w<i>, t<i>
-    powers = set()  # exponents whose fallback the text defines
 
     def visit(node, *kids):
         kind = type(node)
@@ -612,50 +579,42 @@ def _float_program(e, roots=None, panel=False):
             consts[name] = float(node.v.re) if real else complex(node.v)
             names[node] = name, real
             return name, real
-        # a kernel reads the real part of a complex argument, and a
-        # power takes a real base as a complex
-        args = [n + ".real" if kind is Kern and not r else
-                "complex(%s)" % n if kind is Pow and r else n for n, r in kids]
-        real = kind is Var or kind is Kern or all(
-            r for _, r in kids) and (kind is not Pow or node.n <= 100)
+        real = kind is Kern or all(r for _, r in kids)
         if kind is Kern:
             if node.arg not in weights:
+                # a complex argument is read by its real part
+                t, r = kids[0]
                 weights[node.arg] = len(lines)
-                lines.append(_WEIGHT.format(len(lines), args[0]))
+                lines.append(_WEIGHT.format(len(lines),
+                                            t if r else t + ".real"))
             if not node.m:
                 names[node] = "w%d" % weights[node.arg], True
                 return names[node]
             statement = _REAL_KERN.format(weights[node.arg], node.m)
-        elif real and kind is Pow and node.n >= 2:
-            powers.add(node.n)
-            statement = _REAL_POW.format(_chain(kids[0][0], node.n), node.n,
-                                         kids[0][0])
         else:
-            statement = (_REAL_STATEMENT if real else _STATEMENT)[kind].format(
-                *args, p=getattr(node, "n", 0))
+            statement = _STATEMENT[kind].format(*(n for n, _ in kids),
+                                                p=getattr(node, "n", 0))
         name = "v%d" % len(lines)
         lines.append("%s = %s" % (name, statement))
         names[node] = name, real
         return name, real
     last = _fold(nodes, visit)
-    head = "".join(_POWER_FALLBACK.format(n) for n in sorted(powers))
     if not panel:
         outs = [last] if roots is None else [names[r] for r in roots]
         out = ", ".join(n for n, _ in outs)
         lines.append("return %s" % (out if roots is None else "(%s,)" % out))
-        return head + "def _f(x):\n" + _block(lines, 1), consts
+        return "def _f(x):\n" + _block(lines, 1), consts
     outs = [names[r] for r in roots]
     sums = ["k%d = g%d = %s" % (i, i, "0.0" if r else "0j")
             for i, (_, r) in enumerate(outs)]
     lines += ["k%d += wk * %s" % (i, n) for i, (n, _) in enumerate(outs)]
     gauss = ["g%d += wg * %s" % (i, n) for i, (n, _) in enumerate(outs)]
-    ks, gs = (", ".join(("complex(%s%d)" if r else "%s%d") % (s, i)
-                        for i, (_, r) in enumerate(outs)) for s in "kg")
+    ks, gs = (", ".join("%s%d" % (s, i) for i in range(len(outs)))
+              for s in "kg")
     # names the loop reads are locals, bound once at the def: a local read
     # is cheaper than a global one
-    bound = [*consts, *("_p%d" % n for n in sorted(powers)), "exp", "complex",
-             "_rule"]
-    return (head + "def _f(mid, half, %s):\n" % ", ".join(
+    bound = [*consts, "exp", "_rule"]
+    return ("def _f(mid, half, %s):\n" % ", ".join(
                 "%s=%s" % (n, n) for n in bound) + _block(sums, 1)
             + "    for xk, wk, wg in _rule:\n        x = mid + half * xk\n"
             + _block(lines, 2) + "        if wg:\n" + _block(gauss, 3)
@@ -673,8 +632,7 @@ def _compile(e, roots=None, rule=None):
     triples the panel form quadrature runs: `_code` of its text, run in
     a fresh namespace of its constants."""
     source, consts = _float_program(e, roots, rule is not None)
-    namespace = {"complex": complex, "exp": math.exp, "_rule": rule,
-                 **consts}
+    namespace = {"exp": math.exp, "_rule": rule, **consts}
     exec(_code(source), namespace)
     return namespace["_f"]
 

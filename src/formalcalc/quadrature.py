@@ -8,16 +8,16 @@ Adaptive Gauss-Kronrod (G7, K15) quadrature makes one program call per
 panel: the program runs the panel's 15 abscissas and sums its own
 Kronrod and Gauss rules, a real integrand's in float. A program text
 is compiled once per process, and integrands of one shape share it,
-each with its own constants. Each sum is bit for bit one started at
-0j, so an integral is a complex, and while values stay finite it is
-bit for bit that of evaluating the tree node by node in complex
-arithmetic (`integrate_callable`, which sums a callable's rules in
-Python, is that sum). Quadrature runs with an absolute tolerance
-(default 1e-10) and a hard budget of 10**6 integrand evaluations per
-integral. Failure to converge within the budget raises QuadratureError,
-and so does the first panel whose error estimate is not finite (a NaN
-or infinite integrand value, or an estimate past the float range):
-such a panel is refused at once, not bisected until the budget is gone.
+each with its own constants. The loop adds each accepted panel to a
+sum started at 0j, so an integral is a complex, bit for bit the one
+`integrate_callable` (which sums a callable's rules in Python, from
+0j) makes of the integrand's program. Quadrature runs with an
+absolute tolerance (default 1e-10) and a hard budget of 10**6
+integrand evaluations per integral. Failure to converge within the
+budget raises QuadratureError, and so does the first panel whose error
+estimate is not finite (a NaN or infinite integrand value, or an
+estimate past the float range): such a panel is refused at once, not
+bisected until the budget is gone.
 One rule still passes a value without its tolerance: a panel narrower
 than 1e-14 is accepted whatever its (finite) error estimate, so an
 integrand with a steep enough feature can come back less accurate than

@@ -83,7 +83,7 @@ def counted(monkeypatch):
 def fresh(e, roots=None):
     """e's program compiled from its own text, past every cache."""
     source, consts = _float_program(e, roots)
-    namespace = {"complex": complex, "exp": math.exp, **consts}
+    namespace = {"exp": math.exp, **consts}
     exec(compile(source, "<fresh>", "exec"), namespace)
     return namespace["_f"]
 

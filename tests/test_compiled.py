@@ -1,13 +1,12 @@
-"""The compiled float program against node-by-node float evaluation.
+"""The compiled float program against node-by-node typed evaluation.
 
-`tree_ev_f` evaluates the tree node by node, as the recursive evaluator
-the compiled program replaced did. It stays here as the oracle. On
-every seeded integrand and point where the tree raises, the program
-must raise the same exception, and where the tree's value is finite,
-the program must give the same value, up to a zero's sign (a real
-subterm is a float, whose zero keeps no complex sign). On bumps and
-their derivatives, and in every integral, the two must agree bit for
-bit.
+`tree_ev_f` evaluates the tree node by node, children first, and types
+each node by its structure alone: x, a kernel, a real constant and a
+node whose children are all real are floats, any other node a complex.
+It stays here as the oracle. On every seeded integrand and point, and
+in every integral, the program must give what the tree gives bit for
+bit: the same type, the same value with its zero's sign, NaN where the
+tree is NaN, or the same exception.
 """
 
 import math
@@ -38,15 +37,34 @@ from formalcalc.quadrature import integrate_callable
 from formalcalc.scalars import QC
 
 
+# the attributes that hold a node's children
+CHILDREN = ("a", "b", "num", "den", "base", "arg")
+
+
+def real_nodes(nodes):
+    """The structurally real nodes of a `_postorder` list: x, a kernel,
+    a real constant, and a node whose children are all real."""
+    real = set()
+    for n in nodes:
+        if (n.v.is_real if isinstance(n, Const) else isinstance(n, Kern)
+                or all(getattr(n, k) in real for k in CHILDREN
+                       if hasattr(n, k))):
+            real.add(n)
+    return real
+
+
 def tree_program(e):
     """x -> e's float64 value, evaluated one node at a time, children
-    first and left to right (`_postorder`), each distinct node once."""
+    first and left to right (`_postorder`), each distinct node once, a
+    real node (`real_nodes`) in float arithmetic and any other in
+    complex."""
     nodes = _postorder(e)
+    real = real_nodes(nodes)
 
     def f(x):
         v = {}
         for n in nodes:
-            v[n] = _tree_node(n, x, v)
+            v[n] = _tree_node(n, x, v, n in real)
         return v[e]
     return f
 
@@ -56,12 +74,13 @@ def tree_ev_f(e, x):
     return tree_program(e)(x)
 
 
-def _tree_node(e, x, v):
-    """e's value at x, its children's read from v."""
+def _tree_node(e, x, v, real):
+    """e's value at x, its children's read from v: a float if e is real,
+    else a complex."""
     if isinstance(e, Const):
-        return complex(e.v)
+        return float(e.v.re) if real else complex(e.v)
     if isinstance(e, Var):
-        return complex(x)
+        return float(x)
     if isinstance(e, Add):
         return v[e.a] + v[e.b]
     if isinstance(e, Mul):
@@ -73,11 +92,11 @@ def _tree_node(e, x, v):
     if isinstance(e, Kern):
         t = v[e.arg].real
         if t <= 0.0:
-            return 0j
+            return 0.0
         w = math.exp(-1.0 / t)
         if w == 0.0:
-            return 0j
-        return complex(w / t ** e.m)
+            return 0.0
+        return w / t ** e.m
     raise TypeError("unknown expression node %r" % (e,))
 
 
@@ -89,10 +108,12 @@ def bits(z):
 
 
 def outcome(f, *args):
+    """f's value as its type and `bits`, or the type of what it raised."""
     try:
-        return bits(f(*args))
+        v = f(*args)
     except ArithmeticError as exc:
         return type(exc)
+    return type(v), bits(v)
 
 
 def rand_const(rng):
@@ -158,17 +179,10 @@ def test_bumps_and_derivatives_match_tree_evaluation_bit_for_bit():
             assert outcome(f, x) == outcome(tree_ev_f, e, x), (e, x)
 
 
-def value(f, *args):
-    try:
-        return complex(f(*args))
-    except ArithmeticError as exc:
-        return type(exc)
-
-
 def test_random_integrands_match_tree_evaluation_where_finite():
+    # and where not finite: bit for bit at every point
     rng = random.Random(17)
-    raised = set()
-    signed_zeros = 0
+    met = set()
     for _ in range(400):
         pool = []
         e = rand_tree(rng, rng.randint(1, 6), pool)
@@ -176,18 +190,19 @@ def test_random_integrands_match_tree_evaluation_where_finite():
         for x in [rng.uniform(-3, 3) for _ in range(12)] + [
                 0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-3, -1e-3, 1e300, -1e300,
                 *UNDERFLOW]:
-            got, want = value(f, x), value(tree_ev_f, e, x)
+            want = outcome(tree_ev_f, e, x)
+            assert outcome(f, x) == want, (e, x)
             if isinstance(want, type):
-                assert got is want, (e, x)
-                raised.add(want)
-            elif math.isfinite(want.real) and math.isfinite(want.imag):
-                # == holds for zeros of either sign
-                assert got == want, (e, x)
-                signed_zeros += bits(got) != bits(want)
-    # the seeded sample reaches zero divisors, overflow and zeros whose
-    # sign the program does not keep
-    assert ZeroDivisionError in raised and OverflowError in raised
-    assert signed_zeros > 0
+                met.add(want)
+                continue
+            kind, parts = want
+            met.add(kind)
+            met |= {"nan" for p in parts if p == ("nan",)}
+            met |= {"-0.0" for p in parts if p == (0.0, -1.0)}
+    # the seeded sample reaches zero divisors, overflow, NaN, negative
+    # zeros, and both types
+    assert met == {ZeroDivisionError, OverflowError, "nan", "-0.0", float,
+                   complex}
 
 
 def test_ev_f_is_the_compiled_program():
@@ -222,8 +237,7 @@ def distinct_subterms(e):
             continue
         seen.add(id(node))
         out.add(node)
-        stack.extend(getattr(node, k) for k in ("a", "b", "num", "den", "base", "arg")
-                     if hasattr(node, k))
+        stack.extend(getattr(node, k) for k in CHILDREN if hasattr(node, k))
     return out
 
 
@@ -231,10 +245,9 @@ def test_program_shares_equal_subterms():
     e, _, _ = bump(-2, -1, 1, 2)
     d4 = diff(e, 4)
     source, consts = _float_program(d4)
-    # a node's assignment is a v<i>, or a w<i> for an order-0 kernel;
-    # the text above _f defines the power fallbacks
-    body = source.split("def _f(x):\n")[1]
-    statements = len(re.findall(r"^    [vw]\d+ = ", body, re.M))
+    # a node's assignment is a v<i>, or a w<i> for an order-0 kernel
+    assert source.startswith("def _f(x):\n")
+    statements = len(re.findall(r"^    [vw]\d+ = ", source, re.M))
     distinct = distinct_subterms(d4)
     assert statements <= len(distinct)
     assert statements + len(consts) == len(distinct)
@@ -257,8 +270,7 @@ def integral(f, ranges):
 
 
 def test_typed_program_integrates_to_the_same_bits():
-    # real and complex constants, zero divisors and unconverged panels;
-    # ranges stay bounded, since an overflow to inf is where they part
+    # real and complex constants, zero divisors and unconverged panels
     rng = random.Random(23)
     seen = set()
     for _ in range(400):
@@ -272,26 +284,36 @@ def test_typed_program_integrates_to_the_same_bits():
     for e, (lo, hi) in bump_family():
         assert (integral(_compile(e), [(lo, hi)])
                 == integral(tree_program(e), [(lo, hi)])), e
+    # and on ranges out to +-1e200, where subterms overflow to inf
+    seen = set()
+    for _ in range(100):
+        e = rand_tree(rng, rng.randint(1, 6), [])
+        lo, hi = sorted((rng.uniform(-1e200, 1e200),
+                         rng.uniform(-1e200, 1e200)))
+        want = integral(tree_program(e), [(lo, hi)])
+        assert integral(_compile(e), [(lo, hi)]) == want, (e, lo, hi)
+        seen.add(want if isinstance(want, type) else complex)
+    assert OverflowError in seen
 
 
 def test_typed_bump_programs_are_float_programs():
-    # a power of a real base is the one statement left in complex
-    # arithmetic, for CPython's repeated squaring
-    power = re.compile(r"    v\d+ = \(complex\(v\d+\) \*\* \d+\)\.real")
+    # every statement of a real program is in float arithmetic
     for e, _ in bump_family():
         source, consts = _float_program(e)
         assert all(type(v) is float for v in consts.values())
-        for line in source.splitlines():
-            assert ".real" not in line or power.fullmatch(line), line
+        assert "complex(" not in source and ".real" not in source
 
 
 def test_typed_power_overflow_raises():
     big = Pow(Mul(X, Const(10 ** 200)), 2)
     with pytest.raises(OverflowError):
         _compile(big)(1.0)
-    # past the 100th power CPython's complex power leaves an imaginary
-    # part, so that power stays complex
+    # past the 100th power CPython's complex power is polar and leaves
+    # an imaginary part; a real power of any exponent is the float power
+    assert (complex(-1.1) ** 101).imag != 0.0
+    assert outcome(_compile(Pow(X, 101)), -1.1) == outcome(
+        lambda x: x ** 101, -1.1)
     e = Mul(Pow(Add(X, Const(-2)), 101), Pow(Add(X, Const(-3)), 101))
     f = _compile(e)
     for x in (0.9, 0.5, -0.1):
-        assert bits(f(x)) == bits(tree_ev_f(e, x))
+        assert outcome(f, x) == outcome(tree_ev_f, e, x)

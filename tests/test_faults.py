@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import test_certificates
+import test_compiled
 import test_derivatives
 import test_distributions
 import test_exact_laws
@@ -265,3 +266,40 @@ def test_the_full_walk_sees_a_memo_that_answers_every_order_with_the_first(
     the_memo_answers_every_order_with_the_first(monkeypatch)
     with pytest.raises(AssertionError):
         law(kind, 1)
+
+
+# -- faults in the program writer --------------------------------------------------
+#
+# Every power the benchmark integrates is a square, so a writer that gets a
+# power's exponent wrong moves none of its values: only a comparison with
+# the node-by-node typed evaluation (test_compiled's oracle) tells. The same
+# oracle must see a kernel written one order too low.
+
+
+def powers_are_written_as_squares(monkeypatch):
+    # one statement table serves real and complex nodes, so a complex
+    # power is written as a square too
+    monkeypatch.setitem(expr._STATEMENT, expr.Pow, "{0} * {0}")
+
+
+def kernels_are_written_one_order_low(monkeypatch):
+    monkeypatch.setattr(expr, "_REAL_KERN",
+                        "0.0 if w{0} == 0.0 else w{0} / t{0} ** ({1} - 1)")
+
+
+WRITER_FAULTS = {
+    "every power is written as a square": powers_are_written_as_squares,
+    "a kernel of order m is written as order m - 1":
+        kernels_are_written_one_order_low,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_FAULTS))
+def test_the_typed_oracle_sees_the_fault_in_the_program_writer(name,
+                                                               monkeypatch):
+    law = (test_compiled
+           .test_random_integrands_match_tree_evaluation_where_finite)
+    law()
+    WRITER_FAULTS[name](monkeypatch)
+    with pytest.raises(AssertionError):
+        law()

@@ -6,7 +6,8 @@ rules itself. `rules` below is the sum it replaced, kept as the oracle:
 the union x-program's 15 rows, each root's column summed term by term
 in node order from 0j. On every seeded group and panel the two must
 agree bit for bit, signed zeros, inf and NaN included, or raise the
-same exception with the same message.
+same exception with the same message; a real root's sums are floats
+and a complex root's complex.
 """
 
 import functools
@@ -19,7 +20,7 @@ from formalcalc.expr import _compile, _kernel_zeros, _polynomial, _postorder
 from formalcalc.quadrature import (_RULE, _WG, _WK, _XK, _cut,
                                    integrate_callable, integrate_expr)
 from test_adaptive_reference import HUGE, POLE
-from test_compiled import bits, rand_tree
+from test_compiled import bits, rand_tree, real_nodes
 
 
 def rules(program, mid, half):
@@ -32,26 +33,31 @@ def rules(program, mid, half):
                               0j) for c in columns])
 
 
-def outcome(f, *args):
+def outcome(f, *args, types=None):
+    """The roots' sums as `bits`, or the exception's type and message;
+    given types, each root's two sums must be of its type."""
     try:
         ks, gs = f(*args)
     except ArithmeticError as exc:
         return type(exc), str(exc)
-    assert all(type(v) is complex for v in ks + gs)
+    assert types is None or [type(k) for k in ks] == [
+        type(g) for g in gs] == types
     return [bits(k) for k in ks], [bits(g) for g in gs]
 
 
 def group(rng):
     """2 to 6 drawn integrands, 1/x and an overflow to inf among them:
-    the union's x-program and its panel form."""
+    the union's x-program, its panel form, and each root's type."""
     pool = []
     members = [rand_tree(rng, rng.randint(1, 5), pool)
                for _ in range(rng.randint(2, 6))]
     for odd in (POLE, HUGE):
         members.insert(rng.randrange(len(members) + 1), odd)
     union = list(dict.fromkeys(n for e in members for n in _postorder(e)))
+    real = real_nodes(union)
     return (_compile(union, roots=members),
-            _compile(union, roots=members, rule=_RULE))
+            _compile(union, roots=members, rule=_RULE),
+            [float if e in real else complex for e in members])
 
 
 def rand_panel(rng):
@@ -94,13 +100,14 @@ def test_the_panel_form_sums_the_rows_of_the_x_program():
     # a sum from 0j or 0.0 is never -0.0, so a negative zero is met in
     # the rows; inf and NaN in both
     rng = random.Random(30)
-    met, row_types = set(), set()
+    met, row_types, sum_types = set(), set(), set()
     for _ in range(60):
-        program, panel = group(rng)
+        program, panel, types = group(rng)
+        sum_types |= set(types)
         for _ in range(20):
             mid, half = rand_panel(rng)
             want = outcome(rules, program, mid, half)
-            assert outcome(panel, mid, half) == want, (mid, half)
+            assert outcome(panel, mid, half, types=types) == want, (mid, half)
             if isinstance(want[0], type):
                 met.add(want[0])
                 continue
@@ -111,7 +118,7 @@ def test_the_panel_form_sums_the_rows_of_the_x_program():
             row_types |= {type(v) for r in rows for v in r}
     assert met == {ZeroDivisionError, OverflowError, "rows inf", "rows nan",
                    "rows -0.0", "sums inf", "sums nan"}
-    assert row_types == {float, complex}
+    assert row_types == sum_types == {float, complex}
 
 
 def alone(integrate, *args):

@@ -22,6 +22,7 @@ from formalcalc.expr import (
 )
 from formalcalc.quadrature import (
     DEFAULT_ABS_TOL,
+    _adaptive,
     integrate_callable,
     integrate_expr,
 )
@@ -72,6 +73,34 @@ def test_the_default_budget_is_a_million_evaluations():
     with pytest.raises(QuadratureError, match=r"budget 1000000 exhausted"):
         integrate_callable(f, [(0.0, 1.0)])
     assert calls[0] == 999_990
+
+
+def fixed_panel(k, g):
+    """A panel program whose one root's Kronrod and Gauss sums are k and
+    g on every panel, and the list of its calls' (mid, half)."""
+    calls = []
+
+    def panel(mid, half):
+        calls.append((mid, half))
+        return (k,), (g,)
+    return panel, calls
+
+
+@pytest.mark.parametrize("k, g, ranges, abs_tol, value, panels", [
+    # err == share: 0.5 * |1 - 0| against 0.5 * 1 / 1
+    (1.0, 0.0, [(0.0, 1.0)], 0.5, 0.5, 1),
+    # err == 1e-16 * max(1, |val|): val and err are both 1e-16
+    (2e-16, 0.0, [(0.0, 1.0)], 0.0, 1e-16, 1),
+    # a panel exactly 1e-14 wide is split, and its 5e-15 halves accepted
+    (1.0, 0.0, [(0.0, 1e-14)], 0.0, 5e-15, 3),
+], ids=["share", "noise floor", "narrow panel"])
+def test_the_accept_rules_hold_at_their_boundaries(k, g, ranges, abs_tol,
+                                                   value, panels):
+    # a strict accept test splits forever, and a width test that takes
+    # 1e-14 itself accepts the first panel
+    panel, calls = fixed_panel(k, g)
+    assert _adaptive(panel, 1, ranges, abs_tol, 15 * 10) == [complex(value)]
+    assert len(calls) == panels
 
 
 def test_adaptive_quadrature_rejects_unbounded_range():

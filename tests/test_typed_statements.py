@@ -1,12 +1,10 @@
-"""The float program's three cheap statement forms against their oracles.
+"""The float program's typed statement forms against their oracles.
 
-A real power of 2 to 100 is float products in the order of CPython's
-complex power, with that power as the fallback once they are not
-finite; every kernel of one argument reads one exp(-1/t); a real root
-leaves the program as a float. Each must give what the complex
-evaluation it replaced gives: a power `(complex(b) ** n).real` (a
-zero's sign aside, which the program's contract allows), a kernel the
-real part of its node-by-node value (`tree_ev_f`), bit for bit.
+A real power of any exponent is the float power; every kernel of one
+argument reads one exp(-1/t); a real root leaves the program as a
+float. Each must give, bit for bit, what its oracle gives: a power the
+float `b ** n` (the C library's pow), a kernel its node-by-node value
+(`tree_ev_f`).
 """
 
 import math
@@ -26,7 +24,7 @@ from formalcalc.expr import (
     bump,
     diff,
 )
-from formalcalc.quadrature import integrate_expr, integrate_exprs
+from formalcalc.quadrature import _RULE, integrate_expr, integrate_exprs
 from formalcalc.scalars import QC
 from test_built_once import fresh
 from test_compiled import UNDERFLOW, bits, tree_ev_f
@@ -46,54 +44,34 @@ def bases():
 
 def power_outcome(f, b):
     try:
-        return f(b)
+        v = f(b)
     except OverflowError as exc:
         return type(exc)
+    return type(v), bits(v)
 
 
-def same(got, want):
-    """Equal values (so a zero of either sign), both NaN, or one
-    exception type."""
-    if isinstance(want, type):
-        return got is want
-    return type(got) is float and (got == want or got != got and want != want)
-
-
-def test_a_real_power_is_the_complex_power_of_its_base():
+def test_a_real_power_is_the_float_power_of_its_base():
     met = set()
-    for n in range(2, 101):
-        # the text as the cache-free helper runs it: complex, exp and
-        # the constants in its namespace, the fallback defined by the text
+    for n in range(2, 121):
+        # the text as the cache-free helper runs it: exp and the
+        # constants in its namespace
         f = fresh(Pow(X, n))
         for b in bases():
-            want = power_outcome(lambda v: (complex(v) ** n).real, b)
-            got = power_outcome(f, b)
-            assert same(got, want), (n, b, got, want)
+            want = power_outcome(lambda v: v ** n, b)
+            assert power_outcome(f, b) == want, (n, b)
             met.add(want if isinstance(want, type) else
-                    "nan" if want != want else
-                    "signed zero" if want == 0.0 and math.copysign(1, got)
-                    != math.copysign(1, want) else float)
-    # the fallback runs for overflow and NaN, and the two may part in
-    # a zero's sign only
-    assert met == {float, OverflowError, "nan", "signed zero"}
+                    "nan" if want[1][0] == ("nan",) else
+                    "inf" if math.isinf(want[1][0][0]) else
+                    "-0.0" if want[1][0] == (0.0, -1.0) else float)
+    assert met == {float, OverflowError, "nan", "inf", "-0.0"}
 
 
-def test_a_typed_power_text_reads_only_the_complex_power_in_its_fallback():
-    source, _ = _float_program(Pow(Add(X, Const(1)), 13))
-    fallback, body = source.split("def _f(x):\n")
-    assert fallback == ("def _p13(v0):\n    v0 = (complex(v0) ** 13).real\n"
-                        "    return v0\n")
-    assert "complex(" not in body and "**" not in body
-    # 13 = 0b1101: x * x^4 * x^8, two squarings between
-    assert body.count(" * ") == 5
-
-
-def test_an_overflowing_power_raises_through_its_fallback():
+def test_an_overflowing_power_raises():
     big = Mul(Pow(Mul(X, Const(10 ** 200)), 2), Pow(X, 7))
     for f in (fresh(big), _compile(big)):
         assert power_outcome(f, 1.0) is OverflowError
-        assert power_outcome(f, 1e-200) == 0.0
-        assert math.isnan(power_outcome(f, math.nan))
+        assert power_outcome(f, 1e-200) == (float, bits(0.0))
+        assert math.isnan(f(math.nan))
 
 
 def kernel_roots(arg):
@@ -116,7 +94,7 @@ def test_every_kernel_order_of_one_argument_reads_one_exp():
     met = set()
     for x in points:
         try:
-            want = [bits(complex(tree_ev_f(r, x).real)) for r in roots]
+            want = [bits(tree_ev_f(r, x)) for r in roots]
         except OverflowError:
             # t ** m past the float range, in both
             want = OverflowError
@@ -142,6 +120,10 @@ def test_real_roots_are_floats_and_their_integrals_complex():
     union = list(dict.fromkeys([*_postorder(e), *_postorder(d), i]))
     assert [type(v) for v in _compile(union, roots=[e, d, i])(
         0.5)] == [float, float, complex]
+    # the panel form sums a real root's rules in float
+    ks, gs = _compile(union, roots=[e, d, i], rule=_RULE)(0.0, 0.5)
+    assert [type(v) for v in ks] == [type(v) for v in gs] \
+        == [float, float, complex]
     ranges = [(Fraction(-1), Fraction(1))]
     assert type(integrate_expr(d, ranges)) is complex
     assert [type(v) for v in integrate_exprs([(e, ranges), (d, ranges)])] \
