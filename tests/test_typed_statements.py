@@ -66,6 +66,16 @@ def test_a_real_power_is_the_float_power_of_its_base():
     assert met == {float, OverflowError, "nan", "inf", "-0.0"}
 
 
+def test_a_typed_power_text_reads_only_the_float_power():
+    source, _ = _float_program(Pow(Add(X, Const(1)), 13))
+    # one function, no fallback defined ahead of it
+    assert source.startswith("def _f(x):\n")
+    assert source.count("def ") == 1
+    assert "complex(" not in source
+    # the power is one float `**`, not a chain of products
+    assert source.count(" ** 13") == 1 and " * " not in source
+
+
 def test_an_overflowing_power_raises():
     big = Mul(Pow(Mul(X, Const(10 ** 200)), 2), Pow(X, 7))
     for f in (fresh(big), _compile(big)):
