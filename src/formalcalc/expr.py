@@ -25,15 +25,16 @@ are mpmath floats carried at 30 significant digits, so kernel tails
 never underflow and plateau ratios of equal values divide to exactly 1.
 
 Float64 evaluation compiles the expression once into a straight-line
-function of x, one statement per distinct subterm (`_compile`; `ev_f`
-is its one-point entry). A real subterm (x, a kernel, a real constant,
-or one whose children are all real) is computed in float arithmetic
-and any other in complex arithmetic, by one statement per node kind,
-so a real power is the float power, whose bits are the C library's
-`pow`; a real value is returned as a float. A kernel argument's orders
-share its exp(-1/t). Quadrature runs its panel form: one call per
-panel runs the panel's abscissas and sums each root's Kronrod and
-Gauss rules, a real root's in float.
+function of x (`_compile`; `ev_f` is its one-point entry) that computes
+each distinct subterm once, a subterm read once inside its reader. A
+real subterm (x, a kernel, a real constant, or one whose children are
+all real) is computed in float arithmetic and any other in complex
+arithmetic, by one expression per node kind, so a real power is the
+float power, whose bits are the C library's `pow`; a real value is
+returned as a float. A kernel argument's orders share its exp(-1/t).
+Quadrature runs its panel form: one call per panel runs the panel's
+abscissas and sums each root's Kronrod and Gauss rules, a real root's
+in float.
 
 Nodes are interned where they are built (`Expr.__new__`): one
 structure is one live object, so `==` and `hash` are object identity
@@ -72,6 +73,7 @@ import math
 import operator
 import re as _re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -526,11 +528,11 @@ def ev_f(e: Expr, x: float) -> complex:
 
 # -- the compiled float program ----------------------------------------------------
 
-# one statement per node kind; {0}, {1} are the child values, {p} is n.
-# A real node (x, a kernel, a real constant, or a node whose children
-# are all real) runs it in float arithmetic, any other node in complex
+# one expression per node kind; {0}, {1} are the child values (a name,
+# or a subterm read once, in parentheses), {p} is n. A real node (x, a
+# kernel, a real constant, or a node whose children are all real) runs
+# it in float arithmetic, any other node in complex
 _STATEMENT = {
-    Var: "float(x)",
     Add: "{0} + {1}",
     Mul: "{0} * {1}",
     Div: "{0} / {1}",
@@ -540,25 +542,30 @@ _STATEMENT = {
 # order m > 0 read from it
 _WEIGHT = "w{0} = 0.0 if (t{0} := {1}) <= 0.0 else exp(-1.0 / t{0})"
 _REAL_KERN = "0.0 if w{0} == 0.0 else w{0} / t{0} ** {1}"
+# the longest expression written inside its reader: nesting stays far
+# within the parser's limits
+_INLINE = 400
 
 
 def _float_program(e, roots=None, panel=False):
     """Source of e's float64 program and the constants it reads.
 
-    Returns (source, constants): source defines `_f(x)` with one
-    assignment per distinct non-constant subterm (one node each), in
-    the order a left-to-right evaluation first needs it; constants maps
-    the names c0, c1, ... to their values. e may be its `_postorder`
-    list. A real node is a float value and any other node a complex
-    one, so a real power is the float power of the C library's `pow`;
-    a kernel reads its argument's `_WEIGHT` (the real part of a complex
+    Returns (source, constants): source defines `_f(x)`, which reads x
+    as a float and computes each distinct non-constant subterm (one node
+    each) once; constants maps the names c0, c1, ... to their values. e
+    may be its `_postorder` list. A subterm read once is written inside
+    its reader; a shared one, a root, a kernel weight or order, or one
+    longer than `_INLINE` is a line, written after the expressions no
+    reader has taken yet (`_flush`), so every operation, its bits and
+    the first exception come in list order. A real node is a float and
+    any other a complex, so a real power is the C library's `pow`; a
+    kernel reads its argument's `_WEIGHT` (the real part of a complex
     argument). Given roots, nodes of that list, `_f` returns the tuple
-    of their values instead of the last node's: one program for several
-    integrands, each shared subterm computed once.
+    of their values instead of the last node's.
 
     Given roots and panel, the text defines the panel form `_f(mid,
     half)` instead: one program call per quadrature panel. It runs the
-    statements at x = mid + half * xk for each (xk, wk, wg) of the rule
+    program at x = mid + half * xk for each (xk, wk, wg) of the rule
     `_rule` in order and sums each root's wk * value and, where wg is
     not 0.0, its wg * value; it returns the tuples of those Kronrod and
     Gauss sums, a real root's summed in float from 0.0 and a complex
@@ -566,45 +573,60 @@ def _float_program(e, roots=None, panel=False):
     are its locals, bound as defaults.
     """
     nodes = e if isinstance(e, list) else _postorder(e)
+    outs = [nodes[-1]] if roots is None else roots
+    # a node's reads: by each parent, by its kernel weight once for every
+    # order, and twice for a root (the return or the sums)
+    reads = Counter(outs * 2)
+    reads.update(getattr(n, k) for n in nodes if type(n) is not Kern
+                 for k in _CHILDREN[type(n)])
+    reads.update({n.arg for n in nodes if type(n) is Kern})
     lines = []
     consts = {}
-    names = {}
+    names = {}  # node -> (its name, real)
+    pending = {}  # node -> its expression, read once and not taken yet
     weights = {}  # a kernel's argument -> the i of its w<i>, t<i>
-
-    def visit(node, *kids):
+    for i, node in enumerate(nodes):
         kind = type(node)
         if kind is Const:
             name = "c%d" % len(consts)
             real = node.v.is_real
             consts[name] = float(node.v.re) if real else complex(node.v)
             names[node] = name, real
-            return name, real
-        real = kind is Kern or all(r for _, r in kids)
+            continue
+        if kind is Var:
+            names[node] = "x", True
+            continue
+        args, real = [], True
+        for k in _CHILDREN[kind]:
+            kid = getattr(node, k)
+            name, r = names[kid]
+            text = pending.pop(kid, None)
+            args.append(name if text is None else "(%s)" % text)
+            real = real and r
+        names[node] = "v%d" % i, real or kind is Kern
         if kind is Kern:
             if node.arg not in weights:
                 # a complex argument is read by its real part
-                t, r = kids[0]
-                weights[node.arg] = len(lines)
-                lines.append(_WEIGHT.format(len(lines),
-                                            t if r else t + ".real"))
+                weights[node.arg] = i
+                _flush(pending, names, lines)
+                lines.append(_WEIGHT.format(
+                    i, args[0] if real else args[0] + ".real"))
             if not node.m:
                 names[node] = "w%d" % weights[node.arg], True
-                return names[node]
+                continue
             statement = _REAL_KERN.format(weights[node.arg], node.m)
         else:
-            statement = _STATEMENT[kind].format(*(n for n, _ in kids),
-                                                p=getattr(node, "n", 0))
-        name = "v%d" % len(lines)
-        lines.append("%s = %s" % (name, statement))
-        names[node] = name, real
-        return name, real
-    last = _fold(nodes, visit)
+            statement = _STATEMENT[kind].format(*args, p=getattr(node, "n", 0))
+        if reads[node] == 1 and kind is not Kern and len(statement) <= _INLINE:
+            pending[node] = statement
+        else:
+            _flush(pending, names, lines)
+            lines.append("v%d = %s" % (i, statement))
+    outs = [names[r] for r in outs]
     if not panel:
-        outs = [last] if roots is None else [names[r] for r in roots]
         out = ", ".join(n for n, _ in outs)
         lines.append("return %s" % (out if roots is None else "(%s,)" % out))
-        return "def _f(x):\n" + _block(lines, 1), consts
-    outs = [names[r] for r in roots]
+        return "def _f(x):\n    x = float(x)\n" + _block(lines, 1), consts
     sums = ["k%d = g%d = %s" % (i, i, "0.0" if r else "0j")
             for i, (_, r) in enumerate(outs)]
     lines += ["k%d += wk * %s" % (i, n) for i, (n, _) in enumerate(outs)]
@@ -619,6 +641,14 @@ def _float_program(e, roots=None, panel=False):
             + "    for xk, wk, wg in _rule:\n        x = mid + half * xk\n"
             + _block(lines, 2) + "        if wg:\n" + _block(gauss, 3)
             + "    return (%s,), (%s,)\n" % (ks, gs)), consts
+
+
+def _flush(pending, names, lines):
+    """Write each expression no reader has taken yet as its own line, in
+    order: its operations come before the next line's in the node list."""
+    if pending:
+        lines.extend("%s = %s" % (names[n][0], t) for n, t in pending.items())
+        pending.clear()
 
 
 def _block(lines, depth):
@@ -638,8 +668,9 @@ def _compile(e, roots=None, rule=None):
 
 
 # texts whose code objects are kept: a benchmark run compiles at most 38
-# and `check all` on the smooth demo 48; 256 copies of the longest of
-# these (319 lines) hold about 6.4 MB with their texts
+# (smooth-operators at seed 13) and `check all` on the smooth demo 15;
+# the longest of these is 78 lines, and 256 copies of it hold about
+# 2.2 MB with their texts
 _CODE_CACHE = 256
 
 

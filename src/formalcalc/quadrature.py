@@ -3,7 +3,8 @@
 Polynomial integrands are integrated exactly through their
 antiderivative. Everything else is written, from the same walk of its
 nodes, as the panel form of the float64 program of `expr._compile`:
-one statement per distinct subterm, real ones in float arithmetic.
+each distinct subterm computed once, a subterm read once written
+inside its reader, real ones in float arithmetic.
 Adaptive Gauss-Kronrod (G7, K15) quadrature makes one program call per
 panel: the program runs the panel's 15 abscissas and sums its own
 Kronrod and Gauss rules, a real integrand's in float. A program text
@@ -201,10 +202,13 @@ def integrate_exprs(items, abs_tol=DEFAULT_ABS_TOL, budget=DEFAULT_BUDGET):
     docstring); a failed one raises only when the iterator reaches it.
     Read it in order up to its first error: after that one, an integral
     of the failed one's group is not made, and raises no error of its own."""
-    keyed = [(_key(e, ranges, abs_tol, budget), ranges) for e, ranges in items]
-    memo = {}
-    _make_groups(memo, dict(keyed))
-    return map(_read, [memo[key] for key, _ in keyed])
+    # each item's key is hashed once: pending maps it to (place, ranges),
+    # and memo each place to its integral
+    memo, pending = {}, {}
+    places = [pending.setdefault(_key(e, r, abs_tol, budget), (len(pending), r))[0]
+              for e, r in items]
+    _make_groups(memo, pending)
+    return map(_read, [memo[i] for i in places])
 
 
 def _read(stored):
@@ -222,21 +226,20 @@ def _key(e, ranges, abs_tol, budget):
 
 
 def _make_groups(memo, pending):
-    """Put into memo every integral of pending ({key: ranges}): the
-    polynomial ones exact, the others one program per group of equal
-    (cut ranges, abs_tol, budget). A failed integral's entry is its
-    error, for _read to raise."""
+    """Put into memo[i] each integral of pending ({key: (i, ranges)}),
+    polynomials exact, the others one program per group of equal (cut
+    ranges, abs_tol, budget); a failed one's entry is its error."""
     groups = {}
-    for key, ranges in pending.items():
+    for key, (i, ranges) in pending.items():
         nodes = _postorder(key[0])
         if not _polynomial(nodes):
             cut = _cut(ranges, _kernel_zeros(nodes))
-            groups.setdefault((cut, *key[2:]), []).append((key, cut, nodes))
+            groups.setdefault((cut, *key[2:]), []).append((i, cut, nodes))
             continue
         try:
-            memo[key] = _integrate(nodes, ranges)
+            memo[i] = _integrate(nodes, ranges)
         except (ArithmeticError, ValueError, QuadratureError) as e:
-            memo[key] = e  # past the degree cap too: raised in its turn
+            memo[i] = e  # past the degree cap too: raised in its turn
     for (_, abs_tol, budget), members in groups.items():
         for member, out in zip(members, _walk(members, abs_tol, budget)):
             # a value, the QuadratureError the member met alone, or the
@@ -268,7 +271,7 @@ def _walk(members, abs_tol, budget):
     # the union: every node still follows its children
     union = list(dict.fromkeys(n for *_, nodes in members for n in nodes))
     try:
-        panel = _compile(union, roots=[key[0] for key, _, _ in members],
+        panel = _compile(union, roots=[nodes[-1] for *_, nodes in members],
                          rule=_RULE)
     except ArithmeticError as e:  # a constant past the float range
         return [e] * len(members)

@@ -9,14 +9,16 @@ bit: the same type, the same value with its zero's sign, NaN where the
 tree is NaN, or the same exception.
 """
 
+import ast
 import math
 import random
-import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from formalcalc.expr import (
+    ONE,
     X,
     Add,
     Const,
@@ -33,7 +35,7 @@ from formalcalc.expr import (
     _postorder,
 )
 from formalcalc.errors import QuadratureError
-from formalcalc.quadrature import integrate_callable
+from formalcalc.quadrature import _RULE, integrate_callable
 from formalcalc.scalars import QC
 
 
@@ -245,14 +247,56 @@ def test_program_shares_equal_subterms():
     e, _, _ = bump(-2, -1, 1, 2)
     d4 = diff(e, 4)
     source, consts = _float_program(d4)
-    # a node's assignment is a v<i>, or a w<i> for an order-0 kernel
     assert source.startswith("def _f(x):\n")
-    statements = len(re.findall(r"^    [vw]\d+ = ", source, re.M))
     distinct = distinct_subterms(d4)
-    assert statements <= len(distinct)
-    assert statements + len(consts) == len(distinct)
-    # one constant name per distinct value
-    assert len(set(consts.values())) == len(consts)
+    kinds = Counter(type(n) for n in distinct)
+    kernels = [n for n in distinct if isinstance(n, Kern)]
+    weights = len({n.arg for n in kernels})
+    orders = sum(1 for n in kernels if n.m)
+    tree = ast.parse(source)
+    ops = Counter(type(n.op) for n in ast.walk(tree)
+                  if isinstance(n, ast.BinOp))
+    calls = Counter(n.func.id for n in ast.walk(tree)
+                    if isinstance(n, ast.Call))
+    # each distinct subterm's operation appears once, on its own line or
+    # inside its one reader: a kernel argument's weight divides -1.0 by
+    # it, and a kernel of order m > 0 divides the weight by t ** m
+    assert ops == {ast.Add: kinds[Add], ast.Mult: kinds[Mul],
+                   ast.Div: kinds[Div] + weights + orders,
+                   ast.Pow: kinds[Pow] + orders}
+    assert calls == {"float": 1, "exp": weights}
+    # each name is assigned once, and no line is a bare copy of a name
+    assigned = [n for n in ast.walk(tree) if isinstance(n, ast.Assign)]
+    targets = [t.id for n in assigned for t in n.targets]
+    assert len(set(targets)) == len(targets)
+    assert not any(isinstance(n.value, ast.Name) for n in assigned)
+    # a subterm read once is written inside its reader: fewer lines than
+    # distinct non-constant subterms
+    assert len(assigned) < len(distinct) - kinds[Const]
+    # one constant name per constant node, and per distinct value
+    assert len(set(consts.values())) == len(consts) == kinds[Const]
+    # the panel form runs the same operations, and reads x as it is
+    panel, _ = _float_program(_postorder(d4), roots=[d4], panel=True)
+    tree = ast.parse(panel)
+    # x = mid + half * xk, and the Kronrod and Gauss terms wk * v, wg * v
+    ops.update({ast.Add: 1, ast.Mult: 3})
+    assert Counter(type(n.op) for n in ast.walk(tree)
+                   if isinstance(n, ast.BinOp)) == ops
+    assert Counter(n.func.id for n in ast.walk(tree)
+                   if isinstance(n, ast.Call)) == {"exp": weights}
+
+
+def test_pending_expressions_run_before_a_shared_line():
+    # at x = 1e-3, s(x) underflows to 0.0 and 1 / s(x) divides by zero
+    # before the shared square B overflows: the quotient, read once,
+    # waits for its reader only until B's line, as in the tree
+    b = Pow(Add(X, Const(10 ** 200)), 2)
+    e = Add(Div(ONE, Kern(X, 0)), Mul(b, b))
+    assert outcome(tree_ev_f, e, 1e-3) is ZeroDivisionError
+    assert outcome(_compile(e), 1e-3) is ZeroDivisionError
+    panel = _compile(_postorder(e), roots=[e], rule=_RULE)
+    with pytest.raises(ZeroDivisionError):
+        panel(1e-3, 0.0)
 
 
 def test_deep_chain_compiles_without_recursion():

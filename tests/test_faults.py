@@ -303,3 +303,18 @@ def test_the_typed_oracle_sees_the_fault_in_the_program_writer(name,
     WRITER_FAULTS[name](monkeypatch)
     with pytest.raises(AssertionError):
         law()
+
+
+def lines_never_write_pending_expressions_out(monkeypatch):
+    # an expression read once waits for its reader past every line
+    monkeypatch.setattr(expr, "_flush", lambda pending, names, lines: None)
+
+
+def test_the_exception_order_sees_a_writer_that_inlines_past_a_shared_line(
+        monkeypatch):
+    law = test_compiled.test_pending_expressions_run_before_a_shared_line
+    law()
+    lines_never_write_pending_expressions_out(monkeypatch)
+    # the shared square's line overflows before the quotient runs
+    with pytest.raises(AssertionError, match="OverflowError"):
+        law()
