@@ -574,8 +574,8 @@ def _float_program(e, roots=None, panel=False):
     """
     nodes = e if isinstance(e, list) else _postorder(e)
     outs = [nodes[-1]] if roots is None else roots
-    # a node's reads: by each parent, by its kernel weight once for every
-    # order, and twice for a root (the return or the sums)
+    # a node's reads: by each parent, by its kernel weight once, however
+    # many orders read it, and twice for a root (the return or the sums)
     reads = Counter(outs * 2)
     reads.update(getattr(n, k) for n in nodes if type(n) is not Kern
                  for k in _CHILDREN[type(n)])

@@ -6,16 +6,20 @@ non-polynomial integral of the benchmark's seed-1 smooth-operators and
 smooth-sheaf task lists: its printed integrand, its exact ranges, and
 its `mpmath.quad` value at 30 digits, split at kernel zeros, with an
 error estimate of at most 1e-20. Each quadrature value must lie within
-the default absolute tolerance of its reference.
+the default absolute tolerance of its reference, and the tool must
+still collect exactly the tables' integrals.
 """
 
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
 
 from mpmath import mpc, mpf
 
-from formalcalc.expr import parse_sexpr
+import formalcalc
+import formalcalc.cli  # noqa: F401  (binds formalcalc.suites, as the benchmark does)
+from formalcalc.expr import parse_sexpr, to_sexpr
 from formalcalc.quadrature import DEFAULT_ABS_TOL, integrate_expr
 
 HERE = Path(__file__).resolve().parent
@@ -67,3 +71,19 @@ def test_the_sheaf_table_holds_its_task_lists_integrals():
 
 def test_each_sheaf_integral_is_within_tolerance_of_its_reference():
     assert far_from_reference(SHEAF) == []
+
+
+def test_the_tool_collects_the_tables_integrals():
+    # its quadrature hook reads _make_groups' pending map, so a change of
+    # that map's shape shows here, not only when the tables are rewritten
+    spec = importlib.util.spec_from_file_location(
+        "smooth_reference", HERE.parent / "tools" / "smooth_reference.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for t in (OPERATORS, SHEAF):
+        got = [{"integrand": to_sexpr(e),
+                "ranges": [[str(Fraction(lo)), str(Fraction(hi))]
+                           for lo, hi in ranges]}
+               for e, ranges in tool.collect(formalcalc, t["workload"], 1)]
+        assert got == [{k: item[k] for k in ("integrand", "ranges")}
+                       for item in t["integrals"]]

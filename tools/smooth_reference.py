@@ -48,7 +48,7 @@ def collect(fc, workload, seed):
     raw = quadrature._make_groups
 
     def recording(memo, pending):
-        for key, ranges in pending.items():
+        for key, (_, ranges) in pending.items():
             e = key[0]
             if not expr._polynomial(expr._postorder(e)):
                 seen.setdefault((e, tuple(ranges)), None)

@@ -2,7 +2,7 @@
 """Take a performance snapshot of this checkout, or compare two.
 
     python3 tools/snapshot.py --out BENCH_46.json
-    python3 tools/snapshot.py --seeds 1 --seconds 2 --no-tier1 --out short.json
+    python3 tools/snapshot.py --short --out short.json
     python3 tools/snapshot.py compare BENCH_45.json BENCH_46.json
 
 Standard library only. It works on the checkout it lives in, whatever
@@ -13,15 +13,16 @@ from outside, interpreter start included:
   seed: its `correct`, `failed` and end-to-end metrics, and the run
   record's `net_source_lines`;
 - Tier-1 (`pytest -q`), its wall time and test counts, and the
-  acceptance module alone against its 180 s gate (`--no-tier1` skips
-  both);
+  acceptance module alone against its 180 s gate;
 - `formalcalc check all --json` on each bundled scenario: wall time,
   exit code and the SHA-256 of its output;
-- each open FOUND repro of ROADMAP.md's Baseline: wall time, exit code
-  and the last line it printed.
+- each open FOUND repro (`_repros`): wall time, exit code and the last
+  line it printed.
 
 A child that runs past its timeout is killed with its process group and
-recorded as timed out, with no exit code. The command exits 1 when a
+recorded as timed out, with no exit code. `--short` only checks that
+the script works: seed 1, 2 s runs, no Tier-1 or acceptance module, and
+each repro stopped after at most 10 s. The command exits 1 when a
 benchmark run did not finish correct, after writing the snapshot.
 `compare A B` prints B / A for every number both snapshots hold, and
 each other value that differs.
@@ -48,6 +49,9 @@ ACCEPTANCE_GATE_S = 180.0
 TIER1_TIMEOUT_S = 1200
 BENCH_TIMEOUT_S = 600
 CHECK_TIMEOUT_S = 120
+SEEDS, SECONDS = [1, 13], 16.0
+# --short
+SHORT_SEEDS, SHORT_SECONDS, SHORT_REPRO_TIMEOUT_S = [1], 2.0, 10
 
 # the in-process repros, each a program run with `python -c`
 _PRELUDE = ("import sys\nsys.path.insert(0, 'perfbench')\n"
@@ -57,8 +61,9 @@ _CLI = "import sys\nfrom formalcalc.cli import main\nsys.exit(main(sys.argv[1:])
 
 
 def _repros(tmp: Path):
-    """name -> (argv after the interpreter, timeout in s), for the FOUND
-    table of ROADMAP.md's Baseline; scenario files are written to tmp."""
+    """name -> (argv after the interpreter, timeout in s) of each open
+    FOUND repro; scenario files are written to tmp. This is the one list
+    of them: ROADMAP.md's Baseline names each row by its key here."""
     demo = json.loads((ROOT / "scenarios" / "smooth_demo.json").read_text())
     narrow = json.loads(json.dumps(demo))
     narrow["opensets"]["L"] = [[None, "-1999/1000"]]
@@ -195,22 +200,22 @@ def _git_head():
         return None
 
 
-def take(args):
+def take(short, out_path):
+    seeds, seconds = (SHORT_SEEDS, SHORT_SECONDS) if short else (SEEDS, SECONDS)
     snap = {"schema": 1, "commit": _git_head(),
             "machine": {"nproc": os.cpu_count(),
                         "python": platform.python_version(),
                         "platform": platform.platform()},
-            "seeds": args.seeds, "seconds": args.seconds}
-    snap["benchmark"] = benchmark(args.seeds, args.seconds)
+            "seeds": seeds, "seconds": seconds}
+    snap["benchmark"] = benchmark(seeds, seconds)
     lines = {r.get("net_source_lines") for r in snap["benchmark"].values()}
     snap["net_source_lines"] = lines.pop() if len(lines) == 1 else None
-    snap["tier1"], snap["acceptance"] = (None, None) if args.no_tier1 \
-        else tier1()
+    snap["tier1"], snap["acceptance"] = (None, None) if short else tier1()
     snap["check_all"] = check_all()
-    snap["repros"] = repros(args.repro_timeout)
+    snap["repros"] = repros(SHORT_REPRO_TIMEOUT_S if short else float("inf"))
     text = json.dumps(snap, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out_path:
+        Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     # the snapshot is written either way; a benchmark run that did not
@@ -255,14 +260,10 @@ def main(argv=None):
         return compare(args.a, args.b)
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--out", help="write the snapshot here, not to stdout")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 13])
-    p.add_argument("--seconds", type=float, default=16.0,
-                   help="perfbench/run.py --seconds")
-    p.add_argument("--no-tier1", action="store_true",
-                   help="skip Tier-1 and the acceptance module")
-    p.add_argument("--repro-timeout", type=float, default=float("inf"),
-                   help="cap every repro's timeout at this many seconds")
-    return take(p.parse_args(argv))
+    p.add_argument("--short", action="store_true",
+                   help="seed 1, 2 s runs, no Tier-1, repros capped at 10 s")
+    args = p.parse_args(argv)
+    return take(args.short, args.out)
 
 
 if __name__ == "__main__":
