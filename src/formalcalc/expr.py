@@ -34,7 +34,8 @@ float power, whose bits are the C library's `pow`; a real value is
 returned as a float. A kernel argument's orders share its exp(-1/t).
 Quadrature runs its panel form: one call per panel runs the panel's
 abscissas and sums each root's Kronrod and Gauss rules, a real root's
-in float.
+in float. A program is written and compiled once per shape (`_shape`)
+and reads its constants by name, so integrands of one shape share it.
 
 Nodes are interned where they are built (`Expr.__new__`): one
 structure is one live object, so `==` and `hash` are object identity
@@ -194,23 +195,17 @@ def _as_expr(v):
     return Const(v)
 
 
-def _is_const(e, value=None):
-    if not isinstance(e, Const):
-        return False
-    return True if value is None else e.v == value
-
-
 # -- smart constructors ------------------------------------------------------
 # each takes a plain number wherever it takes an expression
 
 
 def add(a, b) -> Expr:
     a, b = _as_expr(a), _as_expr(b)
-    if _is_const(a) and _is_const(b):
+    if type(a) is Const and type(b) is Const:
         return Const(a.v + b.v)
-    if _is_const(a, 0):
+    if a is ZERO:
         return b
-    if _is_const(b, 0):
+    if b is ZERO:
         return a
     return Add(a, b)
 
@@ -221,13 +216,13 @@ def sub(a, b) -> Expr:
 
 def mul(a, b) -> Expr:
     a, b = _as_expr(a), _as_expr(b)
-    if _is_const(a) and _is_const(b):
+    if type(a) is Const and type(b) is Const:
         return Const(a.v * b.v)
-    if _is_const(a, 0) or _is_const(b, 0):
+    if a is ZERO or b is ZERO:
         return ZERO
-    if _is_const(a, 1):
+    if a is ONE:
         return b
-    if _is_const(b, 1):
+    if b is ONE:
         return a
     return Mul(a, b)
 
@@ -241,7 +236,7 @@ def pow_(e, n: int) -> Expr:
     e = _as_expr(e)
     if n == 1:
         return e
-    if _is_const(e):
+    if type(e) is Const:
         return Const(_qc_pow(e.v, n))
     return Pow(e, n)
 
@@ -289,7 +284,7 @@ def kern(arg, m: int = 0) -> Expr:
     if m < 0:
         raise ValueError("kernel order must be nonnegative")
     arg = _as_expr(arg)
-    if _is_const(arg):
+    if type(arg) is Const:
         if not arg.v.is_real:
             raise BackendError("kernel of a non-real constant")
         if arg.v.re <= 0:
@@ -312,9 +307,9 @@ def div(num, den, region=None) -> Expr:
     """
     from .spaces import RSet
     num, den = _as_expr(num), _as_expr(den)
-    if _is_const(num, 0):
+    if num is ZERO:
         return ZERO
-    if _is_const(den):
+    if type(den) is Const:
         if not den.v:
             raise ZeroDivisionError("constant zero denominator")
         return mul(Const(QC_ONE / den.v), num)
@@ -332,7 +327,7 @@ def certified(den, region) -> bool:
 
 
 def _div_unchecked(num, den) -> Expr:
-    if _is_const(num, 0):
+    if num is ZERO:
         return ZERO
     return Div(num, den)
 
@@ -548,20 +543,61 @@ _INLINE = 400
 
 
 def _float_program(e, roots=None, panel=False):
-    """Source of e's float64 program and the constants it reads.
+    """Source of e's float64 program and the constants it reads: the text
+    `_write_program` writes from e's `_shape`, the one `_code` compiles.
+    e may be its `_postorder` list."""
+    shape, consts = _shape(e, roots)
+    return _write_program(shape, panel), consts
 
-    Returns (source, constants): source defines `_f(x)`, which reads x
-    as a float and computes each distinct non-constant subterm (one node
-    each) once; constants maps the names c0, c1, ... to their values. e
-    may be its `_postorder` list. A subterm read once is written inside
-    its reader; a shared one, a root, a kernel weight or order, or one
-    longer than `_INLINE` is a line, written after the expressions no
-    reader has taken yet (`_flush`), so every operation, its bits and
-    the first exception come in list order. A real node is a float and
-    any other a complex, so a real power is the C library's `pow`; a
-    kernel reads its argument's `_WEIGHT` (the real part of a complex
-    argument). Given roots, nodes of that list, `_f` returns the tuple
-    of their values instead of the last node's.
+
+def _shape(e, roots=None):
+    """e's program shape and its constants, from one pass over its
+    `_postorder` list (e may be that list). The shape is (entries,
+    roots): per node in list order, its kind, its children's positions
+    and a power's n, a kernel's m or a constant's realness; roots are
+    the roots' positions, or None for the last node's program alone.
+    The constants map c0, c1, ... to the constants' values in list
+    order, a float if real, else a complex."""
+    nodes = e if isinstance(e, list) else _postorder(e)
+    at = {}  # node -> its position
+    entries = []
+    consts = {}
+    for i, node in enumerate(nodes):
+        kind = type(node)
+        if kind is Const:
+            real = node.v.is_real
+            consts["c%d" % len(consts)] = (float(node.v.re) if real
+                                            else complex(node.v))
+            entries.append((Const, real))
+        elif kind is Var:
+            entries.append((Var,))
+        elif kind is Pow:
+            entries.append((Pow, at[node.base], node.n))
+        elif kind is Kern:
+            entries.append((Kern, at[node.arg], node.m))
+        elif kind is Div:
+            entries.append((Div, at[node.num], at[node.den]))
+        else:
+            entries.append((kind, at[node.a], at[node.b]))
+        at[node] = i
+    return (tuple(entries),
+            None if roots is None else tuple(at[r] for r in roots)), consts
+
+
+def _write_program(shape, panel):
+    """The source of a `_shape`'s float64 program.
+
+    The source defines `_f(x)`, which reads x as a float and computes
+    each distinct non-constant subterm (one entry each) once, reading
+    the constants by their names c0, c1, .... A subterm read once is
+    written inside its reader; a shared one, a root, a kernel weight or
+    order, or one longer than `_INLINE` is a line, written after the
+    expressions no reader has taken yet (`_flush`), so every operation,
+    its bits and the first exception come in list order. A real node is
+    a float and any other a complex, so a real power is the C library's
+    `pow`; a kernel reads its argument's `_WEIGHT` (the real part of a
+    complex argument). Given roots, `_f` returns the tuple of their
+    values instead of the last node's.
 
     Given roots and panel, the text defines the panel form `_f(mid,
     half)` instead: one program call per quadrature panel. It runs the
@@ -572,61 +608,61 @@ def _float_program(e, roots=None, panel=False):
     root's from 0j. The names the loop reads (constants, exp, `_rule`)
     are its locals, bound as defaults.
     """
-    nodes = e if isinstance(e, list) else _postorder(e)
-    outs = [nodes[-1]] if roots is None else roots
+    entries, roots = shape
+    outs = [len(entries) - 1] if roots is None else list(roots)
     # a node's reads: by each parent, by its kernel weight once, however
     # many orders read it, and twice for a root (the return or the sums)
     reads = Counter(outs * 2)
-    reads.update(getattr(n, k) for n in nodes if type(n) is not Kern
-                 for k in _CHILDREN[type(n)])
-    reads.update({n.arg for n in nodes if type(n) is Kern})
+    reads.update(k for entry in entries if entry[0] is not Kern
+                 for k in entry[1:1 + len(_CHILDREN[entry[0]])])
+    reads.update({entry[1] for entry in entries if entry[0] is Kern})
     lines = []
-    consts = {}
-    names = {}  # node -> (its name, real)
-    pending = {}  # node -> its expression, read once and not taken yet
-    weights = {}  # a kernel's argument -> the i of its w<i>, t<i>
-    for i, node in enumerate(nodes):
-        kind = type(node)
+    consts = 0
+    names = []  # position -> (its name, real)
+    pending = {}  # position -> its expression, read once and not taken yet
+    weights = {}  # a kernel argument's position -> the i of its w<i>, t<i>
+    for i, entry in enumerate(entries):
+        kind = entry[0]
         if kind is Const:
-            name = "c%d" % len(consts)
-            real = node.v.is_real
-            consts[name] = float(node.v.re) if real else complex(node.v)
-            names[node] = name, real
+            names.append(("c%d" % consts, entry[1]))
+            consts += 1
             continue
         if kind is Var:
-            names[node] = "x", True
+            names.append(("x", True))
             continue
         args, real = [], True
-        for k in _CHILDREN[kind]:
-            kid = getattr(node, k)
+        for kid in entry[1:1 + len(_CHILDREN[kind])]:
             name, r = names[kid]
-            text = pending.pop(kid, None)
-            args.append(name if text is None else "(%s)" % text)
+            if kid in pending:
+                name = "(%s)" % pending.pop(kid)
+            args.append(name)
             real = real and r
-        names[node] = "v%d" % i, real or kind is Kern
         if kind is Kern:
-            if node.arg not in weights:
+            arg, m = entry[1:]
+            if arg not in weights:
                 # a complex argument is read by its real part
-                weights[node.arg] = i
+                weights[arg] = i
                 _flush(pending, names, lines)
                 lines.append(_WEIGHT.format(
                     i, args[0] if real else args[0] + ".real"))
-            if not node.m:
-                names[node] = "w%d" % weights[node.arg], True
+            if not m:
+                names.append(("w%d" % weights[arg], True))
                 continue
-            statement = _REAL_KERN.format(weights[node.arg], node.m)
+            names.append(("v%d" % i, True))
+            statement = _REAL_KERN.format(weights[arg], m)
         else:
-            statement = _STATEMENT[kind].format(*args, p=getattr(node, "n", 0))
-        if reads[node] == 1 and kind is not Kern and len(statement) <= _INLINE:
-            pending[node] = statement
-        else:
-            _flush(pending, names, lines)
-            lines.append("v%d = %s" % (i, statement))
+            names.append(("v%d" % i, real))
+            statement = _STATEMENT[kind].format(*args, p=entry[-1])
+            if reads[i] == 1 and len(statement) <= _INLINE:
+                pending[i] = statement
+                continue
+        _flush(pending, names, lines)
+        lines.append("v%d = %s" % (i, statement))
     outs = [names[r] for r in outs]
     if not panel:
         out = ", ".join(n for n, _ in outs)
         lines.append("return %s" % (out if roots is None else "(%s,)" % out))
-        return "def _f(x):\n    x = float(x)\n" + _block(lines, 1), consts
+        return "def _f(x):\n    x = float(x)\n" + _block(lines, 1)
     sums = ["k%d = g%d = %s" % (i, i, "0.0" if r else "0j")
             for i, (_, r) in enumerate(outs)]
     lines += ["k%d += wk * %s" % (i, n) for i, (n, _) in enumerate(outs)]
@@ -635,12 +671,12 @@ def _float_program(e, roots=None, panel=False):
               for s in "kg")
     # names the loop reads are locals, bound once at the def: a local read
     # is cheaper than a global one
-    bound = [*consts, "exp", "_rule"]
+    bound = [*("c%d" % j for j in range(consts)), "exp", "_rule"]
     return ("def _f(mid, half, %s):\n" % ", ".join(
                 "%s=%s" % (n, n) for n in bound) + _block(sums, 1)
             + "    for xk, wk, wg in _rule:\n        x = mid + half * xk\n"
             + _block(lines, 2) + "        if wg:\n" + _block(gauss, 3)
-            + "    return (%s,), (%s,)\n" % (ks, gs)), consts
+            + "    return (%s,), (%s,)\n" % (ks, gs))
 
 
 def _flush(pending, names, lines):
@@ -659,26 +695,27 @@ def _block(lines, depth):
 def _compile(e, roots=None, rule=None):
     """e's float64 program, the one `ev_f` and grid scans run, or given
     roots and a rule of (abscissa, Kronrod weight, Gauss weight or 0.0)
-    triples the panel form quadrature runs: `_code` of its text, run in
+    triples the panel form quadrature runs: `_code` of its shape, run in
     a fresh namespace of its constants."""
-    source, consts = _float_program(e, roots, rule is not None)
+    shape, consts = _shape(e, roots)
     namespace = {"exp": math.exp, "_rule": rule, **consts}
-    exec(_code(source), namespace)
+    exec(_code(shape, rule is not None), namespace)
     return namespace["_f"]
 
 
-# texts whose code objects are kept: a benchmark run compiles at most 38
+# shapes whose code objects are kept: a benchmark run compiles at most 38
 # (smooth-operators at seed 13) and `check all` on the smooth demo 15;
-# the longest of these is 78 lines, and 256 copies of it hold about
-# 2.2 MB with their texts
+# the largest has 163 nodes and the longest text 78 lines (162 nodes),
+# and 256 copies of that one hold about 4.4 MB with their code objects
 _CODE_CACHE = 256
 
 
 @functools.lru_cache(maxsize=_CODE_CACHE)
-def _code(source):
-    """A program text's code object, compiled once per text: the text
-    reads its constants by name, so one serves a whole shape."""
-    return compile(source, "<formalcalc.expr program>", "exec")
+def _code(shape, panel):
+    """The code object of a `_shape`'s program, or of its panel form,
+    written (`_write_program`) and compiled once per shape."""
+    return compile(_write_program(shape, panel),
+                   "<formalcalc.expr program>", "exec")
 
 
 # -- polynomial fast path ----------------------------------------------------------

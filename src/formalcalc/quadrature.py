@@ -7,9 +7,9 @@ each distinct subterm computed once, a subterm read once written
 inside its reader, real ones in float arithmetic.
 Adaptive Gauss-Kronrod (G7, K15) quadrature makes one program call per
 panel: the program runs the panel's 15 abscissas and sums its own
-Kronrod and Gauss rules, a real integrand's in float. A program text
-is compiled once per process, and integrands of one shape share it,
-each with its own constants. The loop adds each accepted panel to a
+Kronrod and Gauss rules, a real integrand's in float. A program is
+written and compiled once per shape (`expr._shape`) in a process, and
+integrands of one shape share it, each with its own constants. The loop adds each accepted panel to a
 sum started at 0j, so an integral is a complex, bit for bit the one
 `integrate_callable` (which sums a callable's rules in Python, from
 0j) makes of the integrand's program. Quadrature runs with an
@@ -113,7 +113,7 @@ def _adaptive(panel, n, ranges, abs_tol, budget):
     """The n outcomes of the adaptive quadratures of a panel program's
     roots: a complex, or the exception the member met (the program's may
     be another member's). panel(mid, half) returns the roots' Kronrod
-    and Gauss sums on [mid - half, mid + half] (`expr._float_program`).
+    and Gauss sums on [mid - half, mid + half] (`expr._write_program`).
     One walk of the bisection tree, depth first and right half first,
     one program call per panel; each member splits, accepts and spends
     its budget on its own, in the order it would alone, until one's

@@ -1,8 +1,9 @@
 """Built once per process: program code objects and plateau edges.
 
-A float64 program is compiled once per text: its constants are read by
-name from the namespace each run of `_compile` gets, so integrands of
-one shape share one code object and keep their own values. A plateau
+A float64 program is written and compiled once per shape: its constants
+are read by name from the namespace each run of `_compile` gets, so
+integrands of one shape share one code object and keep their own
+values, and a shape seen before skips the writer. A plateau
 edge is kept per exact endpoint pair, so its node, and the proof `div`
 holds for its denominator, outlive the task that built them. A
 refusal is never kept.
@@ -56,6 +57,13 @@ SHAPES = [
     "(/ (s x) (+ (pow x 2) 7))",
 ]
 POINTS = [-2.5, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 7.25]
+# pairs of integrands whose shapes differ only in one field the program
+# text reads: a power's exponent, a kernel's order, a constant's realness
+SIBLINGS = {
+    "Pow.n": ("(pow (+ x 1) 2)", "(pow (+ x 1) 3)"),
+    "Kern.m": ("(sm (+ x 1) 1)", "(sm (+ x 1) 2)"),
+    "Const realness": ("(s (+ x 1))", "(s (+ x (complex 1 1)))"),
+}
 
 
 @pytest.fixture
@@ -88,6 +96,11 @@ def fresh(e, roots=None):
     return namespace["_f"]
 
 
+def body(f):
+    """What a program's code runs: its bytecode, constants and names."""
+    return f.__code__.co_code, f.__code__.co_consts, f.__code__.co_names
+
+
 def outcome(f, x):
     """f(x) as text, so that signed zeros and NaNs compare bit for bit,
     or the type of what it raised."""
@@ -110,6 +123,48 @@ def test_integrands_of_one_shape_make_one_compile(counted):
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
+@pytest.fixture
+def written(monkeypatch, counted):
+    """Empty the caches, and record from now on each shape the program
+    writer is asked to write."""
+    shapes = []
+    write = expr._write_program
+
+    def writing(shape, panel):
+        shapes.append(shape)
+        return write(shape, panel)
+    monkeypatch.setattr(expr, "_write_program", writing)
+    return shapes
+
+
+def test_a_repeated_shape_skips_the_writer(written):
+    a = parse_sexpr(SHAPES[0])
+    b = parse_sexpr(SHAPES[1])
+    assert _compile(a)(2.0) != _compile(b)(2.0)
+    assert len(written) == 1
+    # the kernel zeros are 1 and 1: one group, so one union program,
+    # written when the group is first integrated and never again
+    items = [(parse_sexpr(s), [(Fraction(-4), Fraction(4))])
+             for s in (SHAPES[0], SHAPES[2])]
+    cold = list(integrate_exprs(items))
+    assert len(written) == 2
+    assert list(integrate_exprs(items)) == cold
+    assert len(written) == 2
+
+
+@pytest.mark.parametrize("field", sorted(SIBLINGS))
+def test_shape_siblings_get_their_own_programs(field):
+    # each sibling's program, lone and rooted, is the code of its own
+    # text, whichever sibling was compiled first
+    for text in SIBLINGS[field]:
+        e = parse_sexpr(text)
+        for roots in (None, [e]):
+            f, own = _compile(e, roots), fresh(e, roots)
+            assert body(f) == body(own), (text, roots)
+            for x in POINTS:
+                assert outcome(f, x) == outcome(own, x)
+
+
 def test_each_program_has_the_bits_of_its_own_text(counted):
     trees = [parse_sexpr(s) for s in SHAPES]
     for e in trees:
@@ -117,7 +172,7 @@ def test_each_program_has_the_bits_of_its_own_text(counted):
             cached, own = _compile(e, roots), fresh(e, roots)
             for x in POINTS:
                 assert outcome(cached, x) == outcome(own, x)
-    # half the shapes repeat a text: one compile per distinct text
+    # half the shapes repeat: one compile per shape, one per text
     texts = {_float_program(e, roots)[0]
              for e in trees
              for roots in (None, [e], [_postorder(e)[1], e])}

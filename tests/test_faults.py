@@ -10,10 +10,12 @@ the test input that meets it.
 """
 
 import copy
+import functools
 from pathlib import Path
 
 import pytest
 
+import test_built_once
 import test_certificates
 import test_compiled
 import test_derivatives
@@ -273,18 +275,27 @@ def test_the_full_walk_sees_a_memo_that_answers_every_order_with_the_first(
 # Every power the benchmark integrates is a square, so a writer that gets a
 # power's exponent wrong moves none of its values: only a comparison with
 # the node-by-node typed evaluation (test_compiled's oracle) tells. The same
-# oracle must see a kernel written one order too low.
+# oracle must see a kernel written one order too low. Programs are kept by
+# shape, and a fault in the writer is in the programs written after it: so
+# each fault comes with an empty code cache of its own, which goes with it.
+
+
+def programs_written_afresh(monkeypatch):
+    monkeypatch.setattr(expr, "_code", functools.lru_cache(
+        maxsize=expr._CODE_CACHE)(expr._code.__wrapped__))
 
 
 def powers_are_written_as_squares(monkeypatch):
     # one statement table serves real and complex nodes, so a complex
     # power is written as a square too
     monkeypatch.setitem(expr._STATEMENT, expr.Pow, "{0} * {0}")
+    programs_written_afresh(monkeypatch)
 
 
 def kernels_are_written_one_order_low(monkeypatch):
     monkeypatch.setattr(expr, "_REAL_KERN",
                         "0.0 if w{0} == 0.0 else w{0} / t{0} ** ({1} - 1)")
+    programs_written_afresh(monkeypatch)
 
 
 WRITER_FAULTS = {
@@ -308,6 +319,7 @@ def test_the_typed_oracle_sees_the_fault_in_the_program_writer(name,
 def lines_never_write_pending_expressions_out(monkeypatch):
     # an expression read once waits for its reader past every line
     monkeypatch.setattr(expr, "_flush", lambda pending, names, lines: None)
+    programs_written_afresh(monkeypatch)
 
 
 def test_the_exception_order_sees_a_writer_that_inlines_past_a_shared_line(
@@ -318,3 +330,52 @@ def test_the_exception_order_sees_a_writer_that_inlines_past_a_shared_line(
     # the shared square's line overflows before the quotient runs
     with pytest.raises(AssertionError, match="OverflowError"):
         law()
+
+
+# -- faults in the shape key ---------------------------------------------------------
+#
+# The code cache is keyed by the program's shape, and the writer reads
+# nothing else. A key that left out a field the text reads would hand one
+# shape the program of another: a power of another exponent, a kernel of
+# another order, or a real constant's text to a complex one. Only
+# integrands that differ in nothing else tell (test_built_once's siblings).
+
+
+class _KeyWithout(tuple):
+    """A shape entry that, as a key, leaves out its last field."""
+
+    def __eq__(self, other):
+        return self[:-1] == other[:-1]
+
+    def __hash__(self):
+        return hash(self[:-1])
+
+
+def shape_keys_leave_out_the_field_of(kind):
+    def fault(monkeypatch):
+        real = expr._shape
+
+        def _shape(e, roots=None):
+            (entries, at), consts = real(e, roots)
+            return (tuple(_KeyWithout(n) if n[0] is kind else n
+                          for n in entries), at), consts
+        monkeypatch.setattr(expr, "_shape", _shape)
+        programs_written_afresh(monkeypatch)
+    return fault
+
+
+SHAPE_KEY_FAULTS = {
+    "Pow.n": shape_keys_leave_out_the_field_of(expr.Pow),
+    "Kern.m": shape_keys_leave_out_the_field_of(expr.Kern),
+    "Const realness": shape_keys_leave_out_the_field_of(expr.Const),
+}
+
+
+@pytest.mark.parametrize("field", sorted(SHAPE_KEY_FAULTS))
+def test_shape_siblings_see_a_shape_key_that_leaves_out_a_field(field,
+                                                                 monkeypatch):
+    law = test_built_once.test_shape_siblings_get_their_own_programs
+    law(field)
+    SHAPE_KEY_FAULTS[field](monkeypatch)
+    with pytest.raises(AssertionError):
+        law(field)
