@@ -172,7 +172,8 @@ def test_each_program_has_the_bits_of_its_own_text(counted):
             cached, own = _compile(e, roots), fresh(e, roots)
             for x in POINTS:
                 assert outcome(cached, x) == outcome(own, x)
-    # half the shapes repeat: one compile per shape, one per text
+    # half the trees repeat a shape: one compile per shape, and each
+    # shape here has a text of its own
     texts = {_float_program(e, roots)[0]
              for e in trees
              for roots in (None, [e], [_postorder(e)[1], e])}
