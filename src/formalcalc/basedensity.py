@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import DomainMismatchError
 from .quadrature import DEFAULT_ABS_TOL
-from .scalars import QC_ZERO, qc
+from .scalars import QC_ZERO
 from .spaces import OpenSet, same
 
 
@@ -94,12 +94,7 @@ class BaseDensity:
 
     def scale(self, c) -> "BaseDensity":
         """The density times a scalar, the scalar on the right."""
-        c = qc(c)
-        if not c:
-            return BaseDensity.zero(self.space)
-        sp = self.space
-        return BaseDensity._trusted(
-            sp, sp.mul(self.coeff, sp.constant(c, self.bound)), self.bound)
+        return self.mul_coeff(self.space.constant(c, self.bound))
 
     def mul_coeff(self, coeff) -> "BaseDensity":
         """Multiply by a base function coefficient of the space."""

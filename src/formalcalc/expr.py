@@ -80,7 +80,7 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .errors import BackendError, CertificateError, UndecidedCertificateError
-from .scalars import QC, QC_ONE, QC_ZERO, qc, qc_map_add, rat_str
+from .scalars import QC, QC_ONE, QC_ZERO, qc, qc_map_add, qc_map_mul, rat_str
 
 mp.dps = 30
 
@@ -728,16 +728,7 @@ MAX_POLY_DEGREE = 1 << 10
 def _poly_mul(a: dict, b: dict) -> dict:
     if max(a, default=0) + max(b, default=0) > MAX_POLY_DEGREE:
         raise ValueError("polynomial degree exceeds %d" % MAX_POLY_DEGREE)
-    out = {}
-    for da, va in a.items():
-        for db, vb in b.items():
-            d = da + db
-            w = out.get(d, QC_ZERO) + va * vb
-            if w:
-                out[d] = w
-            elif d in out:
-                del out[d]
-    return out
+    return qc_map_mul(a, b, operator.add)
 
 
 def poly_coeffs(e: Expr):
@@ -1164,16 +1155,7 @@ class _Piece:
         self.left[0] -= len(p) * len(q)
         if self.left[0] < 0:
             raise _OutOfBudget
-        out = {}
-        for m, v in p.items():
-            for n, w in q.items():
-                mn = _mono_mul(m, n)
-                t = out.get(mn, QC_ZERO) + v * w
-                if t:
-                    out[mn] = t
-                elif mn in out:
-                    del out[mn]
-        return out
+        return qc_map_mul(p, q, _mono_mul)
 
     def lift(self, f, want) -> dict:
         """f's numerator over the denominator `want`, a multiple of f's."""

@@ -94,15 +94,7 @@ class QC:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is not QC:
-            if not isinstance(other, (int, Fraction)):
-                return complex(self) - other
-            other = _lift(other)
-        a, b, c = self.n, self.m, self.d
-        n, m, d = other.n, other.m, other.d
-        if not (n or m):
-            return self
-        return qc_triple(a * d - n * c, b * d - m * c, c * d)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -229,6 +221,21 @@ def qc_map_add(a: dict, b: dict) -> dict:
             out[key] = w
         elif key in out:
             del out[key]
+    return out
+
+
+def qc_map_mul(a: dict, b: dict, times) -> dict:
+    """a * b of sparse maps key -> nonzero QC, where times(ka, kb) is
+    the key of a product of terms; a cancelled key is dropped."""
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = times(ka, kb)
+            w = out.get(key, QC_ZERO) + va * vb
+            if w:
+                out[key] = w
+            elif key in out:
+                del out[key]
     return out
 
 

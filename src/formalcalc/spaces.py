@@ -858,22 +858,12 @@ class SmoothLine:
     def constant(self, value, points=None):
         return Const(qc(value))
 
-    def add(self, a, b):
-        if a == ZERO:
-            return b
-        if b == ZERO:
-            return a
-        return a + b
+    add = staticmethod(add)
+    mul = staticmethod(mul)
 
     def scale(self, c, s):
         """s * c, the constant on the left."""
-        s = qc(s)
-        if not s:
-            return ZERO
         return mul(Const(s), c)
-
-    def mul(self, a, b):
-        return mul(a, b)
 
     def diff(self, c, i: int):
         """The i-th derivative; a quotient's is kept in _DERIVATIVES, by

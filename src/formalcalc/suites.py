@@ -85,10 +85,6 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(_below(rng, 13) - 6, _below(rng, 3) + 1)
-
-
 def rand_qc(rng: random.Random) -> QC:
     """(a/b) + (c/e) i, or a/b, for a, c in -6..6 and b, e in 1..3."""
     if _below(rng, 2):

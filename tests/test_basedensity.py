@@ -110,6 +110,10 @@ def test_smooth_scale_and_mul_coeff():
     assert d.scale(2).integrate(SL.whole()) == QC(1)
     assert d.mul_coeff(X).integrate(SL.whole()) == QC(Fraction(1, 3))
     assert d.mul_coeff(Const(0)).is_exactly_zero()
+    # scaling is multiplying by the constant: a zero coefficient gives
+    # the zero density, its witness dropped, whatever the scalar
+    z = BaseDensity.smooth(SL, Const(0), RSet.closed_pairs([(0, 1)]))
+    assert z.scale(2) == z.mul_coeff(Const(2)) == BaseDensity.zero(SL)
 
 
 def test_smooth_diff_of_polynomial():

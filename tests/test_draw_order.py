@@ -43,10 +43,6 @@ SEEDS = range(300)
 _NUMS, _DENS, _BIT, _TRIT = range(-6, 7), range(1, 4), range(2), range(3)
 
 
-def rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice(_NUMS), rng.choice(_DENS))
-
-
 def rand_qc(rng: random.Random) -> QC:
     """(a/b) + (c/e) i, or a/b, for a, c in -6..6 and b, e in 1..3."""
     draw = rng.choice
@@ -273,8 +269,7 @@ def _calls(space, k, seed):
     star, trunc, e_dim = seed % 3, (seed // 3) % 4, 1 + seed % 2
     labels = sorted(dom.region) if space is DS else []
     lo, hi = _bounded_box(dom) if space is SL else (Fraction(-2), Fraction(2))
-    return [("rand_fraction", ()), ("rand_qc", ()),
-            ("rand_weights", (labels,)), ("rand_poly", ()),
+    return [("rand_qc", ()), ("rand_weights", (labels,)), ("rand_poly", ()),
             ("rand_poly", (seed % 4,)), ("rand_window", (lo, hi)),
             ("rand_smooth_tau", (SL, lo, hi)),
             ("rand_density", (space, dom, k, star)),

@@ -112,3 +112,48 @@ def test_point_term_scale_multiplies_by_the_scalar_as_given():
                     (mpmath.mpf(2), complex(QC(third)) * 2)):
         c = w.scale(s).terms[0].c
         assert type(c) is type(want) and c == want, s
+
+
+def _operand(rng):
+    """Anything QC subtraction meets: exact (int, Fraction, QC) or
+    inexact (float, complex, mpmath), signed zeros and non-finite
+    values included."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([0, 1, -3, 10 ** 20])
+    if kind == 1:
+        return _frac(rng)
+    if kind == 2:
+        return rng.choice([math.nan, _part(rng)])
+    if kind == 3:
+        return mpmath.mpf(_part(rng))
+    if kind == 4:
+        return mpmath.mpc(rng.uniform(-5, 5), rng.choice([0, -0.0, 1.5]))
+    return _coefficient(rng)
+
+
+def _exact(v):
+    return type(v), v.n, v.m, v.d
+
+
+def _inexact(v):
+    """The type and the repr of each part, so that signed zeros count."""
+    return type(v), repr(v.real), repr(v.imag)
+
+
+def test_subtraction_mixes_as_addition_does_both_ways():
+    rng = random.Random(20261021)
+    for _ in range(6000):
+        a, b = _coefficient(rng), _operand(rng)
+        if not isinstance(a, QC):
+            continue
+        if isinstance(b, (int, Fraction, QC)):
+            br, bi = (b.re, b.im) if isinstance(b, QC) else (b, 0)
+            for got, want in ((a - b, QC(a.re - br, a.im - bi)),
+                              (b - a, QC(br - a.re, bi - a.im))):
+                assert _exact(got) == _exact(want), (a, b)
+        else:
+            assert _inexact(a - b) == _inexact(complex(a) - b), (a, b)
+            # b - a is b plus the exact -a, so a zero QC takes away no
+            # zero sign: b's -0.0 parts come back as +0.0
+            assert _inexact(b - a) == _inexact(complex(-a) + b), (a, b)

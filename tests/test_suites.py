@@ -143,8 +143,6 @@ def test_generators_draw_what_randint_draws():
     for seed in range(2000):
         got, ref = random.Random(seed), random.Random(seed)
         for _ in range(3):
-            f = suites.rand_fraction(got)
-            assert type(f) is Fraction and f == ref_rand_fraction(ref)
             v, w = suites.rand_qc(got), ref_rand_qc(ref)
             assert type(v) is QC and (v.n, v.m, v.d) == (w.n, w.m, w.d)
             got_w = suites.rand_weights(got, labels[:seed % 7])

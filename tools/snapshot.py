@@ -19,13 +19,18 @@ from outside, interpreter start included:
 - each open FOUND repro (`_repros`): wall time, exit code and the last
   line it printed.
 
-A child that runs past its timeout is killed with its process group and
-recorded as timed out, with no exit code. `--short` only checks that
-the script works: seed 1, 2 s runs, no Tier-1 or acceptance module, and
-each repro stopped after at most 10 s. The command exits 1 when a
-benchmark run did not finish correct, after writing the snapshot.
-`compare A B` prints B / A for every number both snapshots hold, and
-each other value that differs.
+Each child's wall time `s` sits beside `probe_s`, the mean of
+`perfbench/run.py`'s speed probe taken in this process just before and
+just after the child. A child that runs past its timeout is killed with
+its process group and recorded as timed out, with no exit code.
+`--short` only checks that the script works: seed 1, 2 s runs, no
+Tier-1 or acceptance module, and each repro stopped after at most
+10 s. The command exits 1 when a benchmark run did not finish correct,
+after writing the snapshot. `compare A B` prints B / A for every number
+both snapshots hold, and each other value that differs. A wall time's
+ratio is followed by the same ratio at equal machine speed (divided by
+the ratio of the probes), or by the raw ratio again where a snapshot
+holds no probes (BENCH_46.json, BENCH_47.json).
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import speed_probe  # noqa: E402
+
 WORKLOADS = ("smooth-sheaf", "discrete-exact", "smooth-operators")
 ACCEPTANCE_GATE_S = 180.0
 TIER1_TIMEOUT_S = 1200
@@ -110,24 +118,27 @@ def _repros(tmp: Path):
 
 def run_child(argv, timeout):
     """Run the interpreter on argv in the checkout, with src/ first on
-    the path: {"s", "exit", "timed_out"} and the child's output."""
+    the path: {"s", "probe_s", "exit", "timed_out"} and the child's
+    output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
+    before = speed_probe()
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], cwd=ROOT, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, start_new_session=True)
     try:
         out, err = proc.communicate(timeout=timeout)
+        rec = {"exit": proc.returncode, "timed_out": False}
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         out, err = proc.communicate()
-        return {"s": time.perf_counter() - t0, "exit": None,
-                "timed_out": True, "timeout_s": timeout}, out, err
-    return {"s": time.perf_counter() - t0, "exit": proc.returncode,
-            "timed_out": False}, out, err
+        rec = {"exit": None, "timed_out": True, "timeout_s": timeout}
+    rec["s"] = time.perf_counter() - t0
+    rec["probe_s"] = (before + speed_probe()) / 2
+    return rec, out, err
 
 
 def _last_line(*texts):
@@ -242,7 +253,15 @@ def compare(a_path, b_path):
         if (isinstance(x, (int, float)) and isinstance(y, (int, float))
                 and not isinstance(x, bool) and not isinstance(y, bool)):
             ratio = "%.3f" % (y / x) if x else ("1.000" if y == x else "inf")
-            print("%-64s %14.6g %14.6g  %s" % (key, x, y, ratio))
+            line = "%-64s %14.6g %14.6g  %s" % (key, x, y, ratio)
+            if key.endswith(".s") and x:
+                probe = key[:-1] + "probe_s"
+                if a.get(probe) and b.get(probe):
+                    line += "  %.3f at equal speed" % (
+                        y / b[probe] / (x / a[probe]))
+                else:
+                    line += "  %s raw, no probe" % ratio
+            print(line)
         elif x != y:
             print("%-64s %s -> %s" % (key, x, y))
     for key in sorted(a.keys() ^ b.keys()):
