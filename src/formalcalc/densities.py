@@ -31,7 +31,6 @@ from .functions import (FormalFunction, SupportedFormalFunction, _GradedSection,
                         read_pairings)
 from .multiindex import (degree, grlex_key, key_str, mi, mi_binom,
                          mi_factorial, mi_sub, parse_key)
-from .quadrature import DEFAULT_ABS_TOL
 from .spaces import OpenSet
 
 
@@ -159,11 +158,11 @@ class FormalDensity(_GradedSection):
                 entry.append((lfact, [(d.coeff, region)] if region else []))
         return [entry]
 
-    def pair(self, u: FormalFunction, abs_tol=DEFAULT_ABS_TOL):
+    def pair(self, u: FormalFunction):
         """<eta, u> = sum_L L! sum_(I,tau) integral of tau * (d_x^I u_L):
-        exact on the discrete backend, complex (quadrature) when a smooth
-        non-polynomial coefficient enters."""
-        return next(read_pairings(self.space, [self.pairing(u)], abs_tol))[0]
+        exact on the discrete backend, complex (quadrature, at the default
+        tolerance) when a smooth non-polynomial coefficient enters."""
+        return next(read_pairings(self.space, [self.pairing(u)]))[0]
 
     def apply(self, u: FormalFunction):
         """<eta, u> as an E-vector with one entry, as distributions give."""

@@ -7,93 +7,130 @@ into the formula
 
     D(u) = sum_{(I,L)} tau_{I,L} * L! * (d_x^I u_L).
 
-Derivative stacks sit on the right of the coefficients (normal form);
-composing with a formal function on the right is renormalized back
-into that form through the Leibniz rule. The rho map regroups the
-terms of D into a formal density, and pairing rho(D) against u is the
-same number as integrating D(u).
+Derivative stacks sit on the right of the coefficients (normal form).
+Regrouping the terms by L gives the formal density rho(D), and pairing
+rho(D) against u is the same number as integrating D(u). An operator
+is held as its normal form, so rho(D) is what it stores, and its
+linear structure, extension by zero and composition with a formal
+function on the right (rho(D . f) = rho(D) . f, renormalized through
+the Leibniz rule) are those of the density.
 
 An EndoDiffOp has formal-function coefficients and lands back in base
-functions; it only feeds the seminorm diagnostics and is built in
-code, never read from JSON.
+functions; only the y-constant parts of its coefficients reach the
+reduction X(u)_0, so it is held as the density operator of those parts
+on their witnesses. It only feeds the seminorm diagnostics and is
+built in code, never read from JSON.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
+from functools import cached_property
+from types import MappingProxyType
 
 from .basedensity import BaseDensity
-from .densities import FormalDensity, leibniz
+from .densities import FormalDensity, _canon_terms
 from .errors import SupportError, json_shape
 from .functions import FormalFunction, SupportedFormalFunction, _GradedSection
 from .multiindex import degree, mi, mi_factorial
 from .spaces import OpenSet
 
 
-def _term_sort_key(key):
-    i, l = key
-    return (degree(i) + degree(l), i, l)
+def _check_compact(space, key, support):
+    if not space.is_compact(support):
+        raise SupportError("coefficient at (%r, %r) is not compactly "
+                           "supported" % key)
 
 
-class _DiffOp(_GradedSection):
-    """Terms coeff_{I,L} . d_x^I d_y^L keyed by (I, L), of the coefficient
-    type `_check_coeff` validates; only DensityDiffOp reads JSON back."""
+class DensityDiffOp(_GradedSection):
+    """Operator sum tau_{I,L} . d_x^I d_y^L from functions to densities,
+    held as its normal form: `coeffs` maps L to ((I, tau), ...), as the
+    coefficients of rho(D)."""
 
     def __init__(self, space, domain: OpenSet, k: int, terms=None):
         super().__init__(space, domain, k)
-        clean = {}
-        for (i, l), c in (terms or {}).items():
+        grouped = {}
+        for (i, l), tau in (terms or {}).items():
             key = (self._x_index(i), self._index(l))
-            self._check_coeff(c)
-            if c.is_exactly_zero():
+            if self._own(tau).is_exactly_zero():
                 continue
-            if not space.is_compact(c.support):
-                raise SupportError("coefficient at (%r, %r) is not compactly "
-                                   "supported" % key)
-            clean[key] = c
-        self.terms = clean
+            _check_compact(space, key, tau.support)
+            if not tau.support <= domain.region:
+                raise SupportError("coefficient support at (%r, %r) escapes the "
+                                   "domain" % key)
+            grouped.setdefault(key[1], []).append((key[0], tau))
+        self.coeffs = {l: _canon_terms(terms) for l, terms in grouped.items()}
 
     @classmethod
     def zero(cls, space, domain, k):
         return cls(space, domain, k)
 
-    def is_exactly_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _of(eta: FormalDensity) -> "DensityDiffOp":
+        """The operator whose normal form is the density eta."""
+        return DensityDiffOp._trusted(eta.space, eta.domain, eta.k, eta.coeffs)
+
+    @cached_property
+    def terms(self):
+        """The terms as a read-only map (I, L) -> tau, in the order
+        (|I| + |L|, I, L) in which apply sums them."""
+        return MappingProxyType(dict(sorted(
+            (((i, l), tau) for l, terms in self.coeffs.items()
+             for i, tau in terms),
+            key=lambda t: (degree(t[0][0]) + degree(t[0][1]), t[0]))))
+
+    # -- queries -----------------------------------------------------------
 
     def order(self) -> int:
         return max((degree(i) + degree(l) for i, l in self.terms), default=0)
 
-    def y_order(self) -> int:
-        return max((degree(l) for _, l in self.terms), default=0)
+    y_order = _GradedSection._top_degree
+    support = FormalDensity.support
 
-    def support(self):
-        return reduce(or_, (c.support for c in self.terms.values()),
-                      self.space.empty_region())
+    # -- linear structure --------------------------------------------------
 
-    def keys_sorted(self):
-        return sorted(self.terms, key=_term_sort_key)
+    def add(self, other: "DensityDiffOp") -> "DensityDiffOp":
+        return self._of(self.rho().add(other.rho()))
+
+    def scale(self, c) -> "DensityDiffOp":
+        return self._of(self.rho().scale(c))
+
+    # -- action ------------------------------------------------------------
+
+    def apply(self, u: FormalFunction) -> BaseDensity:
+        """D(u) = sum tau * L! * (d_x^I u_L), a base density."""
+        self._check_partner(u, self.y_order())
+        acc = BaseDensity.zero(self.space)
+        for (i, l), tau in self.terms.items():
+            der = self.space.diff(u.coeff(l), degree(i))
+            acc = acc.add(tau.mul_coeff(der).scale(mi_factorial(l)))
+        return acc
+
+    # -- the rho map --------------------------------------------------------
+
+    def rho(self) -> FormalDensity:
+        """The formal density sum (tau . d^I)(y*)^L: the normal form.
+
+        Defining identity: pair(rho(D), u) = integrate(apply(D, u)).
+        """
+        return FormalDensity._trusted(self.space, self.domain, self.k, self.coeffs)
+
+    def precompose_function(self, f: FormalFunction) -> "DensityDiffOp":
+        """D . f, with apply(D . f, u) = apply(D, f u): rho(D) . f."""
+        self._check_partner(f, self.y_order())
+        return self._of(self.rho().module_action(f))
+
+    def ext(self, m: OpenSet) -> "DensityDiffOp":
+        """Extension by zero to a larger open set."""
+        return self._of(self.rho().ext(m))
+
+    # -- plumbing ----------------------------------------------------------------------
 
     def _eq_key(self):
-        return (type(self).__name__, self.terms)
+        return (type(self).__name__, self.coeffs)
 
     def to_json(self):
-        return {"terms": [{"I": list(i), "L": list(l),
-                           "coeff": self.terms[(i, l)].to_json()}
-                          for i, l in self.keys_sorted()]}
-
-
-class DensityDiffOp(_DiffOp):
-    """Operator sum tau_{I,L} . d_x^I d_y^L from functions to densities."""
-
-    def __init__(self, space, domain: OpenSet, k: int, terms=None):
-        super().__init__(space, domain, k, terms)
-        for key, tau in self.terms.items():
-            if not tau.support <= domain.region:
-                raise SupportError("coefficient support at (%r, %r) escapes the "
-                                   "domain" % key)
-
-    _check_coeff = _GradedSection._own
+        return {"terms": [{"I": list(i), "L": list(l), "coeff": tau.to_json()}
+                          for (i, l), tau in self.terms.items()]}
 
     @classmethod
     def from_json(cls, space, domain, k, v):
@@ -109,95 +146,35 @@ class DensityDiffOp(_DiffOp):
             terms[(i, l)] = BaseDensity.from_json(space, t["coeff"])
         return cls(space, domain, k, terms)
 
-    # -- linear structure --------------------------------------------------
-
-    def add(self, other: "DensityDiffOp") -> "DensityDiffOp":
-        self._check_like(other)
-        out = dict(self.terms)
-        for key, tau in other.terms.items():
-            out[key] = out[key].add(tau) if key in out else tau
-        return DensityDiffOp(self.space, self.domain, self.k, out)
-
-    def scale(self, c) -> "DensityDiffOp":
-        out = {key: tau.scale(c) for key, tau in self.terms.items()}
-        return DensityDiffOp(self.space, self.domain, self.k, out)
-
-    # -- action ------------------------------------------------------------
-
-    def apply(self, u: FormalFunction) -> BaseDensity:
-        """D(u) = sum tau * L! * (d_x^I u_L), a base density."""
-        self._check_partner(u, self.y_order())
-        acc = BaseDensity.zero(self.space)
-        for (i, l) in self.keys_sorted():
-            tau = self.terms[(i, l)]
-            der = self.space.diff(u.coeff(l), degree(i))
-            acc = acc.add(tau.mul_coeff(der).scale(mi_factorial(l)))
-        return acc
-
-    # -- the rho map --------------------------------------------------------
-
-    def rho(self) -> FormalDensity:
-        """Regroup the terms into the formal density sum (tau . d^I)(y*)^L.
-
-        Defining identity: pair(rho(D), u) = integrate(apply(D, u)).
-        """
-        coeffs = {}
-        for (i, l), tau in self.terms.items():
-            coeffs.setdefault(l, []).append((i, tau))
-        return FormalDensity(self.space, self.domain, self.k, coeffs)
-
-    # -- composition with functions ----------------------------------------------
-
-    def precompose_function(self, f: FormalFunction) -> "DensityDiffOp":
-        """D . f, with apply(D . f, u) = apply(D, f u).
-
-        Pushing f through the stacks and renormalizing, the term
-        tau . d^I d^L spawns, for J' <= L and I' <= I, the term
-        ((L!/J'!) C(I,I') tau * d^{I-I'} f_{L-J'}) . d^{I'} d^{J'}.
-        """
-        self._check_partner(f, self.y_order())
-        out = {}
-        for (i, l), tau in self.terms.items():
-            for ip, jp, c, g in leibniz(f, l, i):
-                term = tau.mul_coeff(g).scale(c)
-                key = (ip, jp)
-                out[key] = out[key].add(term) if key in out else term
-        return DensityDiffOp(self.space, self.domain, self.k, out)
-
-    # -- cosheaf structure ----------------------------------------------------------
-
-    def ext(self, m: OpenSet) -> "DensityDiffOp":
-        """Extension by zero to a larger open set."""
-        self._check_extends(m)
-        return DensityDiffOp(self.space, m, self.k, self.terms)
-
-    # -- plumbing ----------------------------------------------------------------------
-
     def __repr__(self):
-        bits = ["%r . d_x^%s d_y^%s" % (self.terms[key], key[0], key[1])
-                for key in self.keys_sorted()]
+        bits = ["%r . d_x^%s d_y^%s" % (tau, i, l)
+                for (i, l), tau in self.terms.items()]
         return "DensityDiffOp(%s)" % ("; ".join(bits) or "0")
 
 
-class EndoDiffOp(_DiffOp):
-    """Operator with formal-function coefficients, landing in base
-    functions after reduction; feeds the seminorm diagnostics."""
+class EndoDiffOp(DensityDiffOp):
+    """Operator sum f_{I,L} . d_x^I d_y^L with supported formal-function
+    coefficients, landing in base functions after reduction; feeds the
+    seminorm diagnostics. Held as the density operator of the terms
+    (f_{I,L})_0 on f_{I,L}'s witness clipped to the domain."""
 
-    def _check_coeff(self, f):
-        if not isinstance(f, SupportedFormalFunction):
-            raise SupportError("coefficients need a support witness")
-        self._check_partner(f)
+    def __init__(self, space, domain: OpenSet, k: int, terms=None):
+        _GradedSection.__init__(self, space, domain, k)
+        reduced = {}
+        for (i, l), f in (terms or {}).items():
+            key = (self._x_index(i), self._index(l))
+            if not isinstance(f, SupportedFormalFunction):
+                raise SupportError("coefficients need a support witness")
+            self._check_partner(f)
+            if not f.is_exactly_zero():
+                _check_compact(space, key, f.support)
+            reduced[key] = BaseDensity._trusted(
+                space, f.coeff((0,) * k), f.support & domain.region)
+        super().__init__(space, domain, k, reduced)
 
     def apply_reduced(self, u: FormalFunction):
         """Base coefficient of X(u): sum (f_{I,L})_0 * L! * (d_x^I u_L)."""
-        self._check_partner(u, self.y_order())
-        sp = self.space
-        acc = sp.zero()
-        for (i, l) in self.keys_sorted():
-            f0 = self.terms[(i, l)].coeff((0,) * self.k)
-            der = sp.diff(u.coeff(l), degree(i))
-            acc = sp.add(acc, sp.mul(f0, sp.scale(der, mi_factorial(l))))
-        return acc
+        return self.apply(u).coeff
 
 
 SEMINORM_GRID = 1001
@@ -208,7 +185,8 @@ def seminorm(u: FormalFunction, x: EndoDiffOp) -> float:
 
     Exact max over points on the discrete backend. On the smooth line
     this is a diagnostic: the sup is sampled on a uniform grid of
-    SEMINORM_GRID points spanning the hull of the operator's support.
+    SEMINORM_GRID points spanning the hull of the operator's support,
+    each coefficient's witness clipped to the domain.
     """
     c = x.apply_reduced(u)
     supp = x.support()

@@ -97,7 +97,11 @@ class QC:
         return self + -other
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (int, Fraction)):
+            return (-self) + other
+        # as in __add__: an inexact other meets complex(self), so that
+        # its signed zeros count as complex subtraction counts them
+        return other - complex(self)
 
     def __mul__(self, other):
         if other.__class__ is not QC:

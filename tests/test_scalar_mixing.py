@@ -154,6 +154,4 @@ def test_subtraction_mixes_as_addition_does_both_ways():
                 assert _exact(got) == _exact(want), (a, b)
         else:
             assert _inexact(a - b) == _inexact(complex(a) - b), (a, b)
-            # b - a is b plus the exact -a, so a zero QC takes away no
-            # zero sign: b's -0.0 parts come back as +0.0
-            assert _inexact(b - a) == _inexact(complex(-a) + b), (a, b)
+            assert _inexact(b - a) == _inexact(b - complex(a)), (a, b)
