@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+import threading
 
 from .densities import FormalDensity
 from .distributions import dist_space_dimension, jet_kernel_check
@@ -146,12 +147,87 @@ def _declared_glue(sc, tol):
     return tally.report("glue-declared")
 
 
+def _pull(work, run):
+    """{index: run(index), or the exception it raised} for each index read
+    from the pipe work, one byte at a time. A suite that raises empties
+    work, so that no later suite starts."""
+    outcomes = {}
+    while index := os.read(work, 1):
+        try:
+            outcomes[index[0]] = run(index[0])
+        except Exception as e:
+            outcomes[index[0]] = e
+            while os.read(work, 256):
+                pass
+    return outcomes
+
+
+def _outcomes(count, run):
+    """_pull's outcomes of the suites 0..count-1, pulled from one pipe by
+    this process and forked children, one process per usable CPU at most.
+    A child pickles its outcomes through a pipe of its own and leaves by
+    os._exit; one that dies, or whose outcomes do not pickle, leaves its
+    suites without one. Nothing is forked for one suite, without fork, or
+    while another thread runs (a child would hold only this one thread)."""
+    forks = 0
+    if (count > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        import pickle  # here only: at import time it would slow setup
+        forks = min(count, len(os.sched_getaffinity(0))) - 1
+    work, feed = os.pipe()
+    os.write(feed, bytes(range(count)))
+    os.close(feed)
+    readers = {}
+    try:
+        for _ in range(forks):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no room for another process: fewer pull
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                try:
+                    os.write(w, pickle.dumps(_pull(work, run)))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            readers[pid] = open(r, "rb")
+        outcomes = _pull(work, run)
+        for f in readers.values():
+            try:
+                outcomes.update(pickle.loads(f.read()))
+            except Exception:  # a child that died or did not pickle
+                pass
+        return outcomes
+    finally:
+        while os.read(work, 256):  # interrupted here: children start no more
+            pass
+        os.close(work)
+        for pid, f in readers.items():
+            f.close()
+            os.waitpid(pid, 0)
+
+
+def _in_order(outcomes, count, run):
+    """The reports of the suites 0..count-1 in suite order, as if run one
+    after another: a suite with no outcome is run here, and the first
+    exception in suite order is raised."""
+    for i in range(count):
+        out = outcomes[i] if i in outcomes else run(i)
+        if isinstance(out, Exception):
+            raise out
+        yield out
+
+
 def cmd_check(args, sc, tol, seed):
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    suites = []
-    for nm in names:
-        suites.append(run_suite(nm, sc.space, sc.k, sc.trunc, sc.e_dim,
-                                seed, tol))
+
+    def run(i):
+        return run_suite(names[i], sc.space, sc.k, sc.trunc, sc.e_dim, seed,
+                         tol)
+    suites = list(_in_order(_outcomes(len(names), run), len(names), run))
     if "glue" in sc.tasks and args.suite in ("glue", "all"):
         suites.append(_declared_glue(sc, tol))
     ok = all(s["pass"] for s in suites)

@@ -21,7 +21,8 @@ import test_compiled
 import test_derivatives
 import test_distributions
 import test_exact_laws
-from formalcalc import densities, expr, sheaf, suites
+import test_parallel_check
+from formalcalc import cli, densities, expr, sheaf, suites
 from formalcalc.cli import main
 from formalcalc.densities import FormalDensity
 from formalcalc.multiindex import grlex_key
@@ -379,3 +380,47 @@ def test_shape_siblings_see_a_shape_key_that_leaves_out_a_field(field,
     SHAPE_KEY_FAULTS[field](monkeypatch)
     with pytest.raises(AssertionError):
         law(field)
+
+
+# -- faults in the parallel check -----------------------------------------------------
+#
+# check all merges the suites' outcomes from the processes that ran them,
+# the caller's first, then each child's. Only a layout in which a child
+# runs a suite before the caller's (test_parallel_check's) tells a merge
+# that loses suite order, or a suite whose child died that is not run again.
+
+
+def reports_merged_in_completion_order(monkeypatch):
+    real = cli._in_order
+    # the i-th outcome merged is taken for suite i's
+    monkeypatch.setattr(cli, "_in_order", lambda outcomes, count, run: real(
+        dict(enumerate(outcomes.values())), count, run))
+
+
+def suites_with_no_outcome_left_out(monkeypatch):
+    real = cli._in_order
+    monkeypatch.setattr(cli, "_in_order", lambda outcomes, count, run: real(
+        dict(enumerate(outcomes[i] for i in sorted(outcomes))),
+        len(outcomes), run))
+
+
+PARALLEL_FAULTS = {
+    "reports merged in completion order": (
+        reports_merged_in_completion_order, test_parallel_check
+        .test_the_reports_keep_suite_order_when_a_child_runs_the_first_suite),
+    "a suite with no outcome left out": (
+        suites_with_no_outcome_left_out,
+        test_parallel_check.test_a_child_that_dies_mid_suite_changes_nothing),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARALLEL_FAULTS))
+def test_a_pinned_layout_sees_the_fault_in_the_parallel_check(name,
+                                                              monkeypatch,
+                                                              capsys):
+    fault, law = PARALLEL_FAULTS[name]
+    with monkeypatch.context() as m:
+        law(m, capsys)
+    fault(monkeypatch)
+    with monkeypatch.context() as m, pytest.raises(AssertionError):
+        law(m, capsys)

@@ -15,7 +15,9 @@ from outside, interpreter start included:
 - Tier-1 (`pytest -q`), its wall time and test counts, and the
   acceptance module alone against its 180 s gate;
 - `formalcalc check all --json` on each bundled scenario: wall time,
-  exit code and the SHA-256 of its output;
+  exit code and the SHA-256 of its output (its suites run in up to one
+  process per usable CPU, recorded as `machine.usable_cpus` beside
+  `machine.nproc`);
 - each open FOUND repro (`_repros`): wall time, exit code and the last
   line it printed.
 
@@ -214,7 +216,11 @@ def _git_head():
 def take(short, out_path):
     seeds, seconds = (SHORT_SEEDS, SHORT_SECONDS) if short else (SEEDS, SECONDS)
     snap = {"schema": 1, "commit": _git_head(),
+            # check all runs a process per usable CPU, so its times
+            # depend on usable_cpus, not on nproc
             "machine": {"nproc": os.cpu_count(),
+                        "usable_cpus": len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity") else None,
                         "python": platform.python_version(),
                         "platform": platform.platform()},
             "seeds": seeds, "seconds": seconds}
