@@ -12,6 +12,7 @@ piece of its bounds, and no such pair moved by an independent bump,
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -137,6 +138,17 @@ def test_a_key_on_one_side_only_is_compared_against_zero():
     gone = [(add(c, mul(Const(-1), c)), bound)]
     assert SL.proves_equal(gone, [], RSet.whole())
     assert not SL.proves_equal([(c, bound)], [], RSet.whole())
+
+
+def test_the_piece_rule_reads_a_kernel_of_a_quadratic_by_its_bounds():
+    # 1 - x^2 is not affine, so the rule reads where its kernel is dead
+    # from the argument's interval bounds: dead on [2, 3], where
+    # 1 - x^2 <= -3, and alive on [0, 2], where it is exp(-4/3) = 0.2636
+    # at x = 1/2
+    k = kern(add(ONE, mul(Const(-1), mul(X, X))))
+    assert expr.equal_on_pieces([(k, RSet.closed_pairs([(2, 3)]))], [])
+    assert abs(complex(ev(k, Fraction(1, 2))) - math.exp(-4 / 3)) < 1e-15
+    assert not expr.equal_on_pieces([(k, RSet.closed_pairs([(0, 2)]))], [])
 
 
 def test_a_density_proved_zero_reads_no_probe(monkeypatch):

@@ -1,5 +1,6 @@
 """Distributions, generalized functions, and point functionals."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -17,12 +18,13 @@ from formalcalc.distributions import (BaseDistribution,
                                       normalized_monomial, point_basis)
 from formalcalc.errors import (DomainMismatchError, SupportError,
                                TruncationError)
-from formalcalc.expr import ONE, X, Const, bump, mul, pow_
+from formalcalc.expr import ONE, X, Const, bump, mul, pow_, window_bump
 from formalcalc.functions import (FormalFunction, SupportedFormalFunction,
-                                  cutoff)
-from formalcalc.multiindex import enumerate_upto, mi, mi_factorial
-from formalcalc.scalars import QC
+                                  _fin, cutoff)
+from formalcalc.multiindex import degree, enumerate_upto, mi, mi_factorial
+from formalcalc.scalars import QC, QC_ZERO
 from formalcalc.spaces import Discrete, OpenSet, RSet, SmoothLine
+from formalcalc.suites import rand_function, rand_poly, rand_qc
 
 DS = Discrete(["a", "b", "c", "d"])
 SL = SmoothLine()
@@ -321,6 +323,93 @@ def test_point_to_compact_agrees_smooth():
                                 {(0,): mul(e, X), (1,): mul(e, pow_(X, 2))},
                                 support=supp)
     assert p.to_compact().apply(u) == p.apply(u)
+
+
+# -- a point distribution against the jet sum it stands for -------------------
+
+
+def jet_sum(p, u):
+    """The jet loop a point distribution was once applied by, kept as
+    the reference: sum c_{I,J} * jet(u, a, I, J) componentwise, in the
+    order (|I| + |J|, I, J)."""
+    out = []
+    for comp in range(p.e_dim):
+        acc = QC_ZERO
+        for (i, j) in sorted(p.terms, key=lambda ij: (
+                degree(ij[0]) + degree(ij[1]), ij[0], ij[1])):
+            c = p.terms[(i, j)][comp]
+            if c:
+                acc = acc + c * _fin(u.jet(p.a, i, j))
+        out.append(_fin(acc))
+    return out
+
+
+def rand_point(rng, space, domain, a, k, trunc, scalar):
+    """Several x-orders I at one J, e_dim 1 to 3, some entries zero."""
+    e_dim = rng.randint(1, 3)
+    coeffs = {}
+    for j in enumerate_upto(k, trunc):
+        for i in ([()] if space.ndim == 0 else [(0,), (1,), (2,)]):
+            if rng.random() < 0.6:
+                coeffs[(i, j)] = tuple(scalar(rng) if rng.random() < 0.7
+                                       else 0 for _ in range(e_dim))
+    return PointDistribution(space, domain, k, a, e_dim, coeffs)
+
+
+def float_complex(rng):
+    return complex(rng.randint(-6, 6), rng.randint(-6, 6)) / rng.randint(1, 3)
+
+
+def line_function(rng, k, trunc, factor=ONE):
+    """factor times polynomials of degree up to 4, on the whole line."""
+    return FormalFunction(SL, SL.whole(), k, trunc, {
+        j: mul(factor, rand_poly(rng, 4)) for j in enumerate_upto(k, trunc)
+        if rng.random() < 0.8})
+
+
+def test_a_point_distribution_applies_its_jet_sum():
+    rng = random.Random(5101)
+    kernels = mul(window_bump(-1, 3)[0], X)
+    for _ in range(40):
+        k, trunc = rng.randint(1, 2), rng.randint(0, 3)
+        # exact partners: the same values, exactly
+        for space, a, u in (
+                (DS, "b", rand_function(rng, DS, DS.whole(), k, trunc)),
+                (SL, Fraction(rng.randint(-6, 6), 4),
+                 line_function(rng, k, trunc))):
+            p = rand_point(rng, space, space.whole(), a, k, trunc, rand_qc)
+            assert p.apply(u) == jet_sum(p, u)
+            assert p == p.to_compact()
+            back = PointDistribution.from_json(space, space.whole(), k,
+                                               p.to_json())
+            assert back == p and back.terms == p.terms
+            assert back.to_json() == p.to_json()
+        # float partners or coefficients on the line: the terms are summed
+        # in another order, so the values agree to rounding, 1e-14 relative
+        a = Fraction(rng.choice((-3, 5)), 4)  # on the kernels' edges
+        for scalar, u in ((rand_qc, line_function(rng, k, trunc, kernels)),
+                          (float_complex, line_function(rng, k, trunc)),
+                          (float_complex,
+                           line_function(rng, k, trunc, kernels))):
+            p = rand_point(rng, SL, SL.whole(), a, k, trunc, scalar)
+            for got, want in zip(p.apply(u), jet_sum(p, u)):
+                assert cmath.isclose(got, want, rel_tol=1e-14, abs_tol=0.0)
+
+
+def test_a_point_distribution_refuses_what_its_compact_form_refuses():
+    # a label's weight is exact, so a float complex is refused there, as
+    # to_compact refused it
+    with pytest.raises(TypeError, match="as a rational"):
+        PointDistribution(DS, DS.whole(), 1, "a", 1, {((), (0,)): (1 + 2j,)})
+    with pytest.raises(ValueError, match="x-index"):
+        PointDistribution(SL, SL.whole(), 1, 0, 1, {((1, 1), (0,)): (1,)})
+    # a vector of the wrong length, alone, beside another at its J, or zero
+    for space, a, coeffs in (
+            (DS, "a", {((), (0,)): (1,)}),
+            (SL, 0, {((0,), (0,)): (1, 2), ((1,), (0,)): (1,)}),
+            (SL, 0, {((0,), (0,)): (0,), ((1,), (1,)): (1, 2)})):
+        with pytest.raises(ValueError):
+            PointDistribution(space, space.whole(), 1, a, 2, coeffs)
 
 
 def test_jet_kernel_check_orders():

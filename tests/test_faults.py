@@ -18,6 +18,7 @@ import pytest
 import test_built_once
 import test_certificates
 import test_compiled
+import test_density_proofs
 import test_derivatives
 import test_distributions
 import test_exact_laws
@@ -25,6 +26,7 @@ import test_parallel_check
 from formalcalc import cli, densities, expr, sheaf, suites
 from formalcalc.cli import main
 from formalcalc.densities import FormalDensity
+from formalcalc.distributions import BaseDistribution
 from formalcalc.multiindex import grlex_key
 from formalcalc.sheaf import flabby_check
 from formalcalc.spaces import RSet
@@ -86,6 +88,13 @@ def cutoff_restrict_clips_inside_the_plateau(monkeypatch):
     monkeypatch.setattr(FormalDensity, "cutoff_restrict", cutoff_restrict)
 
 
+def point_terms_lose_their_x_order(monkeypatch):
+    real = BaseDistribution.point.__func__
+    # a point distribution's terms are built at order 0, whatever |I|
+    monkeypatch.setattr(BaseDistribution, "point", classmethod(
+        lambda cls, space, a, i=0, c=1: real(cls, space, a, 0, c)))
+
+
 FAULTS = {
     "FormalDensity.ext drops the top key": (ext_drops_the_top_key, "all"),
     "FormalDensity.ext drops the top key, flabby alone":
@@ -96,6 +105,8 @@ FAULTS = {
     "mv_psi drops its minus sign": (psi_drops_its_minus_sign, "mv"),
     "cutoff_restrict clips inside the plateau":
         (cutoff_restrict_clips_inside_the_plateau, "mv"),
+    "the point form drops each term's x-order":
+        (point_terms_lose_their_x_order, "jets"),
 }
 
 
@@ -182,6 +193,29 @@ def test_a_moved_density_pair_sees_the_fault_in_the_piece_rule(name,
     pairs = proved_pairs()
     RULE_FAULTS[name](monkeypatch)
     assert proved_moved_pairs(pairs, first=True)
+
+
+def dead_kernels_read_by_the_lower_bound(monkeypatch):
+    real, ibounds = expr._at_most_zero, expr._ibounds
+
+    def _at_most_zero(arg, lo, hi):
+        # within the rule, the argument's bounds read (lower, lower)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(expr, "_ibounds", lambda *a: (ibounds(*a)[0],) * 2)
+            return real(arg, lo, hi)
+    monkeypatch.setattr(expr, "_at_most_zero", _at_most_zero)
+
+
+def test_a_kernel_of_a_quadratic_sees_a_rule_that_reads_the_lower_bound(
+        monkeypatch):
+    # no suite, benchmark task or CLI command reaches the bounds branch of
+    # _at_most_zero (a kernel argument that is not affine), only this law
+    law = (test_density_proofs
+           .test_the_piece_rule_reads_a_kernel_of_a_quadratic_by_its_bounds)
+    law()
+    dead_kernels_read_by_the_lower_bound(monkeypatch)
+    with pytest.raises(AssertionError):
+        law()
 
 
 # -- faults in the Leibniz factors ------------------------------------------------
