@@ -358,9 +358,6 @@ class Discrete:
     def region_to_json(self, r):
         return sorted(r)
 
-    # every label of the region, in order
-    sample_points = region_to_json
-
     def region_from_json(self, v):
         return frozenset(str(p) for p in json_shape(v, list, "label region"))
 

@@ -8,13 +8,14 @@ report byte for byte. Reports are plain dicts:
      "max_residual": float, "pass": bool}
 
 Each suite run counts its checks in one _Tally, which builds the
-report. Generators and suites are written once; what the backends do
-differently sits in one draw object each, picked by the space's type:
-_DiscreteDraws (weights on labels, exact comparisons, threshold 0) and
-_LineDraws (bumps times polynomials, point terms, functional residuals
-over dual families against the caller's tolerance, E_dim 1). Each also
-holds its backend's fixtures, probe caps, round counts, flabby cases
-and duality cutoffs.
+report. Every law compares its two sections one way, by `agree`: the
+worst functional residual over a dual family, a function read as its
+generalized function. Generators and suites are written once; what the
+backends draw differently sits in one draw object each, picked by the
+space's type: _DiscreteDraws (weights on labels, threshold 0) and
+_LineDraws (bumps times polynomials, point terms, the caller's
+tolerance, E_dim 1). Each also holds its backend's fixtures, probe
+caps, round counts, flabby cases and duality cutoffs.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def rand_smooth_tau(rng, space, lo, hi) -> BaseDensity:
 
 
 class _DiscreteDraws:
-    """Instances on labels, compared exactly."""
+    """Instances on labels."""
 
     rounds = {"mv": 100, "glue": 25, "cosheaf": 25, "duality": 60}
     xcap, scap = 2, 1
@@ -180,11 +181,6 @@ class _DiscreteDraws:
                 return {p: v for p, v in c.items() if v}
         return support, coeff
 
-    def agree(self, tally, pairs, k, star, xcap, **witness):
-        """Each a == b (b None: a is exactly zero) for (a, b, u) in pairs."""
-        tally.exact(all(a.is_exactly_zero() if b is None else a == b
-                        for a, b, _ in pairs), **witness)
-
     def mv_parts(self):
         pts, n = self.space.points, len(self.space.points)
         return (OpenSet(self.space, pts[:2 * n // 3 + 1]),
@@ -226,7 +222,7 @@ class _DiscreteDraws:
 
 
 class _LineDraws:
-    """Bumps and polynomials on the line, compared by residuals."""
+    """Bumps and polynomials on the line."""
 
     rounds = {"mv": 6, "glue": 2, "cosheaf": 2, "duality": 4}
     xcap, scap = 1, 0
@@ -280,15 +276,6 @@ class _LineDraws:
             if not degree(j) or _below(rng, 2):
                 return mul(bexpr, rand_poly(rng))
         return supp, coeff
-
-    def agree(self, tally, pairs, k, star, xcap, **witness):
-        """The worst functional residual of a against b (None: zero) over
-        u's dual function family, for (a, b, u) in pairs."""
-        def residual(a, b, u):
-            fam = dual_function_family(self.space, u, k, star, xdeg_cap=xcap)
-            return (functional_zero_residual(a, fam) if b is None
-                    else functional_residual(a, b, fam))[0]
-        tally.residual(max(residual(*p) for p in pairs), **witness)
 
     def mv_parts(self):
         return (OpenSet(self.space, [(NEG_INF, Fraction(1))]),
@@ -384,23 +371,15 @@ def _three_part_cover(space) -> Cover:
     return _draws(space).three_part_cover()
 
 
-def function_residual(a: FormalFunction, b: FormalFunction) -> float:
-    """Max coefficient disagreement where either coefficient can be
-    nonzero: at their labels on the discrete backend, on a sample grid
-    of the domain on the smooth line. A pair the space proves equal on
-    the domain (`proves_equal` on one-term lists: equal coefficients,
-    and on the line a partition's reassembly of the other) reads 0.0
-    unsampled; unequal exact values never read as 0.0 apart."""
-    space = a.space
-    worst = 0.0
-    for j in set(a.coeffs) | set(b.coeffs):
-        ca, cb = a.coeff(j), b.coeff(j)
-        if space.proves_equal([(ca, None)], [(cb, None)], a.domain.region):
-            continue
-        pts = space.sample_points(space.support((ca, cb), a.domain.region))
-        worst = max(worst, max_gap([space.ev(ca, x) for x in pts],
-                                   [space.ev(cb, x) for x in pts]))
-    return worst
+def agree(tally, pairs, **witness):
+    """One check: the worst functional residual of a against b (None:
+    zero) over the dual family, for (a, b, family) in pairs. A pair the
+    space proves equal (`==` on a discrete space) reads 0.0 without a
+    probe; any other is read at the family's probes, the exact dual
+    basis on a discrete space."""
+    tally.residual(max((functional_zero_residual(a, fam) if b is None
+                        else functional_residual(a, b, fam))[0]
+                       for a, b, fam in pairs), **witness)
 
 
 # -- the suites -------------------------------------------------------------------------
@@ -415,19 +394,21 @@ def suite_mv(space, k, seed, tol, rounds=100):
     v, whole = u1.intersect(u2), u1.union(u2)
     for rd in range(rounds):
         star = _below(rng, 3)
+        fam1, fam2, fam = (dual_function_family(space, u, k, star)
+                           for u in (u1, u2, whole))
         zeta = rand_density(rng, space, v, k, star)
         eta1, eta2 = mv_psi(zeta, u1, u2)
-        draws.agree(tally, [(mv_phi(eta1, eta2), None, whole)], k, star, 2,
-                    round=rd, law="phi-psi")
+        agree(tally, [(mv_phi(eta1, eta2), None, fam)], round=rd,
+              law="phi-psi")
         try:
             split = mv_split(eta1, eta2, tol)
         except FormalcalcError as e:
             tally.failures.append({"round": rd, "law": "split",
                                    "error": str(e)})
             continue
-        draws.agree(tally, [(split.ext(u1), eta1, u1),
-                            (split.ext(u2).scale(-1), eta2, u2)], k, star, 2,
-                    round=rd, law="split-ext")
+        agree(tally, [(split.ext(u1), eta1, fam1),
+                      (split.ext(u2).scale(-1), eta2, fam2)],
+              round=rd, law="split-ext")
     return tally.report("mv")
 
 
@@ -440,21 +421,17 @@ def suite_glue(space, k, e_dim, seed, tol, rounds=25):
     cover = _three_part_cover(space)
     pou = build_pou(cover, k, 4)
     m = cover.whole
+    gprobes = dual_density_family(space, m, k, 2, xdeg_cap=draws.xcap,
+                                  stack_cap=draws.scap)
     for rd in range(rounds):
         g = rand_generalized(rng, space, m, k, 2, e_dim)
-        locs = [g.restrict(p) for p in cover.parts]
-        glued = sheaf_glue(locs, pou, tol)
-        probes = dual_density_family(space, m, k, 2, xdeg_cap=draws.xcap,
-                                     stack_cap=draws.scap)
-        r, _ = functional_residual(glued, g, probes)
-        tally.residual(r, round=rd, law="glue-generalized")
+        glued = sheaf_glue([g.restrict(p) for p in cover.parts], pou, tol)
+        agree(tally, [(glued, g, gprobes)], round=rd, law="glue-generalized")
         star = _below(rng, 3)
         t = rand_distribution(rng, space, m, k, star, e_dim)
-        locs = [t.restrict(p) for p in cover.parts]
-        glued = sheaf_glue(locs, pou, tol)
+        glued = sheaf_glue([t.restrict(p) for p in cover.parts], pou, tol)
         probes = dual_function_family(space, m, k, star, xdeg_cap=draws.xcap)
-        r, _ = functional_residual(glued, t, probes)
-        tally.residual(r, round=rd, law="glue-distribution")
+        agree(tally, [(glued, t, probes)], round=rd, law="glue-distribution")
     return tally.report("glue")
 
 
@@ -467,21 +444,23 @@ def suite_cosheaf(space, k, e_dim, seed, tol, rounds=25):
     cover = _three_part_cover(space)
     pou = build_pou(cover, k, 4)
     m = cover.whole
+    embed = GeneralizedFunction.embed
+    gprobes = dual_density_family(space, m, k, 2, xdeg_cap=draws.xcap,
+                                  stack_cap=draws.scap)
     for rd in range(rounds):
         star = _below(rng, 3)
+        probes = dual_function_family(space, m, k, star, xdeg_cap=draws.xcap)
         eta = rand_density(rng, space, m, k, star)
         back = cosheaf_reassemble(cosheaf_decompose(eta, pou), m)
-        draws.agree(tally, [(back, eta, m)], k, star, draws.xcap,
-                    round=rd, law="cosheaf-density")
+        agree(tally, [(back, eta, probes)], round=rd, law="cosheaf-density")
         u = rand_supported_function(rng, space, m, k, 2)
         back = cosheaf_reassemble(cosheaf_decompose(u, pou), m)
-        tally.residual(function_residual(back, u), round=rd,
-                       law="cosheaf-function")
+        agree(tally, [(embed(back), embed(u), gprobes)], round=rd,
+              law="cosheaf-function")
         t = rand_compact_distribution(rng, space, m, k, star, e_dim)
         back = cosheaf_reassemble(cosheaf_decompose(t, pou), m)
-        probes = dual_function_family(space, m, k, star, xdeg_cap=draws.xcap)
-        r, _ = functional_residual(back, t, probes)
-        tally.residual(r, round=rd, law="cosheaf-distribution")
+        agree(tally, [(back, t, probes)], round=rd,
+              law="cosheaf-distribution")
     return tally.report("cosheaf")
 
 

@@ -11,6 +11,7 @@ the test input that meets it.
 
 import copy
 import functools
+import json
 from pathlib import Path
 
 import pytest
@@ -27,14 +28,15 @@ from formalcalc import cli, densities, expr, sheaf, suites
 from formalcalc.cli import main
 from formalcalc.densities import FormalDensity
 from formalcalc.distributions import BaseDistribution
+from formalcalc.functions import SupportedFormalFunction
 from formalcalc.multiindex import grlex_key
 from formalcalc.sheaf import flabby_check
 from formalcalc.spaces import RSet
 from test_density_proofs import proved_moved_pairs, proved_pairs
 from test_flabby_stages import unreached
 
-SMOOTH = str(Path(__file__).resolve().parent.parent / "scenarios"
-             / "smooth_demo.json")
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SMOOTH = str(SCENARIOS / "smooth_demo.json")
 
 
 def ext_drops_the_top_key(monkeypatch):
@@ -88,6 +90,12 @@ def cutoff_restrict_clips_inside_the_plateau(monkeypatch):
     monkeypatch.setattr(FormalDensity, "cutoff_restrict", cutoff_restrict)
 
 
+def function_cutoff_restrict_drops_its_cutoff(monkeypatch):
+    # each part keeps the whole function, not its share of the partition
+    monkeypatch.setattr(SupportedFormalFunction, "cutoff_restrict",
+                        lambda self, f, v: self.restrict(v))
+
+
 def point_terms_lose_their_x_order(monkeypatch):
     real = BaseDistribution.point.__func__
     # a point distribution's terms are built at order 0, whatever |I|
@@ -105,6 +113,8 @@ FAULTS = {
     "mv_psi drops its minus sign": (psi_drops_its_minus_sign, "mv"),
     "cutoff_restrict clips inside the plateau":
         (cutoff_restrict_clips_inside_the_plateau, "mv"),
+    "a supported function's cutoff_restrict drops its cutoff":
+        (function_cutoff_restrict_drops_its_cutoff, "cosheaf"),
     "the point form drops each term's x-order":
         (point_terms_lose_their_x_order, "jets"),
 }
@@ -118,6 +128,19 @@ def test_the_smooth_demo_check_sees_the_fault(name, monkeypatch, capsys):
     fault(monkeypatch)
     assert main(argv) == 1
     assert '"pass":false' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scenario", ["discrete_demo", "smooth_demo"])
+def test_the_function_law_alone_sees_a_function_cutoff_that_is_dropped(
+        scenario, monkeypatch, capsys):
+    # on both backends the fault is seen by the cosheaf function law,
+    # which reads the two functions as generalized functions
+    argv = ["check", "cosheaf", "--scenario",
+            str(SCENARIOS / (scenario + ".json")), "--json"]
+    function_cutoff_restrict_drops_its_cutoff(monkeypatch)
+    assert main(argv) == 1
+    report, = json.loads(capsys.readouterr().out)["suites"]
+    assert {f["law"] for f in report["failures"]} == {"cosheaf-function"}
 
 
 def open_sections_count_as_seen(monkeypatch):

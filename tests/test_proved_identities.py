@@ -5,8 +5,8 @@ its numerators are those of the one interned denominator they share, in
 any order, so its unit check samples nothing; any other coefficient list
 is still sampled. The same
 identity proves a supported function's coefficient equal to its
-reassembly from the partition, so the cosheaf function law samples
-nothing either, and a glued or reassembled distribution equal to the
+reassembly from the partition, so the cosheaf function law reads no
+probe either, and a glued or reassembled distribution equal to the
 section it came from, term by term, so those laws integrate nothing.
 Two equal sections agree on every probe, so comparing them integrates
 nothing, once both are checked against the family.
@@ -28,14 +28,14 @@ from formalcalc.distributions import (BaseDistribution,
                                       PointTerm, SmoothTerm)
 from formalcalc.errors import (CertificateError, DomainMismatchError,
                                TruncationError)
-from formalcalc.expr import (ONE, X, Add, add, certified, div, mul,
-                            window_bump)
+from formalcalc.expr import (ONE, X, Add, add, bump, certified, div, ev,
+                            mul, window_bump)
 from formalcalc.functions import FormalFunction, SupportedFormalFunction
 from formalcalc.scenario import Scenario
 from formalcalc.sheaf import (Cover, PartitionOfUnity, build_pou,
                               cosheaf_decompose, cosheaf_reassemble,
                               dual_density_family, dual_function_family,
-                              functional_residual)
+                              functional_residual, max_gap)
 from formalcalc.spaces import OpenSet, RSet, SmoothLine
 
 SL = SmoothLine()
@@ -169,9 +169,10 @@ def test_a_proof_does_not_depend_on_which_nodes_are_alive(monkeypatch):
         == [f.coeff((0,)) for f in alive.functions]
     pairs = [reassembled(pou, seed) for seed in range(4)]
     assert sum(len(u.coeffs) for _, u in pairs) == 9
+    refuse(monkeypatch, quadrature, "_adaptive")
     for back, u in pairs:
-        assert suites.function_residual(back, u) == 0.0
-        assert suites.function_residual(u, back) == 0.0
+        assert function_gap(back, u) == 0.0
+        assert function_gap(u, back) == 0.0
     assert alive.grid_residual == 0.0
 
 
@@ -208,10 +209,10 @@ def test_equal_function_coefficients_are_not_sampled(monkeypatch):
     u = suites.rand_function(random.Random(0), SL, DOM, 1, 2)
     assert u.coeffs
     v = suites.rand_function(random.Random(1), SL, DOM, 1, 2)
-    refuse_sampling(monkeypatch)
-    assert suites.function_residual(u, u) == 0.0
+    refuse(monkeypatch, quadrature, "_adaptive")
+    assert function_gap(u, u) == 0.0
     with pytest.raises(Measured):
-        suites.function_residual(u, v)
+        function_gap(u, v)
 
 
 # -- the cosheaf function law ---------------------------------------------------
@@ -225,16 +226,28 @@ def reassembled(pou, seed):
     return cosheaf_reassemble(cosheaf_decompose(u, pou), m), u
 
 
+def function_gap(a, b):
+    """The residual of function a against b as the cosheaf suite reads
+    it: one `suites.agree` of their generalized functions over the
+    suite's density family, its star cap their trunc (2 in the suite)."""
+    draws, tally = suites._draws(a.space), suites._Tally()
+    fam = dual_density_family(a.space, a.domain, a.k, a.trunc,
+                              xdeg_cap=draws.xcap, stack_cap=draws.scap)
+    embed = GeneralizedFunction.embed
+    suites.agree(tally, [(embed(a), embed(b), fam)])
+    return tally.worst
+
+
 @pytest.mark.parametrize("name", sorted(COVERS))
 def test_the_cosheaf_function_law_is_proved_without_sampling(name,
                                                              monkeypatch):
     pou = build_pou(COVERS[name](), 1, 4)
     pairs = [reassembled(pou, seed) for seed in range(4)]
-    refuse_sampling(monkeypatch)
+    refuse(monkeypatch, quadrature, "_adaptive")
     for back, u in pairs:
         assert any(back.coeff(j) is not c for j, c in u.coeffs.items())
-        assert suites.function_residual(back, u) == 0.0
-        assert suites.function_residual(u, back) == 0.0
+        assert function_gap(back, u) == 0.0
+        assert function_gap(u, back) == 0.0
 
 
 def test_the_cosheaf_suite_samples_no_function(monkeypatch):
@@ -278,16 +291,28 @@ def test_a_perturbed_reassembly_is_measured(monkeypatch):
              (m, rebuilt(twice[:1] + quots[1:]), cb),          # other den
              (m, rebuilt(twice), cb),                          # all over 2S
              (wider, ca, cb)]                                  # not certified
-    refuse_sampling(monkeypatch)
+    refuse(monkeypatch, quadrature, "_adaptive")
     for dom, a, b in cases:
         assert not SL.proves_equal(one(a), one(b), dom.region)
         assert not SL.proves_equal(one(b), one(a), dom.region)
         with pytest.raises(Measured):
-            suites.function_residual(FormalFunction(SL, dom, 1, 2, {(0,): a}),
-                                     FormalFunction(SL, dom, 1, 2, {(0,): b}))
+            function_gap(FormalFunction(SL, dom, 1, 2, {(0,): a}),
+                         FormalFunction(SL, dom, 1, 2, {(0,): b}))
 
 
-def test_every_proved_reassembly_samples_to_zero(monkeypatch):
+def test_a_bump_between_two_grid_points_is_measured():
+    # the bump is 1 on [1/200, 1/100] and 0 outside (1/500, 1/60): it
+    # lies between two points of a 101-point grid on (-1, 1), not
+    # between the density probes
+    dom = OpenSet(SL, [(-1, 1)])
+    b, _, _ = bump(Fraction(1, 500), Fraction(1, 200), Fraction(1, 100),
+                   Fraction(1, 60))
+    zero, u = (FormalFunction(SL, dom, 1, 2, c) for c in ({}, {(0,): b}))
+    assert function_gap(zero, u) > 1e-3
+    assert function_gap(u, zero) > 1e-3
+
+
+def test_every_proved_reassembly_samples_to_zero():
     pou = build_pou(suites._three_part_cover(SL), 1, 4)
     proved = []
     for seed in range(20):
@@ -296,11 +321,14 @@ def test_every_proved_reassembly_samples_to_zero(monkeypatch):
             assert SL.proves_equal(one(back.coeff(j)), one(u.coeff(j)),
                                    u.domain.region)
         proved.append((back, u))
-    # with no proof on hand, function_residual samples at 30 digits
-    monkeypatch.setattr(SmoothLine, "proves_equal",
-                        lambda self, a, b, region: a == b)
+    # an oracle that reads no proof: each coefficient pair sampled at
+    # 30 digits on the grid of their support
     for back, u in proved:
-        assert suites.function_residual(back, u) == 0.0
+        for j in u.coeffs.keys() | back.coeffs.keys():
+            ca, cb = back.coeff(j), u.coeff(j)
+            pts = SL.sample_points(SL.support((ca, cb), u.domain.region))
+            assert max_gap([ev(ca, x) for x in pts],
+                           [ev(cb, x) for x in pts]) == 0.0
 
 
 # -- glued and reassembled distributions ------------------------------------------

@@ -11,9 +11,10 @@ from formalcalc.functions import SupportedFormalFunction
 from formalcalc.multiindex import mi
 from formalcalc.scalars import QC
 from formalcalc.spaces import Discrete, SmoothLine
-from formalcalc.suites import (SUITE_NAMES, function_residual, run_suite,
-                               suite_cosheaf, suite_duality, suite_flabby,
-                               suite_glue, suite_jets, suite_mv)
+from formalcalc.suites import (SUITE_NAMES, run_suite, suite_cosheaf,
+                               suite_duality, suite_flabby, suite_glue,
+                               suite_jets, suite_mv)
+from test_proved_identities import function_gap
 
 DS = Discrete(["a", "b", "c", "d", "e"])
 SL = SmoothLine()
@@ -85,13 +86,13 @@ def test_smooth_jets_suite_is_exact():
 NEAR_ONE = QC(Fraction(10 ** 30 + 1, 10 ** 30))
 
 
-def test_function_residual_sees_a_gap_below_float_resolution():
+def test_the_function_law_sees_a_gap_below_float_resolution():
     m = DS.whole()
     u, v = (SupportedFormalFunction(DS, m, 1, 1, {mi((0,)): {"a": w}},
                                     support=frozenset("a"))
             for w in (QC(1), NEAR_ONE))
-    assert function_residual(u, v) == 1e-30
-    assert function_residual(u, u) == 0.0
+    assert function_gap(u, v) == 1e-30
+    assert function_gap(u, u) == 0.0
 
 
 def test_duality_gap_below_float_resolution_fails(monkeypatch):
