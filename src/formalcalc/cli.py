@@ -126,7 +126,7 @@ def cmd_pou(args, sc, tol, seed):
     pou = build_pou(cover, sc.k, sc.trunc)
     report = {"command": "pou", "schema": SCHEMA_VERSION,
               "cover": args.cover,
-              "grid_residual": float(pou.grid_residual),
+              "grid_residual": pou.grid_residual,
               "functions": [f.to_json() for f in pou.functions]}
     return report, 0
 

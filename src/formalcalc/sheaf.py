@@ -64,14 +64,12 @@ from .densities import FormalDensity
 from .distributions import (CompactFormalDistribution, FormalDistribution,
                             GeneralizedFunction, PointTerm, SmoothTerm,
                             _DualSection, vec_add)
-from .errors import (CertificateError, DomainMismatchError,
-                     IncompatibilityError, SupportError)
+from .errors import DomainMismatchError, IncompatibilityError, SupportError
 from .functions import SupportedFormalFunction, cutoff, read_pairings
 from .multiindex import degree, enumerate_upto, mi, mi_factorial
 from .scalars import QC, QC_ZERO
 from .spaces import Discrete, OpenSet, SmoothLine, same
 
-POU_GRID_TOL = 1e-12
 DEFAULT_FUNCTIONAL_TOL = 1e-8
 
 
@@ -106,13 +104,17 @@ class PartitionOfUnity:
     """Functions subordinate to a cover that sum to one.
 
     Every function is constant in y (only the zero y-index carries a
-    coefficient). The space's unit_gap checks the sum identity: exactly
-    on a discrete space. On the line it is proved, not sampled, for the
-    bump quotients build_pou makes, in any order, whose numerators sum
-    to their one shared denominator; any other line partition
-    (hand-built, scaled, or a single part) is sampled on a grid, within
-    POU_GRID_TOL.
+    coefficient). The space proves the sum identity (`prove_unit`):
+    exactly on a discrete space. On the line, the bump quotients
+    build_pou makes, whose numerators sum to their one shared
+    denominator, in any order; any other line partition (hand-built or
+    a single part) by the line's equality rule against one, and a sum
+    neither proves is undecided (UndecidedCertificateError), never
+    sampled. grid_residual is the `pou` report's field: a proved sum
+    leaves none.
     """
+
+    grid_residual = 0.0
 
     def __init__(self, cover: Cover, functions):
         functions = list(functions)
@@ -129,17 +131,12 @@ class PartitionOfUnity:
                 raise ValueError("partition functions must be constant in y")
             if not f.support & cover.whole.region <= part.region:
                 raise SupportError("partition function support escapes its part")
+        space.prove_unit([f.coeff(j0) for f in functions], cover.whole.region)
         self.cover = cover
         self.functions = functions
-        self.grid_residual = space.unit_gap([f.coeff(j0) for f in functions],
-                                            cover.whole.region)
-        if self.grid_residual > POU_GRID_TOL:
-            raise CertificateError("partition sum deviates from one by %g"
-                                   % self.grid_residual)
 
     def __repr__(self):
-        return "PartitionOfUnity(%d parts, grid_residual=%g)" % (
-            len(self.functions), self.grid_residual)
+        return "PartitionOfUnity(%d parts)" % len(self.functions)
 
 
 # -- partitions of unity and probe families -------------------------------

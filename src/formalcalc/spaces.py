@@ -21,23 +21,24 @@ A region (an open set, a support, a plateau) is one value of the
 space: a frozenset of labels on Discrete, an RSet on SmoothLine. Both
 answer to the same operators, | & - <= `in` and truthiness, so the
 rest of the package combines regions without knowing which it holds;
-what differs (compactness, interiors, parsing a base point, sampling,
-JSON) is a method of the space, and only this module knows how a
-region is represented.
+what differs (compactness, interiors, parsing a base point, JSON) is
+a method of the space, and only this module knows how a region is
+represented.
 
 Each backend also supplies the ingredients of the sheaf constructions,
 as base data that sheaf.py turns into formal sections: the probes
 (`probes`), a partition of unity (`partition`), a cutoff and its
 plateau and support near a set (`cutoff`, `cutoff_near`), and the
-checks that a partition sums to one (`unit_gap`) and that two lists
+proofs that a partition sums to one (`prove_unit`) and that two lists
 of (coefficient, bound) terms agree (`proves_equal`, one rule per
 space). Label indicators on Discrete, exact; on SmoothLine plateau
-bumps over one certified denominator, whose checks prove what the
-partition identity closes (`_sums_to_one`, order-free) and sample or
-leave unknown the rest. Lists of bounded terms (a density's at one
-key and derivative stack, a distribution's integral terms) are proved
-further: with each partition reassembly in their coefficients summed,
-its derivatives summing to 0 (`_reassembled`), then on the pieces of
+bumps over one certified denominator, whose proofs close the
+partition identity (`_sums_to_one`, order-free) and leave the rest
+unknown: no verdict comes from a sample. Lists of bounded terms (a
+density's at one key and derivative stack, a distribution's integral
+terms, a partition's coefficients on its region) are proved further:
+with each partition reassembly in their coefficients summed, its
+derivatives summing to 0 (`_reassembled`), then on the pieces of
 their bounds (`expr.equal_on_pieces`). Reading a section at the
 probes is section-level work, done in sheaf.py.
 
@@ -57,7 +58,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import (BackendError, CertificateError, DomainMismatchError,
-                     SupportError, json_shape)
+                     SupportError, UndecidedCertificateError, json_shape)
 from .expr import (ONE, ZERO, Add, Const, Div, Mul, X, _compile, add, bump,
                    certified, diff, div, equal_on_pieces, ev, falling_edge,
                    mul, parse_sexpr, pow_, rising_edge, to_sexpr, window_bump)
@@ -67,8 +68,6 @@ from .scalars import (QC, QC_ONE, QC_ZERO, qc, qc_from_json, qc_map_add,
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
-# points per piece of SmoothLine.sample_points
-SAMPLE_GRID = 101
 
 
 def _is_inf(v) -> bool:
@@ -391,11 +390,11 @@ class Discrete:
         """(plateau, support) of a cutoff that is one on r: both r."""
         return r, r
 
-    def unit_gap(self, coeffs, region) -> float:
-        """0.0 if the coefficients sum exactly to one on each label of
-        the region and to zero outside it, else 1.0."""
-        total = reduce(self.add, coeffs, {})
-        return 0.0 if total == self.constant(1, region) else 1.0
+    def prove_unit(self, coeffs, region):
+        """Check that the coefficients sum exactly to one on each label of
+        the region and to zero outside it; CertificateError if not."""
+        if reduce(self.add, coeffs, {}) != self.constant(1, region):
+            raise CertificateError("partition sum deviates from one")
 
     def proves_equal(self, a, b, region) -> bool:
         """a == b, lists of (weights, bound) terms: exact, no proof needed."""
@@ -687,24 +686,6 @@ class SmoothLine:
     def origin(self):
         return Fraction(0)
 
-    def sample_points(self, region):
-        """SAMPLE_GRID rationals inside each piece; an unbounded piece is
-        sampled over width 10 at its finite end (around 0 if none)."""
-        pts = []
-        for lo, hi, _, _ in region.pieces:
-            if lo == NEG_INF and hi == POS_INF:
-                a, b = Fraction(-10), Fraction(10)
-            elif lo == NEG_INF:
-                a, b = hi - 10, hi
-            elif hi == POS_INF:
-                a, b = lo, lo + 10
-            else:
-                a, b = lo, hi
-            w = b - a
-            for i in range(SAMPLE_GRID):
-                pts.append(a + w * Fraction(2 * i + 1, 2 * SAMPLE_GRID))
-        return pts
-
     def region_to_json(self, r):
         return [[_ep_to_json(lo), _ep_to_json(hi)] for lo, hi, _, _ in r.pieces]
 
@@ -794,15 +775,17 @@ class SmoothLine:
         return (RSet.closed_pairs([(klo - gl / 4, khi + gr / 4)]),
                 RSet.closed_pairs([(klo - gl / 2, khi + gr / 2)]))
 
-    def unit_gap(self, coeffs, region) -> float:
-        """0.0, proved, when the nonzero coefficients are as `partition`
-        builds them (`_sums_to_one`), in any order. Otherwise (a
-        hand-built or scaled partition, a single part) the largest |sum of
-        the coefficients - 1| at the sample points of the region."""
-        if _sums_to_one([c for c in coeffs if c != ZERO], region):
-            return 0.0
-        return max((abs(sum(complex(ev(c, a)) for c in coeffs) - 1)
-                    for a in self.sample_points(region)), default=0.0)
+    def prove_unit(self, coeffs, region):
+        """Prove that the coefficients sum to one on the region: by the
+        partition identity when the nonzero ones are as `partition`
+        builds them (`_sums_to_one`), in any order, else by
+        `proves_equal` of the coefficients against one, each bounded by
+        the region. UndecidedCertificateError when neither proves it."""
+        coeffs = [c for c in coeffs if c != ZERO]
+        if not _sums_to_one(coeffs, region) and not self.proves_equal(
+                [(c, region) for c in coeffs], [(ONE, region)], region):
+            raise UndecidedCertificateError(
+                "partition sum not proved to be one on the region")
 
     def proves_equal(self, a, b, region) -> bool:
         """True when two lists of (coefficient, bound) terms are equal, or

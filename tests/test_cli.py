@@ -537,6 +537,30 @@ def test_check_all_json_at_seed_13_matches_its_golden(capsys, name):
     assert out == golden["stdout"]
 
 
+def test_hash_seeds_move_no_byte_of_check_all():
+    # set and dict orders follow the hash seed of the interpreter, so each
+    # run is a fresh one; all four run at once
+    path = os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+
+    def start(scenario, hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        return subprocess.Popen(
+            [sys.executable, "-m", "formalcalc.cli", "check", "all",
+             "--scenario", str(ROOT / "scenarios" / scenario), "--json",
+             "--seed", "13"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+    procs = {(scenario, seed): start(scenario, seed)
+             for scenario in ("discrete_demo.json", "smooth_demo.json")
+             for seed in ("0", "12345")}
+    runs = {key: (proc.communicate(timeout=60)[0], proc.returncode)
+            for key, proc in procs.items()}
+    for scenario in ("discrete_demo.json", "smooth_demo.json"):
+        out, code = runs[scenario, "0"]
+        assert code == 0 and out.startswith(b"{"), scenario
+        assert runs[scenario, "12345"] == (out, code), scenario
+
+
 @pytest.mark.parametrize("buffered", [True, False])
 def test_a_reader_that_closes_stdout_ends_the_run_as_sigpipe_would(buffered):
     # the read end is closed before the report is written, as `| head -c

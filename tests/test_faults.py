@@ -12,6 +12,7 @@ the test input that meets it.
 import copy
 import functools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ import test_derivatives
 import test_distributions
 import test_exact_laws
 import test_parallel_check
-from formalcalc import cli, densities, expr, sheaf, suites
+import test_proved_identities
+from formalcalc import cli, densities, expr, sheaf, spaces, suites
 from formalcalc.cli import main
 from formalcalc.densities import FormalDensity
 from formalcalc.distributions import BaseDistribution
@@ -239,6 +241,32 @@ def test_a_kernel_of_a_quadratic_sees_a_rule_that_reads_the_lower_bound(
     dead_kernels_read_by_the_lower_bound(monkeypatch)
     with pytest.raises(AssertionError):
         law()
+
+
+# -- a fault in the partition identity --------------------------------------------
+#
+# Quotients b_i / S over one certified S sum to one when the summands of
+# their numerators are S's, each as often as in S. A rule that asks only
+# that none comes more often passes a partition with a part left out.
+
+
+def the_partition_identity_passes_a_missing_part(monkeypatch):
+    def _sums_to_one(quots, region):
+        return bool(quots) and all(
+            type(c) is expr.Div and c.den is quots[0].den for c in quots) \
+            and expr.certified(quots[0].den, region) \
+            and Counter(t for c in quots for t in spaces._summands(c.num)) \
+            <= Counter(spaces._summands(quots[0].den))
+    monkeypatch.setattr(spaces, "_sums_to_one", _sums_to_one)
+
+
+def test_a_dropped_part_sees_a_partition_identity_that_passes_a_missing_part(
+        monkeypatch):
+    law = test_proved_identities.test_a_wrong_order_free_sum_is_still_sampled
+    law(monkeypatch)
+    the_partition_identity_passes_a_missing_part(monkeypatch)
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        law(monkeypatch)
 
 
 # -- faults in the Leibniz factors ------------------------------------------------

@@ -2,8 +2,8 @@
 
 A line partition built by build_pou sums to one because the summands of
 its numerators are those of the one interned denominator they share, in
-any order, so its unit check samples nothing; any other coefficient list
-is still sampled. The same
+any order, so its unit proof samples nothing; any other coefficient list
+is proved against one by the piece rule, or is undecided. The same
 identity proves a supported function's coefficient equal to its
 reassembly from the partition, so the cosheaf function law reads no
 probe either, and a glued or reassembled distribution equal to the
@@ -27,7 +27,7 @@ from formalcalc.distributions import (BaseDistribution,
                                       FormalDistribution, GeneralizedFunction,
                                       PointTerm, SmoothTerm)
 from formalcalc.errors import (CertificateError, DomainMismatchError,
-                               TruncationError)
+                               TruncationError, UndecidedCertificateError)
 from formalcalc.expr import (ONE, X, Add, add, bump, certified, div, ev,
                             mul, window_bump)
 from formalcalc.functions import FormalFunction, SupportedFormalFunction
@@ -37,6 +37,8 @@ from formalcalc.sheaf import (Cover, PartitionOfUnity, build_pou,
                               dual_density_family, dual_function_family,
                               functional_residual, max_gap)
 from formalcalc.spaces import OpenSet, RSet, SmoothLine
+from test_sheaf_ingredients import (grid_points, rand_line_cover,
+                                    ref_sum_residual)
 
 SL = SmoothLine()
 DOM = OpenSet(SL, [(-4, 4)])
@@ -74,8 +76,22 @@ def test_a_built_line_partition_is_proved_without_sampling(name,
                                                            monkeypatch):
     cover = COVERS[name]()
     refuse_sampling(monkeypatch)
+    # nor by the piece rule, the fallback of prove_unit
+    refuse(monkeypatch, SmoothLine, "proves_equal")
     pou = build_pou(cover, 1, 1)
     assert pou.grid_residual == 0.0
+
+
+def test_a_random_line_partition_is_proved_by_the_partition_identity_alone(
+        monkeypatch):
+    rng = random.Random(919)
+    covers = [c for c in (rand_line_cover(rng) for _ in range(40))
+              if len(c) > 1]
+    assert len(covers) == 30
+    refuse_sampling(monkeypatch)
+    refuse(monkeypatch, SmoothLine, "proves_equal")
+    for cover in covers:
+        build_pou(cover, 1, 0)
 
 
 def test_any_other_coefficient_list_is_sampled(monkeypatch):
@@ -90,14 +106,14 @@ def test_any_other_coefficient_list_is_sampled(monkeypatch):
         r for r in expr._CERTIFIED[den] if not wider <= r})
     assert not certified(den, wider)
     refuse_sampling(monkeypatch)
-    assert SL.unit_gap([c0, c1], DOM.region) == 0.0
-    assert SL.unit_gap([c1, c0], DOM.region) == 0.0    # reordered
+    SL.prove_unit([c0, c1], DOM.region)
+    SL.prove_unit([c1, c0], DOM.region)                 # reordered
+    SL.prove_unit([ONE], DOM.region)                    # a single part
     for coeffs, region in (([doubled, c1], DOM.region),  # sum is not S
                            ([mul(2, c0), c1], DOM.region),  # scaled
-                           ([ONE], DOM.region),          # a single part
                            ([c0, c1], wider)):           # S not certified
-        with pytest.raises(Measured):
-            SL.unit_gap(coeffs, region)
+        with pytest.raises(UndecidedCertificateError):
+            SL.prove_unit(coeffs, region)
 
 
 def test_a_partition_whose_numerators_miss_s_is_refused():
@@ -109,6 +125,40 @@ def test_a_partition_whose_numerators_miss_s_is_refused():
                                       support=f0.support, plateau=f0.plateau)
     with pytest.raises(CertificateError):
         PartitionOfUnity(cover, [doubled, f1])
+
+
+def test_a_partition_off_by_a_bump_between_grid_points_is_refused():
+    # the bump is 1 on [2/100, 3/100] and 0 outside (1/100, 4/100), so
+    # the sum is 2 at x = 1/40; the 101-point grid on (-4, 4) steps by
+    # 8/101 and has no point in (1/100, 4/100)
+    cover = two_part_cover()
+    f0, f1 = build_pou(cover, 1, 1).functions
+    b, _, _ = bump(Fraction(1, 100), Fraction(2, 100), Fraction(3, 100),
+                   Fraction(4, 100))
+    c0 = add(f0.coeff((0,)), b)
+    assert ev(c0, Fraction(1, 40)) + ev(f1.coeff((0,)), Fraction(1, 40)) == 2
+    assert ref_sum_residual(SL, DOM.region, [c0, f1.coeff((0,))]) == 0.0
+    off = SupportedFormalFunction(SL, DOM, 1, 1, {(0,): c0},
+                                  support=f0.support, plateau=f0.plateau)
+    with pytest.raises(UndecidedCertificateError):
+        PartitionOfUnity(cover, [off, f1])
+
+
+def test_a_true_hand_built_partition_is_proved_without_sampling(
+        monkeypatch):
+    # g is 1 on [-9/2, 0] and 0 from 1/2 on, so 1 - g is 0 on (-4, 0]
+    cover = two_part_cover()
+    g, g_support, g_plateau = bump(-5, Fraction(-9, 2), 0, Fraction(1, 2))
+    rest = SL.add(ONE, SL.scale(g, -1))
+    c = build_pou(cover, 1, 1).functions[0].coeff((0,))
+    parts = [SupportedFormalFunction(SL, DOM, 1, 1, {(0,): g},
+                                     support=g_support, plateau=g_plateau),
+             SupportedFormalFunction(SL, DOM, 1, 1, {(0,): rest},
+                                     support=RSet.closed_pairs([(0, 5)]))]
+    refuse_sampling(monkeypatch)
+    assert PartitionOfUnity(cover, parts).grid_residual == 0.0
+    SL.prove_unit([ONE], DOM.region)
+    SL.prove_unit([c, SL.add(ONE, SL.scale(c, -1))], DOM.region)
 
 
 def three_quotients():
@@ -129,7 +179,7 @@ def test_the_partition_identity_is_order_free(monkeypatch):
     first_two = div(add(q1.num, q0.num), den, region=region)
     refuse_sampling(monkeypatch)
     for quots in ([q2, q0, q1], [q1, q2, q0], [reverse], [q2, first_two]):
-        assert SL.unit_gap(quots, region) == 0.0
+        SL.prove_unit(quots, region)
         back = reduce(add, [mul(q, cb) for q in quots])
         assert SL.proves_equal(one(back), one(cb), region)
         assert SL.proves_equal(one(cb), one(back), region)
@@ -148,8 +198,8 @@ def test_a_wrong_order_free_sum_is_still_sampled(monkeypatch):
                      ([q2, repeated, q1], region),     # b_1 counted twice
                      ([q1, q0, q2, q1], region),       # one part repeated
                      ([q2, q1, q0], wider)):           # S not certified there
-        with pytest.raises(Measured):
-            SL.unit_gap(quots, r)
+        with pytest.raises(UndecidedCertificateError):
+            SL.prove_unit(quots, r)
         back = reduce(add, [mul(q, cb) for q in quots])
         assert not SL.proves_equal(one(back), one(cb), r)
         assert not SL.proves_equal(one(cb), one(back), r)
@@ -326,7 +376,7 @@ def test_every_proved_reassembly_samples_to_zero():
     for back, u in proved:
         for j in u.coeffs.keys() | back.coeffs.keys():
             ca, cb = back.coeff(j), u.coeff(j)
-            pts = SL.sample_points(SL.support((ca, cb), u.domain.region))
+            pts = grid_points(SL.support((ca, cb), u.domain.region))
             assert max_gap([ev(ca, x) for x in pts],
                            [ev(cb, x) for x in pts]) == 0.0
 

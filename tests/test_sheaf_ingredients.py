@@ -8,6 +8,8 @@ each space supplied its own probes, partitions, cutoffs and unit
 check. They stay here as oracles: on seeded domains and covers of both
 backends the single code path must build the same sections (equal
 `to_json`, in the same order), the same residuals and the same errors.
+On the line the sum check read the 101-point grid of each piece
+(`grid_points`), which now only tests read: the package proves a sum.
 """
 
 import random
@@ -19,7 +21,8 @@ import pytest
 from formalcalc import spaces
 from formalcalc.basedensity import BaseDensity
 from formalcalc.densities import FormalDensity
-from formalcalc.errors import CertificateError, SupportError
+from formalcalc.errors import (CertificateError, SupportError,
+                               UndecidedCertificateError)
 from formalcalc.expr import (ONE, X, add, bump, div, ev, falling_edge, mul,
                              pow_, rising_edge)
 from formalcalc.functions import SupportedFormalFunction, cutoff
@@ -225,6 +228,23 @@ def ref_build_pou(cover, k, trunc):
     return functions
 
 
+def grid_points(region):
+    """101 rationals inside each piece of a line region; an unbounded
+    piece is sampled over width 10 at its finite end (around 0 if none)."""
+    pts = []
+    for lo, hi, _, _ in region.pieces:
+        if lo == NEG_INF and hi == POS_INF:
+            a, b = Fraction(-10), Fraction(10)
+        elif lo == NEG_INF:
+            a, b = hi - 10, hi
+        elif hi == POS_INF:
+            a, b = lo, lo + 10
+        else:
+            a, b = lo, hi
+        pts += [a + (b - a) * Fraction(2 * i + 1, 202) for i in range(101)]
+    return pts
+
+
 def ref_sum_residual(space, whole_region, coeffs):
     if isinstance(space, Discrete):
         acc = {}
@@ -235,7 +255,7 @@ def ref_sum_residual(space, whole_region, coeffs):
             and set(acc) <= whole_region
         return 0.0 if ok else 1.0
     worst = 0.0
-    for a in space.sample_points(whole_region):
+    for a in grid_points(whole_region):
         total = sum(complex(ev(e, a)) for e in coeffs)
         worst = max(worst, abs(total - 1))
     return worst
@@ -448,24 +468,29 @@ def test_line_partition_of_the_empty_set_has_no_bumps():
 
 
 def test_unit_gap_matches_on_sums_that_fail():
-    """The sum checks agree on coefficient lists that miss one."""
+    """The sum proofs refuse the coefficient lists whose sum misses one."""
     rng = random.Random(929)
     vals = [QC(0), QC(1), QC(Fraction(1, 2)), QC(-1), QC(2)]
     for _ in range(200):
         whole = frozenset(rand_labels(rng))
         coeffs = [{p: v for p in sorted(whole)
                    if (v := rng.choice(vals))} for _ in range(rng.randint(1, 3))]
-        assert DS.unit_gap(coeffs, whole) == ref_sum_residual(DS, whole, coeffs)
+        if ref_sum_residual(DS, whole, coeffs):
+            with pytest.raises(CertificateError):
+                DS.prove_unit(coeffs, whole)
+        else:
+            DS.prove_unit(coeffs, whole)
     whole = OpenSet(SL, [(-4, 4)])
     pou = build_pou(Cover(whole, [OpenSet(SL, [(-4, 1)]),
                                   OpenSet(SL, [(-1, 4)])]), 1, 0)
     coeffs = [f.coeff((0,)) for f in pou.functions]
     coeffs[0] = SL.scale(coeffs[0], 2)
-    gap = SL.unit_gap(coeffs, whole.region)
-    assert gap == ref_sum_residual(SL, whole.region, coeffs) and gap > 0.5
+    assert ref_sum_residual(SL, whole.region, coeffs) > 0.5
+    with pytest.raises(UndecidedCertificateError):
+        SL.prove_unit(coeffs, whole.region)
     doubled = SupportedFormalFunction(SL, whole, 1, 0, {(0,): coeffs[0]},
                                       support=pou.functions[0].support)
-    with pytest.raises(CertificateError):
+    with pytest.raises(UndecidedCertificateError):
         PartitionOfUnity(pou.cover, [doubled, pou.functions[1]])
 
 
