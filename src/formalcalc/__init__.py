@@ -12,11 +12,11 @@ from .basedensity import BaseDensity
 from .densities import FormalDensity
 from .diffops import DensityDiffOp, EndoDiffOp, seminorm
 from .distributions import (BaseDistribution, CompactFormalDistribution,
-                            ExtendedFunctional, FormalDistribution,
-                            GeneralizedFunction, PointDistribution,
-                            PointTerm, SmoothTerm, cutoff_extend,
-                            dist_space_dimension, jet_kernel_check,
-                            normalized_monomial, point_basis)
+                            FormalDistribution, GeneralizedFunction,
+                            PointDistribution, PointTerm, SmoothTerm,
+                            cutoff_extend, dist_space_dimension,
+                            jet_kernel_check, normalized_monomial,
+                            point_basis)
 from .errors import (BackendError, CertificateError, DomainMismatchError,
                      FormalcalcError, IncompatibilityError, QuadratureError,
                      ScenarioError, SupportError, TruncationError,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseDensity", "FormalDensity", "DensityDiffOp", "EndoDiffOp",
     "seminorm", "BaseDistribution", "CompactFormalDistribution",
-    "ExtendedFunctional", "FormalDistribution", "GeneralizedFunction",
+    "FormalDistribution", "GeneralizedFunction",
     "PointDistribution", "PointTerm", "SmoothTerm", "cutoff_extend",
     "dist_space_dimension", "jet_kernel_check", "normalized_monomial",
     "point_basis", "BackendError", "CertificateError",

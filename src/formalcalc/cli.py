@@ -17,8 +17,10 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import threading
+import types
 
 from .densities import FormalDensity
 from .distributions import dist_space_dimension, jet_kernel_check
@@ -336,6 +338,11 @@ def _build_parser():
     sp = sub.add_parser("pou", help="build a partition of unity for a cover")
     sp.add_argument("cover")
     common(sp)
+    # argparse reads -1 and -0.5 as values but -1/2 (a rational as the
+    # package prints it) and -1e-3 as options: no option starts -digit
+    negative = types.SimpleNamespace(match=lambda s: re.match(r"-\.?\d", s))
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = negative
     return p
 
 

@@ -93,31 +93,26 @@ class FormalDensity(_GradedSection):
         self.coeffs = clean
 
     def _canon(self, coeffs, domain=None):
-        """A density over domain (default: this one's) from term lists
-        the algebra produced, each merged and sorted by _canon_terms."""
+        """This class's section over domain (default: this one's) from
+        term lists the algebra produced, merged and sorted by _canon_terms."""
         out = {}
         for l, terms in coeffs.items():
             canon = _canon_terms(terms)
             if canon:
                 out[l] = canon
-        return FormalDensity._trusted(self.space, domain or self.domain,
-                                      self.k, out)
+        return type(self)._trusted(self.space, domain or self.domain,
+                                   self.k, out)
 
     @classmethod
     def zero(cls, space, domain, k):
         return cls(space, domain, k)
 
-    @classmethod
-    def monomial(cls, space, domain, k, l, tau: BaseDensity, i=None):
-        """Single term (tau . d_x^I)(y*)^L."""
-        if i is None:
-            i = (0,) * space.ndim
-        zero = cls(space, domain, k)
-        l, i, tau = zero._index(l), zero._x_index(i), zero._own_inside(tau)
-        if tau.is_exactly_zero():
-            return zero
-        # one term is already in canonical form
-        return cls._trusted(space, domain, k, {l: ((i, tau),)})
+    @staticmethod
+    def monomial(space, domain, k, l, tau: BaseDensity, i=None):
+        """Single term (tau . d_x^I)(y*)^L, a plain density on any class:
+        an operator is built by its own constructor, which checks it."""
+        i = (0,) * space.ndim if i is None else i
+        return FormalDensity(space, domain, k, {l: ((i, tau),)})
 
     # -- queries ---------------------------------------------------------
 
@@ -200,7 +195,7 @@ class FormalDensity(_GradedSection):
             raise SupportError("extension by zero needs a compact support")
         if not supp <= self.domain.region:
             raise SupportError("support escapes the domain")
-        return FormalDensity._trusted(self.space, m, self.k, self.coeffs)
+        return type(self)._trusted(self.space, m, self.k, self.coeffs)
 
     def cutoff_restrict(self, f: SupportedFormalFunction, v: OpenSet) -> "FormalDensity":
         """(eta . f)|_v for a cutoff f supported inside v.

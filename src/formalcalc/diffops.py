@@ -10,10 +10,11 @@ into the formula
 Derivative stacks sit on the right of the coefficients (normal form).
 Regrouping the terms by L gives the formal density rho(D), and pairing
 rho(D) against u is the same number as integrating D(u). An operator
-is held as its normal form, so rho(D) is what it stores, and its
-linear structure, extension by zero and composition with a formal
-function on the right (rho(D . f) = rho(D) . f, renormalized through
-the Leibniz rule) are those of the density.
+is its normal form: DensityDiffOp subclasses FormalDensity, so its
+linear structure, extension by zero, pairing (op.pair(u) is the rho
+identity) and composition with a formal function on the right
+(rho(D . f) = rho(D) . f, renormalized through the Leibniz rule) are
+the density's, each returning the caller's class.
 
 An EndoDiffOp has formal-function coefficients and lands back in base
 functions; only the y-constant parts of its coefficients reach the
@@ -41,13 +42,12 @@ def _check_compact(space, key, support):
                            "supported" % key)
 
 
-class DensityDiffOp(_GradedSection):
+class DensityDiffOp(FormalDensity):
     """Operator sum tau_{I,L} . d_x^I d_y^L from functions to densities,
-    held as its normal form: `coeffs` maps L to ((I, tau), ...), as the
-    coefficients of rho(D)."""
+    held as its normal form rho(D): `coeffs` maps L to ((I, tau), ...)."""
 
     def __init__(self, space, domain: OpenSet, k: int, terms=None):
-        super().__init__(space, domain, k)
+        _GradedSection.__init__(self, space, domain, k)
         grouped = {}
         for (i, l), tau in (terms or {}).items():
             key = (self._x_index(i), self._index(l))
@@ -60,15 +60,6 @@ class DensityDiffOp(_GradedSection):
             grouped.setdefault(key[1], []).append((key[0], tau))
         self.coeffs = {l: _canon_terms(terms) for l, terms in grouped.items()}
 
-    @classmethod
-    def zero(cls, space, domain, k):
-        return cls(space, domain, k)
-
-    @staticmethod
-    def _of(eta: FormalDensity) -> "DensityDiffOp":
-        """The operator whose normal form is the density eta."""
-        return DensityDiffOp._trusted(eta.space, eta.domain, eta.k, eta.coeffs)
-
     @cached_property
     def terms(self):
         """The terms as a read-only map (I, L) -> tau, in the order
@@ -78,23 +69,10 @@ class DensityDiffOp(_GradedSection):
              for i, tau in terms),
             key=lambda t: (degree(t[0][0]) + degree(t[0][1]), t[0]))))
 
-    # -- queries -----------------------------------------------------------
-
     def order(self) -> int:
         return max((degree(i) + degree(l) for i, l in self.terms), default=0)
 
-    y_order = _GradedSection._top_degree
-    support = FormalDensity.support
-
-    # -- linear structure --------------------------------------------------
-
-    def add(self, other: "DensityDiffOp") -> "DensityDiffOp":
-        return self._of(self.rho().add(other.rho()))
-
-    def scale(self, c) -> "DensityDiffOp":
-        return self._of(self.rho().scale(c))
-
-    # -- action ------------------------------------------------------------
+    y_order = FormalDensity.star_degree
 
     def apply(self, u: FormalFunction) -> BaseDensity:
         """D(u) = sum tau * L! * (d_x^I u_L), a base density."""
@@ -105,8 +83,6 @@ class DensityDiffOp(_GradedSection):
             acc = acc.add(tau.mul_coeff(der).scale(mi_factorial(l)))
         return acc
 
-    # -- the rho map --------------------------------------------------------
-
     def rho(self) -> FormalDensity:
         """The formal density sum (tau . d^I)(y*)^L: the normal form.
 
@@ -114,17 +90,12 @@ class DensityDiffOp(_GradedSection):
         """
         return FormalDensity._trusted(self.space, self.domain, self.k, self.coeffs)
 
-    def precompose_function(self, f: FormalFunction) -> "DensityDiffOp":
-        """D . f, with apply(D . f, u) = apply(D, f u): rho(D) . f."""
-        self._check_partner(f, self.y_order())
-        return self._of(self.rho().module_action(f))
-
-    def ext(self, m: OpenSet) -> "DensityDiffOp":
-        """Extension by zero to a larger open set."""
-        return self._of(self.rho().ext(m))
+    # D . f, with apply(D . f, u) = apply(D, f u): rho(D . f) = rho(D) . f
+    precompose_function = FormalDensity.module_action
 
     # -- plumbing ----------------------------------------------------------------------
 
+    # an operator never equals a density, its normal form included
     def _eq_key(self):
         return (type(self).__name__, self.coeffs)
 

@@ -621,26 +621,9 @@ class CompactFormalDistribution(FormalDistribution):
         return cls(space, domain, k, plain.e_dim, plain.coeffs, support=support)
 
 
-class ExtendedFunctional:
-    """A compactly supported distribution read against global sections.
-
-    Wraps <eta', u> := <eta, (f u)|_U> for a cutoff f that is exactly
-    one on a neighborhood of the support of eta; any two admissible
-    cutoffs give the same values.
-    """
-
-    def __init__(self, eta: CompactFormalDistribution, cutoff: SupportedFormalFunction):
-        self.eta = eta
-        self.cutoff = cutoff
-
-    def __call__(self, u: FormalFunction):
-        v = cutoff_product(self.cutoff, u)
-        return self.eta.apply(v.restrict(self.eta.domain))
-
-
-def cutoff_extend(eta: CompactFormalDistribution,
-                  f: SupportedFormalFunction) -> ExtendedFunctional:
-    """Extend a compactly supported distribution to all global sections.
+def cutoff_extend(eta: CompactFormalDistribution, f: SupportedFormalFunction):
+    """Extend a compactly supported distribution eta on U to all global
+    sections: u -> <eta, (f u)|_U>, the same for any admissible cutoff.
 
     Preconditions: the cutoff is compactly supported inside the
     distribution's open set, and its recorded plateau (where it equals
@@ -660,7 +643,7 @@ def cutoff_extend(eta: CompactFormalDistribution,
     if not eta.support <= eta.space.interior(f.plateau):
         raise SupportError("cutoff plateau does not cover a neighborhood of "
                            "the distribution's support")
-    return ExtendedFunctional(eta, f)
+    return lambda u: eta.apply(cutoff_product(f, u).restrict(eta.domain))
 
 
 class GeneralizedFunction(_DualSection):

@@ -77,12 +77,16 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
+from mpmath import MPContext
 
 from .errors import BackendError, CertificateError, UndecidedCertificateError
 from .scalars import QC, QC_ONE, QC_ZERO, qc, qc_map_add, qc_map_mul, rat_str
 
-mp.dps = 30
+# the package's own mpmath context: evaluation carries 30 digits whatever
+# precision a caller sets on mpmath's global mp, which it never touches
+_MP = MPContext()
+_MP.dps = 30
+mpf, mpc = _MP.mpf, _MP.mpc
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -512,7 +516,7 @@ def ev(e: Expr, x):
         if tm < _KERN_FLOOR:
             raise ValueError("kernel argument below 2^-%d: exp(-1/t) is out "
                              "of reach" % MAX_FOLD_BITS)
-        return mp.exp(-1 / tm) / (tm ** e.m if e.m else 1)
+        return _MP.exp(-1 / tm) / (tm ** e.m if e.m else 1)
     return _fold(_postorder(e), visit)
 
 

@@ -83,6 +83,17 @@ def test_jet_tabulates_and_checks_ideal_membership(capsys):
     assert code == 0 and out.splitlines()[-1] == "in m_a^2: no"
 
 
+@pytest.mark.parametrize("point", ["-1/2", "-1e-1"])
+def test_a_negative_point_reads_as_a_point(capsys, point):
+    # a point as the package prints it, -p/q, is the point and not an
+    # option; the -- form reads it as a value on any parser
+    dashed = run(capsys, "jet", "--scenario", SMOOTH, "--json", "w", "--",
+                 point, "1")
+    assert dashed[0] == 0
+    assert run(capsys, "jet", "w", point, "1", "--scenario", SMOOTH,
+               "--json") == dashed
+
+
 def test_pou_discrete_and_smooth(capsys):
     code, out, _ = run(capsys, "pou", "C", "--scenario", DEMO, "--json")
     assert code == 0

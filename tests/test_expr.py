@@ -1,11 +1,15 @@
 """Expression trees: evaluation, differentiation, bumps, serialization."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from formalcalc import expr
 from formalcalc.errors import (BackendError, CertificateError,
@@ -156,8 +160,9 @@ def to_mp(v):
 
 def central_diff(e, x, h=Fraction(1, 10 ** 9)):
     # subtract at 30-digit precision; float64 would lose the difference
-    d = to_mp(ev(e, x + h)) - to_mp(ev(e, x - h))
-    return complex(d / (2 * to_mp(QC(h))))
+    with mp.workdps(30):
+        d = to_mp(ev(e, x + h)) - to_mp(ev(e, x - h))
+        return complex(d / (2 * to_mp(QC(h))))
 
 
 def test_derivative_matches_central_difference():
@@ -192,6 +197,26 @@ def test_kernel_vanishes_exactly_left_of_zero():
     d3 = diff(e, 3)
     assert ev(d3, Fraction(0)) == QC(0)
     assert ev(d3, Fraction(-2)) == QC(0)
+
+
+def test_the_package_and_a_caller_keep_their_own_mpmath_precision():
+    # importing formalcalc leaves mpmath's global mp at its default
+    # 15 digits, in a fresh interpreter where nothing else set it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import mpmath, formalcalc; print(mpmath.mp.dps)"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "15\n"
+    # and ev carries 30 digits at whatever precision a caller set, which
+    # it leaves as it was
+    want = "0.135335283236612691893999494972"  # exp(-2) at 30 digits
+    for dps in (5, 15, 50):
+        with mp.workdps(dps):
+            v = ev(kern(X), 0.5)
+            assert (str(v), mp.dps) == (want, dps)
+    assert str(ev(kern(X), Fraction(1, 2))) == want
 
 
 def test_kernel_of_a_vanishing_argument_is_refused():

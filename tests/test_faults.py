@@ -24,6 +24,7 @@ import test_density_proofs
 import test_derivatives
 import test_distributions
 import test_exact_laws
+import test_operator_normal_form
 import test_parallel_check
 import test_proved_identities
 from formalcalc import cli, densities, expr, sheaf, spaces, suites
@@ -305,6 +306,35 @@ def test_a_module_law_sees_the_fault_in_the_leibniz_factors(name,
     fault, law = LEIBNIZ_FAULTS[name]
     law()
     fault(monkeypatch)
+    with pytest.raises(AssertionError):
+        law()
+
+
+# -- a fault in the operator algebra --------------------------------------------------
+#
+# An operator is its normal form, so it takes the density's algebra, whose
+# _canon builds each result as the caller's class. A _canon that builds
+# plain densities again turns an operator's sum, multiple, composition
+# and cutoff restriction into densities.
+
+
+def canon_builds_plain_densities(monkeypatch):
+    real = FormalDensity._canon
+
+    def _canon(self, coeffs, domain=None):
+        out = real(self, coeffs, domain)
+        return FormalDensity._trusted(out.space, out.domain, out.k, out.coeffs)
+    monkeypatch.setattr(FormalDensity, "_canon", _canon)
+
+
+@pytest.mark.parametrize("kind", sorted(test_operator_normal_form.OPS))
+def test_the_class_test_sees_a_canon_that_builds_plain_densities(kind,
+                                                                 monkeypatch):
+    law = functools.partial(test_operator_normal_form
+                            .test_the_density_algebra_returns_the_callers_class,
+                            kind)
+    law()
+    canon_builds_plain_densities(monkeypatch)
     with pytest.raises(AssertionError):
         law()
 

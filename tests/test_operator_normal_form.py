@@ -1,7 +1,8 @@
-"""An operator is held as its normal form rho(D), so its composition
-with a function, linear structure and extension by zero are the
-density's, and an EndoDiffOp acts through the density operator of its
-coefficients' y-constant parts.
+"""An operator is its normal form rho(D): a DensityDiffOp is a
+FormalDensity, so its composition with a function, linear structure,
+extension by zero, cutoff restriction and pairing are the density's and
+return the caller's class, and an EndoDiffOp acts through the density
+operator of its coefficients' y-constant parts.
 
 Line instances are polynomial with box witnesses, so every check is
 exact: two line densities agree when their bounds are equal and their
@@ -13,12 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from formalcalc import (BaseDensity, Const, DensityDiffOp, FormalFunction,
-                        OpenSet, RSet, SmoothLine, X, add, mi, mul, pow_)
+from formalcalc import (BaseDensity, Const, DensityDiffOp, FormalDensity,
+                        FormalFunction, OpenSet, RSet, SmoothLine, X, add, mi,
+                        mul, pow_)
 from formalcalc.diffops import EndoDiffOp, seminorm
+from formalcalc.errors import SupportError
 from formalcalc.expr import bump
-from formalcalc.functions import SupportedFormalFunction
+from formalcalc.functions import SupportedFormalFunction, cutoff
 from formalcalc.multiindex import degree, enumerate_upto, mi_factorial
+from formalcalc.scalars import QC
 from formalcalc.spaces import Discrete
 
 SL = SmoothLine()
@@ -106,6 +110,111 @@ def test_add_scale_and_ext_commute_with_rho(xorder, seed):
     agree(a.scale(c).apply(u), a.apply(u).scale(c))
     v = line_function(rng, BIG)
     agree(a.ext(BIG).apply(v), a.apply(v.restrict(DOM)))
+
+
+# discrete instances on V, whose cutoff restriction is taken to W along
+# a cutoff that is one on W
+V = OpenSet(DS, ["a", "b", "c"])
+W = OpenSet(DS, ["a", "b"])
+CUT = cutoff(DS, V, 1, 3, ["a", "b"], ["a", "b"])
+
+
+def weights_on(rng, labels):
+    return {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for p in labels if rng.random() < 0.6}
+
+
+def discrete_density_op(rng):
+    return DensityDiffOp(DS, V, 1, {
+        (mi(()), l): BaseDensity.discrete(DS, weights_on(rng, "abc"))
+        for l in enumerate_upto(1, 2)})
+
+
+def discrete_endo_op(rng):
+    return EndoDiffOp(DS, V, 1, {
+        (mi(()), l): SupportedFormalFunction(
+            DS, V, 1, 2, {j: weights_on(rng, "abc")
+                          for j in enumerate_upto(1, 2)})
+        for l in enumerate_upto(1, 2)})
+
+
+def discrete_function(rng, trunc=3):
+    return FormalFunction(DS, V, 1, trunc, {
+        j: weights_on(rng, "abc") for j in enumerate_upto(1, trunc)})
+
+
+OPS = {"density": discrete_density_op, "endo": discrete_endo_op}
+
+
+@pytest.mark.parametrize("kind", sorted(OPS))
+def test_the_density_algebra_returns_the_callers_class(kind):
+    rng = random.Random(223)
+    for _ in range(40):
+        a, b = OPS[kind](rng), OPS[kind](rng)
+        f = discrete_function(rng)
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        eta = a.rho()
+        got = {"add": (a.add(b), eta.add(b.rho())),
+               "scale": (a.scale(c), eta.scale(c)),
+               "ext": (a.ext(DS.whole()), eta.ext(DS.whole())),
+               "precompose_function": (a.precompose_function(f),
+                                       eta.module_action(f)),
+               "cutoff_restrict": (a.cutoff_restrict(CUT, W),
+                                   eta.cutoff_restrict(CUT, W))}
+        for name, (op, want) in got.items():
+            assert type(op) is type(a), name
+            assert type(want) is FormalDensity, name
+            assert (op.domain, op.coeffs) == (want.domain, want.coeffs), name
+
+
+def test_an_operator_pairs_as_it_integrates_on_discrete_instances():
+    rng = random.Random(227)
+    for _ in range(60):
+        op, u = discrete_density_op(rng), discrete_function(rng)
+        got = op.pair(u)
+        assert isinstance(got, QC)
+        assert got == op.apply(u).integrate(op.domain) == op.rho().pair(u)
+
+
+@pytest.mark.parametrize("xorder,seed", CASES)
+def test_an_operator_pairs_as_it_integrates_on_line_instances(xorder, seed):
+    rng = random.Random(seed)
+    op, u = line_op(rng, xorder), line_function(rng)
+    got = op.pair(u)
+    assert isinstance(got, QC)
+    assert got == op.apply(u).integrate(op.domain)
+
+
+def test_an_operator_never_equals_its_normal_form():
+    rng = random.Random(229)
+    for make in OPS.values():
+        op = make(rng)
+        assert op.rho().coeffs == op.coeffs
+        assert op != op.rho() and op.rho() != op
+    assert DensityDiffOp(DS, V, 1) != EndoDiffOp(DS, V, 1)
+
+
+def test_an_operator_plus_a_density_is_the_operator_of_the_sum():
+    rng = random.Random(233)
+    for _ in range(40):
+        op = discrete_density_op(rng)
+        eta = FormalDensity(DS, V, 1, {
+            l: ((mi(()), BaseDensity.discrete(DS, weights_on(rng, "abc"))),)
+            for l in enumerate_upto(1, 2)})
+        got = op.add(eta)
+        assert type(got) is DensityDiffOp
+        assert got.rho() == op.rho().add(eta)
+        assert eta.add(op) == op.rho().add(eta)
+
+
+def test_the_one_term_builder_makes_no_unchecked_operator():
+    # an operator class inherits the density's monomial, which builds a
+    # plain density: no operator skips its constructor's support check
+    wide = BaseDensity.smooth(SL, X, SL.whole().region)
+    assert type(DensityDiffOp.monomial(SL, SL.whole(), 1, (0,), wide)) \
+        is FormalDensity
+    with pytest.raises(SupportError):
+        DensityDiffOp(SL, SL.whole(), 1, {(mi((0,)), mi((0,))): wide})
 
 
 def reduced_reference(space, terms, u):

@@ -109,8 +109,16 @@ def test_adaptive_quadrature_rejects_unbounded_range():
 
 
 def mp_oracle(e, knots):
-    """Independent tanh-sinh integration at 30 digits with split points."""
-    return complex(mp.quad(lambda t: ev(e, t), knots))
+    """Independent tanh-sinh integration at 30 digits with split points.
+
+    ev reads a node at its own 30 digits, which may round a node next to
+    a knot onto it, where a kernel reads an exact zero: a QC, given to
+    mpmath as a complex."""
+    def f(t):
+        v = ev(e, t)
+        return mp.mpc(complex(v)) if isinstance(v, QC) else v
+    with mp.workdps(30):
+        return complex(mp.quad(f, knots))
 
 
 def test_bump_integral_matches_independent_integrator():

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 import formalcalc
 import formalcalc.cli  # noqa: F401  (binds formalcalc.suites, as the benchmark does)
@@ -44,7 +44,8 @@ def far_from_reference(t):
         e = parse_sexpr(item["integrand"])
         ranges = [(Fraction(lo), Fraction(hi)) for lo, hi in item["ranges"]]
         got = complex(integrate_expr(e, ranges))
-        gap = abs(mpc(got) - mpc(mpf(item["re"]), mpf(item["im"])))
+        with mp.workdps(30):
+            gap = abs(mpc(got) - mpc(mpf(item["re"]), mpf(item["im"])))
         if not gap <= DEFAULT_ABS_TOL:
             far.append((i, float(gap)))
     return far
